@@ -7,24 +7,27 @@ conjunction with UDFs because the RDBMS must be in control of the code flow
 while the UDF is being executed." (§1)
 
 Because devUDF executes the transformed UDF *locally*, the IDE's debugger can
-attach.  The reproduction implements a scriptable interactive debugger on top
-of :mod:`bdb` (the machinery PyCharm's own pydevd builds on): breakpoints,
-step over / into / out, pause-and-inspect locals, watch expressions, and a
-recorded trace — everything the demo scenarios need to locate their bugs.
+attach.  The reproduction implements a scriptable interactive debugger as one
+purpose-built :func:`sys.settrace` tracer (the hook pydevd and :mod:`bdb` also
+build on): breakpoints, step over / into / out, pause-and-inspect locals,
+watch expressions, and a recorded trace — everything the demo scenarios need
+to locate their bugs.  Its cost follows the stops, not the lines executed:
+only frames of the debugged file whose code holds a breakpoint see line
+events, and a line that is no breakpoint costs one set lookup.
 """
 
 from __future__ import annotations
 
-import bdb
 import contextlib
 import io
-import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import FrameType
+from types import CodeType, FrameType
 from typing import Any, Callable
 
 from ..errors import DebugSessionError
+from .runner import _exception_line, _working_directory
 
 #: Commands a controller may issue at a stop (subset of the pydevd/PyCharm set).
 STEP_INTO = "step"
@@ -67,7 +70,6 @@ class DebugOutcome:
     completed: bool
     result: Any = None
     stops: list[StopPoint] = field(default_factory=list)
-    lines_executed: int = 0
     exception_type: str | None = None
     exception_message: str | None = None
     exception_line: int | None = None
@@ -135,49 +137,8 @@ class StepUntilController:
         return self.step_command
 
 
-class _Bdb(bdb.Bdb):
-    """bdb engine wired to a :class:`DebugSession`."""
-
-    def __init__(self, session: "DebugSession") -> None:
-        super().__init__()
-        self.session = session
-
-    def user_line(self, frame: FrameType) -> None:
-        if not self.session._in_target(frame):
-            return
-        is_breakpoint = bool(self.break_here(frame))
-        command = self.session._record_stop(frame, "line", is_breakpoint=is_breakpoint)
-        self._apply(command, frame)
-
-    def user_return(self, frame: FrameType, return_value: Any) -> None:
-        if not self.session._in_target(frame):
-            return
-        if not self.session._stepping:
-            return
-        command = self.session._record_stop(frame, "return")
-        self._apply(command, frame)
-
-    def user_exception(self, frame: FrameType, exc_info: tuple) -> None:
-        if not self.session._in_target(frame):
-            return
-        self.session._record_exception(frame, exc_info)
-
-    def _apply(self, command: str, frame: FrameType) -> None:
-        if command == STEP_INTO:
-            self.session._stepping = True
-            self.set_step()
-        elif command == STEP_OVER:
-            self.session._stepping = True
-            self.set_next(frame)
-        elif command == STEP_OUT:
-            self.session._stepping = True
-            self.set_return(frame)
-        elif command == QUIT:
-            self.session._quit_requested = True
-            self.set_quit()
-        else:  # CONTINUE
-            self.session._stepping = False
-            self.set_continue()
+class _QuitSession(BaseException):
+    """Raised by the tracer to unwind the debugged script after ``QUIT``."""
 
 
 class DebugSession:
@@ -206,19 +167,95 @@ class DebugSession:
         self.working_directory = Path(working_directory) if working_directory \
             else self.script_path.parent
         self.max_stops = max_stops
-
-        self._stops: list[StopPoint] = []
-        self._stepping = False
-        self._quit_requested = False
-        self._lines_executed = 0
-        self._exception: tuple[str, str, int | None] | None = None
         self._canonical_path = str(self.script_path.resolve())
 
     # ------------------------------------------------------------------ #
-    # engine callbacks
+    # the tracer
     # ------------------------------------------------------------------ #
-    def _in_target(self, frame: FrameType) -> bool:
-        return frame.f_code.co_filename == self._canonical_path
+    def _make_tracer(self) -> Callable[[FrameType, str, Any], Any]:
+        """Build the one trace function, installed globally and on the script's frames.
+
+        A closure, because it runs once per traced line: a bound method would
+        be re-created for every ``return`` of itself.
+        """
+        break_lines, break_codes = self._conditions, self._break_codes
+        script = self._canonical_path
+
+        def trace(frame: FrameType, event: str, arg: Any) -> Any:
+            if event == "line":
+                if frame.f_lineno in break_lines or self._stepping:
+                    self._on_line(frame)
+            elif event == "call":
+                code = frame.f_code
+                if code.co_filename != script:
+                    return None
+                if code not in break_codes and not (
+                        self._stepping and self._stop_frame is None):
+                    return None  # _pause arms it if a step comes back here
+            elif event == "return":
+                if self._stepping and (self._stops_in(frame)
+                                       or frame is self._return_frame):
+                    self._pause(frame, "return", False)
+                if frame is self._stop_frame:
+                    self._stop_frame = None  # stepped off the end: stop in the caller
+            elif event == "exception":
+                if self._stepping and self._stops_in(frame):
+                    self._exception = (arg[0].__name__, str(arg[1]), frame.f_lineno)
+            return trace
+
+        return trace
+
+    def _stops_in(self, frame: FrameType) -> bool:
+        """While stepping: is ``frame`` one the current step command stops in?"""
+        return self._stop_frame is None or frame is self._stop_frame
+
+    def _on_line(self, frame: FrameType) -> None:
+        is_breakpoint = False
+        for condition in self._conditions.get(frame.f_lineno, ()):
+            try:
+                is_breakpoint = condition is None or bool(
+                    eval(condition, frame.f_globals, frame.f_locals))  # noqa: S307
+            except Exception:  # noqa: BLE001 - a broken condition stops, as in pdb
+                is_breakpoint = True
+            if is_breakpoint:
+                break
+        if is_breakpoint or (self._stepping and self._stops_in(frame)):
+            self._pause(frame, "line", is_breakpoint)
+
+    def _pause(self, frame: FrameType, event: str, is_breakpoint: bool) -> None:
+        """Record a stop, ask the controller what to do and enter that mode."""
+        command = QUIT
+        if len(self._stops) < self.max_stops:
+            stop = StopPoint(
+                index=len(self._stops),
+                line=frame.f_lineno,
+                function=frame.f_code.co_name,
+                event=event,
+                locals=self._snapshot_locals(frame),
+                watches=self._evaluate_watches(frame),
+                is_breakpoint=is_breakpoint,
+            )
+            self._stops.append(stop)
+            command = self.controller(stop, self)
+            if command not in _VALID_COMMANDS:
+                raise DebugSessionError(f"controller returned unknown command {command!r}")
+        if command == QUIT:
+            self._quit_requested = True
+            raise _QuitSession
+        self._stepping = command != CONTINUE
+        self._stop_frame = self._return_frame = None  # STEP_INTO: stop in any frame
+        if command == STEP_OVER:
+            self._stop_frame = frame
+        elif command == STEP_OUT:
+            self._stop_frame, self._return_frame = frame.f_back, frame
+        # Arm the script's live frames for the new mode: every line while
+        # stepping, otherwise only code that holds a breakpoint.
+        trace = frame.f_trace
+        while frame is not None:
+            if frame.f_code.co_filename == self._canonical_path:
+                frame.f_trace = trace
+                frame.f_trace_lines = self._stepping or frame.f_code in self._break_codes
+            frame = frame.f_back
 
     def _snapshot_locals(self, frame: FrameType) -> dict[str, Any]:
         snapshot: dict[str, Any] = {}
@@ -243,86 +280,79 @@ class DebugSession:
                 results[label] = f"<error: {type(exc).__name__}: {exc}>"
         return results
 
-    def _record_stop(self, frame: FrameType, event: str, *,
-                     is_breakpoint: bool = False) -> str:
-        self._lines_executed += 1
-        should_pause = is_breakpoint or self._stepping
-        if not should_pause:
-            return CONTINUE
-        if len(self._stops) >= self.max_stops:
-            return QUIT
-        stop = StopPoint(
-            index=len(self._stops),
-            line=frame.f_lineno,
-            function=frame.f_code.co_name,
-            event=event,
-            locals=self._snapshot_locals(frame),
-            watches=self._evaluate_watches(frame),
-            is_breakpoint=is_breakpoint,
-        )
-        self._stops.append(stop)
-        command = self.controller(stop, self)
-        if command not in _VALID_COMMANDS:
-            raise DebugSessionError(f"controller returned unknown command {command!r}")
-        return command
-
-    def _record_exception(self, frame: FrameType, exc_info: tuple) -> None:
-        exc_type, exc_value, _ = exc_info
-        self._exception = (exc_type.__name__, str(exc_value), frame.f_lineno)
-
     # ------------------------------------------------------------------ #
     # running
     # ------------------------------------------------------------------ #
+    def _set_breakpoints(self, code: CodeType) -> None:
+        """Index this session's breakpoints against the compiled script."""
+        self._conditions: dict[int, list[str | None]] = {}
+        for breakpoint_spec in self.breakpoints:
+            self._conditions.setdefault(breakpoint_spec.line, []) \
+                .append(breakpoint_spec.condition)
+        self._break_codes: set[CodeType] = set()
+        executable: set[int] = set()
+        pending = [code]  # the module and every function/comprehension nested in it
+        while pending:
+            nested = pending.pop()
+            pending += [c for c in nested.co_consts if isinstance(c, CodeType)]
+            lines = {line for _, _, line in nested.co_lines() if line}
+            executable |= lines
+            if not lines.isdisjoint(self._conditions):
+                self._break_codes.add(nested)
+        for line in self._conditions:
+            if line not in executable:
+                raise DebugSessionError(
+                    f"cannot set breakpoint: line {line} of {self.script_path} "
+                    "is not an executable line"
+                )
+
     def run(self) -> DebugOutcome:
         """Run the script under the debugger and return the recorded outcome."""
         source = self.script_path.read_text(encoding="utf-8")
         code = compile(source, self._canonical_path, "exec")
         namespace: dict[str, Any] = {"__name__": "__main__",
                                      "__file__": self._canonical_path}
-        engine = _Bdb(self)
-        for breakpoint_spec in self.breakpoints:
-            error = engine.set_break(self._canonical_path, breakpoint_spec.line,
-                                     cond=breakpoint_spec.condition)
-            if error:
-                raise DebugSessionError(f"cannot set breakpoint: {error}")
+        self._set_breakpoints(code)
+        self._stops: list[StopPoint] = []
+        self._quit_requested = False
+        self._exception: tuple[str, str, int | None] | None = None
         # When there are no breakpoints, start in stepping mode so the
         # controller is consulted from the first line (that is what a
         # developer pressing "Step Into" on the Debug action gets).
         self._stepping = not self.breakpoints
+        #: while stepping: the only frame to stop in (None: any), and the
+        #: frame whose return ends a step-out
+        self._stop_frame: FrameType | None = None
+        self._return_frame: FrameType | None = None
 
         stdout = io.StringIO()
-        previous_dir = os.getcwd()
+        previous_trace = sys.gettrace()
         exception: BaseException | None = None
-        try:
-            os.chdir(self.working_directory)
-            with contextlib.redirect_stdout(stdout):
-                try:
-                    engine.run(code, namespace)
-                except bdb.BdbQuit:
-                    pass
-                except DebugSessionError:
-                    raise
-                except BaseException as exc:  # noqa: BLE001 - reported in the outcome
-                    exception = exc
-        finally:
-            os.chdir(previous_dir)
+        with _working_directory(self.working_directory), contextlib.redirect_stdout(stdout):
+            sys.settrace(self._make_tracer())
+            try:
+                exec(code, namespace)  # noqa: S102 - debugging the UDF is the feature
+            except _QuitSession:
+                pass
+            except DebugSessionError:
+                raise
+            except BaseException as exc:  # noqa: BLE001 - reported in the outcome
+                exception = exc
+            finally:
+                sys.settrace(previous_trace)
+                self._stop_frame = self._return_frame = None
 
         outcome = DebugOutcome(
             completed=exception is None and not self._quit_requested,
             result=namespace.get(self.RESULT_VARIABLE),
             stops=self._stops,
-            lines_executed=self._lines_executed,
             stdout=stdout.getvalue(),
             quit_requested=self._quit_requested,
         )
         if exception is not None:
             outcome.exception_type = type(exception).__name__
             outcome.exception_message = str(exception)
-            import traceback as _traceback
-
-            for frame, lineno in _traceback.walk_tb(exception.__traceback__):
-                if frame.f_code.co_filename == self._canonical_path:
-                    outcome.exception_line = lineno
+            outcome.exception_line = _exception_line(exception, self._canonical_path)
         elif self._exception is not None and not outcome.completed:
             outcome.exception_type, outcome.exception_message, outcome.exception_line = \
                 self._exception

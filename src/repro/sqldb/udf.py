@@ -18,7 +18,7 @@ import numpy as np
 from ..errors import UDFError
 from .schema import FunctionSignature
 from .storage import column_to_numpy
-from .types import SQLType, coerce_value
+from .types import NUMPY_DTYPES, SQLType, coerce_value
 from .vector import Vector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -127,9 +127,24 @@ def _to_value_list(value: Any) -> list[Any]:
     return [value]
 
 
+def _coerce_column(values: Any, sql_type: SQLType) -> Any:
+    """Coerce one UDF output column to ``sql_type``.
+
+    A 1-D array whose dtype kind already is the declared type passes through
+    as a contiguous typed array (the engine's NULL-free numeric column), never
+    touched per value; anything else takes the checked per-value path.
+    """
+    if isinstance(values, np.ndarray) and values.ndim == 1 and (
+            values.dtype.kind in "ib" and sql_type.is_integer
+            or values.dtype.kind in "if" and sql_type.is_floating
+            or values.dtype.kind == "b" and sql_type is SQLType.BOOLEAN):
+        return np.ascontiguousarray(values, dtype=NUMPY_DTYPES[sql_type])
+    return [coerce_value(value, sql_type) for value in _to_value_list(values)]
+
+
 def convert_scalar_result(
     signature: FunctionSignature, result: Any, input_length: int
-) -> tuple[list[Any], bool]:
+) -> tuple[Any, bool]:
     """Convert a scalar UDF's return value to a column.
 
     Returns ``(values, is_row_aligned)``.  ``is_row_aligned`` is True when the
@@ -137,16 +152,18 @@ def convert_scalar_result(
     to fewer values (e.g. the paper's ``mean_deviation`` returns one DOUBLE for
     the whole input column).
     """
-    return_type = signature.return_type or SQLType.DOUBLE
-    values = _to_value_list(result)
-    coerced = [coerce_value(value, return_type) for value in values]
+    coerced = _coerce_column(result, signature.return_type or SQLType.DOUBLE)
     row_aligned = input_length > 0 and len(coerced) == input_length
+    if isinstance(coerced, np.ndarray) and not (row_aligned and input_length > 1):
+        # the evaluator's kernels read every array as a column: a result of
+        # fewer values than rows is a constant and stays Python values
+        coerced = coerced.tolist()
     return coerced, row_aligned
 
 
 def convert_table_result(
     signature: FunctionSignature, result: Any
-) -> dict[str, list[Any]]:
+) -> dict[str, Any]:
     """Convert a table-returning UDF's output to named columns.
 
     Accepted shapes (matching MonetDB/Python):
@@ -159,9 +176,9 @@ def convert_table_result(
     """
     columns = signature.return_columns
     if isinstance(result, Mapping):
-        raw = {str(key): _to_value_list(value) for key, value in result.items()}
+        raw = {str(key): value for key, value in result.items()}
     elif len(columns) == 1:
-        raw = {columns[0].name: _to_value_list(result)}
+        raw = {columns[0].name: result}
     else:
         raise UDFError(
             signature.name,
@@ -179,19 +196,18 @@ def convert_table_result(
             f"returned keys: {sorted(raw)}",
         )
 
-    ordered = {col.name: lowered[col.name.lower()] for col in columns}
-    length = max((len(values) for values in ordered.values()), default=0)
-    out: dict[str, list[Any]] = {}
-    for col in columns:
-        values = ordered[col.name]
+    out = {col.name: _coerce_column(lowered[col.name.lower()], col.sql_type)
+           for col in columns}
+    length = max((len(values) for values in out.values()), default=0)
+    for name, values in out.items():
         if len(values) == 1 and length > 1:
-            values = values * length
+            values = out[name] = (np.repeat(values, length)
+                                  if isinstance(values, np.ndarray) else values * length)
         if len(values) != length:
             raise UDFError(
                 signature.name,
-                f"column {col.name!r} has {len(values)} values, expected {length}",
+                f"column {name!r} has {len(values)} values, expected {length}",
             )
-        out[col.name] = [coerce_value(value, col.sql_type) for value in values]
     return out
 
 
