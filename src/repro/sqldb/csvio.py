@@ -38,7 +38,7 @@ def load_csv_into_table(table: Table, path: str | os.PathLike[str], *,
     file_path = Path(path)
     if not file_path.exists():
         raise ExecutionError(f"COPY INTO: file {file_path} does not exist")
-    loaded = 0
+    rows: list[list[Any]] = []
     column_types = [column.sql_type for column in table.columns]
     with open(file_path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
@@ -52,11 +52,9 @@ def load_csv_into_table(table: Table, path: str | os.PathLike[str], *,
                     f"COPY INTO {table.name!r}: row {row_index + 1} has {len(row)} "
                     f"fields, expected {len(column_types)}"
                 )
-            values = [_parse_cell(cell, sql_type)
-                      for cell, sql_type in zip(row, column_types)]
-            table.insert_row(values)
-            loaded += 1
-    return loaded
+            rows.append([_parse_cell(cell, sql_type)
+                         for cell, sql_type in zip(row, column_types)])
+    return table.insert_rows(rows)
 
 
 def load_csv_directory_into_table(table: Table, directory: str | os.PathLike[str], *,

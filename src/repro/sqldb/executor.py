@@ -28,8 +28,8 @@ from .expressions import Batch, ExpressionEvaluator
 from .plan import Planner, PlanMetrics, SelectPlan
 from .result import QueryResult, ResultColumn
 from .schema import ColumnDef, FunctionSignature, TableSchema
-from .storage import Storage, Table
-from .types import ColumnType, SQLType, coerce_value
+from .storage import Storage, Table, arrays_to_values
+from .types import ColumnType, SQLType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .context import QueryContext
@@ -188,8 +188,9 @@ class Executor:
         for chunk_start in range(start_row, total,
                                  self._WAL_INSERT_CHUNK_ROWS):
             chunk_stop = min(chunk_start + self._WAL_INSERT_CHUNK_ROWS, total)
-            rows = [[column.values[index] for column in table.columns]
-                    for index in range(chunk_start, chunk_stop)]
+            rows = [list(row) for row in zip(*[
+                column.to_list(chunk_start, chunk_stop)
+                for column in table.columns])]
             record: dict[str, Any] = {"op": "insert", "table": table.name,
                                       "rows": rows}
             if chunk_stop < total:
@@ -222,9 +223,7 @@ class Executor:
         persistent database would silently diverge.
         """
         for column in table.columns:
-            if len(column.values) > start_row:
-                del column.values[start_row:]
-                column.mark_dirty()
+            column.truncate(start_row)
 
     # ------------------------------------------------------------------ #
     # SELECT: planner + morsel driver
@@ -280,8 +279,7 @@ class Executor:
             )
             before = table.row_count
             try:
-                for row in result.rows():
-                    table.insert_row(row)
+                table.insert_rows(result.rows())
                 # the create_table record leads the insert group: recovery
                 # applies DDL and rows of one CTAS all-or-nothing
                 self._log_inserted(
@@ -315,17 +313,14 @@ class Executor:
                              rows: Any) -> int:
         """Apply + WAL-log one insert statement atomically.
 
-        Any failure — a bad value mid-loop or the WAL append itself — rolls
-        the in-memory rows back, so live state never diverges from what a
-        crash would recover.
+        Any failure — a bad value (nothing is applied) or the WAL append
+        itself (the rows are rolled back) — leaves the table as it was, so
+        live state never diverges from what a crash would recover.
         """
-        inserted = 0
         before = table.row_count
         try:
-            for row in rows:
-                full_row = self._align_insert_row(table, columns, row)
-                table.insert_row(full_row)
-                inserted += 1
+            inserted = table.insert_rows(
+                self._align_insert_row(table, columns, row) for row in rows)
             self._log_inserted(table, before)
         except Exception:
             self._rollback_inserted(table, before)
@@ -401,7 +396,7 @@ class Executor:
         if statement.where is not None:
             mask = evaluator.evaluate_mask(statement.where)
         else:
-            mask = [True] * table.row_count
+            mask = np.ones(table.row_count, dtype=bool)
         assignments: dict[str, list[Any]] = {}
         for column_name, expression in statement.assignments:
             result = evaluator.evaluate(expression)
@@ -426,15 +421,16 @@ class Executor:
         chunk's coerced copy at a time).
         """
         selected = np.flatnonzero(np.asarray(mask, dtype=bool)).tolist()
-        sql_types = {name: table.column(name).sql_type for name in assignments}
         count = table.row_count
         for chunk_start in range(0, len(selected),
                                  self._WAL_INSERT_CHUNK_ROWS):
             chunk = selected[chunk_start:chunk_start
                              + self._WAL_INSERT_CHUNK_ROWS]
+            # coerced by the column itself, so a value storage cannot hold
+            # fails the statement here, before anything is logged
             columns = {
-                name: [coerce_value(values[index], sql_types[name])
-                       for index in chunk]
+                name: arrays_to_values(*table.column(name).coerce_batch(
+                    [values[index] for index in chunk]))
                 for name, values in assignments.items()
             }
             record: dict[str, Any] = {"op": "update", "table": table.name,
@@ -553,8 +549,8 @@ class Executor:
     # ------------------------------------------------------------------ #
     @staticmethod
     def _batch_from_table(table: Table, *, alias: str) -> Batch:
-        # near-zero-copy scan: share the storage layer's cached (read-only)
-        # arrays/vectors instead of copying every column per query
+        # zero-copy scan: the batch holds the storage layer's published
+        # (read-only) arrays/vectors, no column is copied per query
         table.check_readable()
         from .expressions import BatchColumn
 

@@ -138,7 +138,7 @@ class BatchColumn:
     """One column inside a batch, qualified by its source table alias.
 
     ``values`` is either a Python list or a (possibly shared, treat-as-
-    read-only) numpy array produced by the storage layer's cached scan.
+    read-only) numpy array view of the storage layer's column buffers.
     """
 
     table: str | None

@@ -5,7 +5,7 @@ of the operators defined here; the plan driver then pushes morsel-sized
 :class:`~repro.sqldb.expressions.Batch`es through them:
 
 * :class:`Scan` produces row-range morsels from a storage table (zero-copy
-  slices of the cached column scans), a virtual meta table, a subquery
+  slices of the stored column scans), a virtual meta table, a subquery
   result or a table-producing UDF.
 * :class:`Filter` applies the WHERE predicate per morsel.
 * :class:`HashJoin` materialises its build (right) side once, then probes it
@@ -499,7 +499,7 @@ class Scan(PhysicalOperator):
 
     ``prepare`` binds the source (executing subqueries / table functions /
     virtual-table snapshots); ``batch_slice`` then serves zero-copy row-range
-    morsels — cached-scan slices for storage tables, list slices otherwise.
+    morsels — stored-buffer slices for storage tables, list slices otherwise.
     """
 
     name = "Scan"
@@ -514,8 +514,8 @@ class Scan(PhysicalOperator):
         self._batch: Batch | None = None
 
     def bind_table(self, table: Any) -> None:
-        """Snapshot a storage table's cached scans (zero-copy, consistent:
-        later mutations build new caches instead of touching these)."""
+        """Snapshot a storage table's scans (zero-copy, consistent: later
+        mutations publish new views and never touch the rows of these)."""
         row_count = table.row_count
         columns = [
             BatchColumn(self.alias, column.name, column.sql_type,

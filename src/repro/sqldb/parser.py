@@ -51,7 +51,11 @@ class Parser:
     def __init__(self, text: str) -> None:
         self.text = text
         self.lexer = Lexer(text)
-        self._buffer: list[Token] = []
+        #: The next unconsumed token — lexed on demand, because what follows
+        #: may be a Python function body — and, behind it, the few tokens a
+        #: ``peek(1)`` looked further ahead.
+        self._token: Token | None = None
+        self._ahead: list[Token] = []
         #: Number of ``?`` placeholders seen in the current statement; each
         #: occurrence becomes a :class:`ast.Parameter` with the next ordinal.
         self._parameters = 0
@@ -59,20 +63,23 @@ class Parser:
     # ------------------------------------------------------------------ #
     # token stream helpers
     # ------------------------------------------------------------------ #
-    def _fill(self, count: int) -> None:
-        while len(self._buffer) < count:
-            self._buffer.append(self.lexer.next_token())
-
     def peek(self, offset: int = 0) -> Token:
-        self._fill(offset + 1)
-        return self._buffer[offset]
+        token = self._token
+        if token is None:
+            token = self._token = self.lexer.next_token()
+        if offset == 0:
+            return token
+        while len(self._ahead) < offset:
+            self._ahead.append(self.lexer.next_token())
+        return self._ahead[offset - 1]
 
     def advance(self) -> Token:
-        self._fill(1)
-        return self._buffer.pop(0)
+        token = self._token or self.peek()
+        self._token = self._ahead.pop(0) if self._ahead else None
+        return token
 
     def check_keyword(self, *names: str) -> bool:
-        return self.peek().is_keyword(*names)
+        return (self._token or self.peek()).is_keyword(*names)
 
     def accept_keyword(self, *names: str) -> bool:
         if self.check_keyword(*names):
@@ -87,7 +94,7 @@ class Parser:
         return self.advance()
 
     def check_punct(self, value: str) -> bool:
-        token = self.peek()
+        token = self._token or self.peek()
         return token.type is TokenType.PUNCTUATION and token.value == value
 
     def accept_punct(self, value: str) -> bool:
@@ -103,7 +110,7 @@ class Parser:
         return self.advance()
 
     def check_operator(self, *values: str) -> bool:
-        token = self.peek()
+        token = self._token or self.peek()
         return token.type is TokenType.OPERATOR and token.value in values
 
     def expect_identifier(self) -> str:
@@ -773,7 +780,8 @@ class Parser:
         # lexer past the closing brace, discarding any buffered lookahead.
         body, end = self.lexer.scan_braced_block(brace.position)
         self.lexer.pos = end
-        self._buffer.clear()
+        self._token = None
+        self._ahead.clear()
         return ast.CreateFunction(
             name=name,
             parameters=parameters,

@@ -44,13 +44,21 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, BinaryIO
 
+import numpy as np
+
 from ...errors import CorruptionError, PersistenceError
 from ...netproto import compression as compression_mod
 from ...netproto.columnar import ChunkEncoder, decode_chunk
 from ...netproto.wire import decode_value, encode_value
 from ..catalog import FunctionCatalog
 from ..result import QueryResult, ResultColumn
-from ..storage import QuarantinedRange, Storage
+from ..storage import (
+    QuarantinedRange,
+    Storage,
+    arrays_to_values,
+    compact_dictionary,
+)
+from ..types import NUMPY_DTYPES, SQLType
 from ..vector import Vector
 from . import faults
 from .records import (
@@ -97,17 +105,21 @@ class WriteStats:
 
 
 def _table_result(table: Any) -> QueryResult:
-    """A table's columns as a :class:`QueryResult` for the chunk encoder.
+    """A table's stored buffers as a :class:`QueryResult` for the chunk encoder.
 
-    Vector-backed columns reuse the storage layer's cached scans, so a
-    checkpoint shares buffers with query execution instead of re-converting
-    every value; the string dictionary in particular ships zero-copy.
+    Nothing is converted: segments are encoded straight from the arrays
+    queries scan.  Only a string dictionary is first compacted to the
+    strings still referenced, so the bytes of an image depend on the table's
+    rows alone, not on what was deleted or overwritten before.
     """
-    return QueryResult([
-        ResultColumn.from_vector(column.name, column.sql_type,
-                                 column.to_vector())
-        for column in table.columns
-    ])
+    columns = []
+    for column in table.columns:
+        scan = column.scan_values()
+        if isinstance(scan, Vector) and scan.is_dict:
+            codes, dictionary = compact_dictionary(scan.data, scan.dictionary)
+            scan = Vector(codes, scan.mask, dictionary, scan.sql_type)
+        columns.append(ResultColumn(column.name, column.sql_type, scan))
+    return QueryResult(columns)
 
 
 def write_database(file: BinaryIO, storage: Storage, catalog: FunctionCatalog,
@@ -294,8 +306,7 @@ def read_database(path: str | os.PathLike[str], storage: Storage,
             # quarantine: NULL placeholders keep later segments' rows at
             # their original positions; the range is sealed on the table
             for column in table.columns:
-                column.values.extend([None] * seg_rows)
-                column.mark_dirty()
+                column.extend([None] * seg_rows)
             table.quarantine(QuarantinedRange(
                 table=schema.name, start_row=row_range[0],
                 stop_row=row_range[1], offset=seg_offset, reason=message))
@@ -319,48 +330,46 @@ def _load_segment(table: Any, blob: bytes,
                   path: str | os.PathLike[str]) -> int:
     """Decode one segment blob through the shared wire path into ``table``.
 
-    Decode is two-phase: every column's value list is materialised before
-    any column is touched, so a decode failure in column k can never leave
-    columns 0..k-1 one segment longer than the rest (the salvage loader
-    relies on a failed segment leaving the table exactly as it was).
+    The decoded buffers are what a column stores and are appended as they
+    are — ``(data, mask)``, or ``(codes, mask, dictionary)`` for dictionary
+    strings; only var-width/object sections (and one that does not match
+    the column's type) are coerced from Python values.  Every column's
+    batch is ready before any column is touched, so a failure in column k
+    cannot leave columns 0..k-1 a segment longer than the rest (the salvage
+    loader relies on a failed segment leaving the table as it was).
     """
     try:
         row_count, decoded = decode_chunk(blob)
+        if [piece.name.lower() for piece in decoded] != \
+                [column.name.lower() for column in table.columns]:
+            raise PersistenceError(
+                f"database file {path}: segment columns do not match schema "
+                f"of table {table.name!r}")
+        batches: list[tuple[Any, ...]] = []
+        for column, piece in zip(table.columns, decoded):
+            data, mask = piece.materialise()
+            if isinstance(data, Vector) and data.is_dict \
+                    and column.sql_type is SQLType.STRING:
+                batch = (data.data, data.mask, data.dictionary)
+            elif isinstance(data, np.ndarray) \
+                    and data.dtype == NUMPY_DTYPES[column.sql_type]:
+                batch = (data, mask)
+            else:
+                batch = column.coerce_batch(
+                    data.to_list() if isinstance(data, Vector)
+                    else arrays_to_values(data, mask))
+            if len(batch[0]) != row_count:
+                raise PersistenceError(
+                    f"database file {path}: segment column {column.name!r} "
+                    f"length mismatch")
+            batches.append(batch)
+    except PersistenceError:
+        raise
     except Exception as exc:
         raise PersistenceError(f"segment decode failed: {exc}") from exc
-    names = [column.name.lower() for column in table.columns]
-    if [c.name.lower() for c in decoded] != names:
-        raise PersistenceError(
-            f"database file {path}: segment columns do not match schema of "
-            f"table {table.name!r}")
-    column_values: list[list[Any]] = []
-    for column, piece in zip(table.columns, decoded):
-        data, mask = piece.materialise()
-        if isinstance(data, Vector):
-            values = data.to_list()
-        elif isinstance(data, list):
-            values = data if mask is None else _apply_mask(data, mask)
-        else:  # ndarray
-            values = data.tolist()
-            if mask is not None:
-                values = _apply_mask(values, mask)
-        if len(values) != row_count:
-            raise PersistenceError(
-                f"database file {path}: segment column {column.name!r} "
-                f"length mismatch")
-        column_values.append(values)
-    for column, values in zip(table.columns, column_values):
-        # values came out of the storage layer once already (coerced on the
-        # original insert), so they append verbatim; the scan caches of a
-        # freshly created column are empty, but mark dirty anyway so partial
-        # loads after a raised error can never serve a stale materialisation
-        column.values.extend(values)
-        column.mark_dirty()
+    for column, batch in zip(table.columns, batches):
+        column.append_batch(*batch)
     return row_count
-
-
-def _apply_mask(values: list[Any], mask: Any) -> list[Any]:
-    return [None if null else value for value, null in zip(values, mask)]
 
 
 # --------------------------------------------------------------------------- #

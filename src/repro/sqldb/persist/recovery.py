@@ -30,6 +30,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+import numpy as np
+
 from ...errors import PersistenceError
 from . import faults
 from . import format as format_mod
@@ -186,9 +188,8 @@ def _targets_quarantined(database: "Database", record: dict[str, Any]) -> bool:
 def apply_record(database: "Database", record: dict[str, Any]) -> None:
     """Apply one logical WAL record to the database's in-memory state.
 
-    Mutations go through the storage layer's public entry points, so cache
-    invalidation and value coercion behave exactly as they did when the
-    original statement ran.
+    Mutations go through the storage layer's public entry points, so value
+    coercion behaves exactly as it did when the original statement ran.
     """
     op = record.get("op")
     storage = database.storage
@@ -228,23 +229,13 @@ def apply_record(database: "Database", record: dict[str, Any]) -> None:
 
 def _apply_update(database: "Database", record: dict[str, Any]) -> None:
     table = database.storage.table(str(record["table"]))
-    count = int(record["count"])
-    selected = [int(index) for index in record["indices"]]
-    mask = [False] * count
-    for index in selected:
-        mask[index] = True
-    assignments: dict[str, list[Any]] = {}
+    indices = np.asarray(record["indices"], dtype=np.intp)
     for column_name, values in record["columns"].items():
-        if len(values) != len(selected):
+        if len(values) != len(indices):
             raise PersistenceError(
                 f"UPDATE record for {record['table']!r}.{column_name!r}: "
-                f"{len(values)} values for {len(selected)} selected rows")
-        # expand back to a full-length list; unselected slots are never read
-        full: list[Any] = [None] * count
-        for index, value in zip(selected, values):
-            full[index] = value
-        assignments[column_name] = full
-    table.update_rows(mask, assignments)
+                f"{len(values)} values for {len(indices)} selected rows")
+    table.assign_rows(indices, record["columns"])
 
 
 def open_wal_contents(path: str | os.PathLike[str]) -> WalContents:

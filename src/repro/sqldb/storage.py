@@ -1,157 +1,289 @@
-"""Columnar storage engine.
+"""Columnar storage engine: the stored representation *is* the scan.
 
-Tables are stored column-at-a-time (MonetDB's BAT layout, simplified): each
-column is a Python list, NULLs are ``None``.  Every column additionally keeps
-cached vectorised materialisations with dirty-bit invalidation: scans and UDF
-handoffs reuse the same buffers until the column is mutated, mirroring
-MonetDB/Python's zero-copy handoff instead of re-converting per query.
+Tables are stored column-at-a-time (MonetDB's BAT layout, simplified) and a
+:class:`Column` holds exactly what a query scans, a wire chunk ships and an
+image segment stores, so nothing is converted and nothing is kept in step:
 
-Two cached scan shapes exist per column:
+* numeric / boolean columns: a typed array, plus a boolean validity mask
+  (``True`` = NULL) from the first NULL on;
+* STRING columns: ``int64`` codes into a sorted dictionary of the distinct
+  strings (code order is string order), plus the mask;
+* BLOB columns: an object array holding ``None`` for NULL.
 
-* :meth:`Column.to_numpy` — the UDF handoff format (typed array, or an
-  object array holding ``None`` for NULL-bearing / string columns).
-* :meth:`Column.scan_values` — the executor's batch format: NULL-free
-  numeric columns stay plain typed arrays; NULL-bearing numeric columns and
-  STRING columns become a :class:`repro.sqldb.vector.Vector` (contiguous
-  typed values + boolean validity mask + optional sorted string dictionary
-  with ``int64`` codes), which is what keeps filters, joins, GROUP BY and
-  aggregates vectorised on exactly the columns that previously fell back to
-  object arrays.
+The arrays are buffers with spare capacity behind the ``n`` live rows.  A
+scan is the read-only view ``[0:n)`` — a typed array when NULL-free, else a
+:class:`repro.sqldb.vector.Vector` — built once per mutation and shared by
+every reader and, through :meth:`Column.to_numpy`, every UDF (MonetDB/
+Python's zero-copy handoff).  No mutation disturbs a view already handed
+out: an append writes only the new rows, into the spare capacity (amortised
+growth), so published rows never move; UPDATE, DELETE and a dictionary
+merge publish *new* arrays; a rollback only shortens ``n`` and TRUNCATE
+starts fresh buffers.  A view is therefore a stable snapshot for as long as
+a (streaming) reader holds it.
 
-The ``(data array, null mask)`` buffer-pair exporters at the bottom are the
-wire-format shape; the mask — never the ``_NULL_FILL`` placeholder written
-into the data buffer — is the only source of truth for NULLs, so values that
-happen to equal a placeholder (``""``, ``0``, ``False``) round-trip intact.
+The mask — never the ``NULL_FILL`` placeholder kept in the data buffer at
+masked rows (for strings: the code of ``""``) — is the only source of truth
+for NULLs, so values equal to a placeholder (``""``, ``0``, ``False``)
+round-trip intact.  The list converters below the column serve the
+list-backed :class:`~repro.sqldb.result.ResultColumn`.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ..errors import CatalogError, CorruptionError, ExecutionError
+from ..errors import CatalogError, CorruptionError, ExecutionError, TypeMismatchError
 from .schema import ColumnDef, TableSchema
 from .types import NUMPY_DTYPES, SQLType, coerce_value
 from .vector import NULL_FILL, Vector, slice_column_values
 
+_NULL = type(None)
+#: Python types ``np.array(values, dtype)`` converts exactly like
+#: :func:`coerce_value`; a batch holding only these skips the per-value loop.
+_NATIVE_TYPES = {
+    SQLType.INTEGER: {int, bool, _NULL}, SQLType.BIGINT: {int, bool, _NULL},
+    SQLType.DOUBLE: {float, int, bool, _NULL}, SQLType.REAL: {float, int, bool, _NULL},
+    SQLType.BOOLEAN: {bool, _NULL}, SQLType.STRING: {str, _NULL},
+    SQLType.BLOB: {bytes, _NULL},
+}
 
-@dataclass
+
+def _object_array(values: Sequence[Any]) -> np.ndarray:
+    """A 1-D object array of ``values`` (``np.array`` would unpack sequences)."""
+    array = np.empty(len(values), dtype=object)
+    array[:] = values
+    return array
+
+
 class Column:
-    """A single stored column with a cached numpy materialisation."""
+    """One stored column: typed buffers with spare capacity behind ``[0:n)``."""
 
-    definition: ColumnDef
-    values: list[Any] = field(default_factory=list)
-    _array_cache: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False)
-    _vector_cache: Vector | None = field(
-        default=None, init=False, repr=False, compare=False)
-    #: Guards cache build and invalidation: concurrent morsel scans (and
-    #: multi-threaded embedders) may race a cache build against a mutation.
-    #: A build that loses the race is simply discarded by the subsequent
-    #: ``mark_dirty`` — the lock only has to make build-and-store atomic
-    #: with respect to invalidation.
-    _cache_lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False, compare=False)
+    def __init__(self, definition: ColumnDef) -> None:
+        self.definition = definition
+        self.name = definition.name
+        self.sql_type = definition.sql_type
+        self.truncate()  # empty buffers and the first (empty) scan
 
-    @property
-    def name(self) -> str:
-        return self.definition.name
+    def __len__(self) -> int:
+        return self._size
 
-    @property
-    def sql_type(self) -> SQLType:
-        return self.definition.sql_type
-
-    def append(self, value: Any) -> None:
-        self.values.append(coerce_value(value, self.sql_type))
-        self.mark_dirty()
-
-    def extend(self, values: Iterable[Any]) -> None:
-        # coerce everything *before* touching the stored list: a coercion
-        # error halfway through a lazy generator would otherwise leave the
-        # column partially extended with the scan caches never invalidated
-        sql_type = self.sql_type
-        coerced = [coerce_value(value, sql_type) for value in values]
-        self.values.extend(coerced)
-        self.mark_dirty()
-
-    def mark_dirty(self) -> None:
-        """Invalidate the cached scans after an in-place mutation of values."""
-        with self._cache_lock:
-            self._array_cache = None
-            self._vector_cache = None
-
-    def to_numpy(self) -> np.ndarray:
-        """Materialise this column as a numpy array (the UDF input format).
-
-        The array is cached and reused until the column is mutated, so
-        repeated scans and UDF handoffs are near-zero-copy.  Callers must
-        treat the returned array as read-only.
-        """
-        array = self._array_cache
-        if array is None:
-            with self._cache_lock:
-                array = self._array_cache
-                if array is None:
-                    array = column_to_numpy(self.values, self.sql_type)
-                    # the cache is shared across scans and UDF invocations:
-                    # writing through it would corrupt stored data, so fail
-                    # loudly instead
-                    array.setflags(write=False)
-                    self._array_cache = array
-        return array
-
-    def to_vector(self) -> Vector:
-        """Materialise this column as a :class:`Vector` (cached, read-only)."""
-        vector = self._vector_cache
-        if vector is None:
-            with self._cache_lock:
-                vector = self._vector_cache
-                if vector is None:
-                    vector = Vector.from_values(self.values, self.sql_type)
-                    vector.data.setflags(write=False)
-                    if vector.mask is not None:
-                        vector.mask.setflags(write=False)
-                    self._vector_cache = vector
-        return vector
-
+    # ------------------------------------------------------------------ #
+    # scans: O(1), the views the last mutation published
+    # ------------------------------------------------------------------ #
     def scan_values(self) -> Any:
         """The batch representation the executor scans.
 
-        NULL-free numeric/boolean columns stay the cached typed array (the
-        PR 1 zero-copy format); STRING columns and NULL-bearing numeric
-        columns become a cached :class:`Vector`; BLOB columns keep the
-        object-array format.
+        NULL-free numeric/boolean columns are a typed array; STRING columns
+        and NULL-bearing numeric columns are a :class:`Vector`; BLOB columns
+        are an object array holding ``None`` for NULL.  All are read-only
+        views of the stored buffers and stay a snapshot of the state they
+        were published for as long as they are held.
         """
-        sql_type = self.sql_type
-        if sql_type is SQLType.BLOB:
-            return self.to_numpy()
-        if sql_type is SQLType.STRING:
-            return self.to_vector()
-        # a live cache settles the NULL-free question without rescanning
-        if self._vector_cache is not None:
-            return self._vector_cache
-        if self._array_cache is not None and self._array_cache.dtype != object:
-            return self._array_cache
-        if any(value is None for value in self.values):
-            return self.to_vector()
-        return self.to_numpy()
+        return self._scan
 
     def scan_vector(self, start: int, stop: int) -> Any:
-        """A zero-copy row-range slice of this column's cached scan.
+        """A zero-copy row-range slice of :meth:`scan_values` (morsel scans)."""
+        return slice_column_values(self._scan, start, stop)
 
-        Returns the same representation :meth:`scan_values` would — a typed
-        ndarray view or a :class:`Vector` slice sharing data/mask/dictionary
-        buffers — restricted to rows ``[start, stop)``.  This is the storage
-        entry point for morsel-driven scans: N morsels share one cached
-        materialisation and never copy column data.
+    def to_vector(self) -> Vector:
+        """This column's scan as a :class:`Vector` (read-only, shared)."""
+        scan = self._scan
+        return scan if isinstance(scan, Vector) \
+            else Vector(scan, None, None, self.sql_type)
+
+    def to_numpy(self) -> np.ndarray:
+        """The UDF input format (read-only): the stored typed array, or an
+        object array holding ``None`` for NULL-bearing / string columns."""
+        scan = self._scan
+        return scan.to_numpy() if isinstance(scan, Vector) else scan
+
+    def to_list(self, start: int = 0, stop: int | None = None) -> list[Any]:
+        """Rows ``[start, stop)`` as Python values (``None`` = NULL)."""
+        scan = self.scan_vector(start, self._size if stop is None else stop)
+        return scan.to_list() if isinstance(scan, Vector) else scan.tolist()
+
+    @property
+    def values(self) -> list[Any]:
+        """A materialised Python copy of the column (tests and debugging)."""
+        return self.to_list()
+
+    # ------------------------------------------------------------------ #
+    # mutation: each one ends by publishing a new scan; none moves or
+    # rewrites rows an earlier scan can see
+    # ------------------------------------------------------------------ #
+    def append(self, value: Any) -> None:
+        self.extend([value])
+
+    def extend(self, values: Iterable[Any]) -> None:
+        self.append_batch(*self.coerce_batch(values))
+
+    def coerce_batch(self, values: Iterable[Any]
+                     ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Coerce ``values`` to this column's ``(data, null mask)`` pair.
+
+        Touches nothing stored, so callers coerce every column of a
+        statement before writing any (a bad value fails it whole).  STRING
+        data are the strings themselves; BLOB data keep ``None``, unmasked.
         """
-        return slice_column_values(self.scan_values(), start, stop)
+        sql_type = self.sql_type
+        values = values if isinstance(values, list) else list(values)
+        if not set(map(type, values)) <= _NATIVE_TYPES[sql_type]:
+            values = [coerce_value(value, sql_type) for value in values]
+        if sql_type is SQLType.BLOB:
+            return _object_array(values), None
+        try:
+            return values_to_arrays(values, sql_type)
+        except OverflowError as exc:
+            raise TypeMismatchError(
+                f"value out of range for {sql_type}: {exc}") from exc
 
-    def __len__(self) -> int:
-        return len(self.values)
+    def append_batch(self, data: np.ndarray, mask: np.ndarray | None = None,
+                     dictionary: np.ndarray | None = None) -> None:
+        """Append a coerced batch: only the new rows are written.
+
+        With ``dictionary`` (sorted, distinct) ``data`` are codes into it —
+        the shape an image segment decodes to.
+        """
+        if self._dictionary is not None:
+            data = self._encode(data, dictionary)
+        start, stop = self._size, self._size + len(data)
+        self._data = _writable(self._data, start, stop)
+        self._data[start:stop] = data
+        if self._mask is not None:
+            self._mask = _writable(self._mask, start, stop)
+        elif mask is not None:
+            self._mask = np.zeros(len(self._data), dtype=bool)
+        if self._mask is not None:
+            self._mask[start:stop] = False if mask is None else mask
+        self._size = stop
+        self._publish()
+
+    def assign_rows(self, indices: np.ndarray, data: np.ndarray,
+                    mask: np.ndarray | None = None) -> None:
+        """Set row ``indices[i]`` to ``data[i]`` on a copy of the column, so
+        a scan published earlier keeps reading the old values."""
+        if self._dictionary is not None:
+            data = self._encode(data)
+        size = self._size
+        self._data = self._data[:size].copy()
+        self._data[indices] = data
+        if mask is not None or self._mask is not None:
+            nulls = np.zeros(size, dtype=bool) if self._mask is None \
+                else self._mask[:size].copy()
+            nulls[indices] = False if mask is None else mask
+            self._mask = nulls
+        self._publish()
+
+    def keep_rows(self, keep: np.ndarray) -> None:
+        """Compress the column to the rows where ``keep`` is True."""
+        size = self._size
+        self._data = self._data[:size][keep]
+        if self._mask is not None:
+            self._mask = self._mask[:size][keep]
+        self._size = len(self._data)
+        self._publish()
+
+    def truncate(self, size: int = 0) -> None:
+        """Drop the rows past ``size``.
+
+        A non-zero ``size`` only resets the length — the rollback of a
+        failed statement, whose rows no reader was ever handed, so their
+        slots may be overwritten.  Emptying the column starts fresh buffers:
+        a streaming reader may still hold views of the old ones.
+        """
+        if size == 0:
+            is_string = self.sql_type is SQLType.STRING
+            self._data = np.empty(
+                0, dtype="int64" if is_string else NUMPY_DTYPES[self.sql_type])
+            self._mask: np.ndarray | None = None
+            #: STRING only: the sorted distinct strings ``_data`` holds codes of.
+            self._dictionary = np.empty(0, dtype=object) if is_string else None
+        self._size = size
+        self._publish()
+
+    # ------------------------------------------------------------------ #
+    # internals
+    # ------------------------------------------------------------------ #
+    def _publish(self) -> None:
+        """Build the read-only scan of rows ``[0:n)`` once per mutation."""
+        size = self._size
+        if self._dictionary is not None \
+                and len(self._dictionary) > 2 * size + 16:
+            # mostly strings only deleted, overwritten or rolled-back rows used
+            self._data, self._dictionary = compact_dictionary(
+                self._data[:size], self._dictionary)
+        views = []
+        for buffer in (self._data, self._mask):
+            if buffer is not None:
+                # frozen except while an append fills its spare capacity, so
+                # no view of it — a UDF's input — can be flipped writable
+                buffer.flags.writeable = False
+                buffer = buffer if size == len(buffer) else buffer[:size]
+            views.append(buffer)
+        scan = Vector(*views, self._dictionary, self.sql_type)
+        if scan.mask is None:
+            self._mask = None  # the last NULL row is gone
+        self._scan = scan if scan.mask is not None or scan.is_dict else scan.data
+
+    def _encode(self, data: np.ndarray,
+                dictionary: np.ndarray | None = None) -> np.ndarray:
+        """Dictionary codes for a batch of strings (or of foreign codes)."""
+        if dictionary is not None:
+            return self._intern(dictionary)[data]
+        strings = data.tolist()
+        distinct = sorted(set(strings))
+        lookup = dict(zip(distinct,
+                          self._intern(_object_array(distinct)).tolist()))
+        return np.fromiter(map(lookup.__getitem__, strings),
+                           dtype=np.int64, count=len(strings))
+
+    def _intern(self, distinct: np.ndarray) -> np.ndarray:
+        """Codes of the sorted, distinct strings ``distinct``.
+
+        Strings the dictionary lacks are merged in at their sorted position
+        (code order stays string order) and the stored codes are remapped
+        onto a new array — earlier scans keep their codes *and* the
+        dictionary those index.
+        """
+        dictionary = self._dictionary
+        slots = np.searchsorted(dictionary, distinct)
+        fresh = np.ones(len(distinct), dtype=bool)
+        inside = slots < len(dictionary)
+        fresh[inside] = dictionary[slots[inside]] != distinct[inside]
+        if fresh.any():
+            gaps = slots[fresh]
+            self._dictionary = np.insert(dictionary, gaps, distinct[fresh])
+            old = np.arange(len(dictionary))
+            shifted = old + np.searchsorted(gaps, old, side="right")
+            self._data = shifted[self._data[:self._size]]
+            # every string moves up by the fresh ones sorting before it
+            slots = slots + np.cumsum(fresh) - fresh
+        return slots
+
+
+def _writable(buffer: np.ndarray, used: int, need: int) -> np.ndarray:
+    """``buffer`` ready to take rows ``[used:need)``: unfrozen if they fit,
+    else a copy with room (geometric growth by an eighth, as a ``list``
+    over-allocates: amortised O(1) per row for little idle memory; a first
+    batch fits exactly)."""
+    if need <= len(buffer):
+        buffer.flags.writeable = True
+        return buffer
+    grown = np.empty(max(need, len(buffer) * 9 // 8), dtype=buffer.dtype)
+    grown[:used] = buffer[:used]
+    return grown
+
+
+def compact_dictionary(codes: np.ndarray, dictionary: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Drop the dictionary entries no code references (order preserved)."""
+    used = np.bincount(codes, minlength=len(dictionary)) > 0
+    if used.all():
+        return codes, dictionary
+    return (np.cumsum(used) - 1)[codes], dictionary[used]
 
 
 def column_to_numpy(values: Sequence[Any], sql_type: SQLType) -> np.ndarray:
@@ -173,12 +305,6 @@ def column_to_numpy(values: Sequence[Any], sql_type: SQLType) -> np.ndarray:
     return np.array(list(values), dtype=dtype)
 
 
-#: NULL placeholder stored in the value buffer at masked positions (the
-#: null bitmap, not the placeholder, is authoritative).  One table shared
-#: with the vector representation so scan and wire formats cannot diverge.
-_NULL_FILL = NULL_FILL
-
-
 def values_to_arrays(values: Sequence[Any],
                      sql_type: SQLType) -> tuple[np.ndarray, np.ndarray | None]:
     """Export a value list as ``(data array, null mask)`` buffer pair.
@@ -189,18 +315,13 @@ def values_to_arrays(values: Sequence[Any],
     """
     dtype = NUMPY_DTYPES[sql_type]
     mask: np.ndarray | None = None
-    if any(value is None for value in values):
-        mask = np.fromiter((value is None for value in values),
-                           dtype=bool, count=len(values))
-        fill = _NULL_FILL[sql_type]
+    if None in values:
+        mask = np.array([value is None for value in values], dtype=bool)
+        fill = NULL_FILL[sql_type]
         values = [fill if value is None else value for value in values]
     if dtype == "object":
-        data = np.empty(len(values), dtype="object")
-        for index, value in enumerate(values):
-            data[index] = value
-    else:
-        data = np.array(list(values), dtype=dtype)
-    return data, mask
+        return _object_array(values), mask
+    return np.array(values, dtype=dtype), mask
 
 
 def arrays_to_values(data: np.ndarray | Sequence[Any],
@@ -296,73 +417,61 @@ class Table:
     # mutation
     # ------------------------------------------------------------------ #
     def insert_row(self, values: Sequence[Any]) -> None:
-        if len(values) != len(self.columns):
-            raise ExecutionError(
-                f"INSERT into {self.name!r}: expected {len(self.columns)} values, "
-                f"got {len(values)}"
-            )
-        # coerce the whole row up front so a bad value in column k cannot
-        # leave columns 0..k-1 one row longer than the rest (ragged table)
-        coerced = [coerce_value(value, column.sql_type)
-                   for column, value in zip(self.columns, values)]
-        for column, value in zip(self.columns, coerced):
-            column.values.append(value)
-            column.mark_dirty()
+        self.insert_rows([values])
 
     def insert_rows(self, rows: Iterable[Sequence[Any]]) -> int:
-        count = 0
+        """Append ``rows``, all or none: every column's batch is coerced
+        before any column is written, so a bad value in column k cannot leave
+        columns 0..k-1 longer than the rest (ragged table)."""
+        rows = rows if isinstance(rows, list) else list(rows)
         for row in rows:
-            self.insert_row(row)
-            count += 1
-        return count
+            if len(row) != len(self.columns):
+                raise ExecutionError(
+                    f"INSERT into {self.name!r}: expected {len(self.columns)} values, "
+                    f"got {len(row)}"
+                )
+        batches = [column.coerce_batch(values)
+                   for column, values in zip(self.columns, zip(*rows))]
+        for column, batch in zip(self.columns, batches):
+            column.append_batch(*batch)
+        return len(rows)
 
     def delete_rows(self, keep_mask: Sequence[bool]) -> int:
         """Keep only rows where ``keep_mask`` is True; return rows removed."""
         self.check_readable()
-        if len(keep_mask) != self.row_count:
+        keep = np.asarray(keep_mask, dtype=bool)
+        if len(keep) != self.row_count:
             raise ExecutionError("DELETE mask length mismatch")
-        removed = sum(1 for keep in keep_mask if not keep)
         for column in self.columns:
-            column.values = [
-                value for value, keep in zip(column.values, keep_mask) if keep
-            ]
-            column.mark_dirty()
-        return removed
+            column.keep_rows(keep)
+        return len(keep) - int(np.count_nonzero(keep))
 
-    def update_rows(self, mask: Sequence[bool], assignments: dict[str, list[Any]]) -> int:
-        """Apply per-row new values for the columns in ``assignments`` where mask is True.
+    def update_rows(self, mask: Sequence[bool], assignments: dict[str, Any]) -> int:
+        """Apply per-row new values for the columns in ``assignments`` where mask is True."""
+        selected = np.flatnonzero(np.asarray(mask, dtype=bool))
+        return self.assign_rows(selected, {
+            name: _take_values(values, selected)
+            for name, values in assignments.items()})
+
+    def assign_rows(self, indices: np.ndarray,
+                    assignments: dict[str, Sequence[Any]]) -> int:
+        """Set row ``indices[i]`` of each assigned column to its ``values[i]``.
 
         All values are coerced before any column is touched: a bad value
-        must fail the whole statement, not leave some rows updated with the
-        scan caches never invalidated (the caches would then serve data the
-        stored lists no longer contain).
+        must fail the whole statement, not leave some columns updated.
         """
         self.check_readable()
-        coerced: dict[str, list[tuple[int, Any]]] = {}
-        for col_name, new_values in assignments.items():
-            column = self.column(col_name)
-            coerced[col_name] = [
-                (index, coerce_value(new_value, column.sql_type))
-                for index, (selected, new_value) in enumerate(zip(mask, new_values))
-                if selected
-            ]
-        for col_name, updates in coerced.items():
-            column = self.column(col_name)
-            try:
-                for index, value in updates:
-                    column.values[index] = value
-            finally:
-                # invalidate even on an impossible mid-write failure: a
-                # partially updated column must never serve a stale cache
-                column.mark_dirty()
-        return sum(1 for selected in mask if selected)
+        batches = [(self.column(name), self.column(name).coerce_batch(values))
+                   for name, values in assignments.items()]
+        for column, batch in batches:
+            column.assign_rows(indices, *batch)
+        return len(indices)
 
     def truncate(self) -> None:
         # explicit destruction discards quarantined placeholders with the
         # data, so a salvaged table becomes writable again
         for column in self.columns:
-            column.values = []
-            column.mark_dirty()
+            column.truncate()
         self.quarantined.clear()
 
     # ------------------------------------------------------------------ #
@@ -370,16 +479,24 @@ class Table:
     # ------------------------------------------------------------------ #
     def rows(self) -> Iterator[tuple[Any, ...]]:
         self.check_readable()
-        for index in range(self.row_count):
-            yield tuple(column.values[index] for column in self.columns)
+        return zip(*[column.to_list() for column in self.columns])
 
     def to_dict(self) -> dict[str, list[Any]]:
         self.check_readable()
-        return {column.name: list(column.values) for column in self.columns}
+        return {column.name: column.to_list() for column in self.columns}
 
     def to_numpy_dict(self) -> dict[str, np.ndarray]:
         self.check_readable()
         return {column.name: column.to_numpy() for column in self.columns}
+
+
+def _take_values(values: Any, indices: np.ndarray) -> list[Any]:
+    """Python values of column data (list, array or vector) at ``indices``."""
+    if isinstance(values, Vector):
+        return values.take(indices).to_list()
+    if isinstance(values, np.ndarray):
+        return values[indices].tolist()
+    return [values[index] for index in indices.tolist()]
 
 
 class Storage:

@@ -91,7 +91,7 @@ def columns_to_udf_args(
 ) -> list[Any]:
     """Convert evaluated argument columns/scalars to the UDF input format.
 
-    Columns that are already numpy arrays (the cached zero-copy scan format)
+    Columns that are already numpy arrays (the zero-copy storage scan format)
     are handed to the UDF without re-conversion.  All column arguments are
     read-only, regardless of which execution path produced them: the zero-copy
     handoff means a write could reach shared engine state, so mutation fails

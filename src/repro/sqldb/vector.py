@@ -10,10 +10,10 @@ and, for STRING columns, an optional dictionary encoding: ``data`` holds
 Because ``np.unique`` produces the dictionary in sorted order, code order
 *is* lexicographic string order: equality, ordering comparisons, MIN/MAX and
 GROUP BY on strings all run as integer kernels over the codes.  NULL rows
-carry code ``-1`` purely as a debugging aid — every consumer must (and does)
-consult ``mask`` instead of inspecting codes or placeholder values, which is
-what keeps values equal to a NULL placeholder (``""``, ``0``, ``False``)
-representable.
+carry an arbitrary code (``-1`` from :meth:`Vector.from_values`, the code of
+``""`` in a stored column) — every consumer must (and does) consult ``mask``
+instead of inspecting codes or placeholder values, which is what keeps values
+equal to a NULL placeholder (``""``, ``0``, ``False``) representable.
 
 NULL-free numeric columns deliberately stay plain ``np.ndarray``s (the PR 1
 zero-copy scan format); a ``Vector`` only appears where the engine previously
@@ -238,7 +238,7 @@ def slice_column_values(values: Any, start: int, stop: int) -> Any:
     """Row-range slice of column data (zero-copy for arrays and vectors).
 
     A full-range slice returns the original object, so single-morsel
-    execution shares cached scans (and their memoised UDF materialisations)
+    execution shares stored scans (and their memoised UDF materialisations)
     exactly like whole-batch execution did.  This is the one slicing rule
     both the storage scan path and the executor batch path use.
     """

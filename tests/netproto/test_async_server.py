@@ -36,7 +36,7 @@ def make_server(rows: int = 0, **server_kwargs):
     database.execute("CREATE TABLE big (i INTEGER)")
     if rows:
         column = database.storage.table("big").columns[0]
-        column.values.extend(range(rows))
+        column.extend(range(rows))
     server = DatabaseServer(database, **server_kwargs)
     front = AsyncSocketServer(server, host="127.0.0.1", port=0)
     host, port = front.start_background()

@@ -62,7 +62,7 @@ def chaos_server(request):
     database = Database(workers=2)
     database.execute("CREATE TABLE big (i INTEGER)")
     column = database.storage.table("big").columns[0]
-    column.values.extend(range(ROWS))
+    column.extend(range(ROWS))
     server = DatabaseServer(database, result_chunk_rows=CHUNK_ROWS)
     socket_server = FRONT_ENDS[request.param](server, host="127.0.0.1", port=0)
     host, port = socket_server.start_background()
@@ -354,7 +354,7 @@ class TestCrashDuringStream:
     def test_graceful_stop_drains_inflight_queries(self):
         database = Database(workers=2)
         database.execute("CREATE TABLE big (i INTEGER)")
-        database.storage.table("big").columns[0].values.extend(range(ROWS))
+        database.storage.table("big").columns[0].extend(range(ROWS))
         server = DatabaseServer(database, result_chunk_rows=CHUNK_ROWS)
         socket_server = SocketServer(server, host="127.0.0.1", port=0)
         host, port = socket_server.start_background()

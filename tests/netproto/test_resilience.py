@@ -50,7 +50,7 @@ def make_big_database(rows: int = BIG_ROWS, workers: int = 1) -> Database:
     database = Database(workers=workers)
     database.execute("CREATE TABLE big (i INTEGER)")
     column = database.storage.table("big").columns[0]
-    column.values.extend(range(rows))
+    column.extend(range(rows))
     column.invalidate_cache() if hasattr(column, "invalidate_cache") else None
     return database
 

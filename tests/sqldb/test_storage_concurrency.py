@@ -1,9 +1,9 @@
-"""Thread safety of the storage layer's cached scans.
+"""Thread safety of the storage layer's published scans.
 
-Concurrent morsel workers (and multi-threaded embedders) race cache builds
-against each other and against mutations; the column's cache lock must
-guarantee that (a) concurrent builders observe consistent arrays and (b) a
-mutation invalidates any build it raced with, so no stale cache survives.
+Concurrent morsel workers (and multi-threaded embedders) read a column's
+scan while a writer mutates it; every reader must observe (a) the one scan
+the last mutation published and (b) a consistent snapshot of that state,
+never rows a racing mutation is still writing.
 """
 
 import threading
@@ -113,13 +113,13 @@ def test_scan_vector_slices_share_vector_buffers():
     assert part.to_list() == full.to_list()[5:25]
 
 
-def test_mark_dirty_invalidates_slices_source():
+def test_scan_taken_before_an_append_stays_a_snapshot():
     column = make_column(range(10))
     before = column.scan_vector(0, 10)
     column.append(11)
     after = column.scan_vector(0, 11)
-    assert len(before) == 10  # old snapshot unaffected
-    assert len(after) == 11
+    assert before.tolist() == list(range(10))  # old snapshot unaffected
+    assert after.tolist() == list(range(10)) + [11]
 
 
 @pytest.mark.parametrize("workers", [2, 8])
