@@ -1,16 +1,12 @@
 #!/usr/bin/env python
 """Micro-benchmark entry point: emits machine-readable BENCH_*.json reports.
 
-Three suites, selectable with ``--suite``:
+Two suites, selectable with ``--suite``:
 
 * ``sqldb``    — engine operator hot paths (scan, filter, equi-join, GROUP BY)
   at 10k and 100k rows, written to ``BENCH_sqldb.json``.  The seed
   (pre-vectorisation) baselines recorded in the output were measured on the
   same workload shapes with the nested-loop/per-group engine at ``v0``.
-* ``netproto`` — result-set transfer cost: the columnar wire format (typed
-  column buffers, PR 2) against the legacy per-value codec, with and without
-  compression, at 10k and 100k rows, written to ``BENCH_netproto.json``.
-  The legacy baselines are measured live so the speedup is same-machine.
 * ``persist``  — durable storage: insert throughput with write-ahead logging
   (vs in-memory, and with per-statement fsync), checkpoint time, cold-open
   and WAL-recovery time at 1M rows, written to ``BENCH_persist.json``.
@@ -18,7 +14,7 @@ Three suites, selectable with ``--suite``:
 Usage::
 
     PYTHONPATH=src python benchmarks/run_benchmarks.py
-        [--suite {sqldb,netproto,persist,all}] [--quick] [--output-dir DIR]
+        [--suite {sqldb,persist,all}] [--quick] [--output-dir DIR]
 
 ``--quick`` shrinks row counts and repeats so a CI smoke run finishes in a
 couple of seconds; committed BENCH_*.json files should come from a full run.
@@ -36,16 +32,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.netproto.compression import CODEC_NONE, CODEC_ZLIB
-from repro.netproto.messages import (
-    ColumnarResultAssembler,
-    columnar_result_messages,
-    decode_result,
-    encode_result,
-)
 from repro.sqldb.database import Database
-from repro.sqldb.result import QueryResult, ResultColumn
-from repro.sqldb.types import SQLType
 
 GROUP_COUNT = 500
 JOIN_SIDE_ROWS = 2_000
@@ -490,442 +477,6 @@ def run_persist(*, quick: bool = False) -> dict:
 
 
 # --------------------------------------------------------------------------- #
-# netproto suite
-# --------------------------------------------------------------------------- #
-def build_transfer_result(rows: int) -> QueryResult:
-    """The acceptance workload: a 2-column numeric result, list-backed so the
-    columnar path pays its buffer-export cost inside the measurement."""
-    rng = random.Random(7)
-    return QueryResult([
-        ResultColumn("k", SQLType.INTEGER, [i % GROUP_COUNT for i in range(rows)]),
-        ResultColumn("v", SQLType.DOUBLE, [rng.random() for _ in range(rows)]),
-    ])
-
-
-def build_string_transfer_result(rows: int, cardinality: int = 50) -> QueryResult:
-    """A low-cardinality string column: the TAG_DICT acceptance workload."""
-    return QueryResult([
-        ResultColumn("s", SQLType.STRING,
-                     [f"name_{i % cardinality}" for i in range(rows)]),
-    ])
-
-
-def _bench_legacy(result: QueryResult, codec: str, repeat: int) -> dict:
-    compression = None if codec == CODEC_NONE else codec
-    encoded = encode_result(result, compression=compression)
-    encode_s = median_seconds(
-        lambda: encode_result(result, compression=compression), repeat=repeat)
-    decode_s = median_seconds(
-        lambda: decode_result(encoded.blob, compressed=encoded.compressed,
-                              encrypted=False), repeat=repeat)
-    return {
-        "encode_seconds": round(encode_s, 6),
-        "decode_seconds": round(decode_s, 6),
-        "encode_decode_seconds": round(encode_s + decode_s, 6),
-        "wire_bytes": len(encoded.blob),
-        "raw_bytes": encoded.stats.raw_bytes,
-    }
-
-
-def _bench_columnar(result: QueryResult, codec: str, repeat: int,
-                    protocol_version: int = 3) -> dict:
-    def encode() -> list[dict]:
-        return list(columnar_result_messages(result, compression=codec,
-                                             protocol_version=protocol_version))
-
-    messages = encode()
-
-    def decode() -> QueryResult:
-        assembler = ColumnarResultAssembler(messages[0])
-        for message in messages[1:]:
-            assembler.add_chunk(message)
-        return assembler.finish()[0]
-
-    def decode_materialised() -> QueryResult:
-        decoded = decode()
-        for column in decoded.columns:
-            column.values  # force Python-object materialisation
-        return decoded
-
-    encode_s = median_seconds(encode, repeat=repeat)
-    decode_s = median_seconds(decode, repeat=repeat)
-    materialise_s = median_seconds(decode_materialised, repeat=repeat)
-    raw_bytes = sum(m["stats"]["raw_bytes"] for m in messages[1:])
-    return {
-        "encode_seconds": round(encode_s, 6),
-        "decode_seconds": round(decode_s, 6),
-        "encode_decode_seconds": round(encode_s + decode_s, 6),
-        "decode_materialised_seconds": round(materialise_s, 6),
-        "wire_bytes": sum(len(m["payload"]) for m in messages[1:]),
-        "raw_bytes": raw_bytes,
-        "chunks": len(messages) - 1,
-    }
-
-
-def run_concurrency(*, quick: bool = False) -> dict:
-    """Concurrent clients against one server: throughput and tail latency.
-
-    N simulated clients (threads over in-process transports, so the protocol
-    and admission-control paths are measured without socket noise) share a
-    fixed total query budget.  The server keeps its default 8 execution
-    slots; at N=256 most clients sit in the admission queue, so p99 shows
-    the queueing delay an overloaded server hands out instead of failures.
-    """
-    import threading as _threading
-
-    from repro.netproto.client import Connection
-    from repro.netproto.server import DatabaseServer, ServerLimits
-
-    rows = 5_000 if quick else 20_000
-    client_counts = [1, 8] if quick else [1, 16, 256]
-    total_queries = 64 if quick else 768
-    rng = random.Random(7)
-    # mirror the server CLI defaults: plan cache on, 8 MiB result cache —
-    # the repeated identical read-only aggregate is exactly the workload
-    # the result cache exists for
-    database = Database(workers=2, result_cache_bytes=8 << 20)
-    database.execute("CREATE TABLE big (k INTEGER, v DOUBLE)")
-    table = database.storage.table("big")
-    table.column("k").extend(i % GROUP_COUNT for i in range(rows))
-    table.column("v").extend(rng.random() for _ in range(rows))
-    limits = ServerLimits(max_concurrent_queries=8, max_queue_depth=512,
-                          max_queue_wait=60.0)
-    server = DatabaseServer(database, limits=limits)
-    sql = "SELECT COUNT(*), SUM(v) FROM big WHERE v > 0.5"
-
-    results: dict[str, dict] = {}
-    for clients in client_counts:
-        per_client = max(1, total_queries // clients)
-        barrier = _threading.Barrier(clients + 1)
-        samples: list[float] = []
-        lock = _threading.Lock()
-
-        def client_worker() -> None:
-            connection = Connection.connect_in_process(server)
-            local: list[float] = []
-            barrier.wait()
-            for _ in range(per_client):
-                start = time.perf_counter()
-                connection.execute(sql)
-                local.append(time.perf_counter() - start)
-            connection.close()
-            with lock:
-                samples.extend(local)
-
-        threads = [_threading.Thread(target=client_worker)
-                   for _ in range(clients)]
-        rejected_before = server.stats.queries_rejected
-        for thread in threads:
-            thread.start()
-        barrier.wait()
-        wall_start = time.perf_counter()
-        for thread in threads:
-            thread.join()
-        wall = time.perf_counter() - wall_start
-        samples.sort()
-        executed = len(samples)
-        results[f"concurrency_{clients}_clients"] = {
-            "clients": clients,
-            "queries_per_client": per_client,
-            "queries_total": executed,
-            "wall_seconds": round(wall, 6),
-            "queries_per_sec": round(executed / wall) if wall > 0 else None,
-            "latency_p50_ms": round(samples[executed // 2] * 1000, 3),
-            "latency_p99_ms": round(
-                samples[min(executed - 1, int(executed * 0.99))] * 1000, 3),
-            "latency_max_ms": round(samples[-1] * 1000, 3),
-            "rejected": server.stats.queries_rejected - rejected_before,
-            "execution_slots": limits.max_concurrent_queries,
-            "plan_cache": True,
-            "result_cache": True,
-            # default-on observability: every query lands in the server's
-            # latency histogram and is trace-tracked for the slow-query ring
-            "stats_histograms": True,
-            "slow_query_tracking_ms": server.slow_query_ms,
-        }
-    counters = database.cache_counters()
-    results["concurrency_cache_counters"] = {
-        "plan_cache_hits": counters["plan_cache_hits"],
-        "result_cache_hits": counters["result_cache_hits"],
-    }
-    database.close()
-    return results
-
-
-def run_prepared(*, quick: bool = False) -> dict:
-    """The repeated-query fast path: cold parse vs plan cache vs
-    PREPARE/EXECUTE vs the result cache, over the full wire protocol.
-
-    Each mode gets a fresh database so caches cannot leak between modes.
-    ``cold`` disables every cache and varies the literal so each query is
-    parsed and planned from scratch; ``prepared`` binds a new argument per
-    execution (so the *result* cache cannot help and the win is parse/plan
-    elimination); ``result_cached`` repeats the identical statement.
-    """
-    from repro.netproto.client import Connection
-    from repro.netproto.server import DatabaseServer
-
-    rows = 5_000 if quick else 20_000
-    repeats = 60 if quick else 400
-    rng = random.Random(11)
-    # an expression-heavy dashboard-style template: the select list is wide
-    # on purpose (PREPARE targets exactly the regime where parsing a complex
-    # statement rivals executing it), while the k = ? filter keeps the
-    # post-filter evaluation cost per execution small
-    template = (
-        "SELECT COUNT(*), SUM(v), AVG(v), MIN(v), MAX(v), "
-        "SUM(CASE WHEN v > 0.9 THEN 4 WHEN v > 0.7 THEN 3 "
-        "WHEN v > 0.5 THEN 2 WHEN v > 0.3 THEN 1 ELSE 0 END), "
-        "AVG(CASE WHEN v < 0.1 THEN v * 100.0 WHEN v < 0.2 THEN v * 50.0 "
-        "WHEN v < 0.4 THEN v * 25.0 ELSE v END), "
-        "MIN(v * v + 2.0 * v + 1.0), MAX(v * v - 2.0 * v + 1.0), "
-        "SUM(CASE WHEN v >= 0.25 AND v <= 0.75 THEN 1 ELSE 0 END) "
-        "FROM big WHERE k = {arg} AND v >= 0.0")
-
-    def fresh_server(**db_kwargs):
-        database = Database(workers=1, **db_kwargs)
-        database.execute("CREATE TABLE big (k INTEGER, v DOUBLE)")
-        table = database.storage.table("big")
-        table.column("k").extend(i % GROUP_COUNT for i in range(rows))
-        table.column("v").extend(rng.random() for _ in range(rows))
-        return database, DatabaseServer(database)
-
-    def measure(run_one) -> float:
-        samples = []
-        for index in range(repeats):
-            start = time.perf_counter()
-            run_one(index)
-            samples.append(time.perf_counter() - start)
-        samples.sort()
-        return samples[len(samples) // 2]
-
-    results: dict[str, dict] = {}
-
-    # cold: no caches, distinct literal every time -> full parse + plan
-    database, server = fresh_server(plan_cache=0)
-    connection = Connection.connect_in_process(server)
-    cold_s = measure(lambda i: connection.execute(
-        template.format(arg=i % GROUP_COUNT)))
-    connection.close()
-    database.close()
-
-    # plan-cached: identical statement, plan cache on, result cache off
-    database, server = fresh_server()
-    connection = Connection.connect_in_process(server)
-    warm_sql = template.format(arg=7)
-    connection.execute(warm_sql)
-    plan_cached_s = measure(lambda i: connection.execute(warm_sql))
-    plan_hits = database.cache_counters()["plan_cache_hits"]
-    connection.close()
-    database.close()
-
-    # prepared: parse once, bind a different argument per execution
-    database, server = fresh_server()
-    connection = Connection.connect_in_process(server)
-    handle = connection.prepare(
-        "fastpath", template.format(arg="?"))
-    prepared_s = measure(lambda i: handle.execute([i % GROUP_COUNT]))
-    connection.close()
-    database.close()
-
-    # result-cached: identical statement with the result cache enabled
-    database, server = fresh_server(result_cache_bytes=8 << 20)
-    connection = Connection.connect_in_process(server)
-    connection.execute(warm_sql)
-    result_cached_s = measure(lambda i: connection.execute(warm_sql))
-    result_hits = database.cache_counters()["result_cache_hits"]
-    connection.close()
-    database.close()
-
-    results["prepared_repeat"] = {
-        "rows": rows,
-        "repeats": repeats,
-        "cold_parse_ms": round(cold_s * 1000, 4),
-        "plan_cached_ms": round(plan_cached_s * 1000, 4),
-        "prepared_ms": round(prepared_s * 1000, 4),
-        "result_cached_ms": round(result_cached_s * 1000, 4),
-        "prepared_speedup_vs_cold": round(cold_s / max(prepared_s, 1e-9), 2),
-        "plan_cached_speedup_vs_cold": round(
-            cold_s / max(plan_cached_s, 1e-9), 2),
-        "result_cached_speedup_vs_cold": round(
-            cold_s / max(result_cached_s, 1e-9), 2),
-        "plan_cache_hits": plan_hits,
-        "result_cache_hits": result_hits,
-    }
-    return results
-
-
-def run_idle_connections(*, quick: bool = False) -> dict:
-    """Thousands of open-but-idle connections against the async front end.
-
-    The event loop holds every idle connection without a thread each; the
-    measurement is (a) that the connections *can* be held, and (b) what the
-    idle crowd costs the 16 active clients in tail latency.  Scales the
-    idle count down gracefully when RLIMIT_NOFILE is too small (each
-    in-process TCP connection costs two descriptors).
-    """
-    import resource
-    import threading as _threading
-
-    from repro.netproto.client import Connection, ConnectionInfo
-    from repro.netproto.server import (
-        AsyncSocketServer,
-        DatabaseServer,
-        ServerLimits,
-    )
-
-    idle_target = 100 if quick else 2_000
-    active_clients = 4 if quick else 16
-    queries_per_client = 8 if quick else 24
-    rows = 5_000 if quick else 20_000
-
-    soft_limit, _ = resource.getrlimit(resource.RLIMIT_NOFILE)
-    fd_budget = max(16, (soft_limit - 256) // 3)
-    idle_count = min(idle_target, fd_budget)
-
-    rng = random.Random(13)
-    database = Database(workers=2, result_cache_bytes=8 << 20)
-    database.execute("CREATE TABLE big (k INTEGER, v DOUBLE)")
-    table = database.storage.table("big")
-    table.column("k").extend(i % GROUP_COUNT for i in range(rows))
-    table.column("v").extend(rng.random() for _ in range(rows))
-    limits = ServerLimits(max_concurrent_queries=8, max_queue_depth=512,
-                          max_queue_wait=60.0,
-                          max_sessions=idle_count + active_clients + 8)
-    server = DatabaseServer(database, limits=limits)
-    front = AsyncSocketServer(server, host="127.0.0.1", port=0)
-    host, port = front.start_background()
-    info = ConnectionInfo(host=host, port=port)
-
-    open_start = time.perf_counter()
-    idle = [Connection.connect_tcp(info) for _ in range(idle_count)]
-    open_seconds = time.perf_counter() - open_start
-
-    sql = "SELECT COUNT(*), SUM(v) FROM big WHERE v > 0.5"
-    samples: list[float] = []
-    lock = _threading.Lock()
-    barrier = _threading.Barrier(active_clients + 1)
-
-    def active_worker() -> None:
-        connection = Connection.connect_tcp(info)
-        local = []
-        barrier.wait()
-        for _ in range(queries_per_client):
-            start = time.perf_counter()
-            connection.execute(sql)
-            local.append(time.perf_counter() - start)
-        connection.close()
-        with lock:
-            samples.extend(local)
-
-    threads = [_threading.Thread(target=active_worker)
-               for _ in range(active_clients)]
-    for thread in threads:
-        thread.start()
-    barrier.wait()
-    wall_start = time.perf_counter()
-    for thread in threads:
-        thread.join()
-    wall = time.perf_counter() - wall_start
-
-    # one PREPARE round trip over the async front end (the CI smoke path)
-    probe = Connection.connect_tcp(info)
-    handle = probe.prepare("idle_probe",
-                           "SELECT COUNT(*) FROM big WHERE k = ?")
-    prepared_ok = handle.execute([3]).scalar() is not None
-    probe.close()
-
-    open_connections = server.active_sessions
-    for connection in idle:
-        connection.close()
-    front.stop()
-    database.close()
-
-    samples.sort()
-    executed = len(samples)
-    return {"idle_connections": {
-        "idle_connections": idle_count,
-        "idle_target": idle_target,
-        "scaled_down": idle_count < idle_target,
-        "nofile_soft_limit": soft_limit,
-        "active_clients": active_clients,
-        "queries_total": executed,
-        "open_seconds": round(open_seconds, 3),
-        "connects_per_sec": round(idle_count / max(open_seconds, 1e-9)),
-        "wall_seconds": round(wall, 6),
-        "queries_per_sec": round(executed / wall) if wall > 0 else None,
-        "latency_p50_ms": round(samples[executed // 2] * 1000, 3),
-        "latency_p99_ms": round(
-            samples[min(executed - 1, int(executed * 0.99))] * 1000, 3),
-        "peak_open_connections": open_connections,
-        "prepared_round_trip_ok": prepared_ok,
-        "front_end": "async",
-    }}
-
-
-def run_netproto(*, quick: bool = False) -> dict:
-    row_counts = [1_000, 10_000] if quick else [10_000, 100_000]
-    repeat = 2 if quick else 5
-    results: dict[str, dict] = {}
-    for rows in row_counts:
-        result = build_transfer_result(rows)
-        for codec in (CODEC_NONE, CODEC_ZLIB):
-            legacy = _bench_legacy(result, codec, repeat)
-            columnar = _bench_columnar(result, codec, repeat)
-            speedup = (legacy["encode_decode_seconds"]
-                       / max(columnar["encode_decode_seconds"], 1e-9))
-            materialised_speedup = (
-                legacy["encode_decode_seconds"]
-                / max(columnar["encode_seconds"]
-                      + columnar["decode_materialised_seconds"], 1e-9))
-            results[f"transfer_{rows}_{codec}"] = {
-                "rows": rows,
-                "columns": 2,
-                "codec": codec,
-                "legacy": legacy,
-                "columnar": columnar,
-                "columnar_speedup": round(speedup, 1),
-                "columnar_speedup_materialised": round(materialised_speedup, 1),
-                "wire_bytes_ratio_legacy_over_columnar": round(
-                    legacy["wire_bytes"] / max(columnar["wire_bytes"], 1), 2),
-            }
-        # low-cardinality string transfer: dictionary encoding (TAG_DICT,
-        # protocol v3) vs plain offsets+blob columnar (v2) vs legacy
-        string_result = build_string_transfer_result(rows)
-        legacy = _bench_legacy(string_result, CODEC_NONE, repeat)
-        columnar_v2 = _bench_columnar(string_result, CODEC_NONE, repeat,
-                                      protocol_version=2)
-        columnar_dict = _bench_columnar(string_result, CODEC_NONE, repeat,
-                                        protocol_version=3)
-        results[f"string_transfer_{rows}_none"] = {
-            "rows": rows,
-            "columns": 1,
-            "codec": CODEC_NONE,
-            "legacy": legacy,
-            "columnar_v2": columnar_v2,
-            "columnar_dict": columnar_dict,
-            "dict_wire_bytes_saved_vs_v2":
-                columnar_v2["wire_bytes"] - columnar_dict["wire_bytes"],
-            "wire_bytes_ratio_v2_over_dict": round(
-                columnar_v2["wire_bytes"]
-                / max(columnar_dict["wire_bytes"], 1), 2),
-            "wire_bytes_ratio_legacy_over_dict": round(
-                legacy["wire_bytes"] / max(columnar_dict["wire_bytes"], 1), 2),
-        }
-    results.update(run_concurrency(quick=quick))
-    results.update(run_prepared(quick=quick))
-    results.update(run_idle_connections(quick=quick))
-    return {
-        "suite": "netproto-columnar-transfer",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "quick": quick,
-        "row_counts": row_counts,
-        "results": results,
-    }
-
-
-# --------------------------------------------------------------------------- #
 # entry point
 # --------------------------------------------------------------------------- #
 def _print_sqldb(report: dict) -> None:
@@ -941,46 +492,6 @@ def _print_sqldb(report: dict) -> None:
         suffix = f"  ({speedup}x vs seed)" if speedup else ""
         print(f"  {name:>16}: {entry['seconds'] * 1000:8.2f} ms  "
               f"{entry['rows_per_sec']:>12,} rows/sec{suffix}")
-
-
-def _print_netproto(report: dict) -> None:
-    for name, entry in report["results"].items():
-        if name == "prepared_repeat":
-            print(f"  {name:>24}: cold {entry['cold_parse_ms']:.3f} ms -> "
-                  f"plan-cached {entry['plan_cached_ms']:.3f} ms, "
-                  f"prepared {entry['prepared_ms']:.3f} ms "
-                  f"({entry['prepared_speedup_vs_cold']}x), "
-                  f"result-cached {entry['result_cached_ms']:.3f} ms "
-                  f"({entry['result_cached_speedup_vs_cold']}x)")
-            continue
-        if name == "idle_connections":
-            print(f"  {name:>24}: {entry['idle_connections']} idle + "
-                  f"{entry['active_clients']} active  "
-                  f"p50 {entry['latency_p50_ms']:.2f} ms  "
-                  f"p99 {entry['latency_p99_ms']:.2f} ms  "
-                  f"(opened in {entry['open_seconds']}s)")
-            continue
-        if name == "concurrency_cache_counters":
-            continue
-        if "clients" in entry:
-            print(f"  {name:>24}: {entry['queries_per_sec']:>6,} q/s  "
-                  f"p50 {entry['latency_p50_ms']:8.2f} ms  "
-                  f"p99 {entry['latency_p99_ms']:9.2f} ms  "
-                  f"({entry['queries_total']} queries, "
-                  f"{entry['rejected']} rejected)")
-            continue
-        legacy_ms = entry["legacy"]["encode_decode_seconds"] * 1000
-        if "columnar_dict" in entry:
-            print(f"  {name:>24}: v2 {entry['columnar_v2']['wire_bytes']:,} "
-                  f"wire bytes -> dict {entry['columnar_dict']['wire_bytes']:,} "
-                  f"({entry['wire_bytes_ratio_v2_over_dict']}x smaller, "
-                  f"legacy {legacy_ms:.2f} ms)")
-            continue
-        columnar_ms = entry["columnar"]["encode_decode_seconds"] * 1000
-        print(f"  {name:>24}: legacy {legacy_ms:8.2f} ms -> "
-              f"columnar {columnar_ms:7.2f} ms  "
-              f"({entry['columnar_speedup']}x, "
-              f"{entry['columnar']['wire_bytes']:,} wire bytes)")
 
 
 def _print_persist(report: dict) -> None:
@@ -1000,7 +511,6 @@ def _print_persist(report: dict) -> None:
 
 SUITES = {
     "sqldb": (run_sqldb, "BENCH_sqldb.json", _print_sqldb),
-    "netproto": (run_netproto, "BENCH_netproto.json", _print_netproto),
     "persist": (run_persist, "BENCH_persist.json", _print_persist),
 }
 

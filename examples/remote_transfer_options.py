@@ -23,7 +23,7 @@ import tempfile
 from pathlib import Path
 
 from repro.core import DevUDFPlugin, DevUDFProject, DevUDFSettings
-from repro.netproto import SocketServer
+from repro.netproto import AsyncSocketServer
 from repro.workloads import demo_server
 
 
@@ -46,7 +46,7 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     server, setup = demo_server(str(workdir / "csv"), buggy_mean_deviation=True,
                                 n_files=8, rows_per_file=500)
-    socket_server = SocketServer(server, host="127.0.0.1", port=0)
+    socket_server = AsyncSocketServer(server, host="127.0.0.1", port=0)
     host, port = socket_server.start_background()
     print(f"demo server listening on {host}:{port}")
     print(f"data: {setup.workload.total_rows} rows across "

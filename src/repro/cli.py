@@ -172,7 +172,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 
 def cmd_demo_server(args: argparse.Namespace) -> int:
-    from .netproto.server import AsyncSocketServer, SocketServer
+    from .netproto.server import AsyncSocketServer
     from .workloads.udf_corpus import demo_server
 
     server, setup = demo_server(args.csv_dir,
@@ -183,14 +183,11 @@ def cmd_demo_server(args: argparse.Namespace) -> int:
     if args.slow_query_ms is not None:
         server.slow_query_ms = (args.slow_query_ms
                                 if args.slow_query_ms > 0 else None)
-    server_cls = SocketServer if args.frontend == "threaded" \
-        else AsyncSocketServer
-    socket_server = server_cls(server, host=args.host, port=args.port)
+    socket_server = AsyncSocketServer(server, host=args.host, port=args.port)
     host, port = socket_server.start_background()
     mode = f"durable ({args.db})" if args.db else "in-memory"
     print(f"demo server listening on {host}:{port} "
-          f"(user=monetdb password=monetdb database=demo, {mode}, "
-          f"{args.frontend} front end)")
+          f"(user=monetdb password=monetdb database=demo, {mode})")
     print(f"CSV workload: {setup.workload.total_rows} rows in "
           f"{len(setup.workload.files)} files under {setup.csv_directory}")
     print(json.dumps({"host": host, "port": port}, indent=2))
@@ -280,14 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="log queries slower than this to the "
                                   "server's bounded slow-query ring "
                                   "(0 disables; default: server's 500)")
-    frontend = demo_parser.add_mutually_exclusive_group()
-    frontend.add_argument("--async", action="store_const", dest="frontend",
-                          const="async",
-                          help="selector event-loop front end (default)")
-    frontend.add_argument("--threaded", action="store_const", dest="frontend",
-                          const="threaded",
-                          help="thread-per-connection front end")
-    demo_parser.set_defaults(func=cmd_demo_server, frontend="async")
+    demo_parser.set_defaults(func=cmd_demo_server)
     return parser
 
 

@@ -34,25 +34,24 @@ from .messages import (
     PROTOCOL_VERSION,
     ColumnarResultAssembler,
     TransferStats,
-    columnar_result_messages,
-    decode_result,
-    encode_result,
+    result_messages,
 )
 from .sampling import SampleSpec, sample_columns, sample_indices
 from .server import (
     AdmissionController,
+    AsyncSocketServer,
     DatabaseServer,
     InProcessTransport,
     ServerLimits,
     ServerStats,
     Session,
-    SocketServer,
     SocketTransport,
     start_demo_server,
 )
 
 __all__ = [
     "AdmissionController",
+    "AsyncSocketServer",
     "CODEC_NONE",
     "CODEC_RLE",
     "CODEC_ZLIB",
@@ -64,7 +63,6 @@ __all__ = [
     "FaultSpec",
     "FaultyTransport",
     "PROTOCOL_VERSION",
-    "columnar_result_messages",
     "decode_chunk",
     "encode_result_chunk",
     "Connection",
@@ -77,7 +75,6 @@ __all__ = [
     "ServerLimits",
     "ServerStats",
     "Session",
-    "SocketServer",
     "SocketTransport",
     "TransferOptions",
     "TransferStats",
@@ -87,13 +84,12 @@ __all__ = [
     "compress",
     "compression_ratio",
     "compute_response",
-    "decode_result",
     "decompress",
     "decrypt",
     "derive_key",
-    "encode_result",
     "encrypt",
     "is_encrypted",
+    "result_messages",
     "sample_columns",
     "sample_indices",
     "split_statements",

@@ -3,7 +3,7 @@
 Two complementary tools drive the chaos test suite:
 
 * :class:`ChaosProxy` — a real TCP proxy that sits between a client and a
-  :class:`~repro.netproto.server.SocketServer` and injects *byte-level*
+  :class:`~repro.netproto.server.AsyncSocketServer` and injects *byte-level*
   faults into the relayed stream: kill the connection after N bytes (a
   mid-frame drop), flip a byte at a fixed offset (corruption), chop writes
   into tiny partial sends, or delay every chunk.  Faults are keyed on byte

@@ -6,13 +6,13 @@ small DB-API-style cursor for code that prefers that interface.  Transfer
 statistics are accumulated per connection so the workflow and transfer
 benchmarks can report bytes moved.
 
-Since the columnar chunk stream (protocol v2) the cursor is *incremental*:
-``Cursor.execute`` opens a :class:`ResultStream` that consumes
-``result_chunk`` frames lazily, so ``fetchone``/``fetchmany`` yield rows as
-soon as their chunk arrives — before the full result is assembled —
-while ``fetchall`` (and ``Connection.execute``) drain the stream and behave
-exactly as before.  Only one stream is live per connection; starting a new
-query drains the previous stream first so the transport never desyncs.
+The cursor is *incremental*: ``Cursor.execute`` opens a
+:class:`ResultStream` that consumes ``result_chunk`` frames lazily, so
+``fetchone``/``fetchmany`` yield rows as soon as their chunk arrives — before
+the full result is assembled — while ``fetchall`` (and
+``Connection.execute``) drain the stream.  Only one stream is live per
+connection; starting a new query drains the previous stream first so the
+transport never desyncs.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from ..sqldb.vector import Vector
 from . import compression as compression_mod
 from .auth import compute_response, _password_digest
 from .messages import (
-    FORMAT_COLUMNAR,
     MSG_CANCEL,
     MSG_CANCELLED,
     MSG_CHALLENGE,
@@ -54,12 +53,12 @@ from .messages import (
     MSG_PREPARED,
     MSG_QUERY,
     MSG_RESULT,
+    MSG_RESULT_CHUNK,
     MSG_STATS,
     MSG_STATS_RESULT,
     PROTOCOL_VERSION,
     ColumnarResultAssembler,
     TransferStats,
-    decode_result,
     exception_for_error,
 )
 from .server import DatabaseServer, InProcessTransport, SocketTransport
@@ -153,19 +152,12 @@ class Connection:
 
     def __init__(self, transport: InProcessTransport | SocketTransport,
                  info: ConnectionInfo, *,
-                 max_protocol_version: int = PROTOCOL_VERSION,
                  retry_policy: RetryPolicy | None = None) -> None:
         self._transport = transport
         self.info = info
         self._closed = False
         self._authenticated = False
         self._transfer_key: str | None = None
-        #: Highest version this connection advertises (capped for testing /
-        #: interop with peers that predate dictionary encoding).
-        self.max_protocol_version = max(1, min(int(max_protocol_version),
-                                               PROTOCOL_VERSION))
-        #: Negotiated wire protocol version (1 against seed-era servers).
-        self.protocol_version = 1
         self.stats = ClientStats()
         self.default_options = TransferOptions()
         #: Backoff policy for retryable failures; ``None`` disables retries.
@@ -187,12 +179,10 @@ class Connection:
     @classmethod
     def connect_in_process(cls, server: DatabaseServer,
                            info: ConnectionInfo | None = None, *,
-                           max_protocol_version: int = PROTOCOL_VERSION,
                            retry_policy: RetryPolicy | None = None
                            ) -> "Connection":
         info = info or ConnectionInfo(database=server.database.name)
         connection = cls(InProcessTransport(server), info,
-                         max_protocol_version=max_protocol_version,
                          retry_policy=retry_policy)
         connection._transport_factory = lambda: InProcessTransport(server)
         connection.login()
@@ -201,14 +191,12 @@ class Connection:
     @classmethod
     def connect_tcp(cls, info: ConnectionInfo, *,
                     timeout: float = 10.0,
-                    max_protocol_version: int = PROTOCOL_VERSION,
                     retry_policy: RetryPolicy | None = None) -> "Connection":
         """Connect over TCP, retrying refused/dropped connects with backoff."""
         factory = lambda: SocketTransport(info.host, info.port,  # noqa: E731
                                           timeout=timeout)
         connection = cls(cls._connect_with_backoff(factory, retry_policy),
-                         info, max_protocol_version=max_protocol_version,
-                         retry_policy=retry_policy)
+                         info, retry_policy=retry_policy)
         connection._transport_factory = factory
         connection.login()
         return connection
@@ -237,13 +225,19 @@ class Connection:
             "type": MSG_HELLO,
             "username": self.info.username,
             "database": self.info.database,
-            "protocol_version": self.max_protocol_version,
+            "protocol_version": PROTOCOL_VERSION,
         })
+        if challenge_msg.get("type") == MSG_ERROR:
+            # e.g. a server at its session limit, or one speaking another
+            # protocol version: keep the code and the retryable flag
+            raise exception_for_error(challenge_msg)
         if challenge_msg.get("type") != MSG_CHALLENGE:
             raise ProtocolError(f"expected challenge, got {challenge_msg.get('type')!r}")
-        self.protocol_version = max(
-            1, min(int(challenge_msg.get("protocol_version", 1)),
-                   self.max_protocol_version))
+        if challenge_msg.get("protocol_version") != PROTOCOL_VERSION:
+            raise ProtocolError(
+                f"server speaks protocol version "
+                f"{challenge_msg.get('protocol_version')!r}, this client "
+                f"speaks version {PROTOCOL_VERSION} only")
         salt = challenge_msg["salt"]
         challenge = challenge_msg["challenge"]
         response = compute_response(self.info.password, salt, challenge)
@@ -281,10 +275,8 @@ class Connection:
                        timeout: float | None = None) -> "ResultStream":
         """Execute one SQL statement and return an incremental result stream.
 
-        Against a columnar (v2+) server the stream's ``fetchone`` /
-        ``fetchmany`` consume ``result_chunk`` frames lazily, yielding rows
-        as soon as their chunk arrives.  Against a v1 server the full result
-        is fetched eagerly and the stream merely iterates it.
+        The stream's ``fetchone`` / ``fetchmany`` consume ``result_chunk``
+        frames lazily, yielding rows as soon as their chunk arrives.
 
         ``timeout`` is a per-statement deadline in seconds, enforced
         *server-side* at morsel boundaries (the server may clamp it to its
@@ -322,36 +314,12 @@ class Connection:
         if reply.get("type") != MSG_RESULT:
             raise ProtocolError(f"unexpected reply {reply.get('type')!r}")
 
-        if reply.get("format") == FORMAT_COLUMNAR:
-            assembler = ColumnarResultAssembler(
-                reply, encryption_key=self._transfer_key)
-            stream = ResultStream(self, header=reply, assembler=assembler)
-            if not stream.complete:
-                self._active_stream = stream
-            else:
-                stream._finalise()
-            return stream
-
-        result = decode_result(
-            reply["payload"],
-            compressed=bool(reply.get("compressed")),
-            encrypted=bool(reply.get("encrypted")),
-            encryption_key=self._transfer_key,
-        )
-        stats_dict = reply.get("stats") or {}
-        transfer = TransferStats(
-            raw_bytes=int(stats_dict.get("raw_bytes", 0)),
-            compressed_bytes=int(stats_dict.get("compressed_bytes", 0)),
-            encrypted_bytes=int(stats_dict.get("encrypted_bytes", 0)),
-            wire_bytes=int(stats_dict.get("wire_bytes", 0)),
-            compression_codec=str(stats_dict.get("compression_codec", "none")),
-            encrypted=bool(stats_dict.get("encrypted", False)),
-            total_rows=stats_dict.get("total_rows"),
-        )
-        raw_trace = reply.get("trace_id")
-        return ResultStream(self, result=result, transfer=transfer,
-                            trace_id=str(raw_trace)
-                            if raw_trace is not None else None)
+        stream = ResultStream(self, reply)
+        if stream.complete:  # no rows to ship: the header was the last frame
+            stream._finalise()
+        else:
+            self._active_stream = stream
+        return stream
 
     # ------------------------------------------------------------------ #
     # prepared statements
@@ -633,18 +601,17 @@ class ResultStream:
     ``Connection.execute`` always returned.
     """
 
-    def __init__(self, connection: Connection, *,
-                 header: dict[str, Any] | None = None,
-                 assembler: ColumnarResultAssembler | None = None,
-                 result: QueryResult | None = None,
-                 transfer: TransferStats | None = None,
-                 trace_id: str | None = None) -> None:
+    def __init__(self, connection: Connection,
+                 header: dict[str, Any]) -> None:
         self._connection = connection
         #: Server-assigned trace id for this query (``None`` when the server
         #: runs with tracing disabled).  Matches the ``trace_id`` of the
         #: server's span tree and slow-query-log entry for the statement.
-        self.trace_id: str | None = trace_id
-        self._assembler = assembler
+        raw_trace = header.get("trace_id")
+        self.trace_id: str | None = \
+            str(raw_trace) if raw_trace is not None else None
+        self._assembler = ColumnarResultAssembler(
+            header, encryption_key=connection._transfer_key)
         self._result: QueryResult | None = None
         self._all_rows: list[tuple] | None = None
         self._rows: list[tuple] = []     # rows decoded so far, chunk by chunk
@@ -652,38 +619,20 @@ class ResultStream:
         self._chunks_received = 0
         self._finalised = False
         self.transfer: TransferStats | None = None
-        if result is not None:
-            # already-complete result (v1 payload or DML)
-            self.columns_meta = [(column.name, column.sql_type.value)
-                                 for column in result.columns]
-            self.statement_type = result.statement_type
-            self.affected_rows = result.affected_rows
-            self.row_count = result.row_count
-            self.streamed = False
-            self._result = result
-            self.transfer = transfer or TransferStats()
-            self._finalised = True
-            connection._record_transfer(result.row_count, self.transfer)
-        else:
-            assert header is not None and assembler is not None
-            raw_trace = header.get("trace_id")
-            if raw_trace is not None:
-                self.trace_id = str(raw_trace)
-            self.columns_meta = [(str(meta["name"]), str(meta["type"]))
-                                 for meta in header.get("columns", [])]
-            self.statement_type = str(header.get("statement_type", "SELECT"))
-            self.affected_rows = int(header.get("affected_rows", 0))
-            #: ``-1`` until a streamed (v4) result finishes: the server
-            #: starts shipping chunks before it knows the total row count.
-            self.row_count = int(header.get("row_count", 0))
-            self.streamed = bool(header.get("streamed"))
+        self.columns_meta = [(str(meta["name"]), str(meta["type"]))
+                             for meta in header.get("columns", [])]
+        self.statement_type = str(header.get("statement_type", "SELECT"))
+        self.affected_rows = int(header.get("affected_rows", 0))
+        #: ``-1`` until a streamed result finishes: the server starts
+        #: shipping chunks before it knows the total row count.
+        self.row_count = self._assembler.total_rows
+        self.streamed = self.row_count < 0
 
     # -- progress (used by tests and monitoring) ------------------------- #
     @property
     def complete(self) -> bool:
-        """True once every chunk frame has been received."""
-        return self._finalised or self._assembler is None \
-            or self._assembler.complete
+        """True once the frame flagged ``last`` has been received."""
+        return self._assembler.complete
 
     @property
     def chunks_received(self) -> int:
@@ -697,44 +646,29 @@ class ResultStream:
     # -- chunk consumption ----------------------------------------------- #
     def _advance(self, *, decode_rows: bool) -> None:
         """Receive one more chunk frame; on failure flush the remainder so
-        the transport never desyncs (mirrors the pre-stream behaviour)."""
+        the transport never desyncs."""
         assembler = self._assembler
-        assert assembler is not None
+        receive = self._connection._transport.receive
         stream_ended = False
         try:
-            chunk = self._connection._transport.receive()
+            chunk = receive()
             self._chunks_received += 1
+            stream_ended = _ends_stream(chunk)
             if chunk.get("type") == MSG_ERROR:
-                # a streamed server's error frame is the stream's terminal
-                # message: nothing further is on the wire
-                stream_ended = True
                 raise exception_for_error(chunk)
-            if chunk.get("last"):
-                stream_ended = True
             columns = assembler.add_chunk(chunk)
         except Exception:
             if self._connection._active_stream is self:
                 self._connection._active_stream = None
-            if assembler.expected_chunks >= 0:
-                for _ in range(assembler.expected_chunks - self._chunks_received):
-                    try:
-                        self._connection._transport.receive()
-                    except Exception:
-                        break
-            elif not stream_ended:
-                # streamed result that failed before its terminal frame:
-                # drain until the last-flagged chunk (or the error frame
-                # that replaced it) so the transport stays in sync for the
-                # next query.  When the failure *was* the terminal frame,
-                # receiving again would block on an idle socket.
-                while True:
-                    try:
-                        message = self._connection._transport.receive()
-                    except Exception:
-                        break
-                    if message.get("type") != "result_chunk" \
-                            or message.get("last"):
-                        break
+            # failed before the terminal frame: drain up to it so the
+            # transport stays in sync for the next query.  When the failure
+            # *was* the terminal frame, receiving again would block on an
+            # idle socket.
+            while not stream_ended:
+                try:
+                    stream_ended = _ends_stream(receive())
+                except Exception:
+                    break
             raise
         if decode_rows:
             self._rows.extend(_decoded_chunk_rows(columns))
@@ -744,11 +678,10 @@ class ResultStream:
     def _finalise(self) -> None:
         if self._finalised:
             return
-        assert self._assembler is not None
         result, transfer = self._assembler.finish()
         self._result = result
         self.transfer = transfer
-        self.row_count = result.row_count  # resolves streamed -1 headers
+        self.row_count = result.row_count  # resolves a streamed -1
         self._finalised = True
         if self._connection._active_stream is self:
             self._connection._active_stream = None
@@ -760,11 +693,10 @@ class ResultStream:
         Skips the incremental row decode unless it already started (in which
         case the decoded-row view must stay complete for later fetches).
         """
-        if self._assembler is not None:
-            decode_rows = bool(self._rows)
-            while not self._assembler.complete:
-                self._advance(decode_rows=decode_rows)
-            self._finalise()
+        decode_rows = bool(self._rows)
+        while not self.complete:
+            self._advance(decode_rows=decode_rows)
+        self._finalise()
 
     def result(self) -> QueryResult:
         """The complete (lazily decoded) result; drains remaining chunks."""
@@ -776,8 +708,8 @@ class ResultStream:
     # -- row access ------------------------------------------------------- #
     def _row_at(self, index: int) -> tuple | None:
         if not self._rows and self._finalised:
-            # completed without incremental decoding (v1 payload, DML, or a
-            # drained stream): read rows from the assembled result
+            # completed without incremental decoding (DML, or a drained
+            # stream): read rows from the assembled result
             if self._all_rows is None:
                 self._all_rows = self.result().fetchall()
             return self._all_rows[index] if index < len(self._all_rows) else None
@@ -796,11 +728,10 @@ class ResultStream:
     def fetchmany(self, size: int = 1) -> list[tuple]:
         """Up to ``size`` more rows; ``[]`` once the stream is exhausted.
 
-        Exhaustion is a stable state: when the final chunk drained exactly
-        at a fetch boundary (``last``-flagged or counted), later calls keep
-        returning ``[]`` instead of touching the transport again —
-        ``_row_at`` only advances while the assembler reports the stream
-        incomplete.
+        Exhaustion is a stable state: when the ``last`` chunk drained exactly
+        at a fetch boundary, later calls keep returning ``[]`` instead of
+        touching the transport again — ``_row_at`` only advances while the
+        assembler reports the stream incomplete.
         """
         rows = []
         for _ in range(size):
@@ -811,7 +742,7 @@ class ResultStream:
         return rows
 
     def fetchall(self) -> list[tuple]:
-        if self._assembler is not None and (self._rows or not self._finalised):
+        if self._rows or not self._finalised:
             # the incremental path was (or still is) in play: decode the
             # remaining chunks into rows so positions stay consistent
             while not self.complete:
@@ -832,7 +763,7 @@ class Cursor:
 
     ``execute`` opens a :class:`ResultStream`; ``fetchone``/``fetchmany``
     yield rows as soon as their chunk arrives, ``fetchall`` drains the
-    stream — same rows, same order as the pre-streaming cursor.
+    stream.
     """
 
     def __init__(self, connection: Connection) -> None:
@@ -877,6 +808,13 @@ class Cursor:
 
     def close(self) -> None:
         self._stream = None
+
+
+def _ends_stream(message: dict[str, Any]) -> bool:
+    """A result stream ends at the chunk flagged ``last`` — or at whatever
+    arrives in its place (an error frame): nothing further is on the wire."""
+    return bool(message.get("last")) \
+        or message.get("type") != MSG_RESULT_CHUNK
 
 
 def _decoded_chunk_rows(columns: Sequence[Any]) -> list[tuple]:

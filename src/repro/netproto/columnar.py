@@ -1,12 +1,14 @@
-"""Columnar chunk codec: typed column buffers for the version-2 wire protocol.
+"""Columnar chunk codec: typed column buffers, the one result payload format.
 
-The legacy result path (:func:`repro.netproto.messages.encode_result`) tags
-every cell individually, so serialisation cost scales with the number of
-Python objects in the result.  This module instead ships each result column
+Tagging every cell individually makes serialisation cost scale with the
+number of Python objects in a result.  This module ships each result column
 as one contiguous typed buffer — fixed-width types via ``ndarray.tobytes()``,
 var-width types as offsets + concatenated blob — so cost scales with bytes.
-The binary layout is documented in the :mod:`repro.netproto.wire` module
-docstring (see "Columnar chunk format").
+The same chunk blob is the payload of a ``result_chunk`` message
+(:func:`repro.netproto.messages.result_messages`) and a row-range segment of
+the durable image (:mod:`repro.sqldb.persist.format`).  The binary layout is
+documented in the :mod:`repro.netproto.wire` module docstring (see "Columnar
+chunk format").
 
 Per-column compression routes every value buffer through the codec layer in
 :mod:`repro.netproto.compression`, which means compression ratios are
@@ -19,8 +21,8 @@ produces :class:`DecodedColumn` views that decode value buffers zero-copy
 caller — the server side of chunked streaming and the client side of lazy
 decoding respectively.
 
-Dictionary-encoded strings (protocol version 3)
------------------------------------------------
+Dictionary-encoded strings
+--------------------------
 Low-cardinality string columns ship as ``TAG_DICT``: an ``int32`` codes
 buffer per chunk plus the (much smaller) sorted unique-value table, sent
 inline **once per column** (``_FLAG_DICT_INLINE`` on the first chunk; later

@@ -1,16 +1,25 @@
-"""Protocol messages and result-set serialisation.
+"""Protocol messages and the result stream.
 
-A query result travels as a single payload blob inside the ``result`` message.
-The payload is built in stages that mirror the paper's transfer options
-(§2.1-2.2): serialise -> (optional) sample happened server-side already ->
-(optional) compress -> (optional) encrypt.  Each stage's size is recorded so
-the transfer benchmarks can report bytes-on-the-wire per configuration.
+Control messages (``hello``, ``challenge``, ``login``, ``query``, ``prepare``,
+``cancel``, ``stats``, ``error`` ...) are string-keyed dictionaries; their
+type names and the structured error codes live here.
+
+A query result travels as one ``result`` header message followed by zero or
+more ``result_chunk`` messages, each carrying a columnar chunk blob
+(:mod:`repro.netproto.columnar`) built in the stages of the paper's transfer
+options (§2.1-2.2): typed buffers -> (optional) compress -> (optional)
+encrypt, with every stage's size recorded in the chunk's ``stats`` so the
+transfer benchmarks can report bytes-on-the-wire per configuration.  There is
+one builder, :func:`result_messages`, and one completion rule: the result
+ends at the message flagged ``last`` (or at an ``error`` message that
+replaces it).  :class:`ColumnarResultAssembler` is the client-side inverse.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterator
+import functools
+from dataclasses import dataclass
+from typing import Any, Iterable, Iterator
 
 from ..errors import (
     AuthenticationError,
@@ -27,20 +36,11 @@ from ..sqldb.types import SQLType
 from . import columnar as columnar_mod
 from . import compression as compression_mod
 from . import encryption as encryption_mod
-from .wire import decode_value, encode_value
 
-#: Highest protocol version this build speaks.  Version 1 is the seed
-#: row-oriented dict payload; version 2 adds the columnar chunk stream;
-#: version 3 adds dictionary-encoded string columns (``TAG_DICT``);
-#: version 4 adds *streamed* results: the header may carry unknown row and
-#: chunk counts (``-1``) and the final ``result_chunk`` is flagged
-#: ``last`` — the server emits each pipeline morsel as soon as it
-#: completes, before the query finishes executing.
-PROTOCOL_VERSION = 4
-
-#: Result format labels carried in the ``result`` header message.
-FORMAT_LEGACY = "legacy"
-FORMAT_COLUMNAR = "columnar"
+#: The one protocol version this build speaks.  It rides in ``hello`` and
+#: ``challenge``; a peer that names any other version is refused with a
+#: structured ``protocol`` error — there is no negotiation and no downgrade.
+PROTOCOL_VERSION = 5
 
 #: Default server-side chunk size (rows per ``result_chunk`` message).
 DEFAULT_CHUNK_ROWS = 65_536
@@ -57,8 +57,8 @@ MSG_ERROR = "error"
 MSG_CLOSE = "close"
 MSG_CLOSED = "closed"
 #: Out-of-band cancellation: ``{"type": "cancel", "session_id": n,
-#: "cancel_key": "..."}`` sent on a *second* connection (the target's
-#: handler thread is busy executing the query), answered with
+#: "cancel_key": "..."}`` sent on a *second* connection (the target's own
+#: connection is busy carrying the query), answered with
 #: ``{"type": "cancelled", "found": bool}``.  The key is the capability the
 #: target session received in its ``login_ok``, so only the client that ran
 #: the query (or something it told) can cancel it.
@@ -204,258 +204,100 @@ class TransferStats:
         }
 
 
-def result_to_payload_dict(result: QueryResult) -> dict[str, Any]:
-    """Columnar dict representation of a result set (pre-serialisation)."""
-    return {
-        "statement_type": result.statement_type,
-        "affected_rows": result.affected_rows,
-        "columns": [
-            {
-                "name": column.name,
-                "type": column.sql_type.value,
-                "values": [_wire_value(v) for v in column.values],
-            }
-            for column in result.columns
-        ],
-    }
+def result_messages(result: QueryResult | Iterable[QueryResult], *,
+                    chunk_rows: int = DEFAULT_CHUNK_ROWS,
+                    compression: str | None = None,
+                    encryption_key: str | None = None,
+                    trace_id: str | None = None) -> Iterator[dict[str, Any]]:
+    """Yield the ``result`` header, then the ``result_chunk`` messages.
 
+    ``result`` is a complete :class:`QueryResult` (aggregates, UDF
+    statements, prepared executions, cache hits, DML) or the engine's stream
+    of per-morsel pieces (at least one, possibly empty; the first carries
+    the column layout).  Either way every piece is cut into chunks of at most
+    ``chunk_rows`` rows by one :class:`~.columnar.ChunkEncoder`, and the
+    encoders of one result share the map of dictionaries already on the
+    wire, so a string dictionary is re-inlined only when it changes.  Chunks
+    are encoded lazily as the iterator advances: chunk *i* can be on the wire
+    while chunk *i + 1* is still being computed.
 
-def payload_dict_to_result(payload: dict[str, Any]) -> QueryResult:
-    columns = []
-    for column in payload.get("columns", []):
-        sql_type = SQLType(column["type"])
-        columns.append(ResultColumn(column["name"], sql_type, list(column["values"])))
-    return QueryResult(
-        columns,
-        affected_rows=int(payload.get("affected_rows", 0)),
-        statement_type=str(payload.get("statement_type", "SELECT")),
-    )
-
-
-def _wire_value(value: Any) -> Any:
-    """Normalise numpy scalars and other exotic values before encoding."""
-    item = getattr(value, "item", None)
-    if callable(item) and getattr(value, "shape", ()) == ():
-        return value.item()
-    return value
-
-
-@dataclass
-class EncodedResult:
-    """The encrypted/compressed payload plus its transfer statistics."""
-
-    blob: bytes
-    stats: TransferStats = field(default_factory=TransferStats)
-    compressed: bool = False
-    encrypted: bool = False
-
-
-def encode_result(result: QueryResult, *,
-                  compression: str | None = None,
-                  encryption_key: str | None = None) -> EncodedResult:
-    """Serialise a result set applying the requested transfer options."""
-    raw = encode_value(result_to_payload_dict(result))
-    stats = TransferStats(raw_bytes=len(raw), total_rows=result.row_count)
-    blob = raw
-    compressed = False
-    if compression and compression != compression_mod.CODEC_NONE:
-        blob = compression_mod.compress(blob, compression)
-        stats.compressed_bytes = len(blob)
-        stats.compression_codec = compression
-        compressed = True
-    else:
-        stats.compressed_bytes = len(blob)
-    encrypted = False
-    if encryption_key is not None:
-        blob = encryption_mod.encrypt(blob, encryption_key)
-        stats.encrypted_bytes = len(blob)
-        stats.encrypted = True
-        encrypted = True
-    else:
-        stats.encrypted_bytes = len(blob)
-    stats.wire_bytes = len(blob)
-    return EncodedResult(blob=blob, stats=stats, compressed=compressed, encrypted=encrypted)
-
-
-def decode_result(blob: bytes, *, compressed: bool, encrypted: bool,
-                  encryption_key: str | None = None) -> QueryResult:
-    """Reverse :func:`encode_result`."""
-    data = blob
-    if encrypted:
-        if encryption_key is None:
-            raise ProtocolError("result is encrypted but no key was provided")
-        data = encryption_mod.decrypt(data, encryption_key)
-    if compressed:
-        data = compression_mod.decompress(data)
-    payload = decode_value(data)
-    if not isinstance(payload, dict):
-        raise WireFormatError("result payload is not a dictionary")
-    return payload_dict_to_result(payload)
-
-
-# --------------------------------------------------------------------------- #
-# columnar chunk stream (protocol version 2)
-# --------------------------------------------------------------------------- #
-def columnar_result_messages(result: QueryResult, *,
-                             chunk_rows: int = DEFAULT_CHUNK_ROWS,
-                             compression: str | None = None,
-                             encryption_key: str | None = None,
-                             stats_out: TransferStats | None = None,
-                             protocol_version: int = PROTOCOL_VERSION,
-                             trace_id: str | None = None
-                             ) -> Iterator[dict[str, Any]]:
-    """Yield the ``result`` header message followed by its chunk messages.
-
-    Chunks are encoded lazily as the iterator advances, so a streaming
-    transport can put chunk *i* on the wire while the client already
-    consumes chunk *i - 1*.  ``stats_out``, when given, accumulates the
-    per-chunk byte counts server-side.  ``protocol_version`` is the
-    *negotiated* version: dictionary-encoded string columns (``TAG_DICT``)
-    are only emitted for version-3 peers.  ``trace_id``, when given, rides
-    in the header so the client can correlate the result with the server's
-    trace spans and slow-query log.
+    The result ends at the message flagged ``last``: the final chunk, or the
+    header itself when a complete result has no rows to ship.  A complete
+    result's header carries its ``row_count``; a stream's says ``-1``.
+    ``trace_id``, when given, rides in the header so the client can correlate
+    the result with the server's trace spans and slow-query log.
     """
     codec = compression or compression_mod.CODEC_NONE
     chunk_rows = max(1, int(chunk_rows))
-    total_rows = result.row_count
-    chunk_count = (total_rows + chunk_rows - 1) // chunk_rows
-    encoder = columnar_mod.ChunkEncoder(result, codec=codec,
-                                        allow_dict=protocol_version >= 3)
-    if stats_out is not None:
-        stats_out.compression_codec = codec
-        stats_out.encrypted = encryption_key is not None
-        stats_out.total_rows = total_rows
+    if isinstance(result, QueryResult):
+        total_rows, pieces = result.row_count, iter((result,))
+    else:
+        total_rows, pieces = -1, iter(result)
+    # one encoder per piece, all sharing the dictionaries already shipped
+    encoder_for = functools.partial(
+        columnar_mod.ChunkEncoder, codec=codec, allow_dict=True,
+        shipped_dictionaries={})
+    piece = next(pieces)
+    # buffer export (the fallible part of encoding) runs before the header
+    # exists, so a failure is still a plain error reply, not a broken stream
+    encoder = encoder_for(piece)
     header = {
         "type": MSG_RESULT,
-        "format": FORMAT_COLUMNAR,
-        "protocol_version": min(protocol_version, PROTOCOL_VERSION),
-        "statement_type": result.statement_type,
-        "affected_rows": result.affected_rows,
+        "statement_type": piece.statement_type,
+        "affected_rows": piece.affected_rows,
         "row_count": total_rows,
-        "chunk_count": chunk_count,
         "columns": [{"name": column.name, "type": column.sql_type.value}
-                    for column in result.columns],
+                    for column in piece.columns],
         "compression": codec,
         "encrypted": encryption_key is not None,
+        "last": total_rows == 0,
     }
     if trace_id is not None:
         header["trace_id"] = trace_id
     yield header
-    for seq, row_start in enumerate(range(0, max(total_rows, 0), chunk_rows)):
-        row_stop = min(row_start + chunk_rows, total_rows)
-        blob, raw_bytes = encoder.encode(row_start, row_stop)
-        compressed_bytes = len(blob)
-        if encryption_key is not None:
-            blob = encryption_mod.encrypt(blob, encryption_key)
-        chunk_stats = {
-            "raw_bytes": raw_bytes,
-            "compressed_bytes": compressed_bytes,
-            "encrypted_bytes": len(blob) if encryption_key is not None else compressed_bytes,
-            "wire_bytes": len(blob),
-            "rows": row_stop - row_start,
-        }
-        if stats_out is not None:
-            stats_out.add_chunk(chunk_stats)
-        yield {
-            "type": MSG_RESULT_CHUNK,
-            "seq": seq,
-            "row_start": row_start,
-            "row_count": row_stop - row_start,
-            "payload": blob,
-            "encrypted": encryption_key is not None,
-            "stats": chunk_stats,
-        }
-
-
-def streamed_result_messages(pieces: Iterator[QueryResult], *,
-                             statement_type: str = "SELECT",
-                             affected_rows: int = 0,
-                             compression: str | None = None,
-                             encryption_key: str | None = None,
-                             stats_out: TransferStats | None = None,
-                             protocol_version: int = PROTOCOL_VERSION,
-                             trace_id: str | None = None
-                             ) -> Iterator[dict[str, Any]]:
-    """Yield a *streamed* result: header with unknown counts, then one
-    ``result_chunk`` per pipeline morsel, the final one flagged ``last``.
-
-    ``pieces`` is the engine's morsel stream (at least one, possibly empty,
-    piece; the first carries the column layout).  Each piece is encoded as a
-    self-contained chunk except that string dictionaries are only re-inlined
-    when they change between morsels (scan slices of one column share their
-    dictionary, so typically the dictionary ships once).  Requires a
-    version-4 peer: older assemblers rely on the header's ``chunk_count``.
-    """
-    codec = compression or compression_mod.CODEC_NONE
-    iterator = iter(pieces)
-    first = next(iterator)
-    if stats_out is not None:
-        stats_out.compression_codec = codec
-        stats_out.encrypted = encryption_key is not None
-    header = {
-        "type": MSG_RESULT,
-        "format": FORMAT_COLUMNAR,
-        "protocol_version": min(protocol_version, PROTOCOL_VERSION),
-        "streamed": True,
-        "statement_type": statement_type,
-        "affected_rows": affected_rows,
-        "row_count": -1,
-        "chunk_count": -1,
-        "columns": [{"name": column.name, "type": column.sql_type.value}
-                    for column in first.columns],
-        "compression": codec,
-        "encrypted": encryption_key is not None,
-    }
-    if trace_id is not None:
-        header["trace_id"] = trace_id
-    yield header
-    shipped_dictionaries: dict[int, Any] = {}
-    piece: QueryResult | None = first
+    if total_rows == 0:
+        return
     seq = 0
     rows_sent = 0
-    while piece is not None:
-        try:
-            next_piece: QueryResult | None = next(iterator)
-        except StopIteration:
-            next_piece = None
-        encoder = columnar_mod.ChunkEncoder(
-            piece, codec=codec, allow_dict=protocol_version >= 3,
-            shipped_dictionaries=shipped_dictionaries)
-        blob, raw_bytes = encoder.encode(0, piece.row_count)
-        compressed_bytes = len(blob)
-        if encryption_key is not None:
-            blob = encryption_mod.encrypt(blob, encryption_key)
-        chunk_stats = {
-            "raw_bytes": raw_bytes,
-            "compressed_bytes": compressed_bytes,
-            "encrypted_bytes": len(blob) if encryption_key is not None
-            else compressed_bytes,
-            "wire_bytes": len(blob),
-            "rows": piece.row_count,
-        }
-        if stats_out is not None:
-            stats_out.add_chunk(chunk_stats)
-            stats_out.total_rows = rows_sent + piece.row_count
-        yield {
-            "type": MSG_RESULT_CHUNK,
-            "seq": seq,
-            "row_start": rows_sent,
-            "row_count": piece.row_count,
-            "payload": blob,
-            "encrypted": encryption_key is not None,
-            "last": next_piece is None,
-            "stats": chunk_stats,
-        }
-        rows_sent += piece.row_count
-        seq += 1
-        piece = next_piece
+    while True:
+        # the next piece is computed before this one's final chunk leaves:
+        # only then is it known whether that chunk is the last
+        following = next(pieces, None)
+        for row_start in range(0, max(piece.row_count, 1), chunk_rows):
+            row_stop = min(row_start + chunk_rows, piece.row_count)
+            blob, raw_bytes = encoder.encode(row_start, row_stop)
+            compressed_bytes = len(blob)
+            if encryption_key is not None:
+                blob = encryption_mod.encrypt(blob, encryption_key)
+            yield {
+                "type": MSG_RESULT_CHUNK,
+                "seq": seq,
+                "row_start": rows_sent,
+                "row_count": row_stop - row_start,
+                "payload": blob,
+                "encrypted": encryption_key is not None,
+                "last": following is None and row_stop == piece.row_count,
+                "stats": {
+                    "raw_bytes": raw_bytes,
+                    "compressed_bytes": compressed_bytes,
+                    "encrypted_bytes": len(blob),
+                    "wire_bytes": len(blob),
+                    "rows": row_stop - row_start,
+                },
+            }
+            seq += 1
+            rows_sent += row_stop - row_start
+        if following is None:
+            return
+        piece, encoder = following, encoder_for(following)
 
 
 class ColumnarResultAssembler:
     """Client-side assembly of a columnar chunk stream into a lazy result.
 
     Feed the ``result`` header at construction and every ``result_chunk``
-    message via :meth:`add_chunk`; :meth:`finish` builds a
+    message via :meth:`add_chunk`; the stream is :attr:`complete` once a
+    message flagged ``last`` has been seen.  :meth:`finish` then builds a
     :class:`QueryResult` whose columns keep the received buffers zero-copy
     and only materialise Python lists when touched, plus the accumulated
     :class:`TransferStats`.
@@ -463,14 +305,11 @@ class ColumnarResultAssembler:
 
     def __init__(self, header: dict[str, Any], *,
                  encryption_key: str | None = None) -> None:
-        if header.get("format") != FORMAT_COLUMNAR:
-            raise ProtocolError("result header is not columnar")
         self.header = header
-        #: ``-1`` marks a streamed (protocol v4) result: the chunk count is
-        #: unknown and completion is signalled by the ``last`` chunk flag.
-        self.expected_chunks = int(header.get("chunk_count", 0))
-        self.total_rows = int(header.get("row_count", 0))
-        self._last_seen = False
+        #: The header's row count: ``-1`` for a streamed result, whose total
+        #: is only known once the ``last`` chunk has arrived.
+        self.total_rows = int(header.get("row_count", -1))
+        self.complete = bool(header.get("last"))
         self._encryption_key = encryption_key
         self._chunks: list[list[columnar_mod.DecodedColumn]] = []
         #: Cross-chunk dictionary cache: a TAG_DICT dictionary is shipped
@@ -481,18 +320,7 @@ class ColumnarResultAssembler:
             compression_codec=str(header.get("compression",
                                              compression_mod.CODEC_NONE)),
             encrypted=bool(header.get("encrypted", False)),
-            total_rows=self.total_rows,
         )
-
-    @property
-    def streamed(self) -> bool:
-        return self.expected_chunks < 0
-
-    @property
-    def complete(self) -> bool:
-        if self.streamed:
-            return self._last_seen
-        return len(self._chunks) >= self.expected_chunks
 
     def add_chunk(self, message: dict[str, Any]
                   ) -> list[columnar_mod.DecodedColumn]:
@@ -516,24 +344,18 @@ class ColumnarResultAssembler:
         self._chunks.append(columns)
         self._rows_seen += row_count
         if message.get("last"):
-            self._last_seen = True
+            self.complete = True
         self.stats.add_chunk(message.get("stats") or {})
         return columns
 
     def finish(self) -> tuple[QueryResult, TransferStats]:
         if not self.complete:
-            if self.streamed:
-                raise ProtocolError(
-                    "result stream truncated: final chunk not received")
             raise ProtocolError(
-                f"result stream truncated: got {len(self._chunks)} of "
-                f"{self.expected_chunks} chunks")
-        if self.streamed:
-            # unknown-count stream: the chunks themselves define the total
-            self.total_rows = self._rows_seen
-            self.stats.total_rows = self._rows_seen
-        elif self._rows_seen != self.total_rows:
+                "result stream truncated: final chunk not received")
+        if self.total_rows not in (-1, self._rows_seen):
             raise ProtocolError("chunk row counts do not match header")
+        # the chunks themselves define the total of a streamed result
+        self.total_rows = self.stats.total_rows = self._rows_seen
         columns = []
         for index, meta in enumerate(self.header.get("columns", [])):
             sql_type = SQLType(meta["type"])

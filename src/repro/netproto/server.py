@@ -1,14 +1,19 @@
 """The database server: session handling, query execution, result transfer.
 
-The server wraps an embedded :class:`repro.sqldb.Database` and speaks the
-message protocol defined in :mod:`repro.netproto.messages`.  It can be driven
-through two transports:
+:class:`DatabaseServer` wraps an embedded :class:`repro.sqldb.Database` and
+turns request messages into response messages (:mod:`repro.netproto.messages`):
+sessions and the challenge/response login, admission control, out-of-band
+cancellation, prepared statements, and the one result stream every query
+answers with.  It knows nothing about sockets; two transports drive it:
 
 * :class:`InProcessTransport` — same process, but every message still goes
-  through the full encode/decode path so byte counts are real (used by tests
-  and benchmarks; this is the common path for the reproduction).
-* :class:`SocketServer` — a real TCP server (one thread per connection) for
-  the examples that want the paper's "remote database server" topology.
+  through the full encode/decode path so byte counts are real (tests and the
+  embedded devUDF plugin).
+* :class:`AsyncSocketServer` — the TCP front end: one selector event loop
+  multiplexes every connection over a bounded worker pool (the paper's
+  "remote database server" topology; what ``python -m repro.netproto.server``
+  and ``devudf demo-server`` run).  :class:`SocketTransport` is its client
+  side.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ import itertools
 import secrets
 import selectors
 import socket
-import socketserver
 import threading
 import time
 from collections import deque
@@ -28,7 +32,6 @@ from typing import Any, Callable, Iterable, Iterator
 
 from ..errors import (
     AuthenticationError,
-    ConnectionLostError,
     CorruptionError,
     PersistenceError,
     ProtocolError,
@@ -63,15 +66,12 @@ from .messages import (
     MSG_PREPARE,
     MSG_PREPARED,
     MSG_QUERY,
-    MSG_RESULT,
     MSG_RESULT_CHUNK,
     MSG_STATS,
     MSG_STATS_RESULT,
     PROTOCOL_VERSION,
-    columnar_result_messages,
-    encode_result,
     error_message_for,
-    streamed_result_messages,
+    result_messages,
 )
 from .wire import (
     decode_frame,
@@ -92,8 +92,6 @@ class Session:
     authenticated: bool = False
     pending_challenge: bytes | None = None
     transfer_key: bytes | None = None
-    #: Negotiated wire protocol version; 1 until the client's hello says more.
-    protocol_version: int = 1
     #: Capability token for out-of-band cancellation (shared with the client
     #: in ``login_ok``; a ``cancel`` message must present it).
     cancel_key: str = ""
@@ -106,8 +104,8 @@ class Session:
 class ServerStats:
     """Aggregate server statistics (used by the workflow benchmarks).
 
-    Counters are incremented concurrently from handler threads, the query
-    worker pool, and the async front end's event loop, so every write goes
+    Counters are incremented concurrently from in-process callers, the query
+    worker pool and the front end's event loop, so every write goes
     through the thread-safe :class:`~repro.obs.MetricsRegistry` backing via
     :meth:`inc` — plain ``stats.x += 1`` (a lost-update race) raises
     ``AttributeError``.  Reads keep the historical attribute surface:
@@ -134,7 +132,7 @@ class ServerStats:
         "client_disconnects",
         "idle_disconnects",
         # clients dropped for not reading a streamed result for longer than
-        # ``ServerLimits.send_timeout`` (async front end backpressure guard)
+        # ``ServerLimits.send_timeout`` (front end backpressure guard)
         "stalled_disconnects",
         "wire_errors",
         # queries that failed with a :class:`repro.errors.CorruptionError`
@@ -209,7 +207,7 @@ class ServerLimits:
     caps every statement's runtime server-side (a client-requested timeout
     can only tighten it).  ``idle_timeout`` reaps connections that go quiet
     between requests; ``send_timeout`` bounds how long a slow reader can
-    block a handler thread mid-result.  ``None`` disables a knob.
+    block a query worker mid-result.  ``None`` disables a knob.
     """
 
     max_concurrent_queries: int = 8
@@ -297,17 +295,13 @@ class DatabaseServer:
                  registry: UserRegistry | None = None, *,
                  default_user: str = "monetdb", default_password: str = "monetdb",
                  result_chunk_rows: int = DEFAULT_CHUNK_ROWS,
-                 workers: int = 1, stream_results: bool = True,
+                 workers: int = 1,
                  limits: ServerLimits | None = None,
                  slow_query_ms: float | None = 500.0,
                  slow_query_log_size: int = 64) -> None:
         self.database = database or Database(workers=workers)
         self.registry = registry or UserRegistry()
         self.result_chunk_rows = max(1, int(result_chunk_rows))
-        #: Stream pipeline morsels to v4 clients as they complete (the
-        #: first ``result_chunk`` leaves before execution finishes).  Off
-        #: forces the fully-materialised v2/v3 chunking for everyone.
-        self.stream_results = bool(stream_results)
         if default_user and not self.registry.has_user(default_user):
             self.registry.add_user(default_user, default_password,
                                    database=self.database.name)
@@ -423,20 +417,6 @@ class DatabaseServer:
     # ------------------------------------------------------------------ #
     # message handling
     # ------------------------------------------------------------------ #
-    def handle_message(self, session: Session, message: dict[str, Any]) -> dict[str, Any]:
-        """Process one request and produce a single response message.
-
-        Compatibility wrapper over :meth:`handle_message_stream` for request
-        types that always answer with exactly one message (everything except
-        a columnar query result, which streams header + chunks).
-        """
-        responses = list(self.handle_message_stream(session, message))
-        if len(responses) != 1:
-            raise ProtocolError(
-                "handle_message cannot carry a chunked response; use "
-                "handle_message_stream")
-        return responses[0]
-
     def handle_message_stream(self, session: Session,
                               message: dict[str, Any]) -> Iterator[dict[str, Any]]:
         """Process one request message; yields one or more response messages.
@@ -495,16 +475,16 @@ class DatabaseServer:
                 "slow_queries": list(self.slow_query_log)}
 
     def _handle_hello(self, session: Session, message: dict[str, Any]) -> dict[str, Any]:
+        # one dialect: any other version (or none) is refused, never served
+        # a downgrade; the session is untouched, so a correct hello may follow
+        version = message.get("protocol_version")
+        if not isinstance(version, int) or version != PROTOCOL_VERSION:
+            raise ProtocolError(
+                f"unsupported protocol version {version!r}: this server "
+                f"speaks version {PROTOCOL_VERSION} only")
         username = str(message.get("username", ""))
         session.username = username
         session.database = str(message.get("database", self.database.name))
-        # version-1 clients do not send a version: keep serving them the
-        # row-oriented dict payload
-        try:
-            client_version = int(message.get("protocol_version", 1))
-        except (TypeError, ValueError):
-            raise ProtocolError("protocol_version must be an integer") from None
-        session.protocol_version = max(1, min(client_version, PROTOCOL_VERSION))
         salt, challenge = self.registry.challenge_for(username)
         session.pending_challenge = challenge
         return {
@@ -512,7 +492,7 @@ class DatabaseServer:
             "salt": salt,
             "challenge": challenge,
             "server": "repro-monetdb",
-            "protocol_version": session.protocol_version,
+            "protocol_version": PROTOCOL_VERSION,
         }
 
     def _handle_login(self, session: Session, message: dict[str, Any]) -> dict[str, Any]:
@@ -647,78 +627,35 @@ class DatabaseServer:
             self._fault("query_start")
             if prepared_name is not None:
                 # prepared executions are repeated point/small queries: the
-                # materialised path (result-cache friendly) serves every
-                # protocol version uniformly
-                result = self.database.execute_prepared(
-                    prepared_name, prepared_args, context=context)
-                session.queries_executed += 1
-                self.stats.inc("queries_executed")
-                self.stats.log_query(sql)
-            elif session.protocol_version >= 4 and self.stream_results:
+                # materialised path is the result-cache friendly one
+                outcome: QueryResult | StreamedResult = \
+                    self.database.execute_prepared(
+                        prepared_name, prepared_args, context=context)
+            else:
                 outcome = self.database.execute_stream(
                     sql, max_rows=chunk_rows, context=context)
-                session.queries_executed += 1
-                self.stats.inc("queries_executed")
-                self.stats.log_query(sql)
-                if isinstance(outcome, StreamedResult):
-                    stream = streamed_result_messages(
-                        outcome.pieces(),
-                        statement_type=outcome.statement_type,
-                        affected_rows=outcome.affected_rows,
-                        compression=compression, encryption_key=encryption_key,
-                        protocol_version=session.protocol_version,
-                        trace_id=trace_id)
-                    # pull the header eagerly: plan preparation already ran
-                    # and the first morsel is computed here, so early errors
-                    # still become well-formed error responses
-                    header = next(stream)
-                    # the query slot stays held until the stream is drained
-                    # (execution continues morsel-by-morsel underneath it)
-                    return self._observe_query(
-                        sql, trace, trace_id, started,
-                        self._release_after(session, itertools.chain(
-                            (header,), self._guarded_chunks(stream))))
-                result: QueryResult = outcome
-            else:
-                result = self.database.execute(sql, context=context)
-                session.queries_executed += 1
-                self.stats.inc("queries_executed")
-                self.stats.log_query(sql)
+            session.queries_executed += 1
+            self.stats.inc("queries_executed")
+            self.stats.log_query(sql)
+            if isinstance(outcome, QueryResult):
+                # execution is done: free the slot before the (possibly
+                # slow) encode-and-send phase.  A streamed plan keeps it
+                # until its last chunk — it executes morsel by morsel
+                # underneath the stream.
+                self._finish_query(session)
+            stream = result_messages(
+                outcome, chunk_rows=chunk_rows, compression=compression,
+                encryption_key=encryption_key, trace_id=trace_id)
+            # pull the header eagerly: the first morsel and its buffer
+            # export (the fallible parts) run here, so early errors still
+            # become plain error responses
+            header = next(stream)
         except BaseException:
             self._finish_query(session)
             raise
-        # materialised result: execution is done, so free the slot before
-        # the (possibly slow) encode-and-send phase
-        self._finish_query(session)
-
-        if session.protocol_version >= 2:
-            stream = columnar_result_messages(
-                result, chunk_rows=chunk_rows, compression=compression,
-                encryption_key=encryption_key,
-                protocol_version=session.protocol_version,
-                trace_id=trace_id)
-            # pull the header eagerly: buffer export (the fallible part of
-            # encoding) happens here, so errors still become error responses
-            header = next(stream)
-            return self._observe_query(
-                sql, trace, trace_id, started,
-                itertools.chain((header,), stream),
-                known_rows=result.row_count)
-
-        encoded = encode_result(result, compression=compression,
-                                encryption_key=encryption_key)
-        response = {
-            "type": MSG_RESULT,
-            "payload": encoded.blob,
-            "compressed": encoded.compressed,
-            "encrypted": encoded.encrypted,
-            "stats": encoded.stats.as_dict(),
-        }
-        if trace_id is not None:
-            response["trace_id"] = trace_id
-        return self._observe_query(sql, trace, trace_id, started,
-                                   iter((response,)),
-                                   known_rows=result.row_count)
+        return self._relay_result(
+            session, sql, trace, trace_id, started,
+            itertools.chain((header,), self._guarded_chunks(stream)))
 
     def _effective_timeout(self, options: dict[str, Any]) -> float | None:
         """Combine the client-requested timeout with the server-side cap."""
@@ -739,21 +676,27 @@ class DatabaseServer:
         if hook is not None:
             hook(point)
 
-    def _observe_query(self, sql: str, trace: "TraceSpan | None",
-                       trace_id: str | None, started: float,
-                       stream: Iterator[dict[str, Any]], *,
-                       known_rows: int | None = None
-                       ) -> Iterator[dict[str, Any]]:
-        """Relay response messages, then finish the query's observation.
+    def _relay_result(self, session: Session, sql: str,
+                      trace: "TraceSpan | None", trace_id: str | None,
+                      started: float, stream: Iterator[dict[str, Any]]
+                      ) -> Iterator[dict[str, Any]]:
+        """Relay a result's messages; at its end free the query slot and
+        finish the query's observation.
 
-        Accumulates rows and payload bytes from the relayed frames — the
-        encode-and-send phase included — records the end-to-end latency in
-        the ``server.query_us`` histogram, and appends a slow-query entry
-        (trace id, SQL, span breakdown, transfer volume) when the query
-        exceeded ``slow_query_ms``.  The accounting runs in a ``finally``,
-        so streams abandoned by a vanishing client are still recorded.
+        The end is the message flagged ``last`` or an error frame in its
+        place: execution is complete at that point, so both happen *before*
+        that message is yielded — a lazy transport may never pull the
+        generator again once it has the final frame.  The ``finally`` covers
+        streams that fail or are abandoned mid-flight (a client disconnect
+        closes the generator), so those are released and recorded too.
+
+        The observation accumulates rows and payload bytes from the relayed
+        frames — the encode-and-send phase included — records the end-to-end
+        latency in the ``server.query_us`` histogram, and appends a
+        slow-query entry (trace id, SQL, span breakdown, transfer volume)
+        when the query exceeded ``slow_query_ms``.
         """
-        rows = 0 if known_rows is None else max(0, int(known_rows))
+        rows = 0
         payload_bytes = 0
         respond_started = time.perf_counter()
         finalized = False
@@ -763,6 +706,7 @@ class DatabaseServer:
             if finalized:
                 return
             finalized = True
+            self._finish_query(session)
             ended = time.perf_counter()
             if trace is not None:
                 trace.add("respond", respond_started, ended)
@@ -781,54 +725,16 @@ class DatabaseServer:
                     "spans": trace.breakdown() if trace is not None else [],
                 })
 
-        # a lazy transport may never pull past the terminal frame, so the
-        # observation is finalized just before yielding it (mirroring the
-        # early slot release in _release_after); the ``finally`` only covers
-        # streams abandoned mid-flight by a vanishing client
-        remaining: int | None = None
         try:
             for message in stream:
-                message_type = message.get("type")
-                if message_type == MSG_RESULT:
-                    chunk_count = message.get("chunk_count")
-                    if chunk_count is None:
-                        remaining = 0          # legacy v1 single-blob result
-                    elif int(chunk_count) >= 0:
-                        remaining = int(chunk_count)  # materialised columnar
-                    # streamed headers (-1): terminal chunk carries ``last``
-                elif message_type == MSG_RESULT_CHUNK:
-                    if known_rows is None:
-                        rows += max(0, int(message.get("row_count") or 0))
-                    if remaining is not None:
-                        remaining -= 1
-                payload = message.get("payload")
-                if payload is not None:
-                    payload_bytes += len(payload)
-                if (message.get("last") or remaining == 0
-                        or message_type == MSG_ERROR):
+                if message.get("type") == MSG_RESULT_CHUNK:
+                    rows += message["row_count"]
+                    payload_bytes += len(message["payload"])
+                if message.get("last") or message.get("type") == MSG_ERROR:
                     finalize()
                 yield message
         finally:
             finalize()
-
-    def _release_after(self, session: Session,
-                       stream: Iterator[dict[str, Any]]
-                       ) -> Iterator[dict[str, Any]]:
-        """Relay ``stream`` and free the query slot when it is exhausted,
-        abandoned (client disconnect closes the generator), or fails.
-
-        The slot is released *before* yielding the terminal message (the
-        ``last``-flagged chunk or an error frame): execution is complete at
-        that point, and a lazy transport may never pull the generator again
-        once it has the final frame.  The ``finally`` covers abandonment.
-        """
-        try:
-            for message in stream:
-                if message.get("last") or message.get("type") == MSG_ERROR:
-                    self._finish_query(session)
-                yield message
-        finally:
-            self._finish_query(session)
 
     def _guarded_chunks(self, stream: Iterator[dict[str, Any]]
                         ) -> Iterator[dict[str, Any]]:
@@ -845,10 +751,6 @@ class DatabaseServer:
     # ------------------------------------------------------------------ #
     # framed entry point shared by the transports
     # ------------------------------------------------------------------ #
-    def handle_frame(self, session: Session, frame_payload: bytes) -> bytes:
-        """One request frame in, all response frames out (concatenated)."""
-        return b"".join(self.handle_frame_stream(session, frame_payload))
-
     def handle_frame_stream(self, session: Session,
                             frame_payload: bytes,
                             message: dict[str, Any] | None = None
@@ -932,120 +834,6 @@ class InProcessTransport:
             self.server.close_session(self.session)
 
 
-class _SocketHandler(socketserver.BaseRequestHandler):
-    """One thread per client connection.
-
-    Every exit path — clean close, idle timeout, client vanishing
-    mid-``result_chunk`` stream, garbage bytes on the wire — releases the
-    session and is counted in :class:`ServerStats`; none of them is allowed
-    to escape as a traceback into the ``socketserver`` machinery.
-    """
-
-    def handle(self) -> None:  # pragma: no cover - exercised via integration tests
-        server: "SocketServer" = self.server  # type: ignore[assignment]
-        database_server = server.database_server
-        limits = database_server.limits
-        stats = database_server.stats
-        stream = self.request.makefile("rwb")
-        try:
-            session = database_server.open_session()
-        except ServerBusyError as exc:
-            self._best_effort_error(stream, database_server, exc)
-            stream.close()
-            return
-        try:
-            while True:
-                try:
-                    self.request.settimeout(limits.idle_timeout)
-                    payload = read_frame(stream)
-                except ConnectionLostError:
-                    # EOF without a close message: the client hung up (a
-                    # polite close exits on MSG_CLOSE before reading EOF)
-                    stats.inc("client_disconnects")
-                    return
-                except (socket.timeout, TimeoutError):
-                    stats.inc("idle_disconnects")
-                    return
-                except WireFormatError as exc:
-                    # frame-level garbage: the byte stream is desynchronised,
-                    # so tell the client why (best effort) and hang up
-                    stats.inc("wire_errors")
-                    self._best_effort_error(stream, database_server, exc)
-                    return
-                except OSError:
-                    stats.inc("client_disconnects")
-                    return
-                try:
-                    self.request.settimeout(limits.send_timeout)
-                    # write each response frame as it is encoded so the
-                    # client can consume chunk i while chunk i+1 is built
-                    for response_frame in database_server.handle_frame_stream(
-                            session, payload):
-                        stream.write(response_frame)
-                        stream.flush()
-                except (BrokenPipeError, ConnectionResetError, socket.timeout,
-                        TimeoutError, OSError):
-                    # the client went away (or stopped reading) while we were
-                    # streaming result chunks; drop the connection quietly —
-                    # closing the response generator frees the query slot
-                    stats.inc("client_disconnects")
-                    return
-                try:
-                    message = decode_message(payload)
-                except WireFormatError:
-                    continue  # already answered with a structured error
-                if message.get("type") == MSG_CLOSE:
-                    return
-        finally:
-            database_server.close_session(session)
-            try:
-                stream.close()
-            except OSError:
-                pass
-
-    @staticmethod
-    def _best_effort_error(stream: Any, database_server: DatabaseServer,
-                           exc: ReproError) -> None:
-        try:
-            stream.write(encode_message(database_server._error_response(exc)))
-            stream.flush()
-        except OSError:
-            pass
-
-
-class SocketServer(socketserver.ThreadingTCPServer):
-    """A TCP server hosting a :class:`DatabaseServer`."""
-
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, database_server: DatabaseServer,
-                 host: str = "127.0.0.1", port: int = 0) -> None:
-        super().__init__((host, port), _SocketHandler)
-        self.database_server = database_server
-        self._thread: threading.Thread | None = None
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self.server_address[0], self.server_address[1]
-
-    def start_background(self) -> tuple[str, int]:
-        """Start serving in a daemon thread; returns (host, port)."""
-        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
-        self._thread.start()
-        return self.address
-
-    def stop(self, drain_timeout: float | None = 5.0) -> None:
-        """Graceful shutdown: stop admitting queries, drain in-flight work
-        (cancelling stragglers after ``drain_timeout``), then close."""
-        self.database_server.drain(drain_timeout)
-        self.shutdown()
-        self.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-
-
 class _AsyncConnection:
     """Per-connection state tracked by :class:`AsyncSocketServer`'s loop."""
 
@@ -1077,15 +865,15 @@ class _AsyncConnection:
 
 
 class AsyncSocketServer:
-    """A single-threaded selector event loop multiplexing many connections.
+    """The TCP front end: a single-threaded selector event loop multiplexing
+    many connections.
 
-    The thread-per-connection :class:`SocketServer` burns a thread (and its
-    stack) per client even when the client is idle; this front end holds
-    thousands of mostly-idle connections on one event loop thread.  The loop
-    only ever does non-blocking work: reading bytes into per-connection
-    buffers, splitting frames (:func:`repro.netproto.wire.extract_frame`),
-    answering cheap control messages inline, and handing query frames to a
-    bounded worker pool.  Workers stream response frames back through
+    One event loop thread holds thousands of mostly-idle connections without
+    a thread (and its stack) per client.  The loop only ever does
+    non-blocking work: reading bytes into per-connection buffers, splitting
+    frames (:func:`repro.netproto.wire.extract_frame`), answering cheap
+    control messages inline, and handing query frames to a bounded worker
+    pool.  Workers stream response frames back through
     per-connection send buffers; the loop flushes them as sockets become
     writable.
 
@@ -1095,10 +883,6 @@ class AsyncSocketServer:
     ``limits.send_timeout`` is disconnected and its query cancelled, so a
     client that stops reading mid-stream cannot pin an execution slot (the
     eager-release/backpressure fix).
-
-    The constructor/``start_background``/``stop``/``address`` surface
-    matches :class:`SocketServer`, so the two front ends are drop-in
-    interchangeable for tests and the CLI.
     """
 
     #: Send-buffer watermarks: a worker pauses above ``HIGH_WATER`` bytes
@@ -1139,7 +923,7 @@ class AsyncSocketServer:
         self._thread: threading.Thread | None = None
 
     # ------------------------------------------------------------------ #
-    # lifecycle (mirrors SocketServer)
+    # lifecycle
     # ------------------------------------------------------------------ #
     @property
     def address(self) -> tuple[str, int]:
@@ -1172,11 +956,6 @@ class AsyncSocketServer:
                 sock.close()
             except OSError:
                 pass
-
-    # used by SocketServer-compatible call sites
-    def serve_forever(self) -> None:  # pragma: no cover - CLI foreground mode
-        self._running = True
-        self._serve()
 
     # ------------------------------------------------------------------ #
     # event loop
@@ -1304,8 +1083,7 @@ class AsyncSocketServer:
                 payload = extract_frame(conn.recv_buffer)
             except WireFormatError as exc:
                 # frame-level garbage: the stream is desynchronised — tell
-                # the client why (best effort) and hang up, like the
-                # threaded front end
+                # the client why (best effort) and hang up
                 server.stats.inc("wire_errors")
                 conn.recv_buffer.clear()
                 conn.closing = True  # hang up once the error frame flushes
@@ -1412,7 +1190,7 @@ class AsyncSocketServer:
                 if not self._enqueue_with_backpressure(conn, frame):
                     break
         finally:
-            # closing the generator runs the server's _release_after
+            # closing the generator runs the server's _relay_result
             # finally-block, freeing the admission slot even when the
             # stream was abandoned mid-flight
             stream.close()
@@ -1571,11 +1349,12 @@ class SocketTransport:
 def start_demo_server(database: Database | None = None, *,
                       user: str = "monetdb", password: str = "monetdb",
                       host: str = "127.0.0.1", port: int = 0
-                      ) -> tuple[DatabaseServer, SocketServer, tuple[str, int]]:
+                      ) -> tuple[DatabaseServer, AsyncSocketServer,
+                                 tuple[str, int]]:
     """Convenience helper: build a server, start it on a free port, return it."""
     database_server = DatabaseServer(database, default_user=user,
                                      default_password=password)
-    socket_server = SocketServer(database_server, host=host, port=port)
+    socket_server = AsyncSocketServer(database_server, host=host, port=port)
     address = socket_server.start_background()
     return database_server, socket_server, address
 
@@ -1636,15 +1415,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="byte budget for caching results of identical "
                              "read-only SELECTs, invalidated on writes "
                              "(0 disables; default: 8 MiB)")
-    frontend = parser.add_mutually_exclusive_group()
-    frontend.add_argument("--async", action="store_const", dest="frontend",
-                          const="async",
-                          help="async front end: one selector event loop "
-                               "multiplexes all connections (default)")
-    frontend.add_argument("--threaded", action="store_const", dest="frontend",
-                          const="threaded",
-                          help="classic thread-per-connection front end")
-    parser.set_defaults(frontend="async")
     args = parser.parse_args(argv)
 
     limits = ServerLimits(max_concurrent_queries=args.max_concurrent,
@@ -1686,15 +1456,12 @@ def main(argv: list[str] | None = None) -> int:
         database, default_user=args.user, default_password=args.password,
         result_chunk_rows=args.chunk_rows, limits=limits,
         slow_query_ms=args.slow_query_ms if args.slow_query_ms > 0 else None)
-    server_cls = (AsyncSocketServer if args.frontend == "async"
-                  else SocketServer)
-    socket_server = server_cls(database_server, host=args.host,
-                               port=args.port)
+    socket_server = AsyncSocketServer(database_server, host=args.host,
+                                      port=args.port)
     host, port = socket_server.start_background()
     mode = f"durable ({args.db})" if args.db else "in-memory"
     print(f"server listening on {host}:{port} "
-          f"(user={args.user} database={args.name}, {mode}, "
-          f"{args.frontend} front end)")
+          f"(user={args.user} database={args.name}, {mode})")
     print(json.dumps({"host": host, "port": port, "db": args.db}, indent=2))
     try:
         socket_server._thread.join()  # noqa: SLF001 - foreground serve

@@ -13,7 +13,7 @@ Every message travels as one frame::
 
 The payload of a control message is a string-keyed dictionary encoded with
 the self-describing *value codec* below.  Result data additionally uses the
-*columnar chunk format* (protocol version 2, :mod:`repro.netproto.columnar`).
+*columnar chunk format* (:mod:`repro.netproto.columnar`).
 
 Value codec
 ===========
@@ -30,12 +30,14 @@ Tag-prefixed, recursive, self-describing.  Tags:
     ``L``         list: u32 count + encoded items
     ``M``         dict: u32 count + alternating encoded string keys / values
 
-Columnar chunk format (protocol version 2)
-==========================================
+Columnar chunk format
+=====================
 Query results are shipped as whole typed column buffers instead of one tagged
 value per cell, so transfer cost scales with bytes rather than Python object
-count.  A ``result`` header message announces the schema and chunk count and
-is followed by ``result_chunk`` messages, each carrying a binary chunk blob::
+count.  A ``result`` header message announces the schema and is followed by
+``result_chunk`` messages, each carrying a binary chunk blob; the result ends
+at the message flagged ``last`` — the final chunk, or the header itself when
+there are no rows to ship (see :func:`repro.netproto.messages.result_messages`)::
 
     "CB" | version u8 | row_count u32 | column_count u16
     then per column:
@@ -57,7 +59,7 @@ Dtype tags and their sections:
     0x03 BOOL     one section: one byte per value
     0x10 UTF8     two sections: u32 LE offsets (n+1 entries) + UTF-8 blob
     0x11 BINARY   two sections: u32 LE offsets (n+1 entries) + raw blob
-    0x12 DICT     dictionary-encoded strings (protocol version 3): one
+    0x12 DICT     dictionary-encoded strings: one
                   section of little-endian i32 codes indexing the column's
                   sorted unique-value table; when flags bit 1 is set the
                   table follows as two more sections (u32 LE offsets + UTF-8
@@ -69,20 +71,15 @@ Dtype tags and their sections:
     0x20 OBJECT   one section: value-codec encoded list (escape hatch for
                   values a typed buffer cannot hold, e.g. >64-bit integers)
 
-Version negotiation
-===================
-The client advertises ``protocol_version`` in its ``hello`` message; the
-server replies in the ``challenge`` message with the negotiated version
-``min(client, server)``.  Clients that do not send a version are treated as
-version 1 and receive the legacy row-oriented dict payload produced by
-:func:`repro.netproto.messages.encode_result` in a single ``result`` frame;
-version 2 peers use the columnar chunk stream above; version 3 peers
-additionally receive low-cardinality string columns dictionary-encoded as
-``TAG_DICT``.  The negotiation covers the *result payload format* only —
-both peers must share this value codec (the ``I`` integer encoding changed
-from length-prefixed ASCII decimal to fixed i64 at the same time the
-columnar format was introduced, so builds from before that point are not
-byte-compatible at the codec level).
+Protocol version
+================
+There is one dialect.  The client names ``protocol_version`` in its ``hello``
+message and the server repeats it in ``challenge``; a ``hello`` that names
+any other version (or none) is answered with a structured ``protocol`` error
+naming the version the server speaks, and a client refuses a ``challenge``
+that names another version — a version change is a refusal, never a silent
+downgrade.  The version covers the message set, the result framing and this
+value codec together.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.netproto.server import SocketServer
+from repro.netproto.server import AsyncSocketServer
 from repro.workloads.udf_corpus import demo_server
 
 
@@ -13,7 +13,7 @@ from repro.workloads.udf_corpus import demo_server
 def running_server(tmp_path):
     server, setup = demo_server(str(tmp_path / "csv"), buggy_mean_deviation=True,
                                 with_extras=True, n_files=3, rows_per_file=10)
-    socket_server = SocketServer(server, host="127.0.0.1", port=0)
+    socket_server = AsyncSocketServer(server, host="127.0.0.1", port=0)
     host, port = socket_server.start_background()
     yield server, setup, host, port
     socket_server.stop()

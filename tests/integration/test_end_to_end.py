@@ -14,7 +14,7 @@ import pytest
 from repro.core.plugin import DevUDFPlugin
 from repro.core.project import DevUDFProject
 from repro.core.settings import DevUDFSettings
-from repro.netproto.server import SocketServer
+from repro.netproto.server import AsyncSocketServer
 from repro.workloads.scenarios import ScenarioA
 from repro.workloads.udf_corpus import demo_server, setup_classifier_database
 
@@ -25,7 +25,7 @@ def tcp_demo(tmp_path):
     server, setup = demo_server(str(tmp_path / "csv"), buggy_mean_deviation=True,
                                 with_extras=True, n_files=4, rows_per_file=25)
     setup_classifier_database(server.database, n_rows=40)
-    socket_server = SocketServer(server, host="127.0.0.1", port=0)
+    socket_server = AsyncSocketServer(server, host="127.0.0.1", port=0)
     host, port = socket_server.start_background()
     yield server, setup, host, port, tmp_path
     socket_server.stop()

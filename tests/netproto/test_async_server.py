@@ -1,8 +1,8 @@
-"""The async (selector event loop) front end.
+"""The TCP front end (one selector event loop).
 
-The thread-per-connection behaviours are covered by the parametrized suites
-in test_socket_server.py / test_chaos.py; this file tests what is *specific*
-to the event loop: many idle connections multiplexed by one thread, strict
+The behaviours any socket server must have are covered by
+test_socket_server.py / test_chaos.py; this file tests what is *specific* to
+the event loop: many idle connections multiplexed by one thread, strict
 per-connection frame ordering, saturation pre-rejection, streamed results
 through the per-connection send buffers, and idle reaping.
 """
@@ -12,8 +12,9 @@ import time
 
 import pytest
 
-from repro.errors import ReproError, ServerBusyError
+from repro.errors import ServerBusyError
 from repro.netproto.client import Connection, ConnectionInfo
+from repro.netproto.messages import ERR_SESSION_LIMIT
 from repro.netproto.server import (
     AsyncSocketServer,
     DatabaseServer,
@@ -63,6 +64,10 @@ class TestMultiplexing:
             active = tcp(host, port)
             assert active.execute("SELECT SUM(i) FROM big").scalar() == \
                 sum(range(1000))
+            # ... and neither is a PREPARE / EXECUTE round trip
+            handle = active.prepare(
+                "amid_idle", "SELECT COUNT(*) FROM big WHERE i < ?")
+            assert handle.execute([10]).scalar() == 10
             active.close()
             # every idle connection still answers
             for connection in idle[::20]:
@@ -79,9 +84,12 @@ class TestMultiplexing:
         first = tcp(host, port)
         second = tcp(host, port)
         try:
-            with pytest.raises((ServerBusyError, ReproError, OSError)):
-                extra = tcp(host, port, retry_policy=None)
-                extra.close()
+            # the structured refusal survives the handshake: code and
+            # retryable flag reach the caller, as they do in-process
+            with pytest.raises(ServerBusyError) as refused:
+                tcp(host, port, retry_policy=None)
+            assert refused.value.code == ERR_SESSION_LIMIT
+            assert refused.value.retryable
             assert server.active_sessions == 2
         finally:
             first.close()

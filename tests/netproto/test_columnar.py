@@ -1,10 +1,10 @@
 """Tests for the columnar wire format: chunk codec, streaming, lazy decode,
-and version-1 compatibility."""
+and the refusal of any protocol version but the one spoken."""
 
 import numpy as np
 import pytest
 
-from repro.errors import WireFormatError
+from repro.errors import ProtocolError, WireFormatError
 from repro.netproto.client import Connection, TransferOptions
 from repro.netproto.columnar import (
     ChunkEncoder,
@@ -13,16 +13,14 @@ from repro.netproto.columnar import (
 )
 from repro.netproto.compression import CODEC_NONE, CODEC_RLE, CODEC_ZLIB
 from repro.netproto.messages import (
-    FORMAT_COLUMNAR,
+    ERR_PROTOCOL,
     MSG_HELLO,
     MSG_LOGIN,
     MSG_QUERY,
-    MSG_RESULT,
     PROTOCOL_VERSION,
     ColumnarResultAssembler,
     TransferStats,
-    columnar_result_messages,
-    decode_result,
+    result_messages,
 )
 from repro.netproto.auth import compute_response
 from repro.netproto.server import DatabaseServer, InProcessTransport
@@ -34,8 +32,8 @@ from repro.sqldb.types import SQLType
 def roundtrip(result: QueryResult, *, codec: str = CODEC_NONE,
               chunk_rows: int = 65_536) -> tuple[QueryResult, TransferStats]:
     """Encode a result through the chunked columnar path and decode it back."""
-    stream = columnar_result_messages(result, chunk_rows=chunk_rows,
-                                      compression=codec)
+    stream = result_messages(result, chunk_rows=chunk_rows,
+                             compression=codec)
     assembler = ColumnarResultAssembler(next(stream))
     for chunk in stream:
         assembler.add_chunk(chunk)
@@ -199,7 +197,6 @@ class TestProtocolNegotiation:
 
     def test_v2_client_gets_columnar_stream(self, server):
         connection = Connection.connect_in_process(server)
-        assert connection.protocol_version == PROTOCOL_VERSION
         result = connection.execute("SELECT * FROM t ORDER BY i")
         assert result.fetchall() == [(1, "a"), (2, None), (3, "c")]
         assert connection.stats.last_transfer.chunks == 1
@@ -229,14 +226,13 @@ class TestProtocolNegotiation:
             "type": MSG_QUERY, "sql": "SELECT * FROM t ORDER BY i",
             "options": message_options,
         })
-        assert reply["format"] == FORMAT_COLUMNAR
-        assert reply["chunk_count"] == (103 + 15) // 16
+        assert reply["row_count"] == 103 and not reply["last"]
         assembler = ColumnarResultAssembler(reply)
-        for _ in range(reply["chunk_count"]):
+        while not assembler.complete:
             assembler.add_chunk(connection._transport.receive())
         result, stats = assembler.finish()
         assert result.row_count == 103
-        assert stats.chunks == reply["chunk_count"]
+        assert stats.chunks == (103 + 15) // 16
         connection.close()
 
     def test_server_chunk_rows_config(self):
@@ -259,31 +255,54 @@ class TestProtocolNegotiation:
         assert connection.stats.last_transfer.encrypted
         connection.close()
 
-    def test_legacy_client_still_gets_row_payload(self, server):
-        """A seed-era client: no protocol_version in hello, single result frame."""
+    def test_any_other_version_is_refused_then_correct_hello_logs_in(
+            self, server):
+        """No negotiation and no downgrade: a hello that names no version,
+        an older one or garbage gets a structured refusal naming the version
+        spoken, and the same connection can still log in properly."""
         transport = InProcessTransport(server)
-        challenge = transport.exchange({
-            "type": MSG_HELLO, "username": "monetdb",
-            "database": server.database.name,
-        })
-        assert challenge["protocol_version"] == 1
-        response = compute_response("monetdb", challenge["salt"],
-                                    challenge["challenge"])
+        hello = {"type": MSG_HELLO, "username": "monetdb",
+                 "database": server.database.name}
+        for version in (None, 1, 4, PROTOCOL_VERSION + 1, "x", 5.0, True):
+            named = {} if version is None else {"protocol_version": version}
+            reply = transport.exchange({**hello, **named})
+            assert reply["type"] == "error", version
+            assert reply["code"] == ERR_PROTOCOL
+            assert not reply["retryable"]
+            assert f"version {PROTOCOL_VERSION}" in reply["message"]
+        challenge = transport.exchange(
+            {**hello, "protocol_version": PROTOCOL_VERSION})
+        assert challenge["type"] == "challenge"
+        assert challenge["protocol_version"] == PROTOCOL_VERSION
         login = transport.exchange({
-            "type": MSG_LOGIN, "username": "monetdb", "response": response,
+            "type": MSG_LOGIN, "username": "monetdb",
+            "response": compute_response("monetdb", challenge["salt"],
+                                         challenge["challenge"]),
         })
         assert login["type"] == "login_ok"
         reply = transport.exchange({
-            "type": MSG_QUERY, "sql": "SELECT * FROM t ORDER BY i",
-            "options": {},
-        })
-        # old wire shape: one frame, row-oriented dict payload, no chunks
-        assert reply["type"] == MSG_RESULT
-        assert "format" not in reply
-        result = decode_result(reply["payload"], compressed=False,
-                               encrypted=False)
-        assert result.fetchall() == [(1, "a"), (2, None), (3, "c")]
+            "type": MSG_QUERY, "sql": "SELECT COUNT(*) FROM t", "options": {}})
+        assert reply["type"] == "result"
         transport.close()
+
+    def test_client_refuses_a_challenge_naming_another_version(self, server):
+        original = server._handle_hello
+
+        def older_server_hello(session, message):
+            return {**original(session, message),
+                    "protocol_version": PROTOCOL_VERSION - 1}
+
+        server._handle_hello = older_server_hello
+        with pytest.raises(ProtocolError, match="version"):
+            Connection.connect_in_process(server)
+
+    def test_refusal_reaches_the_caller_as_protocol_error(self, server,
+                                                          monkeypatch):
+        monkeypatch.setattr("repro.netproto.client.PROTOCOL_VERSION",
+                            PROTOCOL_VERSION - 1)
+        with pytest.raises(ProtocolError,
+                           match=f"speaks version {PROTOCOL_VERSION} only"):
+            Connection.connect_in_process(server)
 
     def test_connection_survives_corrupt_chunk(self, server):
         """A bad chunk raises, but the stream is drained so the connection
@@ -330,27 +349,6 @@ class TestProtocolNegotiation:
         assert reply["type"] == "error"
         assert "chunk_rows" in reply["message"]
         connection.close()
-
-    def test_old_server_new_client_downgrades(self, server):
-        """A v2 client against a server that caps the version at 1."""
-        connection = Connection.connect_in_process(server)
-        connection.close()
-
-        original = DatabaseServer.__dict__["_handle_hello"]
-
-        def capped_hello(self, session, message):
-            message = dict(message)
-            message.pop("protocol_version", None)  # pre-v2 servers ignore it
-            reply = original(self, session, message)
-            return reply
-
-        server_v1 = DatabaseServer(server.database)
-        server_v1._handle_hello = capped_hello.__get__(server_v1)
-        downgraded = Connection.connect_in_process(server_v1)
-        assert downgraded.protocol_version == 1
-        result = downgraded.execute("SELECT * FROM t ORDER BY i")
-        assert result.fetchall() == [(1, "a"), (2, None), (3, "c")]
-        downgraded.close()
 
 
 class TestChunkEncoder:

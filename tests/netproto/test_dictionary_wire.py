@@ -1,4 +1,4 @@
-"""TAG_DICT wire format, v1/v2/v3 negotiation and the incremental cursor."""
+"""TAG_DICT wire format and the incremental cursor."""
 
 import numpy as np
 import pytest
@@ -12,11 +12,7 @@ from repro.netproto.columnar import (
     decode_chunk,
     encode_result_chunk,
 )
-from repro.netproto.messages import (
-    PROTOCOL_VERSION,
-    ColumnarResultAssembler,
-    columnar_result_messages,
-)
+from repro.netproto.messages import ColumnarResultAssembler, result_messages
 from repro.netproto.server import DatabaseServer
 from repro.sqldb.database import Database
 from repro.sqldb.result import QueryResult, ResultColumn
@@ -29,9 +25,8 @@ def low_cardinality_result(rows=1000, cardinality=10):
     return QueryResult([ResultColumn("s", SQLType.STRING, values)])
 
 
-def roundtrip_stream(result, *, chunk_rows=100, protocol_version=PROTOCOL_VERSION):
-    messages = list(columnar_result_messages(result, chunk_rows=chunk_rows,
-                                             protocol_version=protocol_version))
+def roundtrip_stream(result, *, chunk_rows=100):
+    messages = list(result_messages(result, chunk_rows=chunk_rows))
     assembler = ColumnarResultAssembler(messages[0])
     for message in messages[1:]:
         assembler.add_chunk(message)
@@ -123,21 +118,12 @@ class TestDictionaryEncoding:
         assert tag == TAG_DICT
         assert dictionary is vector.dictionary  # zero re-encode
 
-    def test_dict_disabled_below_v3(self):
-        result = low_cardinality_result(rows=200)
-        messages, decoded = roundtrip_stream(result, protocol_version=2)
-        blob = messages[1]["payload"]
-        _, columns = decode_chunk(blob)
-        assert columns[0].tag == TAG_UTF8
-        assert decoded.columns[0].values == result.columns[0].values
-
     def test_dict_wire_bytes_smaller_than_utf8(self):
         result = low_cardinality_result(rows=5000, cardinality=20)
-        v3_messages = list(columnar_result_messages(result, protocol_version=3))
-        v2_messages = list(columnar_result_messages(result, protocol_version=2))
-        v3_bytes = sum(len(m["payload"]) for m in v3_messages[1:])
-        v2_bytes = sum(len(m["payload"]) for m in v2_messages[1:])
-        assert v3_bytes < v2_bytes
+        dict_blob, _ = encode_result_chunk(result, allow_dict=True)
+        utf8_blob, _ = encode_result_chunk(result, allow_dict=False)
+        assert decode_chunk(utf8_blob)[1][0].tag == TAG_UTF8
+        assert len(dict_blob) < len(utf8_blob)
 
     def test_out_of_range_code_rejected(self):
         result = low_cardinality_result(rows=200, cardinality=5)
@@ -150,51 +136,15 @@ class TestDictionaryEncoding:
             decode_chunk(second, dictionaries=cache)
 
 
-class TestProtocolCompat:
-    def test_v3_client_negotiates_dictionaries(self, server):
-        connection = Connection.connect_in_process(server)
-        # the default negotiation lands on this build's ceiling (v4 since
-        # streamed results); dictionary columns behave the same from v3 up
-        assert connection.protocol_version == PROTOCOL_VERSION == 4
-        result = connection.execute("SELECT name, v FROM t")
-        assert result.row_count == 5000
-        assert result.columns[0].values[1] == "cat_1"
-        assert result.columns[0].values[17] is None
-
-    def test_v2_client_gets_columnar_without_dict(self, server):
-        connection = Connection.connect_in_process(server, max_protocol_version=2)
-        assert connection.protocol_version == 2
-        result = connection.execute("SELECT name, v FROM t")
-        reference = Connection.connect_in_process(server) \
-            .execute("SELECT name, v FROM t")
-        assert result.columns[0].values == reference.columns[0].values
-        assert result.columns[1].values == reference.columns[1].values
-
-    def test_v1_client_gets_legacy_payload(self, server):
-        connection = Connection.connect_in_process(server, max_protocol_version=1)
-        assert connection.protocol_version == 1
-        result = connection.execute("SELECT name FROM t WHERE name = 'cat_3'")
-        assert set(result.columns[0].values) == {"cat_3"}
-
-    def test_v2_and_v3_wire_bytes_differ(self, server):
-        v3 = Connection.connect_in_process(server)
-        v2 = Connection.connect_in_process(server, max_protocol_version=2)
-        v3.execute("SELECT name FROM t")
-        v2.execute("SELECT name FROM t")
-        assert v3.stats.last_transfer.wire_bytes \
-            < v2.stats.last_transfer.wire_bytes
-
-
 class TestIncrementalCursor:
     def test_fetchmany_yields_before_full_assembly(self, server):
         connection = Connection.connect_in_process(server)
         cursor = connection.cursor()
         cursor.execute("SELECT name, v FROM t")
         stream = cursor._stream
-        # v4 streams morsels: the chunk count is unknown until the
+        # morsels are streamed: the row count is unknown until the
         # last-flagged chunk arrives
         assert stream.streamed
-        assert stream._assembler.expected_chunks == -1
         first = cursor.fetchmany(10)
         assert len(first) == 10
         assert stream.chunks_received == 1  # only the first chunk was pulled
@@ -234,18 +184,11 @@ class TestIncrementalCursor:
         cursor = connection.cursor()
         cursor.execute("SELECT name, v FROM t")
         assert [d[0] for d in cursor.description] == ["name", "v"]
-        # a streamed (v4) result does not know its row count up front:
+        # a streamed result does not know its row count up front:
         # DB-API's "unknown" value until the stream is drained
         assert cursor.rowcount == -1
         cursor.fetchall()
         assert cursor.rowcount == 5000
-
-    def test_cursor_against_v1_server_payload(self, server):
-        connection = Connection.connect_in_process(server, max_protocol_version=1)
-        cursor = connection.cursor()
-        cursor.execute("SELECT COUNT(*) FROM t")
-        assert cursor.fetchone() == (5000,)
-        assert cursor.fetchone() is None
 
     def test_dml_through_cursor(self, server):
         connection = Connection.connect_in_process(server)

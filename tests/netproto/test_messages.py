@@ -1,16 +1,17 @@
-"""Tests for protocol message helpers and transfer statistics."""
+"""Tests for the result-stream builder, its assembler and transfer statistics."""
 
 import pytest
 
 from repro.errors import ProtocolError
 from repro.netproto.compression import CODEC_ZLIB
 from repro.netproto.messages import (
+    MSG_RESULT,
+    MSG_RESULT_CHUNK,
+    ColumnarResultAssembler,
     TransferStats,
-    decode_result,
-    encode_result,
-    payload_dict_to_result,
-    result_to_payload_dict,
+    result_messages,
 )
+from repro.sqldb.operators import slice_result
 from repro.sqldb.result import QueryResult, ResultColumn
 from repro.sqldb.types import SQLType
 
@@ -23,54 +24,106 @@ def sample_result() -> QueryResult:
     ], affected_rows=0, statement_type="SELECT")
 
 
-class TestPayloadDicts:
-    def test_result_to_payload_and_back(self, sample_result):
-        payload = result_to_payload_dict(sample_result)
-        assert payload["statement_type"] == "SELECT"
-        assert payload["columns"][0]["name"] == "i"
-        rebuilt = payload_dict_to_result(payload)
-        assert rebuilt.fetchall() == sample_result.fetchall()
-        assert rebuilt.column("name").sql_type is SQLType.STRING
-
-    def test_numpy_scalars_normalised(self):
-        import numpy as np
-
-        result = QueryResult([ResultColumn("x", SQLType.INTEGER, [np.int64(5)])])
-        payload = result_to_payload_dict(result)
-        assert payload["columns"][0]["values"] == [5]
-
-    def test_dml_result_round_trip(self):
-        result = QueryResult.empty(affected_rows=7, statement_type="INSERT")
-        rebuilt = payload_dict_to_result(result_to_payload_dict(result))
-        assert rebuilt.affected_rows == 7
-        assert rebuilt.statement_type == "INSERT"
-        assert rebuilt.row_count == 0
+def assemble(messages, **kwargs):
+    assembler = ColumnarResultAssembler(messages[0], **kwargs)
+    for message in messages[1:]:
+        assembler.add_chunk(message)
+    return assembler.finish()
 
 
 class TestEncodeDecodeResult:
     def test_plain(self, sample_result):
-        encoded = encode_result(sample_result)
-        assert not encoded.compressed and not encoded.encrypted
-        decoded = decode_result(encoded.blob, compressed=False, encrypted=False)
+        messages = list(result_messages(sample_result))
+        assert not messages[0]["encrypted"] and not messages[1]["encrypted"]
+        decoded, _ = assemble(messages)
         assert decoded.fetchall() == sample_result.fetchall()
+        assert decoded.column("name").sql_type is SQLType.STRING
 
     def test_encrypted_requires_key_to_decode(self, sample_result):
-        encoded = encode_result(sample_result, encryption_key="k")
+        messages = list(result_messages(sample_result, encryption_key="k"))
         with pytest.raises(ProtocolError):
-            decode_result(encoded.blob, compressed=False, encrypted=True)
-        decoded = decode_result(encoded.blob, compressed=False, encrypted=True,
-                                encryption_key="k")
+            assemble(messages)
+        decoded, stats = assemble(messages, encryption_key="k")
         assert decoded.row_count == 3
+        assert stats.encrypted
 
     def test_compression_none_keyword_is_noop(self, sample_result):
-        encoded = encode_result(sample_result, compression="none")
-        assert not encoded.compressed
-        assert encoded.stats.compression_codec == "none"
+        messages = list(result_messages(sample_result, compression="none"))
+        assert messages[0]["compression"] == "none"
+        assert messages[1]["payload"] == \
+            list(result_messages(sample_result))[1]["payload"]
+        assert assemble(messages)[1].compression_codec == "none"
 
     def test_stats_compression_ratio(self, sample_result):
-        big = QueryResult([ResultColumn("s", SQLType.STRING, ["x" * 50] * 500)])
-        encoded = encode_result(big, compression=CODEC_ZLIB)
-        assert encoded.stats.compression_ratio > 10
+        big = QueryResult([ResultColumn("s", SQLType.STRING,
+                                        [f"{i:04d}" + "x" * 50 for i in range(500)])])
+        _, stats = assemble(list(result_messages(big, compression=CODEC_ZLIB)))
+        assert stats.compression_ratio > 10
+        assert stats.wire_bytes == stats.compressed_bytes < stats.raw_bytes
+        assert stats.total_rows == 500
+
+
+class TestCompletionRule:
+    """A result ends at the message flagged ``last`` and nowhere else."""
+
+    def test_complete_result_is_one_piece_cut_by_chunk_rows(self):
+        result = QueryResult([ResultColumn("i", SQLType.INTEGER, list(range(10)))])
+        header, *chunks = result_messages(result, chunk_rows=4)
+        assert header["type"] == MSG_RESULT
+        assert header["row_count"] == 10 and not header["last"]
+        assert [c["type"] for c in chunks] == [MSG_RESULT_CHUNK] * 3
+        assert [(c["row_start"], c["row_count"], c["last"]) for c in chunks] \
+            == [(0, 4, False), (4, 4, False), (8, 2, True)]
+        decoded, stats = assemble([header, *chunks])
+        assert decoded.fetchall() == result.fetchall()
+        assert stats.chunks == 3 and stats.total_rows == 10
+
+    @pytest.mark.parametrize("result", [
+        QueryResult.empty(affected_rows=7, statement_type="INSERT"),
+        QueryResult([ResultColumn("i", SQLType.INTEGER, [])]),
+    ], ids=["dml", "empty_select"])
+    def test_header_is_last_when_a_complete_result_has_no_rows(self, result):
+        (header,) = result_messages(result)
+        assert header["last"] and header["row_count"] == 0
+        assembler = ColumnarResultAssembler(header)
+        assert assembler.complete
+        rebuilt, stats = assembler.finish()
+        assert rebuilt.affected_rows == result.affected_rows
+        assert rebuilt.statement_type == result.statement_type
+        assert rebuilt.column_names == result.column_names
+        assert rebuilt.row_count == 0 and stats.wire_bytes == 0
+
+    def test_streamed_pieces_end_at_the_last_piece(self, sample_result):
+        pieces = [slice_result(sample_result, 0, 2),
+                  slice_result(sample_result, 2, 1)]
+        header, *chunks = result_messages(iter(pieces))
+        assert header["row_count"] == -1 and not header["last"]
+        assert [(c["row_start"], c["row_count"], c["last"]) for c in chunks] \
+            == [(0, 2, False), (2, 1, True)]
+        assert assemble([header, *chunks])[0].fetchall() \
+            == sample_result.fetchall()
+
+    def test_empty_streamed_piece_still_ships_its_schema_chunk(
+            self, sample_result):
+        header, chunk = result_messages(iter([slice_result(sample_result, 0, 0)]))
+        assert not header["last"]
+        assert chunk["row_count"] == 0 and chunk["last"]
+        decoded, _ = assemble([header, chunk])
+        assert decoded.column_names == ["i", "name"]
+        assert decoded.row_count == 0
+
+    def test_oversize_streamed_piece_is_cut_like_any_other(self, sample_result):
+        header, *chunks = result_messages(iter([sample_result]), chunk_rows=2)
+        assert [(c["row_count"], c["last"]) for c in chunks] \
+            == [(2, False), (1, True)]
+
+    def test_truncated_stream_and_miscounted_rows_are_refused(self):
+        result = QueryResult([ResultColumn("i", SQLType.INTEGER, list(range(6)))])
+        header, first, second = result_messages(result, chunk_rows=3)
+        with pytest.raises(ProtocolError, match="truncated"):
+            assemble([header, first])
+        with pytest.raises(ProtocolError, match="row counts"):
+            assemble([header, second])
 
 
 class TestTransferStats:

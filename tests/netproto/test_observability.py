@@ -10,7 +10,6 @@ from repro.netproto.server import (
     AsyncSocketServer,
     DatabaseServer,
     ServerStats,
-    SocketServer,
 )
 from repro.sqldb import Database
 
@@ -23,12 +22,13 @@ def _make_database():
     return db
 
 
-@pytest.fixture(params=["threaded", "async"])
-def tcp_connection(request):
+# the one-value parameter only keeps the ``[async]`` test ids these cases
+# have had since they also ran against the (deleted) threaded front end
+@pytest.fixture(params=["async"])
+def tcp_connection():
     db = _make_database()
     server = DatabaseServer(db, slow_query_ms=0.0)  # everything is "slow"
-    cls = SocketServer if request.param == "threaded" else AsyncSocketServer
-    socket_server = cls(server, port=0)
+    socket_server = AsyncSocketServer(server, port=0)
     host, port = socket_server.start_background()
     connection = Connection.connect_tcp(
         ConnectionInfo(host=host, port=port, database=db.name))
@@ -148,23 +148,3 @@ class TestBoundedQueryLog:
         for name in ServerStats.COUNTER_NAMES:
             assert name in counters
 
-
-class TestTraceIdInHeaders:
-    def test_materialised_v2_result_carries_trace_id(self):
-        db = _make_database()
-        server = DatabaseServer(db, stream_results=False)
-        connection = Connection.connect_in_process(server)
-        stream = connection.execute_stream("SELECT COUNT(*) FROM t")
-        stream.result()
-        assert stream.trace_id
-        connection.close()
-
-    def test_legacy_v1_result_carries_trace_id(self):
-        db = _make_database()
-        server = DatabaseServer(db)
-        connection = Connection.connect_in_process(
-            server, max_protocol_version=1)
-        stream = connection.execute_stream("SELECT COUNT(*) FROM t")
-        stream.result()
-        assert stream.trace_id
-        connection.close()

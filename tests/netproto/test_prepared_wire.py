@@ -1,37 +1,31 @@
 """PREPARE/EXECUTE over the wire: message round trips, the parameter-binding
-type matrix, legacy protocol versions against the async front end, and the
-server cache counters exposed through ``stats``."""
+type matrix, and the server cache counters exposed through ``stats``."""
 
 import pytest
 
 from repro.errors import ExecutionError, ReproError
 from repro.netproto.client import Connection, ConnectionInfo
-from repro.netproto.server import (
-    AsyncSocketServer,
-    DatabaseServer,
-    SocketServer,
-)
+from repro.netproto.server import AsyncSocketServer, DatabaseServer
 from repro.sqldb.database import Database
 
-FRONT_ENDS = {"threaded": SocketServer, "async": AsyncSocketServer}
 
-
-@pytest.fixture(params=sorted(FRONT_ENDS))
-def prepared_server(request):
+# the one-value parameter only keeps the ``[async]`` test ids these cases
+# have had since they also ran against the (deleted) threaded front end
+@pytest.fixture(params=["async"])
+def prepared_server():
     database = Database(result_cache_bytes=1 << 20)
     database.execute(
         "CREATE TABLE typed (i INTEGER, big BIGINT, d DOUBLE, "
         "flag BOOLEAN, s STRING, payload BLOB)")
     server = DatabaseServer(database)
-    socket_server = FRONT_ENDS[request.param](server, host="127.0.0.1", port=0)
+    socket_server = AsyncSocketServer(server, host="127.0.0.1", port=0)
     host, port = socket_server.start_background()
     yield server, host, port
     socket_server.stop()
 
 
-def tcp(host, port, **kwargs):
-    return Connection.connect_tcp(ConnectionInfo(host=host, port=port),
-                                  **kwargs)
+def tcp(host, port):
+    return Connection.connect_tcp(ConnectionInfo(host=host, port=port))
 
 
 class TestPreparedRoundTrip:
@@ -114,7 +108,7 @@ class TestParameterTypeMatrix:
         connection.close()
 
     def test_dictionary_string_argument(self, prepared_server):
-        # a repeated string column travels dictionary-encoded on v3+; a
+        # a repeated string column travels dictionary-encoded; a
         # string *argument* must bind and filter correctly against it
         _, host, port = prepared_server
         connection = tcp(host, port)
@@ -137,23 +131,6 @@ class TestParameterTypeMatrix:
         insert.execute([2, b"\xff" * 16])
         result = connection.execute("SELECT payload FROM typed ORDER BY i")
         assert list(result.rows()) == [(b"\x00\x01\x02",), (b"\xff" * 16,)]
-        connection.close()
-
-
-class TestLegacyProtocolVersions:
-    """v1-v4 clients negotiate and run against both front ends unchanged."""
-
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
-    def test_query_and_prepared_round_trip(self, prepared_server, version):
-        _, host, port = prepared_server
-        connection = tcp(host, port, max_protocol_version=version)
-        assert connection.protocol_version == version
-        connection.execute("INSERT INTO typed (i, s) VALUES (1, 'a'), (2, 'b')")
-        assert connection.execute(
-            "SELECT COUNT(*) FROM typed").scalar() == 2
-        # prepared statements are independent of the result wire format
-        handle = connection.prepare("legacy", "SELECT s FROM typed WHERE i = ?")
-        assert handle.execute([2]).scalar() == "b"
         connection.close()
 
 

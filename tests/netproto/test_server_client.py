@@ -10,10 +10,8 @@ from repro.errors import (
 )
 from repro.netproto.client import Connection, ConnectionInfo, TransferOptions
 from repro.netproto.compression import CODEC_ZLIB
-from repro.netproto.messages import decode_result, encode_result
 from repro.netproto.server import DatabaseServer
 from repro.sqldb.database import Database
-from repro.sqldb.result import QueryResult, ResultColumn
 from repro.sqldb.types import SQLType
 
 
@@ -165,36 +163,3 @@ class TestCursor:
         cursor.execute("CREATE TABLE c (i INTEGER)")
         cursor.execute("INSERT INTO c VALUES (1), (2)")
         assert cursor.rowcount == 2
-
-
-class TestResultEncoding:
-    def make_result(self) -> QueryResult:
-        return QueryResult([
-            ResultColumn("i", SQLType.INTEGER, [1, 2, None]),
-            ResultColumn("x", SQLType.DOUBLE, [1.5, None, 3.0]),
-            ResultColumn("s", SQLType.STRING, ["a", "b", None]),
-            ResultColumn("b", SQLType.BLOB, [b"\x00\x01", None, b""]),
-        ], statement_type="SELECT")
-
-    def test_plain_roundtrip(self):
-        encoded = encode_result(self.make_result())
-        decoded = decode_result(encoded.blob, compressed=False, encrypted=False)
-        assert decoded.fetchall() == self.make_result().fetchall()
-        assert [c.sql_type for c in decoded.columns] == [
-            SQLType.INTEGER, SQLType.DOUBLE, SQLType.STRING, SQLType.BLOB]
-
-    def test_compressed_and_encrypted_roundtrip(self):
-        encoded = encode_result(self.make_result(), compression=CODEC_ZLIB,
-                                encryption_key="secret")
-        decoded = decode_result(encoded.blob, compressed=True, encrypted=True,
-                                encryption_key="secret")
-        assert decoded.row_count == 3
-        assert encoded.stats.encrypted
-
-    def test_stats_fields(self):
-        encoded = encode_result(self.make_result(), compression=CODEC_ZLIB)
-        stats = encoded.stats
-        assert stats.raw_bytes > 0
-        assert stats.compressed_bytes <= stats.raw_bytes + 16
-        assert stats.wire_bytes == stats.compressed_bytes
-        assert stats.total_rows == 3

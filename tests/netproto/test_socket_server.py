@@ -7,21 +7,20 @@ from repro.netproto.client import Connection, ConnectionInfo, TransferOptions
 from repro.netproto.server import (
     AsyncSocketServer,
     DatabaseServer,
-    SocketServer,
     start_demo_server,
 )
 from repro.sqldb.database import Database
 
-FRONT_ENDS = {"threaded": SocketServer, "async": AsyncSocketServer}
 
-
-@pytest.fixture(params=sorted(FRONT_ENDS))
-def tcp_server(request):
+# the one-value parameter only keeps the ``[async]`` test ids these cases
+# have had since they also ran against the (deleted) threaded front end
+@pytest.fixture(params=["async"])
+def tcp_server():
     database = Database()
     database.execute("CREATE TABLE t (i INTEGER)")
     database.execute("INSERT INTO t VALUES (1), (2), (3)")
     server = DatabaseServer(database)
-    socket_server = FRONT_ENDS[request.param](server, host="127.0.0.1", port=0)
+    socket_server = AsyncSocketServer(server, host="127.0.0.1", port=0)
     host, port = socket_server.start_background()
     yield server, host, port
     socket_server.stop()

@@ -1,10 +1,10 @@
-"""Protocol v4: streamed results — morsels leave before execution finishes.
+"""Streamed results — morsels leave before execution finishes.
 
-Covers the v4 wire contract (unknown-count header, ``last``-flagged chunks,
-dictionary continuity across morsel-encoded chunks), negotiation against
-older clients, mid-stream error frames, and the fetch-boundary regression:
-``fetchmany`` on an exhausted stream returns ``[]`` even when the final
-chunk drained exactly at the fetch boundary.
+Covers the streaming contract protocol v4 introduced and the one dialect
+kept (unknown-count header, ``last``-flagged chunks, dictionary continuity
+across morsel-encoded chunks), mid-stream error frames, and the
+fetch-boundary regression: ``fetchmany`` on an exhausted stream returns
+``[]`` even when the final chunk drained exactly at the fetch boundary.
 """
 
 import time
@@ -13,8 +13,11 @@ import pytest
 
 from repro.errors import ExecutionError
 from repro.netproto.client import Connection, ConnectionInfo
-from repro.netproto.messages import PROTOCOL_VERSION
-from repro.netproto.server import DatabaseServer, SocketServer, SocketTransport
+from repro.netproto.server import (
+    AsyncSocketServer,
+    DatabaseServer,
+    SocketTransport,
+)
 
 ROWS = 40
 CHUNK = 8
@@ -37,14 +40,11 @@ def connection(server):
 
 
 class TestStreamedResults:
-    def test_negotiates_v4(self, connection):
-        assert connection.protocol_version == PROTOCOL_VERSION == 4
-
     def test_header_has_unknown_counts(self, connection):
         stream = connection.execute_stream("SELECT a FROM t")
         assert stream.streamed
         assert stream.row_count == -1
-        assert stream._assembler.expected_chunks == -1
+        assert not stream.complete
 
     def test_first_rows_arrive_before_the_stream_completes(self, connection):
         stream = connection.execute_stream("SELECT a, s FROM t")
@@ -60,15 +60,13 @@ class TestStreamedResults:
         assert stream.row_count == ROWS
         assert stream.transfer.total_rows == ROWS
 
-    def test_results_identical_to_materialised_execute(self, server):
-        streaming = Connection.connect_in_process(server)
-        materialised = Connection.connect_in_process(
-            server, max_protocol_version=3)
+    def test_results_identical_to_materialised_execute(self, server,
+                                                       connection):
         for sql in ("SELECT a, s FROM t WHERE a < 30",
                     "SELECT s, COUNT(*) FROM t GROUP BY s",
                     "SELECT a FROM t WHERE a > 1000"):
-            assert streaming.execute(sql).fetchall() == \
-                materialised.execute(sql).fetchall(), sql
+            assert connection.execute(sql).fetchall() == \
+                server.database.execute(sql).fetchall(), sql
 
     def test_dictionary_ships_once_across_streamed_chunks(self, connection):
         stream = connection.execute_stream("SELECT s FROM t")
@@ -87,18 +85,9 @@ class TestStreamedResults:
 
     def test_non_streamable_selects_fall_back(self, connection):
         stream = connection.execute_stream("SELECT a FROM t ORDER BY a DESC")
-        assert not stream.streamed  # materialised header with known counts
+        assert not stream.streamed  # materialised header with a known count
         assert stream.row_count == ROWS + 0
         assert stream.fetchone() == (ROWS - 1,)
-
-    def test_stream_results_off_serves_materialised(self):
-        quiet = DatabaseServer(result_chunk_rows=CHUNK, stream_results=False)
-        quiet.database.execute("CREATE TABLE t (a INTEGER)")
-        quiet.database.execute("INSERT INTO t VALUES (1)")
-        conn = Connection.connect_in_process(quiet)
-        stream = conn.execute_stream("SELECT a FROM t")
-        assert not stream.streamed
-        assert stream.fetchall() == [(1,)]
 
 
 class TestFetchBoundaryRegression:
@@ -144,7 +133,7 @@ class TestMidStreamError:
         db.execute("CREATE TABLE logt (v DOUBLE)")
         # two clean chunks, then LOG(-1) raises inside the third morsel
         db.storage.table("logt").column("v").extend([1.0] * 8 + [-1.0])
-        socket_server = SocketServer(database_server)
+        socket_server = AsyncSocketServer(database_server)
         host, port = socket_server.start_background()
         transport = SocketTransport(host, port, timeout=3.0)
         connection = Connection(transport, ConnectionInfo(
@@ -175,10 +164,3 @@ class TestStreamSafety:
         with pytest.raises(ExecutionError):
             connection.execute("SELECT nosuch FROM t")
         assert connection.execute("SELECT COUNT(*) FROM t").scalar() == ROWS
-
-    def test_older_clients_unaffected(self, server):
-        for version, expect in ((1, 1), (2, 2), (3, 3)):
-            conn = Connection.connect_in_process(
-                server, max_protocol_version=version)
-            assert conn.protocol_version == expect
-            assert len(conn.execute("SELECT a, s FROM t").fetchall()) == ROWS
