@@ -1,20 +1,18 @@
 #!/usr/bin/env python
-"""Micro-benchmark entry point: emits machine-readable BENCH_*.json reports.
+"""Micro-benchmark entry point: emits a machine-readable BENCH_sqldb.json.
 
-Two suites, selectable with ``--suite``:
+One suite is left (the repo benchmark is ``benchmarks/e2e/``):
 
 * ``sqldb``    — engine operator hot paths (scan, filter, equi-join, GROUP BY)
-  at 10k and 100k rows, written to ``BENCH_sqldb.json``.  The seed
-  (pre-vectorisation) baselines recorded in the output were measured on the
-  same workload shapes with the nested-loop/per-group engine at ``v0``.
-* ``persist``  — durable storage: insert throughput with write-ahead logging
-  (vs in-memory, and with per-statement fsync), checkpoint time, cold-open
-  and WAL-recovery time at 1M rows, written to ``BENCH_persist.json``.
+  at 10k and 100k rows plus the ``obs_overhead`` gate, written to
+  ``BENCH_sqldb.json``.  The seed (pre-vectorisation) baselines recorded in
+  the output were measured on the same workload shapes with the
+  nested-loop/per-group engine at ``v0``.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/run_benchmarks.py
-        [--suite {sqldb,persist,all}] [--quick] [--output-dir DIR]
+        [--suite {sqldb,all}] [--quick] [--output-dir DIR]
 
 ``--quick`` shrinks row counts and repeats so a CI smoke run finishes in a
 couple of seconds; committed BENCH_*.json files should come from a full run.
@@ -27,8 +25,6 @@ import json
 import os
 import platform
 import random
-import shutil
-import tempfile
 import time
 from pathlib import Path
 
@@ -165,7 +161,6 @@ def run_sqldb(*, quick: bool = False) -> dict:
            f"JOIN join_r_{JOIN_SIDE_ROWS} r ON l.id = r.id",
            JOIN_SIDE_ROWS)
 
-    results.update(run_parallel(quick=quick))
     results.update(run_obs_overhead(quick=quick))
 
     return {
@@ -178,70 +173,6 @@ def run_sqldb(*, quick: bool = False) -> dict:
         "group_count": GROUP_COUNT,
         "results": results,
     }
-
-
-# --------------------------------------------------------------------------- #
-# parallel (morsel-driven) suite
-# --------------------------------------------------------------------------- #
-def run_parallel(*, quick: bool = False) -> dict:
-    """Morsel-parallel execution: the same pipeline at workers 1/2/4.
-
-    The acceptance workload is the 1M-row scan-filter-aggregate; join-probe
-    and plain hash aggregation ride along.  Each worker count gets its own
-    Database over one shared dataset (column lists are reused, so only the
-    cached scans are rebuilt per engine).  Speedups are relative to the
-    same build's ``workers=1`` run — on a single-core container they hover
-    around 1x (``cpu_count`` is recorded alongside for honest reading).
-    """
-    from repro.sqldb.database import Database
-
-    rows = 50_000 if quick else 1_000_000
-    worker_counts = [1, 2] if quick else [1, 2, 4]
-    repeat = 2 if quick else 5
-    rng = random.Random(11)
-    keys = [i % GROUP_COUNT for i in range(rows)]
-    values = [rng.random() for _ in range(rows)]
-    build_ids = list(range(0, rows, 100))
-    build_payload = [i * 0.5 for i in build_ids]
-
-    workloads = {
-        "scan_filter_agg": ("SELECT k, COUNT(*), SUM(v) FROM big "
-                            "WHERE v > 0.5 GROUP BY k"),
-        "group_by": "SELECT k, SUM(v), AVG(v) FROM big GROUP BY k",
-        "join_probe": ("SELECT b.k, s.y FROM big b JOIN small s "
-                       "ON b.k = s.id WHERE b.v > 0.9"),
-    }
-
-    results: dict[str, dict] = {}
-    baseline_seconds: dict[str, float] = {}
-    for workers in worker_counts:
-        database = Database(workers=workers)
-        database.execute("CREATE TABLE big (k INTEGER, v DOUBLE)")
-        table = database.storage.table("big")
-        table.column("k").extend(keys)
-        table.column("v").extend(values)
-        database.execute("CREATE TABLE small (id INTEGER, y DOUBLE)")
-        small = database.storage.table("small")
-        small.column("id").extend(build_ids)
-        small.column("y").extend(build_payload)
-        for name, sql in workloads.items():
-            seconds = median_seconds(lambda: database.execute(sql),
-                                     repeat=repeat)
-            entry = {
-                "sql": sql,
-                "workers": workers,
-                "input_rows": rows,
-                "seconds": round(seconds, 6),
-                "rows_per_sec": round(rows / seconds) if seconds > 0 else None,
-            }
-            if workers == 1:
-                baseline_seconds[name] = seconds
-            else:
-                entry["speedup_vs_1_worker"] = round(
-                    baseline_seconds[name] / seconds, 2)
-            results[f"parallel_{name}_{rows}_w{workers}"] = entry
-        database.close()
-    return results
 
 
 # --------------------------------------------------------------------------- #
@@ -290,193 +221,6 @@ def run_obs_overhead(*, quick: bool = False) -> dict:
 
 
 # --------------------------------------------------------------------------- #
-# persist (durable storage) suite
-# --------------------------------------------------------------------------- #
-def run_persist(*, quick: bool = False) -> dict:
-    """Durable-storage costs: WAL-logged inserts, checkpoint, open, recovery.
-
-    The acceptance workload is the 1M-row table (``--quick`` shrinks it for
-    CI): bulk-load, ``checkpoint`` (segment encode + atomic replace),
-    cold-open from the image (segment decode through the shared wire path)
-    and recovery-open with a WAL tail to replay.  Insert throughput is
-    measured as whole INSERT statements against a fresh engine per mode so
-    the WAL's cost shows up as the delta against the in-memory run.
-    """
-    from repro.sqldb.persist import wal_path_for
-
-    rows = 50_000 if quick else 1_000_000
-    insert_rows = 5_000 if quick else 50_000
-    recovery_rows = 2_000 if quick else 20_000
-    batch_rows = 500
-    repeat = 2 if quick else 3
-    results: dict[str, dict] = {}
-    workdir = Path(tempfile.mkdtemp(prefix="bench_persist_"))
-
-    def timed(fn) -> float:
-        samples = []
-        for _ in range(repeat):
-            start = time.perf_counter()
-            fn()
-            samples.append(time.perf_counter() - start)
-        samples.sort()
-        return samples[len(samples) // 2]
-
-    def cleanup(path: Path) -> None:
-        for victim in (path, wal_path_for(path)):
-            if victim.exists():
-                victim.unlink()
-
-    try:
-        # ---- insert-with-WAL throughput ------------------------------- #
-        statements = ["CREATE TABLE w (i INTEGER, s STRING, v DOUBLE)"]
-        for start in range(0, insert_rows, batch_rows):
-            values = ", ".join(
-                f"({i}, 'cat_{i % 50}', {i * 0.5})"
-                for i in range(start, start + batch_rows))
-            statements.append(f"INSERT INTO w VALUES {values}")
-
-        def run_inserts(**db_kwargs) -> None:
-            database = Database(**db_kwargs)
-            for sql in statements:
-                database.execute(sql)
-            if database.persistence is not None:
-                database.persistence.wal.flush()
-                database.persistence.close(checkpoint=False)
-            path = db_kwargs.get("path")
-            if path is not None:
-                cleanup(Path(path))
-
-        memory_s = timed(lambda: run_inserts())
-        wal_s = timed(lambda: run_inserts(path=workdir / "ins.db"))
-        wal_sync_s = timed(lambda: run_inserts(path=workdir / "ins.db",
-                                               wal_fsync_batch=1))
-        for name, seconds in (("memory", memory_s), ("wal_batched", wal_s),
-                              ("wal_fsync_per_statement", wal_sync_s)):
-            results[f"insert_{insert_rows}_{name}"] = {
-                "rows": insert_rows,
-                "seconds": round(seconds, 6),
-                "rows_per_sec": round(insert_rows / seconds)
-                if seconds > 0 else None,
-                "wal_overhead_vs_memory": round(seconds / memory_s, 2)
-                if name != "memory" else 1.0,
-            }
-
-        # ---- checkpoint / cold open / recovery at `rows` ---------------- #
-        base_path = workdir / "big.db"
-        database = Database(path=base_path)
-        database.execute(
-            "CREATE TABLE big (k INTEGER, name STRING, v DOUBLE)")
-        table = database.storage.table("big")
-        rng = random.Random(13)
-        table.column("k").extend(i % GROUP_COUNT for i in range(rows))
-        table.column("name").extend(
-            f"cat_{i % STRING_CARDINALITY}" for i in range(rows))
-        table.column("v").extend(rng.random() for _ in range(rows))
-
-        checkpoint_s = timed(database.checkpoint)
-        stats = database.persistence.last_checkpoint
-        results[f"checkpoint_{rows}"] = {
-            "rows": rows,
-            "seconds": round(checkpoint_s, 6),
-            "rows_per_sec": round(rows / checkpoint_s)
-            if checkpoint_s > 0 else None,
-            "file_bytes": stats.file_bytes,
-            "segments": stats.segments,
-        }
-        database.close()
-
-        # the timed body must measure only the open (image decode + WAL
-        # replay): shut down without the auto-checkpoint a full close runs
-        def open_and_discard(path: Path, expected_rows: int) -> None:
-            reopened = Database(path=path)
-            assert reopened.row_count("big") == expected_rows
-            reopened.persistence.close(checkpoint=False)
-            reopened.scheduler.shutdown()
-
-        cold_open_s = timed(lambda: open_and_discard(base_path, rows))
-        results[f"cold_open_{rows}"] = {
-            "rows": rows,
-            "seconds": round(cold_open_s, 6),
-            "rows_per_sec": round(rows / cold_open_s)
-            if cold_open_s > 0 else None,
-        }
-
-        # recovery: the checkpointed image plus a WAL tail to replay
-        live = Database(path=base_path)
-        for start in range(0, recovery_rows, batch_rows):
-            values = ", ".join(
-                f"({i}, 'cat_{i % 50}', {i * 0.25})"
-                for i in range(start, start + batch_rows))
-            live.execute(f"INSERT INTO big VALUES {values}")
-        live.persistence.close(checkpoint=False)
-        crash_path = workdir / "crash.db"
-
-        samples = []
-        for _ in range(repeat):
-            # restore the crash snapshot outside the timed region
-            shutil.copy(base_path, crash_path)
-            shutil.copy(wal_path_for(base_path), wal_path_for(crash_path))
-            start_time = time.perf_counter()
-            open_and_discard(crash_path, rows + recovery_rows)
-            samples.append(time.perf_counter() - start_time)
-        samples.sort()
-        recovery_s = samples[len(samples) // 2]
-        results[f"recovery_open_{rows}"] = {
-            "rows": rows,
-            "wal_rows_replayed": recovery_rows,
-            "seconds": round(recovery_s, 6),
-            "cold_open_seconds": round(cold_open_s, 6),
-            "replay_seconds_estimate": round(
-                max(recovery_s - cold_open_s, 0.0), 6),
-        }
-
-        # ---- VERIFY scrub / BACKUP TO over the live database ------------ #
-        total_rows = rows + recovery_rows
-        scrub = Database(path=base_path)
-        verify_s = timed(scrub.verify)
-        report = scrub.verify()
-        results[f"verify_{total_rows}"] = {
-            "rows": total_rows,
-            "seconds": round(verify_s, 6),
-            "rows_per_sec": round(total_rows / verify_s)
-            if verify_s > 0 else None,
-            "wal_records_checked": report.wal_records,
-            "ok": report.ok,
-        }
-
-        backup_target = workdir / "copyout.db"
-
-        def run_backup() -> None:
-            if backup_target.exists():
-                backup_target.unlink()
-            scrub.backup(backup_target)
-
-        backup_s = timed(run_backup)
-        backup_bytes = backup_target.stat().st_size
-        results[f"backup_{total_rows}"] = {
-            "rows": total_rows,
-            "seconds": round(backup_s, 6),
-            "rows_per_sec": round(total_rows / backup_s)
-            if backup_s > 0 else None,
-            "file_bytes": backup_bytes,
-        }
-        scrub.persistence.close(checkpoint=False)
-        scrub.scheduler.shutdown()
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
-
-    return {
-        "suite": "persist-durable-storage",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
-        "quick": quick,
-        "rows": rows,
-        "results": results,
-    }
-
-
-# --------------------------------------------------------------------------- #
 # entry point
 # --------------------------------------------------------------------------- #
 def _print_sqldb(report: dict) -> None:
@@ -494,24 +238,8 @@ def _print_sqldb(report: dict) -> None:
               f"{entry['rows_per_sec']:>12,} rows/sec{suffix}")
 
 
-def _print_persist(report: dict) -> None:
-    for name, entry in report["results"].items():
-        seconds = entry["seconds"]
-        extra = ""
-        if "rows_per_sec" in entry and entry["rows_per_sec"]:
-            extra = f"  {entry['rows_per_sec']:>12,} rows/sec"
-        if "wal_overhead_vs_memory" in entry:
-            extra += f"  ({entry['wal_overhead_vs_memory']}x vs memory)"
-        if "file_bytes" in entry:
-            extra += f"  ({entry['file_bytes']:,} file bytes)"
-        if "wal_rows_replayed" in entry:
-            extra += f"  ({entry['wal_rows_replayed']:,} WAL rows replayed)"
-        print(f"  {name:>32}: {seconds * 1000:9.2f} ms{extra}")
-
-
 SUITES = {
     "sqldb": (run_sqldb, "BENCH_sqldb.json", _print_sqldb),
-    "persist": (run_persist, "BENCH_persist.json", _print_persist),
 }
 
 

@@ -295,11 +295,10 @@ class DatabaseServer:
                  registry: UserRegistry | None = None, *,
                  default_user: str = "monetdb", default_password: str = "monetdb",
                  result_chunk_rows: int = DEFAULT_CHUNK_ROWS,
-                 workers: int = 1,
                  limits: ServerLimits | None = None,
                  slow_query_ms: float | None = 500.0,
                  slow_query_log_size: int = 64) -> None:
-        self.database = database or Database(workers=workers)
+        self.database = database or Database()
         self.registry = registry or UserRegistry()
         self.result_chunk_rows = max(1, int(result_chunk_rows))
         if default_user and not self.registry.has_user(default_user):

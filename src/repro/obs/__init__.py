@@ -1,6 +1,6 @@
 """``repro.obs`` — zero-dependency observability primitives.
 
-Three small, threading-safe building blocks shared by every layer of the
+Two small, threading-safe building blocks shared by every layer of the
 engine (sqldb, persist, netproto):
 
 * :mod:`~repro.obs.metrics` — a :class:`MetricsRegistry` of named counters,
@@ -10,23 +10,18 @@ engine (sqldb, persist, netproto):
 * :mod:`~repro.obs.trace` — a per-query :class:`TraceSpan` tree with
   monotonic (``perf_counter``) timings and 16-hex-char trace ids, used for
   the parse/plan/execute/encode breakdown behind the slow-query log.
-* :mod:`~repro.obs.events` — a JSON-lines structured :class:`EventLog`
-  (sampled emission) for offline analysis.
 
-The package has **no third-party dependencies** and importing it never
-touches the filesystem; an :class:`EventLog` opens its file lazily on first
-emit.
+The package has **no third-party dependencies** and never touches the
+filesystem.
 """
 
 from __future__ import annotations
 
-from .events import EventLog
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, NULL_REGISTRY
 from .trace import TraceSpan, new_trace_id
 
 __all__ = [
     "Counter",
-    "EventLog",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

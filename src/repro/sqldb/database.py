@@ -17,13 +17,14 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Any
 
 from ..errors import ExecutionError
-from ..obs import EventLog, MetricsRegistry
+from ..obs import MetricsRegistry
 from . import ast_nodes as ast
 from .cache import (
     CachedPlan,
     PlanCache,
     PreparedStatement,
     ResultCache,
+    StatementProfile,
     bind_parameters,
     normalize_sql,
     profile_statement,
@@ -31,12 +32,8 @@ from .cache import (
 from .catalog import FunctionCatalog
 from .context import QueryContext
 from .executor import Executor
-from .parallel import (
-    DEFAULT_MORSEL_ROWS,
-    DEFAULT_PARALLEL_THRESHOLD,
-    MorselScheduler,
-)
-from .parser import parse_script, parse_statement
+from .parallel import DEFAULT_MORSEL_ROWS, MorselScheduler
+from .parser import Parser, parse_statement
 from .result import QueryResult
 from .schema import FunctionSignature
 from .storage import Storage
@@ -58,13 +55,13 @@ QUERY_LOG_LIMIT = 10_000
 class Database:
     """An embedded, MonetDB-flavoured SQL database.
 
-    ``workers`` enables morsel-driven parallel SELECT execution: with
-    ``workers > 1`` large scans, join probes and aggregations are split into
-    ``morsel_rows``-sized row ranges executed on a shared thread pool (numpy
-    kernels release the GIL).  The default ``workers=1`` runs every query as
-    a single morsel — byte-identical to the pre-pipeline engine — and inputs
-    below ``parallel_threshold`` rows never pay pool overhead even when
-    parallelism is on.
+    A SELECT over more than ``morsel_rows`` rows executes as
+    ``morsel_rows``-sized row ranges (morsels) whatever the other settings
+    are; ``workers`` only chooses where they run — inline for the default
+    ``workers=1``, on a shared thread pool otherwise (numpy kernels release
+    the GIL).  For a given ``morsel_rows`` the result is therefore
+    byte-identical across ``workers``, with or without a timeout, embedded
+    or over the wire, literal or prepared.
 
     ``path`` makes the database durable: state lives in a single columnar
     file plus a write-ahead log (``<path>.wal``).  Opening recovers the last
@@ -79,7 +76,6 @@ class Database:
 
     def __init__(self, name: str = "demo", *, workers: int = 1,
                  morsel_rows: int = DEFAULT_MORSEL_ROWS,
-                 parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD,
                  path: str | os.PathLike[str] | None = None,
                  segment_rows: int | None = None,
                  wal_fsync_batch: int | None = None,
@@ -99,9 +95,6 @@ class Database:
         self._h_query = self.metrics.histogram("db.query_us")
         self._h_parse = self.metrics.histogram("db.parse_us")
         self._h_execute = self.metrics.histogram("db.execute_us")
-        #: Optional JSON-lines structured event sink (see
-        #: :meth:`configure_event_log`); ``None`` emits nothing.
-        self.event_log: EventLog | None = None
         #: LRU of parsed SELECT statements keyed by normalized SQL text —
         #: hot statements skip lexing/parsing.  ``plan_cache=0`` disables.
         self.plan_cache: PlanCache | None = \
@@ -116,9 +109,7 @@ class Database:
         self._prepared: dict[str, PreparedStatement] = {}
         self.catalog = FunctionCatalog()
         self.udf_runtime = UDFRuntime(self)
-        self.scheduler = MorselScheduler(
-            workers, morsel_rows=morsel_rows,
-            parallel_threshold=parallel_threshold)
+        self.scheduler = MorselScheduler(workers, morsel_rows=morsel_rows)
         self.scheduler.bind_metrics(self.metrics)
         self._executor = Executor(self)
         self._lock = threading.RLock()
@@ -181,51 +172,19 @@ class Database:
         externally cancellable :class:`QueryContext` (a wire-level ``cancel``
         uses this).  Both may be given — the tighter deadline wins.
         """
-        context = QueryContext.resolve(context, timeout)
         if parameters:
             sql = _apply_parameters(sql, parameters)
-        trace = context.trace if context is not None else None
-        query_started = perf_counter()
-        try:
-            with self._lock:
-                self.statements_executed += 1
-                self.query_log.append(sql)
-                parse_started = perf_counter()
-                statement, cacheable = self._parse_cached(sql)
-                parse_ended = perf_counter()
-                self._h_parse.observe(parse_ended - parse_started)
-                if trace is not None:
-                    trace.add("parse", parse_started, parse_ended)
-                if cacheable is not None:
-                    cached = self._result_cache_get(cacheable)
-                    if cached is not None:
-                        return cached
-                run_started = perf_counter()
-                result = self._executor.execute(statement, context=context)
-                run_ended = perf_counter()
-                self._h_execute.observe(run_ended - run_started)
-                if trace is not None:
-                    trace.add("execute", run_started, run_ended)
-                if cacheable is not None:
-                    self._result_cache_put(cacheable, result)
-                return result
-        finally:
-            elapsed = perf_counter() - query_started
-            self._h_query.observe(elapsed)
-            if self.event_log is not None:
-                self.event_log.emit(
-                    "query", sql=sql, us=int(elapsed * 1e6),
-                    trace_id=context.trace_id if context is not None else None)
+        return self._run(sql, context=QueryContext.resolve(context, timeout))
 
     def execute_script(self, sql: str) -> list[QueryResult]:
-        """Execute a semicolon-separated script; returns one result per statement."""
+        """Execute a semicolon-separated script; returns one result per statement.
+
+        The whole script is parsed before its first statement runs, and it
+        runs as a unit: the (re-entrant) database lock is held throughout.
+        """
         with self._lock:
-            statements = parse_script(sql)
-            results = []
-            for statement in statements:
-                self.statements_executed += 1
-                results.append(self._executor.execute(statement))
-            return results
+            return [self._run(text, statement)
+                    for statement, text in Parser(sql).parse_script()]
 
     def execute_select(self, select: ast.Select) -> QueryResult:
         """Execute an already-parsed SELECT (used for subqueries and loopback)."""
@@ -246,104 +205,120 @@ class Database:
         is available before the query finishes.  Everything else returns a
         complete :class:`QueryResult`, exactly like :meth:`execute`.
         """
-        context = QueryContext.resolve(context, timeout)
+        return self._run(sql, context=QueryContext.resolve(context, timeout),
+                         stream=True, max_rows=max_rows)
+
+    def execute_prepared(self, name: str, arguments: list[Any], *,
+                         timeout: float | None = None,
+                         context: QueryContext | None = None) -> QueryResult:
+        """Execute a prepared template with already-Python-typed arguments.
+
+        This is the wire server's entry point for ``execute_prepared``
+        messages: values arrive decoded from the wire, so they are wrapped
+        as literals rather than re-parsed.
+        """
+        statement = ast.ExecutePrepared(
+            name, [ast.Literal(value) for value in arguments])
+        return self._run(f"EXECUTE {name}", statement,
+                         context=QueryContext.resolve(context, timeout))
+
+    def _run(self, sql: str, statement: ast.Statement | None = None, *,
+             context: QueryContext | None = None, stream: bool = False,
+             max_rows: int | None = None) -> Any:
+        """The one statement path behind every ``execute*`` entry point.
+
+        Counts and logs the statement, parses ``sql`` through the plan cache
+        (unless the caller hands in a ``statement``), binds an ``EXECUTE``,
+        consults the result cache, plans and runs — and observes all of it:
+        ``db.parse_us`` / ``db.execute_us`` / ``db.query_us`` and the
+        ``parse`` / ``plan`` / ``execute`` trace spans, once per statement
+        whatever its kind.  A materialised statement runs under the database
+        lock.  With ``stream`` a streamable SELECT is only prepared under it
+        (span ``prepare``): its morsels run lock-free as the caller iterates,
+        and ``db.query_us`` is observed when the stream ends.
+        """
         trace = context.trace if context is not None else None
         query_started = perf_counter()
-        streamed = False
+        result: "QueryResult | StreamedResult | None" = None
         try:
             with self._lock:
                 self.statements_executed += 1
                 self.query_log.append(sql)
-                parse_started = perf_counter()
-                statement, cacheable = self._parse_cached(sql)
-                parse_ended = perf_counter()
-                self._h_parse.observe(parse_ended - parse_started)
-                if trace is not None:
-                    trace.add("parse", parse_started, parse_ended)
-                if not isinstance(statement, ast.Select):
-                    return self._executor.execute(statement, context=context)
-                if cacheable is not None:
-                    cached = self._result_cache_get(cacheable)
-                    if cached is not None:
-                        return cached
-                run_started = perf_counter()
-                plan = self._executor.plan_select(statement, context=context)
-                if not plan.streamable:
-                    result = plan.execute()
-                    run_ended = perf_counter()
-                    self._h_execute.observe(run_ended - run_started)
+                cacheable = None
+                if statement is None:
+                    parse_started = perf_counter()
+                    statement, cacheable = self._parse_cached(sql)
+                    parse_ended = perf_counter()
+                    self._h_parse.observe(parse_ended - parse_started)
                     if trace is not None:
-                        trace.add("execute", run_started, run_ended)
-                    if cacheable is not None:
-                        self._result_cache_put(cacheable, result)
-                    return result
-                plan.prepare()
+                        trace.add("parse", parse_started, parse_ended)
+                run_started = perf_counter()
+                if isinstance(statement, ast.ExecutePrepared):
+                    # prepared executions are repeated point/small queries:
+                    # they stay materialised, the result-cache friendly shape
+                    statement, cacheable = \
+                        self._executor.bind_execute(statement)
+                    stream = False
+                cache = self.result_cache
+                if cache is None or cacheable is None \
+                        or not cacheable[1].deterministic():
+                    cache = None  # neither read nor fed by this statement
+                else:
+                    key, profile = cacheable
+                    result = cache.get(key)
+                if result is None and isinstance(statement, ast.Select):
+                    plan = self._executor.plan_select(statement,
+                                                      context=context)
+                    if stream and plan.streamable:
+                        plan.prepare()
+                        result = StreamedResult(
+                            plan, max_rows=max_rows,
+                            on_complete=lambda: self._h_query.observe(
+                                perf_counter() - query_started))
+                    else:
+                        result = plan.execute()
+                        if cache is not None:
+                            cache.put(key, result, profile.tables)
+                elif result is None:
+                    result = self._executor.execute(statement,
+                                                    context=context)
                 run_ended = perf_counter()
-                # for a streamed SELECT only source binding + join builds run
-                # under the lock; the morsel phase is timed by the consumer
                 self._h_execute.observe(run_ended - run_started)
                 if trace is not None:
-                    trace.add("prepare", run_started, run_ended)
-            streamed = True
-            return StreamedResult(
-                plan, max_rows=max_rows,
-                on_complete=lambda: self._h_query.observe(
-                    perf_counter() - query_started))
+                    trace.add("prepare" if isinstance(result, StreamedResult)
+                              else "execute", run_started, run_ended)
+            return result
         finally:
-            if not streamed:
+            if not isinstance(result, StreamedResult):
                 self._h_query.observe(perf_counter() - query_started)
 
     # ------------------------------------------------------------------ #
     # plan / result caches and prepared statements
     # ------------------------------------------------------------------ #
     def _parse_cached(self, sql: str) -> tuple[
-            ast.Statement, "tuple[str, CachedPlan] | None"]:
+            ast.Statement, "tuple[str, StatementProfile] | None"]:
         """Parse one statement through the plan cache.
 
-        Returns the statement plus ``(key, entry)`` when it is a SELECT
-        (the shape the result cache keys on); other statement types are
-        never cached.  Raises when the statement still contains unbound
-        ``?`` placeholders — those must go through PREPARE/EXECUTE.
+        Returns the statement plus, when it is a SELECT, its result-cache
+        key and touch profile; other statement types are never cached.
+        Raises when the statement still contains unbound ``?`` placeholders
+        — those must go through PREPARE/EXECUTE.
         """
         key = normalize_sql(sql)
-        if self.plan_cache is not None:
-            entry = self.plan_cache.get(key)
-            if entry is not None:
-                self._reject_unbound(entry.profile)
-                return entry.statement, (key, entry)
-        statement = parse_statement(sql)
-        if not isinstance(statement, ast.Select):
-            return statement, None
-        entry = CachedPlan(statement, profile_statement(statement))
-        self._reject_unbound(entry.profile)
-        if self.plan_cache is not None:
-            self.plan_cache.put(key, entry)
-        return statement, (key, entry)
-
-    @staticmethod
-    def _reject_unbound(profile: Any) -> None:
-        if profile.parameter_count:
-            raise ExecutionError(
-                "statement contains unbound '?' placeholders; use "
-                "PREPARE name AS ... and EXECUTE name (args)")
-
-    def _result_cache_get(self, cacheable: tuple[str, CachedPlan]
-                          ) -> QueryResult | None:
-        if self.result_cache is None:
-            return None
-        key, entry = cacheable
-        if not entry.profile.deterministic():
-            return None
-        return self.result_cache.get(key)
-
-    def _result_cache_put(self, cacheable: tuple[str, CachedPlan],
-                          result: QueryResult) -> None:
-        if self.result_cache is None:
-            return
-        key, entry = cacheable
-        if not entry.profile.deterministic():
-            return
-        self.result_cache.put(key, result, entry.profile.tables)
+        cache = self.plan_cache
+        entry = cache.get(key) if cache is not None else None
+        if entry is None:
+            statement = parse_statement(sql)
+            if not isinstance(statement, ast.Select):
+                return statement, None
+            entry = CachedPlan(statement, profile_statement(statement))
+            if entry.profile.parameter_count:
+                raise ExecutionError(
+                    "statement contains unbound '?' placeholders; use "
+                    "PREPARE name AS ... and EXECUTE name (args)")
+            if cache is not None:
+                cache.put(key, entry)
+        return entry.statement, (key, entry.profile)
 
     def note_mutation(self, statement: ast.Statement) -> None:
         """Invalidate cache entries made stale by an executed statement.
@@ -373,12 +348,6 @@ class Database:
             self.plan_cache.clear()
         if self.result_cache is not None:
             self.result_cache.clear()
-
-    def configure_result_cache(self, max_bytes: int) -> None:
-        """(Re)size the result cache; ``0`` disables it."""
-        with self._lock:
-            self.result_cache = \
-                ResultCache(max_bytes) if max_bytes > 0 else None
 
     def cache_counters(self) -> dict[str, int]:
         """Flat cache counters merged into the server's stats section."""
@@ -435,34 +404,6 @@ class Database:
     def prepared_names(self) -> list[str]:
         return sorted(self._prepared)
 
-    def execute_prepared(self, name: str, arguments: list[Any], *,
-                         timeout: float | None = None,
-                         context: QueryContext | None = None) -> QueryResult:
-        """Execute a prepared template with already-Python-typed arguments.
-
-        This is the wire server's entry point for ``execute_prepared``
-        messages: values arrive decoded from the wire, so they are wrapped
-        as literals rather than re-parsed.
-        """
-        context = QueryContext.resolve(context, timeout)
-        statement = ast.ExecutePrepared(
-            name, [ast.Literal(value) for value in arguments])
-        trace = context.trace if context is not None else None
-        query_started = perf_counter()
-        try:
-            with self._lock:
-                self.statements_executed += 1
-                self.query_log.append(f"EXECUTE {name}")
-                run_started = perf_counter()
-                result = self._executor.execute(statement, context=context)
-                run_ended = perf_counter()
-                self._h_execute.observe(run_ended - run_started)
-                if trace is not None:
-                    trace.add("execute", run_started, run_ended)
-                return result
-        finally:
-            self._h_query.observe(perf_counter() - query_started)
-
     def bind_prepared(self, prepared: PreparedStatement,
                       values: list[Any]) -> ast.Statement:
         """Bind argument values into a fresh copy of the template AST."""
@@ -517,16 +458,6 @@ class Database:
         """Attach a named counters callable surfaced by ``SHOW STATS``."""
         self.stats_sources[name] = source
 
-    def configure_event_log(self, target: Any, *,
-                            sample_every: int = 1) -> EventLog:
-        """Attach a JSON-lines event sink (a path or an open text stream).
-
-        ``sample_every=N`` keeps every Nth event of each kind; callers that
-        emit directly can pass ``force=True`` for must-keep events.
-        """
-        self.event_log = EventLog(target, sample_every=sample_every)
-        return self.event_log
-
     def stats_snapshot(self) -> dict[str, int]:
         """Flat ``{qualified_counter: value}`` map for SHOW STATS / wire."""
         snapshot: dict[str, int] = {
@@ -565,8 +496,6 @@ class Database:
             if self.persistence is not None and not self.persistence.closed:
                 self.persistence.close(checkpoint=True)
         self.scheduler.shutdown()
-        if self.event_log is not None:
-            self.event_log.close()
 
     # ------------------------------------------------------------------ #
     # convenience helpers used throughout the reproduction

@@ -32,6 +32,7 @@ from .storage import Storage, Table, arrays_to_values
 from .types import ColumnType, SQLType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .cache import StatementProfile
     from .context import QueryContext
     from .database import Database
 
@@ -59,6 +60,9 @@ class Executor:
     # ------------------------------------------------------------------ #
     def execute(self, statement: ast.Statement, *,
                 context: "QueryContext | None" = None) -> QueryResult:
+        """Run any statement but SELECT and EXECUTE — those the database's
+        runner plans (:meth:`plan_select`) and binds (:meth:`bind_execute`)
+        itself, because it decides between streaming and materialising."""
         if context is not None:
             # DML/DDL run whole-statement: one checkpoint up front so an
             # already-cancelled or expired statement never starts mutating
@@ -71,8 +75,6 @@ class Executor:
 
     def _dispatch(self, statement: ast.Statement, *,
                   context: "QueryContext | None" = None) -> QueryResult:
-        if isinstance(statement, ast.Select):
-            return self.execute_select(statement, context=context)
         if isinstance(statement, ast.Explain):
             return self._execute_explain(statement, context=context)
         if isinstance(statement, ast.CreateTable):
@@ -114,8 +116,6 @@ class Executor:
         if isinstance(statement, ast.Prepare):
             self.database.register_prepared(statement)
             return QueryResult.empty(statement_type="PREPARE")
-        if isinstance(statement, ast.ExecutePrepared):
-            return self._execute_prepared(statement, context=context)
         if isinstance(statement, ast.Deallocate):
             found = self.database.deallocate(statement.name)
             if not found:
@@ -124,31 +124,23 @@ class Executor:
             return QueryResult.empty(statement_type="DEALLOCATE")
         raise ExecutionError(f"unsupported statement {type(statement).__name__}")
 
-    def _execute_prepared(self, statement: ast.ExecutePrepared, *,
-                          context: "QueryContext | None" = None) -> QueryResult:
-        """Bind EXECUTE arguments into the template and run it.
+    def bind_execute(self, statement: ast.ExecutePrepared) -> tuple[
+            ast.Statement, "tuple[str, StatementProfile] | None"]:
+        """Bind EXECUTE arguments into a copy of the named template.
 
-        A deterministic SELECT template consults the result cache keyed by
-        (template text, bound values), so a hot EXECUTE skips planning *and*
-        execution entirely.
+        Returns the bound statement for the database's runner to execute
+        like any other, plus — for a SELECT template — its result-cache key
+        (template text + bound values) and touch profile, so a hot EXECUTE
+        can skip planning *and* execution.
         """
         prepared = self.database.resolve_prepared(statement.name)
         evaluator = ExpressionEvaluator(self.database, Batch.empty())
         values = [evaluator.evaluate(expr).values[0]
                   for expr in statement.args]
         bound = self.database.bind_prepared(prepared, values)
-        cache = self.database.result_cache
-        cache_key: str | None = None
-        if cache is not None and isinstance(bound, ast.Select) \
-                and prepared.profile.deterministic():
-            cache_key = prepared.result_key(values)
-            cached = cache.get(cache_key)
-            if cached is not None:
-                return cached
-        result = self.execute(bound, context=context)
-        if cache_key is not None:
-            cache.put(cache_key, result, prepared.profile.tables)
-        return result
+        if not isinstance(bound, ast.Select):
+            return bound, None
+        return bound, (prepared.result_key(values), prepared.profile)
 
     # ------------------------------------------------------------------ #
     # write-ahead logging (persistent databases only)

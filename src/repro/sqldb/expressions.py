@@ -94,9 +94,8 @@ def concat_values(pieces: Sequence[Any]) -> Any:
 
     Vector pieces sharing one dictionary stay dictionary-encoded; typed
     arrays concatenate as arrays; anything else falls back to one Python
-    list.  Single pieces pass through untouched, which is what keeps the
-    single-morsel (``workers=1``) path byte-identical to whole-batch
-    execution.
+    list.  Single pieces pass through untouched (no copy for an input that
+    fits one morsel).
     """
     pieces = list(pieces)
     if len(pieces) == 1:

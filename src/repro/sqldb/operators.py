@@ -12,21 +12,17 @@ of the operators defined here; the plan driver then pushes morsel-sized
   with each left morsel.  Equi-joins probe a sort/searchsorted structure over
   shared-dictionary codes or a common numeric dtype; other conditions
   evaluate vectorised over the morsel-by-build cross product.  LEFT-join
-  unmatched rows are deferred and flushed after every probe morsel, which
-  preserves the sequential engine's matches-first output order.
-* :class:`HashAggregate` either aggregates the concatenated input exactly
-  like the clause-at-a-time engine did (the single-morsel / exotic-aggregate
-  path) or builds per-morsel partial states — local group layouts plus
-  SUM/AVG/MIN/MAX/COUNT partials — and merges them in morsel order, which
-  reproduces the sequential first-appearance group order bit-for-bit for
-  exact (integer/dictionary) data.
+  unmatched rows are deferred and flushed after the last probe morsel:
+  matches first, then unmatched, at every morsel size.
+* :class:`HashAggregate` either aggregates the concatenated input in one
+  pass (the single-morsel / exotic-aggregate path) or builds per-morsel
+  partial states — local group layouts plus SUM/AVG/MIN/MAX/COUNT partials
+  — and merges them in morsel order, which keeps first-appearance group
+  order.  Which of the two runs depends on the input's length and
+  ``morsel_rows`` only, never on ``workers`` or the entry point.
 * :class:`Project` evaluates the select list per morsel; :class:`Sort`,
   :class:`Distinct` and :class:`Limit` are pipeline breakers applied to the
   materialised result.
-
-Everything here used to live inline in ``Executor.execute_select``; the
-behaviour-critical helpers moved verbatim so single-morsel execution takes
-exactly the same code paths as the pre-pipeline engine.
 """
 
 from __future__ import annotations

@@ -5,17 +5,17 @@ a sequence of *morsels* — row-range slices of the input flowing through the
 fused per-morsel stage chain.  This module owns the two policy decisions:
 
 * **how to split**: :meth:`MorselScheduler.split` turns a row count into
-  ``(start, stop)`` ranges of ``morsel_rows`` rows.  Single-worker mode never
-  splits — the whole input is one morsel, so execution takes exactly the
-  same whole-batch code path (and produces byte-identical results to) the
-  pre-pipeline engine.  Tiny inputs below ``parallel_threshold`` also stay
-  whole, so small queries never pay pool overhead.
-* **where to run**: :meth:`MorselScheduler.map` evaluates one function per
-  morsel, on a shared ``ThreadPoolExecutor`` when parallelism is enabled and
-  there is more than one morsel, inline otherwise.  Results always come back
-  in morsel order, which is what keeps parallel output row order identical
-  to sequential execution.  Threads suit this engine because the hot kernels
-  are numpy reductions/gathers over large arrays, which release the GIL.
+  ``(start, stop)`` ranges of ``morsel_rows`` rows (fewer when the caller
+  caps a morsel at ``max_rows``).  The rule looks at nothing else — not at
+  ``workers``, not at whether the statement is cancellable — so for a given
+  ``morsel_rows`` every configuration computes over the same ranges and
+  gives byte-identical results.
+* **where to run**: :meth:`MorselScheduler.imap` evaluates one function per
+  morsel, on a shared ``ThreadPoolExecutor`` when ``workers > 1`` and there
+  is more than one morsel, inline otherwise.  Results always come back in
+  morsel order, which is what keeps parallel output row order identical to
+  inline execution.  Threads suit this engine because the hot kernels are
+  numpy reductions/gathers over large arrays, which release the GIL.
 
 The scheduler is owned by the :class:`~repro.sqldb.database.Database` and
 shared by every query; the pool is created lazily on first parallel use.
@@ -37,20 +37,14 @@ R = TypeVar("R")
 #: so one pipeline morsel maps onto one ``result_chunk`` frame.
 DEFAULT_MORSEL_ROWS = 65_536
 
-#: Inputs smaller than this never split: the pool round-trip costs more than
-#: the work (the "morsel-size threshold" guarding tiny queries).
-DEFAULT_PARALLEL_THRESHOLD = 16_384
-
 
 class MorselScheduler:
     """Splits work into row-range morsels and runs them on a worker pool."""
 
     def __init__(self, workers: int = 1, *,
-                 morsel_rows: int = DEFAULT_MORSEL_ROWS,
-                 parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD) -> None:
+                 morsel_rows: int = DEFAULT_MORSEL_ROWS) -> None:
         self.workers = max(1, int(workers))
         self.morsel_rows = max(1, int(morsel_rows))
-        self.parallel_threshold = max(0, int(parallel_threshold))
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
         # observability counters, bound by the owning Database (optional)
@@ -65,29 +59,22 @@ class MorselScheduler:
     # ------------------------------------------------------------------ #
     # splitting policy
     # ------------------------------------------------------------------ #
-    @property
-    def parallel(self) -> bool:
-        return self.workers > 1
-
-    def split(self, row_count: int) -> list[tuple[int, int]]:
+    def split(self, row_count: int,
+              max_rows: int | None = None) -> list[tuple[int, int]]:
         """Row ranges covering ``[0, row_count)``; ``[(0, n)]`` if unsplit.
 
-        Splitting requires parallelism to be on, the input to clear the
-        tiny-query threshold, and at least two morsels' worth of rows —
-        otherwise the whole input is a single morsel and execution is
-        exactly the sequential whole-batch path.
+        The one splitting rule: ranges of ``min(max_rows, morsel_rows)`` rows
+        whenever the input is longer than that.  An empty input is still one
+        (empty) morsel, so every plan produces at least one piece.
         """
         row_count = max(0, int(row_count))
-        if (not self.parallel or row_count < self.parallel_threshold
-                or row_count <= self.morsel_rows):
-            return [(0, row_count)]
         step = self.morsel_rows
+        if max_rows is not None:
+            step = max(1, min(int(max_rows), step))
+        if row_count <= step:
+            return [(0, row_count)]
         return [(start, min(start + step, row_count))
                 for start in range(0, row_count, step)]
-
-    def morsel_count(self, row_count: int) -> int:
-        """How many morsels :meth:`split` would produce (for EXPLAIN)."""
-        return len(self.split(row_count))
 
     # ------------------------------------------------------------------ #
     # execution
@@ -118,31 +105,11 @@ class MorselScheduler:
 
         return checked
 
-    def map(self, fn: Callable[[T], R], items: Sequence[T], *,
-            context: "QueryContext | None" = None) -> list[R]:
-        """Evaluate ``fn`` over ``items``; results in input order.
-
-        Runs inline unless parallelism is enabled and there are at least two
-        items.  The first raising item's exception propagates (as with
-        sequential execution); remaining futures are left to finish.
-        ``context`` adds a cancellation checkpoint before every morsel.
-        """
-        items = list(items)
-        fn = self._checked(fn, context)
-        if self._c_morsels is not None:
-            self._c_morsels.inc(len(items))
-        if not self.parallel or len(items) < 2:
-            return [fn(item) for item in items]
-        if self._c_pooled is not None:
-            self._c_pooled.inc(len(items))
-        pool = self._ensure_pool()
-        futures = [pool.submit(fn, item) for item in items]
-        return [future.result() for future in futures]
-
     def imap(self, fn: Callable[[T], R], items: Sequence[T], *,
              context: "QueryContext | None" = None) -> Iterator[R]:
-        """Like :meth:`map` but yields results lazily, still in input order.
+        """Evaluate ``fn`` over ``items``, yielding results in input order.
 
+        Runs inline unless ``workers > 1`` and there are at least two items.
         With a pool, all morsels are submitted up front and results stream
         out as each completes — the consumer (e.g. the server's chunked wire
         encoder) can ship morsel *i* while *i + 1* is still executing.  If
@@ -155,7 +122,7 @@ class MorselScheduler:
         fn = self._checked(fn, context)
         if self._c_morsels is not None:
             self._c_morsels.inc(len(items))
-        if not self.parallel or len(items) < 2:
+        if self.workers == 1 or len(items) < 2:
             for item in items:
                 yield fn(item)
             return
@@ -179,5 +146,4 @@ class MorselScheduler:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"MorselScheduler(workers={self.workers}, "
-                f"morsel_rows={self.morsel_rows}, "
-                f"parallel_threshold={self.parallel_threshold})")
+                f"morsel_rows={self.morsel_rows})")

@@ -133,13 +133,19 @@ class Parser:
             pass
         return statement
 
-    def parse_script(self) -> list[ast.Statement]:
-        """Parse a semicolon-separated list of statements."""
-        statements: list[ast.Statement] = []
+    def parse_script(self) -> list[tuple[ast.Statement, str]]:
+        """Parse a semicolon-separated list of statements.
+
+        Each statement comes with its own source text (what the query log
+        records for it)."""
+        statements: list[tuple[ast.Statement, str]] = []
         while not self.at_end():
             if self.accept_punct(";"):
                 continue
-            statements.append(self._parse_statement_inner())
+            start = self.peek().position
+            statement = self._parse_statement_inner()
+            statements.append(
+                (statement, self.text[start:self.peek().position].strip()))
             while self.accept_punct(";"):
                 pass
         return statements
@@ -801,4 +807,4 @@ def parse_statement(sql: str) -> ast.Statement:
 
 def parse_script(sql: str) -> list[ast.Statement]:
     """Parse a semicolon-separated SQL script."""
-    return Parser(sql).parse_script()
+    return [statement for statement, _ in Parser(sql).parse_script()]

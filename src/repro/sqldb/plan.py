@@ -7,28 +7,30 @@ execution:
 * **prepare** (under the database lock): bind scan sources — snapshot
   storage-table scans, execute FROM-clause subqueries / table functions /
   virtual meta tables — and materialise every join's build side.
-* **run**: split the pipeline source into row-range morsels
-  (:class:`~repro.sqldb.parallel.MorselScheduler` policy) and push each
-  morsel through the fused stage chain (join probes, filter) into the sink
-  (projection or aggregation) — on the worker pool when parallelism is
-  enabled and the statement is parallel-safe, inline otherwise.  LEFT-join
-  unmatched rows are deferred per stage and flushed, in arrival order,
-  after the morsel phase — reproducing the sequential engine's
-  matches-first output order.
+* **run**: split the pipeline source into row-range morsels — one rule,
+  :meth:`~repro.sqldb.parallel.MorselScheduler.split`, whatever ``workers``
+  is and whether or not the statement is cancellable — and drive them
+  through the one morsel loop (:meth:`SelectPlan._morsels`): scan a range,
+  push it through the fused stage chain (join probes, filter), hand it to
+  the sink; on the worker pool when ``workers > 1``, inline otherwise.
+  LEFT-join unmatched rows are deferred per stage and flushed, in arrival
+  order, after the last morsel (matches first, then unmatched).  The loop
+  has three consumers: the materialised projection, the streamed
+  projection (:meth:`SelectPlan.stream_morsels`) and the aggregation.
 * **finish**: concatenate projection pieces or merge aggregation partials,
   then apply the pipeline breakers (DISTINCT → ORDER BY → OFFSET/LIMIT) in
-  the clause order the engine always used.
+  clause order.
 
-Single-worker execution is one morsel through the same code the
-clause-at-a-time engine ran, so its results are byte-identical.  The plan
-also renders itself (:meth:`SelectPlan.explain_lines`) for ``EXPLAIN``.
+Statements that are not parallel-safe (UDF calls, scalar subqueries) run
+as a single morsel.  The plan also renders itself
+(:meth:`SelectPlan.explain_lines`) for ``EXPLAIN``.
 """
 
 from __future__ import annotations
 
 import threading
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, TypeVar
 
 from ..errors import CatalogError, ExecutionError
 from . import ast_nodes as ast
@@ -67,6 +69,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .database import Database
     from .parallel import MorselScheduler
 
+
+T = TypeVar("T")
 
 #: Schemas of the virtual meta tables exposed by the catalog (Listing 1).
 _SYS_FUNCTIONS_SCHEMA = [
@@ -332,9 +336,8 @@ class SelectPlan:
         #: before :meth:`prepare`.
         self.context: "QueryContext | None" = None
         #: Per-operator actuals collector (EXPLAIN ANALYZE).  ``None`` — the
-        #: default — takes the untimed hot paths; the executor installs a
-        #: fresh :class:`PlanMetrics` for one instrumented run and clears it
-        #: afterwards (plans can be cached and re-run bare).
+        #: default — records nothing (see :meth:`_record`); the executor
+        #: installs a fresh :class:`PlanMetrics` for one instrumented run.
         self.plan_metrics: PlanMetrics | None = None
         self._prepared = False
         self.root = self._link_tree()
@@ -398,15 +401,11 @@ class SelectPlan:
                 self._prepare_pipeline(stage.build_source, stage.build_stages)
                 right_batch = self._run_pipeline_whole(stage.build_source,
                                                        stage.build_stages)
-                if self.plan_metrics is None:
-                    template = stage.prepare(template, right_batch)
-                else:
-                    started = perf_counter()
-                    template = stage.prepare(template, right_batch)
-                    # build time counts toward the join, but not as a batch:
-                    # ``batches`` stays the number of probed morsels
-                    self.plan_metrics.record(stage, 0,
-                                             perf_counter() - started, 0)
+                started = perf_counter()
+                template = stage.prepare(template, right_batch)
+                # build time counts toward the join, but not as a batch:
+                # ``batches`` stays the number of probed morsels
+                self._record(stage, 0, started, 0)
             # Filter is schema-preserving: the template passes through
             # unevaluated (predicates only run over real morsels)
         return template
@@ -447,39 +446,33 @@ class SelectPlan:
     def _run_pipeline_whole(self, source: Scan,
                             stages: Sequence[PhysicalOperator]) -> Batch:
         """Materialise a build-side pipeline as one batch (single morsel)."""
-        outputs: list[Batch] = []
         deferred: dict[int, list[Batch]] = {}
-        batch = self._scan_slice(source, 0, source.row_count)
-        outputs.append(self._push(batch, stages, 0, deferred))
-        self._flush_deferred(stages, deferred, outputs)
+        outputs = [self._push(self._scan(source, 0, source.row_count),
+                              stages, 0, deferred)]
+        outputs.extend(self._flush_deferred(stages, deferred))
         return concat_batches(outputs)
 
     # -- stage-chain execution --------------------------------------------- #
-    @staticmethod
-    def _push_stages(batch: Batch, stages: Sequence[PhysicalOperator],
-                     from_index: int,
-                     deferred: dict[int, list[Batch]]) -> Batch:
+    def _record(self, operator: PhysicalOperator, rows: int, started: float,
+                batches: int = 1) -> None:
+        """EXPLAIN ANALYZE timing: one sample for a step begun at ``started``
+        (recorded only while a :class:`PlanMetrics` is installed)."""
+        if self.plan_metrics is not None:
+            self.plan_metrics.record(operator, rows,
+                                     perf_counter() - started, batches)
+
+    def _scan(self, source: Scan, start: int, stop: int) -> Batch:
+        started = perf_counter()
+        batch = source.batch_slice(start, stop)
+        self._record(source, batch.row_count, started)
+        return batch
+
+    def _push(self, batch: Batch, stages: Sequence[PhysicalOperator],
+              from_index: int, deferred: dict[int, list[Batch]]) -> Batch:
         """Push one batch through ``stages[from_index:]``.
 
         LEFT-join unmatched rows are recorded per stage index in
         ``deferred`` (processed later by :meth:`_flush_deferred`)."""
-        for index in range(from_index, len(stages)):
-            stage = stages[index]
-            if isinstance(stage, HashJoin):
-                batch, extra = stage.probe(batch)
-                if extra is not None:
-                    deferred.setdefault(index, []).append(extra)
-            else:
-                batch = stage.process(batch)
-        return batch
-
-    def _push_stages_timed(self, batch: Batch,
-                           stages: Sequence[PhysicalOperator],
-                           from_index: int,
-                           deferred: dict[int, list[Batch]]) -> Batch:
-        """:meth:`_push_stages` recording per-stage rows/batches/time."""
-        metrics = self.plan_metrics
-        assert metrics is not None
         for index in range(from_index, len(stages)):
             stage = stages[index]
             started = perf_counter()
@@ -489,53 +482,55 @@ class SelectPlan:
                     deferred.setdefault(index, []).append(extra)
             else:
                 batch = stage.process(batch)
-            metrics.record(stage, batch.row_count, perf_counter() - started)
+            self._record(stage, batch.row_count, started)
         return batch
-
-    def _push(self, batch: Batch, stages: Sequence[PhysicalOperator],
-              from_index: int, deferred: dict[int, list[Batch]]) -> Batch:
-        if self.plan_metrics is None:
-            return self._push_stages(batch, stages, from_index, deferred)
-        return self._push_stages_timed(batch, stages, from_index, deferred)
-
-    def _scan_slice(self, source: Scan, start: int, stop: int) -> Batch:
-        metrics = self.plan_metrics
-        if metrics is None:
-            return source.batch_slice(start, stop)
-        started = perf_counter()
-        batch = source.batch_slice(start, stop)
-        metrics.record(source, batch.row_count, perf_counter() - started)
-        return batch
-
-    def _morsel_batch(self, span: tuple[int, int],
-                      deferred: dict[int, list[Batch]]) -> Batch:
-        """Scan one morsel and push it through the full stage chain."""
-        return self._push(self._scan_slice(self.source, *span),
-                          self.stages, 0, deferred)
-
-    def _project_piece(self, sink: Project,
-                       batch: Batch) -> tuple[QueryResult, bool]:
-        metrics = self.plan_metrics
-        if metrics is None:
-            return sink.project(batch)
-        started = perf_counter()
-        piece, constant = sink.project(batch)
-        metrics.record(sink, piece.row_count, perf_counter() - started)
-        return piece, constant
 
     def _flush_deferred(self, stages: Sequence[PhysicalOperator],
-                        deferred: dict[int, list[Batch]],
-                        outputs: list[Batch]) -> None:
+                        deferred: dict[int, list[Batch]]) -> Iterator[Batch]:
         """Push deferred LEFT-join rows through the remaining stages.
 
         A flush can defer new rows at later stages; the ascending scan picks
-        those up, so arrival order (the sequential output order) holds."""
+        those up, so arrival order (matches first, then unmatched) holds."""
         for index in range(len(stages)):
             extras = deferred.pop(index, None)
             if extras:
-                batch = concat_batches(extras)
-                outputs.append(
-                    self._push(batch, stages, index + 1, deferred))
+                yield self._push(concat_batches(extras), stages, index + 1,
+                                 deferred)
+
+    def _morsels(self, ranges: list[tuple[int, int]],
+                 sink: Callable[[Batch], T]) -> Iterator[T]:
+        """The one morsel loop: yield ``sink(batch)`` for every range, in
+        range order, then for every flushed LEFT-join deferral batch.
+
+        A consumer that has enough simply stops iterating: the remaining
+        morsels are cancelled and the flush never runs.
+        """
+        def task(span: tuple[int, int]) -> tuple[T, dict[int, list[Batch]]]:
+            deferred: dict[int, list[Batch]] = {}
+            batch = self._push(self._scan(self.source, *span),
+                               self.stages, 0, deferred)
+            return sink(batch), deferred
+
+        deferred: dict[int, list[Batch]] = {}
+        for payload, task_deferred in self.scheduler.imap(
+                task, ranges, context=self.context):
+            for index, extras in task_deferred.items():
+                deferred.setdefault(index, []).extend(extras)
+            yield payload
+        if self.context is not None:
+            self.context.check()
+        for batch in self._flush_deferred(self.stages, deferred):
+            yield sink(batch)
+
+    def _project(self, batch: Batch
+                 ) -> tuple[QueryResult, bool, Batch | None]:
+        """Projection sink: ``(piece, all-constant, input batch)`` — the
+        batch only when ORDER BY will need it (a queued morsel result
+        should not pin its input)."""
+        started = perf_counter()
+        piece, constant = self.sink.project(batch)
+        self._record(self.sink, piece.row_count, started)
+        return piece, constant, batch if self.sort is not None else None
 
     # -- execution ---------------------------------------------------------- #
     def _split_ranges(self, max_rows: int | None = None
@@ -543,165 +538,85 @@ class SelectPlan:
         row_count = self.source.row_count
         if not self.parallel_safe:
             return [(0, row_count)]
-        if max_rows is None and self.context is not None:
-            # a cancellable statement needs morsel boundaries (= cancellation
-            # points) even single-worker, where the scheduler would otherwise
-            # run the whole input as one morsel
-            max_rows = self.scheduler.morsel_rows
-        if max_rows is not None:
-            step = max(1, min(max_rows, self.scheduler.morsel_rows))
-            if row_count > step:
-                return [(start, min(start + step, row_count))
-                        for start in range(0, row_count, step)]
-            return [(0, row_count)]
-        return self.scheduler.split(row_count)
+        return self.scheduler.split(row_count, max_rows)
 
     def execute(self) -> QueryResult:
         """Run the plan to a complete :class:`QueryResult`."""
         self.prepare()
         ranges = self._split_ranges()
-        keep_batches = self.sort is not None
-        out_batches: list[Batch] = []
+        #: pre-projection batches, kept only when ORDER BY needs them
+        out_batches: list[Batch] | None = [] if self.sort is not None else None
 
         if isinstance(self.sink, HashAggregate):
-            result = self._run_aggregate(ranges, out_batches, keep_batches)
+            result = self._run_aggregate(ranges, out_batches)
         else:
-            result = self._run_projection(ranges, out_batches, keep_batches)
+            result = self._run_projection(ranges, out_batches)
 
         if self.context is not None:
             # last checkpoint before the pipeline breakers (sort etc.) run
             self.context.check()
         if self.distinct is not None:
-            result = self._apply_breaker(
-                self.distinct, lambda: self.distinct.apply(result))
+            started = perf_counter()
+            result = self.distinct.apply(result)
+            self._record(self.distinct, result.row_count, started)
         if self.sort is not None:
-            result = self._apply_breaker(
-                self.sort,
-                lambda: self.sort.apply(result, concat_batches(out_batches)))
+            started = perf_counter()
+            result = self.sort.apply(result, concat_batches(out_batches))
+            self._record(self.sort, result.row_count, started)
         if self.limit is not None:
-            result = self._apply_breaker(
-                self.limit, lambda: self.limit.apply(result))
-        return result
-
-    def _apply_breaker(self, operator: PhysicalOperator,
-                       apply: Any) -> QueryResult:
-        metrics = self.plan_metrics
-        if metrics is None:
-            return apply()
-        started = perf_counter()
-        result = apply()
-        metrics.record(operator, result.row_count, perf_counter() - started)
+            started = perf_counter()
+            result = self.limit.apply(result)
+            self._record(self.limit, result.row_count, started)
         return result
 
     def _run_projection(self, ranges: list[tuple[int, int]],
-                        out_batches: list[Batch],
-                        keep_batches: bool) -> QueryResult:
-        sink = self.sink
-        assert isinstance(sink, Project)
-        stages = self.stages
+                        out_batches: list[Batch] | None) -> QueryResult:
         stop_after = None
         if (self.limit is not None and self.distinct is None
                 and self.sort is None):
             stop_after = self.limit.stop_after
-
-        def task(span: tuple[int, int]
-                 ) -> tuple[QueryResult, bool, Batch, dict[int, list[Batch]]]:
-            deferred: dict[int, list[Batch]] = {}
-            batch = self._morsel_batch(span, deferred)
-            piece, constant = self._project_piece(sink, batch)
-            return piece, constant, batch, deferred
-
         pieces: list[QueryResult] = []
-        all_constant = True
-        deferred: dict[int, list[Batch]] = {}
         produced = 0
-        stopped_early = False
-        for piece, constant, batch, task_deferred in \
-                self.scheduler.imap(task, ranges, context=self.context):
-            for index, extras in task_deferred.items():
-                deferred.setdefault(index, []).extend(extras)
-            pieces.append(piece)
-            all_constant = all_constant and constant
-            if keep_batches:
+        for piece, constant, batch in self._morsels(ranges, self._project):
+            if out_batches is not None:
                 out_batches.append(batch)
+            if constant and not pieces:
+                # no item depended on the input rows: constants broadcast
+                # to a single row, not one row per morsel
+                return piece
+            pieces.append(piece)
             produced += piece.row_count
-            if (stop_after is not None and not constant
-                    and produced >= stop_after):
-                stopped_early = True
+            if stop_after is not None and produced >= stop_after:
                 break
-
-        if all_constant and pieces:
-            # no item depended on the input rows: the sequential engine
-            # broadcast constants to a single row, not one row per morsel
-            return pieces[0]
-        if not stopped_early:
-            flush_batches: list[Batch] = []
-            self._flush_deferred(stages, deferred, flush_batches)
-            for batch in flush_batches:
-                piece, _ = self._project_piece(sink, batch)
-                pieces.append(piece)
-                if keep_batches:
-                    out_batches.append(batch)
         return concat_result_pieces(pieces)
 
     def _run_aggregate(self, ranges: list[tuple[int, int]],
-                       out_batches: list[Batch],
-                       keep_batches: bool) -> QueryResult:
+                       out_batches: list[Batch] | None) -> QueryResult:
         sink = self.sink
         assert isinstance(sink, HashAggregate)
-        stages = self.stages
         use_partial = sink.mode == "partial" and len(ranges) > 1
-        metrics = self.plan_metrics
 
-        def task(span: tuple[int, int]) -> tuple[Any, dict[int, list[Batch]]]:
-            deferred: dict[int, list[Batch]] = {}
-            batch = self._morsel_batch(span, deferred)
-            if use_partial:
-                if metrics is None:
-                    payload = sink.morsel_state(batch)
-                else:
-                    started = perf_counter()
-                    payload = sink.morsel_state(batch)
-                    # one partial state per morsel; output rows come from
-                    # the merge below, so only batches/time accrue here
-                    metrics.record(sink, 0, perf_counter() - started)
-            else:
-                payload = batch
-            return payload, deferred
-
-        payloads: list[Any] = []
-        deferred: dict[int, list[Batch]] = {}
-        for payload, task_deferred in self.scheduler.imap(
-                task, ranges, context=self.context):
-            for index, extras in task_deferred.items():
-                deferred.setdefault(index, []).extend(extras)
-            payloads.append(payload)
-
-        flush_batches: list[Batch] = []
-        self._flush_deferred(stages, deferred, flush_batches)
-
-        if use_partial:
-            states = payloads + [sink.morsel_state(batch)
-                                 for batch in flush_batches]
-            if keep_batches:
-                out_batches.extend(state.batch for state in states)
-            if metrics is None:
-                return sink.finish_partial(states)
+        def morsel_state(batch: Batch) -> Any:
             started = perf_counter()
-            result = sink.finish_partial(states)
-            # the merge produces the operator's output rows; batches were
-            # already counted one per partial state above
-            metrics.record(sink, result.row_count,
-                           perf_counter() - started, 0)
-            return result
-        batches = payloads + flush_batches
-        if keep_batches:
-            out_batches.extend(batches)
-        if metrics is None:
-            return sink.finish_sequential(concat_batches(batches))
+            state = sink.morsel_state(batch)
+            # one partial state per morsel; output rows come from the merge
+            # below, so only batches/time accrue here
+            self._record(sink, 0, started)
+            return state
+
+        payloads = list(self._morsels(
+            ranges, morsel_state if use_partial else lambda batch: batch))
         started = perf_counter()
-        result = sink.finish_sequential(concat_batches(batches))
-        metrics.record(sink, result.row_count, perf_counter() - started)
+        if use_partial:
+            batches = [state.batch for state in payloads]
+            result = sink.finish_partial(payloads)
+        else:
+            batches = payloads
+            result = sink.finish_sequential(concat_batches(batches))
+        # a partial merge's batches were counted one per state above
+        self._record(sink, result.row_count, started, 0 if use_partial else 1)
+        if out_batches is not None:
+            out_batches.extend(batches)
         return result
 
     # -- streaming ---------------------------------------------------------- #
@@ -715,71 +630,28 @@ class SelectPlan:
         (under the database lock) before iterating.
         """
         assert self.streamable and self._prepared
-        sink = self.sink
-        assert isinstance(sink, Project)
-        stages = self.stages
         skip = self.limit.offset or 0 if self.limit is not None else 0
         remaining = self.limit.limit if self.limit is not None else None
-
-        def task(span: tuple[int, int]
-                 ) -> tuple[QueryResult, bool, dict[int, list[Batch]]]:
-            deferred: dict[int, list[Batch]] = {}
-            batch = self._morsel_batch(span, deferred)
-            piece, constant = self._project_piece(sink, batch)
-            return piece, constant, deferred
-
-        def clip(piece: QueryResult) -> QueryResult | None:
-            nonlocal skip, remaining
+        yielded = False
+        for piece, constant, _ in self._morsels(
+                self._split_ranges(max_rows), self._project):
             rows = piece.row_count
             if skip >= rows:
                 skip -= rows
-                return None
-            if skip or (remaining is not None and remaining < rows - skip):
-                piece = slice_result(piece, skip, remaining)
-                skip = 0
-            if remaining is not None:
-                remaining -= piece.row_count
-            return piece
-
-        deferred: dict[int, list[Batch]] = {}
-        yielded = False
-        exhausted = False
-        for piece, constant, task_deferred in \
-                self.scheduler.imap(task, self._split_ranges(max_rows),
-                                    context=self.context):
-            for index, extras in task_deferred.items():
-                deferred.setdefault(index, []).extend(extras)
-            if constant:
-                # constants broadcast to one row total (sequential rule)
-                clipped = clip(piece)
-                yield clipped if clipped is not None else slice_result(
-                    piece, 0, 0)
+            else:
+                if skip or (remaining is not None and remaining < rows - skip):
+                    piece = slice_result(piece, skip, remaining)
+                    skip = 0
+                if remaining is not None:
+                    remaining -= piece.row_count
+                yield piece
                 yielded = True
-                exhausted = True
+            # constants broadcast to one row total, not one per morsel
+            if constant or (remaining is not None and remaining <= 0):
                 break
-            clipped = clip(piece)
-            if clipped is not None:
-                yield clipped
-                yielded = True
-            if remaining is not None and remaining <= 0:
-                exhausted = True
-                break
-        if not exhausted:
-            if self.context is not None:
-                self.context.check()
-            flush_batches: list[Batch] = []
-            self._flush_deferred(stages, deferred, flush_batches)
-            for batch in flush_batches:
-                piece, _ = self._project_piece(sink, batch)
-                clipped = clip(piece)
-                if clipped is not None:
-                    yield clipped
-                    yielded = True
-                if remaining is not None and remaining <= 0:
-                    break
         if not yielded:
             # schema-only piece so consumers always see the column layout
-            piece, _ = sink.project(self._template)
+            piece, _ = self.sink.project(self._template)
             yield slice_result(piece, 0, 0)
 
     # -- EXPLAIN ------------------------------------------------------------ #
@@ -843,17 +715,12 @@ class SelectPlan:
                 # unknown tables raise here, exactly as execution would
                 rows = self.database.storage.table(source_ast.name).row_count
                 source.estimated_rows = rows
-                if pipeline and self.parallel_safe:
-                    source.morsel_hint = self.scheduler.morsel_count(rows)
-                else:
-                    source.morsel_hint = 1
+                # the same rule execution splits by (:meth:`_split_ranges`)
+                source.morsel_hint = len(self.scheduler.split(rows)) \
+                    if pipeline and self.parallel_safe else 1
             for stage in stages:
                 if isinstance(stage, HashJoin):
                     visit(stage.build_source, stage.build_stages, False)
 
         visit(self.source, self.stages, True)
 
-
-# re-exported for the executor's EXPLAIN statement
-def explain_select(database: "Database", select: ast.Select) -> list[str]:
-    return Planner(database).plan(select).explain_lines()

@@ -148,3 +148,92 @@ class TestBoundedQueryLog:
         for name in ServerStats.COUNTER_NAMES:
             assert name in counters
 
+
+
+# --------------------------------------------------------------------------- #
+# every statement kind through every door is observed exactly once
+# --------------------------------------------------------------------------- #
+#: one of each statement kind; ``STREAMED`` is the streamable projection
+OBSERVED_STATEMENTS = [
+    "CREATE TABLE o (i INTEGER, v DOUBLE)",
+    "INSERT INTO o VALUES (1, 1.5), (2, 2.5), (3, 3.5)",
+    "UPDATE o SET v = v + 1 WHERE i = 2",
+    "DELETE FROM o WHERE i = 3",
+    "SELECT i, v FROM o",
+    "SELECT COUNT(*), SUM(v) FROM o",
+    "EXPLAIN ANALYZE SELECT i FROM o WHERE v > 1",
+    "PREPARE p AS SELECT v FROM o WHERE i = ?",
+    "EXECUTE p (1)",
+    "DROP TABLE o",
+]
+STREAMED = "SELECT i, v FROM o"
+
+
+def _observed(db):
+    snapshot = db.metrics.snapshot()
+    return (db.statements_executed, snapshot["db.query_us_count"],
+            snapshot["db.execute_us_count"])
+
+
+def _drain(outcome):
+    if not hasattr(outcome, "fetchall"):
+        for _ in outcome:  # db.query_us is observed when the stream ends
+            pass
+
+
+class TestEveryStatementObservedOnce:
+    @pytest.mark.parametrize("door, batch", [
+        ("execute", 1), ("execute_stream", 1), ("execute_script", 2)])
+    def test_embedded_doors(self, door, batch):
+        db = Database()
+        run = {
+            "execute": lambda texts: db.execute(texts[0]),
+            "execute_stream": lambda texts: _drain(
+                db.execute_stream(texts[0])),
+            "execute_script": lambda texts: db.execute_script(
+                ";\n".join(texts) + ";"),
+        }[door]
+        for start in range(0, len(OBSERVED_STATEMENTS), batch):
+            texts = OBSERVED_STATEMENTS[start:start + batch]
+            before = _observed(db)
+            run(texts)
+            assert _observed(db) == tuple(n + batch for n in before), texts
+            assert list(db.query_log)[-batch:] == texts
+        db.close()
+
+    def test_execute_prepared_door(self):
+        db = Database()
+        for text in OBSERVED_STATEMENTS[:2] + OBSERVED_STATEMENTS[7:8]:
+            db.execute(text)
+        before = _observed(db)
+        assert db.execute_prepared("p", [1]).fetchall() == [(1.5,)]
+        assert _observed(db) == tuple(n + 1 for n in before)
+        assert db.query_log[-1] == "EXECUTE p"
+        db.close()
+
+    def test_wire_door_and_its_slow_query_spans(self):
+        db = Database()
+        server = DatabaseServer(db, slow_query_ms=0.0)  # everything is "slow"
+        connection = Connection.connect_in_process(server)
+        for text in OBSERVED_STATEMENTS:
+            before = _observed(db)
+            connection.execute(text)
+            assert _observed(db) == tuple(n + 1 for n in before), text
+            assert db.query_log[-1] == text
+            entry = server.slow_query_log[-1]
+            assert entry["sql"] == text
+            spans = [span["span"] for span in entry["spans"]]
+            assert "parse" in spans and "respond" in spans, (text, spans)
+            # a streamed SELECT only prepares under the lock; everything
+            # else — DDL and DML included — executes there
+            assert ("prepare" if text == STREAMED else "execute") in spans, \
+                (text, spans)
+        handle = connection.prepare("w", "SELECT COUNT(*) FROM sys.tables")
+        before = _observed(db)
+        handle.execute([])
+        assert _observed(db) == tuple(n + 1 for n in before)
+        entry = server.slow_query_log[-1]
+        assert entry["sql"] == "EXECUTE w"
+        assert "execute" in [span["span"] for span in entry["spans"]]
+        connection.close()
+        db.close()

@@ -18,6 +18,7 @@ from repro.netproto.server import (
     DatabaseServer,
     SocketTransport,
 )
+from repro.sqldb import Database
 
 ROWS = 40
 CHUNK = 8
@@ -25,7 +26,8 @@ CHUNK = 8
 
 @pytest.fixture()
 def server():
-    database_server = DatabaseServer(result_chunk_rows=CHUNK, workers=2)
+    database_server = DatabaseServer(Database(workers=2),
+                                     result_chunk_rows=CHUNK)
     db = database_server.database
     db.execute("CREATE TABLE t (a INTEGER, s STRING)")
     table = db.storage.table("t")

@@ -1,6 +1,5 @@
 """Unit tests for the zero-dependency observability kit (`repro.obs`)."""
 
-import io
 import json
 import threading
 
@@ -8,7 +7,6 @@ import pytest
 
 from repro.obs import (
     Counter,
-    EventLog,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -194,43 +192,6 @@ class TestTraceSpan:
         payload = json.loads(json.dumps(root.to_dict()))
         assert payload["span"] == "query"
         assert payload["children"][0]["span"] == "parse"
-
-
-# --------------------------------------------------------------------------- #
-# structured event log
-# --------------------------------------------------------------------------- #
-class TestEventLog:
-    def test_emits_json_lines(self):
-        sink = io.StringIO()
-        log = EventLog(sink)
-        assert log.emit("query", sql="SELECT 1", us=42)
-        line = sink.getvalue().strip()
-        event = json.loads(line)
-        assert event["event"] == "query"
-        assert event["sql"] == "SELECT 1"
-        assert event["us"] == 42
-        assert "ts" in event
-
-    def test_sampling_keeps_one_in_n(self):
-        sink = io.StringIO()
-        log = EventLog(sink, sample_every=10)
-        emitted = sum(log.emit("tick", n=i) for i in range(100))
-        assert emitted == 10
-        assert len(sink.getvalue().strip().splitlines()) == 10
-
-    def test_force_bypasses_sampling(self):
-        sink = io.StringIO()
-        log = EventLog(sink, sample_every=1000)
-        log.emit("rare", force=True)
-        log.emit("rare", force=True)
-        assert len(sink.getvalue().strip().splitlines()) == 2
-
-    def test_file_target_and_close(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        log = EventLog(str(path))
-        log.emit("boot")
-        log.close()
-        assert json.loads(path.read_text().strip())["event"] == "boot"
 
 
 # --------------------------------------------------------------------------- #

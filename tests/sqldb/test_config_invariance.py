@@ -1,0 +1,156 @@
+"""Configuration invariance: at a fixed ``morsel_rows`` a statement's answer
+does not depend on which door it came in by.
+
+``MorselScheduler.split`` is the one splitting rule — it looks at the row
+count and ``morsel_rows`` only — so ``workers``, a timeout, streaming, the
+wire and PREPARE/EXECUTE may change *where* and *when* morsels run but never
+which rows are combined in which order.  Results are therefore compared
+with ``==``, floats included: no tolerance.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from repro.netproto.client import Connection
+from repro.netproto.server import DatabaseServer
+from repro.sqldb import Database
+from repro.sqldb.result import QueryResult
+
+MORSEL_ROWS = 4096
+ROWS = 10_000          # three morsels
+DIM_ROWS = 40          # keys 0..39; the fact table's keys run to 49 (+ NULL)
+
+#: (template with ``?`` placeholders, arguments)
+STATEMENTS = [
+    ("SELECT k, SUM(v / 3), AVG(v / 7), MIN(v), MAX(v), COUNT(*), COUNT(k) "
+     "FROM t GROUP BY k", []),
+    ("SELECT SUM(v / 3), AVG(v / 7), MIN(v), MAX(v), COUNT(*) FROM t", []),
+    ("SELECT s, SUM(v * 1.1), COUNT(*) FROM t WHERE v > ? GROUP BY s", [12.5]),
+    ("SELECT d.label, SUM(t.v / 3), COUNT(*) FROM t JOIN d ON t.k = d.k "
+     "WHERE t.v < ? GROUP BY d.label", [25.25]),
+    ("SELECT t.i, t.k, d.label FROM t LEFT JOIN d ON t.k = d.k "
+     "WHERE t.i < ?", [9000]),
+    # OFFSET..LIMIT straddles the first morsel boundary of the filtered rows
+    ("SELECT i, v / 3, s FROM t WHERE v > ? LIMIT 500 OFFSET 3300", [5.0]),
+    ("SELECT i, v FROM t WHERE k = ? ORDER BY v DESC, i LIMIT 50", [7]),
+    ("SELECT k, AVG(v / 7) FROM t GROUP BY k ORDER BY k", []),
+    ("SELECT DISTINCT k, s FROM t WHERE i > ?", [100]),
+    ("SELECT s, MEDIAN(v) FROM t GROUP BY s", []),
+    ("SELECT k, SUM(v / 3) FROM t GROUP BY k HAVING COUNT(*) > ?", [200]),
+]
+
+
+def _literal(template, args):
+    return template.replace("?", "{}").format(*args)
+
+
+def _make_database(workers):
+    db = Database(workers=workers, morsel_rows=MORSEL_ROWS)
+    db.execute("CREATE TABLE t (i INTEGER, k INTEGER, v DOUBLE, s STRING)")
+    db.execute("CREATE TABLE d (k INTEGER, label STRING)")
+    rng = np.random.default_rng(18)
+    keys = [None if key == 50 else key
+            for key in rng.integers(0, 51, ROWS).tolist()]
+    measures = (rng.random(ROWS) * 100 / 3).tolist()   # non-dyadic, < 33.4
+    strings = [f"s{code}" for code in rng.integers(0, 12, ROWS).tolist()]
+    db.storage.table("t").insert_rows(
+        zip(range(ROWS), keys, measures, strings))
+    db.storage.table("d").insert_rows(
+        (key, f"label{key % 9}") for key in range(DIM_ROWS))
+    for index, (template, _) in enumerate(STATEMENTS):
+        db.execute(f"PREPARE q{index} AS {template}")
+    return db
+
+
+def _drain(outcome):
+    if isinstance(outcome, QueryResult):
+        return outcome.fetchall()
+    return [row for piece in outcome for row in piece.fetchall()]
+
+
+def _argument_list(args):
+    return f"({', '.join(map(str, args))})" if args else ""
+
+
+@pytest.fixture(scope="module", params=[1, 4], ids=["workers1", "workers4"])
+def doors(request):
+    """Every way into one database: ``{door: (run literal, run prepared)}``."""
+    db = _make_database(request.param)
+    connection = Connection.connect_in_process(DatabaseServer(db))
+    handles = {index: connection.prepare(f"w{index}", template)
+               for index, (template, _) in enumerate(STATEMENTS)}
+    yield {
+        "execute": (
+            lambda i, sql, args: db.execute(sql).fetchall(),
+            lambda i, sql, args: db.execute(
+                f"EXECUTE q{i} {_argument_list(args)}").fetchall()),
+        "execute_timeout": (
+            lambda i, sql, args: db.execute(sql, timeout=60).fetchall(),
+            lambda i, sql, args: db.execute_prepared(
+                f"q{i}", args, timeout=60).fetchall()),
+        "execute_stream": (
+            lambda i, sql, args: _drain(db.execute_stream(sql)),
+            lambda i, sql, args: _drain(db.execute_stream(
+                f"EXECUTE q{i} {_argument_list(args)}"))),
+        "wire": (
+            lambda i, sql, args: connection.execute(sql).fetchall(),
+            lambda i, sql, args: handles[i].execute(args).fetchall()),
+    }
+    connection.close()
+    db.close()
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """The answers of the plainest configuration: one worker, ``execute``."""
+    db = _make_database(1)
+    answers = [db.execute(_literal(template, args)).fetchall()
+               for template, args in STATEMENTS]
+    db.close()
+    assert all(answers), "every statement must select something"
+    return answers
+
+
+@pytest.mark.parametrize("form", ["literal", "prepared"])
+@pytest.mark.parametrize(
+    "door", ["execute", "execute_timeout", "execute_stream", "wire"])
+def test_answer_is_identical_through_every_door(doors, reference, door, form):
+    run = doors[door][form == "prepared"]
+    for index, (template, args) in enumerate(STATEMENTS):
+        rows = run(index, _literal(template, args), args)
+        assert rows == reference[index], (door, form, template)
+
+
+def _scan_line(plan):
+    return next(line for (line,) in plan if "Scan t" in line)
+
+
+def test_the_table_spans_several_morsels_and_groups_merge_partials():
+    # guards the premise: were the table to fit one morsel, every door would
+    # trivially agree and the tests above would prove nothing
+    db = _make_database(1)
+    plan = db.execute(f"EXPLAIN ANALYZE {STATEMENTS[0][0]}").fetchall()
+    assert "batches=3" in _scan_line(plan)
+    aggregate = next(line for (line,) in plan if "HashAggregate" in line)
+    assert "batches=3" in aggregate  # one partial state per morsel
+    db.close()
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("timeout", [None, 60])
+def test_explain_estimate_equals_analyze_actual(workers, timeout):
+    db = _make_database(workers)
+    for template, args in STATEMENTS:
+        if "OFFSET" in template:
+            continue  # a satisfied LIMIT legitimately stops scanning early
+        sql = _literal(template, args)
+        estimate = db.execute(f"EXPLAIN {sql}", timeout=timeout).fetchall()
+        actual = db.execute(f"EXPLAIN ANALYZE {sql}",
+                            timeout=timeout).fetchall()
+        morsels = re.search(r"morsels=(\d+)", _scan_line(estimate))
+        batches = re.search(r"batches=(\d+)", _scan_line(actual))
+        assert morsels and batches, sql
+        assert morsels.group(1) == batches.group(1) == "3", sql
+    db.close()

@@ -55,7 +55,7 @@ def test_explain_distinct(db):
 
 
 def test_explain_reports_morsel_counts(db):
-    parallel = Database(workers=4, morsel_rows=30, parallel_threshold=0)
+    parallel = Database(workers=4, morsel_rows=30)
     parallel.execute("CREATE TABLE t (k INTEGER)")
     table = parallel.storage.table("t")
     for i in range(100):

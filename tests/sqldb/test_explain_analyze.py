@@ -83,7 +83,7 @@ class TestExplainAnalyzeSequential:
 class TestExplainAnalyzeParallel:
     def test_morsel_samples_sum_to_sequential_rows(self):
         # force 10 morsels of 40 rows
-        db = _make_db(workers=4, morsel_rows=40, parallel_threshold=1)
+        db = _make_db(workers=4, morsel_rows=40)
         lines = _analyze_lines(db, "SELECT i, v FROM t WHERE v > 100")
         actuals = _actuals(lines)
         by_op = {name.split(" ")[0]: counts
@@ -94,7 +94,7 @@ class TestExplainAnalyzeParallel:
         assert by_op["Project"] == (199, 10)
 
     def test_parallel_aggregate_merges_morsel_batches(self):
-        db = _make_db(workers=4, morsel_rows=40, parallel_threshold=1)
+        db = _make_db(workers=4, morsel_rows=40)
         lines = _analyze_lines(
             db, "SELECT s, COUNT(*), SUM(v) FROM t GROUP BY s")
         actuals = _actuals(lines)
@@ -104,7 +104,7 @@ class TestExplainAnalyzeParallel:
         assert agg[1] == 10      # one partial state per morsel
 
     def test_analyze_result_rows_match_plain_select(self):
-        db = _make_db(workers=4, morsel_rows=40, parallel_threshold=1)
+        db = _make_db(workers=4, morsel_rows=40)
         plain = db.execute("SELECT COUNT(*) FROM t WHERE v > 100")
         assert list(plain.rows()) == [(199,)]
         # running EXPLAIN ANALYZE must not disturb later executions
@@ -116,7 +116,7 @@ class TestExplainAnalyzeParallel:
 class TestExplainAnalyzeJoin:
     @pytest.fixture()
     def db(self):
-        db = Database(workers=4, morsel_rows=40, parallel_threshold=1)
+        db = Database(workers=4, morsel_rows=40)
         db.execute("CREATE TABLE l (k INTEGER, v DOUBLE)")
         db.execute("CREATE TABLE r (k INTEGER, name VARCHAR)")
         db.execute("INSERT INTO l VALUES " +
@@ -149,13 +149,13 @@ class TestPlainExplainUnchanged:
         db.execute("CREATE TABLE q (x INTEGER)")
         db.execute("INSERT INTO q VALUES (1)")
         calls = {"n": 0}
-        original = db.scheduler.map
+        original = db.scheduler.imap
 
-        def counting_map(*args, **kwargs):
+        def counting_imap(*args, **kwargs):
             calls["n"] += 1
             return original(*args, **kwargs)
 
-        db.scheduler.map = counting_map
+        db.scheduler.imap = counting_imap
         db.execute("EXPLAIN SELECT x FROM q")
         assert calls["n"] == 0
 

@@ -78,8 +78,7 @@ def reference():
 @pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("morsel_rows", [1, 7, 65536])
 def test_results_match_sequential_engine(reference, workers, morsel_rows):
-    db = Database(workers=workers, morsel_rows=morsel_rows,
-                  parallel_threshold=0)
+    db = Database(workers=workers, morsel_rows=morsel_rows)
     populate(db)
     try:
         for sql in QUERIES:
@@ -89,7 +88,7 @@ def test_results_match_sequential_engine(reference, workers, morsel_rows):
 
 
 def test_streamed_pieces_match_sequential(reference):
-    db = Database(workers=4, morsel_rows=16, parallel_threshold=0)
+    db = Database(workers=4, morsel_rows=16)
     populate(db)
     try:
         for sql in ["SELECT k, v FROM t WHERE v > 10",
@@ -102,7 +101,7 @@ def test_streamed_pieces_match_sequential(reference):
 
 
 def test_streamed_empty_result_keeps_schema():
-    db = Database(workers=2, morsel_rows=4, parallel_threshold=0)
+    db = Database(workers=2, morsel_rows=4)
     populate(db)
     try:
         pieces = list(db.execute_stream("SELECT k, v FROM t WHERE v < 0"))
@@ -114,7 +113,7 @@ def test_streamed_empty_result_keeps_schema():
 
 
 def test_aggregates_and_breakers_do_not_stream():
-    db = Database(workers=2, morsel_rows=4, parallel_threshold=0)
+    db = Database(workers=2, morsel_rows=4)
     populate(db)
     try:
         for sql in ["SELECT k, COUNT(*) FROM t GROUP BY k",
@@ -130,7 +129,7 @@ def test_aggregates_and_breakers_do_not_stream():
 def test_udf_queries_stay_sequential_and_correct():
     """UDF invocation counts are observable: parallel execution must not
     change how often a scalar UDF runs (once per whole column)."""
-    db = Database(workers=4, morsel_rows=1, parallel_threshold=0)
+    db = Database(workers=4, morsel_rows=1)
     populate(db)
     try:
         db.execute(
@@ -146,26 +145,33 @@ def test_udf_queries_stay_sequential_and_correct():
 
 
 class TestSchedulerPolicy:
-    def test_single_worker_never_splits(self):
-        scheduler = MorselScheduler(1, morsel_rows=10, parallel_threshold=0)
-        assert scheduler.split(1000) == [(0, 1000)]
-
-    def test_tiny_inputs_never_pay_pool_overhead(self):
-        scheduler = MorselScheduler(4, morsel_rows=10, parallel_threshold=500)
-        assert scheduler.split(499) == [(0, 499)]
-        assert len(scheduler.split(500)) == 50
+    @pytest.mark.parametrize("rows, max_rows, expected", [
+        (25, None, [(0, 10), (10, 20), (20, 25)]),
+        (25, 4, [(0, 4), (4, 8), (8, 12), (12, 16), (16, 20), (20, 24),
+                 (24, 25)]),                      # max_rows tighter
+        (25, 1000, [(0, 10), (10, 20), (20, 25)]),  # max_rows looser
+        (10, None, [(0, 10)]),                    # rows == step: one morsel
+        (11, None, [(0, 10), (10, 11)]),
+        (0, None, [(0, 0)]),                      # empty input: one empty morsel
+        (0, 4, [(0, 0)]),
+    ])
+    def test_one_splitting_rule(self, rows, max_rows, expected):
+        # workers decides where morsels run, never how the input is split
+        for workers in (1, 4):
+            scheduler = MorselScheduler(workers, morsel_rows=10)
+            assert scheduler.split(rows, max_rows) == expected
 
     def test_split_covers_every_row_exactly_once(self):
-        scheduler = MorselScheduler(4, morsel_rows=7, parallel_threshold=0)
+        scheduler = MorselScheduler(4, morsel_rows=7)
         ranges = scheduler.split(211)
         assert ranges[0][0] == 0 and ranges[-1][1] == 211
         for (_, stop), (start, _) in zip(ranges, ranges[1:]):
             assert stop == start
 
     def test_map_preserves_order(self):
-        scheduler = MorselScheduler(4, morsel_rows=1, parallel_threshold=0)
+        scheduler = MorselScheduler(4, morsel_rows=1)
         try:
-            assert scheduler.map(lambda x: x * x, range(50)) == \
+            assert list(scheduler.imap(lambda x: x * x, range(50))) == \
                 [x * x for x in range(50)]
         finally:
             scheduler.shutdown()

@@ -1,0 +1,158 @@
+"""Differential oracle: this engine against stdlib ``sqlite3``.
+
+One seeded dataset is loaded into both engines and the statements below —
+the surface the devUDF client and the benchmark drivers actually use — must
+return the same rows at every ``morsel_rows`` × ``workers`` setting.  Results
+are compared as multisets unless the statement's ORDER BY is total.
+
+Measures are integers or multiples of 0.25, so sums are exact in any order
+and floats are compared with ``==``.  The one intentional divergence is
+written down as a normalisation (:func:`for_sqlite`), not a skip: this engine
+sorts NULLs last in both directions, SQLite sorts them first when ascending.
+"""
+
+import random
+import re
+import sqlite3
+
+import pytest
+
+from repro.sqldb import Database
+
+FACT_ROWS = 60
+
+
+def _dataset():
+    rng = random.Random(18)
+    fact = []
+    for i in range(FACT_ROWS):
+        k = rng.choice([None, 1, 2, 3, 4, 5, 6, 7])          # 7: not in dim
+        m = None if k == 5 or rng.random() < 0.15 else rng.randrange(-20, 80)
+        x = None if rng.random() < 0.1 else rng.randrange(0, 400) * 0.25
+        s = rng.choice([None, "ant", "bee", "cat", "Dog", "eel", ""])
+        fact.append((i, k, m, x, s))
+    # a NULL key, and key 8 that no fact row has
+    dim = [(1, "one"), (2, "two"), (3, "three"), (4, None), (5, "five"),
+           (6, "six"), (8, "eight"), (None, "nokey")]
+    return fact, dim
+
+
+FACT, DIM = _dataset()
+
+#: (statement, True when its ORDER BY is total — compare as lists)
+STATEMENTS = [
+    # filter + projection
+    ("SELECT i, k, m, x, s FROM f", False),
+    ("SELECT i, m * 2 + 1, x * 0.5 FROM f WHERE m > 10 AND x < 60", False),
+    ("SELECT i FROM f WHERE k IS NULL OR s IS NULL", False),
+    ("SELECT i, s FROM f WHERE s IN ('ant', 'bee') AND k <> 2", False),
+    ("SELECT i FROM f WHERE m BETWEEN 0 AND 30 AND NOT (k = 1)", False),
+    ("SELECT i, COALESCE(m, -1), COALESCE(s, 'none') FROM f WHERE i < 25",
+     False),
+    # ORDER BY ... LIMIT / OFFSET
+    ("SELECT i, m FROM f ORDER BY m, i", True),
+    ("SELECT i, m FROM f ORDER BY m DESC, i", True),
+    ("SELECT i, s, x FROM f ORDER BY s, x DESC, i LIMIT 15 OFFSET 5", True),
+    ("SELECT i FROM f WHERE x > 20 ORDER BY i DESC LIMIT 7", True),
+    ("SELECT i, k FROM f ORDER BY k DESC, i LIMIT 10 OFFSET 50", True),
+    # joins, NULL keys and keys missing on either side
+    ("SELECT f.i, d.name FROM f JOIN d ON f.k = d.k", False),
+    ("SELECT f.i, f.k, d.name FROM f LEFT JOIN d ON f.k = d.k", False),
+    ("SELECT d.k, d.name, f.i FROM d LEFT JOIN f ON d.k = f.k", False),
+    ("SELECT f.i, d.name FROM f JOIN d ON f.k = d.k "
+     "WHERE f.m > 20 AND d.name <> 'two'", False),
+    ("SELECT f.i FROM f LEFT JOIN d ON f.k = d.k WHERE d.k IS NULL", False),
+    # GROUP BY with a NULL group, an all-NULL group (k = 5), HAVING
+    ("SELECT k, COUNT(*), COUNT(m), SUM(m), MIN(m), MAX(m) FROM f GROUP BY k",
+     False),
+    ("SELECT k, AVG(x), SUM(x) FROM f GROUP BY k", False),
+    ("SELECT s, COUNT(*), SUM(m) FROM f GROUP BY s", False),
+    ("SELECT k, s, COUNT(*) FROM f GROUP BY k, s", False),
+    ("SELECT k, SUM(m) FROM f GROUP BY k HAVING COUNT(m) > 5", False),
+    ("SELECT k, COUNT(*) FROM f WHERE x > 30 GROUP BY k "
+     "HAVING SUM(x) > 100 ORDER BY k", True),
+    ("SELECT d.name, COUNT(*), SUM(f.m) FROM f JOIN d ON f.k = d.k "
+     "GROUP BY d.name", False),
+    ("SELECT d.name, COUNT(f.i), MAX(f.x) FROM d LEFT JOIN f ON d.k = f.k "
+     "GROUP BY d.name", False),
+    # ungrouped aggregates, MIN/MAX over strings, COUNT(*) vs COUNT(col)
+    ("SELECT COUNT(*), COUNT(k), COUNT(m), COUNT(s) FROM f", False),
+    ("SELECT MIN(s), MAX(s), MIN(x), MAX(x), SUM(m), AVG(x) FROM f", False),
+    ("SELECT COUNT(DISTINCT k), COUNT(DISTINCT s) FROM f", False),
+    # empty input, all-NULL input
+    ("SELECT COUNT(*), COUNT(m), SUM(m), MIN(s), MAX(x), AVG(x) FROM f "
+     "WHERE i < 0", False),
+    ("SELECT COUNT(*), COUNT(m), SUM(m), MIN(m), AVG(m) FROM f WHERE k = 5",
+     False),
+    ("SELECT k, SUM(m) FROM f WHERE i < 0 GROUP BY k", False),
+    ("SELECT i, s FROM f WHERE i < 0", False),
+    # DISTINCT
+    ("SELECT DISTINCT k FROM f", False),
+    ("SELECT DISTINCT k, s FROM f WHERE m IS NOT NULL", False),
+    ("SELECT DISTINCT s FROM f ORDER BY s", True),
+]
+
+
+def for_sqlite(sql):
+    """Spell out this engine's NULL ordering for SQLite.
+
+    Here NULLs sort last ascending *and* descending; SQLite treats NULL as
+    the smallest value (first ascending, last descending)."""
+    match = re.search(r"ORDER BY (.*?)(?= LIMIT| OFFSET|$)", sql)
+    if match is None:
+        return sql
+    keys = ", ".join(f"{key.strip()} NULLS LAST"
+                     for key in match.group(1).split(","))
+    return sql[:match.start(1)] + keys + sql[match.end(1):]
+
+
+def _multiset(rows):
+    return sorted(rows, key=lambda row: [(v is None, v) for v in row])
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    connection = sqlite3.connect(":memory:")
+    connection.execute(
+        "CREATE TABLE f (i INTEGER, k INTEGER, m INTEGER, x REAL, s TEXT)")
+    connection.execute("CREATE TABLE d (k INTEGER, name TEXT)")
+    connection.executemany("INSERT INTO f VALUES (?, ?, ?, ?, ?)", FACT)
+    connection.executemany("INSERT INTO d VALUES (?, ?)", DIM)
+    answers = {sql: connection.execute(for_sqlite(sql)).fetchall()
+               for sql, _ in STATEMENTS}
+    connection.close()
+    return answers
+
+
+@pytest.fixture(scope="module", params=[
+    (morsel_rows, workers)
+    for morsel_rows in (1, 7, 65_536) for workers in (1, 4)],
+    ids=lambda p: f"morsel{p[0]}-workers{p[1]}")
+def engine(request):
+    morsel_rows, workers = request.param
+    db = Database(workers=workers, morsel_rows=morsel_rows)
+    db.execute(
+        "CREATE TABLE f (i INTEGER, k INTEGER, m INTEGER, x DOUBLE, s STRING)")
+    db.execute("CREATE TABLE d (k INTEGER, name STRING)")
+    db.storage.table("f").insert_rows(FACT)
+    db.storage.table("d").insert_rows(DIM)
+    yield db
+    db.close()
+
+
+@pytest.mark.parametrize("sql, ordered", STATEMENTS,
+                         ids=[f"q{n:02d}" for n in range(len(STATEMENTS))])
+def test_matches_sqlite(engine, oracle, sql, ordered):
+    expected = [tuple(row) for row in oracle[sql]]
+    actual = engine.execute(sql).fetchall()
+    if not ordered:
+        expected, actual = _multiset(expected), _multiset(actual)
+    assert actual == expected
+
+
+def test_the_dataset_has_the_shapes_the_statements_rely_on():
+    keys = {k for _, k, _, _, _ in FACT}
+    assert None in keys and 7 in keys and 8 not in keys
+    assert all(m is None for _, k, m, _, _ in FACT if k == 5)
+    assert any(k == 5 for _, k, _, _, _ in FACT)
+    assert any(s is None for *_, s in FACT) and any(s == "" for *_, s in FACT)

@@ -126,7 +126,7 @@ def test_scan_taken_before_an_append_stays_a_snapshot():
 def test_parallel_queries_share_scan_caches(workers):
     from repro.sqldb.database import Database
 
-    db = Database(workers=workers, morsel_rows=64, parallel_threshold=0)
+    db = Database(workers=workers, morsel_rows=64)
     db.execute("CREATE TABLE t (k INTEGER, v DOUBLE)")
     table = db.storage.table("t")
     for i in range(1000):
