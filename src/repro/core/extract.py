@@ -23,18 +23,20 @@ functions imported and their subquery inputs extracted instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
 from ..errors import ExtractionError
 from ..netproto.client import Connection, TransferOptions
 from ..sqldb import ast_nodes as ast
+from ..sqldb.catalog import make_signature
 from ..sqldb.parser import parse_statement
 from ..sqldb.render import render_expression, render_select, render_table_ref
 from ..sqldb.result import QueryResult
 from ..sqldb.schema import FunctionSignature
 from .nested import LoopbackQuery, analyse_loopback_queries, normalize_query
 from .settings import DataTransferSettings
+from .transform import strip_catalog_braces
 
 #: Prefix of the server-side extract functions the plugin registers.
 EXTRACT_FUNCTION_PREFIX = "devudf_extract_"
@@ -60,9 +62,8 @@ class ExtractionPlan:
 
     udf_name: str
     parameter_sources: list[ParameterSource] = field(default_factory=list)
-    #: SQL creating the server-side extract function (None when no column inputs).
-    extract_function_sql: str | None = None
-    extract_function_name: str | None = None
+    #: The server-side extract function (None when no column inputs).
+    extract_function: FunctionSignature | None = None
     #: The rewritten query that returns the input data instead of running the UDF.
     extraction_query: str | None = None
     #: Loopback queries found in the UDF body, classified.
@@ -70,6 +71,16 @@ class ExtractionPlan:
     #: Nested UDF names that must be imported alongside the main UDF.
     nested_udfs: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
+
+    @property
+    def extract_function_name(self) -> str | None:
+        return self.extract_function.name if self.extract_function else None
+
+    @property
+    def extract_function_sql(self) -> str | None:
+        """SQL creating the server-side extract function."""
+        return (self.extract_function.to_create_sql(or_replace=True)
+                if self.extract_function else None)
 
     @property
     def column_parameters(self) -> list[ParameterSource]:
@@ -165,8 +176,8 @@ class ExtractQueryRewriter:
 
         if column_items:
             inner = self._render_projection(statement, column_items)
-            plan.extract_function_name, plan.extract_function_sql = (
-                self._build_extract_function(signature, plan.column_parameters))
+            plan.extract_function = self._build_extract_function(
+                signature, plan.column_parameters)
             plan.extraction_query = (
                 f"SELECT * FROM {plan.extract_function_name}(({inner}))"
             )
@@ -262,8 +273,8 @@ class ExtractQueryRewriter:
         if column_subqueries:
             # A single extract function covering all column parameters, fed by
             # the first subquery (multiple subqueries are handled one by one).
-            plan.extract_function_name, plan.extract_function_sql = (
-                self._build_extract_function(signature, plan.column_parameters))
+            plan.extract_function = self._build_extract_function(
+                signature, plan.column_parameters)
             if len(column_subqueries) == 1:
                 inner = column_subqueries[0][0]
                 plan.extraction_query = (
@@ -295,22 +306,16 @@ class ExtractQueryRewriter:
     # -- the server-side extract function ------------------------------------- #
     def _build_extract_function(self, signature: FunctionSignature,
                                 column_parameters: list[ParameterSource]
-                                ) -> tuple[str, str]:
-        """Render the CREATE FUNCTION for the predefined extract function.
+                                ) -> FunctionSignature:
+        """The predefined extract function, created with ``CREATE OR REPLACE``.
 
         The function takes the UDF's column parameters, optionally applies the
         uniform random sample server-side, and returns the columns unchanged —
         "transfers the input data back to the client instead of executing the
         UDF inside the server".
         """
-        name = EXTRACT_FUNCTION_PREFIX + signature.name.lower()
-        parameter_types = {p.name: p.sql_type for p in signature.parameters}
-        params_sql = ", ".join(
-            f"{source.name} {parameter_types[source.name]}" for source in column_parameters
-        )
-        returns_sql = ", ".join(
-            f"{source.name} {parameter_types[source.name]}" for source in column_parameters
-        )
+        types = {p.name: p.sql_type for p in signature.parameters}
+        columns = [(source.name, types[source.name]) for source in column_parameters]
         names_literal = ", ".join(f"'{source.name}': {source.name}"
                                   for source in column_parameters)
 
@@ -341,11 +346,9 @@ class ExtractQueryRewriter:
             f"{sampling_lines}"
             "    return _columns\n"
         )
-        sql = (
-            f"CREATE OR REPLACE FUNCTION {name}({params_sql})\n"
-            f"RETURNS TABLE({returns_sql}) LANGUAGE PYTHON {{\n{body}}};"
-        )
-        return name, sql
+        return make_signature(EXTRACT_FUNCTION_PREFIX + signature.name.lower(),
+                              columns, returns_table=True,
+                              return_columns=columns, body=body)
 
 
 # --------------------------------------------------------------------------- #
@@ -376,8 +379,8 @@ class InputExtractor:
 
         # column inputs through the server-side extract function
         if plan.extraction_query is not None:
-            if plan.extract_function_sql is not None:
-                self._execute(inputs, plan.extract_function_sql, options)
+            if plan.extract_function is not None:
+                self._ensure_extract_function(inputs, plan, options)
             result = self._execute(inputs, plan.extraction_query, options)
             columns = result.to_numpy_dict()
             for source in plan.column_parameters:
@@ -426,6 +429,24 @@ class InputExtractor:
                 inputs.loopback[key] = result.to_dict()
                 inputs.rows_extracted += result.row_count
         return inputs
+
+    def _ensure_extract_function(self, inputs: ExtractedInputs,
+                                 plan: ExtractionPlan,
+                                 options: TransferOptions) -> None:
+        """Create the plan's extract function — unless the connection's catalog
+        snapshot shows that the server stores exactly this one already."""
+        helper, connection = plan.extract_function, self.connection
+        # in the form a catalog read returns it
+        stored = replace(helper, body=strip_catalog_braces("{" + helper.body + "}"))
+        snapshot, version = connection.cached_catalog(), connection.catalog_version
+        if snapshot is not None and snapshot.get(helper.name) == stored:
+            return
+        self._execute(inputs, plan.extract_function_sql, options)
+        if snapshot is not None and connection.catalog_version == version + 1:
+            # the one change since the snapshot is this statement's own:
+            # recorded, the snapshot stays current instead of lapsing
+            snapshot[helper.name] = stored
+            connection.cache_catalog(snapshot)
 
     def _execute(self, inputs: ExtractedInputs, sql: str,
                  options: TransferOptions) -> QueryResult:

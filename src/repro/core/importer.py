@@ -5,7 +5,7 @@ server into the development environment. ... The developer has the option to
 select the functions that he wishes to import, or he can choose to import all
 functions stored within the database server." (paper §2.1)
 
-The importer queries the server's meta tables (``sys.functions`` /
+The importer queries the server's meta tables (``sys.functions`` joined to
 ``sys.args``), reconstructs each UDF's signature, applies the Listing 1 ->
 Listing 2 code transformation, and writes one file per UDF into the project.
 UDFs whose loopback queries call other UDFs get those nested UDFs embedded in
@@ -68,50 +68,48 @@ class UDFImporter:
     # ------------------------------------------------------------------ #
     def fetch_signatures(self, *, include_internal: bool = False
                          ) -> dict[str, FunctionSignature]:
-        """Reconstruct the signature of every Python UDF on the server."""
-        functions = self.connection.execute(
-            "SELECT id, name, func, language, type FROM sys.functions"
-        )
-        args = self.connection.execute(
-            "SELECT func_id, name, type, number, inout FROM sys.args"
-        )
-        args_by_function: dict[int, list[tuple]] = {}
-        for func_id, arg_name, arg_type, number, inout in args.rows():
-            args_by_function.setdefault(int(func_id), []).append(
-                (arg_name, arg_type, int(number), int(inout))
-            )
+        """Reconstruct the signature of every Python UDF on the server.
 
+        One statement reads both meta tables, and what it yields is kept on
+        the connection: until a reply shows another ``catalog_version``,
+        every later call is answered from that snapshot.
+        """
+        signatures = self.connection.cached_catalog()
+        if signatures is None:
+            signatures = self._read_catalog()
+            self.connection.cache_catalog(signatures)
+        return {key: signature for key, signature in signatures.items()
+                if include_internal
+                or not key.startswith(EXTRACT_FUNCTION_PREFIX)}
+
+    def _read_catalog(self) -> dict[str, FunctionSignature]:
         signatures: dict[str, FunctionSignature] = {}
-        for oid, name, func_text, language, func_type in functions.rows():
+        for (name, func_text, language, func_type,
+             arg_name, arg_type, number, inout) in self.connection.execute(
+                "SELECT f.name, f.func, f.language, f.type, "
+                "a.name, a.type, a.number, a.inout "
+                "FROM sys.functions f LEFT JOIN sys.args a ON a.func_id = f.id "
+                "ORDER BY f.id, a.inout, a.number").rows():
             if int(language) not in _PYTHON_LANGUAGE_CODES:
                 continue
-            if not include_internal and name.lower().startswith(EXTRACT_FUNCTION_PREFIX):
+            key = name.lower()
+            signature = signatures.get(key)
+            if signature is None:
+                signature = signatures[key] = FunctionSignature(
+                    name=name, language="PYTHON",
+                    returns_table=int(func_type) == _TABLE_FUNCTION_TYPE,
+                    body=strip_catalog_braces(func_text))
+            if arg_name is None:  # a function without arguments or result
                 continue
-            body = strip_catalog_braces(func_text)
-            parameters: list[FunctionParameter] = []
-            return_columns: list[ColumnDef] = []
-            return_type = None
-            for arg_name, arg_type, number, inout in sorted(
-                args_by_function.get(int(oid), []), key=lambda item: (item[3], item[2])
-            ):
-                sql_type = parse_type_name(arg_type)
-                if inout == 1:
-                    parameters.append(FunctionParameter(arg_name, sql_type, number))
-                else:
-                    return_columns.append(ColumnDef(arg_name, ColumnType(sql_type)))
-            returns_table = int(func_type) == _TABLE_FUNCTION_TYPE
-            if not returns_table:
-                return_type = return_columns[0].sql_type if return_columns else None
-                return_columns = []
-            signatures[name.lower()] = FunctionSignature(
-                name=name,
-                parameters=parameters,
-                returns_table=returns_table,
-                return_columns=return_columns,
-                return_type=return_type,
-                language="PYTHON",
-                body=body,
-            )
+            sql_type = parse_type_name(arg_type)
+            if int(inout) == 1:
+                signature.parameters.append(
+                    FunctionParameter(arg_name, sql_type, int(number)))
+            elif signature.returns_table:
+                signature.return_columns.append(
+                    ColumnDef(arg_name, ColumnType(sql_type)))
+            elif signature.return_type is None:
+                signature.return_type = sql_type
         return signatures
 
     def list_available(self) -> list[str]:

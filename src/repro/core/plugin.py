@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from ..errors import DevUDFError, ExtractionError, SettingsError
+from ..errors import DevUDFError, ExtractionError, SettingsError, SQLError
 from ..ide.actions import Action, MainMenu
 from ..netproto.client import Connection, ConnectionInfo
 from ..netproto.server import DatabaseServer
@@ -193,21 +193,26 @@ class DevUDFPlugin:
             )
         self.settings.transfer.validate()
         connection = self.connect()
-        importer = UDFImporter(connection, self.project)
-        signatures = importer.fetch_signatures()
-        target = udf_name or self.find_debug_target(query)
-        if target.lower() not in signatures:
-            raise ExtractionError(f"UDF {target!r} does not exist on the server")
+        # A catalog snapshot read before this call may be behind the server,
+        # so what the first attempt makes of one is provisional: if it fails,
+        # or a reply shows the catalog moved under it, a second attempt — the
+        # last — reads the catalog again, re-plans and re-extracts.
+        provisional = connection.cached_catalog() is not None
+        try:
+            prepared = self._plan_and_extract(connection, query, udf_name)
+        except (SQLError, DevUDFError):
+            if not provisional:
+                raise
+            connection.cache_catalog(None)  # keep nothing: read it again
+            prepared = None
+        if prepared is None or (connection.catalog_version is not None
+                                and connection.cached_catalog() is None):
+            prepared = self._plan_and_extract(connection, query, udf_name)
+        target, plan, inputs = prepared
 
         imported_now: list[str] = []
         if not self.project.has_udf(target):
-            report = importer.import_udfs([target])
-            imported_now = report.imported_names
-
-        rewriter = ExtractQueryRewriter(signatures, self.settings.transfer)
-        plan = rewriter.plan(query, target)
-        extractor = InputExtractor(connection, signatures, self.settings.transfer)
-        inputs = extractor.extract(plan)
+            imported_now = self.import_udfs([target]).imported_names
 
         entry = self.project.entry_for(target)
         script_path = self.project.root / entry.relative_path
@@ -222,6 +227,18 @@ class DevUDFPlugin:
             blob_stats=blob_stats,
             imported_now=imported_now,
         )
+
+    def _plan_and_extract(self, connection: Connection, query: str,
+                          udf_name: str | None
+                          ) -> tuple[str, ExtractionPlan, ExtractedInputs]:
+        signatures = UDFImporter(connection, self.project).fetch_signatures()
+        target = udf_name or self.find_debug_target(query)
+        if target.lower() not in signatures:
+            raise ExtractionError(f"UDF {target!r} does not exist on the server")
+        plan = ExtractQueryRewriter(signatures, self.settings.transfer).plan(
+            query, target)
+        extractor = InputExtractor(connection, signatures, self.settings.transfer)
+        return target, plan, extractor.extract(plan)
 
     def debug_udf(self, udf_name: str | None = None, *,
                   debug_query: str | None = None,

@@ -9,6 +9,7 @@ password doubles as the encryption key for sensitive data transfers (§2.2).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 import os
@@ -29,10 +30,21 @@ class UserAccount:
     database: str = "demo"
 
 
+@functools.lru_cache(maxsize=32)
+def client_digest(password: str, salt: bytes) -> bytes:
+    """What a client derives at login: the proof's key and the transfer key.
+
+    Memoised like :func:`~.encryption.derive_key` — an account keeps its
+    salt, so a client pays the stretch once per account, not twice a connect.
+    The server verifies against the digest ``add_user`` stored, deriving none.
+    """
+    return _password_digest(password, salt)
+
+
 def compute_response(password: str, salt: bytes, challenge: bytes) -> bytes:
     """The client's proof: HMAC(password-digest, challenge)."""
-    digest = _password_digest(password, salt)
-    return hmac.new(digest, challenge, hashlib.sha256).digest()
+    return hmac.new(client_digest(password, salt), challenge,
+                    hashlib.sha256).digest()
 
 
 @dataclass

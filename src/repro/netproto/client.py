@@ -36,7 +36,7 @@ from ..sqldb.storage import arrays_to_values
 from ..sqldb.types import SQLType
 from ..sqldb.vector import Vector
 from . import compression as compression_mod
-from .auth import compute_response, _password_digest
+from .auth import client_digest, compute_response
 from .messages import (
     MSG_CANCEL,
     MSG_CANCELLED,
@@ -172,6 +172,11 @@ class Connection:
         self.session_id: int | None = None
         self.cancel_key: str | None = None
         self._active_stream: "ResultStream | None" = None
+        #: ``catalog_version`` of the last result header: the server bumps it
+        #: on every effective CREATE / DROP FUNCTION (``None`` until a reply
+        #: carries one — a peer that never does never lets a caller cache).
+        self.catalog_version: int | None = None
+        self._catalog_cache: tuple[int | None, Any] = (None, None)
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -258,7 +263,9 @@ class Connection:
         self._authenticated = True
         # The transfer key both sides derive from the user's password (paper:
         # "using the password of the database user as a key").
-        self._transfer_key = _password_digest(self.info.password, salt).hex()
+        self._transfer_key = client_digest(self.info.password, salt).hex()
+        # a new session may be a restarted server, whose count starts over
+        self.catalog_version, self._catalog_cache = None, (None, None)
 
     # ------------------------------------------------------------------ #
     # queries
@@ -313,6 +320,8 @@ class Connection:
             raise exception_for_error(reply)
         if reply.get("type") != MSG_RESULT:
             raise ProtocolError(f"unexpected reply {reply.get('type')!r}")
+        version = reply.get("catalog_version")
+        self.catalog_version = version if isinstance(version, int) else None
 
         stream = ResultStream(self, reply)
         if stream.complete:  # no rows to ship: the header was the last frame
@@ -382,6 +391,18 @@ class Connection:
         if reply.get("type") != MSG_DEALLOCATED:
             raise ProtocolError(f"unexpected reply {reply.get('type')!r}")
         return bool(reply.get("found"))
+
+    def cache_catalog(self, snapshot: Any) -> None:
+        """Keep ``snapshot``, which the caller made of the function catalog,
+        as of the last reply's ``catalog_version``."""
+        if self.catalog_version is not None:
+            self._catalog_cache = (self.catalog_version, snapshot)
+
+    def cached_catalog(self) -> Any:
+        """That snapshot while the last-seen ``catalog_version`` is still the
+        one it was kept at; ``None`` otherwise."""
+        version, snapshot = self._catalog_cache
+        return snapshot if version == self.catalog_version else None
 
     def _drain_active_stream(self) -> None:
         """Finish the in-flight chunk stream so the transport stays in sync."""

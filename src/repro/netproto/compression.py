@@ -65,22 +65,26 @@ def rle_decompress(data: bytes) -> bytes:
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class Codec:
-    """A named compression codec."""
+    """A named compression codec.
+
+    ``codec_id`` is the byte that prefixes every compressed section on the
+    wire, in image segments and in ``input.bin``.  It is part of those
+    formats: a new codec takes the next unused id, an id is never reassigned.
+    """
 
     name: str
+    codec_id: int
     compress: Callable[[bytes], bytes]
     decompress: Callable[[bytes], bytes]
 
 
-_CODECS: dict[str, Codec] = {
-    CODEC_NONE: Codec(CODEC_NONE,
-                      lambda data: data if isinstance(data, bytes) else bytes(data),
-                      lambda data: data),
-    CODEC_ZLIB: Codec(CODEC_ZLIB,
-                      lambda data: zlib.compress(data, 6),
-                      zlib.decompress),
-    CODEC_RLE: Codec(CODEC_RLE, rle_compress, rle_decompress),
-}
+_CODECS: dict[str, Codec] = {codec.name: codec for codec in (
+    Codec(CODEC_NONE, 0,
+          lambda data: data if isinstance(data, bytes) else bytes(data),
+          lambda data: data),
+    Codec(CODEC_RLE, 1, rle_compress, rle_decompress),
+    Codec(CODEC_ZLIB, 2, lambda data: zlib.compress(data, 6), zlib.decompress),
+)}
 
 
 def available_codecs() -> list[str]:
@@ -102,19 +106,17 @@ def compress(data: bytes | bytearray | memoryview, codec: str = CODEC_ZLIB) -> b
     buffer exports) without an intermediate copy for codecs that support it.
     """
     codec_obj = get_codec(codec)
-    codec_id = sorted(_CODECS).index(codec_obj.name)
-    return bytes([codec_id]) + codec_obj.compress(data)
+    return bytes([codec_obj.codec_id]) + codec_obj.compress(data)
 
 
 def decompress(data: bytes) -> bytes:
     """Reverse :func:`compress`."""
     if not data:
         raise ProtocolError("empty compressed payload")
-    names = sorted(_CODECS)
-    codec_id = data[0]
-    if codec_id >= len(names):
-        raise ProtocolError(f"unknown codec id {codec_id}")
-    return _CODECS[names[codec_id]].decompress(data[1:])
+    for codec in _CODECS.values():
+        if codec.codec_id == data[0]:
+            return codec.decompress(data[1:])
+    raise ProtocolError(f"unknown codec id {data[0]}")
 
 
 def compression_ratio(original: bytes, codec: str = CODEC_ZLIB) -> float:

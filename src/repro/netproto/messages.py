@@ -208,7 +208,9 @@ def result_messages(result: QueryResult | Iterable[QueryResult], *,
                     chunk_rows: int = DEFAULT_CHUNK_ROWS,
                     compression: str | None = None,
                     encryption_key: str | None = None,
-                    trace_id: str | None = None) -> Iterator[dict[str, Any]]:
+                    trace_id: str | None = None,
+                    catalog_version: int | None = None
+                    ) -> Iterator[dict[str, Any]]:
     """Yield the ``result`` header, then the ``result_chunk`` messages.
 
     ``result`` is a complete :class:`QueryResult` (aggregates, UDF
@@ -225,7 +227,9 @@ def result_messages(result: QueryResult | Iterable[QueryResult], *,
     header itself when a complete result has no rows to ship.  A complete
     result's header carries its ``row_count``; a stream's says ``-1``.
     ``trace_id``, when given, rides in the header so the client can correlate
-    the result with the server's trace spans and slow-query log.
+    the result with the server's trace spans and slow-query log;
+    ``catalog_version`` likewise, so the client knows whether what it last
+    read from the function catalog is still current.
     """
     codec = compression or compression_mod.CODEC_NONE
     chunk_rows = max(1, int(chunk_rows))
@@ -254,6 +258,8 @@ def result_messages(result: QueryResult | Iterable[QueryResult], *,
     }
     if trace_id is not None:
         header["trace_id"] = trace_id
+    if catalog_version is not None:
+        header["catalog_version"] = catalog_version
     yield header
     if total_rows == 0:
         return

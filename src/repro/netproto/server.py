@@ -644,7 +644,8 @@ class DatabaseServer:
                 self._finish_query(session)
             stream = result_messages(
                 outcome, chunk_rows=chunk_rows, compression=compression,
-                encryption_key=encryption_key, trace_id=trace_id)
+                encryption_key=encryption_key, trace_id=trace_id,
+                catalog_version=context.catalog_version)
             # pull the header eagerly: the first morsel and its buffer
             # export (the fallible parts) run here, so early errors still
             # become plain error responses

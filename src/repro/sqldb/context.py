@@ -37,7 +37,7 @@ class QueryContext:
     """
 
     __slots__ = ("timeout", "deadline", "_cancelled", "_reason",
-                 "trace_id", "trace")
+                 "trace_id", "trace", "catalog_version")
 
     def __init__(self, *, timeout: float | None = None,
                  deadline: float | None = None,
@@ -53,6 +53,9 @@ class QueryContext:
         self.trace_id = trace_id
         #: Root span for this query's phase breakdown (``None`` = untraced).
         self.trace = None
+        #: ``Database.catalog_version`` as of the statement's execution; the
+        #: runner fills it in, the wire server returns it in the result header.
+        self.catalog_version: int | None = None
 
     @classmethod
     def resolve(cls, context: "QueryContext | None",

@@ -113,6 +113,10 @@ class Database:
         self.scheduler.bind_metrics(self.metrics)
         self._executor = Executor(self)
         self._lock = threading.RLock()
+        #: Bumped by every effective CREATE / DROP FUNCTION.  The wire server
+        #: ships it in each result header, so a client may keep what it read
+        #: from ``sys.functions`` / ``sys.args`` until the number moves.
+        self.catalog_version = 0
         #: Count of executed statements, used by the workflow simulators to
         #: report "server round trips".
         self.statements_executed = 0
@@ -284,6 +288,9 @@ class Database:
                                                     context=context)
                 run_ended = perf_counter()
                 self._h_execute.observe(run_ended - run_started)
+                if context is not None:
+                    # under the statement's lock: the catalog it saw or left
+                    context.catalog_version = self.catalog_version
                 if trace is not None:
                     trace.add("prepare" if isinstance(result, StreamedResult)
                               else "execute", run_started, run_ended)
@@ -324,16 +331,14 @@ class Database:
         """Invalidate cache entries made stale by an executed statement.
 
         Called by the executor after every successful mutating statement;
-        UDF (re)definition clears both caches entirely (a UDF body change
-        alters what any query calling it returns).
+        UDF (re)definition clears both caches entirely on its own (see
+        :meth:`create_function` / :meth:`drop_function`).
         """
         if isinstance(statement, (ast.InsertValues, ast.InsertSelect,
                                   ast.Delete, ast.Update, ast.CopyInto)):
             self.invalidate_table(statement.table)
         elif isinstance(statement, (ast.CreateTable, ast.DropTable)):
             self.invalidate_table(statement.name)
-        elif isinstance(statement, (ast.CreateFunction, ast.DropFunction)):
-            self.invalidate_caches()
 
     def invalidate_table(self, table: str) -> None:
         """Drop every cached plan/result that reads ``table``."""
@@ -513,8 +518,21 @@ class Database:
             self.wal_log({"op": "create_function",
                           "signature": signature_to_record(signature)})
         self.catalog.register(signature, replace=replace)
-        self.udf_runtime.invalidate(signature.name)
-        # a (re)defined UDF changes what any query calling it returns
+        self._function_changed(signature.name)
+
+    def drop_function(self, name: str, *, if_exists: bool = False) -> None:
+        """Remove a UDF; a missing one raises unless ``if_exists``."""
+        if self.catalog.has(name):
+            self.wal_log({"op": "drop_function", "name": name})
+        elif if_exists:
+            return
+        self.catalog.drop(name)
+        self._function_changed(name)
+
+    def _function_changed(self, name: str) -> None:
+        self.catalog_version += 1
+        self.udf_runtime.invalidate(name)
+        # a (re)defined or dropped UDF changes what any query calling it returns
         self.invalidate_caches()
 
     def wal_log(self, record: dict[str, Any]) -> None:

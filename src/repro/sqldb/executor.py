@@ -98,10 +98,8 @@ class Executor:
         if isinstance(statement, ast.CreateFunction):
             return self._execute_create_function(statement)
         if isinstance(statement, ast.DropFunction):
-            if self.catalog.has(statement.name):
-                self._log_wal({"op": "drop_function", "name": statement.name})
-            self.catalog.drop(statement.name, if_exists=statement.if_exists)
-            self.database.udf_runtime.invalidate(statement.name)
+            self.database.drop_function(statement.name,
+                                        if_exists=statement.if_exists)
             return QueryResult.empty(statement_type="DROP FUNCTION")
         if isinstance(statement, ast.CopyInto):
             return self._execute_copy(statement)

@@ -27,8 +27,9 @@ of the operators defined here; the plan driver then pushes morsel-sized
 
 from __future__ import annotations
 
+import functools
 import threading
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -218,7 +219,7 @@ def sorted_indices(keys: list[list[Any]], descending: list[bool],
 
 
 def order_key_values(database: "Database", expression: ast.Expression,
-                     result: QueryResult, batch: Batch,
+                     result: QueryResult, input_batch: Callable[[], Batch],
                      row_count: int) -> list[Any]:
     if isinstance(expression, ast.ColumnRef) and expression.table is None:
         lowered = expression.name.lower()
@@ -229,6 +230,7 @@ def order_key_values(database: "Database", expression: ast.Expression,
         position = expression.value - 1
         if 0 <= position < result.column_count:
             return list(result.columns[position].values)
+    batch = input_batch()
     evaluator = ExpressionEvaluator(database, batch, allow_aggregates=False)
     values = evaluator.evaluate(expression).broadcast(batch.row_count)
     if len(values) != row_count:
@@ -237,12 +239,15 @@ def order_key_values(database: "Database", expression: ast.Expression,
 
 
 def sort_result(database: "Database", select: ast.Select,
-                result: QueryResult, batch: Batch) -> QueryResult:
+                result: QueryResult, batches: list[Batch]) -> QueryResult:
     row_count = result.row_count
+    # the sink's input rows: put together once, and only for a key that is
+    # no output column and has to be evaluated over them
+    input_batch = functools.cache(lambda: concat_batches(batches))
     keys: list[list[Any]] = []
     for order_item in select.order_by:
         keys.append(order_key_values(database, order_item.expression,
-                                     result, batch, row_count))
+                                     result, input_batch, row_count))
     descending = [order_item.descending for order_item in select.order_by]
 
     indices = sorted_indices(keys, descending, row_count)
@@ -1230,8 +1235,8 @@ class Sort(PhysicalOperator):
         self.database = database
         self.select = select
 
-    def apply(self, result: QueryResult, batch: Batch) -> QueryResult:
-        return sort_result(self.database, self.select, result, batch)
+    def apply(self, result: QueryResult, batches: list[Batch]) -> QueryResult:
+        return sort_result(self.database, self.select, result, batches)
 
     def describe(self) -> str:
         from .render import render_expression

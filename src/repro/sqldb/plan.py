@@ -561,7 +561,7 @@ class SelectPlan:
             self._record(self.distinct, result.row_count, started)
         if self.sort is not None:
             started = perf_counter()
-            result = self.sort.apply(result, concat_batches(out_batches))
+            result = self.sort.apply(result, out_batches)
             self._record(self.sort, result.row_count, started)
         if self.limit is not None:
             started = perf_counter()

@@ -107,7 +107,8 @@ class TestImport:
 
     def test_import_counts_catalog_queries(self, importer):
         report = importer.import_udfs(["mean_deviation"])
-        assert report.queries_issued >= 2  # sys.functions + sys.args
+        # one statement joins sys.functions to sys.args (it was one per table)
+        assert report.queries_issued == 1
 
 
 class TestImportNested:

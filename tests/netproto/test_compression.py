@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
+from repro.netproto import compression
 from repro.netproto.compression import (
     CODEC_NONE,
     CODEC_RLE,
@@ -50,6 +51,29 @@ class TestRoundTrips:
     def test_unknown_codec_id_rejected(self):
         with pytest.raises(ProtocolError):
             decompress(bytes([250]) + b"data")
+
+
+class TestCodecIds:
+    def test_ids_are_part_of_the_stored_formats(self, monkeypatch):
+        """The id byte lives in image segments, wire chunks and ``input.bin``:
+        it is pinned per codec, and a codec registered later — even one whose
+        name sorts before ``zlib`` — renumbers nothing."""
+        payload = b"42," * 500
+        blobs = {codec: compress(payload, codec)
+                 for codec in (CODEC_NONE, CODEC_RLE, CODEC_ZLIB)}
+        assert {codec: blob[0] for codec, blob in blobs.items()} == {
+            CODEC_NONE: 0, CODEC_RLE: 1, CODEC_ZLIB: 2}
+
+        newcomer = compression.Codec("brotli", 3, lambda data: bytes(data)[::-1],
+                                     lambda data: data[::-1])
+        monkeypatch.setitem(compression._CODECS, newcomer.name, newcomer)
+        for codec, blob in blobs.items():
+            assert compress(payload, codec) == blob
+            assert decompress(blob) == payload
+        assert compress(payload, "brotli")[0] == 3
+        assert decompress(compress(payload, "brotli")) == payload
+        with pytest.raises(ProtocolError, match="unknown codec id 4"):
+            decompress(bytes([4]) + b"data")
 
 
 class TestCompressionEffect:

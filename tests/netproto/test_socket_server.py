@@ -1,8 +1,11 @@
 """Integration tests for the TCP socket transport."""
 
+import hashlib
+
 import pytest
 
 from repro.errors import AuthenticationError
+from repro.netproto.auth import client_digest
 from repro.netproto.client import Connection, ConnectionInfo, TransferOptions
 from repro.netproto.server import (
     AsyncSocketServer,
@@ -72,6 +75,59 @@ class TestSocketTransport:
                            "LANGUAGE PYTHON { return x / 2.0 }")
         assert connection.execute("SELECT halve(i) FROM t WHERE i = 2").scalar() == 1.0
         connection.close()
+
+
+class TestLoginDerivations:
+    """A login stretches the password once, and only the first login with
+    given credentials does; the server (same process here) never does."""
+
+    @pytest.fixture()
+    def derivations(self, monkeypatch):
+        client_digest.cache_clear()
+        passwords = []
+        stretch = hashlib.pbkdf2_hmac
+
+        def counted(name, password, *args, **kwargs):
+            passwords.append(password)
+            return stretch(name, password, *args, **kwargs)
+
+        monkeypatch.setattr(hashlib, "pbkdf2_hmac", counted)
+        yield passwords
+        client_digest.cache_clear()
+
+    def test_one_derivation_then_none(self, tcp_server, derivations):
+        _, host, port = tcp_server
+        info = ConnectionInfo(host=host, port=port)
+        Connection.connect_tcp(info).close()
+        assert derivations == [b"monetdb"]
+        connection = Connection.connect_tcp(info)
+        assert derivations == [b"monetdb"]
+        # the memoised digest is still the transfer key both sides hold
+        result = connection.execute(
+            "SELECT * FROM t", options=TransferOptions(encrypt=True))
+        assert result.row_count == 3
+        connection.close()
+
+    def test_wrong_password_still_rejected(self, tcp_server, derivations):
+        _, host, port = tcp_server
+        Connection.connect_tcp(ConnectionInfo(host=host, port=port)).close()
+        for _ in range(2):  # the second try reads the memo: rejected all the same
+            with pytest.raises(AuthenticationError):
+                Connection.connect_tcp(
+                    ConnectionInfo(host=host, port=port, password="bad"))
+        assert derivations == [b"monetdb", b"bad"]
+
+    def test_changed_password_is_not_served_from_the_memo(self, tcp_server,
+                                                          derivations):
+        server, host, port = tcp_server
+        Connection.connect_tcp(ConnectionInfo(host=host, port=port)).close()
+        server.registry.add_user("monetdb", "rotated")  # new salt, new digest
+        del derivations[:]
+        with pytest.raises(AuthenticationError):
+            Connection.connect_tcp(ConnectionInfo(host=host, port=port))
+        Connection.connect_tcp(
+            ConnectionInfo(host=host, port=port, password="rotated")).close()
+        assert derivations == [b"monetdb", b"rotated"]
 
 
 class TestStartDemoServer:

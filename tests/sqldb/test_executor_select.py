@@ -148,6 +148,70 @@ class TestOrderingAndLimits:
         assert result.fetchall() == [("a",), ("b",), ("c",)]
 
 
+class TestGroupByOrderBy:
+    """ORDER BY over an aggregate: the rows the engine gave before the sort
+    stopped concatenating the aggregate's input up front, and the proof that
+    it now builds that batch only for a key it has to evaluate."""
+
+    #: statement -> rows (40-row ``g``: k = i % 5, v = i / 2; 10-row ``u``:
+    #: k unique, so a key over the input rows lines up with the groups)
+    CASES = {
+        "SELECT k, SUM(v) AS s FROM g GROUP BY k ORDER BY s DESC":
+            [(4, 86.0), (3, 82.0), (2, 78.0), (1, 74.0), (0, 70.0)],
+        "SELECT k, SUM(v) AS s FROM g GROUP BY k ORDER BY 2":
+            [(0, 70.0), (1, 74.0), (2, 78.0), (3, 82.0), (4, 86.0)],
+        "SELECT w, COUNT(*) AS n, SUM(v) AS s FROM g GROUP BY w ORDER BY n DESC, w":
+            [("w0", 14, 136.5), ("w1", 13, 123.5), ("w2", 13, 130.0)],
+        "SELECT k, SUM(v) AS s FROM u GROUP BY k ORDER BY v DESC":
+            [(7, 9.0), (4, 8.0), (1, 7.0), (8, 6.0), (5, 5.0),
+             (2, 4.0), (9, 3.0), (6, 2.0), (3, 1.0), (0, 0.0)],
+        "SELECT k, SUM(v) AS s FROM u GROUP BY k ORDER BY 0 - k, v * 2":
+            [(9, 3.0), (8, 6.0), (7, 9.0), (6, 2.0), (5, 5.0),
+             (4, 8.0), (3, 1.0), (2, 4.0), (1, 7.0), (0, 0.0)],
+    }
+
+    @pytest.fixture(params=[7, 65_536])
+    def grouped(self, request) -> Database:
+        database = Database(morsel_rows=request.param)
+        database.execute("CREATE TABLE g (k INTEGER, w STRING, v DOUBLE)")
+        database.execute("INSERT INTO g VALUES " + ", ".join(
+            f"({i % 5}, 'w{i % 3}', {i * 0.5})" for i in range(40)))
+        database.execute("CREATE TABLE u (k INTEGER, v DOUBLE)")
+        database.execute("INSERT INTO u VALUES " + ", ".join(
+            f"({i}, {(i * 7) % 10})" for i in range(10)))
+        return database
+
+    @pytest.mark.parametrize("sql", CASES)
+    def test_rows_unchanged(self, grouped, sql):
+        assert grouped.execute(sql).fetchall() == self.CASES[sql]
+
+    @pytest.mark.parametrize("key", ["k + 1", "g.k"])
+    def test_key_over_input_rows_that_does_not_fit_the_groups(self, grouped, key):
+        with pytest.raises(ExecutionError, match="length mismatch"):
+            grouped.execute(f"SELECT k, SUM(v) AS s FROM g GROUP BY k ORDER BY {key}")
+
+    def test_input_batch_built_only_for_an_evaluated_key(self, grouped, monkeypatch):
+        from repro.sqldb import operators
+
+        calls = []
+        concat = operators.concat_batches
+        monkeypatch.setattr(operators, "concat_batches",
+                            lambda batches: calls.append(1) or concat(batches))
+
+        def concatenations(sql: str) -> int:
+            calls.clear()
+            grouped.execute(sql)
+            return len(calls)
+
+        # counted inside ``operators`` only: the aggregate's own, plus the sort's
+        aggregate = "SELECT k, SUM(v) AS s FROM u GROUP BY k"
+        unsorted = concatenations(aggregate)
+        # every key an output column or an ordinal: the sort adds none
+        assert concatenations(aggregate + " ORDER BY s DESC, 1") == unsorted
+        # two evaluated keys share one
+        assert concatenations(aggregate + " ORDER BY 0 - k, v * 2") == unsorted + 1
+
+
 class TestJoins:
     @pytest.fixture()
     def join_db(self) -> Database:
