@@ -16,7 +16,6 @@ from .client import (
     RetryPolicy,
     TransferOptions,
     is_idempotent_statement,
-    split_statements,
 )
 from .compression import (
     CODEC_NONE,
@@ -92,6 +91,5 @@ __all__ = [
     "result_messages",
     "sample_columns",
     "sample_indices",
-    "split_statements",
     "start_demo_server",
 ]

@@ -22,8 +22,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
 from ..errors import (
     AuthenticationError,
     ConnectionClosedError,
@@ -32,9 +30,8 @@ from ..errors import (
     ProtocolError,
 )
 from ..sqldb.result import QueryResult
-from ..sqldb.storage import arrays_to_values
+from ..sqldb.parser import Parser
 from ..sqldb.types import SQLType
-from ..sqldb.vector import Vector
 from . import compression as compression_mod
 from .auth import client_digest, compute_response
 from .messages import (
@@ -420,15 +417,13 @@ class Connection:
         self.stats.history.append(transfer)
 
     def execute_script(self, sql: str) -> list[QueryResult]:
-        """Execute a semicolon-separated script client-side, one statement at a time."""
-        from ..sqldb.parser import parse_script  # reuse the statement splitter
-        # Re-render is not needed: we split on the raw text boundaries by
-        # parsing and re-rendering is lossy for UDF bodies, so instead execute
-        # the full script in one round trip per statement using the parser's
-        # statement count as validation.
-        statements = split_statements(sql)
-        _ = parse_script  # imported for documentation purposes
-        return [self.execute(statement) for statement in statements]
+        """Execute a semicolon-separated script, one round trip per statement.
+
+        The engine's parser splits it (each statement's exact source text is
+        sent), so — like :meth:`Database.execute_script` — a syntax error
+        anywhere fails the script before its first statement is sent.
+        """
+        return [self.execute(text) for _, text in Parser(sql).parse_script()]
 
     def server_stats(self) -> dict[str, int]:
         """Fetch the server's flat counter snapshot (``stats`` message).
@@ -692,7 +687,8 @@ class ResultStream:
                     break
             raise
         if decode_rows:
-            self._rows.extend(_decoded_chunk_rows(columns))
+            self._rows.extend(
+                zip(*[column.materialise() for column in columns]))
         if assembler.complete:
             self._finalise()
 
@@ -836,50 +832,3 @@ def _ends_stream(message: dict[str, Any]) -> bool:
     arrives in its place (an error frame): nothing further is on the wire."""
     return bool(message.get("last")) \
         or message.get("type") != MSG_RESULT_CHUNK
-
-
-def _decoded_chunk_rows(columns: Sequence[Any]) -> list[tuple]:
-    """Materialise one decoded chunk's columns into row tuples."""
-    lists: list[list[Any]] = []
-    for column in columns:
-        data, mask = column.materialise()
-        if isinstance(data, Vector):
-            lists.append(data.to_list())
-        elif isinstance(data, np.ndarray) or mask is not None:
-            lists.append(arrays_to_values(data, mask))
-        else:
-            lists.append(list(data))
-    return [tuple(row) for row in zip(*lists)] if lists else []
-
-
-def split_statements(sql: str) -> list[str]:
-    """Split a SQL script into statements, respecting strings and UDF bodies."""
-    statements: list[str] = []
-    current: list[str] = []
-    depth = 0
-    in_string: str | None = None
-    for char in sql:
-        if in_string is not None:
-            current.append(char)
-            if char == in_string:
-                in_string = None
-            continue
-        if char in ("'", '"'):
-            in_string = char
-            current.append(char)
-            continue
-        if char == "{":
-            depth += 1
-        elif char == "}":
-            depth = max(depth - 1, 0)
-        if char == ";" and depth == 0:
-            text = "".join(current).strip()
-            if text:
-                statements.append(text)
-            current = []
-            continue
-        current.append(char)
-    tail = "".join(current).strip()
-    if tail:
-        statements.append(tail)
-    return statements

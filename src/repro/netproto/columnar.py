@@ -45,9 +45,8 @@ import numpy as np
 
 from ..errors import WireFormatError
 from ..sqldb.result import QueryResult, ResultColumn
-from ..sqldb.storage import arrays_to_values
 from ..sqldb.types import SQLType
-from ..sqldb.vector import Vector
+from ..sqldb.vector import Vector, concat_values
 from . import compression as compression_mod
 from .wire import decode_value, encode_value
 
@@ -72,7 +71,9 @@ _DICT_MIN_ROWS = 16
 
 
 def _dictionary_worthwhile(dictionary_size: int, row_count: int) -> bool:
-    return row_count >= _DICT_MIN_ROWS and dictionary_size * 2 <= row_count
+    # an empty dictionary (the all-NULL rows of a LEFT JOIN against an empty
+    # string column) has no code a decoder would accept
+    return row_count >= _DICT_MIN_ROWS and 0 < dictionary_size * 2 <= row_count
 
 
 def _maybe_build_dictionary(values: list[Any]) -> Vector | None:
@@ -196,7 +197,7 @@ class ChunkEncoder:
 
     def _dictionary_vector(self, column: ResultColumn) -> Vector | None:
         """A dictionary vector worth shipping as ``TAG_DICT``, else None."""
-        vector = column.dict_vector() if hasattr(column, "dict_vector") else None
+        vector = column.dict_vector()
         if vector is not None:
             if _dictionary_worthwhile(len(vector.dictionary), len(vector)):
                 return vector
@@ -316,25 +317,23 @@ class DecodedColumn:
     codes: np.ndarray | None = None     # TAG_DICT codes view (int32)
     dictionary: np.ndarray | None = None  # TAG_DICT unique-value table
 
-    def materialise(self) -> tuple[Any, np.ndarray | None]:
-        """Produce the ``(data, mask)`` pair a :class:`ResultColumn` wants.
+    def materialise(self) -> Vector | list[Any]:
+        """Produce the backing a :class:`ResultColumn` wants.
 
-        Returns ``(ndarray, mask)`` for fixed-width columns (zero-copy),
-        ``(Vector, None)`` for dictionary columns (codes stay encoded; the
-        mask travels inside the vector) and ``(list-with-Nones, None)`` for
-        var-width/object columns.
+        A :class:`Vector` for fixed-width columns (over the received buffer,
+        zero-copy) and dictionary columns (codes stay encoded), a value list
+        (``None`` = NULL) for var-width/object columns.
         """
         if self.data is not None:
-            return self.data, self.mask
+            return Vector(self.data, self.mask, None, self.sql_type)
         if self.codes is not None:
-            vector = Vector.from_codes(self.codes, self.dictionary,
-                                       self.mask, self.sql_type)
-            return vector, None
+            return Vector.from_codes(self.codes, self.dictionary,
+                                     self.mask, self.sql_type)
         if self.objects is not None:
             values = decode_value(self.objects)
             if not isinstance(values, list):
                 raise WireFormatError("object column payload is not a list")
-            return values, None
+            return values
         assert self.offsets is not None and self.blob is not None
         starts = self.offsets[:-1]
         stops = self.offsets[1:]
@@ -349,7 +348,7 @@ class DecodedColumn:
         if self.mask is not None:
             for index in np.flatnonzero(self.mask):
                 values[index] = None
-        return values, None
+        return values
 
 
 class _BlobReader:
@@ -459,49 +458,10 @@ def columns_from_chunks(column_index: int, name: str, sql_type: SQLType,
     """Assemble one lazy :class:`ResultColumn` from its per-chunk pieces.
 
     Single-chunk fixed-width columns stay zero-copy views of the received
-    buffer; multi-chunk columns concatenate on first touch.
+    buffer; multi-chunk columns concatenate on first touch (pieces sharing
+    one dictionary stay dictionary-encoded client-side).
     """
     pieces = [chunk[column_index] for chunk in chunks]
-
-    def loader() -> tuple[Any, np.ndarray | None]:
-        if len(pieces) == 1:
-            return pieces[0].materialise()
-        if all(piece.codes is not None for piece in pieces) and all(
-                piece.dictionary is pieces[0].dictionary for piece in pieces):
-            # one shared dictionary: concatenating the code buffers is the
-            # whole merge — the column stays dictionary-encoded client-side
-            codes = np.concatenate([piece.codes for piece in pieces])
-            if any(piece.mask is not None for piece in pieces):
-                mask = np.concatenate([
-                    piece.mask if piece.mask is not None
-                    else np.zeros(len(piece.codes), dtype=bool)
-                    for piece in pieces
-                ])
-            else:
-                mask = None
-            return Vector.from_codes(codes, pieces[0].dictionary,
-                                     mask, sql_type), None
-        datas, masks, any_mask = [], [], False
-        for piece in pieces:
-            data, mask = piece.materialise()
-            datas.append(data)
-            masks.append(mask)
-            any_mask = any_mask or mask is not None
-        if all(isinstance(data, np.ndarray) for data in datas):
-            merged = np.concatenate(datas) if datas else np.empty(0)
-            if not any_mask:
-                return merged, None
-            full_mask = np.concatenate([
-                mask if mask is not None else np.zeros(len(data), dtype=bool)
-                for data, mask in zip(datas, masks)
-            ])
-            return merged, full_mask
-        values: list[Any] = []
-        for data, mask in zip(datas, masks):
-            if isinstance(data, Vector):
-                values.extend(data.to_list())
-            else:
-                values.extend(arrays_to_values(data, mask))
-        return values, None
-
-    return ResultColumn.lazy(name, sql_type, total_rows, loader)
+    return ResultColumn.lazy(
+        name, sql_type, total_rows,
+        lambda: concat_values([piece.materialise() for piece in pieces]))

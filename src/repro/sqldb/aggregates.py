@@ -2,7 +2,7 @@
 
 Two execution tiers live here: the original per-value Python implementations
 (exact SQL NULL semantics, used for object columns and exotic aggregates) and
-numpy kernels used when the input is a typed array or a
+numpy kernels used when the input is a
 :class:`repro.sqldb.vector.Vector` — whole-column reductions for implicit
 aggregation and ``reduceat``-based grouped reductions for single-pass hash
 aggregation.  NULL-bearing vectors stay on the numpy tier: SUM/AVG zero-fill
@@ -172,9 +172,9 @@ def call_aggregate(name: str, values: Sequence[Any], *, is_star: bool = False,
                    distinct: bool = False) -> Any:
     """Evaluate an aggregate over the per-row values of its argument.
 
-    ``values`` may be a list, a numpy array or a :class:`Vector`; typed
-    arrays and vectors are reduced with numpy (masks excluded per SQL NULL
-    semantics), everything else by the per-value implementations.
+    ``values`` may be a :class:`Vector`, a list or a BLOB object array;
+    vectors are reduced with numpy (masks excluded per SQL NULL semantics),
+    everything else by the per-value implementations.
     """
     upper = name.upper()
     if upper not in AGGREGATE_FUNCTIONS:
@@ -185,12 +185,6 @@ def call_aggregate(name: str, values: Sequence[Any], *, is_star: bool = False,
             if result is not _FALLBACK:
                 return python_value(result)
         values = values.to_list()
-    if isinstance(values, np.ndarray):
-        if (not distinct and values.dtype != object and values.size > 0
-                and upper in VECTOR_AGGREGATES
-                and not _int_sum_may_overflow(upper, values)):
-            return _whole_column_vector(upper, values)
-        values = values.tolist()
     if distinct:
         seen: list[Any] = []
         for value in values:
@@ -475,8 +469,8 @@ def grouped_aggregate(name: str, values: Sequence[Any], layout: GroupLayout, *,
                       is_star: bool = False, distinct: bool = False) -> list[Any]:
     """Per-group aggregate results, in group order (one entry per group).
 
-    ``values`` is the row-aligned argument column.  Typed arrays and vectors
-    with a vectorisable aggregate are reduced in one ``reduceat`` pass
+    ``values`` is the row-aligned argument column.  Vectors with a
+    vectorisable aggregate are reduced in one ``reduceat`` pass
     (mask-aware for NULL-bearing vectors); all other cases delegate to
     :func:`call_aggregate` per group, which keeps the results bit-identical
     to the per-group execution path.
@@ -491,16 +485,8 @@ def grouped_aggregate(name: str, values: Sequence[Any], layout: GroupLayout, *,
         result = _grouped_vector_masked(upper, values, layout)
         if result is not None:
             return result
-    if (not distinct and layout.size > 0 and upper in VECTOR_AGGREGATES
-            and isinstance(values, np.ndarray) and values.dtype != object
-            and not _int_sum_may_overflow(upper, values)):
-        return _grouped_vector(upper, values, layout)
-    if isinstance(values, Vector):
-        value_list: list[Any] = values.to_list()
-    elif isinstance(values, np.ndarray):
-        value_list = values.tolist()
-    else:
-        value_list = list(values)
+    value_list = values.to_list() if isinstance(values, Vector) \
+        else list(values)
     return [
         call_aggregate(name, [value_list[i] for i in rows],
                        is_star=is_star, distinct=distinct)

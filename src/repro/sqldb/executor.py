@@ -540,7 +540,7 @@ class Executor:
     @staticmethod
     def _batch_from_table(table: Table, *, alias: str) -> Batch:
         # zero-copy scan: the batch holds the storage layer's published
-        # (read-only) arrays/vectors, no column is copied per query
+        # (read-only) vectors, no column is copied per query
         table.check_readable()
         from .expressions import BatchColumn
 

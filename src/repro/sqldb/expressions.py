@@ -1,19 +1,19 @@
 """Vectorised (column-at-a-time) expression evaluation.
 
 The evaluator works on a :class:`Batch` — the columnar intermediate produced
-by the FROM clause — and returns one value column per expression.  Batch
-columns may be backed by plain Python lists, by shared numpy arrays (the
-zero-copy scan format produced by the storage layer), or by
-:class:`repro.sqldb.vector.Vector`s (typed values + validity mask + optional
-string dictionary).  Comparison, arithmetic and logical operators run as
-whole-array numpy kernels whenever the operands are numeric arrays, masked
-vectors or dictionary vectors: NULLs propagate by mask union (Kleene
-three-valued logic for AND/OR), string comparisons and LIKE run over the
-dictionary codes, and only genuinely object-typed data (BLOBs, mixed-type
-columns) falls back to the per-element interpreter.  Scalar Python UDFs
-referenced in expressions are invoked **once per operator call** with whole
-columns, which is the MonetDB operator-at-a-time behaviour the paper's §2.4
-contrasts with tuple-at-a-time engines.
+by the FROM clause — and returns one value column per expression.  Column
+data has one typed shape, the :class:`repro.sqldb.vector.Vector` (typed
+values + optional validity mask + optional string dictionary; a stored
+column's scan is one, zero-copy), and the Python tier's two: a plain list
+and the object array a BLOB column stores.  Comparison, arithmetic and
+logical operators run as whole-array numpy kernels over vectors and return
+vectors: NULLs propagate by mask union (Kleene three-valued logic for
+AND/OR), string comparisons and LIKE run over the dictionary codes, and only
+genuinely object-typed data (BLOBs, mixed-type columns) and operands a typed
+kernel cannot hold fall back to the per-element interpreter.  Scalar Python
+UDFs referenced in expressions are invoked **once per operator call** with
+whole columns, which is the MonetDB operator-at-a-time behaviour the paper's
+§2.4 contrasts with tuple-at-a-time engines.
 """
 
 from __future__ import annotations
@@ -28,10 +28,11 @@ from ..errors import ExecutionError
 from . import ast_nodes as ast
 from .aggregates import call_aggregate, is_aggregate
 from .functions import call_builtin_scalar, is_builtin_scalar
-from .types import SQLType, infer_sql_type, python_value
+from .types import SQLType, infer_sql_type
 from .udf import columns_to_udf_args, convert_scalar_result
 from .vector import (
     Vector,
+    as_value_list,
     combine_masks,
     remap_to_shared_dictionary,
     slice_column_values,
@@ -42,41 +43,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 # --------------------------------------------------------------------------- #
-# value-sequence helpers (lists and numpy arrays are both valid column data)
+# value-sequence helpers (column data is a Vector, a list or a BLOB object
+# array; ``as_value_list`` / ``concat_values`` live next to ``Vector``)
 # --------------------------------------------------------------------------- #
-def as_value_list(values: Any) -> list[Any]:
-    """A plain Python list of Python values.
-
-    ``ndarray.tolist`` already yields Python scalars; list inputs are
-    sanitised element-wise because per-element fallback paths (CASE over a
-    vector column, builtins over array arguments) can leave numpy scalars
-    behind.
-    """
-    if isinstance(values, Vector):
-        return values.to_list()
-    if isinstance(values, np.ndarray):
-        return values.tolist()
-    return [python_value(value) for value in values]
-
-
-def is_vector(values: Any) -> bool:
-    """True for numpy-array-backed column data with a computable dtype."""
-    return isinstance(values, np.ndarray) and values.dtype != object
-
-
 def _python_elements(values: Any) -> Any:
-    """Detach a typed array / vector into Python values for per-element
-    evaluation; lists and object arrays already hold Python objects and pass
-    through."""
+    """Detach a vector into Python values for per-element evaluation; lists
+    and object arrays already hold Python objects and pass through."""
     if isinstance(values, Vector):
         return values.to_list()
-    if isinstance(values, np.ndarray) and values.dtype != object:
-        return values.tolist()
     return values
 
 
 def take_values(values: Any, indices: Any) -> Any:
-    """Gather ``values`` at ``indices`` (fancy indexing for arrays/vectors)."""
+    """Gather ``values`` at ``indices`` (fancy indexing for vectors and a
+    BLOB column's object array)."""
     if isinstance(values, Vector):
         return values.take(indices)
     if isinstance(values, np.ndarray):
@@ -89,46 +69,6 @@ def take_values(values: Any, indices: Any) -> Any:
 slice_values = slice_column_values
 
 
-def concat_values(pieces: Sequence[Any]) -> Any:
-    """Concatenate per-morsel column data back into one column.
-
-    Vector pieces sharing one dictionary stay dictionary-encoded; typed
-    arrays concatenate as arrays; anything else falls back to one Python
-    list.  Single pieces pass through untouched (no copy for an input that
-    fits one morsel).
-    """
-    pieces = list(pieces)
-    if len(pieces) == 1:
-        return pieces[0]
-    if not pieces:
-        return []
-    if all(isinstance(piece, Vector) for piece in pieces):
-        first = pieces[0]
-        same_dict = all(piece.dictionary is first.dictionary
-                        for piece in pieces)
-        same_type = all(piece.sql_type is first.sql_type for piece in pieces)
-        if same_dict and same_type:
-            data = np.concatenate([piece.data for piece in pieces])
-            if any(piece.mask is not None for piece in pieces):
-                mask = np.concatenate([
-                    piece.mask if piece.mask is not None
-                    else np.zeros(len(piece), dtype=bool)
-                    for piece in pieces
-                ])
-            else:
-                mask = None
-            return Vector(data, mask, first.dictionary, first.sql_type)
-    if all(isinstance(piece, np.ndarray) and piece.dtype != object
-           for piece in pieces):
-        dtypes = {piece.dtype for piece in pieces}
-        if len(dtypes) == 1:
-            return np.concatenate(pieces)
-    merged: list[Any] = []
-    for piece in pieces:
-        merged.extend(as_value_list(piece))
-    return merged
-
-
 # --------------------------------------------------------------------------- #
 # Batch: the columnar intermediate
 # --------------------------------------------------------------------------- #
@@ -136,8 +76,9 @@ def concat_values(pieces: Sequence[Any]) -> Any:
 class BatchColumn:
     """One column inside a batch, qualified by its source table alias.
 
-    ``values`` is either a Python list or a (possibly shared, treat-as-
-    read-only) numpy array view of the storage layer's column buffers.
+    ``values`` is a :class:`Vector` (every typed column; a stored column's
+    is a shared, read-only view of its buffers), a Python list, or the
+    object array of a BLOB column — never a bare typed array.
     """
 
     table: str | None
@@ -249,7 +190,8 @@ class Batch:
 class EvalResult:
     """The outcome of evaluating one expression over a batch.
 
-    ``values`` is either a Python list or a numpy array (vectorised path).
+    ``values`` is a :class:`Vector` (every kernel's result) or, from the
+    per-element tier, a Python list / BLOB object array.
     """
 
     values: Any
@@ -263,7 +205,9 @@ class EvalResult:
         if len(self.values) == length:
             return self.values
         if len(self.values) == 1:
-            if isinstance(self.values, np.ndarray):
+            if isinstance(self.values, Vector):
+                return self.values.repeat(length)
+            if isinstance(self.values, np.ndarray):  # one-row BLOB column
                 return np.repeat(self.values, length)
             return self.values * length
         raise ExecutionError(
@@ -348,9 +292,8 @@ class ExpressionEvaluator:
     def evaluate_mask(self, expression: ast.Expression) -> Sequence[bool]:
         """Evaluate a predicate and return a boolean mask over the batch rows.
 
-        Array-backed predicates yield a numpy bool array (NULL is impossible
-        there); list-backed predicates yield a Python list with SQL's
-        NULL-is-not-true semantics applied.
+        Vector predicates yield a numpy bool array, list-backed ones a
+        Python list; both with SQL's NULL-is-not-true semantics applied.
         """
         result = self.evaluate(expression)
         values = result.broadcast(self.batch.row_count)
@@ -359,10 +302,6 @@ class ExpressionEvaluator:
             if values.mask is not None:
                 data = data & ~values.mask  # NULL is not true
             return data
-        if isinstance(values, np.ndarray) and values.dtype != object:
-            if values.dtype == np.bool_:
-                return values
-            return values == 1
         return [value is True or value == 1 for value in as_value_list(values)]
 
     def contains_aggregate(self, expression: ast.Expression) -> bool:
@@ -407,9 +346,6 @@ class ExpressionEvaluator:
     def _eval_UnaryOp(self, node: ast.UnaryOp) -> EvalResult:
         operand = self.evaluate(node.operand)
         if node.op == "-":
-            if is_vector(operand.values) and operand.values.dtype != np.bool_ \
-                    and not _int_arith_may_overflow("-", 0, operand.values):
-                return EvalResult(-operand.values, operand.constant, operand.sql_type)
             if isinstance(operand.values, Vector) \
                     and operand.values.dictionary is None \
                     and operand.values.data.dtype != np.bool_ \
@@ -421,9 +357,6 @@ class ExpressionEvaluator:
                       for v in _python_elements(operand.values)]
             return EvalResult(values, operand.constant, operand.sql_type)
         if node.op == "NOT":
-            if is_vector(operand.values):
-                return EvalResult(~operand.values.astype(np.bool_),
-                                  operand.constant, SQLType.BOOLEAN)
             if isinstance(operand.values, Vector) \
                     and operand.values.dictionary is None:
                 inverted = Vector(
@@ -481,8 +414,8 @@ class ExpressionEvaluator:
 
     def _vector_binary(self, op: str, left: EvalResult, right: EvalResult,
                        constant: bool) -> EvalResult | None:
-        """Whole-array kernel over arrays, masked vectors and dictionary
-        vectors; ``None`` = fall back to the per-element tier.
+        """Whole-array kernel over (masked, dictionary) vectors and scalar
+        constants; ``None`` = fall back to the per-element tier.
 
         NULLs propagate by mask union (Kleene logic for AND/OR); string
         equality/ordering against a constant or another dictionary vector
@@ -566,7 +499,8 @@ class ExpressionEvaluator:
         rb = self._as_bool_array(r_data)
         if l_mask is None and r_mask is None:
             combine = np.logical_and if op == "AND" else np.logical_or
-            return EvalResult(np.asarray(combine(lb, rb)), constant, SQLType.BOOLEAN)
+            return self._masked_result(np.asarray(combine(lb, rb)), None,
+                                       SQLType.BOOLEAN, constant)
         # Python bools must become numpy bools: ``~False`` is the *integer*
         # -1, which would poison the known_true/known_false masks below
         if not isinstance(lb, np.ndarray):
@@ -617,8 +551,6 @@ class ExpressionEvaluator:
     @staticmethod
     def _masked_result(data: np.ndarray, mask: np.ndarray | None,
                        sql_type: SQLType, constant: bool) -> EvalResult:
-        if mask is None or not mask.any():
-            return EvalResult(data, constant, sql_type)
         return EvalResult(Vector(data, mask, None, sql_type), constant, sql_type)
 
     @staticmethod
@@ -641,8 +573,6 @@ class ExpressionEvaluator:
         values = result.values
         if isinstance(values, Vector):
             return values.data, values.mask, values.dictionary
-        if is_vector(values):
-            return values, None, None
         if result.constant and len(values) == 1:
             value = values[0]
             if value is None:
@@ -738,27 +668,26 @@ class ExpressionEvaluator:
                 values = np.full(len(vector), node.negated, dtype=np.bool_)
             else:
                 values = ~vector.mask if node.negated else vector.mask.copy()
-            return EvalResult(values, operand.constant, SQLType.BOOLEAN)
-        if is_vector(operand.values):
-            # a non-object array cannot contain NULLs
-            values = np.full(len(operand.values), node.negated, dtype=np.bool_)
-            return EvalResult(values, operand.constant, SQLType.BOOLEAN)
+            return self._masked_result(values, None, SQLType.BOOLEAN,
+                                       operand.constant)
         values = [(v is None) != node.negated for v in operand.values]
         return EvalResult(values, operand.constant, SQLType.BOOLEAN)
 
     def _eval_InList(self, node: ast.InList) -> EvalResult:
         operand = self.evaluate(node.operand)
         item_results = [self.evaluate(item) for item in node.items]
-        if is_vector(operand.values) and all(
+        vector = operand.values
+        if isinstance(vector, Vector) and vector.dictionary is None and all(
             result.constant and len(result.values) == 1
             and result.values[0] is not None
             and isinstance(result.values[0], (bool, int, float))
             for result in item_results
         ):
             members = [result.values[0] for result in item_results]
-            found = np.isin(operand.values, members)
-            return EvalResult(found != node.negated, constant=False,
-                              sql_type=SQLType.BOOLEAN)
+            found = np.isin(vector.data, members)
+            # a NULL operand is neither IN nor NOT IN the list: NULL
+            return self._masked_result(found != node.negated, vector.mask,
+                                       SQLType.BOOLEAN, constant=False)
         length = self._element_length([operand] + item_results)
         operand_values = operand.broadcast(length)
         item_columns = [r.broadcast(length) for r in item_results]
@@ -861,10 +790,6 @@ class ExpressionEvaluator:
         from .types import coerce_value
 
         operand = self.evaluate(node.operand)
-        if is_vector(operand.values) and node.target_type.is_floating \
-                and operand.values.dtype.kind in "bif":
-            return EvalResult(operand.values.astype(np.float64),
-                              operand.constant, node.target_type)
         if isinstance(operand.values, Vector) \
                 and operand.values.dictionary is None \
                 and node.target_type.is_floating \

@@ -49,11 +49,8 @@ from .expressions import (
     BatchColumn,
     EvalResult,
     ExpressionEvaluator,
-    as_value_list,
     child_expressions,
-    concat_values,
     default_output_name,
-    is_vector,
     iter_function_calls,
     slice_values,
     take_values,
@@ -61,7 +58,7 @@ from .expressions import (
 from .functions import is_builtin_scalar
 from .result import QueryResult, ResultColumn
 from .types import SQLType, infer_sql_type, python_value
-from .vector import NULL_CODE, Vector, vector_parts
+from .vector import NULL_CODE, Vector, as_value_list, concat_values
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .database import Database
@@ -269,8 +266,6 @@ def grouping_key_array(values: Any) -> np.ndarray | None:
     vectors group on their codes directly; masked numeric vectors factorise
     the valid values with ``np.unique`` so NULLs get a code of their own.
     """
-    if is_vector(values):
-        return values
     if not isinstance(values, Vector):
         return None
     if values.dictionary is not None:
@@ -651,22 +646,20 @@ class HashJoin(PhysicalOperator):
         """Try to set up the vectorised single-key equi-join.
 
         Mirrors the former ``_join_key_arrays`` eligibility rules: both
-        sides must expose (data, mask, dictionary) parts, dictionaries must
-        agree in kind, and mixed int/float keys only qualify while values
-        stay exactly representable in float64 (the right side is checked
-        here; each left morsel re-checks its own values and falls back to
-        the hash build for exact Python equality, as the sequential engine
-        did for the whole join).
+        sides must be vectors, dictionaries must agree in kind, and mixed
+        int/float keys only qualify while values stay exactly representable
+        in float64 (the right side is checked here; each left morsel
+        re-checks its own values and falls back to the hash build for exact
+        Python equality, as the sequential engine did for the whole join).
         """
         left_ref, right_ref = self._pairs[0]
-        left_parts = vector_parts(
-            left_template.resolve(left_ref.name, left_ref.table).values)
-        right_parts = vector_parts(
-            right.resolve(right_ref.name, right_ref.table).values)
-        if left_parts is None or right_parts is None:
+        left_key = left_template.resolve(left_ref.name, left_ref.table).values
+        right_key = right.resolve(right_ref.name, right_ref.table).values
+        if not (isinstance(left_key, Vector) and isinstance(right_key, Vector)):
             return
-        l_data, _, l_dict = left_parts
-        r_data, r_mask, r_dict = right_parts
+        l_data, l_dict = left_key.data, left_key.dictionary
+        r_data, r_mask, r_dict = \
+            right_key.data, right_key.mask, right_key.dictionary
         if (l_dict is None) != (r_dict is None):
             return  # string-vs-number join: Python equality semantics apply
         if l_dict is not None:
@@ -760,11 +753,10 @@ class HashJoin(PhysicalOperator):
                           ) -> tuple[np.ndarray, np.ndarray | None] | None:
         """This morsel's normalised probe key, or None to use the hash tier."""
         left_ref = self._pairs[0][0]
-        parts = vector_parts(morsel.resolve(left_ref.name, left_ref.table).values)
-        if parts is None:
-            return None  # e.g. a flushed unmatched batch turned the column
-            # into a Python list: probe it with exact Python equality
-        data, mask, dictionary = parts
+        key = morsel.resolve(left_ref.name, left_ref.table).values
+        if not isinstance(key, Vector):
+            return None  # a list-backed morsel column: exact Python equality
+        data, mask, dictionary = key.data, key.mask, key.dictionary
         if self._left_dict_map is not None:
             if dictionary is None:
                 return None
@@ -836,7 +828,8 @@ class HashJoin(PhysicalOperator):
                         take_values(c.values, unmatched))
             for c in morsel.columns
         ] + [
-            BatchColumn(c.table, c.name, c.sql_type, [None] * count)
+            BatchColumn(c.table, c.name, c.sql_type,
+                        _all_null_like(c.values, count))
             for c in right.columns
         ]
         return Batch(columns, row_count=count)
@@ -847,6 +840,18 @@ class HashJoin(PhysicalOperator):
             return "HashJoin [CROSS]"
         return (f"HashJoin [{self.join_type} "
                 f"ON {render_expression(self.condition)}]")
+
+
+def _all_null_like(values: Any, count: int) -> Any:
+    """``count`` NULL rows of the build column ``values``' shape: a vector
+    of its type sharing its dictionary object, so the flushed LEFT-join rows
+    concatenate with the matches (and probe a later join) typed; a BLOB /
+    list column stays a list."""
+    if not isinstance(values, Vector):
+        return [None] * count
+    return Vector(np.zeros(count, dtype=values.data.dtype),
+                  np.ones(count, dtype=np.bool_), values.dictionary,
+                  values.sql_type)
 
 
 def _exceeds_float_exact(data: np.ndarray) -> bool:
@@ -902,10 +907,7 @@ class Project(PhysicalOperator):
                 # keep the vector backing: no Python-object materialisation,
                 # and the dictionary flows through to the wire encoder
                 sql_type = result.sql_type or values.sql_type
-                columns.append(ResultColumn.from_vector(name, sql_type, values))
-                continue
-            if is_vector(values) and result.sql_type is not None:
-                columns.append(ResultColumn(name, result.sql_type, values))
+                columns.append(ResultColumn(name, sql_type, values))
                 continue
             values = as_value_list(values)
             sql_type = result.sql_type or infer_column_type(values)
@@ -934,16 +936,9 @@ def concat_result_pieces(pieces: Sequence[QueryResult]) -> QueryResult:
     first = pieces[0]
     columns: list[ResultColumn] = []
     for index, column in enumerate(first.columns):
-        parts = []
-        for piece in pieces:
-            part = piece.columns[index]
-            backing = part.batch_values()
-            parts.append(backing)
-        merged = concat_values(parts)
+        merged = concat_values(
+            [piece.columns[index].batch_values() for piece in pieces])
         if isinstance(merged, Vector):
-            columns.append(ResultColumn.from_vector(
-                column.name, column.sql_type, merged))
-        elif isinstance(merged, np.ndarray) and merged.dtype != object:
             columns.append(ResultColumn(column.name, column.sql_type, merged))
         else:
             values = as_value_list(merged)
@@ -1220,8 +1215,6 @@ def _has_inexact_keys(values: Any) -> bool:
             return False
         data = values.data if values.mask is None else values.data[~values.mask]
         return bool(np.isnan(data).any())
-    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
-        return bool(np.isnan(values).any())
     return False
 
 

@@ -44,8 +44,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, BinaryIO
 
-import numpy as np
-
 from ...errors import CorruptionError, PersistenceError
 from ...netproto import compression as compression_mod
 from ...netproto.columnar import ChunkEncoder, decode_chunk
@@ -55,7 +53,6 @@ from ..result import QueryResult, ResultColumn
 from ..storage import (
     QuarantinedRange,
     Storage,
-    arrays_to_values,
     compact_dictionary,
 )
 from ..types import NUMPY_DTYPES, SQLType
@@ -331,12 +328,12 @@ def _load_segment(table: Any, blob: bytes,
     """Decode one segment blob through the shared wire path into ``table``.
 
     The decoded buffers are what a column stores and are appended as they
-    are — ``(data, mask)``, or ``(codes, mask, dictionary)`` for dictionary
-    strings; only var-width/object sections (and one that does not match
-    the column's type) are coerced from Python values.  Every column's
-    batch is ready before any column is touched, so a failure in column k
-    cannot leave columns 0..k-1 a segment longer than the rest (the salvage
-    loader relies on a failed segment leaving the table as it was).
+    are — a vector's ``(data, mask)``, or ``(codes, mask, dictionary)`` for
+    dictionary strings; only var-width/object sections (and one that does
+    not match the column's type) are coerced from Python values.  Every
+    column's batch is ready before any column is touched, so a failure in
+    column k cannot leave columns 0..k-1 a segment longer than the rest (the
+    salvage loader relies on a failed segment leaving the table as it was).
     """
     try:
         row_count, decoded = decode_chunk(blob)
@@ -347,17 +344,14 @@ def _load_segment(table: Any, blob: bytes,
                 f"of table {table.name!r}")
         batches: list[tuple[Any, ...]] = []
         for column, piece in zip(table.columns, decoded):
-            data, mask = piece.materialise()
-            if isinstance(data, Vector) and data.is_dict \
-                    and column.sql_type is SQLType.STRING:
+            data = piece.materialise()
+            if isinstance(data, Vector) and (
+                    column.sql_type is SQLType.STRING if data.is_dict
+                    else data.data.dtype == NUMPY_DTYPES[column.sql_type]):
                 batch = (data.data, data.mask, data.dictionary)
-            elif isinstance(data, np.ndarray) \
-                    and data.dtype == NUMPY_DTYPES[column.sql_type]:
-                batch = (data, mask)
             else:
                 batch = column.coerce_batch(
-                    data.to_list() if isinstance(data, Vector)
-                    else arrays_to_values(data, mask))
+                    data.to_list() if isinstance(data, Vector) else data)
             if len(batch[0]) != row_count:
                 raise PersistenceError(
                     f"database file {path}: segment column {column.name!r} "

@@ -6,7 +6,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .storage import arrays_to_values, column_to_numpy, values_to_arrays
+from .storage import column_to_numpy, values_to_arrays
 from .types import SQLType, infer_sql_type
 from .vector import Vector
 
@@ -14,38 +14,32 @@ from .vector import Vector
 class ResultColumn:
     """One column of a query result.
 
-    The column can be backed by a plain Python value list, by a numpy array
-    plus optional null mask (the shape produced by the vectorised executor
-    and by the columnar wire decoder), by a :class:`Vector` (typed values +
-    validity mask + optional string dictionary — the engine's unified vector
-    representation), or by a deferred loader that yields any of those on
-    first touch.  Consumers observe plain Python values: ``values``
-    materialises lazily, so a client that only ever re-exports the buffers
-    (or hands them to numpy code) never pays for Python object creation —
-    the lazy-decode half of the columnar protocol.
+    A typed column is backed by one :class:`Vector` (typed values + validity
+    mask + optional string dictionary — what the executor produced or the
+    columnar wire decoder received, zero-copy); everything else by a plain
+    Python value list; a lazy column by a loader that yields either on first
+    touch.  Consumers observe plain Python values: ``values`` materialises
+    lazily, so a client that only ever re-exports the buffers (or hands them
+    to numpy code) never pays for Python object creation — the lazy-decode
+    half of the columnar protocol.
     """
 
-    __slots__ = ("name", "sql_type", "_values", "_array", "_mask", "_vector",
-                 "_loader", "_length")
+    __slots__ = ("name", "sql_type", "_values", "_vector", "_loader", "_length")
 
     def __init__(self, name: str, sql_type: SQLType,
                  values: Sequence[Any] | np.ndarray | Vector | None = None) -> None:
         self.name = name
         self.sql_type = sql_type
         self._values: list[Any] | None = None
-        self._array: np.ndarray | None = None
-        self._mask: np.ndarray | None = None
         self._vector: Vector | None = None
-        self._loader: Callable[[], tuple[Any, np.ndarray | None]] | None = None
+        self._loader: Callable[[], Vector | list[Any]] | None = None
         self._length: int | None = None
         if isinstance(values, Vector):
             self._vector = values
         elif isinstance(values, np.ndarray):
-            if values.dtype == object:
-                # object arrays may hide numpy scalars or Nones; normalise now
-                self._values = values.tolist()
-            else:
-                self._array = values
+            # a BLOB column's object array (an array is never typed column
+            # data); it may hide numpy scalars or Nones: normalise now
+            self._values = values.tolist()
         elif values is None:
             self._values = []
         elif isinstance(values, list):
@@ -60,25 +54,15 @@ class ResultColumn:
     def from_arrays(cls, name: str, sql_type: SQLType, data: np.ndarray,
                     mask: np.ndarray | None = None) -> "ResultColumn":
         """Build a column over a ``(data, null mask)`` buffer pair, zero-copy."""
-        column = cls(name, sql_type, None)
-        column._values = None
-        column._array = data
-        column._mask = mask if mask is not None and mask.any() else None
-        return column
-
-    @classmethod
-    def from_vector(cls, name: str, sql_type: SQLType,
-                    vector: Vector) -> "ResultColumn":
-        """Build a column over a :class:`Vector`, zero-copy."""
-        return cls(name, sql_type, vector)
+        return cls(name, sql_type, Vector(data, mask, None, sql_type))
 
     @classmethod
     def lazy(cls, name: str, sql_type: SQLType, length: int,
-             loader: Callable[[], tuple[Any, np.ndarray | None]]) -> "ResultColumn":
-        """Build a column whose ``(data, mask)`` pair is produced on first use.
+             loader: Callable[[], Vector | list[Any]]) -> "ResultColumn":
+        """Build a column whose backing is produced on first use.
 
-        ``loader`` returns ``(ndarray, mask-or-None)``, ``(Vector, None)`` or
-        ``(list-with-Nones, None)``; it runs at most once.
+        ``loader`` returns a :class:`Vector` or a value list (``None`` =
+        NULL); it runs at most once.
         """
         column = cls(name, sql_type, None)
         column._values = None
@@ -88,26 +72,20 @@ class ResultColumn:
 
     def _load(self) -> None:
         if self._loader is not None:
-            data, mask = self._loader()
+            loaded = self._loader()
             self._loader = None
-            if isinstance(data, Vector):
-                self._vector = data
-            elif isinstance(data, np.ndarray) and data.dtype != object:
-                self._array = data
-                self._mask = mask if mask is not None and mask.any() else None
+            if isinstance(loaded, Vector):
+                self._vector = loaded
             else:
-                self._values = arrays_to_values(data, mask)
+                self._values = loaded
 
     @property
     def values(self) -> list[Any]:
-        """Plain Python values (materialised lazily from buffers)."""
+        """Plain Python values (materialised lazily from the vector)."""
         if self._values is None:
             self._load()
             if self._values is None:
-                if self._vector is not None:
-                    self._values = self._vector.to_list()
-                else:
-                    self._values = arrays_to_values(self._array, self._mask)
+                self._values = self._vector.to_list()
         return self._values
 
     @property
@@ -116,13 +94,12 @@ class ResultColumn:
         return self._values is not None
 
     def null_mask(self) -> np.ndarray | None:
-        """The null mask of the backing buffer, if the column is buffer-backed."""
-        if self._vector is not None:
-            return self._vector.mask
-        return self._mask
+        """The null mask of the backing vector, if the column has one."""
+        return self._vector.mask if self._vector is not None else None
 
     def vector(self) -> Vector | None:
-        """The backing :class:`Vector`, if any (loads a lazy column first)."""
+        """The backing :class:`Vector` — every typed column has one — or
+        ``None`` for a list-backed column (loads a lazy column first)."""
         self._load()
         return self._vector
 
@@ -132,50 +109,34 @@ class ResultColumn:
         return vector if vector is not None and vector.is_dict else None
 
     def batch_values(self) -> Any:
-        """The best available backing for re-use as executor batch data."""
-        self._load()
-        if self._vector is not None:
-            return self._vector
-        if self._values is None and self._array is not None:
-            if self._mask is None:
-                return self._array
-            return Vector(self._array, self._mask, None, self.sql_type)
-        return list(self.values)
+        """The backing for re-use as executor batch data: the vector, else a
+        copy of the value list."""
+        vector = self.vector()
+        return vector if vector is not None else list(self.values)
 
     def buffer_arrays(self) -> tuple[np.ndarray, np.ndarray | None]:
         """Export as a ``(data, null mask)`` pair for the columnar wire format.
 
-        Zero-copy when the column is already array-backed; may raise
+        Zero-copy when the column is vector-backed; may raise
         ``OverflowError``/``TypeError`` for values a typed buffer cannot hold
         (the wire encoder falls back to the object codec in that case).
         """
-        self._load()
-        if self._values is None and self._vector is not None:
-            return self._vector.buffer_arrays()
-        if self._values is None and self._array is not None:
-            return self._array, self._mask
+        vector = self.vector()
+        if vector is not None:
+            return vector.buffer_arrays()
         return values_to_arrays(self._values, self.sql_type)
 
     def to_numpy(self) -> np.ndarray:
-        if self._values is None:
-            self._load()
-        if self._values is None and self._vector is not None:
-            return self._vector.to_numpy()
-        if self._values is None and self._array is not None:
-            if self._mask is None:
-                return self._array
-            # match column_to_numpy: NULL-bearing columns become object arrays
-            return column_to_numpy(arrays_to_values(self._array, self._mask),
-                                   self.sql_type)
-        return column_to_numpy(self.values, self.sql_type)
+        vector = self.vector()
+        if vector is not None:
+            return vector.to_numpy()
+        return column_to_numpy(self._values, self.sql_type)
 
     def __len__(self) -> int:
         if self._values is not None:
             return len(self._values)
         if self._vector is not None:
             return len(self._vector)
-        if self._array is not None:
-            return len(self._array)
         if self._length is not None:
             return self._length
         return len(self.values)
@@ -188,8 +149,7 @@ class ResultColumn:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         backing = "values" if self._values is not None else (
-            "vector" if self._vector is not None else (
-                "array" if self._array is not None else "lazy"))
+            "vector" if self._vector is not None else "lazy")
         return (f"ResultColumn({self.name!r}, {self.sql_type}, "
                 f"len={len(self)}, backing={backing})")
 

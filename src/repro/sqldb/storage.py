@@ -11,15 +11,16 @@ image segment stores, so nothing is converted and nothing is kept in step:
 * BLOB columns: an object array holding ``None`` for NULL.
 
 The arrays are buffers with spare capacity behind the ``n`` live rows.  A
-scan is the read-only view ``[0:n)`` — a typed array when NULL-free, else a
-:class:`repro.sqldb.vector.Vector` — built once per mutation and shared by
-every reader and, through :meth:`Column.to_numpy`, every UDF (MonetDB/
-Python's zero-copy handoff).  No mutation disturbs a view already handed
-out: an append writes only the new rows, into the spare capacity (amortised
-growth), so published rows never move; UPDATE, DELETE and a dictionary
-merge publish *new* arrays; a rollback only shortens ``n`` and TRUNCATE
-starts fresh buffers.  A view is therefore a stable snapshot for as long as
-a (streaming) reader holds it.
+scan is a :class:`repro.sqldb.vector.Vector` over the read-only views
+``[0:n)`` of those buffers (a BLOB column: the view of its object array) —
+built once per mutation and shared by every reader and, through
+:meth:`Column.to_numpy`, every UDF (MonetDB/Python's zero-copy handoff: a
+NULL-free numeric column's ``Vector.data`` is handed over as it is stored).
+No mutation disturbs a view already handed out: an append writes only the
+new rows, into the spare capacity (amortised growth), so published rows
+never move; UPDATE, DELETE and a dictionary merge publish *new* arrays; a
+rollback only shortens ``n`` and TRUNCATE starts fresh buffers.  A view is
+therefore a stable snapshot for as long as a (streaming) reader holds it.
 
 The mask — never the ``NULL_FILL`` placeholder kept in the data buffer at
 masked rows (for strings: the code of ``""``) — is the only source of truth
@@ -38,7 +39,7 @@ import numpy as np
 from ..errors import CatalogError, CorruptionError, ExecutionError, TypeMismatchError
 from .schema import ColumnDef, TableSchema
 from .types import NUMPY_DTYPES, SQLType, coerce_value
-from .vector import NULL_FILL, Vector, slice_column_values
+from .vector import NULL_FILL, Vector, as_value_list, slice_column_values
 
 _NULL = type(None)
 #: Python types ``np.array(values, dtype)`` converts exactly like
@@ -76,11 +77,11 @@ class Column:
     def scan_values(self) -> Any:
         """The batch representation the executor scans.
 
-        NULL-free numeric/boolean columns are a typed array; STRING columns
-        and NULL-bearing numeric columns are a :class:`Vector`; BLOB columns
-        are an object array holding ``None`` for NULL.  All are read-only
-        views of the stored buffers and stay a snapshot of the state they
-        were published for as long as they are held.
+        Every typed column is a :class:`Vector` — ``mask`` is ``None`` while
+        the column holds no NULL, ``dictionary`` is set for STRING; a BLOB
+        column is an object array holding ``None`` for NULL.  Both are
+        read-only views of the stored buffers and stay a snapshot of the
+        state they were published for as long as they are held.
         """
         return self._scan
 
@@ -88,22 +89,17 @@ class Column:
         """A zero-copy row-range slice of :meth:`scan_values` (morsel scans)."""
         return slice_column_values(self._scan, start, stop)
 
-    def to_vector(self) -> Vector:
-        """This column's scan as a :class:`Vector` (read-only, shared)."""
-        scan = self._scan
-        return scan if isinstance(scan, Vector) \
-            else Vector(scan, None, None, self.sql_type)
-
     def to_numpy(self) -> np.ndarray:
         """The UDF input format (read-only): the stored typed array, or an
-        object array holding ``None`` for NULL-bearing / string columns."""
+        object array holding ``None`` for NULL-bearing / string columns (a
+        BLOB column's scan already is one)."""
         scan = self._scan
         return scan.to_numpy() if isinstance(scan, Vector) else scan
 
     def to_list(self, start: int = 0, stop: int | None = None) -> list[Any]:
         """Rows ``[start, stop)`` as Python values (``None`` = NULL)."""
-        scan = self.scan_vector(start, self._size if stop is None else stop)
-        return scan.to_list() if isinstance(scan, Vector) else scan.tolist()
+        return as_value_list(
+            self.scan_vector(start, self._size if stop is None else stop))
 
     @property
     def values(self) -> list[Any]:
@@ -223,10 +219,12 @@ class Column:
                 buffer.flags.writeable = False
                 buffer = buffer if size == len(buffer) else buffer[:size]
             views.append(buffer)
-        scan = Vector(*views, self._dictionary, self.sql_type)
-        if scan.mask is None:
+        if self.sql_type is SQLType.BLOB:
+            self._scan = views[0]  # Python tier: the object array itself
+            return
+        self._scan = Vector(*views, self._dictionary, self.sql_type)
+        if self._scan.mask is None:
             self._mask = None  # the last NULL row is gone
-        self._scan = scan if scan.mask is not None or scan.is_dict else scan.data
 
     def _encode(self, data: np.ndarray,
                 dictionary: np.ndarray | None = None) -> np.ndarray:
@@ -491,11 +489,10 @@ class Table:
 
 
 def _take_values(values: Any, indices: np.ndarray) -> list[Any]:
-    """Python values of column data (list, array or vector) at ``indices``."""
+    """Python values of column data (vector, list or BLOB object array) at
+    ``indices``."""
     if isinstance(values, Vector):
         return values.take(indices).to_list()
-    if isinstance(values, np.ndarray):
-        return values[indices].tolist()
     return [values[index] for index in indices.tolist()]
 
 

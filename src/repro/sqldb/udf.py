@@ -91,11 +91,12 @@ def columns_to_udf_args(
 ) -> list[Any]:
     """Convert evaluated argument columns/scalars to the UDF input format.
 
-    Columns that are already numpy arrays (the zero-copy storage scan format)
-    are handed to the UDF without re-conversion.  All column arguments are
-    read-only, regardless of which execution path produced them: the zero-copy
-    handoff means a write could reach shared engine state, so mutation fails
-    loudly and *consistently* instead of depending on the query shape.
+    A vector hands over its :meth:`Vector.to_numpy` array — for a NULL-free
+    numeric column the stored buffer itself, zero-copy.  All column arguments
+    are read-only, regardless of which execution path produced them: the
+    zero-copy handoff means a write could reach shared engine state, so
+    mutation fails loudly and *consistently* instead of depending on the
+    query shape.
     """
     converted: list[Any] = []
     for value, is_column, sql_type in zip(arg_values, arg_is_column, sql_types):
@@ -104,7 +105,7 @@ def columns_to_udf_args(
                 # same observable shapes as column_to_numpy: object array
                 # with Nones for NULL-bearing/string columns, typed otherwise
                 array = value.to_numpy().view()
-            elif isinstance(value, np.ndarray):
+            elif isinstance(value, np.ndarray):  # a BLOB column's object array
                 array = value.view()
             else:
                 array = column_to_numpy(value, sql_type)
@@ -131,14 +132,15 @@ def _coerce_column(values: Any, sql_type: SQLType) -> Any:
     """Coerce one UDF output column to ``sql_type``.
 
     A 1-D array whose dtype kind already is the declared type passes through
-    as a contiguous typed array (the engine's NULL-free numeric column), never
+    as a NULL-free :class:`Vector` over the contiguous typed array, never
     touched per value; anything else takes the checked per-value path.
     """
     if isinstance(values, np.ndarray) and values.ndim == 1 and (
             values.dtype.kind in "ib" and sql_type.is_integer
             or values.dtype.kind in "if" and sql_type.is_floating
             or values.dtype.kind == "b" and sql_type is SQLType.BOOLEAN):
-        return np.ascontiguousarray(values, dtype=NUMPY_DTYPES[sql_type])
+        return Vector(np.ascontiguousarray(values, dtype=NUMPY_DTYPES[sql_type]),
+                      None, None, sql_type)
     return [coerce_value(value, sql_type) for value in _to_value_list(values)]
 
 
@@ -154,10 +156,10 @@ def convert_scalar_result(
     """
     coerced = _coerce_column(result, signature.return_type or SQLType.DOUBLE)
     row_aligned = input_length > 0 and len(coerced) == input_length
-    if isinstance(coerced, np.ndarray) and not (row_aligned and input_length > 1):
-        # the evaluator's kernels read every array as a column: a result of
+    if isinstance(coerced, Vector) and not (row_aligned and input_length > 1):
+        # the evaluator's kernels read every vector as a column: a result of
         # fewer values than rows is a constant and stays Python values
-        coerced = coerced.tolist()
+        coerced = coerced.to_list()
     return coerced, row_aligned
 
 
@@ -201,8 +203,8 @@ def convert_table_result(
     length = max((len(values) for values in out.values()), default=0)
     for name, values in out.items():
         if len(values) == 1 and length > 1:
-            values = out[name] = (np.repeat(values, length)
-                                  if isinstance(values, np.ndarray) else values * length)
+            values = out[name] = (values.repeat(length)
+                                  if isinstance(values, Vector) else values * length)
         if len(values) != length:
             raise UDFError(
                 signature.name,

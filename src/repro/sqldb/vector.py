@@ -1,11 +1,23 @@
-"""The unified vector representation flowing through the engine.
+"""The one typed column representation, from the stored buffer to the client.
 
-A :class:`Vector` is the single currency for nullable and string column data
-on the vectorised path: a contiguous typed ``data`` array, an optional
-boolean validity ``mask`` (``True`` marks a SQL NULL; the mask — never a
-placeholder value in ``data`` — is the *only* source of truth for NULLs),
-and, for STRING columns, an optional dictionary encoding: ``data`` holds
-``int64`` codes indexing a sorted unique-value ``dictionary`` table.
+A :class:`Vector` is every typed column — what a stored column publishes as
+its scan, what an evaluator kernel, a typed UDF result and a table function
+return, what a result column is backed by and what a wire chunk decodes to:
+a contiguous typed ``data`` array, an optional boolean validity ``mask``
+(``True`` marks a SQL NULL; the mask — never a placeholder value in ``data``
+— is the *only* source of truth for NULLs), and, for STRING columns, an
+optional dictionary encoding: ``data`` holds ``int64`` codes indexing a
+sorted unique-value ``dictionary`` table.  A NULL-free numeric column is a
+``Vector`` with ``mask=None, dictionary=None`` whose ``data`` *is* the typed
+array (for a stored column: the read-only view of the stored buffer), so
+wrapping, slicing and the UDF handoff :meth:`Vector.to_numpy` stay O(1).
+
+A non-object ``ndarray`` is therefore never column data: outside a ``Vector``
+it is a kernel operand (``Vector.data``), a filter mask or an index array.
+The only other column shapes are the Python tier's — a ``list`` of Python
+values and the object array a BLOB column stores — which is where every
+guard against a typed kernel's limits (int64 overflow, float exactness,
+string-vs-number comparison) falls back to.
 
 Because ``np.unique`` produces the dictionary in sorted order, code order
 *is* lexicographic string order: equality, ordering comparisons, MIN/MAX and
@@ -14,12 +26,6 @@ carry an arbitrary code (``-1`` from :meth:`Vector.from_values`, the code of
 ``""`` in a stored column) — every consumer must (and does) consult ``mask``
 instead of inspecting codes or placeholder values, which is what keeps values
 equal to a NULL placeholder (``""``, ``0``, ``False``) representable.
-
-NULL-free numeric columns deliberately stay plain ``np.ndarray``s (the PR 1
-zero-copy scan format); a ``Vector`` only appears where the engine previously
-fell back to object arrays — NULL-bearing columns and strings — which is how
-SUM/COUNT/joins/GROUP BY stay vectorised on exactly the inputs that used to
-punt to the Python tier.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from .types import NUMPY_DTYPES, SQLType
+from .types import NUMPY_DTYPES, SQLType, python_value
 
 #: Code stored at NULL positions of a dictionary vector (debugging aid only;
 #: the validity mask is authoritative).
@@ -222,6 +228,10 @@ class Vector:
         mask = self.mask[idx] if self.mask is not None else None
         return Vector(self.data[idx], mask, self.dictionary, self.sql_type)
 
+    def repeat(self, count: int) -> "Vector":
+        """A one-row vector's value ``count`` times (constant broadcast)."""
+        return self.take(np.zeros(count, dtype=np.intp))
+
     def slice(self, start: int, stop: int) -> "Vector":
         """A zero-copy view of rows ``[start, stop)``.
 
@@ -249,14 +259,49 @@ def slice_column_values(values: Any, start: int, stop: int) -> Any:
     return values[start:stop]
 
 
-def vector_parts(values: Any) -> tuple[np.ndarray, np.ndarray | None,
-                                       np.ndarray | None] | None:
-    """Normalise column data to ``(data, mask, dictionary)``; None = no kernel."""
+def as_value_list(values: Any) -> list[Any]:
+    """A plain Python list of Python values.
+
+    A vector detaches in one pass; a BLOB column's object array already holds
+    Python objects; list inputs are sanitised element-wise because
+    per-element fallback paths (builtins, UDF results) can leave numpy
+    scalars behind.
+    """
     if isinstance(values, Vector):
-        return values.data, values.mask, values.dictionary
-    if isinstance(values, np.ndarray) and values.dtype != object:
-        return values, None, None
-    return None
+        return values.to_list()
+    if isinstance(values, np.ndarray):  # a BLOB column's object array
+        return values.tolist()
+    return [python_value(value) for value in values]
+
+
+def concat_values(pieces: Sequence[Any]) -> Any:
+    """Concatenate per-morsel / per-chunk column data back into one column.
+
+    Vector pieces of one type sharing one dictionary object stay a vector
+    (dictionary-encoded if they were); anything else falls back to one
+    Python list.  Single pieces pass through untouched (no copy for an input
+    that fits one morsel, or a result that fits one wire chunk).
+    """
+    pieces = list(pieces)
+    if len(pieces) == 1:
+        return pieces[0]
+    if not pieces:
+        return []
+    first = pieces[0]
+    if all(isinstance(piece, Vector) and piece.dictionary is first.dictionary
+           and piece.sql_type is first.sql_type
+           and piece.data.dtype == first.data.dtype for piece in pieces):
+        data = np.concatenate([piece.data for piece in pieces])
+        mask = None
+        if any(piece.mask is not None for piece in pieces):
+            mask = np.concatenate([
+                piece.mask if piece.mask is not None
+                else np.zeros(len(piece), dtype=bool) for piece in pieces])
+        return Vector(data, mask, first.dictionary, first.sql_type)
+    merged: list[Any] = []
+    for piece in pieces:
+        merged.extend(as_value_list(piece))
+    return merged
 
 
 def remap_to_shared_dictionary(left: Vector, right: Vector

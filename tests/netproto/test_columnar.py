@@ -364,5 +364,5 @@ class TestChunkEncoder:
             blob, _ = encoder.encode(start, min(start + 30, rows))
             _, columns = decode_chunk(blob)
             pieces.append(columns)
-        ints = [v for piece in pieces for v in piece[0].materialise()[0].tolist()]
+        ints = [v for piece in pieces for v in piece[0].materialise().to_list()]
         assert ints == list(range(rows))

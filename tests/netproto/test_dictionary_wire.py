@@ -50,8 +50,8 @@ class TestDictionaryEncoding:
         blob, _ = encode_result_chunk(result, allow_dict=True)
         row_count, columns = decode_chunk(blob)
         assert columns[0].tag == TAG_DICT
-        data, mask = columns[0].materialise()
-        assert isinstance(data, Vector)
+        data = columns[0].materialise()
+        assert isinstance(data, Vector) and data.is_dict
         assert data.to_list() == result.columns[0].values
 
     def test_dictionary_shipped_once_per_column(self):
@@ -79,7 +79,7 @@ class TestDictionaryEncoding:
         decode_chunk(first, dictionaries=cache)
         # the second chunk resolves against the cache...
         _, columns = decode_chunk(second, dictionaries=cache)
-        assert columns[0].materialise()[0].to_list() \
+        assert columns[0].materialise().to_list() \
             == result.columns[0].values[100:200]
         # ...and is rejected without it
         with pytest.raises(WireFormatError):

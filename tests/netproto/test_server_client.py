@@ -7,10 +7,11 @@ from repro.errors import (
     ConnectionClosedError,
     ExecutionError,
     ProtocolError,
+    ReproError,
 )
 from repro.netproto.client import Connection, ConnectionInfo, TransferOptions
 from repro.netproto.compression import CODEC_ZLIB
-from repro.netproto.server import DatabaseServer
+from repro.netproto.server import AsyncSocketServer, DatabaseServer
 from repro.sqldb.database import Database
 from repro.sqldb.types import SQLType
 
@@ -100,6 +101,41 @@ class TestQueries:
             "CREATE TABLE s (i INTEGER); INSERT INTO s VALUES (1); SELECT COUNT(*) FROM s;")
         assert len(results) == 3
         assert results[-1].scalar() == 1
+
+    @pytest.mark.parametrize("transport", ["in_process", "tcp"])
+    def test_script_is_split_by_the_engine_parser(self, populated_server,
+                                                  transport):
+        """Comments, string literals and UDF bodies may hold a ``;``: the
+        script is split by the parser that will run it, not by a second,
+        character-level splitter."""
+        if transport == "tcp":
+            socket_server = AsyncSocketServer(populated_server,
+                                              host="127.0.0.1", port=0)
+            host, port = socket_server.start_background()
+            connection = Connection.connect_tcp(
+                ConnectionInfo(host=host, port=port))
+        else:
+            connection = Connection.connect_in_process(populated_server)
+        try:
+            results = connection.execute_script(
+                "SELECT 1 -- a; b\n; SELECT 2 /* c; d */")
+            assert [result.scalar() for result in results] == [1, 2]
+            results = connection.execute_script(
+                "CREATE FUNCTION semi(x INTEGER) RETURNS INTEGER "
+                "LANGUAGE PYTHON { y = x; return y * 2 };\n"
+                "SELECT semi(i), 'a;b' FROM t WHERE s = 'aaa';")
+            assert len(results) == 2
+            assert results[1].fetchall() == [(2, "a;b")]
+            # like Database.execute_script: parsed whole before anything runs
+            with pytest.raises(ReproError):
+                connection.execute_script(
+                    "CREATE TABLE never (i INTEGER); SELEC 1")
+            with pytest.raises(ReproError):
+                connection.execute("SELECT COUNT(*) FROM never")
+        finally:
+            connection.close()
+            if transport == "tcp":
+                socket_server.stop()
 
     def test_udf_create_and_call_through_protocol(self, client):
         client.execute("CREATE FUNCTION twice(x INTEGER) RETURNS INTEGER "

@@ -1,0 +1,378 @@
+"""One typed column currency: every typed column is a ``Vector``.
+
+(a) *Invariant walk* — column data between the stored buffer and the client
+is a ``Vector`` (typed), a ``list`` or a BLOB column's object array (the
+Python tier); a bare typed ``ndarray`` is only ever a kernel operand, a
+filter mask or an index array.  ``Batch`` and ``EvalResult`` construction is
+wrapped here (no hook in ``src/``) while the oracle's and the invariance
+suite's statements run.
+
+(b) *Tier equivalence* — a vector kernel and the per-row tier give the same
+answer on the same values, so the two remaining tiers cannot drift apart.
+"""
+
+import shutil
+import sqlite3
+
+import numpy as np
+import pytest
+
+import test_config_invariance as invariance
+import test_sqlite_oracle as oracle
+from repro.netproto.client import Connection
+from repro.netproto.server import DatabaseServer
+from repro.sqldb import Database
+from repro.sqldb.aggregates import GroupLayout, call_aggregate, grouped_aggregate
+from repro.sqldb.expressions import (
+    Batch,
+    BatchColumn,
+    EvalResult,
+    ExpressionEvaluator,
+    as_value_list,
+)
+from repro.sqldb.operators import HashJoin
+from repro.sqldb.parser import parse_statement
+from repro.sqldb.persist import wal_path_for
+from repro.sqldb.result import ResultColumn
+from repro.sqldb.types import SQLType
+from repro.sqldb.vector import Vector
+
+GRID = [(morsel_rows, workers)
+        for morsel_rows in (1, 7, 65_536) for workers in (1, 4)]
+PLAIN = (int, float, bool, str, bytes, type(None))
+
+
+def _is_column_data(values):
+    return isinstance(values, (Vector, list)) or (
+        isinstance(values, np.ndarray) and values.dtype == object)
+
+
+# --------------------------------------------------------------------------- #
+# (a) invariant walk
+# --------------------------------------------------------------------------- #
+@pytest.fixture()
+def walk(monkeypatch):
+    """Check every ``BatchColumn.values`` / ``EvalResult.values`` built while
+    the fixture is live; yields the list of violations (morsels may run on
+    worker threads, so they are collected, not raised)."""
+    violations = []
+    batch_init, eval_init = Batch.__init__, EvalResult.__init__
+
+    def checked_batch(self, columns=None, row_count=None):
+        batch_init(self, columns, row_count)
+        violations.extend(
+            f"BatchColumn {column.name!r}: {type(column.values).__name__}"
+            for column in self.columns if not _is_column_data(column.values))
+
+    def checked_eval(self, *args, **kwargs):
+        eval_init(self, *args, **kwargs)
+        if not _is_column_data(self.values):
+            violations.append(f"EvalResult: {type(self.values).__name__}")
+
+    monkeypatch.setattr(Batch, "__init__", checked_batch)
+    monkeypatch.setattr(EvalResult, "__init__", checked_eval)
+    return violations
+
+
+def _check_result(result, sql):
+    """A result column is vector-backed or holds plain Python values."""
+    for column in result.columns:
+        if column.vector() is None:
+            assert all(type(value) in PLAIN for value in column.values), \
+                (sql, column.name)
+
+
+def _oracle_database(morsel_rows, workers):
+    db = Database(workers=workers, morsel_rows=morsel_rows)
+    db.execute(
+        "CREATE TABLE f (i INTEGER, k INTEGER, m INTEGER, x DOUBLE, s STRING)")
+    db.execute("CREATE TABLE d (k INTEGER, name STRING)")
+    db.storage.table("f").insert_rows(oracle.FACT)
+    db.storage.table("d").insert_rows(oracle.DIM)
+    return db
+
+
+def test_result_column_has_one_typed_backing():
+    assert "_array" not in ResultColumn.__slots__
+    assert "_mask" not in ResultColumn.__slots__
+    assert "_vector" in ResultColumn.__slots__
+
+
+@pytest.mark.parametrize("morsel_rows, workers", GRID)
+def test_walk_oracle_statements(walk, morsel_rows, workers):
+    db = _oracle_database(morsel_rows, workers)
+    connection = Connection.connect_in_process(DatabaseServer(db))
+    for sql, _ in oracle.STATEMENTS:
+        _check_result(db.execute(sql), sql)
+        _check_result(connection.execute(sql), sql)
+    # a plain projection of stored columns stays typed end to end, in
+    # process and on the client side of the wire (fixed-width + dictionary)
+    for run in (db.execute, connection.execute):
+        result = run("SELECT i, k, m, x FROM f")
+        assert all(column.vector() is not None for column in result.columns)
+        assert result.column("i").vector().mask is None
+        assert result.column("k").vector().mask is not None
+    connection.close()
+    db.close()
+    assert not walk, walk[:5]
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_walk_invariance_statements(walk, workers):
+    db = invariance._make_database(workers)
+    connection = Connection.connect_in_process(DatabaseServer(db))
+    for template, args in invariance.STATEMENTS:
+        sql = invariance._literal(template, args)
+        _check_result(db.execute(sql), sql)
+        _check_result(connection.execute(sql), sql)
+    # 10,000 rows of 12 strings: dictionary-encoded from scan to client
+    name = connection.execute("SELECT s FROM t").column("s").vector()
+    assert name is not None and name.is_dict
+    connection.close()
+    db.close()
+    assert not walk, walk[:5]
+
+
+def _check_scans(db):
+    """Every stored column publishes a vector (BLOB: its object array); a
+    NULL-free numeric one is mask-free over a read-only view of the buffer."""
+    for name in db.storage.table_names():
+        for column in db.storage.table(name).columns:
+            scan = column.scan_values()
+            assert column.scan_vector(0, len(column)) is scan
+            if column.sql_type is SQLType.BLOB:
+                assert isinstance(scan, np.ndarray) and scan.dtype == object
+                continue
+            assert isinstance(scan, Vector), (name, column.name)
+            assert scan.sql_type is column.sql_type
+            assert (scan.mask is not None) == (None in column.values)
+            assert scan.is_dict == (column.sql_type is SQLType.STRING)
+            assert not scan.data.flags.writeable
+            assert scan.data is column._data or scan.data.base is column._data
+            if scan.mask is None and not scan.is_dict:
+                assert column.to_numpy() is scan.data  # the UDF handoff
+
+
+def test_stored_scans_through_a_column_lifetime(tmp_path):
+    path = tmp_path / "life.db"
+    db = Database(path=path)
+    db.execute("CREATE TABLE t (i INTEGER, d DOUBLE, b BOOLEAN, s STRING, "
+               "x BLOB)")
+    _check_scans(db)  # empty
+    db.execute("INSERT INTO t VALUES (1, 0.5, TRUE, 'a', 'p'), "
+               "(2, 1.5, FALSE, 'b', 'q'), (3, 2.5, TRUE, 'a', 'r')")
+    _check_scans(db)
+    assert db.storage.table("t").column("i").scan_values().mask is None
+    db.execute("UPDATE t SET i = NULL, d = NULL, s = NULL WHERE b = FALSE")
+    _check_scans(db)
+    assert db.storage.table("t").column("i").scan_values().mask.tolist() \
+        == [False, True, False]
+    db.execute("DELETE FROM t WHERE b = FALSE")  # the last NULL row goes
+    _check_scans(db)
+    assert db.storage.table("t").column("i").scan_values().mask is None
+    # WAL recovery: the image is older than the log (crash before checkpoint)
+    crashed = tmp_path / "crashed.db"
+    if path.exists():
+        shutil.copy(path, crashed)
+    shutil.copy(wal_path_for(path), wal_path_for(crashed))
+    recovered = Database(path=crashed)
+    assert recovered.execute("SELECT i, s FROM t").fetchall() \
+        == [(1, "a"), (3, "a")]
+    _check_scans(recovered)
+    recovered.close()
+    # checkpoint + reopen: columns decoded from image segments
+    db.execute("CHECKPOINT")
+    db.close()
+    reopened = Database(path=path)
+    assert reopened.execute("SELECT i, s FROM t").fetchall() \
+        == [(1, "a"), (3, "a")]
+    _check_scans(reopened)
+    reopened.execute("DELETE FROM t")  # truncate
+    _check_scans(reopened)
+    reopened.close()
+
+
+# --------------------------------------------------------------------------- #
+# the two cliffs closed by type: nullable IN-list, typed LEFT JOIN flush
+# --------------------------------------------------------------------------- #
+def test_left_join_deferred_rows_stay_typed():
+    db = Database()
+    db.execute("CREATE TABLE f (i INTEGER, k INTEGER)")
+    db.execute("CREATE TABLE d (k INTEGER, w DOUBLE, label STRING, raw BLOB)")
+    db.execute("CREATE TABLE e (k INTEGER, tag STRING)")
+    db.execute("INSERT INTO f VALUES (0, 1), (1, 7), (2, NULL), (3, 2), (4, 9)")
+    db.execute("INSERT INTO d VALUES (1, 0.5, 'one', 'x'), (2, 1.5, 'two', 'y')")
+    db.execute("INSERT INTO e VALUES (1, 'a'), (2, 'b')")
+
+    def batch(name):
+        return db._executor._batch_from_table(db.storage.table(name), alias=name)
+
+    def condition(text):
+        return parse_statement(f"SELECT {text}").items[0].expression
+
+    left, right = batch("f"), batch("d")
+    join = HashJoin(db, "LEFT", condition("f.k = d.k"))
+    template = join.prepare(left.slice(0, 0), right)
+    matches, deferred = join.probe(left)
+    assert matches.row_count == 2 and deferred.row_count == 3
+    for column, build in zip(deferred.columns[2:], right.columns):
+        if build.sql_type is SQLType.BLOB:
+            assert column.values == [None] * 3
+            continue
+        assert isinstance(column.values, Vector), column.name
+        assert column.values.null_count() == len(column.values) == 3
+        assert column.values.sql_type is build.sql_type
+        assert column.values.dictionary is build.values.dictionary
+    # ... so a second join probes the flushed batch with the vector kernel
+    chained = HashJoin(db, "LEFT", condition("d.k = e.k"))
+    chained.prepare(template, batch("e"))
+    assert chained._strategy == "vector"
+    _, unmatched = chained.probe(deferred)
+    assert unmatched.row_count == 3
+    assert chained._hash_build is None  # the Python-tier build never ran
+
+
+LEFT_JOINS = [
+    "SELECT d.name, COUNT(*), COUNT(d.k), SUM(f.m), SUM(f.x) FROM f "
+    "LEFT JOIN d ON f.k = d.k GROUP BY d.name",
+    "SELECT f.i, f.k, d.name FROM f LEFT JOIN d ON f.k = d.k "
+    "WHERE d.k IS NULL",
+    "SELECT f.i, d.name, e.name, e.k FROM f LEFT JOIN d ON f.k = d.k "
+    "LEFT JOIN d AS e ON d.k = e.k",
+]
+
+
+@pytest.mark.parametrize("morsel_rows, workers", GRID)
+def test_left_join_shapes_match_sqlite(walk, morsel_rows, workers):
+    reference = sqlite3.connect(":memory:")
+    reference.execute(
+        "CREATE TABLE f (i INTEGER, k INTEGER, m INTEGER, x REAL, s TEXT)")
+    reference.execute("CREATE TABLE d (k INTEGER, name TEXT)")
+    reference.executemany("INSERT INTO f VALUES (?, ?, ?, ?, ?)", oracle.FACT)
+    reference.executemany("INSERT INTO d VALUES (?, ?)", oracle.DIM)
+    db = _oracle_database(morsel_rows, workers)
+    for sql in LEFT_JOINS:
+        expected = [tuple(row) for row in reference.execute(sql).fetchall()]
+        assert oracle._multiset(db.execute(sql).fetchall()) \
+            == oracle._multiset(expected), sql
+    # against an empty string column the NULL rows carry an empty
+    # dictionary, which must not reach the wire as TAG_DICT
+    db.execute("CREATE TABLE nobody (k INTEGER, name STRING)")
+    connection = Connection.connect_in_process(DatabaseServer(db))
+    rows = connection.execute("SELECT f.i, nobody.name FROM f "
+                              "LEFT JOIN nobody ON f.k = nobody.k").fetchall()
+    assert sorted(rows) == [(i, None) for i in range(oracle.FACT_ROWS)]
+    connection.close()
+    db.close()
+    reference.close()
+    assert not walk, walk[:5]
+
+
+# --------------------------------------------------------------------------- #
+# (b) tier equivalence
+# --------------------------------------------------------------------------- #
+#: shape -> {column: (sql type, values)}; ``a``/``b`` numeric, ``s``/``t``
+#: strings (dictionary vectors), ``x`` DOUBLE in multiples of 0.25 (exact)
+SHAPES = {
+    "null_free": {
+        "a": (SQLType.INTEGER, [3, 1, 4, 1, 5, 9, 2, 6, 5]),
+        "b": (SQLType.INTEGER, [2, 7, 1, 8, 2, 8, 1, 8, 5]),
+        "x": (SQLType.DOUBLE, [0.5, 2.25, -1.0, 3.0, 0.0, 9.75, 2.0, 1.25, 5.0]),
+        "s": (SQLType.STRING, ["bee", "ant", "", "cat", "bee", "Dog", "ant",
+                               "eel", "bee"]),
+        "t": (SQLType.STRING, ["bee", "bee", "ant", "cat", "ant", "dog", "",
+                               "eel", "cat"]),
+    },
+    "null_bearing": {
+        "a": (SQLType.INTEGER, [3, None, 4, 1, None, 9, 2, 0, 5]),
+        "b": (SQLType.INTEGER, [2, 7, None, 8, None, 8, 1, 8, 5]),
+        "x": (SQLType.DOUBLE, [0.5, None, -1.0, 3.0, 0.0, None, 2.0, 1.25, 5.0]),
+        "s": (SQLType.STRING, ["bee", None, "", "cat", None, "Dog", "ant",
+                               "eel", "bee"]),
+        "t": (SQLType.STRING, [None, "bee", "ant", "cat", None, "dog", "",
+                               "eel", "cat"]),
+    },
+    "all_null": {
+        "a": (SQLType.INTEGER, [None] * 4), "b": (SQLType.INTEGER, [2, 7, 1, 8]),
+        "x": (SQLType.DOUBLE, [None] * 4), "s": (SQLType.STRING, [None] * 4),
+        "t": (SQLType.STRING, ["bee", "ant", "", "cat"]),
+    },
+    "empty": {
+        "a": (SQLType.INTEGER, []), "b": (SQLType.INTEGER, []),
+        "x": (SQLType.DOUBLE, []), "s": (SQLType.STRING, []),
+        "t": (SQLType.STRING, []),
+    },
+}
+
+#: (expression, the typed tier answers with a Vector)
+EXPRESSIONS = [
+    # compare
+    ("a = b", True), ("a <> 1", True), ("a < b", True), ("x >= 2", True),
+    ("s = 'bee'", True), ("s < 'cat'", True), ("s <> t", True), ("s >= t", True),
+    # arithmetic
+    ("a + b", True), ("a - b", True), ("a * b", True), ("x / 4", True),
+    ("a % 3", True), ("a + x * 2", True),
+    # AND / OR (Kleene), unary - / NOT
+    ("a > 1 AND b > 1", True), ("a > 1 OR x < 1", True),
+    ("a > 1 AND s = 'bee'", True), ("-a", True), ("-x", True),
+    ("NOT (a > 2)", True), ("NOT (s = 'bee' OR a IS NULL)", True),
+    # IS [NOT] NULL, BETWEEN, IN, LIKE, CAST
+    ("a IS NULL", True), ("x IS NOT NULL", True), ("s IS NULL", True),
+    ("a BETWEEN 2 AND 5", True), ("x NOT BETWEEN 0 AND b", True),
+    ("a IN (1, 2, 3)", True), ("a NOT IN (1, 5)", True),
+    ("x IN (0.5, 2, 5)", True), ("x NOT IN (0, 1.25)", True),
+    ("a IN (1, NULL)", False), ("s IN ('ant', 'bee')", False),
+    ("s LIKE 'b%'", True), ("s NOT LIKE '%a%'", True), ("t LIKE '_ee'", True),
+    ("CAST(a AS DOUBLE)", True), ("CAST(x AS DOUBLE)", True),
+    ("CAST(a AS STRING)", False),
+]
+
+
+def _batch(shape, typed):
+    columns = [
+        BatchColumn(None, name, sql_type,
+                    Vector.from_values(values, sql_type) if typed
+                    else list(values))
+        for name, (sql_type, values) in SHAPES[shape].items()]
+    return Batch(columns, row_count=len(columns[0]))
+
+
+def _evaluate(batch, text):
+    expression = parse_statement(f"SELECT {text}").items[0].expression
+    result = ExpressionEvaluator(Database(), batch).evaluate(expression)
+    return result.broadcast(batch.row_count)
+
+
+@pytest.mark.parametrize("morsel_rows", [1, 7, 65_536])
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_vector_kernels_equal_the_per_row_tier(walk, shape, morsel_rows):
+    typed, plain = _batch(shape, typed=True), _batch(shape, typed=False)
+    for text, is_kernel in EXPRESSIONS:
+        expected = as_value_list(_evaluate(plain, text))
+        answer = []
+        for start in range(0, max(typed.row_count, 1), morsel_rows):
+            piece = _evaluate(typed.slice(start, start + morsel_rows), text)
+            if is_kernel:
+                assert isinstance(piece, Vector), (text, shape)
+                answer.extend(piece.to_list())
+            else:
+                answer.extend(as_value_list(piece))
+        assert answer == expected, (text, shape)
+        assert [type(value) for value in answer] \
+            == [type(value) for value in expected], (text, shape)
+    assert not walk, walk[:5]
+
+
+@pytest.mark.parametrize("shape", list(SHAPES))
+@pytest.mark.parametrize("name", ["SUM", "AVG", "MIN", "MAX", "COUNT"])
+def test_aggregate_kernels_equal_the_per_row_tier(shape, name):
+    columns = "abxst" if name in ("MIN", "MAX", "COUNT") else "abx"
+    for column in columns:
+        sql_type, values = SHAPES[shape][column]
+        vector = Vector.from_values(values, sql_type)
+        assert call_aggregate(name, vector) == call_aggregate(name, values), \
+            (column, shape)
+        # grouped: rows dealt round-robin into three groups
+        layout = GroupLayout(np.arange(len(values)) % 3, 3)
+        assert grouped_aggregate(name, vector, layout) \
+            == grouped_aggregate(name, list(values), layout), (column, shape)

@@ -39,6 +39,15 @@ STATEMENTS = [
     ("SELECT DISTINCT k, s FROM t WHERE i > ?", [100]),
     ("SELECT s, MEDIAN(v) FROM t GROUP BY s", []),
     ("SELECT k, SUM(v / 3) FROM t GROUP BY k HAVING COUNT(*) > ?", [200]),
+    # LEFT JOIN: the unmatched rows (keys 40..49 and NULL) are flushed after
+    # the last morsel as all-NULL typed columns — grouped, filtered on, and
+    # probed by a second join
+    ("SELECT d.label, COUNT(*), COUNT(d.k), SUM(t.v / 3) FROM t "
+     "LEFT JOIN d ON t.k = d.k GROUP BY d.label", []),
+    ("SELECT t.i, t.k FROM t LEFT JOIN d ON t.k = d.k "
+     "WHERE d.k IS NULL AND t.i > ?", [8000]),
+    ("SELECT t.i, d.label, e.label, e.k FROM t LEFT JOIN d ON t.k = d.k "
+     "LEFT JOIN d AS e ON d.k = e.k WHERE t.i < ?", [600]),
 ]
 
 

@@ -185,9 +185,10 @@ class TestSegmentsShareWireCodec:
         row_count, columns = decode_chunk(blob)
         assert row_count == len(names)
         assert [column.name for column in columns] == ["i", "s"]
-        i_data, i_mask = columns[0].materialise()
-        assert i_mask is None and i_data.tolist() == list(range(len(names)))
-        s_vector, _ = columns[1].materialise()
+        i_vector = columns[0].materialise()
+        assert i_vector.mask is None
+        assert i_vector.data.tolist() == list(range(len(names)))
+        s_vector = columns[1].materialise()
         # low-cardinality strings keep their dictionary encoding on disk
         assert s_vector.is_dict
         assert s_vector.to_list() == names
@@ -354,22 +355,22 @@ class TestDDLPersistence:
 
 class TestReplayCacheConsistency:
     def test_recovery_replayed_update_invalidates_cached_vector(self):
-        """A cached ``to_vector()`` must never serve pre-UPDATE data."""
+        """A cached ``scan_values()`` must never serve pre-UPDATE data."""
         database = Database()
         database.execute("CREATE TABLE t (i INTEGER, s STRING)")
         database.execute("INSERT INTO t VALUES (1, 'old'), (2, 'keep')")
         table = database.storage.table("t")
         # warm every scan cache the way queries do
-        before = table.column("s").to_vector()
+        before = table.column("s").scan_values()
         table.column("s").to_numpy()
-        table.column("i").to_vector()
+        table.column("i").scan_values()
         assert before.to_list() == ["old", "keep"]
         apply_record(database, {
             "op": "update", "table": "t",
             "indices": [0], "count": 2,
             "columns": {"s": ["new"]},
         })
-        assert table.column("s").to_vector().to_list() == ["new", "keep"]
+        assert table.column("s").scan_values().to_list() == ["new", "keep"]
         assert table.column("s").to_numpy().tolist() == ["new", "keep"]
         assert (database.execute("SELECT s FROM t ORDER BY i").fetchall()
                 == [("new",), ("keep",)])
@@ -379,25 +380,25 @@ class TestReplayCacheConsistency:
         database.execute("CREATE TABLE t (i INTEGER)")
         database.execute("INSERT INTO t VALUES (1), (2), (3)")
         table = database.storage.table("t")
-        table.column("i").to_vector()  # warm the cache
+        table.column("i").scan_values()  # warm the cache
         with pytest.raises(ExecutionError):
             # 2.5 cannot be stored in an INTEGER column: the whole statement
             # must fail without touching row 1
             table.update_rows([True, True, False],
                               {"i": [10, 2.5, None]})
         assert table.column("i").values == [1, 2, 3]
-        assert table.column("i").to_vector().data.tolist() == [1, 2, 3]
+        assert table.column("i").scan_values().data.tolist() == [1, 2, 3]
 
     def test_failed_extend_leaves_no_partial_mutation(self):
         database = Database()
         database.execute("CREATE TABLE t (i INTEGER)")
         column = database.storage.table("t").column("i")
         column.extend([1, 2])
-        column.to_vector()
+        column.scan_values()
         with pytest.raises(ExecutionError):
             column.extend([3, "not-an-int", 5])
         assert column.values == [1, 2]
-        assert column.to_vector().data.tolist() == [1, 2]
+        assert column.scan_values().data.tolist() == [1, 2]
 
     def test_failed_insert_row_keeps_columns_aligned(self):
         database = Database()

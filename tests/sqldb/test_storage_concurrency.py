@@ -84,7 +84,7 @@ def test_concurrent_vector_scans_string_column():
                           for i in range(500)], SQLType.STRING)
 
     def scan():
-        vector = column.to_vector()
+        vector = column.scan_values()
         assert isinstance(vector, Vector)
         assert len(vector) == 500
         assert vector[0] is None
@@ -96,9 +96,9 @@ def test_scan_vector_range_slices_are_zero_copy_views():
     column = make_column(range(100))
     full = column.scan_values()
     part = column.scan_vector(10, 20)
-    assert isinstance(part, np.ndarray)
+    assert isinstance(part, Vector) and part.mask is None
     assert list(part) == list(range(10, 20))
-    assert part.base is full  # a view, not a copy
+    assert part.data.base is full.data  # a view, not a copy
     # the full range returns the cached object itself
     assert column.scan_vector(0, 100) is full
 
@@ -118,8 +118,8 @@ def test_scan_taken_before_an_append_stays_a_snapshot():
     before = column.scan_vector(0, 10)
     column.append(11)
     after = column.scan_vector(0, 11)
-    assert before.tolist() == list(range(10))  # old snapshot unaffected
-    assert after.tolist() == list(range(10)) + [11]
+    assert before.data.tolist() == list(range(10))  # old snapshot unaffected
+    assert after.data.tolist() == list(range(10)) + [11]
 
 
 @pytest.mark.parametrize("workers", [2, 8])

@@ -1,4 +1,5 @@
-"""Typed UDF results: arrays of the declared type are never coerced per value.
+"""Typed UDF results: arrays of the declared type are never coerced per value
+(they pass through as the ``data`` of a NULL-free ``Vector``).
 
 ``_per_value`` below is the checked path every result took before
 ``_coerce_column``; it stays here as the reference the typed path must equal.
@@ -15,6 +16,7 @@ from repro.sqldb.catalog import make_signature
 from repro.sqldb.database import Database
 from repro.sqldb.expressions import as_value_list
 from repro.sqldb.types import SQLType, coerce_value
+from repro.sqldb.vector import Vector
 from repro.sqldb.udf import (
     _coerce_column,
     _to_value_list,
@@ -52,19 +54,21 @@ class TestTypedPathEqualsPerValuePath:
         dtype, sql_type = pair
         array = data.draw(hnp.arrays(dtype, length))
         typed = _coerce_column(array, sql_type)
-        assert isinstance(typed, np.ndarray) and typed.flags.c_contiguous
-        assert typed.dtype == {"i": np.int64, "f": np.float64, "b": np.bool_}[
+        assert isinstance(typed, Vector) and typed.mask is None
+        assert typed.sql_type is sql_type and typed.data.flags.c_contiguous
+        assert typed.data.dtype == {"i": np.int64, "f": np.float64, "b": np.bool_}[
             "i" if sql_type.is_integer else "f" if sql_type.is_floating else "b"]
         assert [_typed(v) for v in as_value_list(typed)] == \
             [_typed(v) for v in _per_value(array, sql_type)]
 
     def test_strided_view_becomes_contiguous(self):
         typed = _coerce_column(np.arange(10)[::2], SQLType.BIGINT)
-        assert typed.flags.c_contiguous and typed.tolist() == [0, 2, 4, 6, 8]
+        assert typed.data.flags.c_contiguous
+        assert typed.to_list() == [0, 2, 4, 6, 8]
 
     def test_matching_array_is_not_copied(self):
         array = np.arange(5, dtype=np.int64)
-        assert _coerce_column(array, SQLType.INTEGER) is array
+        assert _coerce_column(array, SQLType.INTEGER).data is array
 
 
 class TestCheckedPathStillChecks:
@@ -110,7 +114,7 @@ class TestConverters:
     def test_table_result_keeps_typed_columns(self):
         a = np.arange(4, dtype=np.int64)
         out = convert_table_result(self.TABLE, {"a": a, "b": [0.5] * 4})
-        assert out["a"] is a
+        assert out["a"].data is a
         assert out["b"] == [0.5] * 4
 
     @pytest.mark.parametrize("scalar", [2.5, np.float64(2.5), np.array([2.5])])
@@ -127,7 +131,7 @@ class TestConverters:
         signature = make_signature("f", [("x", SQLType.INTEGER)],
                                    return_type=SQLType.BIGINT)
         values, aligned = convert_scalar_result(signature, np.arange(5), 5)
-        assert aligned and isinstance(values, np.ndarray)
+        assert aligned and isinstance(values, Vector)
 
     @pytest.mark.parametrize("result, input_length", [
         (np.array([4.0]), 5), (np.array([4.0]), 1), (np.array([1.0, 2.0]), 5),

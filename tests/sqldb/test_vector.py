@@ -15,7 +15,6 @@ from repro.sqldb.vector import (
     Vector,
     combine_masks,
     remap_to_shared_dictionary,
-    vector_parts,
 )
 
 
@@ -110,16 +109,7 @@ class TestSharedDictionary:
         assert left_codes[0] == left_codes[2]
 
 
-class TestVectorParts:
-    def test_parts_for_each_backing(self):
-        array = np.array([1, 2, 3])
-        assert vector_parts(array) == (array, None, None)
-        vector = Vector.from_values(["a"], SQLType.STRING)
-        data, mask, dictionary = vector_parts(vector)
-        assert data is vector.data and dictionary is vector.dictionary
-        assert vector_parts([1, 2]) is None
-        assert vector_parts(np.array(["a"], dtype=object)) is None
-
+class TestCombineMasks:
     def test_combine_masks(self):
         a = np.array([True, False])
         b = np.array([False, True])
@@ -129,11 +119,15 @@ class TestVectorParts:
 
 
 class TestColumnScanValues:
-    def test_null_free_numeric_stays_plain_array(self):
+    def test_null_free_numeric_is_mask_free_vector_over_stored_buffer(self):
         column = make_column(SQLType.INTEGER, [1, 2, 3])
         scanned = column.scan_values()
-        assert isinstance(scanned, np.ndarray)
-        assert scanned.dtype == np.int64
+        assert isinstance(scanned, Vector)
+        assert scanned.mask is None and scanned.dictionary is None
+        assert scanned.data.dtype == np.int64
+        assert not scanned.data.flags.writeable
+        assert np.shares_memory(scanned.data, column._data)
+        assert scanned.to_numpy() is scanned.data  # the UDF handoff: O(1)
 
     def test_nullable_numeric_becomes_vector(self):
         column = make_column(SQLType.DOUBLE, [1.0, None])
@@ -156,11 +150,14 @@ class TestColumnScanValues:
         assert second is not first
         assert second.to_list() == ["x", "y"]
 
-    def test_scan_representation_follows_nulls(self):
+    def test_mask_appears_with_first_null_and_goes_with_last(self):
         column = make_column(SQLType.INTEGER, [1, 2])
-        assert isinstance(column.scan_values(), np.ndarray)
-        column.append(None)
         assert isinstance(column.scan_values(), Vector)
+        assert column.scan_values().mask is None
+        column.append(None)
+        assert column.scan_values().mask.tolist() == [False, False, True]
+        column.keep_rows(np.array([True, True, False]))
+        assert column.scan_values().mask is None
 
 
 class TestBufferPairRoundTrip:
