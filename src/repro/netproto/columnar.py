@@ -71,9 +71,7 @@ _DICT_MIN_ROWS = 16
 
 
 def _dictionary_worthwhile(dictionary_size: int, row_count: int) -> bool:
-    # an empty dictionary (the all-NULL rows of a LEFT JOIN against an empty
-    # string column) has no code a decoder would accept
-    return row_count >= _DICT_MIN_ROWS and 0 < dictionary_size * 2 <= row_count
+    return row_count >= _DICT_MIN_ROWS and dictionary_size * 2 <= row_count
 
 
 def _maybe_build_dictionary(values: list[Any]) -> Vector | None:

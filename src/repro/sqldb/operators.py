@@ -846,8 +846,11 @@ def _all_null_like(values: Any, count: int) -> Any:
     """``count`` NULL rows of the build column ``values``' shape: a vector
     of its type sharing its dictionary object, so the flushed LEFT-join rows
     concatenate with the matches (and probe a later join) typed; a BLOB /
-    list column stays a list."""
-    if not isinstance(values, Vector):
+    list column stays a list.  So does a string column that never held a
+    value: its dictionary is empty, and every dictionary kernel (and the
+    wire) takes an empty dictionary to mean a zero-row vector."""
+    if not isinstance(values, Vector) or (
+            values.dictionary is not None and len(values.dictionary) == 0):
         return [None] * count
     return Vector(np.zeros(count, dtype=values.data.dtype),
                   np.ones(count, dtype=np.bool_), values.dictionary,

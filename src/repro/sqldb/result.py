@@ -48,14 +48,8 @@ class ResultColumn:
             self._values = list(values)
 
     # ------------------------------------------------------------------ #
-    # buffer-backed constructors (columnar wire path)
+    # lazy constructor (columnar wire path)
     # ------------------------------------------------------------------ #
-    @classmethod
-    def from_arrays(cls, name: str, sql_type: SQLType, data: np.ndarray,
-                    mask: np.ndarray | None = None) -> "ResultColumn":
-        """Build a column over a ``(data, null mask)`` buffer pair, zero-copy."""
-        return cls(name, sql_type, Vector(data, mask, None, sql_type))
-
     @classmethod
     def lazy(cls, name: str, sql_type: SQLType, length: int,
              loader: Callable[[], Vector | list[Any]]) -> "ResultColumn":
@@ -92,10 +86,6 @@ class ResultColumn:
     def is_materialised(self) -> bool:
         """True once Python values exist (used by lazy-decode tests)."""
         return self._values is not None
-
-    def null_mask(self) -> np.ndarray | None:
-        """The null mask of the backing vector, if the column has one."""
-        return self._vector.mask if self._vector is not None else None
 
     def vector(self) -> Vector | None:
         """The backing :class:`Vector` — every typed column has one — or

@@ -133,14 +133,16 @@ def _coerce_column(values: Any, sql_type: SQLType) -> Any:
 
     A 1-D array whose dtype kind already is the declared type passes through
     as a NULL-free :class:`Vector` over the contiguous typed array, never
-    touched per value; anything else takes the checked per-value path.
+    touched per value; anything else takes the checked per-value path.  The
+    vector holds a view: ``Vector.to_numpy`` freezes its ``data``, and the
+    array itself stays the UDF's to write to.
     """
     if isinstance(values, np.ndarray) and values.ndim == 1 and (
             values.dtype.kind in "ib" and sql_type.is_integer
             or values.dtype.kind in "if" and sql_type.is_floating
             or values.dtype.kind == "b" and sql_type is SQLType.BOOLEAN):
-        return Vector(np.ascontiguousarray(values, dtype=NUMPY_DTYPES[sql_type]),
-                      None, None, sql_type)
+        typed = np.ascontiguousarray(values, dtype=NUMPY_DTYPES[sql_type])
+        return Vector(typed.view(), None, None, sql_type)
     return [coerce_value(value, sql_type) for value in _to_value_list(values)]
 
 

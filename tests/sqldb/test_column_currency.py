@@ -230,6 +230,15 @@ def test_left_join_deferred_rows_stay_typed():
     _, unmatched = chained.probe(deferred)
     assert unmatched.row_count == 3
     assert chained._hash_build is None  # the Python-tier build never ran
+    # a string column that never held a value has an empty dictionary, which
+    # the dictionary kernels read as "zero rows": its NULL rows stay a list
+    db.execute("DELETE FROM e")
+    empty = HashJoin(db, "LEFT", condition("f.k = e.k"))
+    empty.prepare(left.slice(0, 0), batch("e"))
+    _, unmatched = empty.probe(left)
+    k, tag = unmatched.columns[2:]
+    assert isinstance(k.values, Vector) and k.values.null_count() == 5
+    assert tag.values == [None] * 5
 
 
 LEFT_JOINS = [
@@ -239,6 +248,23 @@ LEFT_JOINS = [
     "WHERE d.k IS NULL",
     "SELECT f.i, d.name, e.name, e.k FROM f LEFT JOIN d ON f.k = d.k "
     "LEFT JOIN d AS e ON d.k = e.k",
+]
+
+#: against a string column that never held a value the build dictionary is
+#: empty: the NULL rows must still probe a later join, compare and reach the
+#: wire — from a many-row (``f``) and a one-row (``one``) probe side
+EMPTY_BUILD_JOINS = [
+    sql.format(probe=probe) for probe in ("f", "one") for sql in (
+        "SELECT {probe}.i, nobody.name FROM {probe} "
+        "LEFT JOIN nobody ON {probe}.k = nobody.k",
+        "SELECT {probe}.i, nobody.name, d.k FROM {probe} "
+        "LEFT JOIN nobody ON {probe}.k = nobody.k "
+        "LEFT JOIN d ON nobody.name = d.name",
+        "SELECT {probe}.i FROM {probe} "
+        "LEFT JOIN nobody ON {probe}.k = nobody.k WHERE nobody.name = {probe}.s",
+        "SELECT {probe}.i, nobody.name FROM {probe} "
+        "LEFT JOIN nobody ON {probe}.k = nobody.k WHERE nobody.name IS NULL",
+    )
 ]
 
 
@@ -251,18 +277,17 @@ def test_left_join_shapes_match_sqlite(walk, morsel_rows, workers):
     reference.executemany("INSERT INTO f VALUES (?, ?, ?, ?, ?)", oracle.FACT)
     reference.executemany("INSERT INTO d VALUES (?, ?)", oracle.DIM)
     db = _oracle_database(morsel_rows, workers)
-    for sql in LEFT_JOINS:
-        expected = [tuple(row) for row in reference.execute(sql).fetchall()]
-        assert oracle._multiset(db.execute(sql).fetchall()) \
-            == oracle._multiset(expected), sql
-    # against an empty string column the NULL rows carry an empty
-    # dictionary, which must not reach the wire as TAG_DICT
-    db.execute("CREATE TABLE nobody (k INTEGER, name STRING)")
-    connection = Connection.connect_in_process(DatabaseServer(db))
-    rows = connection.execute("SELECT f.i, nobody.name FROM f "
-                              "LEFT JOIN nobody ON f.k = nobody.k").fetchall()
-    assert sorted(rows) == [(i, None) for i in range(oracle.FACT_ROWS)]
-    connection.close()
+    for connection in (reference, db):
+        connection.execute("CREATE TABLE nobody (k INTEGER, name STRING)")
+        connection.execute("CREATE TABLE one (i INTEGER, k INTEGER, s STRING)")
+        connection.execute("INSERT INTO one VALUES (0, 1, 'a')")
+    wire = Connection.connect_in_process(DatabaseServer(db))
+    for sql in LEFT_JOINS + EMPTY_BUILD_JOINS:
+        expected = oracle._multiset(
+            [tuple(row) for row in reference.execute(sql).fetchall()])
+        assert oracle._multiset(db.execute(sql).fetchall()) == expected, sql
+        assert oracle._multiset(wire.execute(sql).fetchall()) == expected, sql
+    wire.close()
     db.close()
     reference.close()
     assert not walk, walk[:5]

@@ -68,7 +68,7 @@ class TestTypedPathEqualsPerValuePath:
 
     def test_matching_array_is_not_copied(self):
         array = np.arange(5, dtype=np.int64)
-        assert _coerce_column(array, SQLType.INTEGER).data is array
+        assert _coerce_column(array, SQLType.INTEGER).data.base is array
 
 
 class TestCheckedPathStillChecks:
@@ -114,7 +114,7 @@ class TestConverters:
     def test_table_result_keeps_typed_columns(self):
         a = np.arange(4, dtype=np.int64)
         out = convert_table_result(self.TABLE, {"a": a, "b": [0.5] * 4})
-        assert out["a"].data is a
+        assert out["a"].data.base is a
         assert out["b"] == [0.5] * 4
 
     @pytest.mark.parametrize("scalar", [2.5, np.float64(2.5), np.array([2.5])])
@@ -169,6 +169,31 @@ class TestThroughSQL:
         result = db.execute("SELECT half(i) + i FROM numbers WHERE half(i) > 1")
         assert [row[0] for row in result.rows()] == [4.5, 6.0, 15.0]
         assert db.execute("SELECT SUM(half(i)) FROM numbers").scalar() == 10.0
+
+    def test_returned_array_stays_the_udfs_to_write(self, db):
+        # the engine freezes its own view of a typed result (to_numpy), never
+        # the array the UDF returned: a UDF may keep and refill its buffer
+        db.execute("""CREATE FUNCTION twice(x INTEGER) RETURNS BIGINT
+                      LANGUAGE PYTHON {
+                          global out
+                          if 'out' not in globals():
+                              out = numpy.zeros(len(x), dtype=numpy.int64)
+                          out[:] = x * 2
+                          return out
+                      }""")
+        for _ in range(2):
+            result = db.execute("SELECT twice(i) FROM numbers")
+            assert not result.columns[0].to_numpy().flags.writeable
+            assert result.columns[0].to_numpy().tolist() == [2, 4, 6, 8, 20]
+        # nested: the inner result is handed to the outer call read-only
+        nested = db.execute("SELECT twice(twice(i)) FROM numbers")
+        assert nested.columns[0].values == [4, 8, 12, 16, 40]
+
+    def test_coerced_vector_freezes_a_view_not_the_array(self):
+        array = np.arange(5, dtype=np.int64)
+        typed = _coerce_column(array, SQLType.BIGINT)
+        assert not typed.to_numpy().flags.writeable
+        assert array.flags.writeable
 
     def test_one_element_array_is_a_constant(self, db):
         db.execute("CREATE FUNCTION top(x INTEGER) RETURNS BIGINT "
