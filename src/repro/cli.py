@@ -27,6 +27,7 @@ from .core.project import DevUDFProject
 from .core.settings import DevUDFSettings
 from .core.surveys import format_table, ide_vs_text_editor_share
 from .errors import ReproError
+from .netproto.compression import available_codecs
 
 
 def _load_plugin(project_path: str) -> DevUDFPlugin:
@@ -223,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     configure.add_argument("--username")
     configure.add_argument("--password")
     configure.add_argument("--debug-query", dest="debug_query")
-    configure.add_argument("--compression", choices=["none", "zlib", "rle"])
+    configure.add_argument("--compression", choices=available_codecs())
     configure.add_argument("--encrypt", action=argparse.BooleanOptionalAction)
     configure.add_argument("--sample-size", type=int, dest="sample_size")
     configure.set_defaults(func=cmd_configure)

@@ -20,7 +20,7 @@ from typing import Any
 
 from ..errors import SettingsError
 from ..netproto.client import ConnectionInfo, TransferOptions
-from ..netproto.compression import CODEC_NONE, CODEC_ZLIB, available_codecs
+from ..netproto.compression import CODEC_NONE, CODEC_SHUFFLE, available_codecs
 from ..netproto.sampling import SampleSpec
 
 
@@ -30,7 +30,7 @@ class DataTransferSettings:
 
     #: compress the extracted data on the wire (paper: "faster transfer times")
     use_compression: bool = False
-    compression_codec: str = CODEC_ZLIB
+    compression_codec: str = CODEC_SHUFFLE
     #: encrypt the extracted data with the user's password (paper: sensitive data)
     use_encryption: bool = False
     #: debug on a uniform random sample instead of the full input

@@ -20,6 +20,7 @@ from .client import (
 from .compression import (
     CODEC_NONE,
     CODEC_RLE,
+    CODEC_SHUFFLE,
     CODEC_ZLIB,
     available_codecs,
     compress,
@@ -53,6 +54,7 @@ __all__ = [
     "AsyncSocketServer",
     "CODEC_NONE",
     "CODEC_RLE",
+    "CODEC_SHUFFLE",
     "CODEC_ZLIB",
     "ChaosProxy",
     "ChunkEncoder",

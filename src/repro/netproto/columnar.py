@@ -2,7 +2,7 @@
 
 Tagging every cell individually makes serialisation cost scale with the
 number of Python objects in a result.  This module ships each result column
-as one contiguous typed buffer — fixed-width types via ``ndarray.tobytes()``,
+as one contiguous typed buffer — fixed-width types as the array's own bytes,
 var-width types as offsets + concatenated blob — so cost scales with bytes.
 The same chunk blob is the payload of a ``result_chunk`` message
 (:func:`repro.netproto.messages.result_messages`) and a row-range segment of
@@ -127,11 +127,19 @@ _TAG_DTYPES = {TAG_INT64: "<i8", TAG_FLOAT64: "<f8", TAG_BOOL: "|b1"}
 # --------------------------------------------------------------------------- #
 # encoding
 # --------------------------------------------------------------------------- #
-def _pack_section(data: bytes | memoryview, codec: str) -> tuple[bytes, int]:
-    """Compress one value buffer and length-prefix it; returns (bytes, raw size)."""
-    raw_size = len(data)
+def _pack_section(data: Any, codec: str) -> tuple[bytes, int]:
+    """Compress one value buffer — the array slice itself, so the codec sees
+    its ``itemsize`` — and length-prefix it; returns (bytes, raw size)."""
     packed = compression_mod.compress(data, codec)
-    return struct.pack("<I", len(packed)) + packed, raw_size
+    return struct.pack("<I", len(packed)) + packed, memoryview(data).nbytes
+
+
+def _var_width_sections(encoded: list[bytes]) -> list[Any]:
+    """The two sections of a var-width buffer: ``u32`` offsets and the blob."""
+    offsets = np.zeros(len(encoded) + 1, dtype="<u4")
+    if encoded:
+        np.cumsum([len(item) for item in encoded], out=offsets[1:], dtype="<u4")
+    return [offsets, b"".join(encoded)]
 
 
 class ChunkEncoder:
@@ -231,44 +239,19 @@ class ChunkEncoder:
                 bitmap = np.packbits(chunk_mask).tobytes()
                 parts.append(struct.pack("<I", len(bitmap)))
                 parts.append(bitmap)
-            if tag in _TAG_DTYPES:
-                section, raw = _pack_section(data[row_start:row_stop].tobytes(),
-                                             self.codec)
-                parts.append(section)
-                raw_total += raw
-            elif tag == TAG_DICT:
-                section, raw = _pack_section(data[row_start:row_stop].tobytes(),
-                                             self.codec)
-                parts.append(section)
-                raw_total += raw
+            if tag in _TAG_DTYPES or tag == TAG_DICT:
+                sections = [data[row_start:row_stop]]
                 if dict_inline:
-                    encoded = [entry.encode("utf-8")
-                               for entry in dictionary.tolist()]
-                    offsets = np.zeros(len(encoded) + 1, dtype="<u4")
-                    if encoded:
-                        np.cumsum([len(item) for item in encoded],
-                                  out=offsets[1:], dtype="<u4")
-                    blob = b"".join(encoded)
-                    for payload in (offsets.tobytes(), blob):
-                        section, raw = _pack_section(payload, self.codec)
-                        parts.append(section)
-                        raw_total += raw
+                    sections += _var_width_sections(
+                        [entry.encode("utf-8") for entry in dictionary.tolist()])
             elif tag in (TAG_UTF8, TAG_BINARY):
-                chunk_values = data[row_start:row_stop]
-                encoded = [b"" if v is None
-                           else (v.encode("utf-8") if tag == TAG_UTF8 else v)
-                           for v in chunk_values]
-                offsets = np.zeros(len(encoded) + 1, dtype="<u4")
-                if encoded:
-                    np.cumsum([len(item) for item in encoded],
-                              out=offsets[1:], dtype="<u4")
-                blob = b"".join(encoded)
-                for payload in (offsets.tobytes(), blob):
-                    section, raw = _pack_section(payload, self.codec)
-                    parts.append(section)
-                    raw_total += raw
+                sections = _var_width_sections(
+                    [b"" if v is None
+                     else (v.encode("utf-8") if tag == TAG_UTF8 else v)
+                     for v in data[row_start:row_stop]])
             else:  # TAG_OBJECT
-                payload = encode_value(list(data[row_start:row_stop]))
+                sections = [encode_value(list(data[row_start:row_stop]))]
+            for payload in sections:
                 section, raw = _pack_section(payload, self.codec)
                 parts.append(section)
                 raw_total += raw
@@ -336,10 +319,13 @@ class DecodedColumn:
         starts = self.offsets[:-1]
         stops = self.offsets[1:]
         if self.tag == TAG_UTF8:
-            values: list[Any] = [
-                self.blob[start:stop].decode("utf-8")
-                for start, stop in zip(starts.tolist(), stops.tolist())
-            ]
+            try:
+                values: list[Any] = [
+                    self.blob[start:stop].decode("utf-8")
+                    for start, stop in zip(starts.tolist(), stops.tolist())
+                ]
+            except UnicodeDecodeError as exc:
+                raise WireFormatError(f"string column is not UTF-8: {exc}") from None
         else:
             values = [self.blob[start:stop]
                       for start, stop in zip(starts.tolist(), stops.tolist())]
@@ -347,6 +333,13 @@ class DecodedColumn:
             for index in np.flatnonzero(self.mask):
                 values[index] = None
         return values
+
+
+def _utf8(data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise WireFormatError(f"text in columnar chunk is not UTF-8: {exc}") from None
 
 
 class _BlobReader:
@@ -388,7 +381,7 @@ def decode_chunk(blob: bytes, *,
     columns: list[DecodedColumn] = []
     for column_index in range(column_count):
         (name_len,) = reader.unpack("<H")
-        name = reader.read(name_len).decode("utf-8")
+        name = _utf8(reader.read(name_len))
         type_code, tag, flags = reader.unpack("<BBB")
         try:
             sql_type = _SQL_TYPE_BY_CODE[type_code]
@@ -397,31 +390,36 @@ def decode_chunk(blob: bytes, *,
         mask = None
         if flags & _FLAG_NULLS:
             (bitmap_len,) = reader.unpack("<I")
+            if bitmap_len != (row_count + 7) // 8:
+                raise WireFormatError("null bitmap length mismatch")
             bitmap = np.frombuffer(reader.read(bitmap_len), dtype=np.uint8)
             mask = np.unpackbits(bitmap, count=row_count).astype(bool)
 
-        def read_section() -> bytes:
+        def read_section(dtype: str | None = None) -> Any:
             (section_len,) = reader.unpack("<I")
-            return compression_mod.decompress(reader.read(section_len))
+            buffer = compression_mod.decompress(reader.read(section_len))
+            try:
+                return buffer if dtype is None else np.frombuffer(buffer, dtype)
+            except ValueError:
+                raise WireFormatError(f"section is not whole {dtype} values") from None
 
         if tag in _TAG_DTYPES:
-            buffer = read_section()
-            data = np.frombuffer(buffer, dtype=_TAG_DTYPES[tag])
+            data = read_section(_TAG_DTYPES[tag])
             if len(data) != row_count:
                 raise WireFormatError("column buffer length mismatch")
             columns.append(DecodedColumn(name, sql_type, tag, row_count,
                                          mask, data=data))
         elif tag == TAG_DICT:
-            codes = np.frombuffer(read_section(), dtype="<i4")
+            codes = read_section("<i4")
             if len(codes) != row_count:
                 raise WireFormatError("dictionary codes length mismatch")
             if flags & _FLAG_DICT_INLINE:
-                offsets = np.frombuffer(read_section(), dtype="<u4")
+                offsets = read_section("<u4")
                 dict_blob = read_section()
                 entries = np.empty(max(len(offsets) - 1, 0), dtype=object)
                 for entry_index, (start, stop) in enumerate(
                         zip(offsets[:-1].tolist(), offsets[1:].tolist())):
-                    entries[entry_index] = dict_blob[start:stop].decode("utf-8")
+                    entries[entry_index] = _utf8(dict_blob[start:stop])
                 if dictionaries is not None:
                     dictionaries[column_index] = entries
             else:
@@ -435,7 +433,7 @@ def decode_chunk(blob: bytes, *,
             columns.append(DecodedColumn(name, sql_type, tag, row_count, mask,
                                          codes=codes, dictionary=entries))
         elif tag in (TAG_UTF8, TAG_BINARY):
-            offsets = np.frombuffer(read_section(), dtype="<u4")
+            offsets = read_section("<u4")
             if len(offsets) != row_count + 1:
                 raise WireFormatError("offsets buffer length mismatch")
             columns.append(DecodedColumn(name, sql_type, tag, row_count, mask,

@@ -50,7 +50,14 @@ there are no rows to ship (see :func:`repro.netproto.messages.result_messages`):
         sections    each ``u32 length + bytes``; every value section is
                     routed through the compression codec layer
                     (:mod:`repro.netproto.compression`) and therefore starts
-                    with a one-byte codec id
+                    with a one-byte codec id: 0 ``none`` (the bytes), 1 ``rle``
+                    ((count, byte) pairs), 2 ``zlib`` (DEFLATE level 6),
+                    3 ``shuffle`` (``lane width u8`` + DEFLATE level 6 of the
+                    section transposed into that many byte lanes: byte 0 of
+                    every value, then byte 1, ...; width 1 is plain DEFLATE).
+                    The width is the ``itemsize`` of the buffer encoded — 8, 4
+                    (codes, offsets) or 1 (bool, blobs, OBJECT) — and rides in
+                    the section so that a section decodes without its column
 
 Dtype tags and their sections:
 

@@ -56,6 +56,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args(["configure", "--project", "p", "--compression", "lz4"])
 
+    def test_every_registered_codec_is_a_compression_choice(self, parser):
+        from repro.netproto.compression import available_codecs
+
+        assert "shuffle" in available_codecs() and "none" in available_codecs()
+        for codec in available_codecs():
+            args = parser.parse_args(["configure", "--project", "p",
+                                      "--compression", codec])
+            assert args.compression == codec
+
     def test_demo_server_defaults(self, parser):
         args = parser.parse_args(["demo-server", "--csv-dir", "/tmp/x"])
         assert args.host == "127.0.0.1"

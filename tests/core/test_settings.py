@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.settings import DataTransferSettings, DevUDFSettings
 from repro.errors import SettingsError
-from repro.netproto.compression import CODEC_NONE, CODEC_ZLIB
+from repro.netproto.compression import CODEC_NONE, CODEC_SHUFFLE
 
 
 class TestConnectionSettings:
@@ -55,7 +55,7 @@ class TestTransferSettings:
 
     def test_compression_option(self):
         transfer = DataTransferSettings(use_compression=True)
-        assert transfer.transfer_options().compression == CODEC_ZLIB
+        assert transfer.transfer_options().compression == CODEC_SHUFFLE
 
     def test_unknown_codec_rejected(self):
         transfer = DataTransferSettings(use_compression=True, compression_codec="lzma")

@@ -124,6 +124,54 @@ PINNED = {
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
             0, 0, 0, 0),
     },
+    # codec 3 (``shuffle``), recorded on the commit that added it; the rows
+    # above were not touched
+    (7, "shuffle"): {
+        "streamed": (
+            "22dd4a5fb32facd8587990556ad6c9d2f6f0b7ce5614dcd15c53c5eae624de84",
+            29, 10186, 8552, 10524),
+        "group_by": (
+            "999c688ed1bbb24ce0c2ef6fb7dba460d5d6b50d075aa5f34124144b1fb5a46d",
+            29, 8162, 6042, 8014),
+        "sorted": (
+            "6f050eb51520dc70911a8048eb29e70beb0573e7ee569cd1482244c1e258bba3",
+            29, 9354, 7727, 9699),
+        "prepared": (
+            "59b57da350e1122166db620106988d2a5b91d4e751353f7acd9fb05612de384f",
+            26, 7357, 5467, 7235),
+        "empty_streamed": (
+            "4e45317740a5a01b1c6a37687fd97bacdd715bb5cf8769b29305571b2e772852",
+            1, 4, 70, 138),
+        "empty_materialised": (
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            0, 0, 0, 0),
+        "insert": (
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            0, 0, 0, 0),
+    },
+    (65536, "shuffle"): {
+        "streamed": (
+            "dac526efe63f3f80a58d084334ebaeed49ea5cbf8e38492543360c010ff1af80",
+            1, 9004, 2015, 2083),
+        "group_by": (
+            "95fd569634c7122e54bd08278988de91469c770dbfa58e1d1bd73b8a57a1aea9",
+            1, 8050, 1264, 1332),
+        "sorted": (
+            "c27051b495921794beb24de6bd29f2ae66c3e2b0e2c335a42d5aef6ab03337b5",
+            1, 9130, 2029, 2097),
+        "prepared": (
+            "9d276fba095a86a7b9f3e70445e4f5fcc381298f8bf07fc3bac65c3d9276f43f",
+            1, 7257, 1360, 1428),
+        "empty_streamed": (
+            "4e45317740a5a01b1c6a37687fd97bacdd715bb5cf8769b29305571b2e772852",
+            1, 4, 70, 138),
+        "empty_materialised": (
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            0, 0, 0, 0),
+        "insert": (
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            0, 0, 0, 0),
+    },
 }
 
 
@@ -209,7 +257,7 @@ def measure(chunk_rows: int, codec: str, encrypt: bool) -> dict:
 def _digests() -> dict:
     pinned = {}
     for chunk_rows in (7, 65_536):
-        for codec in ("none", "zlib"):
+        for codec in ("none", "zlib", "shuffle"):
             plain = measure(chunk_rows, codec, False)
             sealed = measure(chunk_rows, codec, True)
             pinned[chunk_rows, codec] = {
