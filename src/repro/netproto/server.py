@@ -33,6 +33,7 @@ from typing import Any, Callable, Iterable, Iterator
 from ..errors import (
     AuthenticationError,
     CorruptionError,
+    ExecutionError,
     PersistenceError,
     ProtocolError,
     QueryTimeoutError,
@@ -124,6 +125,8 @@ class ServerStats:
         "bytes_sent",
         "bytes_received",
         "errors",
+        # the ``errors`` that were not a :class:`ReproError` (a bug, answered)
+        "internal_errors",
         # resilience counters: admission rejections, cooperative aborts, and
         # the connection failure modes the chaos suite exercises
         "queries_rejected",
@@ -317,8 +320,8 @@ class DatabaseServer:
         self.limits = limits or ServerLimits()
         self.admission = AdmissionController(self.limits)
         #: Chaos-test hook: called with a named fault point (``"query_start"``,
-        #: ``"chunk"``) before the corresponding step; a hook that raises a
-        #: :class:`ReproError` injects that failure into the normal error path.
+        #: ``"chunk"``) before the corresponding step; a hook that raises
+        #: injects that failure into the normal error path.
         self.fault_hook: Callable[[str], None] | None = None
         # surface the wire-layer fault counters through SHOW STATS / the
         # stats message next to the engine's and the store's, merged with
@@ -449,13 +452,18 @@ class DatabaseServer:
                 responses = ({"type": MSG_CLOSED},)
             else:
                 raise ProtocolError(f"unknown message type {message_type!r}")
-        except ReproError as exc:
+        except Exception as exc:
             responses = (self._error_response(exc),)
         yield from responses
 
-    def _error_response(self, exc: ReproError) -> dict[str, Any]:
-        """Build the structured error frame for ``exc``, updating stats."""
+    def _error_response(self, exc: Exception) -> dict[str, Any]:
+        """Build the structured error frame for ``exc``, updating stats (a
+        non-``ReproError`` too: unanswered, the client waits out its timeouts)."""
         self.stats.inc("errors")
+        if not isinstance(exc, ReproError):
+            self.stats.inc("internal_errors")
+            exc = ExecutionError(
+                f"internal error: {type(exc).__name__}: {exc}")
         if isinstance(exc, QueryTimeoutError):
             self.stats.inc("queries_timed_out")
         if isinstance(exc, CorruptionError):
@@ -745,7 +753,7 @@ class DatabaseServer:
             for chunk in stream:
                 self._fault("chunk")
                 yield chunk
-        except ReproError as exc:
+        except Exception as exc:
             yield self._error_response(exc)
 
     # ------------------------------------------------------------------ #

@@ -22,6 +22,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from ..errors import ExecutionError
+from . import ast_nodes as ast
 from .types import python_value
 from .vector import Vector
 
@@ -110,6 +111,10 @@ AGGREGATE_FUNCTIONS: dict[str, AggregateFunction] = {
 
 def is_aggregate(name: str) -> bool:
     return name.upper() in AGGREGATE_FUNCTIONS
+
+
+def aggregate_is_star(node: ast.FunctionCall) -> bool:
+    return len(node.args) == 1 and isinstance(node.args[0], ast.Star)
 
 
 #: Aggregates with a numpy whole-column / grouped kernel.  MEDIAN and the

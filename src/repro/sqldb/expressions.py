@@ -8,27 +8,30 @@ column's scan is one, zero-copy), and the Python tier's two: a plain list
 and the object array a BLOB column stores.  Comparison, arithmetic and
 logical operators run as whole-array numpy kernels over vectors and return
 vectors: NULLs propagate by mask union (Kleene three-valued logic for
-AND/OR), string comparisons and LIKE run over the dictionary codes, and only
-genuinely object-typed data (BLOBs, mixed-type columns) and operands a typed
-kernel cannot hold fall back to the per-element interpreter.  Scalar Python
-UDFs referenced in expressions are invoked **once per operator call** with
-whole columns, which is the MonetDB operator-at-a-time behaviour the paper's
-§2.4 contrasts with tuple-at-a-time engines.
+AND/OR) and two string columns compare by dictionary code.  Everything else
+— BLOBs, mixed-type columns, operands a typed kernel cannot hold, built-ins,
+CASE — is the per-row tier, one driver (``ExpressionEvaluator._per_row``): a
+scalar function once per distinct value for a dictionary column beside
+constants, once per row otherwise.  Scalar Python UDFs are invoked **once per
+operator call** with whole columns, the MonetDB operator-at-a-time behaviour
+the paper's §2.4 contrasts with tuple-at-a-time engines.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 import numpy as np
 
-from ..errors import ExecutionError
+from ..errors import ExecutionError, ReproError
 from . import ast_nodes as ast
-from .aggregates import call_aggregate, is_aggregate
+from .aggregates import aggregate_is_star, call_aggregate, is_aggregate
 from .functions import call_builtin_scalar, is_builtin_scalar
-from .types import SQLType, infer_sql_type
+from .types import SQLType, coerce_value, infer_sql_type
 from .udf import columns_to_udf_args, convert_scalar_result
 from .vector import (
     Vector,
@@ -47,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # array; ``as_value_list`` / ``concat_values`` live next to ``Vector``)
 # --------------------------------------------------------------------------- #
 def _python_elements(values: Any) -> Any:
-    """Detach a vector into Python values for per-element evaluation; lists
+    """Detach a vector into Python values for per-row evaluation; lists
     and object arrays already hold Python objects and pass through."""
     if isinstance(values, Vector):
         return values.to_list()
@@ -116,13 +119,6 @@ class Batch:
         """A batch with no columns and a single row (for FROM-less SELECTs)."""
         return cls([], row_count=1)
 
-    def add_column(self, column: BatchColumn) -> None:
-        if self.columns and len(column) != self.row_count:
-            raise ExecutionError("column length mismatch when extending batch")
-        if not self.columns:
-            self.row_count = len(column)
-        self.columns.append(column)
-
     # -- name resolution -------------------------------------------------- #
     def matching_columns(self, name: str, table: str | None = None) -> list[BatchColumn]:
         """All columns matching a (possibly qualified) name, case-insensitively."""
@@ -179,9 +175,6 @@ class Batch:
                        if keep is True or keep == 1]
         return self.take(indices)
 
-    def row(self, index: int) -> tuple[Any, ...]:
-        return tuple(column.values[index] for column in self.columns)
-
 
 # --------------------------------------------------------------------------- #
 # Evaluation results
@@ -191,7 +184,7 @@ class EvalResult:
     """The outcome of evaluating one expression over a batch.
 
     ``values`` is a :class:`Vector` (every kernel's result) or, from the
-    per-element tier, a Python list / BLOB object array.
+    per-row tier, a Python list / BLOB object array.
     """
 
     values: Any
@@ -214,10 +207,8 @@ class EvalResult:
             f"cannot broadcast column of length {len(self.values)} to {length}"
         )
 
-    def value_list(self) -> list[Any]:
-        return as_value_list(self.values)
 
-
+@lru_cache(maxsize=256)
 def _like_to_regex(pattern: str) -> re.Pattern[str]:
     # re.escape leaves '%' and '_' alone on modern Pythons but escaped them on
     # older ones; handle both spellings before substituting the wildcards.
@@ -253,10 +244,31 @@ def _int_arith_may_overflow(op: str, left: Any, right: Any) -> bool:
     return left_mag + right_mag >= 2 ** 63
 
 
-#: Comparison spelled from the other operand's point of view (a op b == b op' a).
-_SWAPPED_COMPARE = {
-    "=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<=",
-}
+#: What a scalar function may raise for one row's values besides a ReproError.
+_VALUE_ERRORS = (TypeError, ValueError, ArithmeticError)
+
+#: The Python type a typed column of each SQL type holds (BLOBs stay lists).
+_VALUE_TYPES = {SQLType.INTEGER: int, SQLType.BIGINT: int, SQLType.DOUBLE: float,
+                SQLType.REAL: float, SQLType.STRING: str, SQLType.BOOLEAN: bool}
+
+
+def _typed_column(values: list[Any], sql_type: SQLType | None) -> Vector | None:
+    """``values`` as a vector; None when a typed column cannot hold them
+    (mixed Python types, integers beyond int64, BLOBs).  An un-typed result
+    takes the list tier's type, the first non-NULL row's (``infer_column_type``):
+    one inferred type across ``values`` makes it the same whichever row is first.
+    """
+    if sql_type is None:
+        kinds = {infer_sql_type(value) for value in values
+                 if value is not None} or {SQLType.STRING}
+        sql_type = kinds.pop() if len(kinds) == 1 else None
+    holds = _VALUE_TYPES.get(sql_type)
+    if holds is None or not {type(value) for value in values} <= {holds, type(None)}:
+        return None
+    try:
+        return Vector.from_values(values, sql_type)
+    except OverflowError:
+        return None
 
 
 def _numeric_result_type(left: SQLType | None, right: SQLType | None, op: str) -> SQLType:
@@ -308,7 +320,7 @@ class ExpressionEvaluator:
         return expression_contains_aggregate(expression)
 
     def _element_length(self, results: Sequence[EvalResult]) -> int:
-        """Output length for the per-element tier: the longest operand, at
+        """Output length for the per-row tier: the longest operand, at
         least 1 — except over an empty batch with a row-aligned (non-
         constant) empty operand, where the result is empty too instead of
         broadcasting a zero-length column up to a constant's length (a
@@ -318,6 +330,69 @@ class ExpressionEvaluator:
                 for result in results):
             return 0
         return max([1] + [len(result) for result in results])
+
+    def _per_row(self, operands: Sequence[EvalResult], function: Any,
+                 sql_type: SQLType | None = None, *,
+                 row_aligned: bool = False) -> EvalResult:
+        """The per-row tier, and the evaluator's one Python loop over rows:
+        ``function(*values)`` for every row.
+
+        Owns the length rule (``row_aligned``: a non-constant result covers
+        the whole batch even if every operand is one value long), broadcasts
+        each operand once, hands ``function`` Python values — Python ints are
+        unbounded where int64 elements would silently wrap — and turns a
+        value error into an ``ExecutionError``.
+        """
+        constant = all(operand.constant for operand in operands)
+        length = self._element_length(operands)
+        if row_aligned and not constant:
+            length = max(length, self.batch.row_count)
+        distinct = self._per_distinct(operands, function, sql_type, length)
+        if distinct is not None:
+            return EvalResult(distinct, constant, distinct.sql_type)
+        columns = [_python_elements(operand.broadcast(length))
+                   for operand in operands]
+        rows = zip(*columns) if columns else [()] * length
+        try:
+            values = [function(*row) for row in rows]
+        except _VALUE_ERRORS as exc:
+            raise ExecutionError(
+                f"invalid operands for expression: {exc}") from exc
+        return EvalResult(values, constant, sql_type)
+
+    @staticmethod
+    def _per_distinct(operands: Sequence[EvalResult], function: Any,
+                      sql_type: SQLType | None, length: int) -> Vector | None:
+        """One dictionary vector beside one-value constants: ``function`` once
+        per dictionary entry (NULL is one more entry), gathered by code — the
+        cost is distinct values, not rows.
+
+        ``None`` = run the row loop: other operand shapes, results a typed
+        column cannot hold, or a failing entry — a filtered batch keeps its
+        full dictionary, so only the row loop knows whether that entry is
+        among the rows (and which failing row comes first).
+        """
+        chosen = [operand for operand in operands if
+                  isinstance(operand.values, Vector) and operand.values.is_dict]
+        if len(chosen) != 1 or not all(
+                operand.constant and len(operand) == 1
+                for operand in operands if operand is not chosen[0]):
+            return None
+        vector = chosen[0].broadcast(length)
+        entries = vector.dictionary.tolist()
+        codes = vector.data
+        if vector.mask is not None:
+            codes = np.where(vector.mask, len(entries), codes)
+            entries.append(None)
+        columns = [entries if operand is chosen[0]
+                   else [_python_elements(operand.values)[0]] * len(entries)
+                   for operand in operands]
+        try:
+            typed = _typed_column(
+                [function(*row) for row in zip(*columns)], sql_type)
+        except (ReproError, *_VALUE_ERRORS):
+            return None
+        return typed.take(codes) if typed is not None else None
 
     # ------------------------------------------------------------------ #
     # leaf nodes
@@ -353,9 +428,8 @@ class ExpressionEvaluator:
                 negated = Vector(-operand.values.data, operand.values.mask,
                                  None, operand.values.sql_type)
                 return EvalResult(negated, operand.constant, operand.sql_type)
-            values = [None if v is None else -v
-                      for v in _python_elements(operand.values)]
-            return EvalResult(values, operand.constant, operand.sql_type)
+            return self._per_row(
+                [operand], lambda v: None if v is None else -v, operand.sql_type)
         if node.op == "NOT":
             if isinstance(operand.values, Vector) \
                     and operand.values.dictionary is None:
@@ -363,8 +437,9 @@ class ExpressionEvaluator:
                     ~self._as_bool_array(operand.values.data),
                     operand.values.mask, None, SQLType.BOOLEAN)
                 return EvalResult(inverted, operand.constant, SQLType.BOOLEAN)
-            values = [None if v is None else (not bool(v)) for v in operand.values]
-            return EvalResult(values, operand.constant, SQLType.BOOLEAN)
+            return self._per_row(
+                [operand], lambda v: None if v is None else not bool(v),
+                SQLType.BOOLEAN)
         raise ExecutionError(f"unsupported unary operator {node.op!r}")
 
     def _eval_BinaryOp(self, node: ast.BinaryOp) -> EvalResult:
@@ -377,31 +452,18 @@ class ExpressionEvaluator:
         if fast is not None:
             return fast
 
-        length = max(len(left), len(right))
-        if not left.constant or not right.constant:
-            length = self._element_length([left, right])
-        # per-element tier: operate on Python values, never numpy scalars —
-        # Python ints are unbounded where int64 elements would silently wrap
-        left_values = _python_elements(left.broadcast(length))
-        right_values = _python_elements(right.broadcast(length))
-
         if op in ("AND", "OR"):
-            values = [self._logical(op, l, r) for l, r in zip(left_values, right_values)]
-            return EvalResult(values, constant, SQLType.BOOLEAN)
-        if op in ("=", "<>", "<", "<=", ">", ">="):
-            values = [self._compare(op, l, r) for l, r in zip(left_values, right_values)]
-            return EvalResult(values, constant, SQLType.BOOLEAN)
-        if op == "||":
-            values = [
-                None if l is None or r is None else str(l) + str(r)
-                for l, r in zip(left_values, right_values)
-            ]
-            return EvalResult(values, constant, SQLType.STRING)
-        if op in ("+", "-", "*", "/", "%"):
-            values = [self._arith(op, l, r) for l, r in zip(left_values, right_values)]
+            function, sql_type = partial(self._logical, op), SQLType.BOOLEAN
+        elif op in self._COMPARE_UFUNCS:
+            function, sql_type = partial(self._compare, op), SQLType.BOOLEAN
+        elif op == "||":
+            function, sql_type = self._concat, SQLType.STRING
+        elif op in self._ARITH_UFUNCS:
+            function = partial(self._arith, op)
             sql_type = _numeric_result_type(left.sql_type, right.sql_type, op)
-            return EvalResult(values, constant, sql_type)
-        raise ExecutionError(f"unsupported binary operator {node.op!r}")
+        else:
+            raise ExecutionError(f"unsupported binary operator {node.op!r}")
+        return self._per_row([left, right], function, sql_type)
 
     _COMPARE_UFUNCS = {
         "=": np.equal, "<>": np.not_equal, "<": np.less,
@@ -411,18 +473,24 @@ class ExpressionEvaluator:
         "+": np.add, "-": np.subtract, "*": np.multiply,
         "/": np.true_divide, "%": np.mod,
     }
+    # the same operators over one row's Python values (the per-row tier)
+    _COMPARE = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
+                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+    _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv, "%": operator.mod}
 
     def _vector_binary(self, op: str, left: EvalResult, right: EvalResult,
                        constant: bool) -> EvalResult | None:
         """Whole-array kernel over (masked, dictionary) vectors and scalar
-        constants; ``None`` = fall back to the per-element tier.
+        constants; ``None`` = fall back to the per-row tier.
 
         NULLs propagate by mask union (Kleene logic for AND/OR); string
-        equality/ordering against a constant or another dictionary vector
-        runs on the dictionary codes.
+        equality/ordering between two dictionary vectors runs on the
+        dictionary codes (against a constant it is the per-row tier's
+        once-per-distinct-value path).
         """
-        lk = self._kernel_operand(left, allow_strings=True)
-        rk = self._kernel_operand(right, allow_strings=True)
+        lk = self._kernel_operand(left)
+        rk = self._kernel_operand(right)
         if lk is None or rk is None:
             return None
         l_data, l_mask, l_dict = lk
@@ -438,9 +506,8 @@ class ExpressionEvaluator:
         if op in ("AND", "OR"):
             return self._vector_logical(op, lk, rk, length, constant)
         if op in self._ARITH_UFUNCS:
-            if l_dict is not None or r_dict is not None \
-                    or isinstance(l_data, str) or isinstance(r_data, str):
-                return None  # string arithmetic: per-element errors apply
+            if l_dict is not None or r_dict is not None:
+                return None  # string arithmetic: per-row errors apply
             return self._vector_arith(op, left, right, lk, rk, length, constant)
         return None  # e.g. '||' — concatenation stays on the Python tier
 
@@ -457,27 +524,8 @@ class ExpressionEvaluator:
                 Vector(l_data, l_mask, l_dict), Vector(r_data, r_mask, r_dict))
             data = self._COMPARE_UFUNCS[op](l_codes, r_codes)
         elif l_dict is not None or r_dict is not None:
-            if l_dict is not None:
-                codes, mask, dictionary, other = l_data, l_mask, l_dict, r_data
-                ufunc_op = op
-            else:
-                codes, mask, dictionary, other = r_data, r_mask, r_dict, l_data
-                ufunc_op = _SWAPPED_COMPARE[op]
-            if not isinstance(other, str):
-                return None  # string vs non-string: per-element semantics
-            # evaluate the comparison once per dictionary entry, then gather
-            entries = np.fromiter(
-                (self._compare(ufunc_op, entry, other)
-                 for entry in dictionary.tolist()),
-                dtype=bool, count=len(dictionary))
-            safe_codes = codes if mask is None else np.where(mask, 0, codes)
-            if len(entries):
-                data = entries[safe_codes]
-            else:
-                data = np.zeros(length, dtype=np.bool_)
+            return None  # strings beside a constant or a number: per-row tier
         else:
-            if isinstance(l_data, str) or isinstance(r_data, str):
-                return None  # string vs numeric array: per-element semantics
             data = self._COMPARE_UFUNCS[op](l_data, r_data)
         mask_out = combine_masks(l_mask, r_mask)
         return self._masked_result(np.asarray(data), mask_out,
@@ -487,8 +535,7 @@ class ExpressionEvaluator:
                         constant: bool) -> EvalResult | None:
         l_data, l_mask, l_dict = lk
         r_data, r_mask, r_dict = rk
-        if l_dict is not None or r_dict is not None \
-                or isinstance(l_data, str) or isinstance(r_data, str):
+        if l_dict is not None or r_dict is not None:
             return None
         # a NULL literal behaves as an all-NULL operand in Kleene logic
         if l_data is None:
@@ -562,7 +609,7 @@ class ExpressionEvaluator:
         return EvalResult(vector, constant, sql_type)
 
     @staticmethod
-    def _kernel_operand(result: EvalResult, *, allow_strings: bool = False
+    def _kernel_operand(result: EvalResult
                         ) -> tuple[Any, np.ndarray | None, np.ndarray | None] | None:
         """Normalise an operand to ``(data, mask, dictionary)`` for a kernel.
 
@@ -577,9 +624,7 @@ class ExpressionEvaluator:
             value = values[0]
             if value is None:
                 return None, None, None
-            if isinstance(value, bool) or isinstance(value, (int, float)):
-                return value, None, None
-            if allow_strings and isinstance(value, str):
+            if isinstance(value, (bool, int, float)):
                 return value, None, None
         return None
 
@@ -614,47 +659,24 @@ class ExpressionEvaluator:
             return None
         return False
 
-    @staticmethod
-    def _compare(op: str, left: Any, right: Any) -> Any:
+    @classmethod
+    def _compare(cls, op: str, left: Any, right: Any) -> Any:
         if left is None or right is None:
             return None
-        try:
-            if op == "=":
-                return left == right
-            if op == "<>":
-                return left != right
-            if op == "<":
-                return left < right
-            if op == "<=":
-                return left <= right
-            if op == ">":
-                return left > right
-            return left >= right
-        except TypeError as exc:
-            raise ExecutionError(f"cannot compare {left!r} and {right!r}") from exc
+        return cls._COMPARE[op](left, right)
 
     @staticmethod
-    def _arith(op: str, left: Any, right: Any) -> Any:
+    def _concat(left: Any, right: Any) -> Any:
+        return None if left is None or right is None else str(left) + str(right)
+
+    @classmethod
+    def _arith(cls, op: str, left: Any, right: Any) -> Any:
         if left is None or right is None:
             return None
-        try:
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            if op == "/":
-                if right == 0:
-                    raise ExecutionError("division by zero")
-                return left / right
-            if right == 0:
-                raise ExecutionError("modulo by zero")
-            return left % right
-        except TypeError as exc:
+        if op in ("/", "%") and right == 0:
             raise ExecutionError(
-                f"invalid operands for {op!r}: {left!r}, {right!r}"
-            ) from exc
+                "division by zero" if op == "/" else "modulo by zero")
+        return cls._ARITH[op](left, right)
 
     # ------------------------------------------------------------------ #
     # predicates and conditionals
@@ -662,16 +684,12 @@ class ExpressionEvaluator:
     def _eval_IsNull(self, node: ast.IsNull) -> EvalResult:
         operand = self.evaluate(node.operand)
         if isinstance(operand.values, Vector):
-            # the validity mask *is* the IS NULL answer
-            vector = operand.values
-            if vector.mask is None:
-                values = np.full(len(vector), node.negated, dtype=np.bool_)
-            else:
-                values = ~vector.mask if node.negated else vector.mask.copy()
-            return self._masked_result(values, None, SQLType.BOOLEAN,
-                                       operand.constant)
-        values = [(v is None) != node.negated for v in operand.values]
-        return EvalResult(values, operand.constant, SQLType.BOOLEAN)
+            # the validity mask *is* the IS [NOT] NULL answer
+            return self._masked_result(
+                operand.values.valid() == node.negated, None,
+                SQLType.BOOLEAN, operand.constant)
+        return self._per_row(
+            [operand], lambda v: (v is None) != node.negated, SQLType.BOOLEAN)
 
     def _eval_InList(self, node: ast.InList) -> EvalResult:
         operand = self.evaluate(node.operand)
@@ -688,19 +706,15 @@ class ExpressionEvaluator:
             # a NULL operand is neither IN nor NOT IN the list: NULL
             return self._masked_result(found != node.negated, vector.mask,
                                        SQLType.BOOLEAN, constant=False)
-        length = self._element_length([operand] + item_results)
-        operand_values = operand.broadcast(length)
-        item_columns = [r.broadcast(length) for r in item_results]
-        values: list[Any] = []
-        for index, value in enumerate(operand_values):
+
+        def in_list(value: Any, *members: Any) -> Any:
             if value is None:
-                values.append(None)
-                continue
-            members = [col[index] for col in item_columns]
-            found = any(member is not None and member == value for member in members)
-            values.append(found != node.negated)
-        constant = operand.constant and all(r.constant for r in item_results)
-        return EvalResult(values, constant, SQLType.BOOLEAN)
+                return None
+            found = any(member is not None and member == value
+                        for member in members)
+            return found != node.negated
+
+        return self._per_row([operand] + item_results, in_list, SQLType.BOOLEAN)
 
     def _eval_Between(self, node: ast.Between) -> EvalResult:
         operand = self.evaluate(node.operand)
@@ -716,79 +730,40 @@ class ExpressionEvaluator:
             mask_out = combine_masks(value_mask, low_mask, high_mask)
             return self._masked_result(np.asarray(inside != node.negated),
                                        mask_out, SQLType.BOOLEAN, constant=False)
-        length = self._element_length([operand, lower, upper])
-        ov = operand.broadcast(length)
-        lv = lower.broadcast(length)
-        uv = upper.broadcast(length)
-        values: list[Any] = []
-        for value, low, high in zip(ov, lv, uv):
+
+        def between(value: Any, low: Any, high: Any) -> Any:
             if value is None or low is None or high is None:
-                values.append(None)
-            else:
-                values.append((low <= value <= high) != node.negated)
-        constant = operand.constant and lower.constant and upper.constant
-        return EvalResult(values, constant, SQLType.BOOLEAN)
+                return None
+            return (low <= value <= high) != node.negated
+
+        return self._per_row([operand, lower, upper], between, SQLType.BOOLEAN)
 
     def _eval_Like(self, node: ast.Like) -> EvalResult:
         operand = self.evaluate(node.operand)
         pattern = self.evaluate(node.pattern)
-        if (isinstance(operand.values, Vector) and operand.values.is_dict
-                and pattern.constant and len(pattern.values) == 1
-                and isinstance(pattern.values[0], str)):
-            # match each *distinct* string once, then gather by code
-            vector = operand.values
-            regex = _like_to_regex(pattern.values[0])
-            entries = np.fromiter(
-                (bool(regex.match(str(entry))) != node.negated
-                 for entry in vector.dictionary.tolist()),
-                dtype=bool, count=len(vector.dictionary))
-            codes = vector.data if vector.mask is None else \
-                np.where(vector.mask, 0, vector.data)
-            if len(entries):
-                data = entries[codes]
-            else:
-                data = np.zeros(len(vector), dtype=np.bool_)
-            return self._masked_result(data, vector.mask, SQLType.BOOLEAN,
-                                       operand.constant)
-        length = self._element_length([operand, pattern])
-        ov = operand.broadcast(length)
-        pv = pattern.broadcast(length)
-        values: list[Any] = []
-        for value, pat in zip(ov, pv):
+
+        def like(value: Any, pat: Any) -> Any:
             if value is None or pat is None:
-                values.append(None)
-            else:
-                values.append(bool(_like_to_regex(str(pat)).match(str(value))) != node.negated)
-        return EvalResult(values, operand.constant and pattern.constant, SQLType.BOOLEAN)
+                return None
+            return bool(_like_to_regex(str(pat)).match(str(value))) != node.negated
+
+        return self._per_row([operand, pattern], like, SQLType.BOOLEAN)
 
     def _eval_CaseExpression(self, node: ast.CaseExpression) -> EvalResult:
-        when_results = [(self.evaluate(cond), self.evaluate(result))
-                        for cond, result in node.whens]
-        default = self.evaluate(node.default) if node.default is not None else None
-        parts = [part for pair in when_results for part in pair]
-        if default is not None:
-            parts.append(default)
-        length = self._element_length(parts)
-        if not all(c.constant and r.constant for c, r in when_results):
-            length = max(length, self.batch.row_count)
-        values: list[Any] = []
-        for index in range(length):
-            chosen: Any = None
-            matched = False
-            for cond, result in when_results:
-                cond_value = cond.broadcast(length)[index]
-                if cond_value is True or cond_value == 1:
-                    chosen = result.broadcast(length)[index]
-                    matched = True
-                    break
-            if not matched and default is not None:
-                chosen = default.broadcast(length)[index]
-            values.append(chosen)
-        return EvalResult(values, constant=False)
+        # operands: condition, result, condition, result, ..., default
+        parts = [self.evaluate(part) for pair in node.whens for part in pair]
+        parts.append(self.evaluate(node.default) if node.default is not None
+                     else EvalResult([None], constant=True))
+
+        def case(*values: Any) -> Any:
+            for index in range(0, len(values) - 1, 2):
+                if values[index] is True or values[index] == 1:
+                    return values[index + 1]
+            return values[-1]
+
+        return self._per_row(parts, case, row_aligned=True)
 
     def _eval_Cast(self, node: ast.Cast) -> EvalResult:
-        from .types import coerce_value
-
         operand = self.evaluate(node.operand)
         if isinstance(operand.values, Vector) \
                 and operand.values.dictionary is None \
@@ -798,9 +773,9 @@ class ExpressionEvaluator:
             cast = Vector(vector.data.astype(np.float64), vector.mask,
                           None, node.target_type)
             return EvalResult(cast, operand.constant, node.target_type)
-        values = [coerce_value(value, node.target_type)
-                  for value in _python_elements(operand.values)]
-        return EvalResult(values, operand.constant, node.target_type)
+        return self._per_row(
+            [operand], lambda value: coerce_value(value, node.target_type),
+            node.target_type)
 
     # ------------------------------------------------------------------ #
     # subqueries
@@ -824,13 +799,12 @@ class ExpressionEvaluator:
         result = self.database.execute_select(node.query)
         if result.column_count != 1:
             raise ExecutionError("IN subquery must return exactly one column")
-        members = set(value for value in result.columns[0].values if value is not None)
+        members = set(result.columns[0].values) - {None}
         operand = self.evaluate(node.operand)
-        values = [
-            None if value is None else ((value in members) != node.negated)
-            for value in operand.values
-        ]
-        return EvalResult(values, operand.constant, SQLType.BOOLEAN)
+        return self._per_row(
+            [operand],
+            lambda v: None if v is None else (v in members) != node.negated,
+            SQLType.BOOLEAN)
 
     # ------------------------------------------------------------------ #
     # function calls (built-ins, aggregates, Python UDFs)
@@ -847,24 +821,17 @@ class ExpressionEvaluator:
         raise ExecutionError(f"unknown function {name!r}")
 
     def _eval_builtin(self, node: ast.FunctionCall) -> EvalResult:
-        arg_results = [self.evaluate(arg) for arg in node.args]
-        length = self._element_length(arg_results)
-        if not all(result.constant for result in arg_results):
-            length = max(length, self.batch.row_count)
-        columns = [result.broadcast(length) for result in arg_results]
-        values = [
-            call_builtin_scalar(node.name, [column[index] for column in columns])
-            for index in range(length)
-        ]
-        constant = all(result.constant for result in arg_results)
-        return EvalResult(values, constant)
+        return self._per_row(
+            [self.evaluate(arg) for arg in node.args],
+            lambda *args: call_builtin_scalar(node.name, list(args)),
+            row_aligned=True)
 
     def _eval_aggregate(self, node: ast.FunctionCall) -> EvalResult:
         if not self.allow_aggregates:
             raise ExecutionError(
                 f"aggregate {node.name!r} is not allowed in this context"
             )
-        is_star = len(node.args) == 1 and isinstance(node.args[0], ast.Star)
+        is_star = aggregate_is_star(node)
         if is_star or not node.args:
             values: Sequence[Any] = [1] * self.batch.row_count
         else:

@@ -39,6 +39,7 @@ from .aggregates import (
     PARTIAL_AGGREGATES,
     GroupLayout,
     PartialAggregate,
+    aggregate_is_star,
     grouped_aggregate,
     is_aggregate,
     merge_partial_aggregates,
@@ -381,14 +382,9 @@ def group_column(result: EvalResult, n_groups: int) -> list[Any]:
 def aggregate_argument(node: ast.FunctionCall, evaluator: ExpressionEvaluator,
                        batch: Batch) -> Sequence[Any]:
     """The row-aligned argument column of one aggregate call."""
-    is_star = len(node.args) == 1 and isinstance(node.args[0], ast.Star)
-    if is_star or not node.args:
+    if aggregate_is_star(node) or not node.args:
         return [1] * batch.row_count if node.distinct else []
     return evaluator.evaluate(node.args[0]).broadcast(batch.row_count)
-
-
-def aggregate_is_star(node: ast.FunctionCall) -> bool:
-    return len(node.args) == 1 and isinstance(node.args[0], ast.Star)
 
 
 # --------------------------------------------------------------------------- #

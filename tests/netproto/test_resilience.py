@@ -639,3 +639,78 @@ class TestStalledReader:
                 survivor.close()
         finally:
             front.stop()
+
+
+# --------------------------------------------------------------------------- #
+# a statement that dies with a non-ReproError is answered, not met with silence
+# --------------------------------------------------------------------------- #
+class TestInternalErrors:
+    """Over TCP an unanswered statement costs the client its full socket
+    timeouts, so every exception out of a statement becomes an error frame.
+    The 5 s client timeout makes a regression fail in seconds."""
+
+    @pytest.fixture()
+    def served(self):
+        from repro.netproto.server import AsyncSocketServer
+
+        database = Database()
+        database.execute("CREATE TABLE t (a INTEGER, s STRING)")
+        database.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, NULL)")
+        server = DatabaseServer(database)
+        front = AsyncSocketServer(server, host="127.0.0.1", port=0)
+        host, port = front.start_background()
+        connection = Connection.connect_tcp(
+            ConnectionInfo(host=host, port=port), timeout=5.0)
+        connection.retry_policy = None
+        try:
+            yield server, connection
+        finally:
+            connection.close()
+            front.stop()
+            database.close()
+
+    def _fails_promptly(self, connection, sql, match):
+        started = time.monotonic()
+        with pytest.raises(ExecutionError, match=match) as raised:
+            connection.execute(sql)
+        assert time.monotonic() - started < 1.0
+        assert raised.value.retryable is False
+        return raised.value
+
+    def _still_serving(self, server, connection):
+        assert connection.execute("SELECT COUNT(*) FROM t").scalar() == 3
+        assert server.admission.active == 0
+        assert server.active_sessions == 1
+
+    def test_value_error_in_expression_is_an_error_frame(self, served):
+        server, connection = served
+        self._fails_promptly(connection, "SELECT -s FROM t", "invalid operands")
+        assert server.stats.internal_errors == 0  # an ExecutionError by now
+        self._still_serving(server, connection)
+
+    @pytest.mark.parametrize("point", ["query_start", "chunk"])
+    def test_injected_runtime_error(self, served, point):
+        server, connection = served
+
+        def explode(at: str) -> None:
+            if at == point:
+                raise RuntimeError("boom")
+
+        server.fault_hook = explode
+        self._fails_promptly(connection, "SELECT a, s FROM t",
+                             "internal error: RuntimeError: boom")
+        server.fault_hook = None
+        assert server.stats.internal_errors == 1
+        assert server.stats.errors == 1
+        self._still_serving(server, connection)
+        stats = dict(connection.execute("SHOW STATS").fetchall())
+        assert stats["server.internal_errors"] == 1
+
+    def test_in_process_transport_answers_too(self):
+        server = DatabaseServer(Database())
+        server.fault_hook = lambda at: (_ for _ in ()).throw(KeyError(at))
+        connection = Connection.connect_in_process(server)
+        with pytest.raises(ExecutionError, match="internal error: KeyError"):
+            connection.execute("SELECT 1")
+        assert server.admission.active == 0
+        connection.close()

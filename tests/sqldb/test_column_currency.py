@@ -9,6 +9,12 @@ suite's statements run.
 
 (b) *Tier equivalence* — a vector kernel and the per-row tier give the same
 answer on the same values, so the two remaining tiers cannot drift apart.
+
+(c) *One per-row driver* — ``ExpressionEvaluator._per_row`` is the only
+Python loop over rows (census by source inspection), its work is counted
+(function calls linear in rows, or in distinct values for a dictionary
+column beside constants; one ``broadcast`` per operand), and (d) the
+per-distinct-value path never answers for a value that is not among the rows.
 """
 
 import shutil
@@ -346,10 +352,18 @@ EXPRESSIONS = [
     ("a BETWEEN 2 AND 5", True), ("x NOT BETWEEN 0 AND b", True),
     ("a IN (1, 2, 3)", True), ("a NOT IN (1, 5)", True),
     ("x IN (0.5, 2, 5)", True), ("x NOT IN (0, 1.25)", True),
-    ("a IN (1, NULL)", False), ("s IN ('ant', 'bee')", False),
+    ("a IN (1, NULL)", False), ("s IN ('ant', 'bee')", True),
     ("s LIKE 'b%'", True), ("s NOT LIKE '%a%'", True), ("t LIKE '_ee'", True),
     ("CAST(a AS DOUBLE)", True), ("CAST(x AS DOUBLE)", True),
     ("CAST(a AS STRING)", False),
+    # the per-row tier: once per row ...
+    ("CASE WHEN a > 2 THEN 1 ELSE 0 END", False),
+    ("CASE WHEN s = 'bee' THEN 'x' END", False),
+    ("ABS(a)", False), ("COALESCE(a, 0)", False),
+    # ... and once per distinct value for a dictionary column beside constants
+    ("UPPER(s)", True), ("LENGTH(s)", True), ("SUBSTR(s, 2)", True),
+    ("COALESCE(s, 'none')", True), ("s || '!'", True),
+    ("CAST(s AS STRING)", True), ("s BETWEEN 'ant' AND 'cat'", True),
 ]
 
 
@@ -362,9 +376,12 @@ def _batch(shape, typed):
     return Batch(columns, row_count=len(columns[0]))
 
 
+def _expression(text):
+    return parse_statement(f"SELECT {text}").items[0].expression
+
+
 def _evaluate(batch, text):
-    expression = parse_statement(f"SELECT {text}").items[0].expression
-    result = ExpressionEvaluator(Database(), batch).evaluate(expression)
+    result = ExpressionEvaluator(Database(), batch).evaluate(_expression(text))
     return result.broadcast(batch.row_count)
 
 
@@ -401,3 +418,160 @@ def test_aggregate_kernels_equal_the_per_row_tier(shape, name):
         layout = GroupLayout(np.arange(len(values)) % 3, 3)
         assert grouped_aggregate(name, vector, layout) \
             == grouped_aggregate(name, list(values), layout), (column, shape)
+
+
+# --------------------------------------------------------------------------- #
+# (c) the per-row tier is one driver: work is counted, not timed
+# --------------------------------------------------------------------------- #
+@pytest.fixture()
+def work(monkeypatch):
+    """Count scalar-function calls and ``EvalResult.broadcast`` calls made
+    while an expression evaluates (no wall time anywhere)."""
+    counts = {"calls": 0, "broadcasts": 0}
+    per_row, broadcast = ExpressionEvaluator._per_row, EvalResult.broadcast
+
+    def counting_per_row(self, operands, function, *args, **kwargs):
+        def counted(*values):
+            counts["calls"] += 1
+            return function(*values)
+        return per_row(self, operands, counted, *args, **kwargs)
+
+    def counting_broadcast(self, length):
+        counts["broadcasts"] += 1
+        return broadcast(self, length)
+
+    monkeypatch.setattr(ExpressionEvaluator, "_per_row", counting_per_row)
+    monkeypatch.setattr(EvalResult, "broadcast", counting_broadcast)
+
+    def run(text, rows):
+        batch = Batch([
+            BatchColumn(None, "a", SQLType.INTEGER, Vector.from_values(
+                [index % 11 for index in range(rows)], SQLType.INTEGER)),
+            BatchColumn(None, "s", SQLType.STRING, Vector.from_values(
+                [f"x{index % 7}" for index in range(rows)], SQLType.STRING)),
+        ])
+        counts.update(calls=0, broadcasts=0)
+        result = ExpressionEvaluator(Database(), batch).evaluate(
+            _expression(text))
+        assert len(result) == rows
+        return counts["calls"], counts["broadcasts"]
+
+    return run
+
+
+@pytest.mark.parametrize("text, operands", [
+    ("CASE WHEN a > 5 THEN 1 ELSE 0 END", 3),
+    ("CASE WHEN a > 5 THEN 1 WHEN a > 2 THEN a END", 5),
+    ("ABS(a)", 1), ("COALESCE(a, 0)", 2), ("CAST(a AS STRING)", 1),
+    ("a IN (1, NULL)", 3),
+])
+def test_per_row_work_is_linear_in_rows(work, text, operands):
+    for rows in (500, 2_000):
+        assert work(text, rows) == (rows, operands), (text, rows)
+
+
+@pytest.mark.parametrize("text", [
+    "UPPER(s)", "LENGTH(s)", "SUBSTR(s, 2)", "REPLACE(s, 'x', 'y')",
+    "s = 'x3'", "'x3' < s", "s LIKE 'x%'", "s IN ('x1', 'x3')", "s || '!'",
+    "CAST(s AS STRING)", "s BETWEEN 'x1' AND 'x4'", "COALESCE(s, 'none')",
+])
+def test_per_distinct_work_is_bounded_by_the_dictionary(work, text):
+    for rows in (500, 2_000):
+        calls, broadcasts = work(text, rows)
+        assert calls <= 7 + 1, (text, rows)
+        assert broadcasts == 1, (text, rows)  # the dictionary operand's
+
+
+#: ``_eval_*`` nodes that broadcast without being the per-row tier: both hand
+#: whole columns to one call (an aggregate, a Python UDF), never loop on rows
+WHOLE_COLUMN_NODES = {"_eval_aggregate", "_eval_python_udf"}
+
+
+def test_per_row_is_the_only_loop_over_rows():
+    """Census by source inspection: outside ``_per_row`` (and its
+    per-distinct-value helper) no ``_eval_*`` node broadcasts, detaches a
+    vector or loops over something row-shaped."""
+    import ast as python_ast
+    import inspect
+    import textwrap
+
+    row_shaped = (".values", ".broadcast(", "_python_elements", "to_list",
+                  "as_value_list", "row_count", "length")
+    nodes = [name for name in vars(ExpressionEvaluator)
+             if name.startswith("_eval_") and name not in WHOLE_COLUMN_NODES]
+    assert len(nodes) >= 15
+    for name in nodes:
+        source = textwrap.dedent(
+            inspect.getsource(getattr(ExpressionEvaluator, name)))
+        assert ".broadcast(" not in source, name
+        assert "_python_elements(" not in source, name
+        for loop in python_ast.walk(python_ast.parse(source)):
+            iterables = []
+            if isinstance(loop, (python_ast.For, python_ast.While)):
+                iterables = [getattr(loop, "iter", None) or loop.test]
+            elif isinstance(loop, (python_ast.ListComp, python_ast.SetComp,
+                                   python_ast.DictComp,
+                                   python_ast.GeneratorExp)):
+                iterables = [gen.iter for gen in loop.generators]
+            for iterable in iterables:
+                text = python_ast.unparse(iterable)
+                assert not any(word in text for word in row_shaped), \
+                    (name, text)
+    driver = inspect.getsource(ExpressionEvaluator._per_row)
+    assert ".broadcast(" in driver and "for row in" in driver
+
+
+# --------------------------------------------------------------------------- #
+# (d) the per-distinct-value path never answers for a value that is not there
+# --------------------------------------------------------------------------- #
+def test_an_entrys_error_surfaces_only_if_the_entry_is_among_the_rows():
+    from repro.errors import TypeMismatchError
+
+    for morsel_rows in (1, 2, 65_536):
+        db = Database(morsel_rows=morsel_rows)
+        db.execute("CREATE TABLE t (i INTEGER, s STRING)")
+        db.execute("INSERT INTO t VALUES (0, '7'), (1, 'zzz'), (2, '12'), "
+                   "(3, 'abc'), (4, NULL)")
+        # a filtered batch keeps its full dictionary: 'abc' / 'zzz' are
+        # entries, but not among the rows
+        assert db.execute(
+            "SELECT CAST(s AS INTEGER) FROM t WHERE s <> 'abc' AND s <> 'zzz' "
+            "ORDER BY i").fetchall() == [(7,), (12,)]
+        # ... and the error that does surface is the first failing *row's*
+        # ('abc' sorts first in the dictionary, 'zzz' comes first in the rows)
+        with pytest.raises(TypeMismatchError, match="zzz"):
+            db.execute("SELECT CAST(s AS INTEGER) FROM t")
+        db.close()
+    # an entry absent from a *sliced* morsel: the slice shares the dictionary
+    batch = Batch([BatchColumn(None, "s", SQLType.STRING, Vector.from_values(
+        ["7", "12", "abc"], SQLType.STRING))])
+    assert as_value_list(_evaluate(batch.slice(0, 2), "CAST(s AS INTEGER)")) \
+        == [7, 12]
+    upper = _evaluate(batch.slice(2, 3), "UPPER(s)")
+    assert isinstance(upper, Vector) and upper.to_list() == ["ABC"]
+
+
+@pytest.mark.parametrize("text, expected", [
+    # mixed Python types: the column type is the first non-NULL row's
+    ("COALESCE(s, 1)", ["bee", 1, "ant"]),
+    ("NULLIF(s, 'bee')", [None, None, "ant"]),
+    # beyond int64
+    ("CAST(t AS BIGINT)", [99999999999999999999, 5, None]),
+    ("LENGTH(s) * 0 + CAST(t AS BIGINT)", None),
+])
+def test_results_a_typed_column_cannot_hold_stay_on_the_row_loop(text, expected):
+    columns = {"s": ["bee", None, "ant"],
+               "t": ["99999999999999999999", "5", None]}
+    typed, plain = (
+        Batch([BatchColumn(None, name, SQLType.STRING,
+                           Vector.from_values(values, SQLType.STRING)
+                           if is_typed else list(values))
+               for name, values in columns.items()])
+        for is_typed in (True, False))
+    answer = as_value_list(_evaluate(typed, text))
+    reference = as_value_list(_evaluate(plain, text))
+    assert answer == reference
+    assert [type(value) for value in answer] \
+        == [type(value) for value in reference]
+    if expected is not None:
+        assert answer == expected

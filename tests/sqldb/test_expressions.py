@@ -145,6 +145,33 @@ class TestEvaluation:
             evaluator.evaluate(parse_expression("frobnicate(i)"))
 
 
+class TestValueErrorsAreExecutionErrors:
+    """A per-value ``TypeError`` / ``ValueError`` is never a raw exception:
+    the per-row driver turns it into an ``ExecutionError`` for every node."""
+
+    @pytest.fixture()
+    def db(self) -> Database:
+        db = Database()
+        db.execute("CREATE TABLE t (a INTEGER, s STRING)")
+        db.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, NULL)")
+        return db
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT -s FROM t",
+        "SELECT s BETWEEN 1 AND 2 FROM t",
+        "SELECT a BETWEEN 'a' AND 'b' FROM t",
+        "SELECT EXP(a * 1000) FROM t",
+    ])
+    def test_embedded(self, db, sql):
+        with pytest.raises(ExecutionError, match="invalid operands|error in"):
+            db.execute(sql)
+
+    def test_list_tier(self, evaluator):
+        for text in ("-s", "s BETWEEN 1 AND 2", "i BETWEEN 'a' AND 'b'"):
+            with pytest.raises(ExecutionError, match="invalid operands"):
+                evaluator.evaluate(parse_expression(text))
+
+
 class TestEvalResult:
     def test_broadcast(self):
         assert EvalResult([1], constant=True).broadcast(3) == [1, 1, 1]

@@ -90,6 +90,27 @@ STATEMENTS = [
     ("SELECT DISTINCT k FROM f", False),
     ("SELECT DISTINCT k, s FROM f WHERE m IS NOT NULL", False),
     ("SELECT DISTINCT s FROM f ORDER BY s", True),
+    # the per-row tier's shapes: CASE, built-ins, string BETWEEN, CAST (no
+    # LIKE: SQLite's is case-insensitive)
+    ("SELECT SUM(CASE WHEN m > 10 THEN 1 ELSE 0 END), "
+     "SUM(CASE WHEN s = 'bee' THEN m END) FROM f", False),
+    ("SELECT k, SUM(CASE WHEN m > 10 THEN 1 ELSE 0 END), "
+     "SUM(CASE WHEN s = 'bee' THEN m WHEN s = 'ant' THEN 0 - m END) "
+     "FROM f GROUP BY k", False),
+    ("SELECT i, CASE WHEN s = 'bee' THEN 'b' WHEN m > 30 THEN s END FROM f",
+     False),
+    ("SELECT COUNT(*) FROM f WHERE UPPER(s) = 'DOG'", False),
+    ("SELECT UPPER(s), COUNT(*), SUM(LENGTH(s)) FROM f GROUP BY UPPER(s)",
+     False),
+    ("SELECT i, LENGTH(s), ABS(m), ABS(x), LOWER(s) FROM f", False),
+    ("SELECT i, COALESCE(s, 'none'), NULLIF(k, 3), NULLIF(s, 'bee') FROM f",
+     False),
+    ("SELECT i, SUBSTR(s, 2), SUBSTR(s, 1, 2), s || '!' FROM f", False),
+    ("SELECT i, s FROM f WHERE s BETWEEN 'ant' AND 'cat'", False),
+    ("SELECT i FROM f WHERE s NOT BETWEEN 'bee' AND 'eel' OR s >= 'cat'",
+     False),
+    ("SELECT i, CAST(x * 4 AS INTEGER), CAST(k AS INTEGER), "
+     "CAST(m AS DOUBLE) FROM f", False),
 ]
 
 
