@@ -25,6 +25,7 @@ import selectors
 import socket
 import threading
 import time
+import traceback
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -458,12 +459,13 @@ class DatabaseServer:
 
     def _error_response(self, exc: Exception) -> dict[str, Any]:
         """Build the structured error frame for ``exc``, updating stats (a
-        non-``ReproError`` too: unanswered, the client waits out its timeouts)."""
+        non-``ReproError`` too: unanswered, the client waits out its timeouts;
+        its text and traceback stay on the server's stderr)."""
         self.stats.inc("errors")
         if not isinstance(exc, ReproError):
             self.stats.inc("internal_errors")
-            exc = ExecutionError(
-                f"internal error: {type(exc).__name__}: {exc}")
+            traceback.print_exception(exc)  # to stderr
+            exc = ExecutionError(f"internal error: {type(exc).__name__}")
         if isinstance(exc, QueryTimeoutError):
             self.stats.inc("queries_timed_out")
         if isinstance(exc, CorruptionError):

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 import numpy as np
 
-from ..errors import ExecutionError, ReproError
+from ..errors import ExecutionError
 from . import ast_nodes as ast
 from .aggregates import aggregate_is_star, call_aggregate, is_aggregate
 from .functions import call_builtin_scalar, is_builtin_scalar
@@ -244,7 +244,7 @@ def _int_arith_may_overflow(op: str, left: Any, right: Any) -> bool:
     return left_mag + right_mag >= 2 ** 63
 
 
-#: What a scalar function may raise for one row's values besides a ReproError.
+#: What a scalar function may raise for one row's values besides an ExecutionError.
 _VALUE_ERRORS = (TypeError, ValueError, ArithmeticError)
 
 #: The Python type a typed column of each SQL type holds (BLOBs stay lists).
@@ -254,9 +254,10 @@ _VALUE_TYPES = {SQLType.INTEGER: int, SQLType.BIGINT: int, SQLType.DOUBLE: float
 
 def _typed_column(values: list[Any], sql_type: SQLType | None) -> Vector | None:
     """``values`` as a vector; None when a typed column cannot hold them
-    (mixed Python types, integers beyond int64, BLOBs).  An un-typed result
-    takes the list tier's type, the first non-NULL row's (``infer_column_type``):
-    one inferred type across ``values`` makes it the same whichever row is first.
+    (mixed Python types, BLOBs; integers beyond int64 raise ``OverflowError``).
+    An un-typed result takes the list tier's type, the first non-NULL row's
+    (``infer_column_type``): one inferred type across ``values`` makes it the
+    same whichever row is first.
     """
     if sql_type is None:
         kinds = {infer_sql_type(value) for value in values
@@ -265,10 +266,7 @@ def _typed_column(values: list[Any], sql_type: SQLType | None) -> Vector | None:
     holds = _VALUE_TYPES.get(sql_type)
     if holds is None or not {type(value) for value in values} <= {holds, type(None)}:
         return None
-    try:
-        return Vector.from_values(values, sql_type)
-    except OverflowError:
-        return None
+    return Vector.from_values(values, sql_type)
 
 
 def _numeric_result_type(left: SQLType | None, right: SQLType | None, op: str) -> SQLType:
@@ -316,9 +314,6 @@ class ExpressionEvaluator:
             return data
         return [value is True or value == 1 for value in as_value_list(values)]
 
-    def contains_aggregate(self, expression: ast.Expression) -> bool:
-        return expression_contains_aggregate(expression)
-
     def _element_length(self, results: Sequence[EvalResult]) -> int:
         """Output length for the per-row tier: the longest operand, at
         least 1 — except over an empty batch with a row-aligned (non-
@@ -365,12 +360,15 @@ class ExpressionEvaluator:
                       sql_type: SQLType | None, length: int) -> Vector | None:
         """One dictionary vector beside one-value constants: ``function`` once
         per dictionary entry (NULL is one more entry), gathered by code — the
-        cost is distinct values, not rows.
+        cost is distinct values.  A morsel slice or a filtered batch keeps its
+        column's full dictionary: one longer than the batch is first cut down
+        to the entries the rows use (at most one call more than the rows).
 
-        ``None`` = run the row loop: other operand shapes, results a typed
-        column cannot hold, or a failing entry — a filtered batch keeps its
-        full dictionary, so only the row loop knows whether that entry is
-        among the rows (and which failing row comes first).
+        ``None`` = run the row loop: other operand shapes, a result that may
+        be strings over more entries than half the rows (little to save, and
+        a string column costs a sort of its values), results a typed column
+        cannot hold, or a failing entry — only the row loop knows whether that
+        entry is among the rows (and which failing row comes first).
         """
         chosen = [operand for operand in operands if
                   isinstance(operand.values, Vector) and operand.values.is_dict]
@@ -379,8 +377,13 @@ class ExpressionEvaluator:
                 for operand in operands if operand is not chosen[0]):
             return None
         vector = chosen[0].broadcast(length)
-        entries = vector.dictionary.tolist()
-        codes = vector.data
+        codes, entries = vector.data, vector.dictionary
+        if len(entries) > length:
+            used, codes = np.unique(codes, return_inverse=True)
+            entries = entries[used]
+        if sql_type in (None, SQLType.STRING) and 2 * len(entries) > length:
+            return None
+        entries = entries.tolist()
         if vector.mask is not None:
             codes = np.where(vector.mask, len(entries), codes)
             entries.append(None)
@@ -390,7 +393,7 @@ class ExpressionEvaluator:
         try:
             typed = _typed_column(
                 [function(*row) for row in zip(*columns)], sql_type)
-        except (ReproError, *_VALUE_ERRORS):
+        except (ExecutionError, *_VALUE_ERRORS):
             return None
         return typed.take(codes) if typed is not None else None
 
@@ -604,9 +607,8 @@ class ExpressionEvaluator:
     def _all_null_result(length: int, sql_type: SQLType,
                          constant: bool) -> EvalResult:
         dtype = np.bool_ if sql_type is SQLType.BOOLEAN else np.float64
-        vector = Vector(np.zeros(length, dtype=dtype),
-                        np.ones(length, dtype=np.bool_), None, sql_type)
-        return EvalResult(vector, constant, sql_type)
+        return ExpressionEvaluator._masked_result(
+            np.zeros(length, dtype), np.ones(length, np.bool_), sql_type, constant)
 
     @staticmethod
     def _kernel_operand(result: EvalResult

@@ -689,7 +689,7 @@ class TestInternalErrors:
         self._still_serving(server, connection)
 
     @pytest.mark.parametrize("point", ["query_start", "chunk"])
-    def test_injected_runtime_error(self, served, point):
+    def test_injected_runtime_error(self, served, point, capsys):
         server, connection = served
 
         def explode(at: str) -> None:
@@ -697,9 +697,13 @@ class TestInternalErrors:
                 raise RuntimeError("boom")
 
         server.fault_hook = explode
+        # the client learns the type; the text and the traceback stay on
+        # the server's stderr
         self._fails_promptly(connection, "SELECT a, s FROM t",
-                             "internal error: RuntimeError: boom")
+                             "internal error: RuntimeError$")
         server.fault_hook = None
+        logged = capsys.readouterr().err
+        assert "Traceback" in logged and "RuntimeError: boom" in logged
         assert server.stats.internal_errors == 1
         assert server.stats.errors == 1
         self._still_serving(server, connection)

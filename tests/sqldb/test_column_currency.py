@@ -361,9 +361,11 @@ EXPRESSIONS = [
     ("CASE WHEN s = 'bee' THEN 'x' END", False),
     ("ABS(a)", False), ("COALESCE(a, 0)", False),
     # ... and once per distinct value for a dictionary column beside constants
-    ("UPPER(s)", True), ("LENGTH(s)", True), ("SUBSTR(s, 2)", True),
-    ("COALESCE(s, 'none')", True), ("s || '!'", True),
-    ("CAST(s AS STRING)", True), ("s BETWEEN 'ant' AND 'cat'", True),
+    # (a result that may be strings only where that at least halves the calls,
+    # which these nine-row shapes do not: see the work-counting tests below)
+    ("UPPER(s)", False), ("LENGTH(s)", False), ("SUBSTR(s, 2)", False),
+    ("COALESCE(s, 'none')", False), ("s || '!'", False),
+    ("CAST(s AS STRING)", False), ("s BETWEEN 'ant' AND 'cat'", True),
 ]
 
 
@@ -444,16 +446,20 @@ def work(monkeypatch):
     monkeypatch.setattr(EvalResult, "broadcast", counting_broadcast)
 
     def run(text, rows):
+        """``rows``: a row count, or the string column ``s`` itself."""
+        strings = rows if isinstance(rows, Vector) else Vector.from_values(
+            [f"x{index % 7}" for index in range(rows)], SQLType.STRING)
+        rows = len(strings)
         batch = Batch([
             BatchColumn(None, "a", SQLType.INTEGER, Vector.from_values(
                 [index % 11 for index in range(rows)], SQLType.INTEGER)),
-            BatchColumn(None, "s", SQLType.STRING, Vector.from_values(
-                [f"x{index % 7}" for index in range(rows)], SQLType.STRING)),
-        ])
+            BatchColumn(None, "s", SQLType.STRING, strings),
+        ], row_count=rows)
         counts.update(calls=0, broadcasts=0)
         result = ExpressionEvaluator(Database(), batch).evaluate(
             _expression(text))
         assert len(result) == rows
+        run.result = result.values
         return counts["calls"], counts["broadcasts"]
 
     return run
@@ -480,6 +486,38 @@ def test_per_distinct_work_is_bounded_by_the_dictionary(work, text):
         calls, broadcasts = work(text, rows)
         assert calls <= 7 + 1, (text, rows)
         assert broadcasts == 1, (text, rows)  # the dictionary operand's
+        assert isinstance(work.result, Vector), (text, rows)
+
+
+@pytest.mark.parametrize("text, fixed_width", [
+    ("UPPER(s)", False), ("LENGTH(s)", False), ("s || '!'", False),
+    ("CAST(s AS STRING)", False), ("COALESCE(s, 'none')", False),
+    ("s = 'u0003'", True), ("s LIKE 'u00%'", True), ("s IN ('u0003')", True),
+    ("s BETWEEN 'u0001' AND 'u0004'", True), ("CAST(s AS INTEGER)", True),
+])
+def test_per_distinct_work_never_exceeds_the_rows(work, text, fixed_width):
+    """A morsel slice and a filtered batch keep their column's full
+    dictionary: 2,000 entries behind 1, 5 or no rows cost at most that many
+    calls, and a column as distinct as its rows costs its rows.  A result
+    that may be strings is typed (a sort of its values) only where the
+    distinct values are at most half the rows; a fixed-width one always."""
+    strings = [f"u{index:04d}" for index in range(2_000)]
+    if "INTEGER" in text:
+        strings = [value[1:] for value in strings]
+    column = Vector.from_values(strings, SQLType.STRING)
+    # (rows, most calls, a string result is typed)
+    pieces = [(column.slice(7, 8), 1, False), (column.slice(7, 7), 0, True),
+              (column.take(np.array([3, 3, 900, 3, 900])), 2, True),
+              (column, 2_000, False)]
+    for piece, calls, strings_typed in pieces:
+        assert len(piece.dictionary) == 2_000
+        assert work(text, piece)[0] <= calls, (text, len(piece))
+        assert isinstance(work.result, Vector) \
+            == (fixed_width or strings_typed), (text, len(piece))
+    # NULL is one more entry (and its fill code one more): rows + 1 at most
+    nullable = Vector.from_values([None] + strings, SQLType.STRING)
+    assert work(text, nullable.slice(0, 1))[0] <= 2, text
+    assert work(text, nullable.slice(0, 3))[0] <= 4, text
 
 
 #: ``_eval_*`` nodes that broadcast without being the per-row tier: both hand
@@ -547,8 +585,9 @@ def test_an_entrys_error_surfaces_only_if_the_entry_is_among_the_rows():
         ["7", "12", "abc"], SQLType.STRING))])
     assert as_value_list(_evaluate(batch.slice(0, 2), "CAST(s AS INTEGER)")) \
         == [7, 12]
-    upper = _evaluate(batch.slice(2, 3), "UPPER(s)")
-    assert isinstance(upper, Vector) and upper.to_list() == ["ABC"]
+    assert as_value_list(_evaluate(batch.slice(2, 3), "UPPER(s)")) == ["ABC"]
+    matches = _evaluate(batch.slice(2, 3), "s LIKE 'a%'")
+    assert isinstance(matches, Vector) and matches.to_list() == [True]
 
 
 @pytest.mark.parametrize("text, expected", [
