@@ -142,6 +142,16 @@ class TestRunAndDebug:
                    and stop.watches["distance"] < 0
                    for stop in outcome.breakpoint_stops)
 
+    def test_file_that_does_not_compile_fails_run_and_debug_alike(self, plugin):
+        preparation = plugin.prepare_debug()
+        source = preparation.script_path.read_text()
+        preparation.script_path.write_text(source.replace("mean = 0\n", "mean = (0\n", 1))
+        local = plugin.run_udf_locally(preparation=preparation)
+        outcome = plugin.debug_udf(preparation=preparation, breakpoints=[1])
+        assert not local.completed and not outcome.completed
+        assert local.exception_type == outcome.exception_type == "SyntaxError"
+        assert local.exception_line == outcome.exception_line is not None
+
     def test_nested_udf_debugging_end_to_end(self, tmp_path):
         database = Database()
         setup_classifier_database(database, n_rows=40)

@@ -5,6 +5,7 @@ import textwrap
 
 import pytest
 
+from repro.core.debugger import debug_file
 from repro.core.runner import LocalUDFRunner
 from repro.errors import DebugSessionError
 
@@ -61,6 +62,15 @@ class TestRunFile:
         outcome = runner.run_file(script)
         assert outcome.failed
         assert outcome.exception_type == "SyntaxError"
+
+    def test_debug_reports_a_syntax_error_as_run_does(self, runner, tmp_path):
+        script = write_script(tmp_path, "x = 1\ndef broken(:\n    pass\n")
+        plain = runner.run_file(script)
+        outcome = debug_file(script, breakpoints=[1])
+        assert not outcome.completed and outcome.stops == []
+        assert outcome.exception_type == plain.exception_type == "SyntaxError"
+        assert outcome.exception_line == plain.exception_line == 2
+        assert outcome.exception_message == plain.exception_message
 
     def test_missing_script_raises(self, runner, tmp_path):
         with pytest.raises(DebugSessionError):
