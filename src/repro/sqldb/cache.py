@@ -29,12 +29,18 @@ from ..errors import ExecutionError
 from . import ast_nodes as ast
 from .aggregates import is_aggregate
 from .functions import is_builtin_scalar
+from .lexer import LITERAL_OR_COMMENT
 from .result import QueryResult
 
 
 def normalize_sql(sql: str) -> str:
-    """Whitespace-insensitive cache key for a statement's text."""
-    return " ".join(sql.replace(";", " ").split())
+    """Cache key for a statement's text: blanks between tokens and the
+    trailing ``;`` do not count; the text of a string literal (or a comment)
+    does — ``'a  b'``, ``'a b'`` and ``'a;b'`` are three statements."""
+    # [outside, literal or comment, outside, ...]
+    pieces = LITERAL_OR_COMMENT.split(sql)
+    pieces[::2] = [" ".join(piece.split()) for piece in pieces[::2]]
+    return " ".join(filter(None, pieces)).rstrip("; ")
 
 
 # --------------------------------------------------------------------------- #

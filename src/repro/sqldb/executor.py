@@ -133,8 +133,7 @@ class Executor:
         """
         prepared = self.database.resolve_prepared(statement.name)
         evaluator = ExpressionEvaluator(self.database, Batch.empty())
-        values = [evaluator.evaluate(expr).values[0]
-                  for expr in statement.args]
+        values = [evaluator.constant(expr) for expr in statement.args]
         bound = self.database.bind_prepared(prepared, values)
         if not isinstance(bound, ast.Select):
             return bound, None
@@ -320,7 +319,7 @@ class Executor:
     def _execute_insert_values(self, statement: ast.InsertValues) -> QueryResult:
         table = self.storage.table(statement.table)
         evaluator = ExpressionEvaluator(self.database, Batch.empty())
-        rows = ([evaluator.evaluate(expr).values[0] for expr in row_exprs]
+        rows = ([evaluator.constant(expr) for expr in row_exprs]
                 for row_exprs in statement.rows)
         inserted = self._insert_aligned_rows(table, statement.columns, rows)
         return QueryResult.empty(affected_rows=inserted, statement_type="INSERT")

@@ -299,6 +299,13 @@ class ExpressionEvaluator:
             )
         return method(expression)
 
+    def constant(self, expression: ast.Expression) -> Any:
+        """The value of an expression that reads no row (a VALUES entry, an
+        EXECUTE argument): for a literal, what ``_eval_Literal`` would wrap."""
+        if type(expression) is ast.Literal:
+            return expression.value
+        return self.evaluate(expression).values[0]
+
     def evaluate_mask(self, expression: ast.Expression) -> Sequence[bool]:
         """Evaluate a predicate and return a boolean mask over the batch rows.
 

@@ -1,17 +1,23 @@
 """SQL tokenizer.
 
-A hand-written scanner producing the token stream consumed by the recursive
-descent parser.  The only MonetDB-specific piece is the handling of
-``LANGUAGE PYTHON { ... }`` function bodies: the text between the braces is
-*not* SQL and is captured verbatim (it is Python source, see paper Listing 1),
-so the lexer exposes :func:`scan_braced_block` for the parser to call when it
-reaches the opening ``{`` of a CREATE FUNCTION body.
+Tokens are a regular language, so the scanner is one compiled pattern
+(:data:`_TOKEN`): blanks and comments, then one of number, punctuation,
+string, word, operator, end of input — or the catch-all that stands for
+"no token starts here".  A new operator or punctuation mark is one more
+entry in that pattern; a new keyword one more entry in :data:`KEYWORDS`.
+
+The only MonetDB-specific piece is ``LANGUAGE PYTHON { ... }``: the text
+between the braces is *not* SQL and is captured verbatim (it is Python source,
+see paper Listing 1), so :meth:`Lexer.scan` never reads past a ``{`` and the
+parser calls :meth:`Lexer.scan_braced_block` when it reaches the opening one
+of a CREATE FUNCTION body.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
+from itertools import islice
 
 from ..errors import ParseError
 
@@ -38,22 +44,60 @@ KEYWORDS = {
     "PREPARE", "EXECUTE", "DEALLOCATE",
 }
 
-_MULTI_CHAR_OPERATORS = ("<>", "<=", ">=", "!=", "||")
-_SINGLE_CHAR_OPERATORS = set("+-*/%<>=")
-# ``?`` is the positional parameter placeholder of PREPARE/EXECUTE.
-_PUNCTUATION = set("(),.;{}?")
+#: Where a comment and a string literal end (``re.VERBOSE | re.DOTALL``
+#: fragments): a line comment takes its newline along, a doubled quote inside
+#: a literal is an escaped quote.
+_COMMENT = r"--[^\n]*\n? | /\*.*?\*/"
+_QUOTED = r"""' [^']*+ (?: '' [^']*+ )*+ ' | " [^"]*+ (?: "" [^"]*+ )*+ " """
+
+#: One token per match; the group that matched (``_NUMBER`` ... ``_NO_TOKEN``,
+#: in this order) says which.  A number may not run into a word character or
+#: another ``.`` — ``1e``, ``1.2.3``, ``1ea`` are no token at all — and ``?``
+#: is the positional parameter placeholder of PREPARE/EXECUTE.
+_TOKEN = re.compile(rf"""
+    (?: \s+ | {_COMMENT} )*+
+    (?: ( (?: \d+\.?\d* | \.\d+ ) (?: [eE][+-]?\d+ )? (?![\w.]) )
+      | ( [(),;{{}}?] | \.(?!\d) )
+      | ( {_QUOTED} )
+      | ( [^\W\d]\w* )
+      | ( <> | <= | >= | != | \|\| | [-+*%<>=] | /(?!\*) )
+      | ( \Z )
+      | ( . )
+    )""", re.VERBOSE | re.DOTALL)
+_NUMBER, _PUNCTUATION, _STRING, _WORD, _OPERATOR, _END, _NO_TOKEN = range(1, 8)
+#: Token type by group (a word in :data:`KEYWORDS` is a KEYWORD instead).
+_TYPES = (None, TokenType.NUMBER, TokenType.PUNCTUATION, TokenType.STRING,
+          TokenType.IDENTIFIER, TokenType.OPERATOR, TokenType.EOF)
+#: A string literal or a comment: what a rewrite of statement text — the plan
+#: cache's key — has to step over, found the way the tokenizer finds them.
+LITERAL_OR_COMMENT = re.compile(rf"( {_QUOTED} | {_COMMENT} )",
+                                re.VERBOSE | re.DOTALL)
+#: The text a malformed-number error quotes: digits and dots, an exponent
+#: with or without digits, and the word characters run into it.
+_NUMBER_LIKE = re.compile(r"[\d.]+(?:[eE][+-]?\d*)?\w*")
+
+#: Tokens lexed per :meth:`Lexer.scan` call at most, so a long script is
+#: never held as tokens all at once.
+_SCAN_TOKENS = 4096
 
 
-@dataclass(frozen=True)
 class Token:
-    type: TokenType
-    value: str
-    position: int
+    """One lexed token.  ``keyword`` is the upper-cased word for a KEYWORD
+    token and ``None`` for every other type, so keyword tests compare it
+    without touching ``value`` again."""
+
+    __slots__ = ("type", "value", "position", "keyword")
+
+    def __init__(self, type: TokenType, value: str, position: int,
+                 keyword: str | None = None) -> None:
+        self.type = type
+        self.value = value
+        self.position = position
+        self.keyword = keyword
 
     def is_keyword(self, *names: str) -> bool:
-        return self.type is TokenType.KEYWORD and self.value.upper() in {
-            name.upper() for name in names
-        }
+        """True for a KEYWORD token spelling one of ``names`` (upper case)."""
+        return self.keyword in names
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Token({self.type.name}, {self.value!r}@{self.position})"
@@ -71,37 +115,58 @@ class Lexer:
     # ------------------------------------------------------------------ #
     def tokens(self) -> list[Token]:
         """Tokenise the whole input (stopping at EOF)."""
+        result = self.scan()
+        while result[-1].type is not TokenType.EOF:
+            result.extend(self.scan())
+        return result
+
+    def scan(self) -> list[Token]:
+        """Lex from ``self.pos`` up to and including the next ``{``, the end
+        of the input or :data:`_SCAN_TOKENS` tokens, whichever comes first.
+
+        What follows a ``{`` may be a Python function body, which only the
+        parser can tell, so that is where every scan stops.  A lexical error
+        behind at least one good token is left for the next call to raise:
+        the parser may find a syntax error before it ever asks for more.
+        """
+        text = self.text
         result: list[Token] = []
-        while True:
-            token = self.next_token()
-            result.append(token)
-            if token.type is TokenType.EOF:
+        append = result.append
+        for match in islice(_TOKEN.finditer(text, self.pos), _SCAN_TOKENS):
+            kind = match.lastindex
+            value = match.group(kind)
+            start = match.start(kind)
+            if kind == _WORD:
+                keyword = value.upper()
+                if keyword in KEYWORDS:
+                    append(Token(TokenType.KEYWORD, value, start, keyword))
+                    continue
+            elif kind == _STRING:
+                quote = value[0]
+                value = value[1:-1].replace(quote + quote, quote)
+            elif kind == _NO_TOKEN:
+                if not result:
+                    raise self._error(start)
+                self.pos = start
                 return result
+            append(Token(_TYPES[kind], value, start))
+            if value == "{" and kind == _PUNCTUATION:
+                break
+        self.pos = match.end()
+        return result
 
-    def next_token(self) -> Token:
-        self._skip_whitespace_and_comments()
-        if self.pos >= len(self.text):
-            return Token(TokenType.EOF, "", self.pos)
-        start = self.pos
-        char = self.text[self.pos]
-
-        if char == "'" or char == '"':
-            return self._scan_string(char)
-        if char.isdigit() or (char == "." and self._peek_is_digit(1)):
-            return self._scan_number()
-        if char.isalpha() or char == "_":
-            return self._scan_word()
-        for operator in _MULTI_CHAR_OPERATORS:
-            if self.text.startswith(operator, self.pos):
-                self.pos += len(operator)
-                return Token(TokenType.OPERATOR, operator, start)
-        if char in _SINGLE_CHAR_OPERATORS:
-            self.pos += 1
-            return Token(TokenType.OPERATOR, char, start)
-        if char in _PUNCTUATION:
-            self.pos += 1
-            return Token(TokenType.PUNCTUATION, char, start)
-        raise ParseError(f"unexpected character {char!r}", position=start)
+    def _error(self, start: int) -> ParseError:
+        """Why no token starts at ``start``."""
+        text = self.text
+        number = _NUMBER_LIKE.match(text, start)
+        if number:
+            return ParseError(f"malformed number {number.group()!r}", start)
+        if text[start] in "'\"":
+            return ParseError("unterminated string literal", position=start)
+        if text.startswith("/*", start):
+            return ParseError("unterminated block comment", position=start)
+        return ParseError(f"unexpected character {text[start]!r}",
+                          position=start)
 
     def scan_braced_block(self, open_position: int) -> tuple[str, int]:
         """Capture the raw text of a ``{ ... }`` block starting at ``open_position``.
@@ -146,69 +211,3 @@ class Lexer:
                     return body, index + 1
             index += 1
         raise ParseError("unterminated function body (missing '}')", position=open_position)
-
-    # ------------------------------------------------------------------ #
-    # scanners
-    # ------------------------------------------------------------------ #
-    def _peek_is_digit(self, offset: int) -> bool:
-        index = self.pos + offset
-        return index < len(self.text) and self.text[index].isdigit()
-
-    def _skip_whitespace_and_comments(self) -> None:
-        text = self.text
-        while self.pos < len(text):
-            char = text[self.pos]
-            if char.isspace():
-                self.pos += 1
-            elif text.startswith("--", self.pos):
-                while self.pos < len(text) and text[self.pos] != "\n":
-                    self.pos += 1
-            elif text.startswith("/*", self.pos):
-                end = text.find("*/", self.pos + 2)
-                if end == -1:
-                    raise ParseError("unterminated block comment", position=self.pos)
-                self.pos = end + 2
-            else:
-                return
-
-    def _scan_string(self, quote: str) -> Token:
-        start = self.pos
-        self.pos += 1
-        pieces: list[str] = []
-        text = self.text
-        while self.pos < len(text):
-            char = text[self.pos]
-            if char == quote:
-                # doubled quote is an escaped quote in SQL
-                if self.pos + 1 < len(text) and text[self.pos + 1] == quote:
-                    pieces.append(quote)
-                    self.pos += 2
-                    continue
-                self.pos += 1
-                return Token(TokenType.STRING, "".join(pieces), start)
-            pieces.append(char)
-            self.pos += 1
-        raise ParseError("unterminated string literal", position=start)
-
-    def _scan_number(self) -> Token:
-        start = self.pos
-        text = self.text
-        while self.pos < len(text) and (text[self.pos].isdigit() or text[self.pos] == "."):
-            self.pos += 1
-        if self.pos < len(text) and text[self.pos] in "eE":
-            self.pos += 1
-            if self.pos < len(text) and text[self.pos] in "+-":
-                self.pos += 1
-            while self.pos < len(text) and text[self.pos].isdigit():
-                self.pos += 1
-        return Token(TokenType.NUMBER, text[start:self.pos], start)
-
-    def _scan_word(self) -> Token:
-        start = self.pos
-        text = self.text
-        while self.pos < len(text) and (text[self.pos].isalnum() or text[self.pos] == "_"):
-            self.pos += 1
-        word = text[start:self.pos]
-        if word.upper() in KEYWORDS:
-            return Token(TokenType.KEYWORD, word, start)
-        return Token(TokenType.IDENTIFIER, word, start)

@@ -1,4 +1,4 @@
-"""Recursive-descent SQL parser.
+"""SQL parser.
 
 The dialect is the subset of MonetDB SQL that the devUDF workflow exercises:
 
@@ -13,8 +13,9 @@ The dialect is the subset of MonetDB SQL that the devUDF workflow exercises:
 * Table-producing function calls in the FROM clause whose arguments may be
   subqueries (paper Listing 3).
 
-Tokens are pulled lazily from the lexer so the Python function body — which is
-not valid SQL — is never tokenised as SQL.
+Statements are recursive descent; expressions are one precedence-climbing
+loop over :data:`_LEVELS`, where the levels are listed.  Tokens are pulled from
+the lexer one ``{`` at a time, so a Python function body is never tokenised.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from .lexer import Lexer, Token, TokenType
 from .schema import ColumnDef, FunctionParameter
 from .types import ColumnType, parse_type_name
 
-#: Words that terminate an alias-less table reference.
-_CLAUSE_KEYWORDS = {
-    "WHERE", "GROUP", "HAVING", "ORDER", "LIMIT", "OFFSET", "ON", "JOIN",
-    "INNER", "LEFT", "RIGHT", "CROSS", "UNION", "SET", "VALUES",
-}
+# the token types, in definition order: bound once, because every token test
+# below compares against one and an enum member lookup costs several times a
+# global's
+(_KEYWORD, _IDENTIFIER, _NUMBER, _STRING, _OPERATOR, _PUNCTUATION,
+ _EOF) = TokenType
 
 #: Reserved words that can never start an identifier expression.  Non-reserved
 #: keywords (LANGUAGE, TABLE, HEADER, ...) may still be used as column names —
@@ -44,6 +45,25 @@ _RESERVED_WORDS = {
     "CROSS", "ON", "UNION", "AS", "DISTINCT", "COPY", "RETURNS", "FUNCTION",
 }
 
+_KEYWORD_LITERALS = {"NULL": None, "TRUE": True, "FALSE": False}
+
+#: Expression precedence, loosest first: ``OR`` · ``AND`` · prefix ``NOT`` ·
+#: comparisons and the postfix predicates ``IS [NOT] NULL`` and ``[NOT] IN /
+#: BETWEEN / LIKE`` · ``+ - ||`` · ``* / %``; a sign binds tighter than any of
+#: them.  Binary operators are left-associative and every operand of the
+#: comparison level is an additive expression.  A new operator is one more
+#: entry in :data:`_LEVELS` (and in the lexer's pattern or keyword set).
+_OR, _AND, _NOT, _COMPARISON, _ADDITIVE, _MULTIPLICATIVE = range(1, 7)
+_LEVELS = {
+    "OR": _OR,
+    "AND": _AND,
+    **dict.fromkeys(("=", "<>", "!=", "<", "<=", ">", ">="), _COMPARISON),
+    # NOT in operator position is the NOT of NOT IN / NOT BETWEEN / NOT LIKE
+    **dict.fromkeys(("IS", "IN", "BETWEEN", "LIKE", "NOT"), _COMPARISON),
+    **dict.fromkeys(("+", "-", "||"), _ADDITIVE),
+    **dict.fromkeys(("*", "/", "%"), _MULTIPLICATIVE),
+}
+
 
 class Parser:
     """Parses one or more SQL statements from a text."""
@@ -51,11 +71,12 @@ class Parser:
     def __init__(self, text: str) -> None:
         self.text = text
         self.lexer = Lexer(text)
-        #: The next unconsumed token — lexed on demand, because what follows
-        #: may be a Python function body — and, behind it, the few tokens a
-        #: ``peek(1)`` looked further ahead.
+        #: Tokens lexed and not yet dropped, the index of the next unconsumed
+        #: one, and that token itself (``None`` until lexed: the lexer stops
+        #: behind every ``{`` because a Python function body may follow).
+        self._tokens: list[Token] = []
+        self._index = 0
         self._token: Token | None = None
-        self._ahead: list[Token] = []
         #: Number of ``?`` placeholders seen in the current statement; each
         #: occurrence becomes a :class:`ast.Parameter` with the next ordinal.
         self._parameters = 0
@@ -64,25 +85,29 @@ class Parser:
     # token stream helpers
     # ------------------------------------------------------------------ #
     def peek(self, offset: int = 0) -> Token:
-        token = self._token
-        if token is None:
-            token = self._token = self.lexer.next_token()
+        tokens = self._tokens
+        if self._index + offset >= len(tokens):
+            del tokens[:self._index]  # consumed
+            self._index = 0
+            while offset >= len(tokens):
+                tokens.extend(self.lexer.scan())
+        token = tokens[self._index + offset]
         if offset == 0:
-            return token
-        while len(self._ahead) < offset:
-            self._ahead.append(self.lexer.next_token())
-        return self._ahead[offset - 1]
+            self._token = token
+        return token
 
     def advance(self) -> Token:
         token = self._token or self.peek()
-        self._token = self._ahead.pop(0) if self._ahead else None
+        index = self._index = self._index + 1
+        tokens = self._tokens
+        self._token = tokens[index] if index < len(tokens) else None
         return token
 
     def check_keyword(self, *names: str) -> bool:
-        return (self._token or self.peek()).is_keyword(*names)
+        return (self._token or self.peek()).keyword in names
 
     def accept_keyword(self, *names: str) -> bool:
-        if self.check_keyword(*names):
+        if (self._token or self.peek()).keyword in names:
             self.advance()
             return True
         return False
@@ -95,33 +120,34 @@ class Parser:
 
     def check_punct(self, value: str) -> bool:
         token = self._token or self.peek()
-        return token.type is TokenType.PUNCTUATION and token.value == value
+        return token.type is _PUNCTUATION and token.value == value
 
     def accept_punct(self, value: str) -> bool:
-        if self.check_punct(value):
+        token = self._token or self.peek()
+        if token.type is _PUNCTUATION and token.value == value:
             self.advance()
             return True
         return False
 
     def expect_punct(self, value: str) -> Token:
         token = self.peek()
-        if not (token.type is TokenType.PUNCTUATION and token.value == value):
+        if not (token.type is _PUNCTUATION and token.value == value):
             raise ParseError(f"expected {value!r}, found {token.value!r}", token.position)
         return self.advance()
 
     def check_operator(self, *values: str) -> bool:
         token = self._token or self.peek()
-        return token.type is TokenType.OPERATOR and token.value in values
+        return token.type is _OPERATOR and token.value in values
 
     def expect_identifier(self) -> str:
         token = self.peek()
-        if token.type in (TokenType.IDENTIFIER, TokenType.KEYWORD):
+        if token.type in (_IDENTIFIER, _KEYWORD):
             self.advance()
             return token.value
         raise ParseError(f"expected identifier, found {token.value!r}", token.position)
 
     def at_end(self) -> bool:
-        return self.peek().type is TokenType.EOF
+        return self.peek().type is _EOF
 
     # ------------------------------------------------------------------ #
     # entry points
@@ -131,6 +157,10 @@ class Parser:
         statement = self._parse_statement_inner()
         while self.accept_punct(";"):
             pass
+        token = self.peek()
+        if token.type is not _EOF:
+            raise ParseError(f"unexpected token {token.value!r} after statement",
+                             token.position)
         return statement
 
     def parse_script(self) -> list[tuple[ast.Statement, str]]:
@@ -229,7 +259,7 @@ class Parser:
         self.expect_keyword("BACKUP")
         self.expect_keyword("TO")
         token = self.peek()
-        if token.type is not TokenType.STRING:
+        if token.type is not _STRING:
             raise ParseError("BACKUP TO expects a quoted file path",
                              token.position)
         self.advance()
@@ -264,7 +294,7 @@ class Parser:
 
     def _parse_integer(self) -> int:
         token = self.peek()
-        if token.type is not TokenType.NUMBER:
+        if token.type is not _NUMBER or not token.value.isdigit():
             raise ParseError(f"expected integer, found {token.value!r}", token.position)
         self.advance()
         return int(token.value)
@@ -283,7 +313,7 @@ class Parser:
         alias: str | None = None
         if self.accept_keyword("AS"):
             alias = self.expect_identifier()
-        elif self.peek().type is TokenType.IDENTIFIER:
+        elif self.peek().type is _IDENTIFIER:
             alias = self.advance().value
         return ast.SelectItem(expression, alias)
 
@@ -362,7 +392,7 @@ class Parser:
         if self.accept_keyword("AS"):
             return self.expect_identifier()
         token = self.peek()
-        if token.type is TokenType.IDENTIFIER and token.value.upper() not in _CLAUSE_KEYWORDS:
+        if token.type is _IDENTIFIER:  # WHERE, JOIN, ... are KEYWORD tokens
             self.advance()
             return token.value
         return None
@@ -390,50 +420,52 @@ class Parser:
     # ------------------------------------------------------------------ #
     # expressions
     # ------------------------------------------------------------------ #
-    def parse_expression(self) -> ast.Expression:
-        return self._parse_or()
-
-    def _parse_or(self) -> ast.Expression:
-        left = self._parse_and()
-        while self.accept_keyword("OR"):
-            right = self._parse_and()
-            left = ast.BinaryOp("OR", left, right)
-        return left
-
-    def _parse_and(self) -> ast.Expression:
-        left = self._parse_not()
-        while self.accept_keyword("AND"):
-            right = self._parse_not()
-            left = ast.BinaryOp("AND", left, right)
-        return left
-
-    def _parse_not(self) -> ast.Expression:
-        if self.accept_keyword("NOT"):
-            return ast.UnaryOp("NOT", self._parse_not())
-        return self._parse_comparison()
-
-    def _parse_comparison(self) -> ast.Expression:
-        left = self._parse_additive()
+    def parse_expression(self, level: int = _OR) -> ast.Expression:
+        """An expression of the operators at ``level`` or tighter, by
+        precedence climbing: an operand, then every operator :data:`_LEVELS`
+        puts at ``level`` or above, each taking a right operand one level
+        tighter than itself (left-associative)."""
+        # ``tightest``: an operator never takes a looser result as its left
+        # operand.  What a binary operator's right operand left over is looser
+        # already, but ``a IS NULL * 2`` has to stop at the ``*``.
+        token = self._token or self.peek()
+        if level <= _NOT and token.keyword == "NOT":
+            self.advance()
+            left: ast.Expression = ast.UnaryOp("NOT", self.parse_expression(_NOT))
+            tightest = _NOT
+        else:
+            left = self._parse_primary()
+            tightest = _MULTIPLICATIVE
         while True:
-            if self.check_operator("=", "<>", "!=", "<", "<=", ">", ">="):
-                operator = self.advance().value
-                if operator == "!=":
-                    operator = "<>"
-                right = self._parse_additive()
-                left = ast.BinaryOp(operator, left, right)
-                continue
-            if self.check_keyword("IS"):
+            token = self._token or self.peek()
+            if token.type is _OPERATOR:
+                name = token.value
+            elif token.type is _KEYWORD:
+                name = token.keyword
+            else:
+                return left
+            found = _LEVELS.get(name, 0)
+            if not level <= found <= tightest:
+                return left
+            tightest = found
+            if found != _COMPARISON or token.type is _OPERATOR:
                 self.advance()
+                right = self.parse_expression(found + 1)
+                left = ast.BinaryOp("<>" if name == "!=" else name, left, right)
+                continue
+            # the postfix predicates; their operands are additive expressions
+            negated = name == "NOT"
+            if negated:
+                name = self.peek(1).keyword
+                if name not in ("IN", "BETWEEN", "LIKE"):
+                    return left
+                self.advance()
+            self.advance()
+            if name == "IS":
                 negated = self.accept_keyword("NOT")
                 self.expect_keyword("NULL")
                 left = ast.IsNull(left, negated)
-                continue
-            negated = False
-            if self.check_keyword("NOT") and self.peek(1).is_keyword("IN", "BETWEEN", "LIKE"):
-                self.advance()
-                negated = True
-            if self.check_keyword("IN"):
-                self.advance()
+            elif name == "IN":
                 self.expect_punct("(")
                 if self.check_keyword("SELECT"):
                     query = self.parse_select()
@@ -443,70 +475,39 @@ class Parser:
                     items = self._parse_expression_list()
                     self.expect_punct(")")
                     left = ast.InList(left, items, negated)
-                continue
-            if self.check_keyword("BETWEEN"):
-                self.advance()
-                lower = self._parse_additive()
+            elif name == "BETWEEN":
+                lower = self.parse_expression(_ADDITIVE)
                 self.expect_keyword("AND")
-                upper = self._parse_additive()
+                upper = self.parse_expression(_ADDITIVE)
                 left = ast.Between(left, lower, upper, negated)
-                continue
-            if self.check_keyword("LIKE"):
-                self.advance()
-                pattern = self._parse_additive()
+            else:
+                pattern = self.parse_expression(_ADDITIVE)
                 left = ast.Like(left, pattern, negated)
-                continue
-            return left
-
-    def _parse_additive(self) -> ast.Expression:
-        left = self._parse_multiplicative()
-        while self.check_operator("+", "-", "||"):
-            operator = self.advance().value
-            right = self._parse_multiplicative()
-            left = ast.BinaryOp(operator, left, right)
-        return left
-
-    def _parse_multiplicative(self) -> ast.Expression:
-        left = self._parse_unary()
-        while self.check_operator("*", "/", "%"):
-            operator = self.advance().value
-            right = self._parse_unary()
-            left = ast.BinaryOp(operator, left, right)
-        return left
-
-    def _parse_unary(self) -> ast.Expression:
-        if self.check_operator("-"):
-            self.advance()
-            return ast.UnaryOp("-", self._parse_unary())
-        if self.check_operator("+"):
-            self.advance()
-            return self._parse_unary()
-        return self._parse_primary()
 
     def _parse_primary(self) -> ast.Expression:
-        token = self.peek()
-
-        if self.check_punct("?"):
+        """An operand — literal, placeholder, name, call, CASE, CAST, EXISTS,
+        a parenthesised expression or subquery — under any number of signs."""
+        token = self._token or self.peek()
+        kind = token.type
+        if kind is _NUMBER:
+            self.advance()
+            text = token.value
+            return ast.Literal(int(text) if text.isdigit() else float(text))
+        if kind is _STRING:
+            self.advance()
+            return ast.Literal(token.value)
+        if kind is _OPERATOR and token.value in ("-", "+"):
+            self.advance()
+            operand = self._parse_primary()
+            return ast.UnaryOp("-", operand) if token.value == "-" else operand
+        if kind is _PUNCTUATION and token.value == "?":
             self.advance()
             parameter = ast.Parameter(self._parameters)
             self._parameters += 1
             return parameter
-        if token.type is TokenType.NUMBER:
+        if token.keyword in _KEYWORD_LITERALS:
             self.advance()
-            value: Any = float(token.value) if any(c in token.value for c in ".eE") else int(token.value)
-            return ast.Literal(value)
-        if token.type is TokenType.STRING:
-            self.advance()
-            return ast.Literal(token.value)
-        if token.is_keyword("NULL"):
-            self.advance()
-            return ast.Literal(None)
-        if token.is_keyword("TRUE"):
-            self.advance()
-            return ast.Literal(True)
-        if token.is_keyword("FALSE"):
-            self.advance()
-            return ast.Literal(False)
+            return ast.Literal(_KEYWORD_LITERALS[token.keyword])
         if token.is_keyword("CASE"):
             return self._parse_case()
         if token.is_keyword("CAST"):
@@ -526,10 +527,8 @@ class Parser:
             expression = self.parse_expression()
             self.expect_punct(")")
             return expression
-        if token.type is TokenType.IDENTIFIER or (
-            token.type is TokenType.KEYWORD
-            and token.value.upper() not in _RESERVED_WORDS
-        ):
+        if kind is _IDENTIFIER or (
+                kind is _KEYWORD and token.keyword not in _RESERVED_WORDS):
             return self._parse_identifier_expression()
         raise ParseError(f"unexpected token {token.value!r}", token.position)
 
@@ -537,17 +536,15 @@ class Parser:
         name = self.expect_identifier()
         if self.check_punct("("):
             return self._parse_function_call(name)
-        if self.check_punct(".") and self.peek(1).type in (
-            TokenType.IDENTIFIER, TokenType.KEYWORD
-        ):
+        if self.check_punct(".") and self.peek(1).type in (_IDENTIFIER, _KEYWORD):
             self.advance()
             column = self.expect_identifier()
             if self.check_punct("("):
                 # schema-qualified function call, e.g. sys.generate_series(...)
                 return self._parse_function_call(f"{name}.{column}")
             return ast.ColumnRef(column, table=name)
-        if self.check_punct(".") and self.peek(1).type is TokenType.OPERATOR and \
-                self.peek(1).value == "*":
+        if self.check_punct(".") and self.peek(1).type is _OPERATOR \
+                and self.peek(1).value == "*":
             # table.* in a select list
             self.advance()
             self.advance()
@@ -703,7 +700,7 @@ class Parser:
         while True:
             column = self.expect_identifier()
             token = self.peek()
-            if not (token.type is TokenType.OPERATOR and token.value == "="):
+            if not (token.type is _OPERATOR and token.value == "="):
                 raise ParseError("expected '=' in UPDATE assignment", token.position)
             self.advance()
             assignments.append((column, self.parse_expression()))
@@ -718,7 +715,7 @@ class Parser:
         table = self._parse_table_name()
         self.expect_keyword("FROM")
         token = self.peek()
-        if token.type is not TokenType.STRING:
+        if token.type is not _STRING:
             raise ParseError("expected file path string in COPY INTO", token.position)
         self.advance()
         path = token.value
@@ -726,7 +723,7 @@ class Parser:
         header = False
         if self.accept_keyword("DELIMITERS"):
             delim_token = self.peek()
-            if delim_token.type is not TokenType.STRING:
+            if delim_token.type is not _STRING:
                 raise ParseError("expected delimiter string", delim_token.position)
             self.advance()
             delimiter = delim_token.value
@@ -759,9 +756,7 @@ class Parser:
         returns_table = False
         return_columns: list[ColumnDef] = []
         return_type = None
-        if self.check_keyword("TABLE") or (
-            self.peek().type is TokenType.IDENTIFIER and self.peek().value.upper() == "TABLE"
-        ):
+        if self.check_keyword("TABLE"):
             self.advance()
             returns_table = True
             self.expect_punct("(")
@@ -780,14 +775,15 @@ class Parser:
         language = self.expect_identifier().upper()
 
         brace = self.peek()
-        if not (brace.type is TokenType.PUNCTUATION and brace.value == "{"):
+        if not (brace.type is _PUNCTUATION and brace.value == "{"):
             raise ParseError("expected '{' to start function body", brace.position)
         # Capture the body verbatim from the raw text; then resynchronise the
-        # lexer past the closing brace, discarding any buffered lookahead.
+        # lexer past the closing brace (it lexed nothing behind the opening one).
         body, end = self.lexer.scan_braced_block(brace.position)
         self.lexer.pos = end
+        self._tokens.clear()
+        self._index = 0
         self._token = None
-        self._ahead.clear()
         return ast.CreateFunction(
             name=name,
             parameters=parameters,

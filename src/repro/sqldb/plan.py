@@ -133,7 +133,7 @@ def table_function_batch(database: "Database",
                 arg_values.append(column.to_numpy())
         else:
             evaluator = ExpressionEvaluator(database, Batch.empty())
-            arg_values.append(evaluator.evaluate(arg).values[0])
+            arg_values.append(evaluator.constant(arg))
 
     if len(arg_values) != len(signature.parameters):
         raise ExecutionError(

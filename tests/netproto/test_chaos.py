@@ -328,7 +328,10 @@ class TestCrashDuringStream:
         proc, host, port = self.start_server(durable_path)
         try:
             connection = tcp_connection(host, port)
-            stream = connection.execute_stream("SELECT i FROM big WHERE i >= 0")
+            # 24 columns: ~10 MB of chunks, more than the socket buffers hold,
+            # so the server cannot have sent everything before it is killed
+            stream = connection.execute_stream(
+                f"SELECT {', '.join(['i'] * 24)} FROM big WHERE i >= 0")
             assert stream.fetchone() is not None  # streaming has begun
             proc.send_signal(signal.SIGKILL)
             proc.wait(timeout=10)

@@ -688,6 +688,20 @@ class TestInternalErrors:
         assert server.stats.internal_errors == 0  # an ExecutionError by now
         self._still_serving(server, connection)
 
+    @pytest.mark.parametrize("sql, message", [
+        ("SELECT 1e", "^malformed number '1e'$"),
+        ("SELECT a FROM t WHERE a < 1.2.3", "^malformed number '1.2.3'$"),
+        ("INSERT INTO t VALUES (4, 'z') (5, 'w')",
+         r"^unexpected token '\(' after statement$"),
+    ])
+    def test_a_typo_is_a_parse_error_frame(self, served, sql, message, capsys):
+        server, connection = served
+        self._fails_promptly(connection, sql, message)
+        assert server.stats.internal_errors == 0
+        assert server.stats.errors == 1
+        assert "Traceback" not in capsys.readouterr().err
+        self._still_serving(server, connection)
+
     @pytest.mark.parametrize("point", ["query_start", "chunk"])
     def test_injected_runtime_error(self, served, point, capsys):
         server, connection = served

@@ -48,6 +48,10 @@ STATEMENTS = [
      "WHERE d.k IS NULL AND t.i > ?", [8000]),
     ("SELECT t.i, d.label, e.label, e.k FROM t LEFT JOIN d ON t.k = d.k "
      "LEFT JOIN d AS e ON d.k = e.k WHERE t.i < ?", [600]),
+    # neighbours that differ only inside a literal: no door may take one for
+    # the other (plan-cache key, PREPARE key, result-cache key)
+    ("SELECT i, s || ' ;' FROM t WHERE i < ?", [60]),
+    ("SELECT i, s || '  ' FROM t WHERE i < ?", [60]),
 ]
 
 
@@ -130,6 +134,15 @@ def test_answer_is_identical_through_every_door(doors, reference, door, form):
     for index, (template, args) in enumerate(STATEMENTS):
         rows = run(index, _literal(template, args), args)
         assert rows == reference[index], (door, form, template)
+
+
+def test_a_literal_is_part_of_the_statement(reference):
+    # the premise of the last two statements: had the reference run taken the
+    # second for the first, every door would agree with it and prove nothing
+    semicolon, blanks = reference[-2], reference[-1]
+    assert len(semicolon) == len(blanks) == 60
+    assert all(value.endswith(" ;") for _, value in semicolon)
+    assert all(value.endswith("  ") for _, value in blanks)
 
 
 def _scan_line(plan):

@@ -73,11 +73,49 @@ class TestParsing:
         assert normalize_sql("SELECT  a\n FROM   t ;") == \
             normalize_sql("SELECT a FROM t")
 
+    def test_normalize_sql_never_alters_a_literal(self):
+        keys = {normalize_sql(f"SELECT {literal}  FROM t ; ") for literal in (
+            "'a  b'", "'a b'", "'a;b'", "'a\nb'", "\"a  b\"", "'a''  b'",
+            "'a' 'b'", "'a''b'", "'--  ' , 1", "'-- ', 1", "'/*'||'  */'")}
+        assert len(keys) == 11
+        assert normalize_sql("SELECT 'a  b'  ,  f( 'x;' )\n;;") == \
+            normalize_sql("SELECT 'a  b', f('x;')")
+
+    def test_normalize_sql_keeps_statements_apart(self):
+        # an inner ``;`` is a different (invalid) statement, and where a line
+        # comment ends decides what the statement says
+        assert normalize_sql("SELECT a; b FROM t") != \
+            normalize_sql("SELECT a b FROM t")
+        assert normalize_sql("SELECT 1 -- one\n+ 1") != \
+            normalize_sql("SELECT 1 -- one + 1")
+        assert normalize_sql("SELECT 1 -- it's\n, 'a  b'") != \
+            normalize_sql("SELECT 1 -- it's\n, 'a b'")
+
 
 # --------------------------------------------------------------------------- #
 # execution semantics
 # --------------------------------------------------------------------------- #
 class TestPreparedExecution:
+    LITERALS = ["a  b", "a b", "a;b", "a\tb"]
+
+    def test_statements_that_differ_inside_a_literal_have_their_own_plan(self):
+        database = Database()  # plan cache on, as shipped
+        for _ in range(2):  # the second round is served from the plan cache
+            for text in self.LITERALS:
+                assert database.execute(f"SELECT '{text}'").fetchall() == \
+                    [(text,)]
+        assert database.plan_cache.hits == len(self.LITERALS)
+
+    def test_prepared_statements_that_differ_inside_a_literal(self, db):
+        for index, text in enumerate(self.LITERALS):
+            db.execute(f"PREPARE p{index} AS "
+                       f"SELECT a, '{text}' FROM t WHERE a > ?")
+        for _ in range(2):  # the second round is served from the result cache
+            for index, text in enumerate(self.LITERALS):
+                assert db.execute(f"EXECUTE p{index} (2)").fetchall() == \
+                    [(3, text)]
+        assert db.result_cache.hits == len(self.LITERALS)
+
     def test_prepare_execute_roundtrip(self, db):
         db.execute("PREPARE above AS SELECT a, b FROM t WHERE a > ?")
         result = db.execute("EXECUTE above (1)")
