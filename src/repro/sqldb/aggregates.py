@@ -232,7 +232,8 @@ class GroupLayout:
     @property
     def order(self) -> np.ndarray:
         if self._order is None:
-            self._order = np.argsort(self.gids, kind="stable")
+            from .operators import stable_order  # operators imports this module
+            self._order = stable_order(self.gids)
         return self._order
 
     @property

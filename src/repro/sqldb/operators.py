@@ -27,6 +27,7 @@ of the operators defined here; the plan driver then pushes morsel-sized
 
 from __future__ import annotations
 
+import collections
 import functools
 import threading
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
@@ -52,6 +53,7 @@ from .expressions import (
     ExpressionEvaluator,
     child_expressions,
     default_output_name,
+    expression_contains_aggregate,
     iter_function_calls,
     slice_values,
     take_values,
@@ -236,22 +238,46 @@ def order_key_values(database: "Database", expression: ast.Expression,
     return as_value_list(values)
 
 
+def hidden_order_keys(select: ast.Select) -> list[ast.Expression]:
+    """ORDER BY keys holding an aggregate that no select item repeats.
+
+    The grouped result carries each as a hidden column behind the select
+    items; :func:`sort_result` sorts by it and drops it."""
+    items = [item.expression for item in select.items]
+    hidden: list[ast.Expression] = []
+    for order_item in select.order_by:
+        expression = order_item.expression
+        if (expression_contains_aggregate(expression)
+                and expression not in items and expression not in hidden):
+            hidden.append(expression)
+    return hidden
+
+
 def sort_result(database: "Database", select: ast.Select,
                 result: QueryResult, batches: list[Batch]) -> QueryResult:
     row_count = result.row_count
+    hidden = hidden_order_keys(select)
+    # an aggregate key is a column of the grouped result: the select item
+    # it repeats, else its hidden column
+    grouped = [item.expression for item in select.items] + hidden
+    shown = QueryResult(result.columns[:result.column_count - len(hidden)])
     # the sink's input rows: put together once, and only for a key that is
     # no output column and has to be evaluated over them
     input_batch = functools.cache(lambda: concat_batches(batches))
     keys: list[list[Any]] = []
     for order_item in select.order_by:
-        keys.append(order_key_values(database, order_item.expression,
-                                     result, input_batch, row_count))
+        expression = order_item.expression
+        if expression_contains_aggregate(expression):
+            keys.append(list(result.columns[grouped.index(expression)].values))
+        else:
+            keys.append(order_key_values(database, expression, shown,
+                                         input_batch, row_count))
     descending = [order_item.descending for order_item in select.order_by]
 
     indices = sorted_indices(keys, descending, row_count)
     columns = [
         ResultColumn(col.name, col.sql_type, [col.values[i] for i in indices])
-        for col in result.columns
+        for col in shown.columns
     ]
     return QueryResult(columns)
 
@@ -259,13 +285,43 @@ def sort_result(database: "Database", select: ast.Select,
 # --------------------------------------------------------------------------- #
 # grouping helpers (moved from executor.py)
 # --------------------------------------------------------------------------- #
+#: Widest ``max - min`` a key may span and still be sorted by counting:
+#: NumPy's stable sort is a radix sort for integers of 16 bits or fewer.
+_RADIX_SPAN = 0xFFFF
+
+
+def _radix_key(keys: np.ndarray) -> np.ndarray:
+    """``keys - min`` as ``uint8`` / ``uint16`` when the range fits in 16
+    bits, else ``keys`` unchanged.  The map keeps order and ties, so any
+    stable sort of either array is the same permutation."""
+    if keys.dtype.kind not in "iu" or keys.dtype.itemsize <= 2 or not keys.size:
+        return keys
+    # Python ints: max - min of int64 / uint64 extremes cannot overflow
+    low = int(keys.min())
+    span = int(keys.max()) - low
+    if span > _RADIX_SPAN:
+        return keys
+    return (keys - low).astype(np.uint8 if span <= 0xFF else np.uint16)
+
+
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")``, bit for bit — by NumPy's radix
+    sort whenever the keys are integers spanning at most 65,536 values
+    (dictionary codes, group ids, small-domain columns), by comparison
+    otherwise.  Every stable sort of a grouping key or a group id goes
+    through here, so a grouped result never depends on which sort ran."""
+    return np.argsort(_radix_key(keys), kind="stable")
+
+
 def grouping_key_array(values: Any) -> np.ndarray | None:
     """A sortable key array factorising a GROUP BY column; None = fall back.
 
     NULLs form their own group (SQL semantics: all NULL keys group together),
     represented by ``NULL_CODE`` — below every valid code/value.  Dictionary
-    vectors group on their codes directly; masked numeric vectors factorise
-    the valid values with ``np.unique`` so NULLs get a code of their own.
+    vectors group on their codes directly; masked integer vectors spanning at
+    most 65,536 values are their own codes (``data - min``), other masked
+    vectors factorise the valid values with ``np.unique`` so NULLs get a code
+    of their own.
     """
     if not isinstance(values, Vector):
         return None
@@ -278,15 +334,24 @@ def grouping_key_array(values: Any) -> np.ndarray | None:
     valid = ~values.mask
     codes = np.full(len(values), NULL_CODE, dtype=np.int64)
     if valid.any():
-        _, inverse = np.unique(values.data[valid], return_inverse=True)
-        codes[valid] = inverse
+        present = values.data[valid]
+        narrowed = _radix_key(present)
+        if narrowed is not present:
+            codes[valid] = narrowed
+        else:
+            _, inverse = np.unique(present, return_inverse=True)
+            codes[valid] = inverse
     return codes
 
 
 def layout_from_sort_key(array: np.ndarray, row_count: int
-                         ) -> tuple[GroupLayout, Sequence[int]]:
-    """Factorise one key array into (layout, first-row-per-group) geometry."""
-    order = np.argsort(array, kind="stable")
+                         ) -> tuple[GroupLayout, Sequence[int], str]:
+    """Factorise one key array into (layout, first-row-per-group) geometry,
+    plus which sort ran: ``radix`` or ``sort`` (by comparison)."""
+    # narrowed once: the sort then takes it as it is, and the cluster
+    # boundaries compare one or two bytes per row instead of eight
+    array = _radix_key(array)
+    order = stable_order(array)
     sorted_keys = array[order]
     new_cluster = np.empty(row_count, dtype=np.bool_)
     new_cluster[0] = True
@@ -296,32 +361,35 @@ def layout_from_sort_key(array: np.ndarray, row_count: int
     # stable sort => the first row of each cluster is its earliest row
     first_rows = order[starts]
     out_perm = np.empty(n_groups, dtype=np.int64)
-    out_perm[np.argsort(first_rows, kind="stable")] = \
-        np.arange(n_groups, dtype=np.int64)
+    out_perm[stable_order(first_rows)] = np.arange(n_groups, dtype=np.int64)
     cluster_of_sorted_row = np.cumsum(new_cluster) - 1
     gids = np.empty(row_count, dtype=np.int64)
     gids[order] = out_perm[cluster_of_sorted_row]
     layout = GroupLayout(gids, n_groups, order=order, starts=starts,
                          out_perm=out_perm)
-    return layout, np.sort(first_rows)
+    sort = "radix" if array.dtype.itemsize <= 2 else "sort"
+    return layout, np.sort(first_rows), sort
 
 
 def group_layout(group_by: Sequence[ast.Expression], batch: Batch,
                  evaluator: ExpressionEvaluator
-                 ) -> tuple[GroupLayout, Sequence[int], list[Any]]:
-    """Factorise the GROUP BY keys into (layout, first-row-per-group, keys).
+                 ) -> tuple[GroupLayout, Sequence[int], list[Any], str | None]:
+    """Factorise the GROUP BY keys into (layout, first-row-per-group, keys,
+    factoriser).
 
     Groups are numbered in first-appearance order, matching the ordering
     the per-group dict-based execution produced.  The returned key columns
     are broadcast to the batch row count (used by the partial-merge path to
-    derive cross-morsel group identities).
+    derive cross-morsel group identities).  The factoriser is ``radix`` or
+    ``sort`` for a single key sorted through :func:`stable_order`, ``hash``
+    for the per-row dict every other key takes, None without GROUP BY.
     """
     row_count = batch.row_count
     if not group_by:
         # implicit aggregation: one group spanning the whole batch (even
         # when it is empty, so aggregates still produce a row)
         gids = np.zeros(row_count, dtype=np.int64)
-        return GroupLayout(gids, 1), ([0] if row_count else []), []
+        return GroupLayout(gids, 1), ([0] if row_count else []), [], None
 
     key_columns = [
         evaluator.evaluate(expr).broadcast(row_count)
@@ -332,8 +400,8 @@ def group_layout(group_by: Sequence[ast.Expression], batch: Batch,
         if sort_key is not None:
             # one stable key sort yields the factorisation AND the
             # contiguous cluster geometry the reduceat kernels need
-            layout, rep_indices = layout_from_sort_key(sort_key, row_count)
-            return layout, rep_indices, key_columns
+            layout, rep_indices, sort = layout_from_sort_key(sort_key, row_count)
+            return layout, rep_indices, key_columns, sort
 
     columns = [as_value_list(column) for column in key_columns]
     mapping: dict[tuple, int] = {}
@@ -346,7 +414,7 @@ def group_layout(group_by: Sequence[ast.Expression], batch: Batch,
             mapping[key] = gid
             rep_indices.append(row_index)
         gids[row_index] = gid
-    return GroupLayout(gids, len(mapping)), rep_indices, key_columns
+    return GroupLayout(gids, len(mapping)), rep_indices, key_columns, "hash"
 
 
 class GroupedExpressionEvaluator(ExpressionEvaluator):
@@ -405,7 +473,7 @@ class _VectorEquiBuild:
                       else np.arange(len(right_data), dtype=np.intp))
         right_keys = right_data[right_rows]
         unique_keys, right_inverse = np.unique(right_keys, return_inverse=True)
-        by_key = np.argsort(right_inverse, kind="stable")
+        by_key = stable_order(right_inverse)
         self.grouped_rows = right_rows[by_key]
         self.counts = np.bincount(right_inverse, minlength=len(unique_keys))
         self.group_starts = np.concatenate(([0], np.cumsum(self.counts[:-1]))) \
@@ -981,6 +1049,12 @@ class HashAggregate(PhysicalOperator):
     * ``partial`` — decomposable aggregates: per-morsel local layouts and
       SUM/AVG/MIN/MAX/COUNT partials merged in morsel order (first-appearance
       group numbering is preserved across morsels).
+
+    An ORDER BY key holding an aggregate that is no select item is evaluated
+    per group like one and carried behind the select items as a hidden
+    column (:func:`hidden_order_keys`).  ``groupings`` collects the
+    factoriser each grouping ran (``radix`` / ``sort`` / ``hash``, see
+    :func:`group_layout`) for EXPLAIN ANALYZE.
     """
 
     name = "HashAggregate"
@@ -989,11 +1063,20 @@ class HashAggregate(PhysicalOperator):
         super().__init__()
         self.database = database
         self.select = select
+        self.hidden_keys = hidden_order_keys(select)
+        if self.hidden_keys and select.distinct:
+            raise ExecutionError("for SELECT DISTINCT, an ORDER BY aggregate "
+                                 "must appear in the select list")
         self.aggregate_nodes: list[ast.FunctionCall] = []
         for item in select.items:
             collect_aggregates(item.expression, self.aggregate_nodes)
         if select.having is not None:
             collect_aggregates(select.having, self.aggregate_nodes)
+        for expression in self.hidden_keys:
+            collect_aggregates(expression, self.aggregate_nodes)
+        #: one entry per factorisation; ``list.append`` is safe from the
+        #: morsel workers
+        self.groupings: list[str] = []
         if self._needs_per_group():
             self.mode = "per_group"
         elif self._partial_capable():
@@ -1009,6 +1092,7 @@ class HashAggregate(PhysicalOperator):
         if self.select.having is not None:
             expressions.append(self.select.having)
         expressions.extend(self.select.group_by)
+        expressions.extend(self.hidden_keys)
         return any(
             not is_aggregate(call.name) and not is_builtin_scalar(call.name)
             for expression in expressions
@@ -1027,8 +1111,7 @@ class HashAggregate(PhysicalOperator):
     def morsel_state(self, batch: Batch) -> _AggregateState:
         """Compute one morsel's local groups and partial aggregate states."""
         evaluator = ExpressionEvaluator(self.database, batch)
-        layout, rep_indices, key_columns = group_layout(
-            self.select.group_by, batch, evaluator)
+        layout, rep_indices, key_columns = self._group_layout(batch, evaluator)
         if not self.select.group_by:
             keys: list[tuple] = [()]
         else:
@@ -1104,8 +1187,7 @@ class HashAggregate(PhysicalOperator):
         if self.mode == "per_group":
             return self._execute_per_group(batch)
         evaluator = ExpressionEvaluator(self.database, batch)
-        layout, rep_indices, _ = group_layout(
-            self.select.group_by, batch, evaluator)
+        layout, rep_indices, _ = self._group_layout(batch, evaluator)
         aggregate_columns: dict[int, list[Any]] = {}
         for node in self.aggregate_nodes:
             if id(node) not in aggregate_columns:
@@ -1135,20 +1217,36 @@ class HashAggregate(PhysicalOperator):
                     if having[g] is True or having[g] == 1]
 
         columns: list[ResultColumn] = []
-        for index, item in enumerate(self.select.items):
-            values = group_column(grouped_evaluator.evaluate(item.expression),
+        for name, expression in self._outputs():
+            values = group_column(grouped_evaluator.evaluate(expression),
                                   n_groups)
             if keep is not None:
                 values = [values[g] for g in keep]
-            name = item.alias or default_output_name(item.expression, index)
             columns.append(ResultColumn(name, infer_column_type(values), values))
         return QueryResult(columns)
+
+    def _outputs(self) -> list[tuple[str, ast.Expression]]:
+        """``(name, expression)`` per result column: the select items, then
+        the hidden ORDER BY keys (unnamed; the sort drops them)."""
+        outputs = [(item.alias or default_output_name(item.expression, index),
+                    item.expression)
+                   for index, item in enumerate(self.select.items)]
+        return outputs + [("", expression) for expression in self.hidden_keys]
+
+    def _group_layout(self, batch: Batch, evaluator: ExpressionEvaluator
+                      ) -> tuple[GroupLayout, Sequence[int], list[Any]]:
+        layout, rep_indices, key_columns, factoriser = group_layout(
+            self.select.group_by, batch, evaluator)
+        if factoriser is not None:
+            self.groupings.append(factoriser)
+        return layout, rep_indices, key_columns
 
     def _execute_per_group(self, batch: Batch) -> QueryResult:
         """Per-group execution: one evaluator per group (UDFs run per group)."""
         select = self.select
         evaluator = ExpressionEvaluator(self.database, batch)
         if select.group_by:
+            self.groupings.append("hash")
             key_columns = [
                 as_value_list(evaluator.evaluate(expr).broadcast(batch.row_count))
                 for expr in select.group_by
@@ -1161,8 +1259,7 @@ class HashAggregate(PhysicalOperator):
         else:
             group_indices = [list(range(batch.row_count))]
 
-        names: list[str] = []
-        first = True
+        outputs = self._outputs()
         rows: list[list[Any]] = []
         for indices in group_indices:
             group_batch = batch.take(indices)
@@ -1174,28 +1271,19 @@ class HashAggregate(PhysicalOperator):
                 if not (keep is True or keep == 1):
                     continue
             row: list[Any] = []
-            for index, item in enumerate(select.items):
-                if isinstance(item.expression, ast.Star):
+            for _, expression in outputs:
+                if isinstance(expression, ast.Star):
                     raise ExecutionError("'*' cannot be combined with GROUP BY")
-                value_result = group_evaluator.evaluate(item.expression)
+                value_result = group_evaluator.evaluate(expression)
                 if len(value_result.values):
                     value = python_value(value_result.values[0])
                 else:
                     value = None
                 row.append(value)
-                if first:
-                    names.append(item.alias
-                                 or default_output_name(item.expression, index))
-            first = False
             rows.append(row)
 
-        if not names:
-            names = [
-                item.alias or default_output_name(item.expression, index)
-                for index, item in enumerate(select.items)
-            ]
         columns = []
-        for column_index, name in enumerate(names):
+        for column_index, (name, _) in enumerate(outputs):
             values = [row[column_index] for row in rows]
             columns.append(ResultColumn(name, infer_column_type(values), values))
         return QueryResult(columns)
@@ -1203,8 +1291,16 @@ class HashAggregate(PhysicalOperator):
     def describe(self) -> str:
         n_keys = len(self.select.group_by)
         n_aggs = len({id(node) for node in self.aggregate_nodes})
-        return (f"HashAggregate [keys={n_keys} aggregates={n_aggs} "
-                f"mode={self.mode}]")
+        text = f"HashAggregate [keys={n_keys} aggregates={n_aggs} mode={self.mode}"
+        counts = collections.Counter(self.groupings)
+        if len(counts) == 1:
+            text += f" grouping={self.groupings[0]}"
+        elif counts:
+            # morsels that took different factorisers: counted per kind
+            text += " grouping=" + ",".join(
+                f"{kind}:{counts[kind]}" for kind in ("radix", "sort", "hash")
+                if counts[kind])
+        return text + "]"
 
 
 def _has_inexact_keys(values: Any) -> bool:

@@ -218,12 +218,15 @@ class Planner:
         if select.where is not None:
             stages.append(Filter(self.database, select.where))
 
-        has_aggregates = any(
-            expression_contains_aggregate(item.expression)
-            for item in select.items
-            if not isinstance(item.expression, ast.Star)
-        ) or (select.having is not None
-              and expression_contains_aggregate(select.having))
+        # an aggregate in the select list, HAVING or ORDER BY makes the
+        # statement an aggregation
+        aggregating = [item.expression for item in select.items
+                       if not isinstance(item.expression, ast.Star)]
+        if select.having is not None:
+            aggregating.append(select.having)
+        aggregating.extend(order.expression for order in select.order_by)
+        has_aggregates = any(expression_contains_aggregate(expression)
+                             for expression in aggregating)
 
         sink: Project | HashAggregate
         if select.group_by or has_aggregates:

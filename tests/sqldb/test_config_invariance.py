@@ -160,6 +160,79 @@ def test_the_table_spans_several_morsels_and_groups_merge_partials():
     db.close()
 
 
+#: GROUP BY keys on both sides of the factorisation rule (a key spanning at
+#: most 65,536 values is sorted by counting, a wider one by comparison); the
+#: measures are integers, so the answers are exact at every morsel size and
+#: are compared across ``morsel_rows`` too
+GROUPING_STATEMENTS = [
+    f"SELECT {key}, COUNT(*), SUM(i), MIN(i), MAX(i) FROM g GROUP BY {key}"
+    for key in ("w16", "w17", "neg", "small", "s")
+]
+GROUPING_ROWS = 3_000
+
+
+def _grouping_rows():
+    """``(i, w16, w17, neg, small, s)``: ``w16`` spans exactly 65,536 values,
+    ``w17`` 65,537, ``neg`` is negative, ``small`` a nullable 41-value key,
+    ``s`` a dictionary with NULLs.  Rows ``i % 7 in (0, 1)`` carry each
+    key's two ends, so every morsel spans the whole range."""
+    rng = np.random.default_rng(25)
+    rows = []
+    for i in range(GROUPING_ROWS):
+        end = i % 7
+        w16 = (1_000, 66_535)[end] if end < 2 else int(rng.integers(1_000, 66_535))
+        w17 = (1_000, 66_536)[end] if end < 2 else int(rng.integers(1_000, 66_536))
+        neg = (-70_000, -69_000)[end] if end < 2 else int(rng.integers(-70_000, -69_000))
+        small = None if i % 10 == 3 else i % 41
+        s = None if i % 9 == 4 else f"s{i % 23}"
+        rows.append((i, w16, w17, neg, small, s))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def grouping_reference():
+    """Every grouping statement's answer from a Python dict, groups in
+    first-appearance order (the engine's order at every setting)."""
+    answers = []
+    for key in range(1, 6):
+        groups = {}
+        for row in _grouping_rows():
+            groups.setdefault(row[key], []).append(row[0])
+        answers.append([(value, len(ids), sum(ids), min(ids), max(ids))
+                        for value, ids in groups.items()])
+    return answers
+
+
+def _grouping_database(morsel_rows, workers):
+    db = Database(workers=workers, morsel_rows=morsel_rows)
+    db.execute("CREATE TABLE g (i INTEGER, w16 INTEGER, w17 INTEGER, "
+               "neg INTEGER, small INTEGER, s STRING)")
+    db.storage.table("g").insert_rows(_grouping_rows())
+    return db
+
+
+@pytest.mark.parametrize("morsel_rows", [7, 1_024, 65_536])
+@pytest.mark.parametrize("workers", [1, 4])
+def test_grouping_answer_is_identical_across_morsel_rows_and_workers(
+        grouping_reference, morsel_rows, workers):
+    db = _grouping_database(morsel_rows, workers)
+    for sql, expected in zip(GROUPING_STATEMENTS, grouping_reference):
+        assert db.execute(sql).fetchall() == expected, sql
+    db.close()
+
+
+@pytest.mark.parametrize("morsel_rows", [7, 1_024, 65_536])
+def test_every_morsel_of_w16_and_w17_falls_on_its_side_of_the_rule(morsel_rows):
+    # guards the premise: were a morsel to miss a key's ends, both keys could
+    # take the same sort and the answers above would prove nothing
+    db = _grouping_database(morsel_rows, 1)
+    for sql, grouping in zip(GROUPING_STATEMENTS, ("radix", "sort")):
+        plan = db.execute(f"EXPLAIN ANALYZE {sql}").fetchall()
+        aggregate = next(line for (line,) in plan if "HashAggregate" in line)
+        assert f"grouping={grouping}]" in aggregate
+    db.close()
+
+
 @pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("timeout", [None, 60])
 def test_explain_estimate_equals_analyze_actual(workers, timeout):

@@ -190,6 +190,23 @@ class TestGroupByOrderBy:
         with pytest.raises(ExecutionError, match="length mismatch"):
             grouped.execute(f"SELECT k, SUM(v) AS s FROM g GROUP BY k ORDER BY {key}")
 
+    @pytest.mark.parametrize("select", ["w", "twice(MIN(v))"])
+    def test_an_aggregate_key_is_resolved_against_the_groups(self, grouped, select):
+        # a hidden column on the reduceat path and on the per-group (UDF) path
+        grouped.execute("CREATE FUNCTION twice(x DOUBLE) RETURNS DOUBLE "
+                        "LANGUAGE PYTHON { return x * 2 }")
+        rows = grouped.execute(f"SELECT {select} FROM g GROUP BY w "
+                               "ORDER BY COUNT(*) DESC, MAX(v) DESC").fetchall()
+        assert rows == ([("w0",), ("w2",), ("w1",)] if select == "w"
+                        else [(0.0,), (2.0,), (1.0,)])
+
+    def test_distinct_needs_the_aggregate_key_in_the_select_list(self, grouped):
+        assert grouped.execute("SELECT DISTINCT w, COUNT(*) FROM g GROUP BY w "
+                               "ORDER BY COUNT(*), w").fetchall() \
+            == [("w1", 13), ("w2", 13), ("w0", 14)]
+        with pytest.raises(ExecutionError, match="DISTINCT"):
+            grouped.execute("SELECT DISTINCT w FROM g GROUP BY w ORDER BY SUM(v)")
+
     def test_input_batch_built_only_for_an_evaluated_key(self, grouped, monkeypatch):
         from repro.sqldb import operators
 

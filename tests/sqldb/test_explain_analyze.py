@@ -134,6 +134,48 @@ class TestExplainAnalyzeJoin:
         assert join[0] == 200  # every probe row matches
 
 
+class TestExplainAnalyzeGrouping:
+    """The HashAggregate line names the factoriser each grouping ran."""
+
+    @pytest.fixture()
+    def db(self):
+        db = Database(workers=4, morsel_rows=40)
+        db.execute("CREATE TABLE g (k INTEGER, s VARCHAR, x DOUBLE)")
+        # the first morsel's keys span 40 values, the second's 4 million
+        db.execute("INSERT INTO g VALUES " + ", ".join(
+            f"({i if i < 40 else i * 100_000}, 's{i % 3}', {i * 0.5})"
+            for i in range(80)))
+        return db
+
+    @staticmethod
+    def _grouping(db, sql):
+        line = next(line for line in _analyze_lines(db, sql)
+                    if line.startswith("HashAggregate"))
+        return re.search(r"grouping=(\S+?)\]", line).group(1)
+
+    def test_radix(self, db):
+        assert self._grouping(
+            db, "SELECT s, COUNT(*) FROM g GROUP BY s") == "radix"
+
+    def test_sort(self, db):
+        assert self._grouping(
+            db, "SELECT x, COUNT(*) FROM g GROUP BY x") == "sort"
+
+    def test_hash(self, db):
+        assert self._grouping(
+            db, "SELECT k, s, COUNT(*) FROM g GROUP BY k, s") == "hash"
+
+    def test_counted_per_morsel_when_morsels_differ(self, db):
+        assert self._grouping(
+            db, "SELECT k, COUNT(*) FROM g GROUP BY k") == "radix:1,sort:1"
+
+    def test_absent_without_group_by_and_from_plain_explain(self, db):
+        for sql in ("EXPLAIN ANALYZE SELECT COUNT(*) FROM g",
+                    "EXPLAIN SELECT s, COUNT(*) FROM g GROUP BY s"):
+            assert not any("grouping=" in line
+                           for (line,) in db.execute(sql).fetchall())
+
+
 class TestPlainExplainUnchanged:
     def test_plain_explain_has_no_actuals(self):
         db = _make_db(workers=1)

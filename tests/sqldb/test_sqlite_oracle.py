@@ -111,6 +111,12 @@ STATEMENTS = [
      False),
     ("SELECT i, CAST(x * 4 AS INTEGER), CAST(k AS INTEGER), "
      "CAST(m AS DOUBLE) FROM f", False),
+    # ORDER BY an aggregate: the column of the select item it repeats, or a
+    # hidden column the sort drops
+    ("SELECT s, COUNT(*) FROM f GROUP BY s ORDER BY COUNT(*) DESC, s", True),
+    ("SELECT s, COUNT(*) FROM f GROUP BY s ORDER BY SUM(x), s", True),
+    ("SELECT s FROM f GROUP BY s ORDER BY MAX(x), s", True),
+    ("SELECT COUNT(*) FROM f ORDER BY COUNT(*)", True),
 ]
 
 
