@@ -46,6 +46,18 @@ def normalize_sql(sql: str) -> str:
 # --------------------------------------------------------------------------- #
 # AST walking
 # --------------------------------------------------------------------------- #
+_FIELD_NAMES: dict[type, tuple[str, ...] | None] = {}
+
+
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    """A dataclass type's field names (None for other types), once per type."""
+    if cls not in _FIELD_NAMES:
+        _FIELD_NAMES[cls] = tuple(
+            field.name for field in dataclasses.fields(cls)) \
+            if dataclasses.is_dataclass(cls) else None
+    return _FIELD_NAMES[cls]
+
+
 def iter_nodes(root: Any) -> Iterator[Any]:
     """Yield every dataclass node reachable from ``root`` (statements,
     expressions, table refs, select/order items)."""
@@ -56,10 +68,11 @@ def iter_nodes(root: Any) -> Iterator[Any]:
             stack.extend(node)
         elif isinstance(node, dict):
             stack.extend(node.values())
-        elif dataclasses.is_dataclass(node) and not isinstance(node, type):
-            yield node
-            for field in dataclasses.fields(node):
-                stack.append(getattr(node, field.name))
+        else:
+            names = _field_names(type(node))
+            if names is not None:
+                yield node
+                stack.extend([getattr(node, name) for name in names])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -103,17 +116,6 @@ def profile_statement(statement: ast.Statement) -> StatementProfile:
             parameters = max(parameters, node.index + 1)
     return StatementProfile(frozenset(tables), frozenset(functions),
                             parameters, has_table_function)
-
-
-_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
-
-
-def _field_names(cls: type) -> tuple[str, ...]:
-    names = _FIELD_NAMES.get(cls)
-    if names is None:
-        names = tuple(field.name for field in dataclasses.fields(cls))
-        _FIELD_NAMES[cls] = names
-    return names
 
 
 def parameter_bearing_ids(root: Any) -> frozenset[int]:
@@ -322,11 +324,19 @@ def estimate_result_bytes(result: QueryResult) -> int:
 
 
 class ResultCache:
-    """Byte-bounded LRU of materialised results for read-only SELECTs."""
+    """Byte-bounded cache of materialised results for read-only SELECTs.
+
+    Two LRU segments: a ``put`` enters *probation*, which holds at most
+    ``max_bytes // 8`` bytes (oldest out first, the newest always kept), and
+    a ``get`` that hits promotes its entry to *protected* — so results nobody
+    asks for twice cannot crowd out the ones that are.
+    """
 
     def __init__(self, max_bytes: int) -> None:
         self.max_bytes = max_bytes
-        self._entries: "OrderedDict[str, CachedResult]" = OrderedDict()
+        self._probation: "OrderedDict[str, CachedResult]" = OrderedDict()
+        self._protected: "OrderedDict[str, CachedResult]" = OrderedDict()
+        self.probation_bytes = 0
         self.used_bytes = 0
         self.hits = 0
         self.misses = 0
@@ -334,14 +344,15 @@ class ResultCache:
         self.evictions = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._probation) + len(self._protected)
 
     def get(self, key: str) -> QueryResult | None:
-        entry = self._entries.get(key)
+        entry = self._pop(key)
         if entry is None:
             self.misses += 1
             return None
-        self._entries.move_to_end(key)
+        self._protected[key] = entry  # promoted, or most recent again
+        self.used_bytes += entry.nbytes
         self.hits += 1
         return entry.result
 
@@ -350,28 +361,42 @@ class ResultCache:
         nbytes = estimate_result_bytes(result)
         if nbytes > max(self.max_bytes // 4, 1):
             return  # one oversized result must not wipe the whole cache
-        previous = self._entries.pop(key, None)
-        if previous is not None:
-            self.used_bytes -= previous.nbytes
-        self._entries[key] = CachedResult(result, tables, nbytes)
+        self._pop(key)
+        self._probation[key] = CachedResult(result, tables, nbytes)
+        self.probation_bytes += nbytes
         self.used_bytes += nbytes
-        while self.used_bytes > self.max_bytes and self._entries:
-            _, evicted = self._entries.popitem(last=False)
-            self.used_bytes -= evicted.nbytes
+        while len(self._probation) > 1 \
+                and self.probation_bytes > self.max_bytes // 8:
+            self._pop(next(iter(self._probation)))
             self.evictions += 1
+        while self.used_bytes > self.max_bytes:
+            self._pop(next(iter(self._protected or self._probation)))
+            self.evictions += 1
+
+    def _pop(self, key: str) -> CachedResult | None:
+        """Remove ``key`` from whichever segment holds it."""
+        entry = self._probation.pop(key, None)
+        if entry is not None:
+            self.probation_bytes -= entry.nbytes
+        else:
+            entry = self._protected.pop(key, None)
+        if entry is not None:
+            self.used_bytes -= entry.nbytes
+        return entry
 
     def invalidate_table(self, table: str) -> int:
         lowered = table.lower()
-        stale = [key for key, entry in self._entries.items()
-                 if lowered in entry.tables]
+        stale = [key for segment in (self._probation, self._protected)
+                 for key, entry in segment.items() if lowered in entry.tables]
         for key in stale:
-            self.used_bytes -= self._entries.pop(key).nbytes
+            self._pop(key)
         self.invalidations += len(stale)
         return len(stale)
 
     def clear(self) -> int:
-        count = len(self._entries)
-        self._entries.clear()
-        self.used_bytes = 0
+        count = len(self)
+        self._probation.clear()
+        self._protected.clear()
+        self.probation_bytes = self.used_bytes = 0
         self.invalidations += count
         return count

@@ -5,12 +5,12 @@ of the operators defined here; the plan driver then pushes morsel-sized
 :class:`~repro.sqldb.expressions.Batch`es through them:
 
 * :class:`Scan` produces row-range morsels from a storage table (zero-copy
-  slices of the stored column scans), a virtual meta table, a subquery
-  result or a table-producing UDF.
+  slices of the referenced columns' scans), a virtual meta table, a
+  subquery result or a table-producing UDF.
 * :class:`Filter` applies the WHERE predicate per morsel.
 * :class:`HashJoin` materialises its build (right) side once, then probes it
-  with each left morsel.  Equi-joins probe a sort/searchsorted structure over
-  shared-dictionary codes or a common numeric dtype; other conditions
+  with each left morsel.  Equi-joins probe a direct-address table or sorted
+  keys over shared-dictionary codes or a common numeric dtype; other conditions
   evaluate vectorised over the morsel-by-build cross product.  LEFT-join
   unmatched rows are deferred and flushed after the last probe morsel:
   matches first, then unmatched, at every morsel size.
@@ -30,7 +30,7 @@ from __future__ import annotations
 import collections
 import functools
 import threading
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -132,6 +132,14 @@ def collect_aggregates(expression: ast.Expression,
         return
     for child in child_expressions(expression):
         collect_aggregates(child, out)
+
+
+def calls_udf(expressions: Iterable[ast.Expression]) -> bool:
+    """Whether any expression calls a Python UDF (a function that is neither
+    an aggregate nor a built-in scalar)."""
+    return any(not is_aggregate(call.name) and not is_builtin_scalar(call.name)
+               for expression in expressions
+               for call in iter_function_calls(expression))
 
 
 def statement_expressions(select: ast.Select) -> list[ast.Expression]:
@@ -459,12 +467,15 @@ def aggregate_argument(node: ast.FunctionCall, evaluator: ExpressionEvaluator,
 # join key normalisation and build/probe structures
 # --------------------------------------------------------------------------- #
 class _VectorEquiBuild:
-    """Sort/searchsorted build over the right side's normalised key array.
+    """Build over the right side's normalised key array.
 
-    The probe half of the former ``_vector_equi_join``: NULL keys (masked
-    rows) are excluded from both build and probe, so they never match.
-    Output pair order matches the Python hash join: left rows ascending,
-    right matches in original row order within each key.
+    NULL keys (masked rows) are excluded from both build and probe, so they
+    never match.  Output pair order matches the Python hash join: left rows
+    ascending, right matches in original row order within each key.  Integer
+    keys spanning at most 65,536 values, or two per build row (int32 slots:
+    never more bytes than the keys), are probed through ``slots[key - low]``
+    = the key's position among the sorted distinct keys, -1 if absent — what
+    ``np.searchsorted``, the probe for every other key, finds.
     """
 
     def __init__(self, right_data: np.ndarray,
@@ -479,13 +490,30 @@ class _VectorEquiBuild:
         self.group_starts = np.concatenate(([0], np.cumsum(self.counts[:-1]))) \
             if len(unique_keys) else np.zeros(0, dtype=np.int64)
         self.unique_keys = unique_keys
+        self.slots: np.ndarray | None = None
+        if unique_keys.dtype.kind in "iu" and len(unique_keys):
+            # Python ints: the span of int64 extremes cannot overflow
+            self.low, self.high = int(unique_keys[0]), int(unique_keys[-1])
+            span = self.high - self.low + 1
+            if span <= max(_RADIX_SPAN + 1, 2 * len(right_data)):
+                self.slots = np.full(span, -1, dtype=np.int32)
+                self.slots[unique_keys - self.low] = np.arange(
+                    len(unique_keys), dtype=np.int32)
+        #: which probe runs (EXPLAIN ANALYZE)
+        self.kind = "sorted" if self.slots is None else "direct"
 
     def probe(self, left_data: np.ndarray, left_mask: np.ndarray | None
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Probe one left morsel; returns (left rows, right rows, found mask)."""
         left_count = len(left_data)
         unique_keys = self.unique_keys
-        if len(unique_keys):
+        if self.slots is not None:
+            # range test before subtracting: int64 extremes cannot wrap
+            inside = (left_data >= self.low) & (left_data <= self.high)
+            positions = np.full(left_count, -1, dtype=np.intp)
+            positions[inside] = self.slots[left_data[inside] - self.low]
+            found = positions >= 0
+        elif len(unique_keys):
             positions = np.searchsorted(unique_keys, left_data)
             clipped = np.minimum(positions, len(unique_keys) - 1)
             found = (positions < len(unique_keys)) \
@@ -564,33 +592,38 @@ class Scan(PhysicalOperator):
 
     name = "Scan"
 
-    def __init__(self, label: str, alias: str | None = None) -> None:
+    def __init__(self, label: str, alias: str | None = None,
+                 source_ast: ast.TableRef | None = None,
+                 referenced: frozenset[str] | None = None) -> None:
         super().__init__()
         self.label = label
         self.alias = alias
-        self.source_ast: ast.TableRef | None = None
+        self.source_ast = source_ast
+        #: lower-cased column names the statement references; None = all
+        self.referenced = referenced
         self.estimated_rows: int | None = None
         self.morsel_hint: int | None = None
+        #: ``(bound, stored)`` column counts of a bound storage table
+        self.bound_columns: tuple[int, int] | None = None
         self._batch: Batch | None = None
 
     def bind_table(self, table: Any) -> None:
-        """Snapshot a storage table's scans (zero-copy, consistent: later
-        mutations publish new views and never touch the rows of these)."""
+        """Snapshot the scans of a storage table's referenced columns
+        (zero-copy, consistent: later mutations publish new views and never
+        touch the rows of these); with none, the batch still has the rows."""
         row_count = table.row_count
         columns = [
             BatchColumn(self.alias, column.name, column.sql_type,
                         column.scan_vector(0, row_count))
             for column in table.columns
+            if self.referenced is None or column.name.lower() in self.referenced
         ]
+        self.bound_columns = (len(columns), len(table.columns))
         self.bind_batch(Batch(columns, row_count=row_count))
 
     def bind_batch(self, batch: Batch) -> None:
         self._batch = batch
         self.estimated_rows = batch.row_count
-
-    @property
-    def prepared(self) -> bool:
-        return self._batch is not None
 
     @property
     def row_count(self) -> int:
@@ -604,7 +637,10 @@ class Scan(PhysicalOperator):
     def describe(self) -> str:
         rows = "?" if self.estimated_rows is None else str(self.estimated_rows)
         morsels = "?" if self.morsel_hint is None else str(self.morsel_hint)
-        return f"Scan {self.label} [rows={rows} morsels={morsels}]"
+        # bound columns are known once the scan is (EXPLAIN ANALYZE only)
+        columns = "" if self.bound_columns is None \
+            else " columns={}/{}".format(*self.bound_columns)
+        return f"Scan {self.label} [rows={rows} morsels={morsels}{columns}]"
 
 
 class Filter(PhysicalOperator):
@@ -902,8 +938,12 @@ class HashJoin(PhysicalOperator):
         from .render import render_expression
         if self.join_type == "CROSS" or self.condition is None:
             return "HashJoin [CROSS]"
+        # the probe is known once the build is (EXPLAIN ANALYZE only)
+        probe = (self._vector_build.kind if self._strategy == "vector"
+                 else "hash" if self._strategy == "hash" else None)
         return (f"HashJoin [{self.join_type} "
-                f"ON {render_expression(self.condition)}]")
+                f"ON {render_expression(self.condition)}"
+                + (f" probe={probe}]" if probe else "]"))
 
 
 def _all_null_like(values: Any, count: int) -> Any:
@@ -937,14 +977,13 @@ class Project(PhysicalOperator):
         super().__init__()
         self.database = database
         self.items = list(items)
+        self.calls_udf = calls_udf(item.expression for item in self.items)
 
-    def project(self, batch: Batch) -> tuple[QueryResult, bool]:
-        """Evaluate the select list; returns (morsel result, all-constant).
-
-        ``all-constant`` is True when no item depended on the batch rows —
-        the driver then emits a single one-row result for the whole query,
-        matching the sequential engine's broadcast rule.
-        """
+    def project(self, batch: Batch) -> QueryResult:
+        """Evaluate the select list over one morsel.  Items that read no row
+        broadcast to the batch's rows (``SELECT 1 FROM t``: one per row of
+        ``t``) unless the list calls a UDF: a MonetDB/Python UDF returning one
+        value for its column is one row (such a statement is one morsel)."""
         evaluator = ExpressionEvaluator(self.database, batch)
         names: list[str] = []
         results: list[EvalResult] = []
@@ -960,13 +999,15 @@ class Project(PhysicalOperator):
             results.append(result)
 
         if not results:
-            return QueryResult([]), True
+            return QueryResult([])
 
         non_constant_lengths = [len(r) for r in results if not r.constant]
         if non_constant_lengths:
             output_length = max(non_constant_lengths)
-        else:
+        elif self.calls_udf:
             output_length = max(len(r) for r in results)
+        else:
+            output_length = batch.row_count
         columns = []
         for name, result in zip(names, results):
             values = result.broadcast(output_length)
@@ -979,7 +1020,7 @@ class Project(PhysicalOperator):
             values = as_value_list(values)
             sql_type = result.sql_type or infer_column_type(values)
             columns.append(ResultColumn(name, sql_type, values))
-        return QueryResult(columns), not non_constant_lengths
+        return QueryResult(columns)
 
     def describe(self) -> str:
         labels = []
@@ -1021,13 +1062,11 @@ def concat_result_pieces(pieces: Sequence[QueryResult]) -> QueryResult:
 class _AggregateState:
     """One morsel's aggregation state (the partial-merge path)."""
 
-    __slots__ = ("batch", "keys", "rep_batch", "rep_count", "partials",
-                 "inexact_keys")
+    __slots__ = ("keys", "rep_batch", "rep_count", "partials", "inexact_keys")
 
-    def __init__(self, batch: Batch, keys: list[tuple], rep_batch: Batch,
-                 rep_count: int, partials: dict[int, PartialAggregate],
+    def __init__(self, keys: list[tuple], rep_batch: Batch, rep_count: int,
+                 partials: dict[int, PartialAggregate],
                  inexact_keys: bool) -> None:
-        self.batch = batch
         self.keys = keys
         self.rep_batch = rep_batch
         self.rep_count = rep_count
@@ -1093,11 +1132,7 @@ class HashAggregate(PhysicalOperator):
             expressions.append(self.select.having)
         expressions.extend(self.select.group_by)
         expressions.extend(self.hidden_keys)
-        return any(
-            not is_aggregate(call.name) and not is_builtin_scalar(call.name)
-            for expression in expressions
-            for call in iter_function_calls(expression)
-        )
+        return calls_udf(expressions)
 
     def _partial_capable(self) -> bool:
         for node in self.aggregate_nodes:
@@ -1129,17 +1164,14 @@ class HashAggregate(PhysicalOperator):
                 node.name, values, layout, is_star=aggregate_is_star(node))
         rep_list = list(rep_indices)
         return _AggregateState(
-            batch, keys, batch.take(rep_list), len(rep_list), partials,
+            keys, batch.take(rep_list), len(rep_list), partials,
             inexact_keys=any(_has_inexact_keys(c) for c in key_columns))
 
     def finish_partial(self, states: Sequence[_AggregateState]) -> QueryResult:
-        """Merge per-morsel states into the final grouped result."""
+        """Merge per-morsel states into the final grouped result.  No state
+        may have NaN keys: their grouping is representation-dependent, so
+        ``SelectPlan`` runs the exact sequential path over such rows."""
         states = list(states)
-        if any(state.inexact_keys for state in states) or not states:
-            # NaN grouping is representation-dependent: concatenate and run
-            # the exact sequential path instead of merging by Python value
-            return self.finish_sequential(
-                concat_batches([state.batch for state in states]))
         key_to_gid: dict[tuple, int] = {}
         maps: list[list[int]] = []
         rep_refs: list[tuple[int, int]] = []

@@ -4,9 +4,9 @@
 operators (:mod:`repro.sqldb.operators`); :class:`SelectPlan` then drives
 execution:
 
-* **prepare** (under the database lock): bind scan sources — snapshot
-  storage-table scans, execute FROM-clause subqueries / table functions /
-  virtual meta tables — and materialise every join's build side.
+* **prepare** (under the database lock): bind scan sources — snapshot the
+  referenced columns' scans, execute FROM-clause subqueries / table
+  functions / virtual meta tables — and materialise every join's build side.
 * **run**: split the pipeline source into row-range morsels — one rule,
   :meth:`~repro.sqldb.parallel.MorselScheduler.split`, whatever ``workers``
   is and whether or not the statement is cancellable — and drive them
@@ -35,11 +35,11 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, TypeVar
 from ..errors import CatalogError, ExecutionError
 from . import ast_nodes as ast
 from .aggregates import is_aggregate
+from .cache import iter_nodes
 from .expressions import (
     Batch,
     BatchColumn,
     ExpressionEvaluator,
-    child_expressions,
     expression_contains_aggregate,
 )
 from .functions import is_builtin_scalar
@@ -164,22 +164,13 @@ def table_function_batch(database: "Database",
 # --------------------------------------------------------------------------- #
 # parallel-safety analysis
 # --------------------------------------------------------------------------- #
-def _walk_expression(expression: ast.Expression) -> Iterator[ast.Expression]:
-    yield expression
-    if isinstance(expression, ast.InSubquery):
-        yield from _walk_expression(expression.operand)
-        return
-    for child in child_expressions(expression):
-        yield from _walk_expression(child)
-
-
 def _expression_parallel_safe(expression: ast.Expression) -> bool:
     """Safe to evaluate per morsel, possibly on worker threads.
 
     Scalar subqueries (re-executed per evaluation) and Python UDFs (invoked
     once per whole column, an observable count) force whole-batch execution.
     """
-    for node in _walk_expression(expression):
+    for node in iter_nodes(expression):
         if isinstance(node, (ast.ScalarSubquery, ast.ExistsSubquery,
                              ast.InSubquery)):
             return False
@@ -204,6 +195,21 @@ def statement_parallel_safe(select: ast.Select) -> bool:
     return all(_expression_parallel_safe(expr) for expr in expressions)
 
 
+def referenced_columns(select: ast.Select) -> frozenset[str] | None:
+    """The lower-cased name of every column reference anywhere in ``select``,
+    subqueries included — a superset of what any of its scans must bind.
+    None when a ``*`` or ``t.*`` select item names every column (the star
+    of ``COUNT(*)`` is an argument, not an item)."""
+    names: set[str] = set()
+    for node in iter_nodes(select):
+        if isinstance(node, ast.ColumnRef):
+            names.add(node.name.lower())
+        elif isinstance(node, ast.SelectItem) \
+                and isinstance(node.expression, ast.Star):
+            return None
+    return frozenset(names)
+
+
 # --------------------------------------------------------------------------- #
 # planner
 # --------------------------------------------------------------------------- #
@@ -214,7 +220,8 @@ class Planner:
         self.database = database
 
     def plan(self, select: ast.Select) -> "SelectPlan":
-        source, stages = self._lower_from(select.from_clause)
+        source, stages = self._lower_from(select.from_clause,
+                                          referenced_columns(select))
         if select.where is not None:
             stages.append(Filter(self.database, select.where))
 
@@ -242,28 +249,25 @@ class Planner:
         return SelectPlan(self.database, select, source, stages, sink,
                           distinct=distinct, sort=sort, limit=limit)
 
-    def _lower_from(self, from_clause: ast.TableRef | None
+    def _lower_from(self, from_clause: ast.TableRef | None,
+                    referenced: frozenset[str] | None
                     ) -> tuple[Scan, list[PhysicalOperator]]:
-        """Lower a FROM tree into (pipeline source, probe/filter stages)."""
+        """Lower a FROM tree into (pipeline source, probe/filter stages);
+        a storage table's scan binds only the ``referenced`` columns."""
         if from_clause is None:
             return Scan("(no table)"), []
         if isinstance(from_clause, ast.NamedTable):
-            name = from_clause.name
-            alias = from_clause.alias or name.split(".")[-1]
-            scan = Scan(name, alias)
-            scan.source_ast = from_clause
-            return scan, []
+            alias = from_clause.alias or from_clause.name.split(".")[-1]
+            return Scan(from_clause.name, alias, from_clause, referenced), []
         if isinstance(from_clause, ast.SubquerySource):
-            scan = Scan("(subquery)", from_clause.alias)
-            scan.source_ast = from_clause
-            return scan, []
+            return Scan("(subquery)", from_clause.alias, from_clause), []
         if isinstance(from_clause, ast.TableFunctionCall):
-            scan = Scan(f"{from_clause.name}()", from_clause.alias)
-            scan.source_ast = from_clause
-            return scan, []
+            return Scan(f"{from_clause.name}()", from_clause.alias,
+                        from_clause), []
         if isinstance(from_clause, ast.Join):
-            source, stages = self._lower_from(from_clause.left)
-            build_source, build_stages = self._lower_from(from_clause.right)
+            source, stages = self._lower_from(from_clause.left, referenced)
+            build_source, build_stages = self._lower_from(from_clause.right,
+                                                          referenced)
             join = HashJoin(self.database, from_clause.join_type,
                             from_clause.condition)
             join.build_source = build_source
@@ -414,7 +418,7 @@ class SelectPlan:
         return template
 
     def _prepare_scan(self, scan: Scan) -> None:
-        source_ast = getattr(scan, "source_ast", None)
+        source_ast = scan.source_ast
         if source_ast is None:
             scan.bind_batch(Batch.empty())
             return
@@ -525,15 +529,14 @@ class SelectPlan:
         for batch in self._flush_deferred(self.stages, deferred):
             yield sink(batch)
 
-    def _project(self, batch: Batch
-                 ) -> tuple[QueryResult, bool, Batch | None]:
-        """Projection sink: ``(piece, all-constant, input batch)`` — the
-        batch only when ORDER BY will need it (a queued morsel result
-        should not pin its input)."""
+    def _project(self, batch: Batch) -> tuple[QueryResult, Batch | None]:
+        """Projection sink: ``(piece, input batch)`` — the batch only when
+        ORDER BY will need it (a queued morsel result should not pin its
+        input)."""
         started = perf_counter()
-        piece, constant = self.sink.project(batch)
+        piece = self.sink.project(batch)
         self._record(self.sink, piece.row_count, started)
-        return piece, constant, batch if self.sort is not None else None
+        return piece, batch if self.sort is not None else None
 
     # -- execution ---------------------------------------------------------- #
     def _split_ranges(self, max_rows: int | None = None
@@ -580,13 +583,9 @@ class SelectPlan:
             stop_after = self.limit.stop_after
         pieces: list[QueryResult] = []
         produced = 0
-        for piece, constant, batch in self._morsels(ranges, self._project):
+        for piece, batch in self._morsels(ranges, self._project):
             if out_batches is not None:
                 out_batches.append(batch)
-            if constant and not pieces:
-                # no item depended on the input rows: constants broadcast
-                # to a single row, not one row per morsel
-                return piece
             pieces.append(piece)
             produced += piece.row_count
             if stop_after is not None and produced >= stop_after:
@@ -605,16 +604,23 @@ class SelectPlan:
             # one partial state per morsel; output rows come from the merge
             # below, so only batches/time accrue here
             self._record(sink, 0, started)
-            return state
+            # the morsel's rows stay only for an ORDER BY that may need them
+            return state, batch if out_batches is not None else None
 
         payloads = list(self._morsels(
-            ranges, morsel_state if use_partial else lambda batch: batch))
+            ranges, morsel_state if use_partial else lambda b: (None, b)))
+        states = [state for state, _ in payloads]
+        batches = [batch for _, batch in payloads]
         started = perf_counter()
+        if use_partial and any(state.inexact_keys for state in states):
+            # NaN grouping is representation-dependent: the exact sequential
+            # path runs over the rows, read again (a statement that splits
+            # into morsels is parallel-safe, so they are the same rows)
+            batches = list(self._morsels(ranges, lambda b: b))
+            use_partial = False
         if use_partial:
-            batches = [state.batch for state in payloads]
-            result = sink.finish_partial(payloads)
+            result = sink.finish_partial(states)
         else:
-            batches = payloads
             result = sink.finish_sequential(concat_batches(batches))
         # a partial merge's batches were counted one per state above
         self._record(sink, result.row_count, started, 0 if use_partial else 1)
@@ -636,7 +642,7 @@ class SelectPlan:
         skip = self.limit.offset or 0 if self.limit is not None else 0
         remaining = self.limit.limit if self.limit is not None else None
         yielded = False
-        for piece, constant, _ in self._morsels(
+        for piece, _ in self._morsels(
                 self._split_ranges(max_rows), self._project):
             rows = piece.row_count
             if skip >= rows:
@@ -649,13 +655,11 @@ class SelectPlan:
                     remaining -= piece.row_count
                 yield piece
                 yielded = True
-            # constants broadcast to one row total, not one per morsel
-            if constant or (remaining is not None and remaining <= 0):
+            if remaining is not None and remaining <= 0:
                 break
         if not yielded:
             # schema-only piece so consumers always see the column layout
-            piece, _ = self.sink.project(self._template)
-            yield slice_result(piece, 0, 0)
+            yield slice_result(self.sink.project(self._template), 0, 0)
 
     # -- EXPLAIN ------------------------------------------------------------ #
     def explain_lines(self) -> list[str]:
@@ -712,7 +716,7 @@ class SelectPlan:
         subqueries or UDFs (storage tables only)."""
         def visit(source: Scan, stages: Sequence[PhysicalOperator],
                   pipeline: bool) -> None:
-            source_ast = getattr(source, "source_ast", None)
+            source_ast = source.source_ast
             if isinstance(source_ast, ast.NamedTable) \
                     and virtual_table(self.database, source_ast.name) is None:
                 # unknown tables raise here, exactly as execution would

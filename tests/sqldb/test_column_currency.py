@@ -93,6 +93,7 @@ def _oracle_database(morsel_rows, workers):
     db.execute(
         "CREATE TABLE f (i INTEGER, k INTEGER, m INTEGER, x DOUBLE, s STRING)")
     db.execute("CREATE TABLE d (k INTEGER, name STRING)")
+    db.execute("CREATE TABLE e (k INTEGER)")
     db.storage.table("f").insert_rows(oracle.FACT)
     db.storage.table("d").insert_rows(oracle.DIM)
     return db

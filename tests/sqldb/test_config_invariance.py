@@ -249,3 +249,91 @@ def test_explain_estimate_equals_analyze_actual(workers, timeout):
         assert morsels and batches, sql
         assert morsels.group(1) == batches.group(1) == "3", sql
     db.close()
+
+
+#: equi-joins on both sides of the probe rule (a build key spanning at most
+#: max(65,536, 2 x build rows) values is probed by direct address, a wider one
+#: by ``np.searchsorted``): ``j16``'s keys span exactly 65,536 values,
+#: ``j17``'s 65,537; both hold duplicate keys and a NULL key
+JOIN_STATEMENTS = [
+    sql.format(dim=dim)
+    for dim in ("j16", "j17")
+    for sql in (
+        "SELECT jf.i, d.tag FROM jf JOIN {dim} d ON jf.k = d.k",
+        "SELECT jf.i, d.tag FROM jf LEFT JOIN {dim} d ON jf.k = d.k",
+        "SELECT d.tag, COUNT(*), SUM(jf.i) FROM jf LEFT JOIN {dim} d "
+        "ON jf.k = d.k GROUP BY d.tag",
+    )
+]
+JOIN_ROWS = 3_000
+
+
+def _join_tables():
+    """``(jf, {dim: rows})``: 300-row builds over 120 distinct keys each,
+    ends first; probe keys hit both builds, miss inside and outside their
+    ranges, and are NULL."""
+    rng = np.random.default_rng(26)
+    dims = {}
+    for dim, top in (("j16", 66_535), ("j17", 66_536)):
+        keys = [1_000, top] + rng.integers(1_001, top, 118).tolist()
+        picks = [keys[0], keys[1]] + [keys[j] for j in rng.integers(0, 120, 297)]
+        dims[dim] = [(key, f"t{j % 13}") for j, key in enumerate(picks)]
+        dims[dim].append((None, "none"))
+    pool = [key for rows in dims.values() for key, _ in rows]
+    pool += [999, 66_537, 5_000, -1, None]
+    facts = [(i, pool[j]) for i, j in enumerate(rng.integers(0, len(pool), JOIN_ROWS))]
+    return facts, dims
+
+
+@pytest.fixture(scope="module")
+def join_reference():
+    """Each statement's answer in the engine's order: left rows ascending,
+    a key's build rows in row order, LEFT-join rows without a match last;
+    groups in first-appearance order over that stream."""
+    facts, dims = _join_tables()
+    answers = []
+    for dim, rows in dims.items():
+        matches, unmatched = [], []
+        for i, k in facts:
+            tags = [tag for key, tag in rows if k is not None and key == k]
+            matches.extend((i, tag) for tag in tags)
+            if not tags:
+                unmatched.append((i, None))
+        groups = {}
+        for i, tag in matches + unmatched:
+            groups.setdefault(tag, []).append(i)
+        answers += [matches, matches + unmatched,
+                    [(tag, len(ids), sum(ids)) for tag, ids in groups.items()]]
+    return answers
+
+
+def _join_database(morsel_rows, workers):
+    db = Database(workers=workers, morsel_rows=morsel_rows)
+    facts, dims = _join_tables()
+    db.execute("CREATE TABLE jf (i INTEGER, k INTEGER)")
+    db.storage.table("jf").insert_rows(facts)
+    for dim, rows in dims.items():
+        db.execute(f"CREATE TABLE {dim} (k INTEGER, tag STRING)")
+        db.storage.table(dim).insert_rows(rows)
+    return db
+
+
+@pytest.mark.parametrize("morsel_rows", [7, 1_024, 65_536])
+@pytest.mark.parametrize("workers", [1, 4])
+def test_join_answer_is_identical_across_morsel_rows_and_workers(
+        join_reference, morsel_rows, workers):
+    db = _join_database(morsel_rows, workers)
+    for sql, expected in zip(JOIN_STATEMENTS, join_reference):
+        assert db.execute(sql).fetchall() == expected, sql
+    db.close()
+
+
+def test_j16_and_j17_fall_on_their_sides_of_the_probe_rule():
+    # guards the premise: were both builds probed alike, the answers above
+    # would prove nothing about the rule
+    db = _join_database(1_024, 1)
+    for sql in JOIN_STATEMENTS:
+        plan = db.execute(f"EXPLAIN ANALYZE {sql}").fetchall()
+        join = next(line for (line,) in plan if "HashJoin" in line)
+        assert f"probe={'direct' if 'j16' in sql else 'sorted'}]" in join, sql
+    db.close()

@@ -71,6 +71,11 @@ def test_explain_marks_udf_queries_not_parallel_safe(db):
                "LANGUAGE PYTHON { return x }")
     lines = plan_text(db, "EXPLAIN SELECT f(v) FROM t")
     assert lines[-1].endswith("parallel_safe=no")
+    # a UDF anywhere in an expression counts, a LIKE pattern included
+    db.execute("CREATE FUNCTION g(x STRING) RETURNS STRING "
+               "LANGUAGE PYTHON { return x }")
+    lines = plan_text(db, "EXPLAIN SELECT v FROM t WHERE name LIKE g(name)")
+    assert lines[-1].endswith("parallel_safe=no")
     lines = plan_text(db, "EXPLAIN SELECT v FROM t")
     assert lines[-1].endswith("parallel_safe=yes")
 

@@ -117,6 +117,22 @@ STATEMENTS = [
     ("SELECT s, COUNT(*) FROM f GROUP BY s ORDER BY SUM(x), s", True),
     ("SELECT s FROM f GROUP BY s ORDER BY MAX(x), s", True),
     ("SELECT COUNT(*) FROM f ORDER BY COUNT(*)", True),
+    # a select list that reads no column is one row per input row (``e`` is
+    # empty), so EXISTS over a WHERE no row passes is false
+    ("SELECT COUNT(*) FROM f WHERE EXISTS (SELECT 1 FROM f WHERE i = 99)",
+     False),
+    ("SELECT COUNT(*) FROM f WHERE EXISTS (SELECT 1 FROM f WHERE i = 9)",
+     False),
+    ("SELECT COUNT(*) FROM (SELECT 1 FROM f) s", False),
+    ("SELECT 1 FROM f LIMIT 2", False),
+    ("SELECT 1, 'a' FROM f WHERE i < 3", False),
+    ("SELECT 1 FROM e", False),
+    ("SELECT (SELECT MAX(x) FROM f) FROM f", False),
+    # scans that bind no column still carry their row counts
+    ("SELECT COUNT(*) FROM f CROSS JOIN d", False),
+    ("SELECT f.i FROM f LEFT JOIN d ON f.k > 100", False),
+    ("SELECT COUNT(*) FROM f LEFT JOIN d ON f.k = 1", False),
+    ("SELECT COUNT(*) FROM f WHERE 1 = 1", False),
 ]
 
 
@@ -143,6 +159,7 @@ def oracle():
     connection.execute(
         "CREATE TABLE f (i INTEGER, k INTEGER, m INTEGER, x REAL, s TEXT)")
     connection.execute("CREATE TABLE d (k INTEGER, name TEXT)")
+    connection.execute("CREATE TABLE e (k INTEGER)")
     connection.executemany("INSERT INTO f VALUES (?, ?, ?, ?, ?)", FACT)
     connection.executemany("INSERT INTO d VALUES (?, ?)", DIM)
     answers = {sql: connection.execute(for_sqlite(sql)).fetchall()
@@ -161,6 +178,7 @@ def engine(request):
     db.execute(
         "CREATE TABLE f (i INTEGER, k INTEGER, m INTEGER, x DOUBLE, s STRING)")
     db.execute("CREATE TABLE d (k INTEGER, name STRING)")
+    db.execute("CREATE TABLE e (k INTEGER)")
     db.storage.table("f").insert_rows(FACT)
     db.storage.table("d").insert_rows(DIM)
     yield db
@@ -183,3 +201,6 @@ def test_the_dataset_has_the_shapes_the_statements_rely_on():
     assert all(m is None for _, k, m, _, _ in FACT if k == 5)
     assert any(k == 5 for _, k, _, _, _ in FACT)
     assert any(s is None for *_, s in FACT) and any(s == "" for *_, s in FACT)
+    # the EXISTS pair: one WHERE no row passes, one that a row does
+    ids = {i for i, *_ in FACT}
+    assert 99 not in ids and 9 in ids and 1 in keys
