@@ -18,6 +18,7 @@ answers with.  It knows nothing about sockets; two transports drive it:
 
 from __future__ import annotations
 
+import ctypes
 import hmac
 import itertools
 import secrets
@@ -1369,6 +1370,20 @@ def start_demo_server(database: Database | None = None, *,
     return database_server, socket_server, address
 
 
+def single_malloc_arena() -> bool:
+    """Serve every thread's ``malloc`` from one glibc arena; False where
+    there is no ``mallopt``.  Statements take turns on ``Database._lock``,
+    so per-thread arenas buy no concurrency, while each keeps its own freed
+    column buffers resident."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt(-8, 1) == 1  # M_ARENA_MAX = 1
+
+
 def main(argv: list[str] | None = None) -> int:
     """``python -m repro.netproto.server`` — a standalone database server.
 
@@ -1433,6 +1448,7 @@ def main(argv: list[str] | None = None) -> int:
                           idle_timeout=args.idle_timeout)
     if args.verify_on_start and not args.db:
         parser.error("--verify-on-start requires --db")
+    single_malloc_arena()  # before any thread or column buffer exists
     try:
         database = Database(name=args.name, path=args.db, workers=args.workers,
                             plan_cache=args.plan_cache,

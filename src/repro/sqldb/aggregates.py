@@ -212,22 +212,29 @@ class GroupLayout:
     so that each group (cluster) is contiguous — in *any* cluster order — so
     ``ufunc.reduceat`` can reduce every group in one pass; ``out_perm`` maps
     cluster position to output group id (None means they already coincide).
-    Factorisers that derive the geometry from a single key sort can pass it
-    in; otherwise it is derived lazily from ``gids``.
+    A key sort passes its geometry alone (no reduction reads ``gids``; they
+    are derived on demand), the per-row dict ``gids`` alone.
     """
 
-    def __init__(self, gids: np.ndarray, n_groups: int, *,
+    def __init__(self, gids: np.ndarray | None, n_groups: int, *,
                  order: np.ndarray | None = None,
                  starts: np.ndarray | None = None,
                  out_perm: np.ndarray | None = None) -> None:
-        self.gids = np.asarray(gids, dtype=np.int64)
+        self._gids = None if gids is None else np.asarray(gids, dtype=np.int64)
         self.n_groups = n_groups
-        self.size = int(self.gids.size)
+        self.size = int((order if gids is None else self._gids).size)
         self._order = order
         self._starts = starts
         self.out_perm = out_perm
         self._cluster_counts: np.ndarray | None = None
         self._group_rows: list[np.ndarray] | None = None
+
+    @property
+    def gids(self) -> np.ndarray:
+        if self._gids is None:  # a key sort's layout, whose out_perm is set
+            self._gids = np.empty(self.size, dtype=np.int64)
+            self._gids[self.order] = np.repeat(self.out_perm, self.cluster_counts)
+        return self._gids
 
     @property
     def order(self) -> np.ndarray:

@@ -168,8 +168,12 @@ class Batch:
         return Batch(columns, row_count=len(indices))
 
     def filter(self, mask: Sequence[Any]) -> "Batch":
+        """The rows ``mask`` keeps; this batch itself when that is every row
+        (no operator writes into an input's columns, so they can be shared)."""
         if isinstance(mask, np.ndarray):
             indices: Sequence[int] = np.flatnonzero(mask)
+            if len(indices) == len(mask) == self.row_count:
+                return self
         else:
             indices = [index for index, keep in enumerate(mask)
                        if keep is True or keep == 1]

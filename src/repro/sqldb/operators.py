@@ -370,10 +370,7 @@ def layout_from_sort_key(array: np.ndarray, row_count: int
     first_rows = order[starts]
     out_perm = np.empty(n_groups, dtype=np.int64)
     out_perm[stable_order(first_rows)] = np.arange(n_groups, dtype=np.int64)
-    cluster_of_sorted_row = np.cumsum(new_cluster) - 1
-    gids = np.empty(row_count, dtype=np.int64)
-    gids[order] = out_perm[cluster_of_sorted_row]
-    layout = GroupLayout(gids, n_groups, order=order, starts=starts,
+    layout = GroupLayout(None, n_groups, order=order, starts=starts,
                          out_perm=out_perm)
     sort = "radix" if array.dtype.itemsize <= 2 else "sort"
     return layout, np.sort(first_rows), sort
@@ -387,10 +384,9 @@ def group_layout(group_by: Sequence[ast.Expression], batch: Batch,
 
     Groups are numbered in first-appearance order, matching the ordering
     the per-group dict-based execution produced.  The returned key columns
-    are broadcast to the batch row count (used by the partial-merge path to
-    derive cross-morsel group identities).  The factoriser is ``radix`` or
-    ``sort`` for a single key sorted through :func:`stable_order`, ``hash``
-    for the per-row dict every other key takes, None without GROUP BY.
+    are broadcast to the batch row count (the partial-merge path keeps their
+    representative rows and factorises those across morsels).  The
+    factoriser is that of :func:`layout_from_keys`, None without GROUP BY.
     """
     row_count = batch.row_count
     if not group_by:
@@ -403,13 +399,22 @@ def group_layout(group_by: Sequence[ast.Expression], batch: Batch,
         evaluator.evaluate(expr).broadcast(row_count)
         for expr in group_by
     ]
+    layout, rep_indices, factoriser = layout_from_keys(key_columns, row_count)
+    return layout, rep_indices, key_columns, factoriser
+
+
+def layout_from_keys(key_columns: Sequence[Any], row_count: int
+                     ) -> tuple[GroupLayout, Sequence[int], str]:
+    """Factorise row-aligned key columns into (layout, first-row-per-group,
+    factoriser), groups numbered in first-appearance order: ``radix`` or
+    ``sort`` for one typed key sorted through :func:`stable_order`, ``hash``
+    for the per-row dict every other key takes."""
     if len(key_columns) == 1 and row_count > 0:
         sort_key = grouping_key_array(key_columns[0])
         if sort_key is not None:
             # one stable key sort yields the factorisation AND the
             # contiguous cluster geometry the reduceat kernels need
-            layout, rep_indices, sort = layout_from_sort_key(sort_key, row_count)
-            return layout, rep_indices, key_columns, sort
+            return layout_from_sort_key(sort_key, row_count)
 
     columns = [as_value_list(column) for column in key_columns]
     mapping: dict[tuple, int] = {}
@@ -422,7 +427,7 @@ def group_layout(group_by: Sequence[ast.Expression], batch: Batch,
             mapping[key] = gid
             rep_indices.append(row_index)
         gids[row_index] = gid
-    return GroupLayout(gids, len(mapping)), rep_indices, key_columns, "hash"
+    return GroupLayout(gids, len(mapping)), rep_indices, "hash"
 
 
 class GroupedExpressionEvaluator(ExpressionEvaluator):
@@ -475,7 +480,8 @@ class _VectorEquiBuild:
     keys spanning at most 65,536 values, or two per build row (int32 slots:
     never more bytes than the keys), are probed through ``slots[key - low]``
     = the key's position among the sorted distinct keys, -1 if absent — what
-    ``np.searchsorted``, the probe for every other key, finds.
+    ``np.searchsorted``, the probe for every other key, finds.  When no key
+    repeats (``unique``), a found row's one match needs no pair expansion.
     """
 
     def __init__(self, right_data: np.ndarray,
@@ -490,6 +496,7 @@ class _VectorEquiBuild:
         self.group_starts = np.concatenate(([0], np.cumsum(self.counts[:-1]))) \
             if len(unique_keys) else np.zeros(0, dtype=np.int64)
         self.unique_keys = unique_keys
+        self.unique = len(unique_keys) == len(right_rows)
         self.slots: np.ndarray | None = None
         if unique_keys.dtype.kind in "iu" and len(unique_keys):
             # Python ints: the span of int64 extremes cannot overflow
@@ -526,6 +533,8 @@ class _VectorEquiBuild:
 
         probe_rows = np.flatnonzero(found)
         probe_keys = positions[probe_rows]
+        if self.unique:
+            return probe_rows, self.grouped_rows[probe_keys], found
         match_counts = self.counts[probe_keys]
         total = int(match_counts.sum())
         prefix = np.cumsum(match_counts) - match_counts
@@ -908,11 +917,12 @@ class HashJoin(PhysicalOperator):
                         right_indices: np.ndarray) -> Batch:
         right = self._right
         assert right is not None
-        columns = [
-            BatchColumn(c.table, c.name, c.sql_type,
-                        take_values(c.values, left_indices))
-            for c in morsel.columns
-        ] + [
+        # a unique build matches each left row at most once, rows ascending
+        # (on the hash tier too): a pair per row means every row, in place
+        unique = self._vector_build is not None and self._vector_build.unique
+        left = morsel if unique and len(left_indices) == morsel.row_count \
+            else morsel.take(left_indices)
+        columns = left.columns + [
             BatchColumn(c.table, c.name, c.sql_type,
                         take_values(c.values, right_indices))
             for c in right.columns
@@ -923,11 +933,7 @@ class HashJoin(PhysicalOperator):
         right = self._right
         assert right is not None
         count = len(unmatched)
-        columns = [
-            BatchColumn(c.table, c.name, c.sql_type,
-                        take_values(c.values, unmatched))
-            for c in morsel.columns
-        ] + [
+        columns = morsel.take(unmatched).columns + [
             BatchColumn(c.table, c.name, c.sql_type,
                         _all_null_like(c.values, count))
             for c in right.columns
@@ -939,7 +945,9 @@ class HashJoin(PhysicalOperator):
         if self.join_type == "CROSS" or self.condition is None:
             return "HashJoin [CROSS]"
         # the probe is known once the build is (EXPLAIN ANALYZE only)
-        probe = (self._vector_build.kind if self._strategy == "vector"
+        build = self._vector_build
+        probe = (build.kind + (" build=unique" if build.unique else "")
+                 if self._strategy == "vector"
                  else "hash" if self._strategy == "hash" else None)
         return (f"HashJoin [{self.join_type} "
                 f"ON {render_expression(self.condition)}"
@@ -1060,11 +1068,12 @@ def concat_result_pieces(pieces: Sequence[QueryResult]) -> QueryResult:
 
 
 class _AggregateState:
-    """One morsel's aggregation state (the partial-merge path)."""
+    """One morsel's aggregation state (the partial-merge path); ``keys``
+    holds each GROUP BY key's column at the representative rows."""
 
     __slots__ = ("keys", "rep_batch", "rep_count", "partials", "inexact_keys")
 
-    def __init__(self, keys: list[tuple], rep_batch: Batch, rep_count: int,
+    def __init__(self, keys: list[Any], rep_batch: Batch, rep_count: int,
                  partials: dict[int, PartialAggregate],
                  inexact_keys: bool) -> None:
         self.keys = keys
@@ -1147,14 +1156,6 @@ class HashAggregate(PhysicalOperator):
         """Compute one morsel's local groups and partial aggregate states."""
         evaluator = ExpressionEvaluator(self.database, batch)
         layout, rep_indices, key_columns = self._group_layout(batch, evaluator)
-        if not self.select.group_by:
-            keys: list[tuple] = [()]
-        else:
-            rep_list = list(rep_indices)
-            key_values = [as_value_list(take_values(column, rep_list))
-                          for column in key_columns]
-            keys = [tuple(column[i] for column in key_values)
-                    for i in range(len(rep_list))]
         partials: dict[int, PartialAggregate] = {}
         for node in self.aggregate_nodes:
             if id(node) in partials:
@@ -1162,36 +1163,31 @@ class HashAggregate(PhysicalOperator):
             values = aggregate_argument(node, evaluator, batch)
             partials[id(node)] = partial_aggregate(
                 node.name, values, layout, is_star=aggregate_is_star(node))
-        rep_list = list(rep_indices)
         return _AggregateState(
-            keys, batch.take(rep_list), len(rep_list), partials,
+            [take_values(column, rep_indices) for column in key_columns],
+            batch.take(rep_indices), len(rep_indices), partials,
             inexact_keys=any(_has_inexact_keys(c) for c in key_columns))
 
     def finish_partial(self, states: Sequence[_AggregateState]) -> QueryResult:
         """Merge per-morsel states into the final grouped result.  No state
         may have NaN keys: their grouping is representation-dependent, so
-        ``SelectPlan`` runs the exact sequential path over such rows."""
+        ``SelectPlan`` runs the exact sequential path over such rows.  The
+        representatives' keys, in morsel order, are factorised once: each
+        morsel's slice of the group ids maps its local groups."""
         states = list(states)
-        key_to_gid: dict[tuple, int] = {}
-        maps: list[list[int]] = []
-        rep_refs: list[tuple[int, int]] = []
-        for state_index, state in enumerate(states):
-            local_to_global: list[int] = []
-            for local_index, key in enumerate(state.keys):
-                gid = key_to_gid.get(key)
-                if gid is None:
-                    gid = len(key_to_gid)
-                    key_to_gid[key] = gid
-                    rep_refs.append((state_index, local_index))
-                local_to_global.append(gid)
-            maps.append(local_to_global)
-        n_groups = len(key_to_gid)
-
-        if not self.select.group_by:
+        bounds = np.cumsum([0] + [state.rep_count for state in states]).tolist()
+        if self.select.group_by:
+            keys = [concat_values([state.keys[i] for state in states])
+                    for i in range(len(self.select.group_by))]
+            layout, rep_indices, _ = layout_from_keys(keys, bounds[-1])
+            gids = layout.gids.tolist()
+            maps = [gids[start:stop] for start, stop in zip(bounds, bounds[1:])]
+            n_groups = layout.n_groups
+        else:
             # the implicit group has a representative row only in morsels
             # with at least one row; pick the first (sequential chose row 0)
-            rep_refs = [(i, 0) for i, state in enumerate(states)
-                        if state.rep_count][:1]
+            maps, n_groups = [[0]] * len(states), 1
+            rep_indices = [0] if bounds[-1] else []
 
         aggregate_columns: dict[int, list[Any]] = {}
         for node in self.aggregate_nodes:
@@ -1203,13 +1199,6 @@ class HashAggregate(PhysicalOperator):
                  for i, state in enumerate(states)],
                 n_groups)
 
-        offsets = []
-        total = 0
-        for state in states:
-            offsets.append(total)
-            total += state.rep_count
-        rep_indices = [offsets[state_index] + local_index
-                       for state_index, local_index in rep_refs]
         rep_batch = concat_batches(
             [state.rep_batch for state in states]).take(rep_indices)
         return self._grouped_tail(rep_batch, aggregate_columns, n_groups)

@@ -1,0 +1,232 @@
+"""The tables, statements and recorder behind ``data/grouping_golden.jsonl``.
+
+Run as a script on the commit whose engine is the reference::
+
+    PYTHONPATH=src python tests/sqldb/grouping_golden.py
+
+and every statement below is run at each morsel size in ``MORSEL_ROWS`` over
+the same generated tables, its answer written out exactly: column names and
+types, then the rows in the order the engine returned them, each value tagged
+with its Python type and a float spelled as ``float.hex``, so ``1``,
+``1.0`` and ``True`` differ and a sum folded in another order does not match.
+``test_grouping_golden.py`` replays the file against the current engine.
+
+The statements cover what grouping and joins can get wrong without changing
+a row count: the factoriser each key takes (a small-range integer, a wide
+one, ``id % 5000``, dictionary strings, masked integers and doubles with
+NULLs, booleans, expressions, two keys), keys whose type differs between
+morsels (so the partial merge sees a list, not a vector), SUM / AVG / MIN /
+MAX / COUNT, WHERE clauses that keep every row, most rows, some morsels or
+no row, and INNER / LEFT equi-joins against unique and duplicated build
+keys, with and without NULL keys.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "data" / "grouping_golden.jsonl"
+
+#: one partial merge over ten morsels, one over three, one single morsel
+MORSEL_ROWS = (1_024, 4_096, 65_536)
+ROWS = 10_000
+KEYS = 50
+
+
+def _value(value) -> str:
+    """One answer value as an exact, type-tagged string."""
+    if value is None:
+        return "N"
+    if type(value) is bool:
+        return "T" if value else "F"
+    if type(value) is int:
+        return f"i{value}"
+    if type(value) is float:
+        return f"f{value.hex()}"
+    if type(value) is str:
+        return f"s{value}"
+    return f"?{type(value).__name__}:{value!r}"
+
+
+def answer(db, sql: str) -> dict:
+    """What the engine under test answers, in the recorded form."""
+    result = db.execute(sql)
+    return {"columns": [[column.name, column.sql_type.name]
+                        for column in result.columns],
+            "rows": [[_value(value) for value in row]
+                     for row in result.fetchall()]}
+
+
+def _tables():
+    """``{table: (create statement, rows)}``, the same on every call."""
+    import numpy as np
+
+    rng = np.random.default_rng(27)
+    k = rng.integers(0, KEYS, ROWS)
+    names = rng.integers(0, 30, ROWS)
+    mi = rng.integers(-20, 20, ROWS)
+    # -0.0 and 0.0 are one group; which sign is shown is the first row's
+    mf = rng.choice([-0.0, 0.0, 0.5, 1.5, 2.25, 7.0, -3.5], ROWS)
+    v = rng.random(ROWS)
+    b = rng.random(ROWS) < 0.4
+    null = {column: rng.random(ROWS) < share for column, share in
+            (("name", 0.05), ("mi", 0.15), ("mf", 0.12), ("b", 0.05))}
+    t = [
+        (i, int(k[i]), None if null["name"][i] else f"n{names[i]:02d}",
+         None if null["mi"][i] else int(mi[i]),
+         None if null["mf"][i] else float(mf[i]), float(v[i]),
+         None if null["b"][i] else bool(b[i]), int(k[i]) * 1_000_003)
+        for i in range(ROWS)
+    ]
+    w = (rng.integers(1, 9, KEYS) * 0.25).tolist()
+    return {
+        "t": ("CREATE TABLE t (id INTEGER, k INTEGER, name STRING, mi INTEGER, "
+              "mf DOUBLE, v DOUBLE, b BOOLEAN, wk INTEGER)", t),
+        # unique build keys, every t.k present
+        "du": ("CREATE TABLE du (k INTEGER, k2 INTEGER, w DOUBLE, label STRING)",
+               [(key, key, w[key], f"l{key % 7}") for key in range(KEYS)]),
+        # unique build keys, t.k 40..49 absent
+        "dp": ("CREATE TABLE dp (k INTEGER, w DOUBLE, label STRING)",
+               [(key, w[key], f"p{key % 5}") for key in range(40)]),
+        # duplicated build keys (two or three rows each) and a NULL key
+        "dd": ("CREATE TABLE dd (k INTEGER, w DOUBLE, tag STRING)",
+               [(key, w[(key + copy) % KEYS], f"c{copy}")
+                for copy in range(3) for key in range(KEYS)
+                if copy < 2 or key % 4 == 0] + [(None, 9.0, "null")]),
+        # unique non-NULL build keys beside two NULL keys
+        "dn": ("CREATE TABLE dn (k INTEGER, w DOUBLE)",
+               [(None, 1.0)] + [(key, w[key]) for key in range(-5, 15)]
+               + [(None, 2.0)]),
+        # unique string keys, some of t's names absent
+        "ds": ("CREATE TABLE ds (name STRING, x INTEGER)",
+               [(f"n{code:02d}", code * 10) for code in range(0, 30, 2)]
+               + [("zz", -1)]),
+    }
+
+
+#: WHERE clauses keeping every row, most rows, whole morsels only (plus the
+#: one straddling morsel), scattered rows, and no row
+EVERY, MOST, TAIL, SOME, NONE = ("WHERE id >= 0", "WHERE v > 0.1",
+                                 "WHERE id >= 2500", "WHERE id % 3 = 0",
+                                 "WHERE id < 0")
+
+_GROUPED = [
+    ("SELECT k, COUNT(*), SUM(v), AVG(v), MIN(v), MAX(v) FROM t {w} GROUP BY k",
+     ["", EVERY, MOST, TAIL, SOME, NONE]),
+    ("SELECT id % 5000, COUNT(*), SUM(mi) FROM t {w} "
+     "GROUP BY id % 5000", [""]),
+    ("SELECT name, COUNT(*), SUM(v), MIN(id), MAX(name), MIN(name) FROM t {w} "
+     "GROUP BY name", ["", EVERY, MOST, TAIL, NONE]),
+    ("SELECT mi, COUNT(*), COUNT(mi), SUM(mf), AVG(mf), MIN(mf), MAX(mi) "
+     "FROM t {w} GROUP BY mi", ["", EVERY, TAIL, SOME]),
+    ("SELECT mf, COUNT(*), SUM(v), MIN(mi), COUNT(mf) FROM t {w} GROUP BY mf",
+     ["", EVERY, TAIL]),
+    ("SELECT b, COUNT(*), COUNT(b), SUM(v), AVG(k), MIN(b), MAX(b), SUM(mi) "
+     "FROM t {w} GROUP BY b", ["", EVERY, TAIL]),
+    ("SELECT k % 7, COUNT(*), SUM(v) FROM t {w} GROUP BY k % 7", ["", MOST]),
+    ("SELECT k * 2 + 1, SUM(k), AVG(v), MAX(mf) FROM t {w} GROUP BY k * 2 + 1",
+     ["", TAIL]),
+    ("SELECT wk, COUNT(*), SUM(v), MIN(wk) FROM t {w} GROUP BY wk",
+     ["", EVERY, TAIL]),
+    ("SELECT k, name, COUNT(*), SUM(v) FROM t {w} GROUP BY k, name", [TAIL]),
+    ("SELECT b, mi, COUNT(*), SUM(v) FROM t {w} GROUP BY b, mi", ["", SOME]),
+    ("SELECT UPPER(name), COUNT(*), SUM(v) FROM t {w} GROUP BY UPPER(name)",
+     ["", TAIL]),
+    # int in the first morsels, double in the later ones: 1 and 1.0 group
+    ("SELECT CASE WHEN id < 3000 THEN k ELSE k * 1.0 END, COUNT(*), SUM(v) "
+     "FROM t {w} GROUP BY CASE WHEN id < 3000 THEN k ELSE k * 1.0 END",
+     ["", TAIL]),
+    ("SELECT CASE WHEN id < 3000 THEN 1 ELSE 'a' END, COUNT(*), SUM(v) "
+     "FROM t {w} GROUP BY CASE WHEN id < 3000 THEN 1 ELSE 'a' END", [""]),
+    ("SELECT CASE WHEN id % 2 = 0 THEN k END, COUNT(*), MIN(id) FROM t {w} "
+     "GROUP BY CASE WHEN id % 2 = 0 THEN k END", ["", TAIL]),
+    ("SELECT CASE WHEN id < 5000 THEN b ELSE k % 2 END, COUNT(*) FROM t {w} "
+     "GROUP BY CASE WHEN id < 5000 THEN b ELSE k % 2 END", [""]),
+    ("SELECT COUNT(*), COUNT(mi), SUM(v), AVG(v), MIN(mi), MAX(mf), MIN(name) "
+     "FROM t {w}", ["", EVERY, MOST, TAIL, NONE]),
+    ("SELECT k, SUM(v) FROM t {w} GROUP BY k HAVING COUNT(*) > 200",
+     ["", MOST]),
+    ("SELECT name, SUM(v) FROM t {w} GROUP BY name ORDER BY SUM(v) DESC",
+     ["", TAIL]),
+]
+
+_JOINED = [
+    ("SELECT t.id, du.w, du.label FROM t JOIN du ON t.k = du.k WHERE t.id >= 9216",
+     [""]),
+    ("SELECT t.id, t.name, dp.label FROM t JOIN dp ON t.k = dp.k "
+     "WHERE t.id >= 9216", [""]),
+    ("SELECT t.id, dp.label, dp.w FROM t LEFT JOIN dp ON t.k = dp.k "
+     "WHERE t.id >= 9216", [""]),
+    ("SELECT t.id, du.label FROM t LEFT JOIN du ON t.k = du.k "
+     "WHERE t.id >= 9216", [""]),
+    ("SELECT t.id, dd.tag FROM t JOIN dd ON t.k = dd.k WHERE t.id >= 9216",
+     [""]),
+    ("SELECT t.id, dd.tag FROM t LEFT JOIN dd ON t.mi = dd.k WHERE t.id >= 9216",
+     [""]),
+    ("SELECT t.id, t.mi, dn.w FROM t JOIN dn ON t.mi = dn.k WHERE t.id >= 9216",
+     [""]),
+    ("SELECT t.id, dn.w FROM t LEFT JOIN dn ON t.mi = dn.k WHERE t.id >= 9216",
+     [""]),
+    ("SELECT t.id, ds.x FROM t JOIN ds ON t.name = ds.name WHERE t.id >= 9216",
+     [""]),
+    ("SELECT t.id, du.w FROM t JOIN du ON t.k = du.k AND t.k = du.k2 "
+     "WHERE t.id >= 9216", [""]),
+    ("SELECT du.label, COUNT(*), SUM(t.v * du.w) FROM t JOIN du ON t.k = du.k "
+     "{w} GROUP BY du.label", ["", "WHERE t.id >= 0", "WHERE t.v > 0.1",
+                               "WHERE t.id >= 2500", "WHERE t.id < 0",
+                               "WHERE du.w > 1.0"]),
+    ("SELECT dp.label, COUNT(*), SUM(t.v), AVG(dp.w) FROM t LEFT JOIN dp "
+     "ON t.k = dp.k {w} GROUP BY dp.label", ["", "WHERE t.id >= 2500"]),
+    ("SELECT dd.tag, COUNT(*), SUM(t.v * dd.w) FROM t JOIN dd ON t.k = dd.k "
+     "{w} GROUP BY dd.tag", ["", "WHERE t.id >= 2500"]),
+    ("SELECT dn.w, COUNT(*), SUM(t.v) FROM t LEFT JOIN dn ON t.mi = dn.k "
+     "{w} GROUP BY dn.w", ["", "WHERE t.id >= 2500"]),
+    ("SELECT COUNT(*), SUM(t.v), SUM(du.w), MIN(t.name) FROM t "
+     "JOIN du ON t.k = du.k", [""]),
+]
+
+_FILTERED = [
+    "SELECT id, v FROM t WHERE id >= 9216",
+    "SELECT name, mi, mf, b FROM t WHERE id >= 9500",
+    "SELECT COUNT(*), SUM(v) FROM t WHERE id >= 0",
+    "SELECT id, name FROM t WHERE id >= 9990 AND v >= 0",
+]
+
+
+def statements() -> list[str]:
+    out = []
+    for template, wheres in _GROUPED + _JOINED:
+        for where in wheres:
+            out.append(" ".join(template.format(w=where).split()))
+    return out + _FILTERED
+
+
+def database(morsel_rows: int):
+    """The generated tables in a fresh in-memory database."""
+    from repro.sqldb import Database
+
+    db = Database(morsel_rows=morsel_rows)
+    for table, (create, rows) in _tables().items():
+        db.execute(create)
+        db.storage.table(table).insert_rows(rows)
+    return db
+
+
+def main() -> None:
+    GOLDEN.parent.mkdir(exist_ok=True)
+    count = 0
+    with GOLDEN.open("w", encoding="utf-8") as out:
+        for morsel_rows in MORSEL_ROWS:
+            db = database(morsel_rows)
+            for sql in statements():
+                out.write(json.dumps({"morsel_rows": morsel_rows, "sql": sql,
+                                      "expect": answer(db, sql)}) + "\n")
+                count += 1
+            db.close()
+    print(f"{count} entries -> {GOLDEN}")
+
+
+if __name__ == "__main__":
+    main()

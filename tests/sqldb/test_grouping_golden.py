@@ -1,0 +1,42 @@
+"""Grouped and joined answers, bit for bit, against a recorded reference.
+
+``data/grouping_golden.jsonl`` was written by ``grouping_golden.py`` on the
+commit before grouping stopped building per-row group ids for its sort
+layout, the partial merge stopped matching keys through a dict, an all-true
+filter stopped copying its morsel and a unique-key join stopped expanding
+pairs.  None of those may change an answer: every statement must return the
+same column names and types and the same rows in the same order, with every
+float equal to the bit, at each recorded morsel size.
+"""
+
+import json
+
+import pytest
+
+from grouping_golden import GOLDEN, MORSEL_ROWS, answer, database, statements
+
+ENTRIES = [json.loads(line)
+           for line in GOLDEN.read_text(encoding="utf-8").splitlines()]
+
+
+def test_the_statements_are_the_recorded_ones():
+    assert [(entry["morsel_rows"], entry["sql"]) for entry in ENTRIES] == [
+        (morsel_rows, sql) for morsel_rows in MORSEL_ROWS
+        for sql in statements()]
+    # every WHERE shape is there, and some answers are long
+    assert any(not entry["expect"]["rows"] for entry in ENTRIES)
+    assert max(len(entry["expect"]["rows"]) for entry in ENTRIES) >= 5_000
+
+
+@pytest.mark.parametrize("morsel_rows", MORSEL_ROWS)
+def test_every_statement_answers_as_recorded(morsel_rows):
+    db = database(morsel_rows)
+    different = {}
+    for entry in ENTRIES:
+        if entry["morsel_rows"] != morsel_rows:
+            continue
+        got = answer(db, entry["sql"])
+        if got != entry["expect"]:
+            different[entry["sql"]] = got
+    db.close()
+    assert not different, (len(different), list(different)[:5])

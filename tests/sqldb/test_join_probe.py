@@ -274,5 +274,8 @@ def _join_line(db, sql):
 def test_explain_analyze_names_the_probe(joined, condition, probe):
     sql = f"SELECT COUNT(*) FROM l JOIN r ON {condition}"
     line = _join_line(joined, f"EXPLAIN ANALYZE {sql}")
-    assert f" probe={probe}]" in line
-    assert "probe=" not in _join_line(joined, f"EXPLAIN {sql}")
+    # no key of r repeats, so every single-key build is unique
+    unique = "" if probe == "hash" else " build=unique"
+    assert f" probe={probe}{unique}]" in line
+    plain = _join_line(joined, f"EXPLAIN {sql}")
+    assert "probe=" not in plain and "build=" not in plain
