@@ -15,14 +15,15 @@ locate their bugs.  Its cost follows the stops, not the lines executed:
 * A breakpoint is *compiled into the script*.  The script is parsed once and a
   call to the session's hook is inserted in front of the breakpoint's
   statement, same ``lineno`` (what PyCharm's frame-evaluation debugger does to
-  the code object).  ``Continue`` then runs the script with no Python callback
-  per line at all; the hook evaluates the condition and handles the stop.
+  the code object).  ``Continue`` then runs the script with no trace function
+  installed at all; the hook evaluates the condition and handles the stop.
 * Stepping, and the breakpoint lines a call cannot stand for because their line
   event fires more than once per statement (see :func:`_hook_sites`), use one
   purpose-built :func:`sys.settrace` tracer (the hook pydevd and :mod:`bdb`
-  also build on).  It sees line events only in frames the developer is
-  stepping through and in code objects that hold such a line, where a line
-  that is no breakpoint costs one set lookup.
+  also build on), installed only while one of them needs it.  It sees line
+  events only in frames the developer is stepping through and in code objects
+  that hold such a line, where a line that is no breakpoint costs one set
+  lookup.
 
 Both paths decide a stop in :meth:`DebugSession._on_line` and record it in
 :meth:`DebugSession._pause`, so a stop looks the same whichever reached it.
@@ -304,7 +305,7 @@ class DebugSession:
         a trace function implicitly is: printing one array for the snapshot
         makes thousands of Python calls, each a ``call`` event otherwise.
         """
-        trace = self._trace
+        trace, event_lines = self._trace, self._event_lines
 
         def hook() -> None:
             frame = sys._getframe(1)
@@ -313,7 +314,9 @@ class DebugSession:
             elif not self._busy:
                 sys.settrace(None)
                 self._on_line(frame)
-                sys.settrace(trace)  # not reached when the stop raises, see _busy
+                # not reached when the stop raises, see _busy; a stop that
+                # turned into a step needs the tracer from here on
+                sys.settrace(trace if self._stepping or event_lines else None)
 
         return hook
 
@@ -448,7 +451,9 @@ class DebugSession:
 
     def _run_traced(self, code: CodeType, namespace: dict[str, Any]) -> None:
         previous_trace = sys.gettrace()
-        sys.settrace(self._trace)
+        # a global trace function slows every line of the script: install it
+        # only for stepping or a breakpoint left to line events
+        sys.settrace(self._trace if self._stepping or self._event_lines else None)
         try:
             exec(code, namespace)  # noqa: S102 - debugging the UDF is the feature
         finally:

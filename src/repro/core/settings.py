@@ -20,7 +20,7 @@ from typing import Any
 
 from ..errors import SettingsError
 from ..netproto.client import ConnectionInfo, TransferOptions
-from ..netproto.compression import CODEC_NONE, CODEC_SHUFFLE, available_codecs
+from ..netproto.compression import CODEC_NARROW, CODEC_SHUFFLE, available_codecs
 from ..netproto.sampling import SampleSpec
 
 
@@ -62,7 +62,7 @@ class DataTransferSettings:
 
     def transfer_options(self) -> TransferOptions:
         return TransferOptions(
-            compression=self.compression_codec if self.use_compression else CODEC_NONE,
+            compression=self.compression_codec if self.use_compression else CODEC_NARROW,
             encrypt=self.use_encryption,
         )
 

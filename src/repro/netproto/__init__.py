@@ -18,6 +18,7 @@ from .client import (
     is_idempotent_statement,
 )
 from .compression import (
+    CODEC_NARROW,
     CODEC_NONE,
     CODEC_RLE,
     CODEC_SHUFFLE,
@@ -52,6 +53,7 @@ from .server import (
 __all__ = [
     "AdmissionController",
     "AsyncSocketServer",
+    "CODEC_NARROW",
     "CODEC_NONE",
     "CODEC_RLE",
     "CODEC_SHUFFLE",

@@ -79,7 +79,7 @@ class ConnectionInfo:
 class TransferOptions:
     """Per-query transfer options (compression / encryption), paper §2.1."""
 
-    compression: str = compression_mod.CODEC_NONE
+    compression: str = compression_mod.CODEC_NARROW
     encrypt: bool = False
 
     def as_dict(self) -> dict[str, Any]:

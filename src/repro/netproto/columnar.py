@@ -152,7 +152,7 @@ class ChunkEncoder:
     """
 
     def __init__(self, result: QueryResult, *,
-                 codec: str = compression_mod.CODEC_NONE,
+                 codec: str = compression_mod.CODEC_NARROW,
                  allow_dict: bool = False,
                  shipped_dictionaries: dict[int, np.ndarray] | None = None) -> None:
         self.codec = codec
@@ -260,7 +260,7 @@ class ChunkEncoder:
 
 def encode_result_chunk(result: QueryResult, row_start: int = 0,
                         row_stop: int | None = None, *,
-                        codec: str = compression_mod.CODEC_NONE,
+                        codec: str = compression_mod.CODEC_NARROW,
                         allow_dict: bool = False) -> tuple[bytes, int]:
     """One-shot helper: encode a row range of ``result`` as a chunk blob.
 

@@ -15,11 +15,20 @@ that the compression benchmark can sweep them:
   column's high bytes are mostly equal, so each lane is a long run — faster to
   compress *and* smaller than ``zlib`` on every column kind the engine ships.
   The lane width is the ``itemsize`` of the buffer handed in and rides in the
-  section, so decoding needs no column context.  The extract wire's default.
+  section, so decoding needs no column context.  What "compress" in the
+  settings dialog means.
+* ``narrow``  — frame of reference: an integer buffer (``<i8`` values, ``<i4``
+  dictionary codes, ``<u4`` offsets) ships as its minimum plus each value's
+  distance from it in 1, 2 or 4 bytes, whichever holds the span.  A buffer it
+  cannot shrink (floats, bools, blobs, a span needing the full width, too few
+  values to pay for the 10-byte header) is written as ``none`` writes it, id
+  0 included.  The result wire's default: a caller that names no codec gets
+  it, one that names ``none`` gets the raw bytes.
 """
 
 from __future__ import annotations
 
+import struct
 import zlib
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -32,6 +41,7 @@ CODEC_NONE = "none"
 CODEC_ZLIB = "zlib"
 CODEC_RLE = "rle"
 CODEC_SHUFFLE = "shuffle"
+CODEC_NARROW = "narrow"
 
 
 # --------------------------------------------------------------------------- #
@@ -94,6 +104,45 @@ def shuffle_decompress(data: bytes) -> bytes:
     return np.frombuffer(lanes, np.uint8).reshape(width, -1).T.tobytes()
 
 
+#: ``[item width u8][stored width u8][base i64 LE]`` in front of a narrowed buffer
+_NARROW_HEADER = struct.Struct("<BBq")
+#: int64 values, int32 dictionary codes, uint32 var-width / dictionary offsets
+_NARROW_KINDS = ("<i8", "<i4", "<u4")
+
+
+def narrow_compress(data: Any) -> bytes | None:
+    """``[header][values - base as stored-width LE]``; None when no smaller."""
+    if not isinstance(data, np.ndarray) or data.dtype.str not in _NARROW_KINDS \
+            or not len(data):
+        return None
+    low, item = int(data.min()), data.itemsize
+    span = int(data.max()) - low  # Python ints: no int64 overflow
+    stored = next(width for width in (1, 2, 4, item) if span >> 8 * width == 0)
+    if len(data) * (item - stored) <= _NARROW_HEADER.size:
+        return None
+    return _NARROW_HEADER.pack(item, stored, low) + \
+        (data - data.dtype.type(low)).astype(f"<u{stored}").tobytes()
+
+
+def narrow_decompress(data: bytes) -> bytes:
+    item, stored, base = _NARROW_HEADER.unpack_from(data) \
+        if len(data) >= _NARROW_HEADER.size else (0, 0, 0)
+    body = memoryview(data)[_NARROW_HEADER.size:]
+    if item not in (4, 8) or stored not in (1, 2, 4) or stored >= item \
+            or len(body) % stored:
+        raise ProtocolError(f"corrupt narrow section: {len(data)} B, "
+                            f"width {stored} of {item}")
+    offsets = np.frombuffer(body, f"<u{stored}")
+    high, bits = base + (int(offsets.max()) if len(offsets) else 0), 8 * item
+    # the values fit the item type: i8, or i4 / u4 (codes / offsets)
+    top = 1 << (bits - 1 if base < 0 or item == 8 else bits)
+    if base < -(1 << bits - 1) or high >= top:
+        raise ProtocolError(f"corrupt narrow section: values {base}..{high} "
+                            f"outside {item}-byte integers")
+    kind = np.dtype(f"<u{item}")
+    return np.add(offsets, kind.type(base % (1 << bits)), dtype=kind).tobytes()
+
+
 # --------------------------------------------------------------------------- #
 # codec registry
 # --------------------------------------------------------------------------- #
@@ -108,7 +157,8 @@ class Codec:
 
     name: str
     codec_id: int
-    compress: Callable[[Any], bytes]
+    #: None: nothing to gain, the section is written as codec ``none`` writes it
+    compress: Callable[[Any], bytes | None]
     decompress: Callable[[bytes], bytes]
 
 
@@ -119,6 +169,7 @@ _CODECS: dict[str, Codec] = {codec.name: codec for codec in (
     Codec(CODEC_RLE, 1, rle_compress, rle_decompress),
     Codec(CODEC_ZLIB, 2, lambda data: zlib.compress(data, 6), _inflate),
     Codec(CODEC_SHUFFLE, 3, shuffle_compress, shuffle_decompress),
+    Codec(CODEC_NARROW, 4, narrow_compress, narrow_decompress),
 )}
 _CODECS_BY_ID = {codec.codec_id: codec for codec in _CODECS.values()}
 
@@ -140,10 +191,15 @@ def compress(data: Any, codec: str = CODEC_ZLIB) -> bytes:
 
     Accepts any contiguous buffer: the columnar wire path hands in the numpy
     array slice itself, without an intermediate copy, and ``shuffle`` reads
-    its lane width off that buffer's ``itemsize``.
+    its lane width off that buffer's ``itemsize``, ``narrow`` its integer kind
+    off its dtype.
     """
     codec_obj = get_codec(codec)
-    return bytes([codec_obj.codec_id]) + codec_obj.compress(data)
+    packed = codec_obj.compress(data)
+    if packed is None:
+        codec_obj = _CODECS[CODEC_NONE]
+        packed = codec_obj.compress(data)
+    return bytes([codec_obj.codec_id]) + packed
 
 
 def decompress(data: bytes) -> bytes:

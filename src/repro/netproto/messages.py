@@ -40,7 +40,7 @@ from . import encryption as encryption_mod
 #: The one protocol version this build speaks.  It rides in ``hello`` and
 #: ``challenge``; a peer that names any other version is refused with a
 #: structured ``protocol`` error — there is no negotiation and no downgrade.
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 
 #: Default server-side chunk size (rows per ``result_chunk`` message).
 DEFAULT_CHUNK_ROWS = 65_536
@@ -231,7 +231,7 @@ def result_messages(result: QueryResult | Iterable[QueryResult], *,
     ``catalog_version`` likewise, so the client knows whether what it last
     read from the function catalog is still current.
     """
-    codec = compression or compression_mod.CODEC_NONE
+    codec = compression or compression_mod.CODEC_NARROW
     chunk_rows = max(1, int(chunk_rows))
     if isinstance(result, QueryResult):
         total_rows, pieces = result.row_count, iter((result,))

@@ -598,7 +598,7 @@ class DatabaseServer:
             if not sql.strip():
                 raise ProtocolError("empty query")
         options = message.get("options") or {}
-        compression = options.get("compression") or compression_mod.CODEC_NONE
+        compression = options.get("compression") or compression_mod.CODEC_NARROW
         compression_mod.get_codec(compression)  # validate before executing
         encrypt = bool(options.get("encrypt", False))
         try:

@@ -54,10 +54,14 @@ there are no rows to ship (see :func:`repro.netproto.messages.result_messages`):
                     ((count, byte) pairs), 2 ``zlib`` (DEFLATE level 6),
                     3 ``shuffle`` (``lane width u8`` + DEFLATE level 6 of the
                     section transposed into that many byte lanes: byte 0 of
-                    every value, then byte 1, ...; width 1 is plain DEFLATE).
-                    The width is the ``itemsize`` of the buffer encoded — 8, 4
-                    (codes, offsets) or 1 (bool, blobs, OBJECT) — and rides in
-                    the section so that a section decodes without its column
+                    every value, then byte 1, ...; width 1 is plain DEFLATE),
+                    4 ``narrow`` (``item width u8`` + ``stored width u8`` +
+                    ``base i64 LE`` + each value minus base in stored-width
+                    LE; a section it cannot shrink is written as id 0).
+                    The widths are those of the buffer encoded — 8, 4
+                    (codes, offsets) or 1 (bool, blobs, OBJECT) — and ride in
+                    the section so that a section decodes without its column.
+                    A client that names no codec gets ``narrow``.
 
 Dtype tags and their sections:
 

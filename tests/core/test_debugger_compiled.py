@@ -20,6 +20,7 @@ from repro.core.debugger import (
     HOOK_NAME,
     QUIT,
     STEP_INTO,
+    STEP_OUT,
     STEP_OVER,
     Breakpoint,
     DebugSession,
@@ -291,6 +292,19 @@ LOOP_TEMPLATE = """\
 """
 
 
+STEP_SCRIPT = """\
+    import sys
+    def f(x):
+        y = x + 1
+        return y
+    seen = [sys.gettrace()]
+    a = f(1)
+    seen.append(sys.gettrace())
+    b = f(a)
+    __devudf_result__ = seen
+"""
+
+
 class TestCostFollowsBreakpoints:
     """Work-counting guards: tracer callbacks do not follow the rows looped over."""
 
@@ -349,6 +363,43 @@ class TestCostFollowsBreakpoints:
         assert all(stop.watches["shown"] == "shown" for stop in outcome.stops)
         assert all("shown" in stop.locals["shown"] for stop in outcome.stops)
         assert not [event for event in events if event[1] == "__repr__"]
+
+    def test_a_continue_only_session_installs_no_trace_function(self, tmp_path):
+        """On 3.11 a global trace function slows every line, even one that
+        declines every event; with every breakpoint compiled in nothing needs it."""
+        script = write_script(tmp_path, STEP_SCRIPT)
+        outcome = debug_file(script, breakpoints=[3, 6])
+        assert [stop.line for stop in outcome.stops] == [6, 3, 3]
+        assert outcome.result == [None, None]
+
+    def test_a_line_event_breakpoint_still_installs_it(self, tmp_path):
+        script = write_script(tmp_path, STEP_SCRIPT.replace("    y = x + 1",
+                                                            "    for y in [x + 1]: pass"))
+        outcome = debug_file(script, breakpoints=[3])
+        assert [stop.line for stop in outcome.stops] == [3, 3, 3, 3]
+        assert None not in outcome.result
+
+    @pytest.mark.parametrize("line,command,stops", [
+        (3, STEP_INTO, [(3, "f", "line", True), (4, "f", "line", False),
+                        (4, "f", "return", False), (3, "f", "line", True)]),
+        (3, STEP_OVER, [(3, "f", "line", True), (4, "f", "line", False),
+                        (4, "f", "return", False), (3, "f", "line", True)]),
+        (3, STEP_OUT, [(3, "f", "line", True), (4, "f", "return", False),
+                       (7, "<module>", "line", False), (3, "f", "line", True)]),
+        (6, STEP_INTO, [(6, "<module>", "line", True), (3, "f", "line", False),
+                        (4, "f", "line", False)]),
+        (6, STEP_OVER, [(6, "<module>", "line", True), (7, "<module>", "line", False),
+                        (8, "<module>", "line", False)]),
+        (6, STEP_OUT, [(6, "<module>", "line", True), (9, "<module>", "return", False)]),
+    ])
+    def test_steps_from_a_compiled_in_stop_install_it(self, tmp_path, line, command,
+                                                       stops):
+        """The stops are those the session made while its tracer was installed
+        from the start (recorded before it was not)."""
+        script = write_script(tmp_path, STEP_SCRIPT)
+        outcome = debug_file(script, breakpoints=[line],
+                             controller=ScriptedController([command, command, CONTINUE]))
+        assert trace_of(outcome) == stops and outcome.completed
 
     @pytest.mark.parametrize("line", [9, 8])  # compiled in / on line events
     def test_trace_function_is_restored_after_quit(self, tmp_path, line):

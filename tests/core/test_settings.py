@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.settings import DataTransferSettings, DevUDFSettings
 from repro.errors import SettingsError
-from repro.netproto.compression import CODEC_NONE, CODEC_SHUFFLE
+from repro.netproto.compression import CODEC_NARROW, CODEC_SHUFFLE
 
 
 class TestConnectionSettings:
@@ -50,7 +50,8 @@ class TestTransferSettings:
         assert not transfer.use_compression
         assert not transfer.use_encryption
         assert not transfer.use_sampling
-        assert transfer.transfer_options().compression == CODEC_NONE
+        # compression off is the wire's default, which narrows integer buffers
+        assert transfer.transfer_options().compression == CODEC_NARROW
         assert transfer.sample_spec() is None
 
     def test_compression_option(self):

@@ -285,6 +285,18 @@ class TestProtocolNegotiation:
         assert reply["type"] == "result"
         transport.close()
 
+    def test_a_version_5_hello_is_refused(self, server):
+        """Version 6 added codec 4 (``narrow``, the default), which a version-5
+        client cannot read: its hello is refused, never served a downgrade."""
+        assert PROTOCOL_VERSION == 6
+        reply = InProcessTransport(server).exchange({
+            "type": MSG_HELLO, "username": "monetdb",
+            "database": server.database.name, "protocol_version": 5})
+        assert (reply["type"], reply["code"]) == ("error", ERR_PROTOCOL)
+        assert not reply["retryable"]
+        assert "unsupported protocol version 5" in reply["message"]
+        assert "speaks version 6 only" in reply["message"]
+
     def test_client_refuses_a_challenge_naming_another_version(self, server):
         original = server._handle_hello
 

@@ -1,5 +1,6 @@
 """Tests for the transfer compression codecs."""
 
+import struct
 import zlib
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from repro.errors import ProtocolError
 from repro.netproto import compression
 from repro.netproto.compression import (
+    CODEC_NARROW,
     CODEC_NONE,
     CODEC_RLE,
     CODEC_SHUFFLE,
@@ -29,8 +31,8 @@ ALL_CODECS = [CODEC_NONE, CODEC_ZLIB, CODEC_RLE, CODEC_SHUFFLE]
 
 class TestCodecRegistry:
     def test_available_codecs(self):
-        assert available_codecs() == [CODEC_NONE, CODEC_RLE, CODEC_SHUFFLE,
-                                      CODEC_ZLIB]
+        assert available_codecs() == [CODEC_NARROW, CODEC_NONE, CODEC_RLE,
+                                      CODEC_SHUFFLE, CODEC_ZLIB]
 
     def test_unknown_codec_rejected(self):
         with pytest.raises(ProtocolError):
@@ -71,18 +73,19 @@ class TestCodecIds:
                  for codec in ALL_CODECS}
         assert {codec: blob[0] for codec, blob in blobs.items()} == {
             CODEC_NONE: 0, CODEC_RLE: 1, CODEC_ZLIB: 2, CODEC_SHUFFLE: 3}
+        assert compress(np.arange(300, dtype="<i8"), CODEC_NARROW)[0] == 4
 
-        newcomer = compression.Codec("brotli", 4, lambda data: bytes(data)[::-1],
+        newcomer = compression.Codec("brotli", 5, lambda data: bytes(data)[::-1],
                                      lambda data: data[::-1])
         monkeypatch.setitem(compression._CODECS, newcomer.name, newcomer)
         monkeypatch.setitem(compression._CODECS_BY_ID, newcomer.codec_id, newcomer)
         for codec, blob in blobs.items():
             assert compress(payload, codec) == blob
             assert decompress(blob) == payload
-        assert compress(payload, "brotli")[0] == 4
+        assert compress(payload, "brotli")[0] == 5
         assert decompress(compress(payload, "brotli")) == payload
-        with pytest.raises(ProtocolError, match="unknown codec id 5"):
-            decompress(bytes([5]) + b"data")
+        with pytest.raises(ProtocolError, match="unknown codec id 6"):
+            decompress(bytes([6]) + b"data")
 
     def test_codecs_0_to_2_write_the_bytes_they_always_wrote(self):
         payload = np.arange(300, dtype="<i8")
@@ -144,6 +147,130 @@ class TestShuffle:
         section = compress(values, CODEC_SHUFFLE)
         assert section[:2] == bytes([3, width])
         assert decompress(section) == raw
+
+
+#: The integer buffers the wire ships, with the limits of their type
+NARROW_KINDS = {"<i8": (-2**63, 2**63 - 1), "<i4": (-2**31, 2**31 - 1),
+                "<u4": (0, 2**32 - 1)}
+EDGE_SPANS = [2**8 - 1, 2**8, 2**16 - 1, 2**16, 2**32 - 1, 2**32]
+
+
+def _edge_cases():
+    """Every kind at every edge span: from the type's minimum, from a negative
+    base and up to the type's maximum, wherever the span fits the type."""
+    for kind, (low, high) in NARROW_KINDS.items():
+        for span in EDGE_SPANS:
+            for base in sorted({low, -span // 2 - 7, high - span}):
+                if low <= base and base + span <= high:
+                    yield pytest.param(kind, span, base, id=f"{kind}-{span}-{base}")
+
+
+#: one narrowed section per kind, stored in 2, 1 and 2 bytes
+NARROWED = {kind: compress(np.array(values, kind), CODEC_NARROW)
+            for kind, values in [("<i8", [-2**63 + i * 977 for i in range(30)]),
+                                 ("<i4", [i % 7 - 3 for i in range(30)]),
+                                 ("<u4", [i * 2001 for i in range(30)])]}
+
+
+class TestNarrow:
+    """Codec 4: ``[4][item width][stored width][base i64][values - base]``."""
+
+    @pytest.mark.parametrize("kind,span,base", _edge_cases())
+    def test_round_trip_at_the_width_edges(self, kind, span, base):
+        values = np.array([base + span // 3, base, base + span] * 8, dtype=kind)
+        section = compress(values, CODEC_NARROW)
+        assert decompress(section) == values.tobytes()
+        stored = next(width for width in (1, 2, 4, 8) if span < 1 << 8 * width)
+        if stored < values.itemsize:
+            assert section[:11] == struct.pack("<BBBq", 4, values.itemsize,
+                                               stored, base)
+            assert len(section) == 11 + stored * len(values)
+        else:  # the span needs the full width
+            assert section == compress(values, CODEC_NONE)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(NARROW_KINDS)),
+           st.sampled_from([0, 1] + EDGE_SPANS), st.data())
+    def test_round_trip_property(self, kind, span, data):
+        low, high = NARROW_KINDS[kind]
+        span = min(span, high - low)
+        base = data.draw(st.integers(low, high - span))
+        values = np.array(data.draw(st.lists(st.integers(base, base + span),
+                                             max_size=40)), dtype=kind)
+        section = compress(values, CODEC_NARROW)
+        assert section[0] in (0, 4)
+        assert decompress(section) == values.tobytes()
+
+    @pytest.mark.parametrize("values", [
+        np.arange(50) * 0.5,
+        np.arange(50) % 3 == 0,
+        b"station_3," * 40,
+        np.zeros(0, "<i8"),
+        np.zeros(0, "<u4"),
+        np.array([0, 2**32] * 20, "<i8"),
+        np.array([-2**31, 2**31 - 1] * 20, "<i4"),
+        np.array([0, 2**32 - 1] * 20, "<u4"),
+        np.array([7], "<i8"),
+        np.array([1, 2, 3], "<i4"),
+        np.arange(50, dtype="<u8"),
+        np.arange(50, dtype=">i8"),
+    ], ids=["float64", "bool", "bytes", "empty_i8", "empty_u4", "i8_wide_span",
+            "i4_full_span", "u4_full_span", "header_costs_more_i8",
+            "header_costs_more_i4", "u8_not_shipped", "big_endian"])
+    def test_what_cannot_shrink_is_codec_none_byte_for_byte(self, values):
+        assert compress(values, CODEC_NARROW) == compress(values, CODEC_NONE)
+
+    @pytest.mark.parametrize("section", [
+        b"\x04",
+        b"\x04" + struct.pack("<BBq", 8, 1, 0)[:-1],
+        b"\x04" + struct.pack("<BBq", 2, 1, 0) + b"\x00",
+        b"\x04" + struct.pack("<BBq", 8, 3, 0) + b"\x00" * 3,
+        b"\x04" + struct.pack("<BBq", 4, 4, 0) + b"\x00" * 4,
+        b"\x04" + struct.pack("<BBq", 4, 8, 0) + b"\x00" * 8,
+        b"\x04" + struct.pack("<BBq", 8, 2, 0) + b"\x00" * 3,
+        b"\x04" + struct.pack("<BBq", 8, 1, 2**63 - 1) + b"\x01",
+        b"\x04" + struct.pack("<BBq", 4, 1, -2**31 - 1) + b"\x00",
+        b"\x04" + struct.pack("<BBq", 4, 2, 2**32 - 2) + b"\x02\x00",
+    ], ids=["no_header", "short_header", "item_width_2", "stored_width_3",
+            "stored_is_item", "stored_above_item", "ragged", "above_int64",
+            "below_int32", "above_uint32"])
+    def test_malformed_sections_are_protocol_errors(self, section):
+        with pytest.raises(ProtocolError, match="narrow"):
+            decompress(section)
+
+    def test_the_damaged_sections_are_narrowed(self):
+        assert {kind: section[:3] for kind, section in NARROWED.items()} == {
+            "<i8": b"\x04\x08\x02", "<i4": b"\x04\x04\x01", "<u4": b"\x04\x04\x02"}
+
+    @staticmethod
+    def _decode_or_protocol_error(section: bytes) -> None:
+        try:
+            decompress(section)
+        except ProtocolError:
+            pass
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(sorted(NARROWED)), st.booleans(), st.data())
+    def test_a_flipped_or_cut_section(self, kind, flip, data):
+        """A section carries no value count, so a cut at a value boundary
+        decodes (fewer values); the chunk around it catches that.  Anything
+        else is a ``ProtocolError`` and nothing else."""
+        section = bytearray(NARROWED[kind])
+        position = data.draw(st.integers(0, len(section) - 1))
+        if flip:
+            section[position] ^= data.draw(st.integers(1, 255))
+        else:
+            del section[position:]
+        self._decode_or_protocol_error(bytes(section))
+
+    @pytest.mark.parametrize("kind", sorted(NARROWED))
+    def test_every_position_once(self, kind):
+        section = NARROWED[kind]
+        for position in range(len(section)):
+            damaged = bytearray(section)
+            damaged[position] ^= 0x5A
+            self._decode_or_protocol_error(bytes(damaged))
+            self._decode_or_protocol_error(section[:position])
 
 
 class TestCompressionEffect:

@@ -47,12 +47,16 @@ class TestEncodeDecodeResult:
         assert decoded.row_count == 3
         assert stats.encrypted
 
-    def test_compression_none_keyword_is_noop(self, sample_result):
+    def test_no_codec_means_narrow_and_a_named_none_stays_raw(self, sample_result):
         messages = list(result_messages(sample_result, compression="none"))
         assert messages[0]["compression"] == "none"
-        assert messages[1]["payload"] == \
-            list(result_messages(sample_result))[1]["payload"]
+        default = list(result_messages(sample_result))
+        assert default[0]["compression"] == "narrow"
+        assert default[1]["payload"] == \
+            list(result_messages(sample_result, compression="narrow"))[1]["payload"]
+        assert len(default[1]["payload"]) < len(messages[1]["payload"])
         assert assemble(messages)[1].compression_codec == "none"
+        assert assemble(default)[0].fetchall() == assemble(messages)[0].fetchall()
 
     def test_stats_compression_ratio(self, sample_result):
         big = QueryResult([ResultColumn("s", SQLType.STRING,

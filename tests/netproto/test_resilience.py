@@ -589,7 +589,10 @@ class TestStalledReader:
         from repro.netproto.chaos import ChaosProxy, FaultSpec
         from repro.netproto.server import AsyncSocketServer
 
-        database = make_big_database(rows=600_000)
+        # ~4.8 MB on the wire: the default codec ships each 8,192-row chunk
+        # of ``i`` in 2 bytes a value, and the result must still overrun
+        # HIGH_WATER plus what the kernel's socket buffers absorb
+        database = make_big_database(rows=2_400_000)
         limits = ServerLimits(max_concurrent_queries=1, max_queue_depth=0,
                               send_timeout=0.5)
         server = DatabaseServer(database, result_chunk_rows=8_192,

@@ -220,10 +220,16 @@ class TestDamagedChunks:
             damaged[position] ^= 0x5A
             self._decode_or_protocol_error(bytes(damaged))
 
+    def test_the_narrow_blob_holds_narrowed_sections(self):
+        """``narrow`` reaches the damage tests above through
+        ``available_codecs()``; they test its decoder only if its blob is not
+        all id-0 sections."""
+        assert len(DAMAGE_BLOBS["narrow"]) < len(DAMAGE_BLOBS["none"])
+
     def test_section_not_a_multiple_of_its_dtype(self):
         """Reproduced at the parent: NumPy's ``ValueError`` leaked."""
         result = QueryResult([ResultColumn("i", SQLType.INTEGER, [1, 2, 3])])
-        blob, _ = encode_result_chunk(result)
+        blob, _ = encode_result_chunk(result, codec="none")
         assert blob.endswith(struct.pack("<IB", 25, 0) + struct.pack("<3q", 1, 2, 3))
         short = blob[:-29] + struct.pack("<IB", 24, 0) + blob[-24:-1]
         with pytest.raises(ProtocolError, match="not whole <i8 values"):

@@ -7,7 +7,9 @@ default (then v4) ``connect_in_process`` client: per query shape, server
 ``result_chunk_rows`` and codec, the SHA-256 of the concatenated
 ``result_chunk`` payloads plus the ``TransferStats`` totals.  How a result is
 framed may change; the chunk payload bytes for the same query, chunk size,
-codec and key may not — they are what ``io_bytes_per_op`` counts.
+codec and key may not — they are what ``io_bytes_per_op`` counts.  The
+``none`` rows pin a client that names ``none``; the default codec's rows are
+keyed by its name (``narrow``) and measured from a client that names none.
 
 An encrypted payload carries a random nonce, so with ``encrypt`` on the digest
 is taken over the *decrypted* payloads (which must equal the plain digest) and
@@ -172,6 +174,55 @@ PINNED = {
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
             0, 0, 0, 0),
     },
+    # codec 4 (``narrow``), the default since it was added: measured from a
+    # client that names no codec, recorded on the commit that added it; the
+    # rows above were not touched (a named ``none`` still ships raw bytes)
+    (7, "narrow"): {
+        "streamed": (
+            "87dc765e38f0d01a23724106afb477b9334af211d54b6b3c456c7c6300725708",
+            29, 10186, 10761, 12733),
+        "group_by": (
+            "95f17b9408da1ac67126fd0e0db41657467082432bc3c2fd1a48ab065cea00dd",
+            29, 8162, 8585, 10557),
+        "sorted": (
+            "960721b6f5b955e5db3652f99269a340505c93b2ee7565ef297a6880e2a584ce",
+            29, 9354, 9837, 11809),
+        "prepared": (
+            "215cd366674304cad31ddcf425d07775f2c1f177a92f5a0b7e8b068945759458",
+            26, 7357, 7597, 9365),
+        "empty_streamed": (
+            "ea4eac6cb9834603c1faf3256e6ff7b25d3e9b7b967e277d978b4dadab8ad42f",
+            1, 4, 43, 111),
+        "empty_materialised": (
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            0, 0, 0, 0),
+        "insert": (
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            0, 0, 0, 0),
+    },
+    (65536, "narrow"): {
+        "streamed": (
+            "b83d0f6d52b857bd352741f3d15a8152e8c4fdcc11b5345040893bb2fb33e6cd",
+            1, 9004, 6450, 6518),
+        "group_by": (
+            "8387d34786cf56c3c98042db3be00816db10bb77451bc7f32064ce154fb2c0ec",
+            1, 8050, 5804, 5872),
+        "sorted": (
+            "38dc8622a4e280a71d21791aa0aa2bab87ae67902fe3a8bb2fc403fe0d381253",
+            1, 9130, 6534, 6602),
+        "prepared": (
+            "3b0942f41deacf663e7718cacb557fb0c68872b07759f8e941ba49c7008fc276",
+            1, 7257, 5242, 5310),
+        "empty_streamed": (
+            "ea4eac6cb9834603c1faf3256e6ff7b25d3e9b7b967e277d978b4dadab8ad42f",
+            1, 4, 43, 111),
+        "empty_materialised": (
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            0, 0, 0, 0),
+        "insert": (
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            0, 0, 0, 0),
+    },
 }
 
 
@@ -231,7 +282,9 @@ def measure(chunk_rows: int, codec: str, encrypt: bool) -> dict:
     """case -> (sha256 of plain payloads, chunks, raw bytes, wire bytes)."""
     connection = Connection.connect_in_process(make_server(chunk_rows))
     seen = _record_chunks(connection)
-    options = TransferOptions(compression=codec, encrypt=encrypt)
+    options = TransferOptions(encrypt=encrypt)
+    if codec != options.compression:  # the default's rows: a client naming none
+        options.compression = codec
     measured = {}
     for case, run in CASES.items():
         del seen[:]
@@ -257,7 +310,7 @@ def measure(chunk_rows: int, codec: str, encrypt: bool) -> dict:
 def _digests() -> dict:
     pinned = {}
     for chunk_rows in (7, 65_536):
-        for codec in ("none", "zlib", "shuffle"):
+        for codec in ("none", "zlib", "shuffle", "narrow"):
             plain = measure(chunk_rows, codec, False)
             sealed = measure(chunk_rows, codec, True)
             pinned[chunk_rows, codec] = {
