@@ -723,55 +723,41 @@ class ResultStream:
         return self._result
 
     # -- row access ------------------------------------------------------- #
-    def _row_at(self, index: int) -> tuple | None:
+    def _decoded(self, wanted: int | None) -> list[tuple]:
+        """The rows decoded so far, at least ``wanted`` of them (all for
+        ``None``) unless the stream ends first.  Chunks are pulled only while
+        the assembler reports the stream incomplete."""
         if not self._rows and self._finalised:
             # completed without incremental decoding (DML, or a drained
-            # stream): read rows from the assembled result
+            # stream): the assembled result, transposed once
             if self._all_rows is None:
                 self._all_rows = self.result().fetchall()
-            return self._all_rows[index] if index < len(self._all_rows) else None
+            return self._all_rows
         # incremental path: once any chunk was decoded into _rows, keep using
         # it — on completion it already holds every row (no second decode)
-        while index >= len(self._rows) and not self.complete:
+        while not self.complete and (wanted is None or len(self._rows) < wanted):
             self._advance(decode_rows=True)
-        return self._rows[index] if index < len(self._rows) else None
+        return self._rows
 
     def fetchone(self) -> tuple | None:
-        row = self._row_at(self._position)
-        if row is not None:
-            self._position += 1
-        return row
+        rows = self.fetchmany(1)
+        return rows[0] if rows else None
 
     def fetchmany(self, size: int = 1) -> list[tuple]:
         """Up to ``size`` more rows; ``[]`` once the stream is exhausted.
 
         Exhaustion is a stable state: when the ``last`` chunk drained exactly
         at a fetch boundary, later calls keep returning ``[]`` instead of
-        touching the transport again — ``_row_at`` only advances while the
-        assembler reports the stream incomplete.
+        touching the transport again.
         """
-        rows = []
-        for _ in range(size):
-            row = self.fetchone()
-            if row is None:
-                break
-            rows.append(row)
+        stop = self._position + size
+        rows = self._decoded(stop)[self._position:stop]
+        self._position += len(rows)
         return rows
 
     def fetchall(self) -> list[tuple]:
-        if self._rows or not self._finalised:
-            # the incremental path was (or still is) in play: decode the
-            # remaining chunks into rows so positions stay consistent
-            while not self.complete:
-                self._advance(decode_rows=True)
-            rows = self._rows[self._position:]
-            self._position = len(self._rows)
-            return rows
-        result = self.result()
-        if self._all_rows is None:
-            self._all_rows = result.fetchall()
-        rows = self._all_rows[self._position:]
-        self._position = len(self._all_rows)
+        rows = self._decoded(None)[self._position:]
+        self._position += len(rows)
         return rows
 
 

@@ -167,17 +167,21 @@ class Batch:
         ]
         return Batch(columns, row_count=len(indices))
 
-    def filter(self, mask: Sequence[Any]) -> "Batch":
-        """The rows ``mask`` keeps; this batch itself when that is every row
-        (no operator writes into an input's columns, so they can be shared)."""
+    def filter(self, mask: Sequence[Any]) -> tuple["Batch", str]:
+        """The rows ``mask`` keeps, and how they were selected: ``all`` (this
+        batch itself), ``slice`` (one contiguous run: a row-range view) or
+        ``gather`` (a copy).  No operator writes into an input's columns, so
+        the first two can share them."""
         if isinstance(mask, np.ndarray):
             indices: Sequence[int] = np.flatnonzero(mask)
             if len(indices) == len(mask) == self.row_count:
-                return self
+                return self, "all"
+            if len(indices) and indices[-1] - indices[0] == len(indices) - 1:
+                return self.slice(int(indices[0]), int(indices[-1]) + 1), "slice"
         else:
             indices = [index for index, keep in enumerate(mask)
                        if keep is True or keep == 1]
-        return self.take(indices)
+        return self.take(indices), "gather"
 
 
 # --------------------------------------------------------------------------- #

@@ -653,7 +653,9 @@ class Scan(PhysicalOperator):
 
 
 class Filter(PhysicalOperator):
-    """WHERE: boolean-mask selection applied to each morsel."""
+    """WHERE: boolean-mask selection applied to each morsel.  ``selections``
+    collects how each morsel's rows were kept (``all`` / ``slice`` /
+    ``gather``, see :meth:`Batch.filter`) for EXPLAIN ANALYZE."""
 
     name = "Filter"
 
@@ -661,14 +663,20 @@ class Filter(PhysicalOperator):
         super().__init__()
         self.database = database
         self.predicate = predicate
+        #: ``list.append`` is safe from the morsel workers
+        self.selections: list[str] = []
 
     def process(self, batch: Batch) -> Batch:
         evaluator = ExpressionEvaluator(self.database, batch)
-        return batch.filter(evaluator.evaluate_mask(self.predicate))
+        kept, selection = batch.filter(evaluator.evaluate_mask(self.predicate))
+        self.selections.append(selection)
+        return kept
 
     def describe(self) -> str:
         from .render import render_expression
-        return f"Filter [{render_expression(self.predicate)}]"
+        text = f"Filter [{render_expression(self.predicate)}"
+        return text + _counted("selection", self.selections,
+                               ("all", "slice", "gather")) + "]"
 
 
 class HashJoin(PhysicalOperator):
@@ -1313,15 +1321,20 @@ class HashAggregate(PhysicalOperator):
         n_keys = len(self.select.group_by)
         n_aggs = len({id(node) for node in self.aggregate_nodes})
         text = f"HashAggregate [keys={n_keys} aggregates={n_aggs} mode={self.mode}"
-        counts = collections.Counter(self.groupings)
-        if len(counts) == 1:
-            text += f" grouping={self.groupings[0]}"
-        elif counts:
-            # morsels that took different factorisers: counted per kind
-            text += " grouping=" + ",".join(
-                f"{kind}:{counts[kind]}" for kind in ("radix", "sort", "hash")
-                if counts[kind])
-        return text + "]"
+        return text + _counted("grouping", self.groupings,
+                               ("radix", "sort", "hash")) + "]"
+
+
+def _counted(label: str, seen: Sequence[str], kinds: Sequence[str]) -> str:
+    """`` label=kind`` when every morsel took one kind, `` label=kind:n,…``
+    counted per kind when they differ, nothing before execution."""
+    counts = collections.Counter(seen)
+    if len(counts) == 1:
+        return f" {label}={seen[0]}"
+    if counts:
+        return f" {label}=" + ",".join(
+            f"{kind}:{counts[kind]}" for kind in kinds if counts[kind])
+    return ""
 
 
 def _has_inexact_keys(values: Any) -> bool:

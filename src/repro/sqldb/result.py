@@ -82,6 +82,11 @@ class ResultColumn:
                 self._values = self._vector.to_list()
         return self._values
 
+    def value_at(self, index: int) -> Any:
+        """One row's Python value; the value list only if it exists."""
+        vector = None if self._values is not None else self.vector()
+        return self.values[index] if vector is None else vector[index]
+
     @property
     def is_materialised(self) -> bool:
         """True once Python values exist (used by lazy-decode tests)."""
@@ -221,7 +226,10 @@ class QueryResult:
         return list(self.rows())
 
     def fetchone(self) -> tuple[Any, ...] | None:
-        return next(self.rows(), None)
+        """The first row, read from each column's backing without building
+        its value list."""
+        return tuple(column.value_at(0) for column in self.columns) \
+            if self.row_count else None
 
     def scalar(self) -> Any:
         """The single value of a 1x1 result (convenience for tests)."""
@@ -229,7 +237,7 @@ class QueryResult:
             raise ValueError(
                 f"scalar() requires a 1x1 result, got {self.row_count}x{self.column_count}"
             )
-        return self.columns[0].values[0]
+        return self.columns[0].value_at(0)
 
     def to_dict(self) -> dict[str, list[Any]]:
         return {column.name: list(column.values) for column in self.columns}

@@ -328,10 +328,12 @@ class TestCrashDuringStream:
         proc, host, port = self.start_server(durable_path)
         try:
             connection = tcp_connection(host, port)
-            # 24 columns: ~10 MB of chunks, more than the socket buffers hold,
-            # so the server cannot have sent everything before it is killed
+            # 24 DOUBLE columns: 9.6 MB of chunks whatever the wire codec
+            # (no integer section to narrow), more than the socket buffers
+            # hold, so the server cannot have sent everything before it is
+            # killed
             stream = connection.execute_stream(
-                f"SELECT {', '.join(['i'] * 24)} FROM big WHERE i >= 0")
+                f"SELECT {', '.join(['i * 0.5'] * 24)} FROM big WHERE i >= 0")
             assert stream.fetchone() is not None  # streaming has begun
             proc.send_signal(signal.SIGKILL)
             proc.wait(timeout=10)

@@ -19,6 +19,12 @@ morsels (so the partial merge sees a list, not a vector), SUM / AVG / MIN /
 MAX / COUNT, WHERE clauses that keep every row, most rows, some morsels or
 no row, and INNER / LEFT equi-joins against unique and duplicated build
 keys, with and without NULL keys.
+
+``_MERGED`` pins what merging partial aggregates can get wrong: a group per
+row (``id % 100000``), groups absent from some morsels, partials with no
+valid value, integer sums whose partials fit int64 while their total does
+not, sums of ``-0.0``, NaN arguments to MIN / MAX, string MIN / MAX,
+arithmetic over aggregates and HAVING.
 """
 
 from __future__ import annotations
@@ -81,6 +87,12 @@ def _tables():
         for i in range(ROWS)
     ]
     w = (rng.integers(1, 9, KEYS) * 0.25).tolist()
+    # a 1,024-row morsel's sum of ``big`` fits int64, a 4,096-row one does
+    # not, nor does any group's total; ``h`` is NULL in the first half
+    g = [(i, i % 3, 2 ** 52 + i, None if i < ROWS // 2 else i * 0.25, -0.0,
+          None if i % 7 == 0 else -0.0,
+          float("nan") if i % 997 == 5 else (i % 101) * 0.5)
+         for i in range(ROWS)]
     return {
         "t": ("CREATE TABLE t (id INTEGER, k INTEGER, name STRING, mi INTEGER, "
               "mf DOUBLE, v DOUBLE, b BOOLEAN, wk INTEGER)", t),
@@ -103,6 +115,8 @@ def _tables():
         "ds": ("CREATE TABLE ds (name STRING, x INTEGER)",
                [(f"n{code:02d}", code * 10) for code in range(0, 30, 2)]
                + [("zz", -1)]),
+        "g": ("CREATE TABLE g (id INTEGER, c INTEGER, big BIGINT, h DOUBLE, "
+              "z DOUBLE, zn DOUBLE, n DOUBLE)", g),
     }
 
 
@@ -187,6 +201,39 @@ _JOINED = [
      "JOIN du ON t.k = du.k", [""]),
 ]
 
+_MERGED = [
+    ("SELECT id % 100000, COUNT(*), SUM(v), MIN(mi), MAX(mf), AVG(mi) "
+     "FROM t {w} GROUP BY id % 100000", ["", TAIL]),
+    ("SELECT k, COUNT(*), SUM(mi), AVG(v), MIN(mf), MAX(id) FROM t {w} "
+     "GROUP BY k", ["WHERE k < 5 OR id < 2000", "WHERE k >= 45 OR id >= 8000"]),
+    ("SELECT k, COUNT(mi), SUM(mi), AVG(mi), MIN(mi), MAX(mf) FROM t {w} "
+     "GROUP BY k", ["WHERE mi IS NULL OR id >= 5000"]),
+    ("SELECT c, COUNT(h), SUM(h), AVG(h), MIN(h), MAX(h) FROM g {w} GROUP BY c",
+     ["", "WHERE id < 5000"]),
+    ("SELECT c, COUNT(*), SUM(big), AVG(big), MIN(big), MAX(big) FROM g {w} "
+     "GROUP BY c", ["", "WHERE id >= 2500"]),
+    ("SELECT SUM(big), AVG(big), COUNT(big) FROM g {w}", ["", "WHERE id >= 5000"]),
+    ("SELECT c, SUM(z), SUM(zn), MIN(z), MAX(zn), AVG(z) FROM g {w} GROUP BY c",
+     [""]),
+    ("SELECT SUM(z), SUM(zn), MIN(zn) FROM g {w}", [""]),
+    ("SELECT c, MIN(n), MAX(n), SUM(n), AVG(n) FROM g {w} GROUP BY c",
+     ["", "WHERE id >= 1000"]),
+    ("SELECT MIN(n), MAX(n) FROM g {w}", [""]),
+    ("SELECT k, MIN(name), MAX(name), COUNT(name) FROM t {w} GROUP BY k",
+     ["", TAIL, "WHERE name IS NULL OR id >= 5000"]),
+    ("SELECT b, MIN(name), MAX(name) FROM t {w} GROUP BY b", ["", SOME]),
+    ("SELECT k, SUM(b), AVG(b), MIN(b), MAX(b) FROM t {w} GROUP BY k", [""]),
+    ("SELECT k, SUM(v) / COUNT(*), SUM(mi) * 2, AVG(v) + 1, SUM(mi) % 7, "
+     "-MIN(mi), MAX(mf) - MIN(mf) FROM t {w} GROUP BY k", ["", TAIL]),
+    ("SELECT k, COUNT(*), SUM(mi), MIN(name) FROM t {w} GROUP BY k "
+     "HAVING SUM(mi) > 0 AND COUNT(*) > 190", ["", TAIL]),
+    ("SELECT mi, AVG(v) FROM t {w} GROUP BY mi "
+     "HAVING MAX(mf) > 2.0 OR MIN(mf) IS NULL", ["", SOME]),
+    ("SELECT name, SUM(v) FROM t {w} GROUP BY name HAVING MIN(name) < 'n10'",
+     [""]),
+    ("SELECT COUNT(*), SUM(v) FROM t {w} HAVING COUNT(*) > 0", ["", NONE]),
+]
+
 _FILTERED = [
     "SELECT id, v FROM t WHERE id >= 9216",
     "SELECT name, mi, mf, b FROM t WHERE id >= 9500",
@@ -197,7 +244,7 @@ _FILTERED = [
 
 def statements() -> list[str]:
     out = []
-    for template, wheres in _GROUPED + _JOINED:
+    for template, wheres in _GROUPED + _JOINED + _MERGED:
         for where in wheres:
             out.append(" ".join(template.format(w=where).split()))
     return out + _FILTERED

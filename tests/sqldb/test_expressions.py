@@ -53,8 +53,8 @@ class TestBatch:
         assert ambiguous.resolve("id", "b").values == [2]
 
     def test_filter_and_take(self, batch):
-        filtered = batch.filter([True, False, True, False])
-        assert filtered.row_count == 2
+        filtered, selection = batch.filter([True, False, True, False])
+        assert filtered.row_count == 2 and selection == "gather"
         taken = batch.take([3, 0])
         assert taken.resolve("i").values == [4, 1]
 

@@ -4,9 +4,12 @@
 commit before grouping stopped building per-row group ids for its sort
 layout, the partial merge stopped matching keys through a dict, an all-true
 filter stopped copying its morsel and a unique-key join stopped expanding
-pairs.  None of those may change an answer: every statement must return the
-same column names and types and the same rows in the same order, with every
-float equal to the bit, at each recorded morsel size.
+pairs; its ``_MERGED`` entries (what a partial-aggregate merge can get
+wrong) were added on the commit before a filter keeping one run of rows
+began to slice its morsel.  None of those may change an answer:
+every statement must return the same column names and types and the same
+rows in the same order, with every float equal to the bit, at each recorded
+morsel size.
 """
 
 import json

@@ -6,7 +6,9 @@ nothing but the time and the buffers they share.
   when something does;
 * the partial merge factorises the morsels' representative keys with the
   kernel a morsel uses, keys of mixed type falling back to the row dict;
-* a WHERE that keeps every row of a morsel hands the morsel on unchanged;
+* a WHERE that keeps every row of a morsel hands the morsel on unchanged,
+  one that keeps one run of rows hands on a view of it, and only an
+  interior cut copies — views stay read-only, to a UDF too;
 * a join whose non-NULL build keys are distinct takes each found left row's
   one match directly, and a morsel whose every row matched passes through.
 
@@ -22,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grouping_golden import GOLDEN, answer, database
+from repro.errors import ReproError
 from repro.sqldb import Database
 from repro.sqldb import operators
 from repro.sqldb.aggregates import grouped_aggregate
@@ -231,11 +234,70 @@ def test_kept_morsels_share_the_scan_buffers(served, sql):
     assert result.fetchall()[0][0] == 0
 
 
-def test_a_filter_that_drops_a_row_still_copies(served):
-    result = served.execute("SELECT id FROM t WHERE id >= 1")
+def _selection(db, sql):
+    line = next(line for (line,) in db.execute(f"EXPLAIN ANALYZE {sql}").fetchall()
+                if "Filter" in line)
+    return line.split(" (actual")[0].rsplit(" selection=", 1)[1].rstrip("]")
+
+
+@pytest.mark.parametrize("where, kept", [
+    ("id >= 1", range(1, 50)),
+    ("id < 49", range(0, 49)),
+    ("id BETWEEN 3 AND 40", range(3, 41)),
+    ("v >= 10.0 AND v < 12.0", range(20, 24)),
+])
+def test_a_front_or_back_cut_shares_the_scan_buffer(served, where, kept):
+    result = served.execute(f"SELECT id, v FROM t WHERE {where}")
+    ids = result.columns[0].vector().data
+    assert np.shares_memory(ids, _stored(served, "t", "id"))
+    assert np.shares_memory(result.columns[1].vector().data,
+                            _stored(served, "t", "v"))
+    with pytest.raises(ValueError, match="read-only"):
+        ids[0] = 7
+    assert [row[0] for row in result.fetchall()] == list(kept)
+    assert _selection(served, f"SELECT id FROM t WHERE {where}") == "slice"
+
+
+@pytest.mark.parametrize("where, kept", [
+    ("id <> 7", [i for i in range(50) if i != 7]),
+    ("id % 5 = 0", list(range(0, 50, 5))),
+    ("id < 3 OR id > 46", [0, 1, 2, 47, 48, 49]),
+])
+def test_an_interior_cut_copies(served, where, kept):
+    result = served.execute(f"SELECT id FROM t WHERE {where}")
     assert not np.shares_memory(result.columns[0].vector().data,
                                 _stored(served, "t", "id"))
-    assert [row[0] for row in result.fetchall()] == list(range(1, 50))
+    assert [row[0] for row in result.fetchall()] == kept
+    assert _selection(served, f"SELECT id FROM t WHERE {where}") == "gather"
+
+
+def test_selection_is_counted_per_morsel():
+    db = Database(morsel_rows=10)
+    db.execute("CREATE TABLE t (id INTEGER)")
+    db.storage.table("t").insert_rows((i,) for i in range(40))
+    # morsel 0-9 is cut at the front, 10-19 kept whole, 20-29 cut inside,
+    # 30-39 cut at the back
+    sql = "SELECT id FROM t WHERE id >= 5 AND (id < 25 OR id >= 28) AND id < 36"
+    assert _selection(db, sql) == "all:1,slice:2,gather:1"
+    assert [row[0] for row in db.execute(sql).fetchall()] == \
+        list(range(5, 25)) + list(range(28, 36))
+    plain = next(line for (line,) in db.execute(f"EXPLAIN {sql}").fetchall()
+                 if "Filter" in line)
+    assert "selection=" not in plain
+    db.close()
+
+
+def test_a_udf_handed_a_sliced_input_cannot_write_it(served):
+    served.execute("CREATE FUNCTION poke(x DOUBLE) RETURNS DOUBLE "
+                   "LANGUAGE PYTHON { x[0] = -1.0; return x }")
+    served.execute("CREATE FUNCTION peek(x DOUBLE) RETURNS BOOLEAN "
+                   "LANGUAGE PYTHON { return not x.flags.writeable }")
+    sql = "SELECT {} FROM t WHERE id >= 10"
+    assert _selection(served, sql.format("id")) == "slice"
+    assert served.execute(sql.format("peek(v)")).scalar() is True
+    with pytest.raises(ReproError, match="read-only"):
+        served.execute(sql.format("poke(v)"))
+    assert served.execute("SELECT v FROM t WHERE id = 10").scalar() == 5.0
 
 
 def test_a_partly_matched_unique_join_gathers(served):
