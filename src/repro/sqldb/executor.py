@@ -167,21 +167,21 @@ class Executor:
                               leader: dict[str, Any] | None):
         """Yield the chunked ``insert`` records for rows past ``start_row``.
 
-        Values are read back from storage, so the WAL carries the coerced
-        representation that replay re-coerces idempotently.  A generator so
-        the group append holds at most one chunk in memory at a time.
+        Each carries its rows' stored buffers as one chunk blob, encoded
+        like an image segment, so replay appends them as they are.  A
+        generator so the group append holds at most one chunk in memory.
         """
+        from .persist.format import encode_rows
+
         total = table.row_count
         if leader is not None:
             yield {**leader, "more": True} if total > start_row else leader
         for chunk_start in range(start_row, total,
                                  self._WAL_INSERT_CHUNK_ROWS):
             chunk_stop = min(chunk_start + self._WAL_INSERT_CHUNK_ROWS, total)
-            rows = [list(row) for row in zip(*[
-                column.to_list(chunk_start, chunk_stop)
-                for column in table.columns])]
-            record: dict[str, Any] = {"op": "insert", "table": table.name,
-                                      "rows": rows}
+            record: dict[str, Any] = {
+                "op": "insert", "table": table.name,
+                "chunk": encode_rows(table, chunk_start, chunk_stop)}
             if chunk_stop < total:
                 record["more"] = True
             yield record
@@ -374,7 +374,8 @@ class Executor:
             from .persist.records import pack_mask
 
             self._log_wal({"op": "delete", "table": table.name,
-                           "keep": pack_mask(keep), "count": count_before})
+                           "keep_compressed": pack_mask(keep),
+                           "count": count_before})
         removed = table.delete_rows(keep)
         return QueryResult.empty(affected_rows=removed, statement_type="DELETE")
 

@@ -101,17 +101,18 @@ class WriteStats:
         }
 
 
-def _table_result(table: Any) -> QueryResult:
-    """A table's stored buffers as a :class:`QueryResult` for the chunk encoder.
+def _table_result(table: Any, start: int, stop: int) -> QueryResult:
+    """Rows ``[start, stop)`` of a table's stored buffers as a
+    :class:`QueryResult` for the chunk encoder.
 
-    Nothing is converted: segments are encoded straight from the arrays
+    Nothing is converted: chunks are encoded straight from the arrays
     queries scan.  Only a string dictionary is first compacted to the
-    strings still referenced, so the bytes of an image depend on the table's
-    rows alone, not on what was deleted or overwritten before.
+    strings those rows reference, so the bytes depend on the rows alone,
+    not on what was deleted, overwritten or stored beside them.
     """
     columns = []
     for column in table.columns:
-        scan = column.scan_values()
+        scan = column.scan_vector(start, stop)
         if isinstance(scan, Vector) and scan.is_dict:
             codes, dictionary = compact_dictionary(scan.data, scan.dictionary)
             scan = Vector(codes, scan.mask, dictionary, scan.sql_type)
@@ -136,8 +137,8 @@ def write_database(file: BinaryIO, storage: Storage, catalog: FunctionCatalog,
     tables_meta: list[dict[str, Any]] = []
     for name in storage.table_names():
         table = storage.table(name)
-        result = _table_result(table)
         row_count = table.row_count
+        result = _table_result(table, 0, row_count)
         # A fresh shipped-dictionaries map per encoder would still share the
         # dictionary across this table's segments; clearing it per segment
         # forces the dictionary inline into *every* blob so each segment is
@@ -179,6 +180,13 @@ def write_database(file: BinaryIO, storage: Storage, catalog: FunctionCatalog,
     file.write(_TAIL.pack(offset, len(footer), zlib.crc32(footer), DB_MAGIC))
     stats.file_bytes = offset + len(footer) + _TAIL.size
     return stats
+
+
+def encode_rows(table: Any, start: int, stop: int) -> bytes:
+    """Rows ``[start, stop)`` of ``table`` as one self-contained chunk blob
+    (wire default codec): a WAL insert record, replayed like a segment."""
+    return ChunkEncoder(_table_result(table, start, stop),
+                        allow_dict=True).encode(0, stop - start)[0]
 
 
 def _catalog_entries(catalog: FunctionCatalog) -> list[Any]:
@@ -286,7 +294,8 @@ def read_database(path: str | os.PathLike[str], storage: Storage,
             fault = _segment_fault(segment, data, blob)
             if fault is None:
                 try:
-                    decoded_rows = _load_segment(table, blob, path)
+                    decoded_rows = _load_segment(table, blob,
+                                                 f"database file {path}")
                 except PersistenceError as exc:
                     fault = str(exc)
                 else:
@@ -323,9 +332,9 @@ def read_database(path: str | os.PathLike[str], storage: Storage,
     return image
 
 
-def _load_segment(table: Any, blob: bytes,
-                  path: str | os.PathLike[str]) -> int:
-    """Decode one segment blob through the shared wire path into ``table``.
+def _load_segment(table: Any, blob: bytes, source: str) -> int:
+    """Decode one chunk blob (an image segment or a WAL insert record, named
+    by ``source`` in errors) through the shared wire path into ``table``.
 
     The decoded buffers are what a column stores and are appended as they
     are — a vector's ``(data, mask)``, or ``(codes, mask, dictionary)`` for
@@ -339,9 +348,8 @@ def _load_segment(table: Any, blob: bytes,
         row_count, decoded = decode_chunk(blob)
         if [piece.name.lower() for piece in decoded] != \
                 [column.name.lower() for column in table.columns]:
-            raise PersistenceError(
-                f"database file {path}: segment columns do not match schema "
-                f"of table {table.name!r}")
+            raise PersistenceError(f"{source}: segment columns do not match "
+                                   f"schema of table {table.name!r}")
         batches: list[tuple[Any, ...]] = []
         for column, piece in zip(table.columns, decoded):
             data = piece.materialise()
@@ -354,8 +362,7 @@ def _load_segment(table: Any, blob: bytes,
                     data.to_list() if isinstance(data, Vector) else data)
             if len(batch[0]) != row_count:
                 raise PersistenceError(
-                    f"database file {path}: segment column {column.name!r} "
-                    f"length mismatch")
+                    f"{source}: segment column {column.name!r} length mismatch")
             batches.append(batch)
     except PersistenceError:
         raise

@@ -1,10 +1,10 @@
 """Logical WAL/catalog record helpers shared by the executor and the store.
 
-This module deliberately imports nothing from :mod:`repro.netproto`: the
-executor (loaded with :mod:`repro.sqldb.database`) builds records with these
-helpers, and pulling the wire stack in at that point would create an import
-cycle (``netproto.server`` imports the database).  The byte-level encoding
-of records lives in :mod:`repro.sqldb.persist.wal`.
+The executor imports these helpers only inside its WAL paths, which run on
+a persistent database, whose store has loaded the wire stack already — so
+the codec layer imported here adds no import cycle (``netproto.server``
+imports the database).  The byte-level encoding of records lives in
+:mod:`repro.sqldb.persist.wal`.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from ...errors import PersistenceError
+from ...netproto import compression
 from ..schema import ColumnDef, FunctionParameter, FunctionSignature, TableSchema
 from ..types import ColumnType, SQLType
 
@@ -76,14 +77,20 @@ def signature_from_record(record: dict[str, Any]) -> FunctionSignature:
 
 
 # --------------------------------------------------------------------------- #
-# row-mask packing (DELETE keep-masks and UPDATE selection masks)
+# row-mask packing (DELETE keep-masks)
 # --------------------------------------------------------------------------- #
 def pack_mask(mask: Sequence[bool]) -> bytes:
-    """Pack a boolean row mask into a bitmap for a WAL record payload."""
-    return np.packbits(np.asarray(mask, dtype=bool)).tobytes()
+    """Pack a boolean row mask into a compressed bitmap for a WAL record (one
+    byte lane: DEFLATE, so a run of n rows costs tens of bytes, not n / 8)."""
+    return compression.compress(np.packbits(np.asarray(mask, dtype=bool)),
+                                compression.CODEC_SHUFFLE)
 
 
-def unpack_mask(data: bytes, count: int) -> list[bool]:
-    """Inverse of :func:`pack_mask` (``count`` restores the exact length)."""
+def unpack_mask(data: bytes, count: int, *, compressed: bool = True
+                ) -> np.ndarray:
+    """Inverse of :func:`pack_mask` (``count`` restores the exact length);
+    ``compressed=False`` reads the raw bitmap a version-1 log holds."""
+    if compressed:
+        data = compression.decompress(data)
     bitmap = np.frombuffer(data, dtype=np.uint8)
-    return np.unpackbits(bitmap, count=count).astype(bool).tolist()
+    return np.unpackbits(bitmap, count=count).astype(bool)

@@ -17,10 +17,11 @@ pure replay of logical records over the last checkpoint image):
    everything the log describes, so the log is reset, not replayed.
 4. Appending resumes on the recovered log.
 
-Replay applies records through the same storage/catalog entry points the
-executor uses (coercion included), with ``if_not_exists``/``if_exists``
-semantics so replay is idempotent — re-opening after a crash *during*
-recovery-triggered truncation converges to the same state.
+Replay applies records through the entry points the executor and the image
+loader use (an insert's chunk through the segment loader), with
+``if_not_exists``/``if_exists`` semantics so replay is idempotent —
+re-opening after a crash *during* recovery-triggered truncation converges to
+the same state.
 """
 
 from __future__ import annotations
@@ -190,6 +191,8 @@ def apply_record(database: "Database", record: dict[str, Any]) -> None:
 
     Mutations go through the storage layer's public entry points, so value
     coercion behaves exactly as it did when the original statement ran.
+    Version-1 records (``rows`` value lists, a raw ``keep`` bitmap) still
+    replay, so a tail written before the upgrade recovers.
     """
     op = record.get("op")
     storage = database.storage
@@ -200,12 +203,16 @@ def apply_record(database: "Database", record: dict[str, Any]) -> None:
                 if_not_exists=True)
         elif op == "drop_table":
             storage.drop_table(str(record["name"]), if_exists=True)
-        elif op == "insert":
+        elif op == "insert" and "rows" in record:
             storage.table(str(record["table"])).insert_rows(record["rows"])
+        elif op == "insert":
+            format_mod._load_segment(storage.table(str(record["table"])),
+                                     record["chunk"], "WAL record")
         elif op == "delete":
-            table = storage.table(str(record["table"]))
-            keep = unpack_mask(record["keep"], int(record["count"]))
-            table.delete_rows(keep)
+            raw = "keep" in record
+            keep = unpack_mask(record["keep" if raw else "keep_compressed"],
+                               int(record["count"]), compressed=not raw)
+            storage.table(str(record["table"])).delete_rows(keep)
         elif op == "truncate":
             storage.table(str(record["table"])).truncate()
         elif op == "update":

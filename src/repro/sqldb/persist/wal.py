@@ -20,6 +20,11 @@ File layout::
 Records are dictionaries encoded with the shared self-describing value codec
 (:func:`repro.netproto.wire.encode_value`) — the same bytes-level codec the
 client protocol uses, so the WAL introduces no parallel serialisation scheme.
+Rows travel as typed buffers: an ``insert`` record's ``chunk`` is one
+columnar chunk blob (an image segment's form, its dictionary compacted to
+those rows) and a ``delete`` record's ``keep_compressed`` a compressed
+keep-bitmap.  Version 2 writes only these; the reader also accepts version 1
+and its ``rows`` / raw ``keep`` records, so a pre-upgrade tail replays.
 The crc32 covers the payload only; a torn tail (crash mid-append) is detected
 on read as a short header, short payload, or checksum mismatch, and everything
 from the first bad record onward is discarded (those statements never
@@ -56,7 +61,9 @@ from . import faults
 from .records import pack_mask, unpack_mask  # noqa: F401  (record-level API)
 
 WAL_MAGIC = b"REPROWAL"
-WAL_VERSION = 1
+WAL_VERSION = 2
+#: Versions the reader replays: version 1 differs only in its record shapes.
+_READABLE_VERSIONS = (1, WAL_VERSION)
 
 _HEADER = struct.Struct("<8sHHQ")   # magic, version, reserved, generation
 _RECORD = struct.Struct("<II")      # payload length, payload crc32
@@ -109,7 +116,7 @@ def read_wal(path: str | os.PathLike[str], *,
     magic, version, _reserved, generation = _HEADER.unpack_from(data, 0)
     if magic != WAL_MAGIC:
         raise PersistenceError(f"WAL {path}: bad magic {magic!r}")
-    if version != WAL_VERSION:
+    if version not in _READABLE_VERSIONS:
         raise PersistenceError(f"WAL {path}: unsupported version {version}")
     contents = WalContents(generation=generation, good_end=_HEADER.size)
     offset = _HEADER.size

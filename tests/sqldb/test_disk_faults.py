@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import CorruptionError, PersistenceError
+from repro.netproto.columnar import decode_chunk
 from repro.sqldb.database import Database
 from repro.sqldb.persist import read_wal, wal_path_for
 from repro.sqldb.persist.faults import DiskFaultSpec, FaultyFS, injected
@@ -415,7 +416,8 @@ class TestTornTailEveryByte:
                 expected: list[int] = []
                 for record in records:
                     if record["op"] == "insert":
-                        expected.extend(row[0] for row in record["rows"])
+                        expected.extend(
+                            decode_chunk(record["chunk"])[1][0].materialise().to_list())
                     elif record["op"] == "delete":
                         expected = [value for keep, value in
                                     zip(_unpack(record), expected) if keep]
@@ -432,4 +434,4 @@ class TestTornTailEveryByte:
 def _unpack(record):
     from repro.sqldb.persist import wal as wal_mod
 
-    return wal_mod.unpack_mask(record["keep"], int(record["count"]))
+    return wal_mod.unpack_mask(record["keep_compressed"], int(record["count"]))

@@ -9,6 +9,11 @@ digests below were recorded by running this file's ``_digests`` on the commit
 *before* storage became typed buffers (e2d6694): what is stored in memory may
 change, the bytes of the image and of the WAL for the same logical history
 may not — this is what holds ``io_bytes_per_op`` still.
+
+The WAL bytes changed once, on purpose, when the log moved to version 2:
+INSERT records carry their rows as one columnar chunk and DELETE records a
+compressed keep-bitmap.  ``WAL_SHA256`` was re-recorded at that change;
+``IMAGE_SHA256`` is still the digest from e2d6694.
 """
 
 import hashlib
@@ -22,7 +27,7 @@ from repro.sqldb.persist import format as persist_format
 from repro.sqldb.persist import wal_path_for
 
 IMAGE_SHA256 = "d5634fe87e2670fc5dd64550103011905eaceb283275332745ac08926cb7395d"
-WAL_SHA256 = "a247fbaf18ed5b81e7ab2a530982e3d71812b8f6a02ae192b17b7a0a84295671"
+WAL_SHA256 = "6479ae90d288670d616dd1a6895c2c830493977f93d194f782e5bb6d3ea0ffbc"
 
 ROWS = 10_000
 SEGMENT_ROWS = 4_096  # ev spans three segments

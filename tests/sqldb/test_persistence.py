@@ -496,7 +496,7 @@ class TestWalDetails:
         database._executor._log_inserted(table, before)
         records = read_wal(wal_path_for(path)).records
         inserts = [r for r in records if r["op"] == "insert"]
-        assert [len(r["rows"]) for r in inserts] == [chunk, chunk, 5]
+        assert [decode_chunk(r["chunk"])[0] for r in inserts] == [chunk, chunk, 5]
         recovered = Database(path=crash_copy(path, tmp_path / "crash.db"))
         assert recovered.row_count("t") == chunk * 2 + 5
         recovered.close()
