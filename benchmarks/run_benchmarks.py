@@ -196,7 +196,7 @@ def run_obs_overhead(*, quick: bool = False) -> dict:
     sql = "SELECT k, COUNT(*), SUM(v) FROM big WHERE v > 0.5 GROUP BY k"
 
     def measure(observability: bool) -> float:
-        database = Database(workers=1, observability=observability)
+        database = Database(observability=observability)
         database.execute("CREATE TABLE big (k INTEGER, v DOUBLE)")
         table = database.storage.table("big")
         table.column("k").extend(keys)

@@ -1404,8 +1404,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="durable single-file database path "
                              "(default: in-memory)")
     parser.add_argument("--name", default="demo", help="database name")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="morsel-parallel worker threads")
     parser.add_argument("--user", default="monetdb")
     parser.add_argument("--password", default="monetdb")
     parser.add_argument("--chunk-rows", type=int, default=DEFAULT_CHUNK_ROWS,
@@ -1450,7 +1448,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--verify-on-start requires --db")
     single_malloc_arena()  # before any thread or column buffer exists
     try:
-        database = Database(name=args.name, path=args.db, workers=args.workers,
+        database = Database(name=args.name, path=args.db,
                             plan_cache=args.plan_cache,
                             result_cache_bytes=args.result_cache_bytes)
     except PersistenceError as exc:

@@ -10,7 +10,7 @@ hot paths that already hold two ``perf_counter`` readings, with
 calls.
 
 Spans are built by **one thread at a time** (the thread driving the query);
-per-morsel worker timings are aggregated by the plan instrumentation in
+per-morsel timings are aggregated by the plan instrumentation in
 :mod:`repro.sqldb.plan`, not recorded as spans, so no locking is needed
 here.  Recording a span costs two ``perf_counter()`` calls and one list
 append — cheap enough to leave on for every query, which is what makes the

@@ -368,7 +368,7 @@ def _grouped_vector_masked(upper: str, vector: Vector,
 
 
 # --------------------------------------------------------------------------- #
-# partial aggregation (morsel-parallel hash aggregation)
+# partial aggregation (per-morsel hash aggregation)
 # --------------------------------------------------------------------------- #
 #: Aggregates whose state decomposes into per-morsel partials that merge
 #: exactly: SUM/COUNT add, MIN/MAX combine, AVG carries (sum, count) pairs.

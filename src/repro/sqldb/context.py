@@ -2,14 +2,15 @@
 
 A :class:`QueryContext` is the per-statement control block threaded from
 :meth:`repro.sqldb.database.Database.execute` through the plan driver down
-to the morsel scheduler.  Execution is *cooperative*: the engine calls
+to the morsel loop.  Execution is *cooperative*: the engine calls
 :meth:`QueryContext.check` at every morsel boundary, so a cancelled or
 timed-out statement aborts within roughly one morsel's worth of work —
 numpy kernels are never interrupted mid-array.
 
 The context is intentionally tiny and lock-free on the hot path: ``cancel``
 may be called from any thread (the wire server's ``cancel`` message handler,
-a signal handler, a watchdog) while worker threads are inside ``check``.
+a signal handler, a watchdog) while the executing thread is inside
+``check``.
 """
 
 from __future__ import annotations

@@ -32,8 +32,8 @@ from .cache import (
 from .catalog import FunctionCatalog
 from .context import QueryContext
 from .executor import Executor
-from .parallel import DEFAULT_MORSEL_ROWS, MorselScheduler
 from .parser import Parser, parse_statement
+from .plan import DEFAULT_MORSEL_ROWS
 from .result import QueryResult
 from .schema import FunctionSignature
 from .storage import Storage
@@ -56,12 +56,10 @@ class Database:
     """An embedded, MonetDB-flavoured SQL database.
 
     A SELECT over more than ``morsel_rows`` rows executes as
-    ``morsel_rows``-sized row ranges (morsels) whatever the other settings
-    are; ``workers`` only chooses where they run — inline for the default
-    ``workers=1``, on a shared thread pool otherwise (numpy kernels release
-    the GIL).  For a given ``morsel_rows`` the result is therefore
-    byte-identical across ``workers``, with or without a timeout, embedded
-    or over the wire, literal or prepared.
+    ``morsel_rows``-sized row ranges (morsels), run inline and in order,
+    whatever the other settings are.  For a given ``morsel_rows`` the result
+    is therefore byte-identical with or without a timeout, embedded or over
+    the wire, literal or prepared.
 
     ``path`` makes the database durable: state lives in a single columnar
     file plus a write-ahead log (``<path>.wal``).  Opening recovers the last
@@ -74,7 +72,7 @@ class Database:
     and become durable at the next checkpoint.
     """
 
-    def __init__(self, name: str = "demo", *, workers: int = 1,
+    def __init__(self, name: str = "demo", *,
                  morsel_rows: int = DEFAULT_MORSEL_ROWS,
                  path: str | os.PathLike[str] | None = None,
                  segment_rows: int | None = None,
@@ -109,8 +107,11 @@ class Database:
         self._prepared: dict[str, PreparedStatement] = {}
         self.catalog = FunctionCatalog()
         self.udf_runtime = UDFRuntime(self)
-        self.scheduler = MorselScheduler(workers, morsel_rows=morsel_rows)
-        self.scheduler.bind_metrics(self.metrics)
+        #: Rows per morsel (see :func:`~repro.sqldb.plan.split_morsels`).
+        self.morsel_rows = max(1, int(morsel_rows))
+        #: Morsels the plan loop actually ran (an early LIMIT stop or an
+        #: abandoned stream counts only the ones it reached).
+        self.morsels_executed = self.metrics.counter("db.morsels_executed")
         self._executor = Executor(self)
         self._lock = threading.RLock()
         #: Bumped by every effective CREATE / DROP FUNCTION.  The wire server
@@ -152,10 +153,6 @@ class Database:
             # recovery/salvage may have replayed mutations; start cold so a
             # cached plan or result can never outlive what was recovered
             self.invalidate_caches()
-
-    @property
-    def workers(self) -> int:
-        return self.scheduler.workers
 
     @property
     def path(self) -> str | None:
@@ -468,7 +465,6 @@ class Database:
         snapshot: dict[str, int] = {
             "db.statements_executed": self.statements_executed,
             "db.tables": len(self.storage.table_names()),
-            "db.workers": self.workers,
         }
         if self.persistence is not None:
             for key, value in self.persistence.stats_snapshot().items():
@@ -489,18 +485,16 @@ class Database:
         return snapshot
 
     def close(self) -> None:
-        """Release the worker pool; checkpoint and seal a persistent database.
+        """Checkpoint and seal a persistent database.
 
-        An in-memory database stays usable afterwards (the next parallel
-        query lazily recreates the pool).  A persistent database writes a
-        final checkpoint, truncates its WAL and closes the log file — after
-        that, further mutations raise rather than silently losing
-        durability.
+        An in-memory database stays usable afterwards.  A persistent
+        database writes a final checkpoint, truncates its WAL and closes the
+        log file — after that, further mutations raise rather than silently
+        losing durability.
         """
         with self._lock:
             if self.persistence is not None and not self.persistence.closed:
                 self.persistence.close(checkpoint=True)
-        self.scheduler.shutdown()
 
     # ------------------------------------------------------------------ #
     # convenience helpers used throughout the reproduction

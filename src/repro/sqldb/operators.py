@@ -19,7 +19,7 @@ of the operators defined here; the plan driver then pushes morsel-sized
   partial states — local group layouts plus SUM/AVG/MIN/MAX/COUNT partials
   — and merges them in morsel order, which keeps first-appearance group
   order.  Which of the two runs depends on the input's length and
-  ``morsel_rows`` only, never on ``workers`` or the entry point.
+  ``morsel_rows`` only, never on the entry point.
 * :class:`Project` evaluates the select list per morsel; :class:`Sort`,
   :class:`Distinct` and :class:`Limit` are pipeline breakers applied to the
   materialised result.
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import collections
 import functools
-import threading
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -663,7 +662,6 @@ class Filter(PhysicalOperator):
         super().__init__()
         self.database = database
         self.predicate = predicate
-        #: ``list.append`` is safe from the morsel workers
         self.selections: list[str] = []
 
     def process(self, batch: Batch) -> Batch:
@@ -706,7 +704,6 @@ class HashJoin(PhysicalOperator):
         self._left_numeric_dtype: Any = None
         self._check_left_magnitude = False
         self._hash_build: _HashEquiBuild | None = None
-        self._build_lock = threading.Lock()
 
     # -- build ----------------------------------------------------------- #
     def prepare(self, left_template: Batch, right_batch: Batch) -> Batch:
@@ -811,22 +808,16 @@ class HashJoin(PhysicalOperator):
         self._strategy = "vector"
 
     def _python_build(self) -> _HashEquiBuild:
-        """The Python-tier hash build (lazy, thread-safe): the probe path for
-        multi-key joins, list-backed inputs, and morsels whose values left
-        the exactly-representable float64 range."""
-        build = self._hash_build
-        if build is None:
-            with self._build_lock:
-                build = self._hash_build
-                if build is None:
-                    assert self._right is not None and self._pairs is not None
-                    right_keys = [
-                        self._right.resolve(ref.name, ref.table).value_list()
-                        for _, ref in self._pairs
-                    ]
-                    build = _HashEquiBuild(right_keys)
-                    self._hash_build = build
-        return build
+        """The Python-tier hash build (lazy): the probe path for multi-key
+        joins, list-backed inputs, and morsels whose values left the
+        exactly-representable float64 range."""
+        if self._hash_build is None:
+            assert self._right is not None and self._pairs is not None
+            self._hash_build = _HashEquiBuild([
+                self._right.resolve(ref.name, ref.table).value_list()
+                for _, ref in self._pairs
+            ])
+        return self._hash_build
 
     # -- probe ----------------------------------------------------------- #
     def probe(self, morsel: Batch) -> tuple[Batch, Batch | None]:
@@ -1130,8 +1121,7 @@ class HashAggregate(PhysicalOperator):
             collect_aggregates(select.having, self.aggregate_nodes)
         for expression in self.hidden_keys:
             collect_aggregates(expression, self.aggregate_nodes)
-        #: one entry per factorisation; ``list.append`` is safe from the
-        #: morsel workers
+        #: one entry per factorisation
         self.groupings: list[str] = []
         if self._needs_per_group():
             self.mode = "per_group"

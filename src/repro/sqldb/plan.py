@@ -8,11 +8,10 @@ execution:
   referenced columns' scans, execute FROM-clause subqueries / table
   functions / virtual meta tables — and materialise every join's build side.
 * **run**: split the pipeline source into row-range morsels — one rule,
-  :meth:`~repro.sqldb.parallel.MorselScheduler.split`, whatever ``workers``
-  is and whether or not the statement is cancellable — and drive them
-  through the one morsel loop (:meth:`SelectPlan._morsels`): scan a range,
-  push it through the fused stage chain (join probes, filter), hand it to
-  the sink; on the worker pool when ``workers > 1``, inline otherwise.
+  :func:`split_morsels`, whether or not the statement is cancellable — and
+  drive them, inline and in order, through the one morsel loop
+  (:meth:`SelectPlan._morsels`): scan a range, push it through the fused
+  stage chain (join probes, filter), hand it to the sink.
   LEFT-join unmatched rows are deferred per stage and flushed, in arrival
   order, after the last morsel (matches first, then unmatched).  The loop
   has three consumers: the materialised projection, the streamed
@@ -21,14 +20,13 @@ execution:
   then apply the pipeline breakers (DISTINCT → ORDER BY → OFFSET/LIMIT) in
   clause order.
 
-Statements that are not parallel-safe (UDF calls, scalar subqueries) run
-as a single morsel.  The plan also renders itself
+Statements that may not be split into morsels (UDF calls, scalar
+subqueries) run as a single morsel.  The plan also renders itself
 (:meth:`SelectPlan.explain_lines`) for ``EXPLAIN``.
 """
 
 from __future__ import annotations
 
-import threading
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, TypeVar
 
@@ -67,10 +65,32 @@ from .udf import convert_table_result
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .context import QueryContext
     from .database import Database
-    from .parallel import MorselScheduler
 
 
 T = TypeVar("T")
+
+#: Default rows per morsel — matches the wire protocol's default chunk size,
+#: so one pipeline morsel maps onto one ``result_chunk`` frame.
+DEFAULT_MORSEL_ROWS = 65_536
+
+
+def split_morsels(row_count: int, morsel_rows: int,
+                  max_rows: int | None = None) -> list[tuple[int, int]]:
+    """Row ranges covering ``[0, row_count)``; ``[(0, n)]`` if unsplit.
+
+    The one splitting rule: ranges of ``min(max_rows, morsel_rows)`` rows
+    whenever the input is longer than that.  An empty input is still one
+    (empty) morsel, so every plan produces at least one piece.
+    """
+    row_count = max(0, int(row_count))
+    step = morsel_rows
+    if max_rows is not None:
+        step = max(1, min(int(max_rows), step))
+    if row_count <= step:
+        return [(0, row_count)]
+    return [(start, min(start + step, row_count))
+            for start in range(0, row_count, step)]
+
 
 #: Schemas of the virtual meta tables exposed by the catalog (Listing 1).
 _SYS_FUNCTIONS_SCHEMA = [
@@ -165,7 +185,8 @@ def table_function_batch(database: "Database",
 # parallel-safety analysis
 # --------------------------------------------------------------------------- #
 def _expression_parallel_safe(expression: ast.Expression) -> bool:
-    """Safe to evaluate per morsel, possibly on worker threads.
+    """May be split into morsels: evaluating it per morsel gives the same
+    answer as evaluating it once over the whole input.
 
     Scalar subqueries (re-executed per evaluation) and Python UDFs (invoked
     once per whole column, an observable count) force whole-batch execution.
@@ -284,31 +305,26 @@ class Planner:
 class PlanMetrics:
     """Actual rows / batches / wall time per plan node, one execution.
 
-    Morsels run concurrently on the worker pool, so every sample — one
-    ``(rows, batches, seconds)`` increment per operator per morsel — is
-    merged under a single lock keyed by operator identity.  Wall times are
-    *cumulative across workers*: with ``workers=4`` an operator's ``time``
-    can legitimately exceed the query's elapsed time.
+    Every sample — one ``(rows, batches, seconds)`` increment per operator
+    per morsel — is summed into an entry keyed by operator identity.
     """
 
-    __slots__ = ("_lock", "_stats")
+    __slots__ = ("_stats",)
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         #: ``id(operator) -> [rows, batches, seconds]``
         self._stats: dict[int, list[Any]] = {}
 
     def record(self, operator: PhysicalOperator, rows: int, seconds: float,
                batches: int = 1) -> None:
         key = id(operator)
-        with self._lock:
-            entry = self._stats.get(key)
-            if entry is None:
-                self._stats[key] = [rows, batches, seconds]
-            else:
-                entry[0] += rows
-                entry[1] += batches
-                entry[2] += seconds
+        entry = self._stats.get(key)
+        if entry is None:
+            self._stats[key] = [rows, batches, seconds]
+        else:
+            entry[0] += rows
+            entry[1] += batches
+            entry[2] += seconds
 
     def stats_for(self, operator: PhysicalOperator
                   ) -> tuple[int, int, float] | None:
@@ -349,10 +365,6 @@ class SelectPlan:
         self._prepared = False
         self.root = self._link_tree()
 
-    @property
-    def scheduler(self) -> "MorselScheduler":
-        return self.database.scheduler
-
     # -- plan-tree shape (EXPLAIN) ---------------------------------------- #
     def _link_tree(self) -> PhysicalOperator:
         def pipeline_root(source: Scan,
@@ -382,9 +394,9 @@ class SelectPlan:
         """Whether morsel results can leave before execution finishes.
 
         Projection pipelines only: aggregation, DISTINCT and ORDER BY are
-        pipeline breakers, and statements that are not parallel-safe (UDF
-        calls, scalar subqueries) must run whole-batch under the database
-        lock.
+        pipeline breakers, and statements that may not be split into
+        morsels (UDF calls, scalar subqueries) must run whole-batch under the
+        database lock.
         """
         return (isinstance(self.sink, Project) and self.distinct is None
                 and self.sort is None and self.parallel_safe)
@@ -509,23 +521,22 @@ class SelectPlan:
         """The one morsel loop: yield ``sink(batch)`` for every range, in
         range order, then for every flushed LEFT-join deferral batch.
 
-        A consumer that has enough simply stops iterating: the remaining
-        morsels are cancelled and the flush never runs.
+        A cancellation point precedes every morsel, so a cancel or timeout
+        surfaces at the next morsel boundary even mid-stream.  A consumer
+        that has enough simply stops iterating: the remaining morsels never
+        run and the flush never runs.
         """
-        def task(span: tuple[int, int]) -> tuple[T, dict[int, list[Batch]]]:
-            deferred: dict[int, list[Batch]] = {}
-            batch = self._push(self._scan(self.source, *span),
-                               self.stages, 0, deferred)
-            return sink(batch), deferred
-
+        context = self.context
+        executed = self.database.morsels_executed
         deferred: dict[int, list[Batch]] = {}
-        for payload, task_deferred in self.scheduler.imap(
-                task, ranges, context=self.context):
-            for index, extras in task_deferred.items():
-                deferred.setdefault(index, []).extend(extras)
-            yield payload
-        if self.context is not None:
-            self.context.check()
+        for start, stop in ranges:
+            if context is not None:
+                context.check()
+            executed.inc()
+            yield sink(self._push(self._scan(self.source, start, stop),
+                                  self.stages, 0, deferred))
+        if context is not None:
+            context.check()
         for batch in self._flush_deferred(self.stages, deferred):
             yield sink(batch)
 
@@ -544,7 +555,7 @@ class SelectPlan:
         row_count = self.source.row_count
         if not self.parallel_safe:
             return [(0, row_count)]
-        return self.scheduler.split(row_count, max_rows)
+        return split_morsels(row_count, self.database.morsel_rows, max_rows)
 
     def execute(self) -> QueryResult:
         """Run the plan to a complete :class:`QueryResult`."""
@@ -673,10 +684,8 @@ class SelectPlan:
                 render(child, depth + 1)
 
         render(self.root, 0)
-        scheduler = self.scheduler
         safety = "yes" if self.parallel_safe else "no"
-        lines.append(f"-- workers={scheduler.workers} "
-                     f"morsel_rows={scheduler.morsel_rows} "
+        lines.append(f"-- morsel_rows={self.database.morsel_rows} "
                      f"parallel_safe={safety}")
         return lines
 
@@ -703,10 +712,8 @@ class SelectPlan:
                 render(child, depth + 1)
 
         render(self.root, 0)
-        scheduler = self.scheduler
         safety = "yes" if self.parallel_safe else "no"
-        lines.append(f"-- workers={scheduler.workers} "
-                     f"morsel_rows={scheduler.morsel_rows} "
+        lines.append(f"-- morsel_rows={self.database.morsel_rows} "
                      f"parallel_safe={safety} "
                      f"total_time={elapsed * 1000.0:.3f}ms")
         return lines
@@ -723,7 +730,8 @@ class SelectPlan:
                 rows = self.database.storage.table(source_ast.name).row_count
                 source.estimated_rows = rows
                 # the same rule execution splits by (:meth:`_split_ranges`)
-                source.morsel_hint = len(self.scheduler.split(rows)) \
+                source.morsel_hint = len(split_morsels(
+                    rows, self.database.morsel_rows)) \
                     if pipeline and self.parallel_safe else 1
             for stage in stages:
                 if isinstance(stage, HashJoin):

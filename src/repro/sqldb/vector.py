@@ -237,7 +237,7 @@ class Vector:
 
         The data and mask are numpy views of this vector's buffers and the
         dictionary is shared, so morsel-sized slices cost O(1) — this is the
-        shape row-range scans hand to the morsel scheduler.
+        shape row-range scans hand to the morsel loop.
         """
         mask = self.mask[start:stop] if self.mask is not None else None
         return Vector(self.data[start:stop], mask, self.dictionary,

@@ -33,7 +33,7 @@ def wait_until(predicate, timeout: float = 5.0, interval: float = 0.02):
 
 
 def make_server(rows: int = 0, **server_kwargs):
-    database = Database(workers=2)
+    database = Database()
     database.execute("CREATE TABLE big (i INTEGER)")
     if rows:
         column = database.storage.table("big").columns[0]

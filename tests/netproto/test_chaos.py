@@ -54,7 +54,7 @@ def wait_until(predicate, timeout: float = 5.0, interval: float = 0.02) -> bool:
 @pytest.fixture(params=["async"])
 def chaos_server():
     """A TCP server over a big table, with small result chunks."""
-    database = Database(workers=2)
+    database = Database()
     database.execute("CREATE TABLE big (i INTEGER)")
     column = database.storage.table("big").columns[0]
     column.extend(range(ROWS))
@@ -354,7 +354,7 @@ class TestCrashDuringStream:
         reopened.close()
 
     def test_graceful_stop_drains_inflight_queries(self):
-        database = Database(workers=2)
+        database = Database()
         database.execute("CREATE TABLE big (i INTEGER)")
         database.storage.table("big").columns[0].extend(range(ROWS))
         server = DatabaseServer(database, result_chunk_rows=CHUNK_ROWS)

@@ -15,7 +15,7 @@ from repro.sqldb import Database
 
 
 def _make_database():
-    db = Database(workers=2)
+    db = Database()
     db.execute("CREATE TABLE t (i INTEGER, v DOUBLE)")
     db.execute("INSERT INTO t VALUES " +
                ", ".join(f"({i}, {i * 0.5})" for i in range(500)))

@@ -46,9 +46,9 @@ from repro.sqldb.database import Database
 BIG_ROWS = 300_000
 
 
-def make_big_database(rows: int = BIG_ROWS, workers: int = 1) -> Database:
+def make_big_database(rows: int = BIG_ROWS) -> Database:
     """A database with a table large enough to split into many morsels."""
-    database = Database(workers=workers)
+    database = Database()
     database.execute("CREATE TABLE big (i INTEGER)")
     column = database.storage.table("big").columns[0]
     column.extend(range(rows))
@@ -199,7 +199,7 @@ class TestCancellation:
         connection.close()
 
     def test_cancel_from_another_thread_over_tcp(self):
-        database = make_big_database(workers=2)
+        database = make_big_database()
         server = DatabaseServer(database)
         from repro.netproto.server import AsyncSocketServer
 

@@ -26,7 +26,7 @@ CHUNK = 8
 
 @pytest.fixture()
 def server():
-    database_server = DatabaseServer(Database(workers=2),
+    database_server = DatabaseServer(Database(),
                                      result_chunk_rows=CHUNK)
     db = database_server.database
     db.execute("CREATE TABLE t (a INTEGER, s STRING)")

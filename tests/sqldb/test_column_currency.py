@@ -43,8 +43,7 @@ from repro.sqldb.result import ResultColumn
 from repro.sqldb.types import SQLType
 from repro.sqldb.vector import Vector
 
-GRID = [(morsel_rows, workers)
-        for morsel_rows in (1, 7, 65_536) for workers in (1, 4)]
+MORSEL_ROWS = [1, 7, 65_536]
 PLAIN = (int, float, bool, str, bytes, type(None))
 
 
@@ -88,8 +87,8 @@ def _check_result(result, sql):
                 (sql, column.name)
 
 
-def _oracle_database(morsel_rows, workers):
-    db = Database(workers=workers, morsel_rows=morsel_rows)
+def _oracle_database(morsel_rows):
+    db = Database(morsel_rows=morsel_rows)
     db.execute(
         "CREATE TABLE f (i INTEGER, k INTEGER, m INTEGER, x DOUBLE, s STRING)")
     db.execute("CREATE TABLE d (k INTEGER, name STRING)")
@@ -105,9 +104,9 @@ def test_result_column_has_one_typed_backing():
     assert "_vector" in ResultColumn.__slots__
 
 
-@pytest.mark.parametrize("morsel_rows, workers", GRID)
-def test_walk_oracle_statements(walk, morsel_rows, workers):
-    db = _oracle_database(morsel_rows, workers)
+@pytest.mark.parametrize("morsel_rows", MORSEL_ROWS)
+def test_walk_oracle_statements(walk, morsel_rows):
+    db = _oracle_database(morsel_rows)
     connection = Connection.connect_in_process(DatabaseServer(db))
     for sql, _ in oracle.STATEMENTS:
         _check_result(db.execute(sql), sql)
@@ -124,9 +123,8 @@ def test_walk_oracle_statements(walk, morsel_rows, workers):
     assert not walk, walk[:5]
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_walk_invariance_statements(walk, workers):
-    db = invariance._make_database(workers)
+def test_walk_invariance_statements(walk):
+    db = invariance._make_database()
     connection = Connection.connect_in_process(DatabaseServer(db))
     for template, args in invariance.STATEMENTS:
         sql = invariance._literal(template, args)
@@ -275,15 +273,15 @@ EMPTY_BUILD_JOINS = [
 ]
 
 
-@pytest.mark.parametrize("morsel_rows, workers", GRID)
-def test_left_join_shapes_match_sqlite(walk, morsel_rows, workers):
+@pytest.mark.parametrize("morsel_rows", MORSEL_ROWS)
+def test_left_join_shapes_match_sqlite(walk, morsel_rows):
     reference = sqlite3.connect(":memory:")
     reference.execute(
         "CREATE TABLE f (i INTEGER, k INTEGER, m INTEGER, x REAL, s TEXT)")
     reference.execute("CREATE TABLE d (k INTEGER, name TEXT)")
     reference.executemany("INSERT INTO f VALUES (?, ?, ?, ?, ?)", oracle.FACT)
     reference.executemany("INSERT INTO d VALUES (?, ?)", oracle.DIM)
-    db = _oracle_database(morsel_rows, workers)
+    db = _oracle_database(morsel_rows)
     for connection in (reference, db):
         connection.execute("CREATE TABLE nobody (k INTEGER, name STRING)")
         connection.execute("CREATE TABLE one (i INTEGER, k INTEGER, s STRING)")

@@ -1,10 +1,10 @@
 """Configuration invariance: at a fixed ``morsel_rows`` a statement's answer
 does not depend on which door it came in by.
 
-``MorselScheduler.split`` is the one splitting rule — it looks at the row
-count and ``morsel_rows`` only — so ``workers``, a timeout, streaming, the
-wire and PREPARE/EXECUTE may change *where* and *when* morsels run but never
-which rows are combined in which order.  Results are therefore compared
+``plan.split_morsels`` is the one splitting rule — it looks at the row
+count and ``morsel_rows`` only — so a timeout, streaming, the wire and
+PREPARE/EXECUTE may change *when* morsels run but never which rows are
+combined in which order.  Results are therefore compared
 with ``==``, floats included: no tolerance.
 """
 
@@ -59,8 +59,8 @@ def _literal(template, args):
     return template.replace("?", "{}").format(*args)
 
 
-def _make_database(workers):
-    db = Database(workers=workers, morsel_rows=MORSEL_ROWS)
+def _make_database():
+    db = Database(morsel_rows=MORSEL_ROWS)
     db.execute("CREATE TABLE t (i INTEGER, k INTEGER, v DOUBLE, s STRING)")
     db.execute("CREATE TABLE d (k INTEGER, label STRING)")
     rng = np.random.default_rng(18)
@@ -87,10 +87,10 @@ def _argument_list(args):
     return f"({', '.join(map(str, args))})" if args else ""
 
 
-@pytest.fixture(scope="module", params=[1, 4], ids=["workers1", "workers4"])
-def doors(request):
+@pytest.fixture(scope="module")
+def doors():
     """Every way into one database: ``{door: (run literal, run prepared)}``."""
-    db = _make_database(request.param)
+    db = _make_database()
     connection = Connection.connect_in_process(DatabaseServer(db))
     handles = {index: connection.prepare(f"w{index}", template)
                for index, (template, _) in enumerate(STATEMENTS)}
@@ -117,8 +117,8 @@ def doors(request):
 
 @pytest.fixture(scope="module")
 def reference():
-    """The answers of the plainest configuration: one worker, ``execute``."""
-    db = _make_database(1)
+    """The answers of the plainest configuration: ``execute``."""
+    db = _make_database()
     answers = [db.execute(_literal(template, args)).fetchall()
                for template, args in STATEMENTS]
     db.close()
@@ -152,7 +152,7 @@ def _scan_line(plan):
 def test_the_table_spans_several_morsels_and_groups_merge_partials():
     # guards the premise: were the table to fit one morsel, every door would
     # trivially agree and the tests above would prove nothing
-    db = _make_database(1)
+    db = _make_database()
     plan = db.execute(f"EXPLAIN ANALYZE {STATEMENTS[0][0]}").fetchall()
     assert "batches=3" in _scan_line(plan)
     aggregate = next(line for (line,) in plan if "HashAggregate" in line)
@@ -203,8 +203,8 @@ def grouping_reference():
     return answers
 
 
-def _grouping_database(morsel_rows, workers):
-    db = Database(workers=workers, morsel_rows=morsel_rows)
+def _grouping_database(morsel_rows):
+    db = Database(morsel_rows=morsel_rows)
     db.execute("CREATE TABLE g (i INTEGER, w16 INTEGER, w17 INTEGER, "
                "neg INTEGER, small INTEGER, s STRING)")
     db.storage.table("g").insert_rows(_grouping_rows())
@@ -212,10 +212,9 @@ def _grouping_database(morsel_rows, workers):
 
 
 @pytest.mark.parametrize("morsel_rows", [7, 1_024, 65_536])
-@pytest.mark.parametrize("workers", [1, 4])
-def test_grouping_answer_is_identical_across_morsel_rows_and_workers(
-        grouping_reference, morsel_rows, workers):
-    db = _grouping_database(morsel_rows, workers)
+def test_grouping_answer_is_identical_across_morsel_rows(
+        grouping_reference, morsel_rows):
+    db = _grouping_database(morsel_rows)
     for sql, expected in zip(GROUPING_STATEMENTS, grouping_reference):
         assert db.execute(sql).fetchall() == expected, sql
     db.close()
@@ -225,7 +224,7 @@ def test_grouping_answer_is_identical_across_morsel_rows_and_workers(
 def test_every_morsel_of_w16_and_w17_falls_on_its_side_of_the_rule(morsel_rows):
     # guards the premise: were a morsel to miss a key's ends, both keys could
     # take the same sort and the answers above would prove nothing
-    db = _grouping_database(morsel_rows, 1)
+    db = _grouping_database(morsel_rows)
     for sql, grouping in zip(GROUPING_STATEMENTS, ("radix", "sort")):
         plan = db.execute(f"EXPLAIN ANALYZE {sql}").fetchall()
         aggregate = next(line for (line,) in plan if "HashAggregate" in line)
@@ -233,10 +232,9 @@ def test_every_morsel_of_w16_and_w17_falls_on_its_side_of_the_rule(morsel_rows):
     db.close()
 
 
-@pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("timeout", [None, 60])
-def test_explain_estimate_equals_analyze_actual(workers, timeout):
-    db = _make_database(workers)
+def test_explain_estimate_equals_analyze_actual(timeout):
+    db = _make_database()
     for template, args in STATEMENTS:
         if "OFFSET" in template:
             continue  # a satisfied LIMIT legitimately stops scanning early
@@ -307,8 +305,8 @@ def join_reference():
     return answers
 
 
-def _join_database(morsel_rows, workers):
-    db = Database(workers=workers, morsel_rows=morsel_rows)
+def _join_database(morsel_rows):
+    db = Database(morsel_rows=morsel_rows)
     facts, dims = _join_tables()
     db.execute("CREATE TABLE jf (i INTEGER, k INTEGER)")
     db.storage.table("jf").insert_rows(facts)
@@ -319,10 +317,9 @@ def _join_database(morsel_rows, workers):
 
 
 @pytest.mark.parametrize("morsel_rows", [7, 1_024, 65_536])
-@pytest.mark.parametrize("workers", [1, 4])
-def test_join_answer_is_identical_across_morsel_rows_and_workers(
-        join_reference, morsel_rows, workers):
-    db = _join_database(morsel_rows, workers)
+def test_join_answer_is_identical_across_morsel_rows(
+        join_reference, morsel_rows):
+    db = _join_database(morsel_rows)
     for sql, expected in zip(JOIN_STATEMENTS, join_reference):
         assert db.execute(sql).fetchall() == expected, sql
     db.close()
@@ -331,7 +328,7 @@ def test_join_answer_is_identical_across_morsel_rows_and_workers(
 def test_j16_and_j17_fall_on_their_sides_of_the_probe_rule():
     # guards the premise: were both builds probed alike, the answers above
     # would prove nothing about the rule
-    db = _join_database(1_024, 1)
+    db = _join_database(1_024)
     for sql in JOIN_STATEMENTS:
         plan = db.execute(f"EXPLAIN ANALYZE {sql}").fetchall()
         join = next(line for (line,) in plan if "HashJoin" in line)

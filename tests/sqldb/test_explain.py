@@ -30,7 +30,7 @@ def test_explain_scan_filter_project(db):
     assert lines[0].startswith("Project [v]")
     assert lines[1].strip().startswith("Filter [(v > 1)]")
     assert "Scan t [rows=100 morsels=1]" in lines[2]
-    assert lines[-1].startswith("-- workers=1")
+    assert lines[-1].startswith("-- morsel_rows=65536 parallel_safe=yes")
 
 
 def test_explain_full_pipeline(db):
@@ -52,18 +52,6 @@ def test_explain_full_pipeline(db):
 def test_explain_distinct(db):
     lines = plan_text(db, "EXPLAIN SELECT DISTINCT k FROM t")
     assert lines[0] == "Distinct"
-
-
-def test_explain_reports_morsel_counts(db):
-    parallel = Database(workers=4, morsel_rows=30)
-    parallel.execute("CREATE TABLE t (k INTEGER)")
-    table = parallel.storage.table("t")
-    for i in range(100):
-        table.insert_row([i])
-    lines = plan_text(parallel, "EXPLAIN SELECT k FROM t")
-    assert any("rows=100 morsels=4" in line for line in lines)
-    assert lines[-1].startswith("-- workers=4 morsel_rows=30")
-    parallel.close()
 
 
 def test_explain_marks_udf_queries_not_parallel_safe(db):

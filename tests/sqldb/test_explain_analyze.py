@@ -1,16 +1,18 @@
 """EXPLAIN ANALYZE: instrumented execution with per-operator actuals.
 
-The annotations must be *correct*, not just present: at ``workers=1`` the
-recorded rows match the sequential whole-batch execution exactly, and at
-``workers=4`` the per-morsel samples must merge to the same row totals with
-the batch count equal to the number of morsels.
+The annotations must be *correct*, not just present: in one morsel the
+recorded rows match the sequential whole-batch execution exactly, and over
+several the per-morsel samples must merge to the same row totals with the
+batch count equal to the number of morsels.
 """
 
 import re
 
 import pytest
 
+from repro.errors import QueryCancelledError
 from repro.sqldb import Database
+from repro.sqldb.context import QueryContext
 
 
 def _make_db(**kwargs):
@@ -46,7 +48,7 @@ def _actuals(lines):
 
 class TestExplainAnalyzeSequential:
     def test_scan_filter_project_actuals(self):
-        db = _make_db(workers=1)
+        db = _make_db()
         lines = _analyze_lines(db, "SELECT i, v FROM t WHERE v > 100")
         actuals = _actuals(lines)
         # 400 rows scanned; v > 100 keeps i in 201..399 => 199 rows
@@ -57,13 +59,13 @@ class TestExplainAnalyzeSequential:
         assert by_op["Project"] == (199, 1)
 
     def test_total_time_footer(self):
-        db = _make_db(workers=1)
+        db = _make_db()
         lines = _analyze_lines(db, "SELECT i FROM t")
-        assert lines[-1].startswith("-- workers=1")
+        assert lines[-1].startswith("-- morsel_rows=65536 parallel_safe=yes")
         assert "total_time=" in lines[-1]
 
     def test_aggregate_actual_rows(self):
-        db = _make_db(workers=1)
+        db = _make_db()
         lines = _analyze_lines(
             db, "SELECT s, COUNT(*) FROM t GROUP BY s")
         actuals = _actuals(lines)
@@ -72,7 +74,7 @@ class TestExplainAnalyzeSequential:
         assert agg == (7, 1)  # 7 groups, one sequential batch
 
     def test_time_is_nonnegative(self):
-        db = _make_db(workers=1)
+        db = _make_db()
         lines = _analyze_lines(db, "SELECT i FROM t WHERE v > 0")
         for line in lines:
             match = _ACTUAL.search(line)
@@ -80,10 +82,10 @@ class TestExplainAnalyzeSequential:
                 assert float(match.group(3)) >= 0.0
 
 
-class TestExplainAnalyzeParallel:
+class TestExplainAnalyzeMorsels:
     def test_morsel_samples_sum_to_sequential_rows(self):
         # force 10 morsels of 40 rows
-        db = _make_db(workers=4, morsel_rows=40)
+        db = _make_db(morsel_rows=40)
         lines = _analyze_lines(db, "SELECT i, v FROM t WHERE v > 100")
         actuals = _actuals(lines)
         by_op = {name.split(" ")[0]: counts
@@ -93,18 +95,18 @@ class TestExplainAnalyzeParallel:
         assert by_op["Filter"] == (199, 10)
         assert by_op["Project"] == (199, 10)
 
-    def test_parallel_aggregate_merges_morsel_batches(self):
-        db = _make_db(workers=4, morsel_rows=40)
+    def test_aggregate_merges_morsel_batches(self):
+        db = _make_db(morsel_rows=40)
         lines = _analyze_lines(
             db, "SELECT s, COUNT(*), SUM(v) FROM t GROUP BY s")
         actuals = _actuals(lines)
         agg = next(counts for name, counts in actuals.items()
                    if name.startswith("HashAggregate"))
-        assert agg[0] == 7       # group count unchanged by parallelism
+        assert agg[0] == 7       # group count unchanged by splitting
         assert agg[1] == 10      # one partial state per morsel
 
     def test_analyze_result_rows_match_plain_select(self):
-        db = _make_db(workers=4, morsel_rows=40)
+        db = _make_db(morsel_rows=40)
         plain = db.execute("SELECT COUNT(*) FROM t WHERE v > 100")
         assert list(plain.rows()) == [(199,)]
         # running EXPLAIN ANALYZE must not disturb later executions
@@ -116,7 +118,7 @@ class TestExplainAnalyzeParallel:
 class TestExplainAnalyzeJoin:
     @pytest.fixture()
     def db(self):
-        db = Database(workers=4, morsel_rows=40)
+        db = Database(morsel_rows=40)
         db.execute("CREATE TABLE l (k INTEGER, v DOUBLE)")
         db.execute("CREATE TABLE r (k INTEGER, name VARCHAR)")
         db.execute("INSERT INTO l VALUES " +
@@ -139,7 +141,7 @@ class TestExplainAnalyzeGrouping:
 
     @pytest.fixture()
     def db(self):
-        db = Database(workers=4, morsel_rows=40)
+        db = Database(morsel_rows=40)
         db.execute("CREATE TABLE g (k INTEGER, s VARCHAR, x DOUBLE)")
         # the first morsel's keys span 40 values, the second's 4 million
         db.execute("INSERT INTO g VALUES " + ", ".join(
@@ -178,7 +180,7 @@ class TestExplainAnalyzeGrouping:
 
 class TestPlainExplainUnchanged:
     def test_plain_explain_has_no_actuals(self):
-        db = _make_db(workers=1)
+        db = _make_db()
         result = db.execute("SELECT i FROM t")  # warm anything lazily
         assert result.row_count == 400
         explain = db.execute("EXPLAIN SELECT i FROM t WHERE v > 100")
@@ -187,19 +189,12 @@ class TestPlainExplainUnchanged:
             assert "actual" not in str(value)
 
     def test_plain_explain_still_does_not_execute(self):
-        db = Database(workers=1)
+        db = Database()
         db.execute("CREATE TABLE q (x INTEGER)")
         db.execute("INSERT INTO q VALUES (1)")
-        calls = {"n": 0}
-        original = db.scheduler.imap
-
-        def counting_imap(*args, **kwargs):
-            calls["n"] += 1
-            return original(*args, **kwargs)
-
-        db.scheduler.imap = counting_imap
+        before = _morsels_executed(db)
         db.execute("EXPLAIN SELECT x FROM q")
-        assert calls["n"] == 0
+        assert _morsels_executed(db) == before
 
     def test_analyze_still_usable_as_identifier(self):
         db = Database()
@@ -207,3 +202,67 @@ class TestPlainExplainUnchanged:
         db.execute("INSERT INTO w VALUES (42)")
         result = db.execute("SELECT analyze FROM w")
         assert list(result.rows()) == [(42,)]
+
+
+def _morsels_executed(db):
+    return db.stats_snapshot()["db.morsels_executed"]
+
+
+class TestMorselsExecuted:
+    """``db.morsels_executed`` counts the morsels that ran: it moves by the
+    Scan's ``batches=``, not by the morsels the input splits into."""
+
+    @pytest.fixture(scope="class")
+    def db(self):
+        db = Database(morsel_rows=1_000)
+        db.execute("CREATE TABLE f (i INTEGER)")
+        db.storage.table("f").insert_rows((i,) for i in range(100_000))
+        return db
+
+    @staticmethod
+    def _scan_batches(db, sql):
+        actuals = _actuals(_analyze_lines(db, sql))
+        return next(counts[1] for name, counts in actuals.items()
+                    if name.startswith("Scan"))
+
+    @pytest.mark.parametrize("sql, morsels", [
+        ("SELECT i FROM f LIMIT 2", 1),
+        ("SELECT COUNT(*) FROM f", 100),
+    ])
+    def test_delta_equals_scan_batches(self, db, sql, morsels):
+        before = _morsels_executed(db)
+        db.execute(sql)
+        assert _morsels_executed(db) - before == morsels
+        assert self._scan_batches(db, sql) == morsels
+
+    def test_abandoned_stream_counts_the_pieces_it_ran(self, db):
+        stream = iter(db.execute_stream("SELECT i FROM f"))
+        before = _morsels_executed(db)
+        assert [next(stream).row_count, next(stream).row_count] == [1_000] * 2
+        stream.close()
+        assert _morsels_executed(db) - before == 2
+
+
+class TestCancelAtEveryMorselBoundary:
+    """The morsel loop checks its context before every morsel and once after
+    the last: a cancel issued after ``pieces`` pieces surfaces at the very
+    next piece, having run exactly ``pieces`` morsels."""
+
+    @pytest.fixture(scope="class")
+    def db(self):
+        db = Database(morsel_rows=10)
+        db.execute("CREATE TABLE f (i INTEGER)")
+        db.storage.table("f").insert_rows((i,) for i in range(100))
+        return db
+
+    @pytest.mark.parametrize("pieces", range(11))
+    def test_cancel_lands_at_the_next_boundary(self, db, pieces):
+        context = QueryContext()
+        stream = iter(db.execute_stream("SELECT i FROM f", context=context))
+        before = _morsels_executed(db)
+        rows = [row for _ in range(pieces) for row in next(stream).fetchall()]
+        assert rows == [(i,) for i in range(10 * pieces)]
+        context.cancel("stop")
+        with pytest.raises(QueryCancelledError, match="stop"):
+            next(stream)
+        assert _morsels_executed(db) - before == pieces

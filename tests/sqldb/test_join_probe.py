@@ -168,10 +168,10 @@ JOIN_SQL = ("SELECT d.label, COUNT(*), SUM(f.v * d.w) FROM facts f "
             "JOIN dim d ON f.k = d.k WHERE f.id >= 5 GROUP BY d.label")
 
 
-def _serving_database(morsel_rows, workers, dim_keys):
+def _serving_database(morsel_rows, dim_keys):
     """``sql_serve``'s two tables at a small size (``v`` and ``w`` are
     multiples of 0.25 and 0.5, so every sum is exact in any order)."""
-    db = Database(morsel_rows=morsel_rows, workers=workers)
+    db = Database(morsel_rows=morsel_rows)
     db.execute("CREATE TABLE facts (id INTEGER, k INTEGER, v DOUBLE, "
                "name STRING, nv DOUBLE)")
     db.execute("CREATE TABLE dim (k INTEGER, w DOUBLE, label STRING)")
@@ -222,10 +222,9 @@ def gathered(monkeypatch):
 
 
 @pytest.mark.parametrize("morsel_rows", [7, 65_536])
-@pytest.mark.parametrize("workers", [1, 4])
 def test_the_serving_join_never_searches_and_gathers_six_columns(
-        probe_searches, gathered, morsel_rows, workers):
-    db, expected = _serving_database(morsel_rows, workers, list(range(DIM_ROWS)))
+        probe_searches, gathered, morsel_rows):
+    db, expected = _serving_database(morsel_rows, list(range(DIM_ROWS)))
     rows = db.execute(JOIN_SQL).fetchall()
     assert {label: (count, total) for label, count, total in rows} == expected
     assert probe_searches == []
@@ -236,7 +235,7 @@ def test_the_serving_join_never_searches_and_gathers_six_columns(
 
 def test_a_key_spanning_2_to_the_20_still_searches(probe_searches):
     keys = list(range(DIM_ROWS - 1)) + [2 ** 20 - 1]
-    db, expected = _serving_database(65_536, 1, keys)
+    db, expected = _serving_database(65_536, keys)
     rows = db.execute(JOIN_SQL).fetchall()
     assert {label: (count, total) for label, count, total in rows} == expected
     assert probe_searches == [FACT_ROWS]

@@ -1,18 +1,18 @@
-"""Morsel-boundary correctness: the parallel pipeline must match the
-sequential engine exactly.
+"""Morsel-boundary correctness: the morsel pipeline must match the
+single-morsel engine exactly.
 
 Every query shape that crosses morsel boundaries — joins (probe order,
 LEFT-join unmatched rows), GROUP BY (first-appearance group order, partial
 merge), DISTINCT, ORDER BY + LIMIT, NULL-heavy aggregates — is run over
-morsel sizes {1, 7, 65536} x workers {1, 4} and compared row-for-row
-against a single-morsel reference.  The data uses exactly-representable
+morsel sizes {1, 7, 65536} and compared row-for-row against a single-morsel
+reference.  The data uses exactly-representable
 values (integers and quarters), so even float partials merge exactly.
 """
 
 import pytest
 
 from repro.sqldb.database import Database
-from repro.sqldb.parallel import MorselScheduler
+from repro.sqldb.plan import split_morsels
 
 ROWS = 211  # prime: morsel size 7 leaves a ragged final morsel
 
@@ -70,15 +70,14 @@ QUERIES = [
 
 @pytest.fixture(scope="module")
 def reference():
-    db = Database()  # workers=1, one morsel: the pre-pipeline code path
+    db = Database()  # one morsel: the pre-pipeline code path
     populate(db)
     return {sql: db.execute(sql).fetchall() for sql in QUERIES}
 
 
-@pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("morsel_rows", [1, 7, 65536])
-def test_results_match_sequential_engine(reference, workers, morsel_rows):
-    db = Database(workers=workers, morsel_rows=morsel_rows)
+def test_results_match_sequential_engine(reference, morsel_rows):
+    db = Database(morsel_rows=morsel_rows)
     populate(db)
     try:
         for sql in QUERIES:
@@ -88,7 +87,7 @@ def test_results_match_sequential_engine(reference, workers, morsel_rows):
 
 
 def test_streamed_pieces_match_sequential(reference):
-    db = Database(workers=4, morsel_rows=16)
+    db = Database(morsel_rows=16)
     populate(db)
     try:
         for sql in ["SELECT k, v FROM t WHERE v > 10",
@@ -101,7 +100,7 @@ def test_streamed_pieces_match_sequential(reference):
 
 
 def test_streamed_empty_result_keeps_schema():
-    db = Database(workers=2, morsel_rows=4)
+    db = Database(morsel_rows=4)
     populate(db)
     try:
         pieces = list(db.execute_stream("SELECT k, v FROM t WHERE v < 0"))
@@ -113,7 +112,7 @@ def test_streamed_empty_result_keeps_schema():
 
 
 def test_aggregates_and_breakers_do_not_stream():
-    db = Database(workers=2, morsel_rows=4)
+    db = Database(morsel_rows=4)
     populate(db)
     try:
         for sql in ["SELECT k, COUNT(*) FROM t GROUP BY k",
@@ -127,9 +126,9 @@ def test_aggregates_and_breakers_do_not_stream():
 
 
 def test_udf_queries_stay_sequential_and_correct():
-    """UDF invocation counts are observable: parallel execution must not
-    change how often a scalar UDF runs (once per whole column)."""
-    db = Database(workers=4, morsel_rows=1)
+    """UDF invocation counts are observable: splitting into morsels must
+    not change how often a scalar UDF runs (once per whole column)."""
+    db = Database(morsel_rows=1)
     populate(db)
     try:
         db.execute(
@@ -144,7 +143,7 @@ def test_udf_queries_stay_sequential_and_correct():
         db.close()
 
 
-class TestSchedulerPolicy:
+class TestMorselSplit:
     @pytest.mark.parametrize("rows, max_rows, expected", [
         (25, None, [(0, 10), (10, 20), (20, 25)]),
         (25, 4, [(0, 4), (4, 8), (8, 12), (12, 16), (16, 20), (20, 24),
@@ -156,25 +155,14 @@ class TestSchedulerPolicy:
         (0, 4, [(0, 0)]),
     ])
     def test_one_splitting_rule(self, rows, max_rows, expected):
-        # workers decides where morsels run, never how the input is split
-        for workers in (1, 4):
-            scheduler = MorselScheduler(workers, morsel_rows=10)
-            assert scheduler.split(rows, max_rows) == expected
+        assert split_morsels(rows, 10, max_rows) == expected
 
     def test_split_covers_every_row_exactly_once(self):
-        scheduler = MorselScheduler(4, morsel_rows=7)
-        ranges = scheduler.split(211)
+        ranges = split_morsels(211, 7)
         assert ranges[0][0] == 0 and ranges[-1][1] == 211
         for (_, stop), (start, _) in zip(ranges, ranges[1:]):
             assert stop == start
 
-    def test_map_preserves_order(self):
-        scheduler = MorselScheduler(4, morsel_rows=1)
-        try:
-            assert list(scheduler.imap(lambda x: x * x, range(50))) == \
-                [x * x for x in range(50)]
-        finally:
-            scheduler.shutdown()
 
 def test_nan_group_keys_across_morsels_match_one_morsel():
     """NaN grouping is representation-dependent, so morsels with NaN keys

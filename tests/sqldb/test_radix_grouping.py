@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.sqldb import Database
 from repro.sqldb.operators import grouping_key_array, stable_order
+from repro.sqldb.plan import split_morsels
 from repro.sqldb.types import SQLType
 from repro.sqldb.vector import NULL_CODE, Vector
 
@@ -162,11 +163,10 @@ def test_dictionary_keys_never_call_np_unique(unique_calls):
 ROWS = 20_000
 
 
-@pytest.fixture(scope="module", params=[(7, 1), (7, 4), (65_536, 1), (65_536, 4)],
-                ids=lambda p: f"morsel{p[0]}-workers{p[1]}")
+@pytest.fixture(scope="module", params=[7, 65_536],
+                ids=lambda morsel_rows: f"morsel{morsel_rows}")
 def engine(request):
-    morsel_rows, workers = request.param
-    db = Database(workers=workers, morsel_rows=morsel_rows)
+    db = Database(morsel_rows=request.param)
     db.execute("CREATE TABLE g (k INTEGER, nk INTEGER, s STRING, wide INTEGER, "
                "v DOUBLE)")
     rng = np.random.default_rng(25)
@@ -184,7 +184,7 @@ def engine(request):
 
 @pytest.fixture()
 def argsorts(monkeypatch):
-    """(dtype, length) of every ``np.argsort`` call (from any thread)."""
+    """(dtype, length) of every ``np.argsort`` call."""
     calls = []
     argsort = np.argsort
 
@@ -198,7 +198,8 @@ def argsorts(monkeypatch):
 
 def _morsel_lengths(engine):
     """The row counts of the table's morsels (what "row-sized" means)."""
-    return {stop - start for start, stop in engine.scheduler.split(ROWS)}
+    return {stop - start
+            for start, stop in split_morsels(ROWS, engine.morsel_rows)}
 
 
 @pytest.mark.parametrize("key", ["k", "nk", "s"])

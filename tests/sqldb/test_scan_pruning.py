@@ -110,13 +110,13 @@ def test_star_items_bind_every_column(db, sql, columns):
 def test_plain_explain_is_unchanged(db):
     lines = [line for (line,) in db.execute(
         "EXPLAIN SELECT a.y, b.w FROM a JOIN b ON a.x = b.x").fetchall()]
-    morsels = "2" if db.scheduler.morsel_rows == 2 else "1"
+    morsels = "2" if db.morsel_rows == 2 else "1"
     assert lines == [
         "Project [y, w]",
         "  HashJoin [INNER ON (a.x = b.x)]",
         f"    Scan a [rows=3 morsels={morsels}]",
         "    Scan b [rows=2 morsels=1]",
-        f"-- workers=1 morsel_rows={db.scheduler.morsel_rows} parallel_safe=yes",
+        f"-- morsel_rows={db.morsel_rows} parallel_safe=yes",
     ]
 
 

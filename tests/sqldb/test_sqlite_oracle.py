@@ -2,8 +2,10 @@
 
 One seeded dataset is loaded into both engines and the statements below —
 the surface the devUDF client and the benchmark drivers actually use — must
-return the same rows at every ``morsel_rows`` × ``workers`` setting.  Results
-are compared as multisets unless the statement's ORDER BY is total.
+return the same rows at every ``morsel_rows`` setting, through every door:
+``execute``, the streaming path under a timeout (a cancellation point before
+every morsel, streamable statements cut into 5-row morsels) and the wire.
+Results are compared as multisets unless the statement's ORDER BY is total.
 
 Measures are integers or multiples of 0.25, so sums are exact in any order
 and floats are compared with ``==``.  The one intentional divergence is
@@ -17,7 +19,10 @@ import sqlite3
 
 import pytest
 
+from repro.netproto.client import Connection
+from repro.netproto.server import DatabaseServer
 from repro.sqldb import Database
+from repro.sqldb.result import QueryResult
 
 FACT_ROWS = 60
 
@@ -168,28 +173,40 @@ def oracle():
     return answers
 
 
-@pytest.fixture(scope="module", params=[
-    (morsel_rows, workers)
-    for morsel_rows in (1, 7, 65_536) for workers in (1, 4)],
-    ids=lambda p: f"morsel{p[0]}-workers{p[1]}")
+def _drain(outcome):
+    if isinstance(outcome, QueryResult):
+        return outcome.fetchall()
+    return [row for piece in outcome for row in piece.fetchall()]
+
+
+@pytest.fixture(scope="module", params=[1, 7, 65_536],
+                ids=lambda morsel_rows: f"morsel{morsel_rows}")
 def engine(request):
-    morsel_rows, workers = request.param
-    db = Database(workers=workers, morsel_rows=morsel_rows)
+    """``{door: run statement}`` over one loaded database."""
+    db = Database(morsel_rows=request.param)
     db.execute(
         "CREATE TABLE f (i INTEGER, k INTEGER, m INTEGER, x DOUBLE, s STRING)")
     db.execute("CREATE TABLE d (k INTEGER, name STRING)")
     db.execute("CREATE TABLE e (k INTEGER)")
     db.storage.table("f").insert_rows(FACT)
     db.storage.table("d").insert_rows(DIM)
-    yield db
+    connection = Connection.connect_in_process(DatabaseServer(db))
+    yield {
+        "execute": lambda sql: db.execute(sql).fetchall(),
+        "stream": lambda sql: _drain(
+            db.execute_stream(sql, max_rows=5, timeout=60)),
+        "wire": lambda sql: connection.execute(sql).fetchall(),
+    }
+    connection.close()
     db.close()
 
 
+@pytest.mark.parametrize("door", ["execute", "stream", "wire"])
 @pytest.mark.parametrize("sql, ordered", STATEMENTS,
                          ids=[f"q{n:02d}" for n in range(len(STATEMENTS))])
-def test_matches_sqlite(engine, oracle, sql, ordered):
+def test_matches_sqlite(engine, oracle, sql, ordered, door):
     expected = [tuple(row) for row in oracle[sql]]
-    actual = engine.execute(sql).fetchall()
+    actual = engine[door](sql)
     if not ordered:
         expected, actual = _multiset(expected), _multiset(actual)
     assert actual == expected

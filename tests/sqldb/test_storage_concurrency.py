@@ -1,7 +1,7 @@
 """Thread safety of the storage layer's published scans.
 
-Concurrent morsel workers (and multi-threaded embedders) read a column's
-scan while a writer mutates it; every reader must observe (a) the one scan
+Multi-threaded embedders (and the wire server's statement pool) read a
+column's scan while a writer mutates it; every reader must observe (a) the one scan
 the last mutation published and (b) a consistent snapshot of that state,
 never rows a racing mutation is still writing.
 """
@@ -9,7 +9,6 @@ never rows a racing mutation is still writing.
 import threading
 
 import numpy as np
-import pytest
 
 from repro.sqldb.schema import ColumnDef
 from repro.sqldb.storage import Column
@@ -122,11 +121,10 @@ def test_scan_taken_before_an_append_stays_a_snapshot():
     assert after.data.tolist() == list(range(10)) + [11]
 
 
-@pytest.mark.parametrize("workers", [2, 8])
-def test_parallel_queries_share_scan_caches(workers):
+def test_parallel_queries_share_scan_caches():
     from repro.sqldb.database import Database
 
-    db = Database(workers=workers, morsel_rows=64)
+    db = Database(morsel_rows=64)
     db.execute("CREATE TABLE t (k INTEGER, v DOUBLE)")
     table = db.storage.table("t")
     for i in range(1000):
