@@ -213,7 +213,7 @@ class GroupLayout:
     ``ufunc.reduceat`` can reduce every group in one pass; ``out_perm`` maps
     cluster position to output group id (None means they already coincide).
     A key sort passes its geometry alone (no reduction reads ``gids``; they
-    are derived on demand), the per-row dict ``gids`` alone.
+    are derived on demand), ``operators.row_codes`` the ``gids`` alone.
     """
 
     def __init__(self, gids: np.ndarray | None, n_groups: int, *,
@@ -273,7 +273,8 @@ class GroupLayout:
     def group_rows(self) -> list[np.ndarray]:
         """Per-group row indices, in output group order."""
         if self._group_rows is None:
-            clusters = np.split(self.order, self.starts[1:])
+            clusters = np.split(self.order, self.starts[1:]) \
+                if self.n_groups else []
             if self.out_perm is None:
                 self._group_rows = clusters
             else:

@@ -10,16 +10,19 @@ of the operators defined here; the plan driver then pushes morsel-sized
 * :class:`Filter` applies the WHERE predicate per morsel.
 * :class:`HashJoin` materialises its build (right) side once, then probes it
   with each left morsel.  Equi-joins probe a direct-address table or sorted
-  keys over shared-dictionary codes or a common numeric dtype; other conditions
-  evaluate vectorised over the morsel-by-build cross product.  LEFT-join
-  unmatched rows are deferred and flushed after the last probe morsel:
-  matches first, then unmatched, at every morsel size.
+  keys over shared-dictionary codes or a common numeric dtype — for several
+  pairs, a composite of each value's position among its pair's build values;
+  list keys probe row-tuple codes.  Other conditions evaluate vectorised over
+  the morsel-by-build cross product.  LEFT-join unmatched rows are deferred
+  and flushed after the last probe morsel: matches first, then unmatched, at
+  every morsel size.
 * :class:`HashAggregate` either aggregates the concatenated input in one
   pass (the single-morsel / exotic-aggregate path) or builds per-morsel
   partial states — local group layouts plus SUM/AVG/MIN/MAX/COUNT partials
   — and merges them in morsel order, which keeps first-appearance group
   order.  Which of the two runs depends on the input's length and
-  ``morsel_rows`` only, never on the entry point.
+  ``morsel_rows`` only, never on the entry point.  Every grouping and
+  DISTINCT factorises its keys with :func:`layout_from_keys`.
 * :class:`Project` evaluates the select list per morsel; :class:`Sort`,
   :class:`Distinct` and :class:`Limit` are pipeline breakers applied to the
   materialised result.
@@ -158,20 +161,16 @@ def statement_expressions(select: ast.Select) -> list[ast.Expression]:
 # result transforms: DISTINCT / ORDER BY / OFFSET-LIMIT
 # --------------------------------------------------------------------------- #
 def distinct_result(result: QueryResult) -> QueryResult:
-    """Tuple-key dedup over the result columns, keeping first occurrences."""
-    seen: set[tuple] = set()
-    keep_indices: list[int] = []
-    for index, key in enumerate(zip(*[col.values for col in result.columns])):
-        if key not in seen:
-            seen.add(key)
-            keep_indices.append(index)
-    if len(keep_indices) == result.row_count:
+    """The first row of each distinct row: the result columns factorised as
+    one key by :func:`layout_from_keys`."""
+    keys = [column.batch_values() for column in result.columns]
+    _, first_rows, _ = layout_from_keys(keys, result.row_count)
+    if len(first_rows) == result.row_count:
         return result
-    columns = [
-        ResultColumn(col.name, col.sql_type, [col.values[i] for i in keep_indices])
-        for col in result.columns
-    ]
-    return QueryResult(columns)
+    return QueryResult([
+        ResultColumn(column.name, column.sql_type, take_values(values, first_rows))
+        for column, values in zip(result.columns, keys)
+    ])
 
 
 def slice_result(result: QueryResult, offset: int, limit: int | None) -> QueryResult:
@@ -320,15 +319,26 @@ def stable_order(keys: np.ndarray) -> np.ndarray:
     return np.argsort(_radix_key(keys), kind="stable")
 
 
+def _dense_code(code: np.ndarray) -> tuple[np.ndarray, int]:
+    """One key's codes as int64 in ``[0, span)``, and the span: ``code - min``
+    for a key spanning at most 65,536 values, else its rank among the
+    distinct values (each NaN one of its own)."""
+    narrowed = _radix_key(code)
+    if narrowed is not code:
+        return narrowed.astype(np.int64), int(narrowed.max()) + 1
+    distinct, inverse = np.unique(code, return_inverse=True, equal_nan=False)
+    return inverse, len(distinct)
+
+
 def grouping_key_array(values: Any) -> np.ndarray | None:
     """A sortable key array factorising a GROUP BY column; None = fall back.
 
     NULLs form their own group (SQL semantics: all NULL keys group together),
     represented by ``NULL_CODE`` — below every valid code/value.  Dictionary
-    vectors group on their codes directly; masked integer vectors spanning at
-    most 65,536 values are their own codes (``data - min``), other masked
-    vectors factorise the valid values with ``np.unique`` so NULLs get a code
-    of their own.
+    vectors group on their codes directly; masked vectors code their valid
+    values with :func:`_dense_code` so NULLs get a code of their own.  Every
+    path follows Python equality: ``-0.0`` groups with ``0.0``, and each NaN
+    is a group of its own, masked key or not.
     """
     if not isinstance(values, Vector):
         return None
@@ -341,13 +351,7 @@ def grouping_key_array(values: Any) -> np.ndarray | None:
     valid = ~values.mask
     codes = np.full(len(values), NULL_CODE, dtype=np.int64)
     if valid.any():
-        present = values.data[valid]
-        narrowed = _radix_key(present)
-        if narrowed is not present:
-            codes[valid] = narrowed
-        else:
-            _, inverse = np.unique(present, return_inverse=True)
-            codes[valid] = inverse
+        codes[valid] = _dense_code(values.data[valid])[0]
     return codes
 
 
@@ -381,11 +385,11 @@ def group_layout(group_by: Sequence[ast.Expression], batch: Batch,
     """Factorise the GROUP BY keys into (layout, first-row-per-group, keys,
     factoriser).
 
-    Groups are numbered in first-appearance order, matching the ordering
-    the per-group dict-based execution produced.  The returned key columns
-    are broadcast to the batch row count (the partial-merge path keeps their
-    representative rows and factorises those across morsels).  The
-    factoriser is that of :func:`layout_from_keys`, None without GROUP BY.
+    Groups are numbered in first-appearance order.  The returned key
+    columns are broadcast to the batch row count (the partial-merge path
+    keeps their representative rows and factorises those across morsels).
+    The factoriser is that of :func:`layout_from_keys`, None without GROUP
+    BY (one group of every row, even of none).
     """
     row_count = batch.row_count
     if not group_by:
@@ -405,28 +409,51 @@ def group_layout(group_by: Sequence[ast.Expression], batch: Batch,
 def layout_from_keys(key_columns: Sequence[Any], row_count: int
                      ) -> tuple[GroupLayout, Sequence[int], str]:
     """Factorise row-aligned key columns into (layout, first-row-per-group,
-    factoriser), groups numbered in first-appearance order: ``radix`` or
-    ``sort`` for one typed key sorted through :func:`stable_order`, ``hash``
-    for the per-row dict every other key takes."""
-    if len(key_columns) == 1 and row_count > 0:
-        sort_key = grouping_key_array(key_columns[0])
-        if sort_key is not None:
-            # one stable key sort yields the factorisation AND the
-            # contiguous cluster geometry the reduceat kernels need
-            return layout_from_sort_key(sort_key, row_count)
+    factoriser), groups numbered in first-appearance order: typed keys as one
+    sort key (:func:`grouping_key_array`, for several :func:`composite_code`)
+    sorted through :func:`stable_order` (``radix`` or ``sort``), a list key
+    (BLOB, mixed types) or no row by :func:`row_codes` (``hash``)."""
+    codes = [grouping_key_array(column) for column in key_columns]
+    if row_count and all(code is not None for code in codes):
+        # one stable key sort yields the factorisation AND the contiguous
+        # cluster geometry the reduceat kernels need
+        sort_key = codes[0] if len(codes) == 1 else composite_code(codes)
+        return layout_from_sort_key(sort_key, row_count)
+    gids = row_codes([as_value_list(column) for column in key_columns], {},
+                     grow=True)
+    first_rows = np.unique(gids, return_index=True)[1]
+    return GroupLayout(gids, len(first_rows)), first_rows, "hash"
 
-    columns = [as_value_list(column) for column in key_columns]
-    mapping: dict[tuple, int] = {}
-    gids = np.empty(row_count, dtype=np.int64)
-    rep_indices: list[int] = []
-    for row_index, key in enumerate(zip(*columns)):
-        gid = mapping.get(key)
-        if gid is None:
-            gid = len(mapping)
-            mapping[key] = gid
-            rep_indices.append(row_index)
-        gids[row_index] = gid
-    return GroupLayout(gids, len(mapping)), rep_indices, "hash"
+
+#: Widest span a running composite code may reach (int64 cannot wrap).
+_COMPOSITE_LIMIT = 2 ** 62
+
+
+def composite_code(codes: Sequence[np.ndarray]) -> np.ndarray:
+    """Several row-aligned key codes as one int64 code, equal exactly where
+    every key's is: ``code₁ × span₂ + code₂ …`` over the dense codes.  When
+    the product would pass 2^62, the running code is re-factorised first."""
+    composite, span = _dense_code(codes[0])
+    for code in codes[1:]:
+        dense, width = _dense_code(code)
+        if span * width > _COMPOSITE_LIMIT:
+            distinct, composite = np.unique(composite, return_inverse=True)
+            span = len(distinct)
+        composite = composite * width + dense
+        span *= width
+    return composite
+
+
+def row_codes(columns: Sequence[Sequence[Any]], mapping: dict[tuple, int],
+              grow: bool) -> np.ndarray:
+    """Each row's tuple of Python values coded through ``mapping``: the one
+    row-tuple dict, for keys no typed code covers.  Python equality decides
+    (``1 == 1.0``; a NaN object equals only itself).  An unseen tuple gets the
+    next code when ``grow``, else -1."""
+    keys = zip(*columns)
+    codes = ((mapping.setdefault(key, len(mapping)) for key in keys) if grow
+             else (mapping.get(key, -1) for key in keys))
+    return np.fromiter(codes, dtype=np.int64, count=len(columns[0]))
 
 
 class GroupedExpressionEvaluator(ExpressionEvaluator):
@@ -471,10 +498,10 @@ def aggregate_argument(node: ast.FunctionCall, evaluator: ExpressionEvaluator,
 # join key normalisation and build/probe structures
 # --------------------------------------------------------------------------- #
 class _VectorEquiBuild:
-    """Build over the right side's normalised key array.
+    """The one equi-join build, over a key array (see :class:`HashJoin`).
 
     NULL keys (masked rows) are excluded from both build and probe, so they
-    never match.  Output pair order matches the Python hash join: left rows
+    never match.  Output pair order is a nested-loop join's: left rows
     ascending, right matches in original row order within each key.  Integer
     keys spanning at most 65,536 values, or two per build row (int32 slots:
     never more bytes than the keys), are probed through ``slots[key - low]``
@@ -508,9 +535,10 @@ class _VectorEquiBuild:
         #: which probe runs (EXPLAIN ANALYZE)
         self.kind = "sorted" if self.slots is None else "direct"
 
-    def probe(self, left_data: np.ndarray, left_mask: np.ndarray | None
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Probe one left morsel; returns (left rows, right rows, found mask)."""
+    def positions(self, left_data: np.ndarray, left_mask: np.ndarray | None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """Each left key's position among the distinct build keys, and
+        whether it is one of them (a NULL never is)."""
         left_count = len(left_data)
         unique_keys = self.unique_keys
         if self.slots is not None:
@@ -529,7 +557,12 @@ class _VectorEquiBuild:
             found = np.zeros(left_count, dtype=np.bool_)
         if left_mask is not None:
             found &= ~left_mask
+        return positions, found
 
+    def probe(self, left_data: np.ndarray, left_mask: np.ndarray | None
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Probe one left morsel; returns (left rows, right rows, found mask)."""
+        positions, found = self.positions(left_data, left_mask)
         probe_rows = np.flatnonzero(found)
         probe_keys = positions[probe_rows]
         if self.unique:
@@ -545,32 +578,13 @@ class _VectorEquiBuild:
         return left_out, np.asarray(right_out, dtype=np.intp), found
 
 
-class _HashEquiBuild:
-    """Python-tier hash build over the right side's key value lists."""
-
-    def __init__(self, right_keys: list[list[Any]]) -> None:
-        build: dict[tuple, list[int]] = {}
-        for right_row, key in enumerate(zip(*right_keys)):
-            if any(part is None for part in key):
-                continue
-            build.setdefault(key, []).append(right_row)
-        self.build = build
-
-    def probe(self, left_keys: list[list[Any]], row_count: int
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        left_out: list[int] = []
-        right_out: list[int] = []
-        found = np.zeros(row_count, dtype=np.bool_)
-        for left_row, key in enumerate(zip(*left_keys)):
-            matches = None
-            if not any(part is None for part in key):
-                matches = self.build.get(key)
-            if matches:
-                found[left_row] = True
-                left_out.extend([left_row] * len(matches))
-                right_out.extend(matches)
-        return (np.asarray(left_out, dtype=np.intp),
-                np.asarray(right_out, dtype=np.intp), found)
+def _shared_codes(key: Vector, dict_map: np.ndarray) -> np.ndarray:
+    """A dictionary vector's codes in the order of a dictionary it shares
+    with the other join side (any code at a NULL row)."""
+    if not len(dict_map):  # an empty dictionary: every row is NULL
+        return np.zeros(len(key.data), dtype=np.int64)
+    return dict_map[key.data if key.mask is None
+                    else np.where(key.mask, 0, key.data)]
 
 
 # --------------------------------------------------------------------------- #
@@ -686,6 +700,12 @@ class HashJoin(PhysicalOperator):
     structures.  ``probe`` maps one left morsel to ``(matches, deferred)``
     where ``deferred`` carries LEFT-join unmatched rows the driver appends
     after all matches — the sequential output order.
+
+    An equi-join on typed keys (``vector``) builds over one pair's own values,
+    or over several pairs' composite: each value's position among its pair's
+    distinct build values, ``p₁ × n₂ + p₂ …``.  List keys (``hash``) — and a
+    morsel the typed build cannot take exactly — probe the right rows' key
+    tuples coded by :func:`row_codes`.
     """
 
     name = "HashJoin"
@@ -699,11 +719,13 @@ class HashJoin(PhysicalOperator):
         self._right: Batch | None = None
         self._pairs: list[tuple[ast.ColumnRef, ast.ColumnRef]] | None = None
         self._strategy = "cross"
+        #: per pair: (left column, dictionary map, common dtype), and the
+        #: build over its values when there are several (``_composite``)
+        self._left_keys: list[tuple[Any, ...]] = []
+        self._pair_builds: list[_VectorEquiBuild] = []
+        self._recode: dict[int, _VectorEquiBuild] = {}
         self._vector_build: _VectorEquiBuild | None = None
-        self._left_dict_map: np.ndarray | None = None
-        self._left_numeric_dtype: Any = None
-        self._check_left_magnitude = False
-        self._hash_build: _HashEquiBuild | None = None
+        self._row_build: tuple[dict, _VectorEquiBuild] | None = None
 
     # -- build ----------------------------------------------------------- #
     def prepare(self, left_template: Batch, right_batch: Batch) -> Batch:
@@ -715,12 +737,10 @@ class HashJoin(PhysicalOperator):
             self._pairs = self._equi_join_keys(left_template, right_batch)
             if self._pairs is None:
                 self._strategy = "mask"
+            elif self._prepare_vector_strategy(left_template, right_batch):
+                self._strategy = "vector"
             else:
                 self._strategy = "hash"
-                if len(self._pairs) == 1:
-                    self._prepare_vector_strategy(left_template, right_batch)
-                if self._strategy == "hash":
-                    self._python_build()  # eager: it is the only probe path
         # the output template is structural (no probe): left columns plus
         # empty slices of the build columns, preserving their backing kinds
         columns = list(left_template.columns) + [
@@ -756,80 +776,97 @@ class HashJoin(PhysicalOperator):
         return pairs or None
 
     def _prepare_vector_strategy(self, left_template: Batch,
-                                 right: Batch) -> None:
-        """Try to set up the vectorised single-key equi-join.
-
-        Mirrors the former ``_join_key_arrays`` eligibility rules: both
-        sides must be vectors, dictionaries must agree in kind, and mixed
-        int/float keys only qualify while values stay exactly representable
-        in float64 (the right side is checked here; each left morsel
-        re-checks its own values and falls back to the hash build for exact
-        Python equality, as the sequential engine did for the whole join).
-        """
-        left_ref, right_ref = self._pairs[0]
-        left_key = left_template.resolve(left_ref.name, left_ref.table).values
-        right_key = right.resolve(right_ref.name, right_ref.table).values
-        if not (isinstance(left_key, Vector) and isinstance(right_key, Vector)):
-            return
-        l_data, l_dict = left_key.data, left_key.dictionary
-        r_data, r_mask, r_dict = \
-            right_key.data, right_key.mask, right_key.dictionary
-        if (l_dict is None) != (r_dict is None):
-            return  # string-vs-number join: Python equality semantics apply
-        if l_dict is not None:
-            combined = np.concatenate([l_dict, r_dict])
-            _, inverse = np.unique(combined, return_inverse=True)
-            self._left_dict_map = inverse[:len(l_dict)]
-            right_map = inverse[len(l_dict):]
-            right_codes = r_data if r_mask is None else \
-                np.where(r_mask, 0, r_data)
-            if len(right_map):
-                right_shared = right_map[right_codes]
-            else:
-                right_shared = np.empty(0, dtype=np.int64)
-            self._vector_build = _VectorEquiBuild(right_shared, r_mask)
-            self._strategy = "vector"
-            return
-        if l_data.dtype.kind not in "biuf" or r_data.dtype.kind not in "biuf":
-            return
-        if l_data.dtype.kind == "f" or r_data.dtype.kind == "f":
-            # mixed int/float keys compare through float64; integers beyond
-            # 2^53 would collide after the cast where exact Python equality
-            # would not match, so those stay on the exact per-row path
-            if _exceeds_float_exact(r_data):
-                return
-            self._check_left_magnitude = l_data.dtype.kind in "iu"
-            common: type = np.float64
-        else:
-            common = np.int64
-        self._left_numeric_dtype = common
+                                 right: Batch) -> bool:
+        """Set up the typed build; False when a pair is not two vectors whose
+        dictionaries agree in kind.  Mixed int/float keys only qualify while
+        values stay exactly representable in float64 (checked here for the
+        right side, per morsel for the left, which otherwise probes the row
+        build for exact Python equality)."""
+        left_keys, right_keys = [], []
+        for left_ref, right_ref in self._pairs:
+            left_key = left_template.resolve(left_ref.name, left_ref.table).values
+            right_key = right.resolve(right_ref.name, right_ref.table).values
+            if not (isinstance(left_key, Vector) and isinstance(right_key, Vector)):
+                return False
+            l_data, l_dict = left_key.data, left_key.dictionary
+            r_data, r_dict = right_key.data, right_key.dictionary
+            if (l_dict is None) != (r_dict is None):
+                return False  # string-vs-number join: Python equality applies
+            if l_dict is not None:
+                _, inverse = np.unique(np.concatenate([l_dict, r_dict]),
+                                       return_inverse=True)
+                left_keys.append((left_ref, inverse[:len(l_dict)], None))
+                right_keys.append((_shared_codes(right_key, inverse[len(l_dict):]),
+                                   right_key.mask))
+                continue
+            if l_data.dtype.kind not in "biuf" or r_data.dtype.kind not in "biuf":
+                return False
+            common: type = np.int64
+            if l_data.dtype.kind == "f" or r_data.dtype.kind == "f":
+                # mixed int/float keys compare through float64; integers
+                # beyond 2^53 would collide after the cast where exact Python
+                # equality would not match, so those stay on the row build
+                if _exceeds_float_exact(r_data):
+                    return False
+                common = np.float64
+            left_keys.append((left_ref, None, common))
+            right_keys.append((r_data.astype(common, copy=False), right_key.mask))
+        self._left_keys = left_keys
         self._vector_build = _VectorEquiBuild(
-            r_data.astype(common, copy=False), r_mask)
-        self._strategy = "vector"
+            *self._composite(right_keys, build=True))
+        return True
 
-    def _python_build(self) -> _HashEquiBuild:
-        """The Python-tier hash build (lazy): the probe path for multi-key
-        joins, list-backed inputs, and morsels whose values left the
-        exactly-representable float64 range."""
-        if self._hash_build is None:
+    def _composite(self, keys: list[tuple[np.ndarray, np.ndarray | None]],
+                   build: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+        """The key array and NULL mask the typed build holds or probes: one
+        pair's own values, or several pairs' composite.  Past 2^62 the
+        running code becomes its position among the build's running codes
+        first (``build``: the right side, which makes these builds)."""
+        if len(keys) == 1:
+            return keys[0]
+        if build:
+            self._pair_builds = [_VectorEquiBuild(*key) for key in keys]
+        code, span, found = 0, 1, True
+        for index, (pair, key) in enumerate(zip(self._pair_builds, keys)):
+            width = len(pair.unique_keys)
+            if span * width > _COMPOSITE_LIMIT:
+                if build:
+                    self._recode[index] = _VectorEquiBuild(code, ~found)
+                code, found = self._recode[index].positions(code, ~found)
+                span = len(self._recode[index].unique_keys)
+            positions, pair_found = pair.positions(*key)
+            code, span = code * width + positions, span * width
+            found = found & pair_found
+        return code, ~found
+
+    def _row_codes_build(self) -> tuple[dict, _VectorEquiBuild]:
+        """The build over the right rows' :func:`row_codes` (lazy); a tuple
+        holding a NULL is coded but never built, so it never matches."""
+        if self._row_build is None:
             assert self._right is not None and self._pairs is not None
-            self._hash_build = _HashEquiBuild([
-                self._right.resolve(ref.name, ref.table).value_list()
-                for _, ref in self._pairs
-            ])
-        return self._hash_build
+            columns = [self._right.resolve(ref.name, ref.table).value_list()
+                       for _, ref in self._pairs]
+            mapping: dict = {}
+            codes = row_codes(columns, mapping, grow=True)
+            nulls = [code for key, code in mapping.items() if None in key]
+            self._row_build = mapping, _VectorEquiBuild(codes, np.isin(codes, nulls))
+        return self._row_build
 
     # -- probe ----------------------------------------------------------- #
     def probe(self, morsel: Batch) -> tuple[Batch, Batch | None]:
         """Probe one left morsel; returns (match batch, deferred unmatched)."""
-        left_indices, right_indices, unmatched = self._probe_indices(morsel)
-        matches = self._gather_matches(morsel, left_indices, right_indices)
+        left_indices, right_indices, unmatched, build = \
+            self._probe_indices(morsel)
+        matches = self._gather_matches(morsel, left_indices, right_indices,
+                                       build)
         if unmatched is None or len(unmatched) == 0:
             return matches, None
         return matches, self._gather_unmatched(morsel, unmatched)
 
     def _probe_indices(self, morsel: Batch
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None,
+                                  _VectorEquiBuild | None]:
+        """(left rows, right rows, LEFT-join unmatched rows, build probed)."""
         assert self._right is not None
         right_count = self._right.row_count
         if self._strategy == "cross":
@@ -837,48 +874,38 @@ class HashJoin(PhysicalOperator):
                 np.arange(morsel.row_count, dtype=np.intp), right_count)
             right_indices = np.tile(
                 np.arange(right_count, dtype=np.intp), morsel.row_count)
-            return left_indices, right_indices, None
+            return left_indices, right_indices, None, None
         if self._strategy == "mask":
-            return self._mask_join_indices(morsel)
-        if self._strategy == "vector":
-            key = self._vector_probe_key(morsel)
-            if key is not None:
-                data, mask = key
-                left_out, right_out, found = self._vector_build.probe(data, mask)
-                unmatched = np.flatnonzero(~found) \
-                    if self.join_type == "LEFT" else None
-                return left_out, right_out, unmatched
-        # Python-tier hash probe (multi-key, list-backed, or exact fallback)
-        assert self._pairs is not None
-        left_keys = [morsel.resolve(ref.name, ref.table).value_list()
-                     for ref, _ in self._pairs]
-        left_out, right_out, found = self._python_build().probe(
-            left_keys, morsel.row_count)
+            return (*self._mask_join_indices(morsel), None)
+        keys = [self._vector_probe_key(entry, morsel)
+                for entry in self._left_keys]
+        if self._strategy == "vector" and all(key is not None for key in keys):
+            build = self._vector_build
+            data, mask = self._composite(keys)
+        else:
+            mapping, build = self._row_codes_build()
+            data, mask = row_codes(
+                [morsel.resolve(ref.name, ref.table).value_list()
+                 for ref, _ in self._pairs], mapping, grow=False), None
+        left_out, right_out, found = build.probe(data, mask)
         unmatched = np.flatnonzero(~found) if self.join_type == "LEFT" else None
-        return left_out, right_out, unmatched
+        return left_out, right_out, unmatched, build
 
-    def _vector_probe_key(self, morsel: Batch
+    @staticmethod
+    def _vector_probe_key(entry: tuple[Any, ...], morsel: Batch
                           ) -> tuple[np.ndarray, np.ndarray | None] | None:
-        """This morsel's normalised probe key, or None to use the hash tier."""
-        left_ref = self._pairs[0][0]
+        """One pair's normalised probe key in this morsel, or None to probe
+        the row build (a list, a dictionary kind mismatch, >2^53 integers)."""
+        left_ref, dict_map, common = entry
         key = morsel.resolve(left_ref.name, left_ref.table).values
-        if not isinstance(key, Vector):
-            return None  # a list-backed morsel column: exact Python equality
-        data, mask, dictionary = key.data, key.mask, key.dictionary
-        if self._left_dict_map is not None:
-            if dictionary is None:
-                return None
-            codes = data if mask is None else np.where(mask, 0, data)
-            if len(self._left_dict_map):
-                shared = self._left_dict_map[codes]
-            else:
-                shared = np.empty(0, dtype=np.int64)
-            return shared, mask
-        if data.dtype.kind not in "biuf" or dictionary is not None:
+        if not isinstance(key, Vector) or (key.dictionary is None) != (dict_map is None):
             return None
-        if self._check_left_magnitude and _exceeds_float_exact(data):
-            return None  # exact Python equality for >2^53 integers
-        return data.astype(self._left_numeric_dtype, copy=False), mask
+        if dict_map is not None:
+            return _shared_codes(key, dict_map), key.mask
+        if key.data.dtype.kind not in "biuf" or (
+                common is np.float64 and _exceeds_float_exact(key.data)):
+            return None
+        return key.data.astype(common, copy=False), key.mask
 
     def _mask_join_indices(self, morsel: Batch
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -913,12 +940,13 @@ class HashJoin(PhysicalOperator):
 
     # -- gather ----------------------------------------------------------- #
     def _gather_matches(self, morsel: Batch, left_indices: np.ndarray,
-                        right_indices: np.ndarray) -> Batch:
+                        right_indices: np.ndarray,
+                        build: _VectorEquiBuild | None) -> Batch:
         right = self._right
         assert right is not None
-        # a unique build matches each left row at most once, rows ascending
-        # (on the hash tier too): a pair per row means every row, in place
-        unique = self._vector_build is not None and self._vector_build.unique
+        # a unique build matches each left row at most once, rows ascending:
+        # a pair per row means every row, in place
+        unique = build is not None and build.unique
         left = morsel if unique and len(left_indices) == morsel.row_count \
             else morsel.take(left_indices)
         columns = left.columns + [
@@ -1070,16 +1098,14 @@ class _AggregateState:
     """One morsel's aggregation state (the partial-merge path); ``keys``
     holds each GROUP BY key's column at the representative rows."""
 
-    __slots__ = ("keys", "rep_batch", "rep_count", "partials", "inexact_keys")
+    __slots__ = ("keys", "rep_batch", "rep_count", "partials")
 
     def __init__(self, keys: list[Any], rep_batch: Batch, rep_count: int,
-                 partials: dict[int, PartialAggregate],
-                 inexact_keys: bool) -> None:
+                 partials: dict[int, PartialAggregate]) -> None:
         self.keys = keys
         self.rep_batch = rep_batch
         self.rep_count = rep_count
         self.partials = partials
-        self.inexact_keys = inexact_keys
 
 
 class HashAggregate(PhysicalOperator):
@@ -1163,15 +1189,14 @@ class HashAggregate(PhysicalOperator):
                 node.name, values, layout, is_star=aggregate_is_star(node))
         return _AggregateState(
             [take_values(column, rep_indices) for column in key_columns],
-            batch.take(rep_indices), len(rep_indices), partials,
-            inexact_keys=any(_has_inexact_keys(c) for c in key_columns))
+            batch.take(rep_indices), len(rep_indices), partials)
 
     def finish_partial(self, states: Sequence[_AggregateState]) -> QueryResult:
-        """Merge per-morsel states into the final grouped result.  No state
-        may have NaN keys: their grouping is representation-dependent, so
-        ``SelectPlan`` runs the exact sequential path over such rows.  The
+        """Merge per-morsel states into the final grouped result.  The
         representatives' keys, in morsel order, are factorised once: each
-        morsel's slice of the group ids maps its local groups."""
+        morsel's slice of the group ids maps its local groups.  Keys group
+        the same whatever their representation (each NaN alone), so this is
+        the sequential answer."""
         states = list(states)
         bounds = np.cumsum([0] + [state.rep_count for state in states]).tolist()
         if self.select.group_by:
@@ -1261,26 +1286,14 @@ class HashAggregate(PhysicalOperator):
         return layout, rep_indices, key_columns
 
     def _execute_per_group(self, batch: Batch) -> QueryResult:
-        """Per-group execution: one evaluator per group (UDFs run per group)."""
+        """Per-group execution: one evaluator per group (UDFs run per group,
+        over the group's rows in row order)."""
         select = self.select
-        evaluator = ExpressionEvaluator(self.database, batch)
-        if select.group_by:
-            self.groupings.append("hash")
-            key_columns = [
-                as_value_list(evaluator.evaluate(expr).broadcast(batch.row_count))
-                for expr in select.group_by
-            ]
-            groups: dict[tuple, list[int]] = {}
-            for row_index in range(batch.row_count):
-                key = tuple(column[row_index] for column in key_columns)
-                groups.setdefault(key, []).append(row_index)
-            group_indices = list(groups.values())
-        else:
-            group_indices = [list(range(batch.row_count))]
-
+        layout, _, _ = self._group_layout(
+            batch, ExpressionEvaluator(self.database, batch))
         outputs = self._outputs()
         rows: list[list[Any]] = []
-        for indices in group_indices:
+        for indices in layout.group_rows:
             group_batch = batch.take(indices)
             group_evaluator = ExpressionEvaluator(self.database, group_batch,
                                                   allow_aggregates=True)
@@ -1327,16 +1340,6 @@ def _counted(label: str, seen: Sequence[str], kinds: Sequence[str]) -> str:
     return ""
 
 
-def _has_inexact_keys(values: Any) -> bool:
-    """Whether a GROUP BY key column contains NaNs (merge-unsafe keys)."""
-    if isinstance(values, Vector):
-        if values.dictionary is not None or values.data.dtype.kind != "f":
-            return False
-        data = values.data if values.mask is None else values.data[~values.mask]
-        return bool(np.isnan(data).any())
-    return False
-
-
 class Sort(PhysicalOperator):
     """ORDER BY: a pipeline breaker over the materialised result."""
 
@@ -1360,7 +1363,7 @@ class Sort(PhysicalOperator):
 
 
 class Distinct(PhysicalOperator):
-    """DISTINCT: tuple dedup over the materialised result."""
+    """DISTINCT: first rows of the materialised result's distinct rows."""
 
     name = "Distinct"
 

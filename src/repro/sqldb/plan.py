@@ -623,12 +623,6 @@ class SelectPlan:
         states = [state for state, _ in payloads]
         batches = [batch for _, batch in payloads]
         started = perf_counter()
-        if use_partial and any(state.inexact_keys for state in states):
-            # NaN grouping is representation-dependent: the exact sequential
-            # path runs over the rows, read again (a statement that splits
-            # into morsels is parallel-safe, so they are the same rows)
-            batches = list(self._morsels(ranges, lambda b: b))
-            use_partial = False
         if use_partial:
             result = sink.finish_partial(states)
         else:

@@ -25,6 +25,10 @@ row (``id % 100000``), groups absent from some morsels, partials with no
 valid value, integer sums whose partials fit int64 while their total does
 not, sums of ``-0.0``, NaN arguments to MIN / MAX, string MIN / MAX,
 arithmetic over aggregates and HAVING.
+
+``_MULTI`` pins several keys: GROUP BY and DISTINCT over two and three
+columns and joins on two and three column pairs, each coded into one
+composite key or, for list keys, through one row-tuple dict.
 """
 
 from __future__ import annotations
@@ -117,6 +121,15 @@ def _tables():
                + [("zz", -1)]),
         "g": ("CREATE TABLE g (id INTEGER, c INTEGER, big BIGINT, h DOUBLE, "
               "z DOUBLE, zn DOUBLE, n DOUBLE)", g),
+        # two- and three-column build keys: every (k, name) pair once, some
+        # twice, beside rows with a NULL in one key or in every key
+        "dk": ("CREATE TABLE dk (k INTEGER, name STRING, f DOUBLE, tag STRING)",
+               [(key, f"n{code:02d}", (-0.0, 0.5, 1.5, 7.0, 2.25)[(key + code) % 5],
+                 f"c{copy}")
+                for copy in range(2) for key in range(KEYS)
+                for code in range(0, 30, 3) if copy == 0 or (key + code) % 4 == 0]
+               + [(None, "n00", -0.0, "nk"), (3, None, 0.5, "nn"),
+                  (None, None, None, "nb"), (4, "n03", None, "nf")]),
     }
 
 
@@ -242,12 +255,60 @@ _FILTERED = [
 ]
 
 
+#: several keys: GROUP BY over two and three columns (NULLs in one key or
+#: both, -0.0 and NaN doubles, a wide key, a key whose type differs between
+#: morsels), DISTINCT over two and three columns, and two- and three-pair
+#: INNER / LEFT joins against duplicated build keys holding NULLs, one of
+#: them pairing DOUBLE keys beside INTEGER ones
+_MULTI = [
+    ("SELECT k, name, b, COUNT(*), SUM(v), MIN(mi) FROM t {w} "
+     "GROUP BY k, name, b", ["", TAIL]),
+    ("SELECT k % 10, name, COUNT(*), SUM(v) FROM t {w} GROUP BY k % 10, name",
+     ["", SOME]),
+    ("SELECT k, mi, COUNT(*), SUM(v), MAX(mf) FROM t {w} GROUP BY k, mi", [""]),
+    ("SELECT mi, name, COUNT(*), AVG(v) FROM t {w} GROUP BY mi, name",
+     ["", TAIL]),
+    ("SELECT mf, k % 3, COUNT(*), SUM(v) FROM t {w} GROUP BY mf, k % 3",
+     ["", TAIL]),
+    ("SELECT b, mf, name, COUNT(*) FROM t {w} GROUP BY b, mf, name", [""]),
+    ("SELECT wk, k % 4, COUNT(*), MIN(id) FROM t {w} GROUP BY wk, k % 4", [""]),
+    ("SELECT c, n, COUNT(*), SUM(id) FROM g {w} GROUP BY c, n",
+     ["", "WHERE id >= 1000"]),
+    ("SELECT CASE WHEN id < 2048 THEN k ELSE k * 1.0 END, name, COUNT(*), "
+     "SUM(v) FROM t {w} GROUP BY CASE WHEN id < 2048 THEN k ELSE k * 1.0 END, "
+     "name", [""]),
+    ("SELECT k, name, SUM(v) FROM t {w} GROUP BY k, name HAVING COUNT(*) > 5",
+     [""]),
+    ("SELECT DISTINCT k, name FROM t {w}", ["", TAIL]),
+    ("SELECT DISTINCT b, mi, name FROM t {w}", [""]),
+    ("SELECT DISTINCT mf, b FROM t {w}", [""]),
+    ("SELECT DISTINCT k % 5, mf, name FROM t {w}", [TAIL]),
+    ("SELECT DISTINCT c, n FROM g {w}", [""]),
+    ("SELECT t.id, dk.tag FROM t JOIN dk ON t.k = dk.k AND t.name = dk.name "
+     "WHERE t.id >= 9216", [""]),
+    ("SELECT t.id, dk.tag, dk.f FROM t LEFT JOIN dk "
+     "ON t.k = dk.k AND t.name = dk.name WHERE t.id >= 9216", [""]),
+    ("SELECT t.id, dk.tag FROM t JOIN dk ON t.mf = dk.f AND t.k = dk.k "
+     "WHERE t.id >= 9216", [""]),
+    ("SELECT t.id, t.mi, dk.tag FROM t LEFT JOIN dk "
+     "ON t.mi = dk.f AND t.k = dk.k WHERE t.id >= 9216", [""]),
+    ("SELECT t.id, dk.tag FROM t LEFT JOIN dk "
+     "ON t.k = dk.k AND t.mf = dk.f AND t.name = dk.name WHERE t.id >= 9216",
+     [""]),
+    ("SELECT dk.tag, COUNT(*), SUM(t.v) FROM t JOIN dk "
+     "ON t.k = dk.k AND t.name = dk.name {w} GROUP BY dk.tag",
+     ["", "WHERE t.id >= 2500"]),
+]
+
+
 def statements() -> list[str]:
     out = []
     for template, wheres in _GROUPED + _JOINED + _MERGED:
         for where in wheres:
             out.append(" ".join(template.format(w=where).split()))
-    return out + _FILTERED
+    multi = [" ".join(template.format(w=where).split())
+             for template, wheres in _MULTI for where in wheres]
+    return out + _FILTERED + multi
 
 
 def database(morsel_rows: int):

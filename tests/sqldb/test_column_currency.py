@@ -93,8 +93,11 @@ def _oracle_database(morsel_rows):
         "CREATE TABLE f (i INTEGER, k INTEGER, m INTEGER, x DOUBLE, s STRING)")
     db.execute("CREATE TABLE d (k INTEGER, name STRING)")
     db.execute("CREATE TABLE e (k INTEGER)")
+    db.execute("CREATE TABLE p (k INTEGER, s STRING, x DOUBLE, w INTEGER, "
+               "y DOUBLE)")
     db.storage.table("f").insert_rows(oracle.FACT)
     db.storage.table("d").insert_rows(oracle.DIM)
+    db.storage.table("p").insert_rows(oracle.PAIRS)
     return db
 
 
@@ -234,7 +237,7 @@ def test_left_join_deferred_rows_stay_typed():
     assert chained._strategy == "vector"
     _, unmatched = chained.probe(deferred)
     assert unmatched.row_count == 3
-    assert chained._hash_build is None  # the Python-tier build never ran
+    assert chained._row_build is None  # the row-tuple build never ran
     # a string column that never held a value has an empty dictionary, which
     # the dictionary kernels read as "zero rows": its NULL rows stay a list
     db.execute("DELETE FROM e")

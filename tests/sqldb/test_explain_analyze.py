@@ -163,9 +163,19 @@ class TestExplainAnalyzeGrouping:
         assert self._grouping(
             db, "SELECT x, COUNT(*) FROM g GROUP BY x") == "sort"
 
-    def test_hash(self, db):
+    def test_typed_keys_sort_one_composite(self, db):
+        # 40 x 3 composite codes in either morsel
         assert self._grouping(
-            db, "SELECT k, s, COUNT(*) FROM g GROUP BY k, s") == "hash"
+            db, "SELECT k, s, COUNT(*) FROM g GROUP BY k, s") == "radix"
+        # the first morsel's k * 1000 spans 39,001 values: 40 x 39,001 codes
+        assert self._grouping(
+            db, "SELECT COUNT(*) FROM g GROUP BY k * 1000, k") == "radix:1,sort:1"
+
+    def test_hash(self, db):
+        # a key that is a string in some rows and a double in others
+        assert self._grouping(
+            db, "SELECT COUNT(*) FROM g "
+                "GROUP BY s, CASE WHEN x * 2 % 2 = 0 THEN s ELSE x END") == "hash"
 
     def test_counted_per_morsel_when_morsels_differ(self, db):
         assert self._grouping(

@@ -193,12 +193,13 @@ def _serving_database(morsel_rows, dim_keys):
 
 @pytest.fixture()
 def probe_searches(monkeypatch):
-    """Lengths of the arrays a join probe hands ``np.searchsorted``."""
+    """Lengths of the arrays a join probe's key lookup
+    (``_VectorEquiBuild.positions``) hands ``np.searchsorted``."""
     calls = []
     searchsorted = np.searchsorted
 
     def counting(keys, values, *args, **kwargs):
-        if sys._getframe(1).f_code.co_name == "probe":
+        if sys._getframe(1).f_code.co_name == "positions":
             calls.append(len(values))
         return searchsorted(keys, values, *args, **kwargs)
 
@@ -268,12 +269,13 @@ def _join_line(db, sql):
     ("l.s = r.s", "direct"),              # shared dictionary codes
     ("l.k = r.wide", "sorted"),           # 9 keys spanning 2^23 values
     ("l.x = r.x", "sorted"),              # doubles
-    ("l.k = r.k AND l.s = r.s", "hash"),  # two keys: the Python-tier build
+    ("l.k = r.k AND l.s = r.s", "direct"),  # two keys: 9 x 9 composite codes
+    ("l.k = r.k AND l.x = r.s", "hash"),  # a double against a string: row tuples
 ])
 def test_explain_analyze_names_the_probe(joined, condition, probe):
     sql = f"SELECT COUNT(*) FROM l JOIN r ON {condition}"
     line = _join_line(joined, f"EXPLAIN ANALYZE {sql}")
-    # no key of r repeats, so every single-key build is unique
+    # no key of r repeats, so every typed build is unique
     unique = "" if probe == "hash" else " build=unique"
     assert f" probe={probe}{unique}]" in line
     plain = _join_line(joined, f"EXPLAIN {sql}")

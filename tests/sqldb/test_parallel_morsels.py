@@ -165,10 +165,9 @@ class TestMorselSplit:
 
 
 def test_nan_group_keys_across_morsels_match_one_morsel():
-    """NaN grouping is representation-dependent, so morsels with NaN keys
-    take the sequential path over the rows, read again: the answer is the
-    one-morsel answer, and every other morsel still merges partials."""
-    # NULLs make the key a masked vector, whose factoriser collapses NaNs
+    """Each NaN key is a group of its own in every factoriser, so merging
+    the morsels' partials gives the one-morsel answer."""
+    # NULLs make the key a masked vector, factorised by np.unique
     rows = [(float("nan") if i % 4 == 0 else None if i % 5 == 1
              else float(i % 3), i) for i in range(40)]
     sql = "SELECT x, COUNT(*), SUM(i) FROM n GROUP BY x"

@@ -95,12 +95,13 @@ def test_the_sort_narrows_exactly_when_the_span_fits_16_bits(
 # --------------------------------------------------------------------------- #
 @pytest.fixture()
 def unique_calls(monkeypatch):
-    """``np.unique`` calls made from ``grouping_key_array`` itself."""
+    """``np.unique`` calls made coding one key's values (``_dense_code``,
+    which ``grouping_key_array`` hands a masked key's valid values)."""
     calls = []
     unique = np.unique
 
     def counting(*args, **kwargs):
-        if sys._getframe(1).f_code.co_name == "grouping_key_array":
+        if sys._getframe(1).f_code.co_name == "_dense_code":
             calls.append(len(args[0]))
         return unique(*args, **kwargs)
 

@@ -44,6 +44,14 @@ def _dataset():
 
 FACT, DIM = _dataset()
 
+#: a build with two- and three-column keys taken from every third fact row
+#: (NULLs included), one key in four twice, and a NULL in one key or in all
+PAIRS = ([(k, s, x, i, float(i)) for i, k, _, x, s in FACT if i % 3 == 0]
+         + [(k, s, x, 100 + i, float(i)) for i, k, _, x, s in FACT
+            if i % 12 == 0]
+         + [(None, "ant", 10.0, -1, 0.0), (2, None, 5.0, -2, 3.0),
+            (None, None, None, -3, None)])
+
 #: (statement, True when its ORDER BY is total — compare as lists)
 STATEMENTS = [
     # filter + projection
@@ -138,6 +146,23 @@ STATEMENTS = [
     ("SELECT f.i FROM f LEFT JOIN d ON f.k > 100", False),
     ("SELECT COUNT(*) FROM f LEFT JOIN d ON f.k = 1", False),
     ("SELECT COUNT(*) FROM f WHERE 1 = 1", False),
+    # several keys: GROUP BY over three columns and over two with NULLs in
+    # one, DISTINCT over two and three columns, joins on two and three
+    # column pairs against duplicated build keys holding NULLs, one of them
+    # pairing DOUBLE keys beside INTEGER ones
+    ("SELECT k, s, m, COUNT(*), SUM(x) FROM f GROUP BY k, s, m", False),
+    ("SELECT i % 4, k, COUNT(*), SUM(m), MAX(x) FROM f GROUP BY i % 4, k",
+     False),
+    ("SELECT DISTINCT k, s FROM f", False),
+    ("SELECT DISTINCT s, k, x FROM f", False),
+    ("SELECT f.i, p.w FROM f JOIN p ON f.k = p.k AND f.s = p.s", False),
+    ("SELECT f.i, p.w FROM f LEFT JOIN p ON f.k = p.k AND f.s = p.s", False),
+    ("SELECT f.i, p.w FROM f JOIN p ON f.x = p.x AND f.k = p.k", False),
+    ("SELECT f.i, p.w FROM f LEFT JOIN p ON f.i = p.y AND f.s = p.s", False),
+    ("SELECT f.i, p.w FROM f LEFT JOIN p "
+     "ON f.k = p.k AND f.s = p.s AND f.x = p.x", False),
+    ("SELECT p.w, COUNT(*), SUM(f.m) FROM f JOIN p "
+     "ON f.k = p.k AND f.s = p.s GROUP BY p.w", False),
 ]
 
 
@@ -165,8 +190,10 @@ def oracle():
         "CREATE TABLE f (i INTEGER, k INTEGER, m INTEGER, x REAL, s TEXT)")
     connection.execute("CREATE TABLE d (k INTEGER, name TEXT)")
     connection.execute("CREATE TABLE e (k INTEGER)")
+    connection.execute("CREATE TABLE p (k INTEGER, s TEXT, x REAL, w INTEGER, y REAL)")
     connection.executemany("INSERT INTO f VALUES (?, ?, ?, ?, ?)", FACT)
     connection.executemany("INSERT INTO d VALUES (?, ?)", DIM)
+    connection.executemany("INSERT INTO p VALUES (?, ?, ?, ?, ?)", PAIRS)
     answers = {sql: connection.execute(for_sqlite(sql)).fetchall()
                for sql, _ in STATEMENTS}
     connection.close()
@@ -188,8 +215,11 @@ def engine(request):
         "CREATE TABLE f (i INTEGER, k INTEGER, m INTEGER, x DOUBLE, s STRING)")
     db.execute("CREATE TABLE d (k INTEGER, name STRING)")
     db.execute("CREATE TABLE e (k INTEGER)")
+    db.execute("CREATE TABLE p (k INTEGER, s STRING, x DOUBLE, w INTEGER, "
+               "y DOUBLE)")
     db.storage.table("f").insert_rows(FACT)
     db.storage.table("d").insert_rows(DIM)
+    db.storage.table("p").insert_rows(PAIRS)
     connection = Connection.connect_in_process(DatabaseServer(db))
     yield {
         "execute": lambda sql: db.execute(sql).fetchall(),
@@ -221,3 +251,14 @@ def test_the_dataset_has_the_shapes_the_statements_rely_on():
     # the EXISTS pair: one WHERE no row passes, one that a row does
     ids = {i for i, *_ in FACT}
     assert 99 not in ids and 9 in ids and 1 in keys
+
+
+def test_the_pair_build_has_the_shapes_the_statements_rely_on():
+    keys = [(k, s) for k, s, *_ in PAIRS]
+    assert len(set(keys)) < len(keys)  # duplicated build keys
+    assert any(k is None and s is not None for k, s in keys)
+    assert any(s is None and k is not None for k, s in keys)
+    # some fact rows find a two-column match and some do not
+    found = {(k, s) for _, k, _, _, s in FACT} & set(keys)
+    assert any(None not in key for key in found)
+    assert {(k, s) for _, k, _, _, s in FACT} - set(keys)
