@@ -27,14 +27,13 @@ from repro.core.settings import DataTransferSettings
 from repro.netproto.client import Connection, TransferOptions
 from repro.netproto.compression import (
     CODEC_NONE,
-    CODEC_RLE,
     CODEC_SHUFFLE,
     CODEC_ZLIB,
 )
 from repro.netproto.server import DatabaseServer
 from repro.sqldb.database import Database
 
-CODECS = [CODEC_NONE, CODEC_ZLIB, CODEC_RLE, CODEC_SHUFFLE]
+CODECS = [CODEC_NONE, CODEC_ZLIB, CODEC_SHUFFLE]
 #: what ticking "compress" in the settings dialog selects
 DEFAULT_CODEC = DataTransferSettings().compression_codec
 

@@ -20,7 +20,6 @@ from .client import (
 from .compression import (
     CODEC_NARROW,
     CODEC_NONE,
-    CODEC_RLE,
     CODEC_SHUFFLE,
     CODEC_ZLIB,
     available_codecs,
@@ -55,7 +54,6 @@ __all__ = [
     "AsyncSocketServer",
     "CODEC_NARROW",
     "CODEC_NONE",
-    "CODEC_RLE",
     "CODEC_SHUFFLE",
     "CODEC_ZLIB",
     "ChaosProxy",

@@ -127,11 +127,12 @@ _TAG_DTYPES = {TAG_INT64: "<i8", TAG_FLOAT64: "<f8", TAG_BOOL: "|b1"}
 # --------------------------------------------------------------------------- #
 # encoding
 # --------------------------------------------------------------------------- #
-def _pack_section(data: Any, codec: str) -> tuple[bytes, int]:
+def _pack_section(data: Any, codec: str) -> tuple[bytes, bytes]:
     """Compress one value buffer — the array slice itself, so the codec sees
-    its ``itemsize`` — and length-prefix it; returns (bytes, raw size)."""
+    its ``itemsize`` — as its length prefix and bytes, left apart so that
+    the chunk's one join is the only copy of them."""
     packed = compression_mod.compress(data, codec)
-    return struct.pack("<I", len(packed)) + packed, memoryview(data).nbytes
+    return struct.pack("<I", len(packed)), packed
 
 
 def _var_width_sections(encoded: list[bytes]) -> list[Any]:
@@ -252,9 +253,8 @@ class ChunkEncoder:
             else:  # TAG_OBJECT
                 sections = [encode_value(list(data[row_start:row_stop]))]
             for payload in sections:
-                section, raw = _pack_section(payload, self.codec)
-                parts.append(section)
-                raw_total += raw
+                parts += _pack_section(payload, self.codec)
+                raw_total += memoryview(payload).nbytes
         return b"".join(parts), raw_total
 
 
@@ -335,21 +335,23 @@ class DecodedColumn:
         return values
 
 
-def _utf8(data: bytes) -> str:
+def _utf8(data: Any) -> str:
     try:
-        return data.decode("utf-8")
+        return str(data, "utf-8")
     except UnicodeDecodeError as exc:
         raise WireFormatError(f"text in columnar chunk is not UTF-8: {exc}") from None
 
 
 class _BlobReader:
+    """Reads a chunk blob as views of it: a section is not copied out."""
+
     __slots__ = ("data", "offset")
 
     def __init__(self, data: bytes) -> None:
-        self.data = data
+        self.data = memoryview(data)
         self.offset = 0
 
-    def read(self, count: int) -> bytes:
+    def read(self, count: int) -> memoryview:
         if self.offset + count > len(self.data):
             raise WireFormatError("truncated columnar chunk")
         piece = self.data[self.offset:self.offset + count]
@@ -395,22 +397,27 @@ def decode_chunk(blob: bytes, *,
             bitmap = np.frombuffer(reader.read(bitmap_len), dtype=np.uint8)
             mask = np.unpackbits(bitmap, count=row_count).astype(bool)
 
-        def read_section(dtype: str | None = None) -> Any:
+        def read_section(dtype: str | None = None,
+                         max_items: int = len(blob)) -> Any:
+            """A section's values over the decoded buffer itself, or its bytes;
+            a section of unknown length is bounded by the blob's."""
             (section_len,) = reader.unpack("<I")
-            buffer = compression_mod.decompress(reader.read(section_len))
+            buffer = compression_mod.decompress_buffer(reader.read(section_len),
+                                                       max_items)
             try:
-                return buffer if dtype is None else np.frombuffer(buffer, dtype)
+                return bytes(buffer) if dtype is None \
+                    else np.frombuffer(buffer, dtype)
             except ValueError:
                 raise WireFormatError(f"section is not whole {dtype} values") from None
 
         if tag in _TAG_DTYPES:
-            data = read_section(_TAG_DTYPES[tag])
+            data = read_section(_TAG_DTYPES[tag], row_count)
             if len(data) != row_count:
                 raise WireFormatError("column buffer length mismatch")
             columns.append(DecodedColumn(name, sql_type, tag, row_count,
                                          mask, data=data))
         elif tag == TAG_DICT:
-            codes = read_section("<i4")
+            codes = read_section("<i4", row_count)
             if len(codes) != row_count:
                 raise WireFormatError("dictionary codes length mismatch")
             if flags & _FLAG_DICT_INLINE:
@@ -433,7 +440,7 @@ def decode_chunk(blob: bytes, *,
             columns.append(DecodedColumn(name, sql_type, tag, row_count, mask,
                                          codes=codes, dictionary=entries))
         elif tag in (TAG_UTF8, TAG_BINARY):
-            offsets = read_section("<u4")
+            offsets = read_section("<u4", row_count + 1)
             if len(offsets) != row_count + 1:
                 raise WireFormatError("offsets buffer length mismatch")
             columns.append(DecodedColumn(name, sql_type, tag, row_count, mask,

@@ -50,14 +50,21 @@ there are no rows to ship (see :func:`repro.netproto.messages.result_messages`):
         sections    each ``u32 length + bytes``; every value section is
                     routed through the compression codec layer
                     (:mod:`repro.netproto.compression`) and therefore starts
-                    with a one-byte codec id: 0 ``none`` (the bytes), 1 ``rle``
-                    ((count, byte) pairs), 2 ``zlib`` (DEFLATE level 6),
+                    with a one-byte codec id: 0 ``none`` (the bytes),
+                    2 ``zlib`` (DEFLATE level 6),
                     3 ``shuffle`` (``lane width u8`` + DEFLATE level 6 of the
                     section transposed into that many byte lanes: byte 0 of
                     every value, then byte 1, ...; width 1 is plain DEFLATE),
-                    4 ``narrow`` (``item width u8`` + ``stored width u8`` +
-                    ``base i64 LE`` + each value minus base in stored-width
-                    LE; a section it cannot shrink is written as id 0).
+                    4 ``narrow`` in one of three forms:
+                    ``item width u8`` + ``stored width u8`` + ``base i64 LE``
+                    + each value minus base in stored-width LE (frame of
+                    reference); ``item width u8`` + ``0`` + ``first i64 LE``
+                    + ``step i64 LE`` + ``count u32 LE`` (an arithmetic
+                    sequence); ``0`` + ``exponent u8`` (0..15) + an 8-byte
+                    integer section in either form before, whose values
+                    ``d`` decode as the doubles ``d / 10**exponent``
+                    (decimal).  A section it cannot shrink is written as
+                    id 0.  Id 1 (a retired run-length codec) is refused.
                     The widths are those of the buffer encoded — 8, 4
                     (codes, offsets) or 1 (bool, blobs, OBJECT) — and ride in
                     the section so that a section decodes without its column.
@@ -90,7 +97,8 @@ any other version (or none) is answered with a structured ``protocol`` error
 naming the version the server speaks, and a client refuses a ``challenge``
 that names another version — a version change is a refusal, never a silent
 downgrade.  The version covers the message set, the result framing and this
-value codec together.
+value codec together.  It is 7: version 6 predates the ``narrow`` stride and
+decimal forms.
 """
 
 from __future__ import annotations

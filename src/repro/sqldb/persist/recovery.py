@@ -110,7 +110,7 @@ def recover(path: str | os.PathLike[str], database: "Database",
         contents = read_wal(wal.path, fs=fs)
         if contents.generation == report.generation:
             good_end = _replay(database, contents, report, salvage=salvage)
-            wal.open_at(good_end)
+            wal.open_at(good_end, contents.version)
         else:
             # stale log from before the last completed checkpoint (the crash
             # hit between file replace and log reset): its effects are

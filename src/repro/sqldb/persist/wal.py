@@ -23,8 +23,11 @@ client protocol uses, so the WAL introduces no parallel serialisation scheme.
 Rows travel as typed buffers: an ``insert`` record's ``chunk`` is one
 columnar chunk blob (an image segment's form, its dictionary compacted to
 those rows) and a ``delete`` record's ``keep_compressed`` a compressed
-keep-bitmap.  Version 2 writes only these; the reader also accepts version 1
-and its ``rows`` / raw ``keep`` records, so a pre-upgrade tail replays.
+keep-bitmap.  Version 3 writes only these, and its chunks may carry the
+``narrow`` codec's stride and decimal sections, so a version-2 binary refuses
+the log instead of reading those sections as a torn tail.  The reader also
+accepts version 2, and version 1 with its ``rows`` / raw ``keep`` records, so
+a pre-upgrade tail replays.
 The crc32 covers the payload only; a torn tail (crash mid-append) is detected
 on read as a short header, short payload, or checksum mismatch, and everything
 from the first bad record onward is discarded (those statements never
@@ -61,9 +64,11 @@ from . import faults
 from .records import pack_mask, unpack_mask  # noqa: F401  (record-level API)
 
 WAL_MAGIC = b"REPROWAL"
-WAL_VERSION = 2
-#: Versions the reader replays: version 1 differs only in its record shapes.
-_READABLE_VERSIONS = (1, WAL_VERSION)
+WAL_VERSION = 3
+#: Versions the reader replays: version 1 differs in its record shapes,
+#: version 2 only in the ``narrow`` forms its chunks can hold (no stride or
+#: decimal sections), so both decode as they always did.
+_READABLE_VERSIONS = (1, 2, WAL_VERSION)
 
 _HEADER = struct.Struct("<8sHHQ")   # magic, version, reserved, generation
 _RECORD = struct.Struct("<II")      # payload length, payload crc32
@@ -88,6 +93,7 @@ class WalContents:
     """The readable prefix of a write-ahead log."""
 
     generation: int
+    version: int = WAL_VERSION
     records: list[dict[str, Any]] = field(default_factory=list)
     #: Start offset of each record in ``records`` — recovery truncates back
     #: to a record boundary when it discards an incomplete record group.
@@ -118,7 +124,8 @@ def read_wal(path: str | os.PathLike[str], *,
         raise PersistenceError(f"WAL {path}: bad magic {magic!r}")
     if version not in _READABLE_VERSIONS:
         raise PersistenceError(f"WAL {path}: unsupported version {version}")
-    contents = WalContents(generation=generation, good_end=_HEADER.size)
+    contents = WalContents(generation=generation, version=version,
+                           good_end=_HEADER.size)
     offset = _HEADER.size
     while offset < len(data):
         if offset + _RECORD.size > len(data):
@@ -208,14 +215,24 @@ class WriteAheadLog:
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    def open_at(self, good_end: int) -> None:
+    def open_at(self, good_end: int, version: int = WAL_VERSION) -> None:
         """Open for appending at ``good_end``, truncating anything beyond it
-        (the discarded torn tail must not precede future intact records)."""
+        (the discarded torn tail must not precede future intact records).
+
+        A log of an older ``version`` is re-stamped with this one first:
+        what is appended behind its records may hold sections an older build
+        cannot decode, so such a build must refuse the log at its header.
+        """
         with self._lock:
             if self._file is not None:
                 raise PersistenceError(f"WAL {self.path} is already open")
             self._file = self.fs.open(self.path, "r+b")
             self._file.truncate(good_end)
+            if version != WAL_VERSION:
+                self._file.seek(len(WAL_MAGIC))
+                self._file.write(struct.pack("<H", WAL_VERSION))
+                self._file.flush()
+                self._sync()
             self._file.seek(good_end)
 
     def create(self, generation: int) -> None:

@@ -11,7 +11,12 @@ from repro.netproto.columnar import (
     decode_chunk,
     encode_result_chunk,
 )
-from repro.netproto.compression import CODEC_NONE, CODEC_RLE, CODEC_ZLIB
+from repro.netproto.compression import (
+    CODEC_NARROW,
+    CODEC_NONE,
+    CODEC_SHUFFLE,
+    CODEC_ZLIB,
+)
 from repro.netproto.messages import (
     ERR_PROTOCOL,
     MSG_HELLO,
@@ -60,7 +65,8 @@ class TestChunkCodec:
         assert stats.chunks == 1
         assert stats.total_rows == 3
 
-    @pytest.mark.parametrize("codec", [CODEC_NONE, CODEC_ZLIB, CODEC_RLE])
+    @pytest.mark.parametrize("codec", [CODEC_NONE, CODEC_ZLIB, CODEC_SHUFFLE,
+                                       CODEC_NARROW])
     def test_codecs_roundtrip(self, codec):
         decoded, stats = roundtrip(ALL_TYPES_RESULT, codec=codec)
         assert decoded.fetchall() == ALL_TYPES_RESULT.fetchall()
@@ -287,15 +293,16 @@ class TestProtocolNegotiation:
 
     def test_a_version_5_hello_is_refused(self, server):
         """Version 6 added codec 4 (``narrow``, the default), which a version-5
-        client cannot read: its hello is refused, never served a downgrade."""
-        assert PROTOCOL_VERSION == 6
+        client cannot read, and version 7 its stride and decimal forms: the
+        hello is refused, never served a downgrade."""
+        assert PROTOCOL_VERSION == 7
         reply = InProcessTransport(server).exchange({
             "type": MSG_HELLO, "username": "monetdb",
             "database": server.database.name, "protocol_version": 5})
         assert (reply["type"], reply["code"]) == ("error", ERR_PROTOCOL)
         assert not reply["retryable"]
         assert "unsupported protocol version 5" in reply["message"]
-        assert "speaks version 6 only" in reply["message"]
+        assert "speaks version 7 only" in reply["message"]
 
     def test_client_refuses_a_challenge_naming_another_version(self, server):
         original = server._handle_hello

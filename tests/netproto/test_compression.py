@@ -1,6 +1,7 @@
 """Tests for the transfer compression codecs."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -13,25 +14,23 @@ from repro.netproto import compression
 from repro.netproto.compression import (
     CODEC_NARROW,
     CODEC_NONE,
-    CODEC_RLE,
     CODEC_SHUFFLE,
     CODEC_ZLIB,
     available_codecs,
     compress,
     compression_ratio,
     decompress,
+    decompress_buffer,
     get_codec,
-    rle_compress,
-    rle_decompress,
 )
 
 
-ALL_CODECS = [CODEC_NONE, CODEC_ZLIB, CODEC_RLE, CODEC_SHUFFLE]
+ALL_CODECS = [CODEC_NONE, CODEC_ZLIB, CODEC_SHUFFLE]
 
 
 class TestCodecRegistry:
     def test_available_codecs(self):
-        assert available_codecs() == [CODEC_NARROW, CODEC_NONE, CODEC_RLE,
+        assert available_codecs() == [CODEC_NARROW, CODEC_NONE,
                                       CODEC_SHUFFLE, CODEC_ZLIB]
 
     def test_unknown_codec_rejected(self):
@@ -62,6 +61,11 @@ class TestRoundTrips:
         with pytest.raises(ProtocolError):
             decompress(bytes([250]) + b"data")
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.binary(max_size=1000), st.sampled_from(ALL_CODECS))
+    def test_all_codecs_roundtrip_property(self, data, codec):
+        assert decompress(compress(data, codec)) == data
+
 
 class TestCodecIds:
     def test_ids_are_part_of_the_stored_formats(self, monkeypatch):
@@ -72,7 +76,7 @@ class TestCodecIds:
         blobs = {codec: compress(payload, codec)
                  for codec in ALL_CODECS}
         assert {codec: blob[0] for codec, blob in blobs.items()} == {
-            CODEC_NONE: 0, CODEC_RLE: 1, CODEC_ZLIB: 2, CODEC_SHUFFLE: 3}
+            CODEC_NONE: 0, CODEC_ZLIB: 2, CODEC_SHUFFLE: 3}
         assert compress(np.arange(300, dtype="<i8"), CODEC_NARROW)[0] == 4
 
         newcomer = compression.Codec("brotli", 5, lambda data: bytes(data)[::-1],
@@ -92,8 +96,12 @@ class TestCodecIds:
         assert compress(payload, CODEC_NONE) == b"\x00" + payload.tobytes()
         assert compress(payload, CODEC_ZLIB) == \
             b"\x02" + zlib.compress(payload.tobytes(), 6)
-        assert compress(payload, CODEC_RLE) == \
-            b"\x01" + rle_compress(payload.tobytes())
+
+    def test_the_retired_run_length_id_is_refused(self):
+        """Id 1 was a run-length codec no default ever wrote; it is deleted,
+        and its sections are a ``ProtocolError`` like any unknown id."""
+        with pytest.raises(ProtocolError, match="unknown codec id 1"):
+            decompress(b"\x01" + bytes([4, ord("a")]))
 
 
 class TestShuffle:
@@ -165,11 +173,85 @@ def _edge_cases():
                     yield pytest.param(kind, span, base, id=f"{kind}-{span}-{base}")
 
 
-#: one narrowed section per kind, stored in 2, 1 and 2 bytes
-NARROWED = {kind: compress(np.array(values, kind), CODEC_NARROW)
-            for kind, values in [("<i8", [-2**63 + i * 977 for i in range(30)]),
-                                 ("<i4", [i % 7 - 3 for i in range(30)]),
-                                 ("<u4", [i * 2001 for i in range(30)])]}
+#: the values of the three frame-of-reference sections the parent commit
+#: pinned, one per kind, stored in 2, 1 and 2 bytes
+PARENT_VALUES = {"<i8": [-2**63 + i * 977 for i in range(30)],
+                 "<i4": [i % 7 - 3 for i in range(30)],
+                 "<u4": [i * 2001 for i in range(30)]}
+#: those sections as the parent wrote them: ``[4][item][stored][base]`` + offsets
+PARENT_SECTIONS = {
+    kind: b"\x04" + struct.pack("<BBq", np.dtype(kind).itemsize, stored, min(values))
+    + np.array([value - min(values) for value in values], f"<u{stored}").tobytes()
+    for (kind, values), stored in zip(PARENT_VALUES.items(), (2, 1, 2))}
+#: the sections the damage tests cut and flip: the parent's, a stride, and
+#: decimals whose integers take a frame of reference and a stride
+NARROWED = {**PARENT_SECTIONS,
+            "stride": compress(np.arange(40, dtype="<i8") * -3 + 1000, CODEC_NARROW),
+            "decimal": compress(np.array([(i * 37 % 41) * 0.25 - 3.5
+                                          for i in range(30)]), CODEC_NARROW),
+            "decimal_stride": compress(np.arange(30) * 0.5 - 3.0, CODEC_NARROW)}
+
+
+def _bits(value: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", value))[0]
+
+
+#: doubles as bit patterns: NaNs with payloads, both zeros, both infinities,
+#: subnormals, 2**53 and the ends of the ``e = 15`` decimals
+SPECIAL_DOUBLES = [0x7FF8000000000000, 0xFFF8000000000123, 0x7FF0000000000001,
+                   0x7FF4000000000000, _bits(0.0), _bits(-0.0), _bits(np.inf),
+                   _bits(-np.inf), 1, 0x8000000000000001, 0x000FFFFFFFFFFFFF,
+                   _bits(2.0**53), _bits(-2.0**53), _bits(2.0**53 - 1),
+                   _bits((2**53 - 1) / 10**15), _bits(-(2**53 - 1) / 10**15),
+                   _bits(1e-15), _bits(1e-16)]
+
+
+@st.composite
+def integer_buffers(draw) -> np.ndarray:
+    """Any values of a kind, or an arithmetic sequence of it: steps negative
+    and zero included, ends near the limits of the type."""
+    kind = draw(st.sampled_from(sorted(NARROW_KINDS)))
+    low, high = NARROW_KINDS[kind]
+    count = draw(st.one_of(st.integers(0, 3), st.integers(4, 40)))
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(st.one_of(st.sampled_from([low, high, 0]),
+                                                 st.integers(low, high)),
+                                       min_size=count, max_size=count)), kind)
+    reach = (high - low) // max(count - 1, 1)
+    step = draw(st.one_of(st.sampled_from([0, 1, -1, reach, -reach]),
+                          st.integers(-reach, reach)))
+    start_low = low - min(0, step * (count - 1))
+    start_high = high - max(0, step * (count - 1))
+    first = draw(st.one_of(st.sampled_from([start_low, start_high]),
+                           st.integers(start_low, start_high)))
+    return np.array([first + step * i for i in range(count)], kind)
+
+
+@st.composite
+def double_buffers(draw) -> np.ndarray:
+    """Decimals of one exponent (|d| up to 2**53), any doubles and the special
+    ones, mixed; built from bits so that NaN payloads survive."""
+    count = draw(st.one_of(st.integers(0, 3), st.integers(4, 40)))
+    exponent = draw(st.integers(0, 15))
+    limit = draw(st.sampled_from([2**53, 1000]))
+    decimal = st.integers(-limit + 1, limit - 1).map(
+        lambda d: _bits(d / 10**exponent))
+    value = st.one_of(decimal, st.sampled_from(SPECIAL_DOUBLES),
+                      st.floats(width=64).map(_bits))
+    pick = draw(st.sampled_from([decimal, value]))
+    bits = draw(st.lists(pick, min_size=count, max_size=count))
+    return np.array(bits, "<u8").view("<f8")
+
+
+def _parent_section_size(values: np.ndarray) -> int:
+    """What the parent commit's ``narrow`` wrote: a frame of reference when
+    it was smaller than the raw buffer, else the raw buffer (codec id 0)."""
+    raw = 1 + values.nbytes
+    if values.dtype.str not in NARROW_KINDS or not len(values):
+        return raw
+    span = int(values.max()) - int(values.min())
+    stored = next(width for width in (1, 2, 4, 8) if span >> 8 * width == 0)
+    return min(raw, 1 + 10 + stored * len(values))
 
 
 class TestNarrow:
@@ -201,8 +283,20 @@ class TestNarrow:
         assert section[0] in (0, 4)
         assert decompress(section) == values.tobytes()
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(integer_buffers(), double_buffers()))
+    def test_every_buffer_round_trips_bit_for_bit_and_never_grows(self, values):
+        section = compress(values, CODEC_NARROW)
+        assert decompress(section) == values.tobytes()
+        assert len(section) <= _parent_section_size(values)
+
     @pytest.mark.parametrize("values", [
-        np.arange(50) * 0.5,
+        np.random.default_rng(3).random(50),
+        np.array([-0.0, 0.5] * 25),
+        np.array([np.nan, 0.5] * 25),
+        np.array([np.inf, 0.5] * 25),
+        np.array([2.0**53, 0.5] * 25),
+        np.array([3e-16, 0.5] * 25),
         np.arange(50) % 3 == 0,
         b"station_3," * 40,
         np.zeros(0, "<i8"),
@@ -214,11 +308,30 @@ class TestNarrow:
         np.array([1, 2, 3], "<i4"),
         np.arange(50, dtype="<u8"),
         np.arange(50, dtype=">i8"),
-    ], ids=["float64", "bool", "bytes", "empty_i8", "empty_u4", "i8_wide_span",
+    ], ids=["float64", "float64_negative_zero", "float64_nan", "float64_inf",
+            "float64_beyond_2_53", "float64_needs_e_16", "bool", "bytes", "empty_i8", "empty_u4", "i8_wide_span",
             "i4_full_span", "u4_full_span", "header_costs_more_i8",
             "header_costs_more_i4", "u8_not_shipped", "big_endian"])
     def test_what_cannot_shrink_is_codec_none_byte_for_byte(self, values):
         assert compress(values, CODEC_NARROW) == compress(values, CODEC_NONE)
+
+    @pytest.mark.parametrize("values,exponent,inner", [
+        (np.arange(50) * 0.5, 1, (0, 22)),
+        (np.arange(50_000) * 0.5, 1, (0, 22)),
+        (np.random.default_rng(4).permutation(50) * 0.5, 1, (1, 10 + 50)),
+        (np.array([1234.5, -0.125, 7.0, 0.001] * 10), 3, (4, 10 + 160)),
+        (np.array([0.1, 0.2, 0.3] * 10), 1, (1, 10 + 30)),
+        (np.array([(2**53 - 1 - i) / 10**15 for i in range(20)]), 15, (1, 10 + 20)),
+    ], ids=["halves", "halves_the_sample_misses", "permuted_halves",
+            "thousandths", "tenths", "e_15"])
+    def test_decimal_doubles_ship_as_narrowed_integers(self, values, exponent,
+                                                       inner):
+        """``[4][0][e]`` + the integers ``d`` of ``d / 10**e``, narrowed."""
+        section = compress(values, CODEC_NARROW)
+        stored, size = inner
+        assert section[:5] == bytes([4, 0, exponent, 8, stored])
+        assert len(section) == 3 + size
+        assert decompress(section) == values.tobytes()
 
     @pytest.mark.parametrize("section", [
         b"\x04",
@@ -231,16 +344,58 @@ class TestNarrow:
         b"\x04" + struct.pack("<BBq", 8, 1, 2**63 - 1) + b"\x01",
         b"\x04" + struct.pack("<BBq", 4, 1, -2**31 - 1) + b"\x00",
         b"\x04" + struct.pack("<BBq", 4, 2, 2**32 - 2) + b"\x02\x00",
+        b"\x04" + struct.pack("<BBqqI", 4, 0, 2**32 - 2, 1, 3),
+        b"\x04" + struct.pack("<BBqqI", 8, 0, -2**63, -1, 2),
+        b"\x04" + struct.pack("<BBqqI", 8, 0, 0, 1, 40) + b"\x00",
+        b"\x04" + struct.pack("<BBqqI", 8, 0, 0, 1, 2**32 - 1),
+        b"\x04\x00\x10" + struct.pack("<BBqqI", 8, 0, 0, 1, 40),
+        b"\x04\x00\x01" + struct.pack("<BBqqI", 4, 0, 0, 1, 40),
+        b"\x04\x00\x01\x00\x01" + struct.pack("<BBqqI", 8, 0, 0, 1, 40),
+        b"\x04\x00",
     ], ids=["no_header", "short_header", "item_width_2", "stored_width_3",
             "stored_is_item", "stored_above_item", "ragged", "above_int64",
-            "below_int32", "above_uint32"])
+            "below_int32", "above_uint32", "stride_above_uint32",
+            "stride_below_int64", "stride_header_too_long",
+            "stride_beyond_a_frame", "exponent_16", "decimal_of_int32",
+            "decimal_of_decimal", "decimal_without_integers"])
     def test_malformed_sections_are_protocol_errors(self, section):
         with pytest.raises(ProtocolError, match="narrow"):
             decompress(section)
 
     def test_the_damaged_sections_are_narrowed(self):
         assert {kind: section[:3] for kind, section in NARROWED.items()} == {
-            "<i8": b"\x04\x08\x02", "<i4": b"\x04\x04\x01", "<u4": b"\x04\x04\x02"}
+            "<i8": b"\x04\x08\x02", "<i4": b"\x04\x04\x01", "<u4": b"\x04\x04\x02",
+            "stride": b"\x04\x08\x00", "decimal": b"\x04\x00\x02",
+            "decimal_stride": b"\x04\x00\x01"}
+        assert NARROWED["decimal"][3:5] == b"\x08\x02"      # frame of reference
+        assert NARROWED["decimal_stride"][3:5] == b"\x08\x00"  # stride
+
+    @pytest.mark.parametrize("kind", sorted(PARENT_SECTIONS))
+    def test_the_parents_sections_decode_byte_for_byte_as_before(self, kind):
+        values = np.array(PARENT_VALUES[kind], kind)
+        assert decompress(PARENT_SECTIONS[kind]) == values.tobytes()
+        # a sequence now ships smaller; anything else as the parent wrote it
+        section = compress(values, CODEC_NARROW)
+        if kind == "<i4":
+            assert section == PARENT_SECTIONS[kind]
+        else:
+            assert section == b"\x04" + struct.pack(
+                "<BBqqI", values.itemsize, 0, values[0], values[1] - values[0], 30)
+
+    def test_a_stride_count_is_checked_before_anything_is_allocated(self):
+        section = NARROWED["stride"]
+        assert np.frombuffer(decompress_buffer(section, 40), "<i8").tolist() == \
+            list(range(1000, 1000 - 3 * 40, -3))
+        with pytest.raises(ProtocolError, match="at most 39"):
+            decompress_buffer(section, 39)
+        flipped = section[:-1] + b"\x7f"  # count 40 -> 2**30 + 40
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProtocolError, match="at most"):
+                decompress_buffer(flipped)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
 
     @staticmethod
     def _decode_or_protocol_error(section: bytes) -> None:
@@ -279,10 +434,6 @@ class TestCompressionEffect:
         payload = ("1234\n" * 2000).encode()
         assert compression_ratio(payload, CODEC_ZLIB) > 5
 
-    def test_rle_wins_on_long_runs(self):
-        payload = b"a" * 5000 + b"b" * 5000
-        assert compression_ratio(payload, CODEC_RLE) > 50
-
     def test_none_codec_adds_only_header(self):
         payload = b"x" * 100
         assert len(compress(payload, CODEC_NONE)) == len(payload) + 1
@@ -292,31 +443,3 @@ class TestCompressionEffect:
 
         payload = os.urandom(4096)
         assert len(compress(payload, CODEC_ZLIB)) < len(payload) * 1.05
-
-
-class TestRLE:
-    def test_simple_runs(self):
-        assert rle_compress(b"aaaabbb") == bytes([4, ord("a"), 3, ord("b")])
-        assert rle_decompress(rle_compress(b"aaaabbb")) == b"aaaabbb"
-
-    def test_long_run_split_at_255(self):
-        data = b"z" * 600
-        assert rle_decompress(rle_compress(data)) == data
-
-    def test_empty(self):
-        assert rle_compress(b"") == b""
-        assert rle_decompress(b"") == b""
-
-    def test_corrupt_stream_rejected(self):
-        with pytest.raises(ProtocolError):
-            rle_decompress(b"\x01")
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.binary(max_size=1000))
-    def test_rle_roundtrip_property(self, data):
-        assert rle_decompress(rle_compress(data)) == data
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.binary(max_size=1000), st.sampled_from(ALL_CODECS))
-    def test_all_codecs_roundtrip_property(self, data, codec):
-        assert decompress(compress(data, codec)) == data

@@ -591,8 +591,12 @@ class TestStalledReader:
 
         # ~4.8 MB on the wire: the default codec ships each 8,192-row chunk
         # of ``i`` in 2 bytes a value, and the result must still overrun
-        # HIGH_WATER plus what the kernel's socket buffers absorb
-        database = make_big_database(rows=2_400_000)
+        # HIGH_WATER plus what the kernel's socket buffers absorb.  ``i`` is
+        # a fixed permutation of ``range(2_400_000)`` (each aligned block of
+        # 256 values reordered), as consecutive ids would ship as a stride
+        database = make_big_database(rows=0)
+        database.storage.table("big").columns[0].extend(
+            [i ^ 0xA5 for i in range(2_400_000)])
         limits = ServerLimits(max_concurrent_queries=1, max_queue_depth=0,
                               send_timeout=0.5)
         server = DatabaseServer(database, result_chunk_rows=8_192,

@@ -10,7 +10,7 @@ from repro.errors import (
     ReproError,
 )
 from repro.netproto.client import Connection, ConnectionInfo, TransferOptions
-from repro.netproto.compression import CODEC_ZLIB
+from repro.netproto.compression import CODEC_NONE, CODEC_ZLIB
 from repro.netproto.server import AsyncSocketServer, DatabaseServer
 from repro.sqldb.database import Database
 from repro.sqldb.types import SQLType
@@ -151,7 +151,8 @@ class TestTransferOptions:
         for _ in range(200):
             database.execute("INSERT INTO big VALUES ('repetitive payload text')")
         connection = Connection.connect_in_process(populated_server)
-        plain = connection.execute("SELECT * FROM big")
+        plain = connection.execute(
+            "SELECT * FROM big", options=TransferOptions(compression=CODEC_NONE))
         plain_bytes = connection.stats.last_transfer.wire_bytes
         compressed = connection.execute(
             "SELECT * FROM big", options=TransferOptions(compression=CODEC_ZLIB))

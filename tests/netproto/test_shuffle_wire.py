@@ -180,6 +180,8 @@ DAMAGE_RESULT = QueryResult([
     ResultColumn("g", SQLType.STRING, [f"g{i % 3}" for i in range(48)]),
     ResultColumn("raw", SQLType.BLOB, [bytes([i]) * 2 for i in range(48)]),
     ResultColumn("huge", SQLType.BIGINT, [2**66 + i for i in range(48)]),
+    ResultColumn("id", SQLType.BIGINT, list(range(48))),
+    ResultColumn("q", SQLType.DOUBLE, [(i * 37 % 41) * 0.25 - 3.5 for i in range(48)]),
 ])
 DAMAGE_BLOBS = {codec: encode_result_chunk(DAMAGE_RESULT, codec=codec,
                                            allow_dict=True)[0]
@@ -223,8 +225,15 @@ class TestDamagedChunks:
     def test_the_narrow_blob_holds_narrowed_sections(self):
         """``narrow`` reaches the damage tests above through
         ``available_codecs()``; they test its decoder only if its blob is not
-        all id-0 sections."""
-        assert len(DAMAGE_BLOBS["narrow"]) < len(DAMAGE_BLOBS["none"])
+        all id-0 sections; it holds every form: a stride (``id``, ``raw``'s
+        offsets) and decimals whose integers are a stride (``d``) and a frame
+        of reference (``q``)."""
+        blob = DAMAGE_BLOBS["narrow"]
+        assert len(blob) < len(DAMAGE_BLOBS["none"])
+        assert struct.pack("<BBBqqI", 4, 8, 0, 0, 1, 48) in blob
+        assert struct.pack("<BBBqqI", 4, 4, 0, 0, 2, 49) in blob
+        assert struct.pack("<BBBBBqqI", 4, 0, 2, 8, 0, 0, 25, 48) in blob
+        assert struct.pack("<BBBBBq", 4, 0, 2, 8, 2, -350) in blob
 
     def test_section_not_a_multiple_of_its_dtype(self):
         """Reproduced at the parent: NumPy's ``ValueError`` leaked."""

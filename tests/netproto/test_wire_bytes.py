@@ -10,6 +10,8 @@ framed may change; the chunk payload bytes for the same query, chunk size,
 codec and key may not — they are what ``io_bytes_per_op`` counts.  The
 ``none`` rows pin a client that names ``none``; the default codec's rows are
 keyed by its name (``narrow``) and measured from a client that names none.
+The ``narrow`` rows were re-recorded once, on purpose, when the codec gained
+its stride and decimal forms; every other row is unchanged.
 
 An encrypted payload carries a random nonce, so with ``encrypt`` on the digest
 is taken over the *decrypted* payloads (which must equal the plain digest) and
@@ -179,17 +181,17 @@ PINNED = {
     # rows above were not touched (a named ``none`` still ships raw bytes)
     (7, "narrow"): {
         "streamed": (
-            "87dc765e38f0d01a23724106afb477b9334af211d54b6b3c456c7c6300725708",
-            29, 10186, 10761, 12733),
+            "317f1c7764881af296e4cb63d5ac41cbbdabccc4108ab718262f2aef4441a909",
+            29, 10186, 9923, 11895),
         "group_by": (
-            "95f17b9408da1ac67126fd0e0db41657467082432bc3c2fd1a48ab065cea00dd",
-            29, 8162, 8585, 10557),
+            "4ee213a76e3420cb81d395520e258afb7b48e31ede770494882050b92888bfd6",
+            29, 8162, 7726, 9698),
         "sorted": (
-            "960721b6f5b955e5db3652f99269a340505c93b2ee7565ef297a6880e2a584ce",
-            29, 9354, 9837, 11809),
+            "2c1867c82cb33ef341e64e341f0ac44c6d8a6f71598c886353bd63e2cc32e141",
+            29, 9354, 8974, 10946),
         "prepared": (
-            "215cd366674304cad31ddcf425d07775f2c1f177a92f5a0b7e8b068945759458",
-            26, 7357, 7597, 9365),
+            "434356fa15b89c4f3621238325169c8504c6073a7c230be0642c6700c48859ae",
+            26, 7357, 6829, 8597),
         "empty_streamed": (
             "ea4eac6cb9834603c1faf3256e6ff7b25d3e9b7b967e277d978b4dadab8ad42f",
             1, 4, 43, 111),
@@ -202,17 +204,17 @@ PINNED = {
     },
     (65536, "narrow"): {
         "streamed": (
-            "b83d0f6d52b857bd352741f3d15a8152e8c4fdcc11b5345040893bb2fb33e6cd",
-            1, 9004, 6450, 6518),
+            "645708b51ec8e56be52994adfd6a6741f29b4078d5bcd31ecbd7b1f942d5a632",
+            1, 9004, 5095, 5163),
         "group_by": (
-            "8387d34786cf56c3c98042db3be00816db10bb77451bc7f32064ce154fb2c0ec",
-            1, 8050, 5804, 5872),
+            "93916e0b53743f3332e79cf8c7e91dd3442495bd81d3723251eb86c6e5d89703",
+            1, 8050, 4428, 4496),
         "sorted": (
-            "38dc8622a4e280a71d21791aa0aa2bab87ae67902fe3a8bb2fc403fe0d381253",
-            1, 9130, 6534, 6602),
+            "03c894976dfb5bf85fe45032c055ba7063d699af583f652927f05af4c7c8372d",
+            1, 9130, 5158, 5226),
         "prepared": (
-            "3b0942f41deacf663e7718cacb557fb0c68872b07759f8e941ba49c7008fc276",
-            1, 7257, 5242, 5310),
+            "37da9703274089d4f5608c992657df59fc27e18191b2b8401828d40673f58ad1",
+            1, 7257, 4006, 4074),
         "empty_streamed": (
             "ea4eac6cb9834603c1faf3256e6ff7b25d3e9b7b967e277d978b4dadab8ad42f",
             1, 4, 43, 111),

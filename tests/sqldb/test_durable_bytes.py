@@ -10,10 +10,12 @@ digests below were recorded by running this file's ``_digests`` on the commit
 change, the bytes of the image and of the WAL for the same logical history
 may not — this is what holds ``io_bytes_per_op`` still.
 
-The WAL bytes changed once, on purpose, when the log moved to version 2:
-INSERT records carry their rows as one columnar chunk and DELETE records a
-compressed keep-bitmap.  ``WAL_SHA256`` was re-recorded at that change;
-``IMAGE_SHA256`` is still the digest from e2d6694.
+The WAL bytes changed twice, on purpose: when the log moved to version 2
+(INSERT records carry their rows as one columnar chunk and DELETE records a
+compressed keep-bitmap), and when it moved to version 3 (those chunks' id and
+DOUBLE sections may take the ``narrow`` codec's stride and decimal forms).
+``WAL_SHA256`` was re-recorded at each change; ``IMAGE_SHA256`` is still the
+digest from e2d6694.
 """
 
 import hashlib
@@ -27,7 +29,7 @@ from repro.sqldb.persist import format as persist_format
 from repro.sqldb.persist import wal_path_for
 
 IMAGE_SHA256 = "d5634fe87e2670fc5dd64550103011905eaceb283275332745ac08926cb7395d"
-WAL_SHA256 = "6479ae90d288670d616dd1a6895c2c830493977f93d194f782e5bb6d3ea0ffbc"
+WAL_SHA256 = "1e5588eb39ec97789ae890db7384492b575bd45e4c86d15893fb1c9ca4bda890"
 
 ROWS = 10_000
 SEGMENT_ROWS = 4_096  # ev spans three segments

@@ -236,12 +236,79 @@ def test_torn_version_1_tail_drops_only_its_last_record(tmp_path):
         database.persistence.close(checkpoint=False)
 
 
+#: A log as the version-2 writer laid it out, byte for byte: CREATE TABLE w
+#: (i INTEGER, v DOUBLE, s STRING), 40 rows, DELETE of five, one more row.
+#: Its chunks hold ``narrow`` sections in the frame-of-reference form only.
+V2_WAL = bytes.fromhex(
+    "524550524f57414c02000000000000000000000093000000f5861acf4d0000000253"
+    "000000026f70530000000c6372656174655f7461626c655300000006736368656d61"
+    "4d0000000253000000046e616d655300000001775300000007636f6c756d6e734c00"
+    "0000034c000000035300000001695300000007494e5445474552544c000000035300"
+    "000001765300000006444f55424c45544c0000000353000000017353000000065354"
+    "52494e475422020000072b6e7a4d0000000353000000026f705300000006696e7365"
+    "727453000000057461626c6553000000017753000000056368756e6b42000001ec43"
+    "42012800000003000100690001003300000004080100000000000000000001020304"
+    "05060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f20212223242526"
+    "2701007602020041010000000000000000000000000000000000d03f000000000000"
+    "e03f000000000000e83f000000000000f03f000000000000f43f000000000000f83f"
+    "000000000000fc3f0000000000000040000000000000024000000000000004400000"
+    "00000000064000000000000008400000000000000a400000000000000c4000000000"
+    "00000e40000000000000104000000000000011400000000000001240000000000000"
+    "13400000000000001440000000000000154000000000000016400000000000001740"
+    "000000000000184000000000000019400000000000001a400000000000001b400000"
+    "000000001c400000000000001d400000000000001e400000000000001f4000000000"
+    "00002040000000000080204000000000000021400000000000802140000000000000"
+    "22400000000000802240000000000000234000000000008023400100730412023300"
+    "00000404010000000000000000000102000102000102000102000102000102000102"
+    "000102000102000102000102000102000102000f0000000404010000000000000000"
+    "0002040607000000006e306e316e32600000009cbf042f4d0000000453000000026f"
+    "70530000000664656c65746553000000057461626c65530000000177530000000f6b"
+    "6565705f636f6d70726573736564420000000d0301789c63ff0f04000a1e04045300"
+    "000005636f756e7449000000000000002882000000faaacabd4d0000000353000000"
+    "026f705300000006696e7365727453000000057461626c6553000000017753000000"
+    "056368756e6b420000004c4342010100000003000100690001000900000000640000"
+    "00000000000100760202000900000000000000000000f8bf01007304100101000000"
+    "80090000000000000000000000000100000000")
+V2_STATEMENTS = [
+    "CREATE TABLE w (i INTEGER, v DOUBLE, s STRING)",
+    "INSERT INTO w VALUES " + ", ".join(f"({i}, {i * 0.25}, 'n{i % 3}')"
+                                        for i in range(40)),
+    "DELETE FROM w WHERE i < 5",
+    "INSERT INTO w VALUES (100, -1.5, NULL)",
+]
+
+
+def test_version_2_log_replays_and_is_restamped_before_an_append(tmp_path):
+    """The version-2 sections decode as they always did; what is appended
+    behind them may not, so the header says version 3 before it is."""
+    reference = Database()
+    for statement in V2_STATEMENTS:
+        reference.execute(statement)
+    path = tmp_path / "v2.db"
+    wal_path_for(path).write_bytes(V2_WAL)
+    database = Database(path=path)
+    assert database.persistence.last_recovery.wal_records_replayed == 4
+    rows = database.execute("SELECT * FROM w").fetchall()
+    assert rows == reference.execute("SELECT * FROM w").fetchall()
+    assert stored_buffers(database) == stored_buffers(reference)
+    assert wal_path_for(path).read_bytes()[8:10] == struct.pack("<H", 3)
+    database.execute("INSERT INTO w VALUES (101, 0.75, 'n1')")
+    reference.execute("INSERT INTO w VALUES (101, 0.75, 'n1')")
+    database.persistence.close(checkpoint=False)
+    reopened = Database(path=path)
+    try:
+        assert reopened.execute("SELECT * FROM w").fetchall() == \
+            reference.execute("SELECT * FROM w").fetchall()
+    finally:
+        reopened.persistence.close(checkpoint=False)
+
+
 def test_unknown_wal_version_is_refused_at_the_header(tmp_path):
     path = tmp_path / "future.db"
     data = bytearray(_v1_wal(V1_RECORDS))
-    data[8:10] = struct.pack("<H", 3)
+    data[8:10] = struct.pack("<H", 4)
     wal_path_for(path).write_bytes(bytes(data))
-    with pytest.raises(PersistenceError, match="unsupported version 3"):
+    with pytest.raises(PersistenceError, match="unsupported version 4"):
         Database(path=path)
 
 
