@@ -18,12 +18,14 @@ settings dialog turns on; the ``zlib`` row is printed beside it.
 """
 
 import time
+import zlib
 
 import numpy as np
 import pytest
 from conftest import report
 
 from repro.core.settings import DataTransferSettings
+from repro.netproto import compression
 from repro.netproto.client import Connection, TransferOptions
 from repro.netproto.compression import (
     CODEC_NONE,
@@ -177,3 +179,57 @@ def test_claim_compress_plus_transfer_beats_plain(benchmark, transfer_server,
     assert at_100[DEFAULT_CODEC] < at_100[CODEC_NONE]
     assert table[DEFAULT_CODEC]["wire_bytes"] <= table[CODEC_ZLIB]["wire_bytes"]
     connection.close()
+
+
+#: column kinds the lane threshold is measured on: the e2e benchmark's column
+#: and the four kinds of ROADMAP's codec dominance table
+LANE_KINDS = {
+    "int64 random < 100,000": lambda rng, n: rng.integers(0, 100_000, n),
+    "int64 ids": lambda rng, n: np.arange(n, dtype=np.int64),
+    "int64 < 500": lambda rng, n: rng.integers(0, 500, n),
+    "int32 codes < 200": lambda rng, n: rng.integers(0, 200, n).astype(np.int32),
+    "float64 random": lambda rng, n: rng.random(n),
+}
+LANE_LENGTHS = [7, 200, 1_024, 4_096, 6_144, 8_192, 16_384]
+
+
+def _median_ratio(work, unit, column, rounds=21):
+    """Median of ``work(column)`` ÷ median of ``unit(column)``, timed alternately."""
+    timings = {work: [], unit: []}
+    for _ in range(rounds):
+        for fn in (work, unit):
+            started = time.perf_counter()
+            fn(column)
+            timings[fn].append(time.perf_counter() - started)
+    return float(np.median(timings[work]) / np.median(timings[unit]))
+
+
+def _geomean(ratios):
+    return float(np.exp(np.mean(np.log(ratios))))
+
+
+def test_lane_threshold_crossover(benchmark, monkeypatch):
+    """Where coding byte lanes apart (``shuffle`` from ``_LANE_MIN_BYTES`` on)
+    starts to beat one DEFLATE-6 pass over all lanes: time ratio per kind and
+    lane length, and on how many of the five kinds the per-lane path wins."""
+    def one_pass(column):
+        lanes = np.frombuffer(column.tobytes(), np.uint8).reshape(-1, column.itemsize).T
+        return zlib.compress(lanes.tobytes(), 6)
+
+    monkeypatch.setattr(compression, "_LANE_MIN_BYTES", 0)
+
+    def sweep():
+        rng = np.random.default_rng(11)
+        return {length: [_median_ratio(compression.shuffle_compress, one_pass,
+                                       make(rng, length))
+                         for make in LANE_KINDS.values()]
+                for length in LANE_LENGTHS}
+
+    table = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    report("C1: per-lane shuffle time / one DEFLATE-6 pass, by lane length", [
+        {"lane_bytes": length, **{kind: round(ratio, 2) for kind, ratio
+                                  in zip(LANE_KINDS, ratios)},
+         "per_lane_wins": sum(ratio < 1 for ratio in ratios),
+         "geomean": round(_geomean(ratios), 2)}
+        for length, ratios in table.items()])
+    assert _geomean(table[200]) > 1 > _geomean(table[16_384])

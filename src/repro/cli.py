@@ -224,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     configure.add_argument("--username")
     configure.add_argument("--password")
     configure.add_argument("--debug-query", dest="debug_query")
-    configure.add_argument("--compression", choices=available_codecs())
+    configure.add_argument("--compression", type=str.lower,
+                           choices=available_codecs())
     configure.add_argument("--encrypt", action=argparse.BooleanOptionalAction)
     configure.add_argument("--sample-size", type=int, dest="sample_size")
     configure.set_defaults(func=cmd_configure)

@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..errors import SettingsError
+from ..errors import ProtocolError, SettingsError
 from ..netproto.client import ConnectionInfo, TransferOptions
-from ..netproto.compression import CODEC_NARROW, CODEC_SHUFFLE, available_codecs
+from ..netproto.compression import CODEC_NARROW, CODEC_SHUFFLE, available_codecs, get_codec
 from ..netproto.sampling import SampleSpec
 
 
@@ -40,11 +40,18 @@ class DataTransferSettings:
     sample_seed: int | None = 42
 
     def validate(self) -> None:
-        if self.use_compression and self.compression_codec not in available_codecs():
-            raise SettingsError(
+        """Check the options; the codec name is stored in its canonical case."""
+        if self.use_compression:
+            unknown = SettingsError(
                 f"unknown compression codec {self.compression_codec!r}; "
                 f"available: {available_codecs()}"
             )
+            if not isinstance(self.compression_codec, str):
+                raise unknown
+            try:
+                self.compression_codec = get_codec(self.compression_codec).name
+            except ProtocolError:
+                raise unknown from None
         if self.use_sampling:
             if self.sample_size is None and self.sample_fraction is None:
                 raise SettingsError("sampling enabled but no sample size/fraction given")

@@ -6,13 +6,14 @@ leading to faster transfer times".  The reproduction offers four codecs:
 * ``none``    — identity (the baseline).
 * ``zlib``    — DEFLATE level 6 over the bytes as they come (the durable
   image's codec, and what ``compress()`` uses when not told otherwise).
-* ``shuffle`` — the same DEFLATE level 6 over the buffer transposed into byte
-  lanes (the Blosc shuffle): byte 0 of every value, then byte 1, ...  A typed
+* ``shuffle`` — one zlib stream over the buffer transposed into byte lanes
+  (the Blosc shuffle): byte 0 of every value, then byte 1, ...  A typed
   column's high bytes are mostly equal, so each lane is a long run — faster to
   compress *and* smaller than ``zlib`` on every column kind the engine ships.
-  The lane width is the ``itemsize`` of the buffer handed in and rides in the
-  section, so decoding needs no column context.  What "compress" in the
-  settings dialog means.
+  Each lane of 8 KiB or more is stored, run-length or DEFLATE-6 coded, as a
+  probe of its head says.  The lane width is the ``itemsize`` of the buffer
+  handed in and rides in the section, so decoding needs no column context.
+  What "compress" in the settings dialog means.
 * ``narrow``  — the result wire's default: a caller that names no codec gets
   it, one that names ``none`` gets the raw bytes.  Three forms, each written
   only when smaller than the ones before it:
@@ -36,6 +37,7 @@ leading to faster transfer times".  The reproduction offers four codecs:
 
 from __future__ import annotations
 
+import itertools
 import struct
 import zlib
 from dataclasses import dataclass
@@ -62,13 +64,68 @@ def _inflate(data: bytes) -> bytes:
         raise ProtocolError(f"corrupt DEFLATE stream: {exc}") from None
 
 
+#: lanes shorter than this stay one DEFLATE-6 pass over all lanes.  Measured
+#: (2-vCPU Xeon, Python 3.11; ``test_lane_threshold_crossover`` in
+#: ``benchmarks/test_bench_transfer_compression.py``): the shortest lane at
+#: which coding lanes apart is faster on four of five column kinds (geometric
+#: mean 0.7 x); at 4 KiB it is slower on three, at 200 B 2.5-3.8 x on all five
+_LANE_MIN_BYTES = 8192
+#: the head of a lane its encoding is chosen on
+_LANE_PROBE_BYTES = 4096
+#: ``(level, strategy)`` of a lane's raw DEFLATE segment
+_STORED, _RLE, _DEFLATE = (0, zlib.Z_DEFAULT_STRATEGY), (6, zlib.Z_RLE), \
+    (6, zlib.Z_DEFAULT_STRATEGY)
+#: the header ``zlib.compress(..., 6)`` writes (DEFLATE, 32 KiB window) and an
+#: empty final block (fixed Huffman codes, end of block)
+_ZLIB_HEADER, _FINAL_BLOCK = b"\x78\x9c", b"\x03\x00"
+
+
+def _deflated_size(data: Any, level: int, strategy: int) -> int:
+    encoder = zlib.compressobj(level, zlib.DEFLATED, -zlib.MAX_WBITS, 8, strategy)
+    return len(encoder.compress(data)) + len(encoder.flush())
+
+
+def _lane_encoding(lane: np.ndarray) -> tuple[int, int]:
+    """Stored, ``Z_RLE`` or DEFLATE-6 for one byte lane, whichever its first
+    4 KiB come out smallest under (ties to the cheaper): a lane of random bits
+    is not searched for matches, a lane of runs not for distant ones.  A fast
+    DEFLATE-1 stands in for DEFLATE-6 in the probe."""
+    if not (lane != lane[0]).any():
+        return _RLE
+    probe = lane[:_LANE_PROBE_BYTES]
+    deflated = _deflated_size(probe, 1, zlib.Z_DEFAULT_STRATEGY)
+    if deflated >= len(probe):
+        return _STORED
+    return _DEFLATE if deflated < _deflated_size(probe, *_RLE) else _RLE
+
+
 def shuffle_compress(data: Any) -> bytes:
-    """``[lane width][DEFLATE-6 of the buffer as width byte lanes]``."""
+    """``[lane width][zlib stream of the buffer as width byte lanes]``.
+
+    Lanes of 8 KiB or more are each stored, run-length coded or DEFLATE-6
+    coded, as :func:`_lane_encoding` chooses; neighbours choosing alike share
+    one raw DEFLATE segment ended by a sync flush.  The segments go under one
+    zlib header and are closed by an empty final block and the Adler-32 of
+    all the lanes, so the section is one ordinary zlib stream.  Narrower
+    buffers (width 1: bytes, keep-masks) and shorter lanes are DEFLATE-6 in
+    one go, as ``zlib.compress`` writes it.
+    """
     view = memoryview(data)
     width = view.itemsize
-    if width > 1:
-        view = np.frombuffer(view, np.uint8).reshape(-1, width).T.tobytes()
-    return bytes([width]) + zlib.compress(view, 6)
+    if width == 1:
+        return b"\x01" + zlib.compress(view, 6)
+    lanes = np.frombuffer(view, np.uint8).reshape(-1, width).T
+    if lanes.shape[1] < _LANE_MIN_BYTES:
+        return bytes([width]) + zlib.compress(lanes.tobytes(), 6)
+    lanes = np.ascontiguousarray(lanes)
+    segments = [bytes([width]), _ZLIB_HEADER]
+    for (level, strategy), run in itertools.groupby(
+            zip(map(_lane_encoding, lanes), lanes), key=lambda pair: pair[0]):
+        encoder = zlib.compressobj(level, zlib.DEFLATED, -zlib.MAX_WBITS, 8, strategy)
+        segments += [encoder.compress(lane) for _, lane in run]
+        segments.append(encoder.flush(zlib.Z_SYNC_FLUSH))
+    segments += [_FINAL_BLOCK, zlib.adler32(lanes).to_bytes(4, "big")]
+    return b"".join(segments)
 
 
 def shuffle_decompress(data: bytes) -> bytes:

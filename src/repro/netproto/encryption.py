@@ -9,8 +9,16 @@ library only (no external crypto dependency is available offline):
 
 * key derivation: PBKDF2-HMAC-SHA256 over the password with a random
   per-process salt (a fresh random nonce per message),
-* keystream: SHA-256 in counter mode over (key, nonce, block index),
-* integrity: HMAC-SHA256 over the ciphertext (encrypt-then-MAC).
+* keystream: SHAKE-256 of (key, nonce), drawn to the payload's length in one
+  call and XORed over it in one operation,
+* integrity: HMAC-SHA256 over the magic, nonce and ciphertext
+  (encrypt-then-MAC), so a blob relabelled as the other version is refused.
+
+Blobs are ``MAGIC | salt | nonce | tag | ciphertext``.  :func:`encrypt` writes
+``dUE2``.  ``dUE1`` blobs, whose keystream was SHA-256 in counter mode over
+(key, nonce, block index) and whose tag covers only the nonce and ciphertext,
+are still decrypted -- an ``input.bin`` written with a password may hold one --
+but never written.
 
 This is a faithful stand-in for "encrypt with the user's password": it
 round-trips exactly, rejects wrong passwords, and has measurable CPU cost for
@@ -24,9 +32,11 @@ import hashlib
 import hmac
 import os
 
+import numpy as np
+
 from ..errors import DecryptionError
 
-_MAGIC = b"dUE1"
+_MAGIC = b"dUE2"
 _SALT_BYTES = 16
 _NONCE_BYTES = 16
 _TAG_BYTES = 32
@@ -50,8 +60,16 @@ def _process_salt() -> bytes:
     return os.urandom(_SALT_BYTES)
 
 
+def _shake_keystream(data: bytes, key: bytes, nonce: bytes) -> bytes:
+    """XOR ``data`` with the SHAKE-256 keystream of (key, nonce): ``dUE2``."""
+    keystream = hashlib.shake_256(key + nonce).digest(len(data))
+    return np.bitwise_xor(np.frombuffer(data, np.uint8),
+                          np.frombuffer(keystream, np.uint8)).tobytes()
+
+
 def _apply_keystream(data: bytes, key: bytes, nonce: bytes) -> bytes:
-    """XOR ``data`` with the SHA-256 counter-mode keystream of (key, nonce)."""
+    """XOR ``data`` with the SHA-256 counter-mode keystream of (key, nonce):
+    how ``dUE1`` blobs, read but no longer written, were encrypted."""
     prefix = key + nonce
     keystream = b"".join([
         hashlib.sha256(prefix + counter.to_bytes(8, "big")).digest()
@@ -61,40 +79,61 @@ def _apply_keystream(data: bytes, key: bytes, nonce: bytes) -> bytes:
     return mixed.to_bytes(len(keystream), "big")
 
 
-def encrypt(data: bytes, password: str) -> bytes:
-    """Encrypt ``data`` with a key derived from ``password``.
+#: the keystream behind each magic a blob can start with
+_KEYSTREAMS = {_MAGIC: _shake_keystream, b"dUE1": _apply_keystream}
 
-    Output layout: ``MAGIC | salt | nonce | tag | ciphertext``.
+
+def _tag(key: bytes, magic: bytes, nonce: bytes, ciphertext: bytes) -> bytes:
+    """HMAC-SHA256 of a blob: ``dUE2`` covers its magic, ``dUE1`` did not."""
+    mac = hmac.new(key, (magic if magic == _MAGIC else b"") + nonce, hashlib.sha256)
+    mac.update(ciphertext)
+    return mac.digest()
+
+
+def encrypt(data: bytes, password: str) -> bytes:
+    """Encrypt the bytes-like ``data`` with a key derived from ``password``.
+
+    Output layout: ``dUE2 | salt | nonce | tag | ciphertext``.
     """
+    data = memoryview(data).cast("B")
     salt = _process_salt()
     nonce = os.urandom(_NONCE_BYTES)
     key = derive_key(password, salt)
-    ciphertext = _apply_keystream(data, key, nonce)
-    tag = hmac.new(key, nonce + ciphertext, hashlib.sha256).digest()
+    ciphertext = _shake_keystream(data, key, nonce)
+    tag = _tag(key, _MAGIC, nonce, ciphertext)
     return _MAGIC + salt + nonce + tag + ciphertext
 
 
 def decrypt(blob: bytes, password: str) -> bytes:
-    """Reverse :func:`encrypt`; raises :class:`DecryptionError` on a wrong key
-    or corrupted payload."""
+    """Reverse :func:`encrypt` (or decrypt a ``dUE1`` blob); raises
+    :class:`DecryptionError` on a wrong key or a corrupted payload."""
+    try:
+        blob = memoryview(blob).cast("B")
+    except TypeError:
+        raise DecryptionError("payload is not bytes-like") from None
     header_len = len(_MAGIC) + _SALT_BYTES + _NONCE_BYTES + _TAG_BYTES
-    if len(blob) < header_len or not blob.startswith(_MAGIC):
+    magic = bytes(blob[:len(_MAGIC)])
+    keystream = _KEYSTREAMS.get(magic)
+    if keystream is None or len(blob) < header_len:
         raise DecryptionError("payload is not a devUDF encrypted blob")
     offset = len(_MAGIC)
     salt = bytes(blob[offset:offset + _SALT_BYTES])
     offset += _SALT_BYTES
-    nonce = blob[offset:offset + _NONCE_BYTES]
+    nonce = bytes(blob[offset:offset + _NONCE_BYTES])
     offset += _NONCE_BYTES
     tag = blob[offset:offset + _TAG_BYTES]
     offset += _TAG_BYTES
     ciphertext = blob[offset:]
     key = derive_key(password, salt)
-    expected = hmac.new(key, nonce + ciphertext, hashlib.sha256).digest()
-    if not hmac.compare_digest(tag, expected):
+    if not hmac.compare_digest(tag, _tag(key, magic, nonce, ciphertext)):
         raise DecryptionError("integrity check failed (wrong password or corrupted data)")
-    return _apply_keystream(ciphertext, key, nonce)
+    return keystream(ciphertext, key, nonce)
 
 
 def is_encrypted(blob: bytes) -> bool:
-    """True when ``blob`` looks like output of :func:`encrypt`."""
-    return blob.startswith(_MAGIC)
+    """True when the bytes-like ``blob`` looks like output of :func:`encrypt`
+    (either magic)."""
+    try:
+        return bytes(memoryview(blob).cast("B")[:len(_MAGIC)]) in _KEYSTREAMS
+    except TypeError:  # not bytes-like
+        return False

@@ -40,7 +40,7 @@ from . import encryption as encryption_mod
 #: The one protocol version this build speaks.  It rides in ``hello`` and
 #: ``challenge``; a peer that names any other version is refused with a
 #: structured ``protocol`` error — there is no negotiation and no downgrade.
-PROTOCOL_VERSION = 7
+PROTOCOL_VERSION = 8
 
 #: Default server-side chunk size (rows per ``result_chunk`` message).
 DEFAULT_CHUNK_ROWS = 65_536

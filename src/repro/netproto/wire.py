@@ -52,9 +52,12 @@ there are no rows to ship (see :func:`repro.netproto.messages.result_messages`):
                     (:mod:`repro.netproto.compression`) and therefore starts
                     with a one-byte codec id: 0 ``none`` (the bytes),
                     2 ``zlib`` (DEFLATE level 6),
-                    3 ``shuffle`` (``lane width u8`` + DEFLATE level 6 of the
+                    3 ``shuffle`` (``lane width u8`` + one zlib stream of the
                     section transposed into that many byte lanes: byte 0 of
-                    every value, then byte 1, ...; width 1 is plain DEFLATE),
+                    every value, then byte 1, ...; lanes of 8 KiB or more are
+                    each stored, run-length or DEFLATE-6 coded, as a probe of
+                    their head chooses, shorter ones and width 1 are
+                    ``zlib.compress`` level 6),
                     4 ``narrow`` in one of three forms:
                     ``item width u8`` + ``stored width u8`` + ``base i64 LE``
                     + each value minus base in stored-width LE (frame of
@@ -97,8 +100,9 @@ any other version (or none) is answered with a structured ``protocol`` error
 naming the version the server speaks, and a client refuses a ``challenge``
 that names another version — a version change is a refusal, never a silent
 downgrade.  The version covers the message set, the result framing and this
-value codec together.  It is 7: version 6 predates the ``narrow`` stride and
-decimal forms.
+value codec together, and the encrypted payload.  It is 8: version 7 predates
+the ``dUE2`` cipher (:mod:`repro.netproto.encryption`), version 6 the
+``narrow`` stride and decimal forms.
 """
 
 from __future__ import annotations

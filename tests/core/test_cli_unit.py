@@ -65,6 +65,12 @@ class TestParser:
                                       "--compression", codec])
             assert args.compression == codec
 
+    @pytest.mark.parametrize("spelling", ["Shuffle", "NONE"])
+    def test_compression_choice_in_any_case_is_lower_cased(self, parser, spelling):
+        args = parser.parse_args(["configure", "--project", "p",
+                                  "--compression", spelling])
+        assert args.compression == spelling.lower()
+
     def test_demo_server_defaults(self, parser):
         args = parser.parse_args(["demo-server", "--csv-dir", "/tmp/x"])
         assert args.host == "127.0.0.1"

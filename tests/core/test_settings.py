@@ -63,6 +63,23 @@ class TestTransferSettings:
         with pytest.raises(SettingsError):
             transfer.validate()
 
+    @pytest.mark.parametrize("name", ["Shuffle", "SHUFFLE", "shuffle"])
+    def test_codec_name_in_any_case_is_stored_canonical(self, name):
+        """``validate()`` used to refuse ``"Shuffle"``,
+        which ``compression.compress`` accepts."""
+        transfer = DataTransferSettings.from_dict(
+            {"use_compression": True, "compression_codec": name})
+        transfer.validate()
+        assert transfer.compression_codec == CODEC_SHUFFLE
+        assert transfer.transfer_options().compression == CODEC_SHUFFLE
+        assert transfer.as_dict()["compression_codec"] == CODEC_SHUFFLE
+
+    @pytest.mark.parametrize("name", [None, 3, b"shuffle", "", "shuffle "])
+    def test_codec_that_is_no_name_rejected(self, name):
+        transfer = DataTransferSettings(use_compression=True, compression_codec=name)
+        with pytest.raises(SettingsError):
+            transfer.validate()
+
     def test_sampling_requires_size_or_fraction(self):
         transfer = DataTransferSettings(use_sampling=True)
         with pytest.raises(SettingsError):

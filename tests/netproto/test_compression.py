@@ -157,6 +157,88 @@ class TestShuffle:
         assert decompress(section) == raw
 
 
+def _lanes(values):
+    """The byte lanes of a typed buffer, as ``shuffle`` transposes them."""
+    return np.frombuffer(values.tobytes(), np.uint8) \
+        .reshape(-1, values.itemsize).T.tobytes()
+
+
+def _lane(kind, length, rng):
+    if kind == "constant":
+        return np.full(length, rng.integers(256), np.uint8)
+    if kind == "random":
+        return rng.integers(0, 256, length, dtype=np.uint8)
+    if kind == "sequence":
+        return (np.arange(length) * rng.integers(1, 5)).astype(np.uint8)
+    return rng.choice(rng.integers(0, 256, 3), length).astype(np.uint8)
+
+
+#: below, at and above the length from which each lane is coded on its own
+LANE_LENGTHS = [1, 4095, 8191, 8192, 8193, 12_000]
+#: the 200 k-row column kinds the codec dominance table measures, and the
+#: extract benchmark's 16 000 ``int64`` below 100 000
+DOMINANCE_KINDS = {
+    "ids": lambda rng: np.arange(200_000, dtype=np.int64),
+    "int64_below_500": lambda rng: rng.integers(0, 500, 200_000),
+    "int32_codes_below_200": lambda rng: rng.integers(0, 200, 200_000).astype(np.int32),
+    "float64": lambda rng: rng.random(200_000),
+    "extract_column": lambda rng: rng.integers(0, 100_000, 16_000),
+}
+
+
+class TestShuffleLanes:
+    """Lanes of 8 KiB or more are stored, ``Z_RLE`` or DEFLATE-6 coded each,
+    inside one zlib stream; shorter lanes keep ``zlib.compress(lanes, 6)``."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(st.sampled_from([2, 4, 8]), st.sampled_from(LANE_LENGTHS),
+           st.lists(st.sampled_from(["constant", "random", "sequence", "few"]),
+                    min_size=8, max_size=8),
+           st.integers(0, 2**32 - 1))
+    def test_roundtrip_property(self, width, length, kinds, seed):
+        rng = np.random.default_rng(seed)
+        lanes = np.stack([_lane(kind, length, rng) for kind in kinds[:width]])
+        values = np.ascontiguousarray(lanes.T).view(f"<u{width}").ravel()
+        assert _lanes(values) == lanes.tobytes()
+        section = compress(values, CODEC_SHUFFLE)
+        assert section[:2] == bytes([3, width])
+        assert decompress(section) == values.tobytes()
+        # one standard zlib stream either way: the decoder is unchanged
+        assert zlib.decompress(section[2:]) == lanes.tobytes()
+        if length < 8192:
+            assert section[2:] == zlib.compress(lanes.tobytes(), 6)
+
+    @pytest.mark.parametrize("width", [2, 4, 8])
+    @pytest.mark.parametrize("length", [8191, 8192])
+    def test_lanes_below_the_threshold_keep_the_old_bytes(self, width, length):
+        values = np.random.default_rng(width).integers(0, 1 << 20, length) \
+            .astype(f"<u{width}")
+        section = compress(values, CODEC_SHUFFLE)
+        zlib_stream = zlib.decompress(section[2:]) == _lanes(values)
+        old = bytes([3, width]) + zlib.compress(_lanes(values), 6)
+        assert zlib_stream and (section == old) == (length < 8192)
+
+    @pytest.mark.parametrize("kind", sorted(DOMINANCE_KINDS))
+    def test_no_column_kind_grows_past_one_percent(self, kind):
+        values = DOMINANCE_KINDS[kind](np.random.default_rng(5))
+        section = compress(values, CODEC_SHUFFLE)
+        old = bytes([3, values.itemsize]) + zlib.compress(_lanes(values), 6)
+        assert len(section) <= 1.01 * len(old)
+        assert decompress(section) == values.tobytes()
+
+    @pytest.mark.parametrize("lane,encoding", [
+        (np.random.default_rng(9).integers(0, 256, 16_000, dtype=np.uint8), "_STORED"),
+        (np.zeros(16_000, np.uint8), "_RLE"),
+        (np.random.default_rng(9).random(16_000) < 0.35, "_RLE"),
+        (np.arange(16_000).astype(np.uint8), "_DEFLATE"),
+    ], ids=["random_bits", "constant", "two_values", "repeating_ramp"])
+    def test_each_lane_is_coded_as_its_head_suggests(self, lane, encoding):
+        """Random bits are not searched for matches, runs not for distant
+        ones; a ramp repeating every 256 bytes is what DEFLATE-6 is for."""
+        lane = lane.astype(np.uint8)
+        assert compression._lane_encoding(lane) == getattr(compression, encoding)
+
+
 #: The integer buffers the wire ships, with the limits of their type
 NARROW_KINDS = {"<i8": (-2**63, 2**63 - 1), "<i4": (-2**31, 2**31 - 1),
                 "<u4": (0, 2**32 - 1)}

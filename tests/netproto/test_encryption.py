@@ -28,14 +28,37 @@ class TestRoundTrip:
         assert is_encrypted(encrypt(b"data", "pw"))
         assert not is_encrypted(b"plain bytes")
 
+    def test_is_encrypted_takes_any_bytes_like_input(self):
+        """A memoryview used to raise ``AttributeError``."""
+        blob = encrypt(b"data", "pw")
+        assert is_encrypted(memoryview(blob)) and is_encrypted(bytearray(blob))
+        assert not is_encrypted(memoryview(b"plain bytes"))
+        assert not is_encrypted(42)
+
+    @pytest.mark.parametrize("payload", [42, None, "dUE2 text", memoryview(b"dUE2")])
+    def test_what_is_not_a_blob_raises_only_decryption_error(self, payload):
+        with pytest.raises(DecryptionError):
+            decrypt(payload, "pw")
+
 
 class TestFrozenLayout:
-    """``dUE1 | salt | nonce | tag | ciphertext`` is a wire and blob format."""
+    """``dUE2 | salt | nonce | tag | ciphertext`` is a wire and blob format;
+    ``dUE1`` blobs (SHA-256 counter keystream) are still read."""
 
     PAYLOAD = bytes((i * 7 + 3) % 256 for i in range(77))
     SALT = bytes(range(16))
     NONCE = bytes(range(16, 32))
-    #: produced by the byte-at-a-time implementation this one replaced
+    #: ``dUE2``: SHAKE-256(key | nonce) XOR payload,
+    #: HMAC-SHA256(magic | nonce | ciphertext)
+    GOLDEN_SHAKE = (
+        "64554532000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"
+        "34a91422f5100926c273923b07a5cf3e8e07772cff5ff3feb8d6194ab6be455d2bf69831"
+        "1a812a19b54223ccad87d52a8bfc25a5fa4f791cabc2559f96ba38e73c20fe849d887026"
+        "27ff104a5c1928a5f554c142bf82c6fad1f647517881bbcd78582457171f9c66dc15e432"
+        "4f"
+    )
+    #: ``dUE1``: recorded from the byte-at-a-time implementation, which the
+    #: SHA-256 counter keystream that followed it reproduced
     GOLDEN = (
         "64554531000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"
         "13908ceac67df731488675041ce578b0c3920ad02b697beaa702b07474db3f8152b552d8"
@@ -52,8 +75,9 @@ class TestFrozenLayout:
             blob = encrypt(self.PAYLOAD, "monetdb")
         finally:
             encryption._process_salt.cache_clear()
-        assert blob.hex() == self.GOLDEN
-        assert blob[:4] == b"dUE1" and blob[4:20] == self.SALT and blob[20:36] == self.NONCE
+        assert blob.hex() == self.GOLDEN_SHAKE
+        assert blob[:4] == b"dUE2" and blob[4:20] == self.SALT and blob[20:36] == self.NONCE
+        assert decrypt(blob, "monetdb") == self.PAYLOAD
 
     def test_blob_of_the_old_implementation_still_decrypts(self):
         assert decrypt(bytes.fromhex(self.GOLDEN), "monetdb") == self.PAYLOAD
@@ -71,15 +95,41 @@ class TestFrozenLayout:
         blob = encrypt(kind(payload), "monetdb")
         assert len(blob) == 68 + size
         assert decrypt(blob, "monetdb") == payload
-        assert decrypt(bytearray(blob), "monetdb") == payload
+        assert decrypt(kind(blob), "monetdb") == payload
 
-    def test_flipped_byte_anywhere_rejected(self):
-        blob = encrypt(b"the data" * 8, "pw")
-        for position in (4, 20, 36, 68, len(blob) - 1):  # salt, nonce, tag, body
+    @pytest.mark.parametrize("magic", [b"dUE2", b"dUE1"])
+    def test_flipped_byte_anywhere_rejected(self, magic):
+        if magic == b"dUE2":
+            blob = encrypt(b"the data" * 8, "monetdb")
+        else:
+            blob = bytes.fromhex(self.GOLDEN)
+        assert blob[:4] == magic and decrypt(blob, "monetdb")
+        # magic, salt, nonce, tag, body
+        for position in (0, 3, 4, 20, 36, 68, len(blob) - 1):
             tampered = bytearray(blob)
             tampered[position] ^= 0x01
             with pytest.raises(DecryptionError):
-                decrypt(bytes(tampered), "pw")
+                decrypt(bytes(tampered), "monetdb")
+
+    @pytest.mark.parametrize("magic", [b"dUE2", b"dUE1"])
+    def test_blob_relabelled_as_the_other_version_rejected(self, magic):
+        """The ``dUE2`` tag covers its magic, so neither relabelling passes
+        the integrity check (``'2' ^ 3 == '1'``: a two-bit change)."""
+        if magic == b"dUE2":
+            blob = encrypt(b"the data" * 8, "monetdb")
+        else:
+            blob = bytes.fromhex(self.GOLDEN)
+        relabelled = bytearray(blob)
+        relabelled[3] ^= 0x03
+        assert bytes(relabelled[:4]) in {b"dUE1", b"dUE2"} - {magic}
+        with pytest.raises(DecryptionError, match="integrity"):
+            decrypt(bytes(relabelled), "monetdb")
+
+    def test_magic_of_neither_version_rejected(self):
+        blob = bytearray(encrypt(b"the data", "pw"))
+        blob[3:4] = b"3"
+        with pytest.raises(DecryptionError):
+            decrypt(bytes(blob), "pw")
 
     def test_derive_key_is_memoised_per_password_salt_and_iterations(self):
         assert derive_key("pw", b"salt", iterations=10) != derive_key("pw", b"salt")
