@@ -94,9 +94,6 @@ class DebugOutcome:
     def breakpoint_stops(self) -> list[StopPoint]:
         return [stop for stop in self.stops if stop.is_breakpoint]
 
-    def stops_at_line(self, line: int) -> list[StopPoint]:
-        return [stop for stop in self.stops if stop.line == line]
-
 
 #: A controller decides what to do at each stop.  It receives the stop and the
 #: session and returns one of the command strings above.

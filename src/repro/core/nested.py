@@ -165,8 +165,3 @@ def find_nested_udf_names(body: str, known_udfs: Iterable[str]) -> list[str]:
             if name not in names:
                 names.append(name)
     return names
-
-
-def uses_loopback(body: str) -> bool:
-    """True when the body issues loopback queries at all."""
-    return "_conn" in body and bool(find_loopback_queries(body)) or "_conn.execute" in body

@@ -25,7 +25,6 @@ from ..ide.actions import Action, MainMenu
 from ..netproto.client import Connection, ConnectionInfo
 from ..netproto.server import DatabaseServer
 from ..sqldb.result import QueryResult
-from ..sqldb.schema import FunctionSignature
 from .debugger import Breakpoint, Controller, DebugOutcome, DebugSession
 from .exporter import ExportReport, UDFExporter
 from .extract import ExtractedInputs, ExtractionPlan, ExtractQueryRewriter, InputExtractor
@@ -97,9 +96,6 @@ class DevUDFPlugin:
                                     callback=self.export_udfs,
                                     description="Export (modified) UDFs back to the "
                                                 "database server"))
-
-    def menu_action(self, action_id: str) -> Action:
-        return self.menu.find_action(action_id)
 
     # ------------------------------------------------------------------ #
     # Figure 2: settings
@@ -269,13 +265,6 @@ class DevUDFPlugin:
     # ------------------------------------------------------------------ #
     # misc
     # ------------------------------------------------------------------ #
-    def catalog_signature(self, udf_name: str) -> FunctionSignature:
-        importer = UDFImporter(self.connect(), self.project)
-        signatures = importer.fetch_signatures()
-        signature = signatures.get(udf_name.lower())
-        if signature is None:
-            raise DevUDFError(f"UDF {udf_name!r} does not exist on the server")
-        return signature
 
     def close(self) -> None:
         self.disconnect()

@@ -58,12 +58,6 @@ def ide_vs_text_editor_share() -> dict[str, float]:
     }
 
 
-def ides_preferred_over_text_editors() -> bool:
-    """The paper's claim: "IDEs are heavily preferred for development"."""
-    shares = ide_vs_text_editor_share()
-    return shares["IDE"] > shares["Text Editor"]
-
-
 def environment(name: str) -> DevelopmentEnvironment:
     for env in TABLE_1:
         if env.name.lower() == name.lower():

@@ -2,9 +2,10 @@
 
 Listing 2 shows the generated file loading its inputs with
 ``pickle.load(open('./input.bin', 'rb'))``.  This module writes that blob from
-an :class:`~repro.core.extract.ExtractedInputs`, optionally compressing and/or
-encrypting the bytes at rest (the same options that protected the data on the
-wire can protect the local copy of sensitive data), and reads it back.
+an :class:`~repro.core.extract.ExtractedInputs` -- exactly the pickle Listing 2
+loads, nothing wrapped around it -- and reads it back.  Compression and
+encryption protect the data on the *transfer* (paper §2.1-2.2), not the local
+copy.
 """
 
 from __future__ import annotations
@@ -17,15 +18,10 @@ from typing import Any
 import numpy as np
 
 from ..errors import ExtractionError
-from ..netproto import compression as compression_mod
-from ..netproto import encryption as encryption_mod
 from .extract import ExtractedInputs
 
 #: Key under which loopback replay data is stored inside the blob.
 LOOPBACK_KEY = "_loopback"
-
-_ENCRYPTED_WRAPPER_KEY = "__devudf_encrypted__"
-_COMPRESSED_WRAPPER_KEY = "__devudf_compressed__"
 
 
 @dataclass
@@ -33,16 +29,9 @@ class InputBlobStats:
     """Size accounting for one written input blob."""
 
     path: Path
-    pickled_bytes: int
     stored_bytes: int
     parameters: int
     loopback_queries: int
-    compressed: bool = False
-    encrypted: bool = False
-
-    @property
-    def compression_ratio(self) -> float:
-        return self.pickled_bytes / max(self.stored_bytes, 1)
 
 
 def build_input_parameters(inputs: ExtractedInputs) -> dict[str, Any]:
@@ -72,60 +61,30 @@ def _to_plain(value: Any) -> Any:
     return value
 
 
-def write_input_blob(inputs: ExtractedInputs, path: str | Path, *,
-                     compress: bool = False, codec: str = compression_mod.CODEC_ZLIB,
-                     encrypt_password: str | None = None) -> InputBlobStats:
+def write_input_blob(inputs: ExtractedInputs, path: str | Path) -> InputBlobStats:
     """Write ``input.bin`` for a debug run; returns size statistics."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    payload = build_input_parameters(inputs)
-    pickled = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-
-    stored = pickled
-    compressed = False
-    encrypted = False
-    if compress:
-        stored = compression_mod.compress(stored, codec)
-        compressed = True
-    if encrypt_password is not None:
-        stored = encryption_mod.encrypt(stored, encrypt_password)
-        encrypted = True
-    if compressed or encrypted:
-        # wrap so the reader knows how to undo the at-rest transformations
-        wrapper = {
-            _COMPRESSED_WRAPPER_KEY: compressed,
-            _ENCRYPTED_WRAPPER_KEY: encrypted,
-            "payload": stored,
-        }
-        stored = pickle.dumps(wrapper, protocol=pickle.HIGHEST_PROTOCOL)
-    target.write_bytes(stored)
+    pickled = pickle.dumps(build_input_parameters(inputs), protocol=pickle.HIGHEST_PROTOCOL)
+    target.write_bytes(pickled)
     return InputBlobStats(
         path=target,
-        pickled_bytes=len(pickled),
-        stored_bytes=target.stat().st_size,
+        stored_bytes=len(pickled),
         parameters=len(inputs.parameters),
         loopback_queries=len(inputs.loopback),
-        compressed=compressed,
-        encrypted=encrypted,
     )
 
 
-def read_input_blob(path: str | Path, *, password: str | None = None) -> dict[str, Any]:
-    """Read an ``input.bin`` written by :func:`write_input_blob`."""
+def read_input_blob(path: str | Path) -> dict[str, Any]:
+    """Read an ``input.bin`` written by :func:`write_input_blob`; a missing,
+    corrupt or truncated blob raises :class:`ExtractionError`."""
     source = Path(path)
     if not source.exists():
         raise ExtractionError(f"input blob {source} does not exist")
-    raw = source.read_bytes()
-    payload = pickle.loads(raw)
-    if isinstance(payload, dict) and _ENCRYPTED_WRAPPER_KEY in payload:
-        data = payload["payload"]
-        if payload.get(_ENCRYPTED_WRAPPER_KEY):
-            if password is None:
-                raise ExtractionError("input blob is encrypted; a password is required")
-            data = encryption_mod.decrypt(data, password)
-        if payload.get(_COMPRESSED_WRAPPER_KEY):
-            data = compression_mod.decompress(data)
-        payload = pickle.loads(data)
+    try:
+        payload = pickle.loads(source.read_bytes())
+    except Exception as exc:  # unpickling raises far more than UnpicklingError
+        raise ExtractionError(f"input blob {source} is corrupt: {exc}") from exc
     if not isinstance(payload, dict):
         raise ExtractionError("input blob does not contain a parameter dictionary")
     return payload

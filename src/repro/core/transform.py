@@ -400,12 +400,3 @@ def extract_function_body(source: str, function_name: str) -> str:
             body_lines = lines[first - 1:last]
             return textwrap.dedent("\n".join(body_lines)).rstrip() + "\n"
     raise TransformError(f"no function definition {function_name!r} found in file")
-
-
-def function_names_in_source(source: str) -> list[str]:
-    """All top-level function names defined in a Python source file."""
-    try:
-        module = python_ast.parse(source)
-    except SyntaxError as exc:
-        raise TransformError(f"cannot parse file: {exc}") from exc
-    return [node.name for node in module.body if isinstance(node, python_ast.FunctionDef)]

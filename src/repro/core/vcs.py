@@ -7,7 +7,7 @@ development is challenging and the development history is not stored."
 
 Once devUDF has imported the UDFs as files in the IDE project, any VCS can
 track them.  The reproduction ships a small content-addressed store (commits
-of file snapshots, diffs, history, checkout) so the workflow benchmarks and
+of file snapshots, diffs, history) so the workflow benchmarks and
 examples can demonstrate the point without requiring a git binary.
 """
 
@@ -134,13 +134,6 @@ class MiniVCS:
                 return commit
         raise VCSError(f"unknown commit {commit_id!r}")
 
-    def file_at(self, commit_id: str, relative: str) -> str:
-        """Content of one file as of a commit."""
-        commit = self.get_commit(commit_id)
-        if relative not in commit.files:
-            raise VCSError(f"{relative!r} is not part of commit {commit.short_id()}")
-        return self._read_blob(commit.files[relative]).decode("utf-8")
-
     def status(self) -> dict[str, str]:
         """Working-tree status relative to HEAD: path -> added/modified/clean."""
         head = self.head()
@@ -189,14 +182,3 @@ class MiniVCS:
             ))
             diffs.append(FileDiff(relative, "modified" if in_old else "added", diff_text))
         return diffs
-
-    def checkout(self, commit_id: str) -> int:
-        """Restore all files of a commit into the working tree; returns files written."""
-        commit = self.get_commit(commit_id)
-        written = 0
-        for relative, digest in commit.files.items():
-            target = self.root / relative
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_bytes(self._read_blob(digest))
-            written += 1
-        return written

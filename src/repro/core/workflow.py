@@ -336,9 +336,6 @@ class WorkflowComparison:
             and self.devudf.udf_recreations <= self.traditional.udf_recreations
         )
 
-    def as_rows(self) -> list[dict[str, Any]]:
-        return [self.traditional.as_row(), self.devudf.as_row()]
-
 
 def compare_workflows(scenario_factory, *, project_root: str | Path,
                       cost_model: DeveloperCostModel | None = None,

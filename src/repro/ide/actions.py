@@ -36,11 +36,10 @@ class Action:
 
 @dataclass
 class MenuGroup:
-    """A (sub)menu containing actions and nested groups."""
+    """A menu containing actions."""
 
     label: str
     actions: list[Action] = field(default_factory=list)
-    groups: dict[str, "MenuGroup"] = field(default_factory=dict)
 
     def add_action(self, action: Action) -> Action:
         if any(existing.action_id == action.action_id for existing in self.actions):
@@ -48,20 +47,10 @@ class MenuGroup:
         self.actions.append(action)
         return action
 
-    def submenu(self, label: str) -> "MenuGroup":
-        if label not in self.groups:
-            self.groups[label] = MenuGroup(label)
-        return self.groups[label]
-
     def action(self, action_id: str) -> Action:
         for action in self.actions:
             if action.action_id == action_id:
                 return action
-        for group in self.groups.values():
-            try:
-                return group.action(action_id)
-            except ProjectError:
-                continue
         raise ProjectError(f"unknown action {action_id!r}")
 
     def action_labels(self) -> list[str]:
@@ -72,8 +61,6 @@ class MenuGroup:
         lines = [("  " * indent) + self.label]
         for action in self.actions:
             lines.append(("  " * (indent + 1)) + action.label)
-        for group in self.groups.values():
-            lines.append(group.tree(indent + 1))
         return "\n".join(lines)
 
 
@@ -92,14 +79,6 @@ class MainMenu:
         if label not in self.menus:
             self.menus[label] = MenuGroup(label)
         return self.menus[label]
-
-    def find_action(self, action_id: str) -> Action:
-        for group in self.menus.values():
-            try:
-                return group.action(action_id)
-            except ProjectError:
-                continue
-        raise ProjectError(f"unknown action {action_id!r}")
 
     def labels(self) -> list[str]:
         return list(self.menus)

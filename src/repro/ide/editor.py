@@ -2,14 +2,13 @@
 
 devUDF imports UDFs "into the IDE as a set of files in the current project"
 (paper §2.1); the developer then modifies the code in those files.  The
-reproduction models that editing surface so tests and workflow simulations can
-perform the same modifications a developer would (replace a line, insert a
-statement, refactor a name) and track dirty/saved state.
+reproduction models that editing surface so workflow simulations can perform
+the same modifications a developer would and track dirty/saved state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import ProjectError
@@ -23,7 +22,6 @@ class EditorBuffer:
     text: str = ""
     dirty: bool = False
     edit_count: int = 0
-    _undo_stack: list[str] = field(default_factory=list, repr=False)
 
     # ------------------------------------------------------------------ #
     # content access
@@ -49,55 +47,10 @@ class EditorBuffer:
     # ------------------------------------------------------------------ #
     # edits
     # ------------------------------------------------------------------ #
-    def _push_undo(self) -> None:
-        self._undo_stack.append(self.text)
-
     def set_text(self, text: str) -> None:
-        self._push_undo()
         self.text = text
         self.dirty = True
         self.edit_count += 1
-
-    def replace_line(self, number: int, new_line: str) -> None:
-        lines = self.lines
-        if not 1 <= number <= len(lines):
-            raise ProjectError(f"line {number} out of range (1..{len(lines)})")
-        self._push_undo()
-        lines[number - 1] = new_line
-        self.text = "\n".join(lines) + ("\n" if self.text.endswith("\n") else "")
-        self.dirty = True
-        self.edit_count += 1
-
-    def insert_line(self, number: int, new_line: str) -> None:
-        lines = self.lines
-        if not 1 <= number <= len(lines) + 1:
-            raise ProjectError(f"line {number} out of range (1..{len(lines) + 1})")
-        self._push_undo()
-        lines.insert(number - 1, new_line)
-        self.text = "\n".join(lines) + ("\n" if self.text.endswith("\n") else "")
-        self.dirty = True
-        self.edit_count += 1
-
-    def replace_text(self, old: str, new: str, *, count: int = -1) -> int:
-        """Replace occurrences of ``old`` with ``new``; returns replacements made."""
-        occurrences = self.text.count(old)
-        if occurrences == 0:
-            return 0
-        if count >= 0:
-            occurrences = min(occurrences, count)
-        self._push_undo()
-        self.text = self.text.replace(old, new, count if count >= 0 else -1)
-        self.dirty = True
-        self.edit_count += 1
-        return occurrences
-
-    def undo(self) -> bool:
-        if not self._undo_stack:
-            return False
-        self.text = self._undo_stack.pop()
-        self.dirty = True
-        self.edit_count += 1
-        return True
 
     # ------------------------------------------------------------------ #
     # persistence
@@ -107,9 +60,3 @@ class EditorBuffer:
         self.path.write_text(self.text, encoding="utf-8")
         self.dirty = False
         return self.path
-
-    def reload(self) -> None:
-        if not self.path.exists():
-            raise ProjectError(f"{self.path} does not exist on disk")
-        self.text = self.path.read_text(encoding="utf-8")
-        self.dirty = False

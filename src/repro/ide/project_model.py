@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
 
 from ..errors import ProjectError
 from .editor import EditorBuffer
@@ -42,12 +41,6 @@ class IDEProject:
     def exists(self, relative: str) -> bool:
         return self.path_of(relative).exists()
 
-    def files(self, pattern: str = "**/*.py") -> list[Path]:
-        return sorted(p for p in self.root.glob(pattern) if p.is_file())
-
-    def relative_files(self, pattern: str = "**/*.py") -> list[str]:
-        return [str(p.relative_to(self.root)) for p in self.files(pattern)]
-
     # ------------------------------------------------------------------ #
     # file + buffer management
     # ------------------------------------------------------------------ #
@@ -70,19 +63,6 @@ class IDEProject:
         buffer = EditorBuffer(path=path, text=path.read_text(encoding="utf-8"))
         self._buffers[relative] = buffer
         return buffer
-
-    def delete_file(self, relative: str) -> None:
-        path = self.path_of(relative)
-        if not path.exists():
-            raise ProjectError(f"{relative!r} does not exist")
-        path.unlink()
-        self._buffers.pop(relative, None)
-
-    def open_buffers(self) -> Iterator[tuple[str, EditorBuffer]]:
-        return iter(self._buffers.items())
-
-    def dirty_buffers(self) -> list[str]:
-        return [rel for rel, buffer in self._buffers.items() if buffer.dirty]
 
     def save_all(self) -> int:
         """Save every dirty buffer; returns the number of files written."""

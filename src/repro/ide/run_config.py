@@ -48,10 +48,6 @@ class RunOutcome:
     stderr: str = ""
     exception: str | None = None
 
-    @property
-    def succeeded(self) -> bool:
-        return self.exit_code == 0 and self.exception is None
-
 
 class RunManager:
     """Stores configurations and runs them as subprocesses (plain 'Run').

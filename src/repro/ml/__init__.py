@@ -7,9 +7,8 @@ same ``fit`` / ``predict`` / pickle behaviour so those UDFs run unmodified in
 spirit.
 """
 
-from .datasets import ClassificationDataset, make_blobs, make_noisy_parity
+from .datasets import ClassificationDataset, make_blobs
 from .forest import RandomForestClassifier
-from .metrics import accuracy_score, confusion_matrix, correct_predictions, train_test_split
 from .tree import DecisionTreeClassifier, TreeNode, gini_impurity
 
 __all__ = [
@@ -17,11 +16,6 @@ __all__ = [
     "DecisionTreeClassifier",
     "RandomForestClassifier",
     "TreeNode",
-    "accuracy_score",
-    "confusion_matrix",
-    "correct_predictions",
     "gini_impurity",
     "make_blobs",
-    "make_noisy_parity",
-    "train_test_split",
 ]

@@ -29,12 +29,6 @@ class ClassificationDataset:
     def n_features(self) -> int:
         return self.data.shape[1]
 
-    def feature_columns(self) -> dict[str, np.ndarray]:
-        """One SQL column per feature: f0, f1, ... plus the label column."""
-        columns = {f"f{i}": self.data[:, i] for i in range(self.n_features)}
-        columns["label"] = self.labels
-        return columns
-
 
 def make_blobs(n_rows: int = 200, n_features: int = 2, n_classes: int = 2, *,
                separation: float = 3.0, noise: float = 1.0,
@@ -62,14 +56,3 @@ def make_blobs(n_rows: int = 200, n_features: int = 2, n_classes: int = 2, *,
     order = rng.permutation(len(data))
     return ClassificationDataset(data=data[order], labels=labels[order].astype(int),
                                  n_classes=n_classes)
-
-
-def make_noisy_parity(n_rows: int = 200, *, flip_fraction: float = 0.05,
-                      seed: int | None = 0) -> ClassificationDataset:
-    """A harder dataset: XOR-like parity of two thresholded features."""
-    rng = np.random.default_rng(seed)
-    data = rng.uniform(-1.0, 1.0, size=(n_rows, 2))
-    labels = ((data[:, 0] > 0) ^ (data[:, 1] > 0)).astype(int)
-    flips = rng.random(n_rows) < flip_fraction
-    labels = labels ^ flips.astype(int)
-    return ClassificationDataset(data=data, labels=labels, n_classes=2)

@@ -90,19 +90,6 @@ class RandomForestClassifier:
             predictions.append(values[int(np.argmax(counts))])
         return np.array(predictions)
 
-    def predict_proba(self, data: Sequence[Sequence[float]]) -> np.ndarray:
-        """Per-class vote fractions (rows sum to 1)."""
-        if not self.estimators_:
-            raise ValueError("classifier is not fitted")
-        votes = np.stack([tree.predict(data) for tree in self.estimators_])
-        class_index = {cls: i for i, cls in enumerate(self.classes_)}
-        proba = np.zeros((votes.shape[1], len(self.classes_)))
-        for tree_votes in votes:
-            for row, vote in enumerate(tree_votes):
-                key = vote.item() if hasattr(vote, "item") else vote
-                proba[row, class_index[key]] += 1
-        return proba / len(self.estimators_)
-
     def score(self, data: Sequence[Sequence[float]], labels: Sequence[Any]) -> float:
         predictions = self.predict(data)
         target = np.asarray(labels)

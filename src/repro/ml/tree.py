@@ -175,11 +175,3 @@ class DecisionTreeClassifier:
             return 1 + max(walk(node.left), walk(node.right))
 
         return walk(self.root)
-
-    def node_count(self) -> int:
-        def walk(node: TreeNode | None) -> int:
-            if node is None:
-                return 0
-            return 1 + walk(node.left) + walk(node.right)
-
-        return walk(self.root)

@@ -28,7 +28,7 @@ from .compression import (
     decompress,
 )
 from .columnar import ChunkEncoder, decode_chunk, encode_result_chunk
-from .encryption import decrypt, derive_key, encrypt, is_encrypted
+from .encryption import decrypt, derive_key, encrypt
 from .messages import (
     DEFAULT_CHUNK_ROWS,
     PROTOCOL_VERSION,
@@ -46,7 +46,6 @@ from .server import (
     ServerStats,
     Session,
     SocketTransport,
-    start_demo_server,
 )
 
 __all__ = [
@@ -89,9 +88,7 @@ __all__ = [
     "decrypt",
     "derive_key",
     "encrypt",
-    "is_encrypted",
     "result_messages",
     "sample_columns",
     "sample_indices",
-    "start_demo_server",
 ]

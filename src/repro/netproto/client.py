@@ -654,11 +654,6 @@ class ResultStream:
     def chunks_received(self) -> int:
         return self._chunks_received
 
-    @property
-    def rows_decoded(self) -> int:
-        """Rows decoded so far via the incremental fetch path."""
-        return len(self._rows)
-
     # -- chunk consumption ----------------------------------------------- #
     def _advance(self, *, decode_rows: bool) -> None:
         """Receive one more chunk frame; on failure flush the remainder so

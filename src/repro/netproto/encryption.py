@@ -12,13 +12,12 @@ library only (no external crypto dependency is available offline):
 * keystream: SHAKE-256 of (key, nonce), drawn to the payload's length in one
   call and XORed over it in one operation,
 * integrity: HMAC-SHA256 over the magic, nonce and ciphertext
-  (encrypt-then-MAC), so a blob relabelled as the other version is refused.
+  (encrypt-then-MAC).
 
-Blobs are ``MAGIC | salt | nonce | tag | ciphertext``.  :func:`encrypt` writes
-``dUE2``.  ``dUE1`` blobs, whose keystream was SHA-256 in counter mode over
-(key, nonce, block index) and whose tag covers only the nonce and ciphertext,
-are still decrypted -- an ``input.bin`` written with a password may hold one --
-but never written.
+Blobs are ``dUE2 | salt | nonce | tag | ciphertext``, the only format
+:func:`decrypt` accepts: any other magic, an earlier version's included, raises
+:class:`DecryptionError`.  A transfer is decrypted as it arrives and
+``input.bin`` is never encrypted, so no blob outlives the process that read it.
 
 This is a faithful stand-in for "encrypt with the user's password": it
 round-trips exactly, rejects wrong passwords, and has measurable CPU cost for
@@ -41,7 +40,6 @@ _SALT_BYTES = 16
 _NONCE_BYTES = 16
 _TAG_BYTES = 32
 _PBKDF2_ITERATIONS = 2000  # low on purpose: benchmark-friendly, still non-trivial
-_BLOCK_BYTES = 32
 
 
 @functools.lru_cache(maxsize=32)
@@ -61,31 +59,15 @@ def _process_salt() -> bytes:
 
 
 def _shake_keystream(data: bytes, key: bytes, nonce: bytes) -> bytes:
-    """XOR ``data`` with the SHAKE-256 keystream of (key, nonce): ``dUE2``."""
+    """XOR ``data`` with the SHAKE-256 keystream of (key, nonce)."""
     keystream = hashlib.shake_256(key + nonce).digest(len(data))
     return np.bitwise_xor(np.frombuffer(data, np.uint8),
                           np.frombuffer(keystream, np.uint8)).tobytes()
 
 
-def _apply_keystream(data: bytes, key: bytes, nonce: bytes) -> bytes:
-    """XOR ``data`` with the SHA-256 counter-mode keystream of (key, nonce):
-    how ``dUE1`` blobs, read but no longer written, were encrypted."""
-    prefix = key + nonce
-    keystream = b"".join([
-        hashlib.sha256(prefix + counter.to_bytes(8, "big")).digest()
-        for counter in range((len(data) + _BLOCK_BYTES - 1) // _BLOCK_BYTES)
-    ])[:len(data)]
-    mixed = int.from_bytes(data, "big") ^ int.from_bytes(keystream, "big")
-    return mixed.to_bytes(len(keystream), "big")
-
-
-#: the keystream behind each magic a blob can start with
-_KEYSTREAMS = {_MAGIC: _shake_keystream, b"dUE1": _apply_keystream}
-
-
-def _tag(key: bytes, magic: bytes, nonce: bytes, ciphertext: bytes) -> bytes:
-    """HMAC-SHA256 of a blob: ``dUE2`` covers its magic, ``dUE1`` did not."""
-    mac = hmac.new(key, (magic if magic == _MAGIC else b"") + nonce, hashlib.sha256)
+def _tag(key: bytes, nonce: bytes, ciphertext: bytes) -> bytes:
+    """HMAC-SHA256 of a blob's magic, nonce and ciphertext."""
+    mac = hmac.new(key, _MAGIC + nonce, hashlib.sha256)
     mac.update(ciphertext)
     return mac.digest()
 
@@ -100,21 +82,19 @@ def encrypt(data: bytes, password: str) -> bytes:
     nonce = os.urandom(_NONCE_BYTES)
     key = derive_key(password, salt)
     ciphertext = _shake_keystream(data, key, nonce)
-    tag = _tag(key, _MAGIC, nonce, ciphertext)
+    tag = _tag(key, nonce, ciphertext)
     return _MAGIC + salt + nonce + tag + ciphertext
 
 
 def decrypt(blob: bytes, password: str) -> bytes:
-    """Reverse :func:`encrypt` (or decrypt a ``dUE1`` blob); raises
-    :class:`DecryptionError` on a wrong key or a corrupted payload."""
+    """Reverse :func:`encrypt`; raises :class:`DecryptionError` on a wrong key,
+    a corrupted payload or any magic but ``dUE2``."""
     try:
         blob = memoryview(blob).cast("B")
     except TypeError:
         raise DecryptionError("payload is not bytes-like") from None
     header_len = len(_MAGIC) + _SALT_BYTES + _NONCE_BYTES + _TAG_BYTES
-    magic = bytes(blob[:len(_MAGIC)])
-    keystream = _KEYSTREAMS.get(magic)
-    if keystream is None or len(blob) < header_len:
+    if blob[:len(_MAGIC)] != _MAGIC or len(blob) < header_len:
         raise DecryptionError("payload is not a devUDF encrypted blob")
     offset = len(_MAGIC)
     salt = bytes(blob[offset:offset + _SALT_BYTES])
@@ -125,15 +105,6 @@ def decrypt(blob: bytes, password: str) -> bytes:
     offset += _TAG_BYTES
     ciphertext = blob[offset:]
     key = derive_key(password, salt)
-    if not hmac.compare_digest(tag, _tag(key, magic, nonce, ciphertext)):
+    if not hmac.compare_digest(tag, _tag(key, nonce, ciphertext)):
         raise DecryptionError("integrity check failed (wrong password or corrupted data)")
-    return keystream(ciphertext, key, nonce)
-
-
-def is_encrypted(blob: bytes) -> bool:
-    """True when the bytes-like ``blob`` looks like output of :func:`encrypt`
-    (either magic)."""
-    try:
-        return bytes(memoryview(blob).cast("B")[:len(_MAGIC)]) in _KEYSTREAMS
-    except TypeError:  # not bytes-like
-        return False
+    return _shake_keystream(ciphertext, key, nonce)

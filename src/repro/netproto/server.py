@@ -234,10 +234,6 @@ class AdmissionController:
         self.waiting = 0
         self._draining = False
 
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
     def try_acquire(self) -> str | None:
         """Claim a query slot; returns ``None`` or a rejection error code.
 
@@ -1355,19 +1351,6 @@ class SocketTransport:
                 self._socket.close()
             finally:
                 self.closed = True
-
-
-def start_demo_server(database: Database | None = None, *,
-                      user: str = "monetdb", password: str = "monetdb",
-                      host: str = "127.0.0.1", port: int = 0
-                      ) -> tuple[DatabaseServer, AsyncSocketServer,
-                                 tuple[str, int]]:
-    """Convenience helper: build a server, start it on a free port, return it."""
-    database_server = DatabaseServer(database, default_user=user,
-                                     default_password=password)
-    socket_server = AsyncSocketServer(database_server, host=host, port=port)
-    address = socket_server.start_background()
-    return database_server, socket_server, address
 
 
 def single_malloc_arena() -> bool:

@@ -297,14 +297,6 @@ def extract_frame(buffer: bytearray,
     return payload
 
 
-def write_frame(stream: BinaryIO, payload: bytes) -> int:
-    """Write one frame to a binary stream; returns bytes written."""
-    frame = encode_frame(payload)
-    stream.write(frame)
-    stream.flush()
-    return len(frame)
-
-
 def read_frame(stream: BinaryIO,
                max_length: int = MAX_FRAME_BYTES) -> bytes:
     """Read exactly one frame from a binary stream.

@@ -3,8 +3,8 @@
 Two small, threading-safe building blocks shared by every layer of the
 engine (sqldb, persist, netproto):
 
-* :mod:`~repro.obs.metrics` — a :class:`MetricsRegistry` of named counters,
-  gauges and log-bucketed latency :class:`Histogram`\\ s.  Snapshots are flat
+* :mod:`~repro.obs.metrics` — a :class:`MetricsRegistry` of named counters
+  and log-bucketed latency :class:`Histogram`\\ s.  Snapshots are flat
   ``{name: int}`` dicts, so they merge directly into ``SHOW STATS`` and the
   wire ``stats`` message.
 * :mod:`~repro.obs.trace` — a per-query :class:`TraceSpan` tree with
@@ -17,12 +17,11 @@ filesystem.
 
 from __future__ import annotations
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, NULL_REGISTRY
+from .metrics import Counter, Histogram, MetricsRegistry, NULL_REGISTRY
 from .trace import TraceSpan, new_trace_id
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_REGISTRY",

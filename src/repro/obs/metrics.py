@@ -1,4 +1,4 @@
-"""Thread-safe metrics: counters, gauges, log-bucketed latency histograms.
+"""Thread-safe metrics: counters and log-bucketed latency histograms.
 
 Design notes
 ------------
@@ -33,7 +33,6 @@ from typing import Iterable
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_REGISTRY",
@@ -56,42 +55,6 @@ class Counter:
             return
         with self._lock:
             self._value += amount
-
-    @property
-    def value(self) -> int:
-        with self._lock:
-            return self._value
-
-    def snapshot(self) -> dict[str, int]:
-        return {self.name: self.value}
-
-    def reset(self) -> None:
-        with self._lock:
-            self._value = 0
-
-
-class Gauge:
-    """A value that goes up and down (pool occupancy, queue depth, ...)."""
-
-    __slots__ = ("name", "_lock", "_value", "_registry")
-
-    def __init__(self, name: str, registry: "MetricsRegistry") -> None:
-        self.name = name
-        self._registry = registry
-        self._lock = threading.Lock()
-        self._value = 0
-
-    def set(self, value: int) -> None:
-        if not self._registry.enabled:
-            return
-        with self._lock:
-            self._value = int(value)
-
-    def adjust(self, delta: int) -> None:
-        if not self._registry.enabled:
-            return
-        with self._lock:
-            self._value += delta
 
     @property
     def value(self) -> int:
@@ -164,12 +127,6 @@ class Histogram:
         with self._lock:
             return self._sum_us
 
-    def quantile(self, q: float) -> float:
-        """The ``q``-quantile in µs (linear interpolation inside the bucket)."""
-        with self._lock:
-            return self._quantile_locked(q, self._counts, self._count,
-                                         self._max_us)
-
     @staticmethod
     def _quantile_locked(q: float, counts: list[int], total: int,
                          max_us: float) -> float:
@@ -225,7 +182,7 @@ class MetricsRegistry:
         #: enables/disables recording without rebuilding metric objects.
         self.enabled = bool(enabled)
         self._lock = threading.Lock()
-        self._metrics: dict[str, Counter | Gauge | Histogram] = {}
+        self._metrics: dict[str, Counter | Histogram] = {}
 
     def _get_or_create(self, name: str, cls):  # type: ignore[no-untyped-def]
         with self._lock:
@@ -242,13 +199,10 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         return self._get_or_create(name, Counter)
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get_or_create(name, Gauge)
-
     def histogram(self, name: str) -> Histogram:
         return self._get_or_create(name, Histogram)
 
-    def metrics(self) -> Iterable[Counter | Gauge | Histogram]:
+    def metrics(self) -> Iterable[Counter | Histogram]:
         with self._lock:
             return list(self._metrics.values())
 

@@ -26,10 +26,6 @@ class ColumnRef(Expression):
     name: str
     table: str | None = None
 
-    @property
-    def qualified(self) -> str:
-        return f"{self.table}.{self.name}" if self.table else self.name
-
 
 @dataclass
 class Star(Expression):

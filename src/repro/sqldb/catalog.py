@@ -97,9 +97,6 @@ class FunctionCatalog:
     def functions(self) -> list[CatalogFunction]:
         return sorted(self._functions.values(), key=lambda entry: entry.oid)
 
-    def python_functions(self) -> list[CatalogFunction]:
-        return [f for f in self.functions() if f.language.upper().startswith("PYTHON")]
-
     def __len__(self) -> int:
         return len(self._functions)
 

@@ -1,9 +1,9 @@
-"""CSV ingestion (``COPY INTO``) and export helpers.
+"""CSV ingestion (``COPY INTO``).
 
 The demo (§2.5) ingests "several CSV files, located in one directory, with one
 column of integers"; the buggy data loader of Scenario B (Listing 5) operates
-on exactly such a directory.  These helpers provide the correct loading path
-used by the engine and by the reference implementations.
+on exactly such a directory.  :func:`load_csv_into_table` is the engine's
+loader for one file of it.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import os
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any
 
 from ..errors import ExecutionError
 from .storage import Table
@@ -55,37 +55,3 @@ def load_csv_into_table(table: Table, path: str | os.PathLike[str], *,
             rows.append([_parse_cell(cell, sql_type)
                          for cell, sql_type in zip(row, column_types)])
     return table.insert_rows(rows)
-
-
-def load_csv_directory_into_table(table: Table, directory: str | os.PathLike[str], *,
-                                  delimiter: str = ",", header: bool = False,
-                                  pattern: str = "*.csv") -> int:
-    """Load every CSV file in a directory (sorted by name) into ``table``.
-
-    This is the *correct* loader the demo compares the buggy Listing 5 loader
-    against: it must not skip any file.
-    """
-    dir_path = Path(directory)
-    if not dir_path.is_dir():
-        raise ExecutionError(f"{dir_path} is not a directory")
-    total = 0
-    for file_path in sorted(dir_path.glob(pattern)):
-        total += load_csv_into_table(table, file_path, delimiter=delimiter, header=header)
-    return total
-
-
-def write_csv(path: str | os.PathLike[str], column_names: Sequence[str],
-              rows: Iterable[Sequence[Any]], *, delimiter: str = ",",
-              header: bool = False) -> int:
-    """Write rows to a CSV file; returns the number of data rows written."""
-    count = 0
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, delimiter=delimiter)
-        if header:
-            writer.writerow(list(column_names))
-        for row in rows:
-            # NULLs are written as the literal NULL so single-column rows do
-            # not degrade to blank lines (which the loader skips).
-            writer.writerow(["NULL" if value is None else value for value in row])
-            count += 1
-    return count

@@ -403,9 +403,6 @@ class Database:
                 return True
             return self._prepared.pop(name.lower(), None) is not None
 
-    def prepared_names(self) -> list[str]:
-        return sorted(self._prepared)
-
     def bind_prepared(self, prepared: PreparedStatement,
                       values: list[Any]) -> ast.Statement:
         """Bind argument values into a fresh copy of the template AST."""
@@ -550,11 +547,6 @@ class Database:
 
     def row_count(self, table_name: str) -> int:
         return self.storage.table(table_name).row_count
-
-    def reset_counters(self) -> None:
-        self.statements_executed = 0
-        self.query_log.clear()
-        self.udf_runtime.invocation_counts.clear()
 
 
 class StreamedResult:

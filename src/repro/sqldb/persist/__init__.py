@@ -29,11 +29,9 @@ from .checkpoint import (
     BackupStats,
     CheckpointStats,
     backup_to,
-    commit_checkpoint,
     prepare_checkpoint,
     reset_wal,
     swap_image,
-    write_checkpoint,
 )
 from .format import (
     DEFAULT_CODEC,
@@ -72,7 +70,6 @@ __all__ = [
     "tmp_path_for",
     "verify_image",
     "wal_path_for",
-    "write_checkpoint",
     "write_database",
 ]
 

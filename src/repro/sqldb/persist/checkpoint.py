@@ -65,7 +65,7 @@ class CheckpointStats:
 class PreparedCheckpoint:
     """A fully-written, fsynced temp image awaiting the atomic swap.
 
-    Until :func:`commit_checkpoint` runs, nothing durable has changed: a
+    Until :func:`swap_image` runs, nothing durable has changed: a
     failure while preparing (ENOSPC, encode error) leaves the old image and
     WAL authoritative, so the caller may simply retry later.  Failures
     *after* the swap are the dangerous ones — see the module docstring.
@@ -174,24 +174,6 @@ def reset_wal(prepared: PreparedCheckpoint,
         wal_records_truncated=truncated,
         prepare_seconds=max(0.0, prepared.prepared_at - prepared.started),
     )
-
-
-def commit_checkpoint(path: str | os.PathLike[str],
-                      prepared: PreparedCheckpoint,
-                      wal: WriteAheadLog) -> CheckpointStats:
-    """Atomically swap the prepared image in, then reset the WAL."""
-    swap_image(path, prepared)
-    return reset_wal(prepared, wal)
-
-
-def write_checkpoint(path: str | os.PathLike[str], database: "Database",
-                     wal: WriteAheadLog, *, generation: int,
-                     segment_rows: int = format_mod.DEFAULT_SEGMENT_ROWS,
-                     codec: str = format_mod.DEFAULT_CODEC) -> CheckpointStats:
-    """Convenience: prepare + commit in one call (tooling/tests)."""
-    prepared = prepare_checkpoint(path, database, generation=generation,
-                                  segment_rows=segment_rows, codec=codec)
-    return commit_checkpoint(path, prepared, wal)
 
 
 @dataclass

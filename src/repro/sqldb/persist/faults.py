@@ -51,7 +51,6 @@ __all__ = [
     "current_fs",
     "injected",
     "install_fs",
-    "reset_fs",
 ]
 
 
@@ -87,11 +86,6 @@ def install_fs(fs: FileSystem) -> FileSystem:
     global _ACTIVE
     _ACTIVE = fs
     return fs
-
-
-def reset_fs() -> None:
-    """Restore the passthrough hook."""
-    install_fs(FileSystem())
 
 
 @contextmanager

@@ -243,8 +243,3 @@ def _apply_update(database: "Database", record: dict[str, Any]) -> None:
                 f"UPDATE record for {record['table']!r}.{column_name!r}: "
                 f"{len(values)} values for {len(indices)} selected rows")
     table.assign_rows(indices, record["columns"])
-
-
-def open_wal_contents(path: str | os.PathLike[str]) -> WalContents:
-    """Debugging/test helper: the readable contents of a database's WAL."""
-    return read_wal(wal_path_for(path))

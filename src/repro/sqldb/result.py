@@ -87,11 +87,6 @@ class ResultColumn:
         vector = None if self._values is not None else self.vector()
         return self.values[index] if vector is None else vector[index]
 
-    @property
-    def is_materialised(self) -> bool:
-        """True once Python values exist (used by lazy-decode tests)."""
-        return self._values is not None
-
     def vector(self) -> Vector | None:
         """The backing :class:`Vector` — every typed column has one — or
         ``None`` for a list-backed column (loads a lazy column first)."""

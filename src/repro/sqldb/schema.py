@@ -51,10 +51,6 @@ class TableSchema:
     def column(self, name: str) -> ColumnDef:
         return self.columns[self.column_index(name)]
 
-    def has_column(self, name: str) -> bool:
-        lowered = name.lower()
-        return any(col.name.lower() == lowered for col in self.columns)
-
     def __len__(self) -> int:
         return len(self.columns)
 

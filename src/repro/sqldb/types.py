@@ -163,21 +163,6 @@ def infer_sql_type(value: Any) -> SQLType:
     return SQLType.STRING
 
 
-def common_type(left: SQLType, right: SQLType) -> SQLType:
-    """The result type of combining two operand types in an expression."""
-    if left == right:
-        return left
-    if left.is_numeric and right.is_numeric:
-        if left.is_floating or right.is_floating:
-            return SQLType.DOUBLE
-        if SQLType.BIGINT in (left, right):
-            return SQLType.BIGINT
-        return SQLType.INTEGER
-    if SQLType.STRING in (left, right):
-        return SQLType.STRING
-    raise TypeMismatchError(f"no common type for {left} and {right}")
-
-
 #: Map from SQLType to the numpy dtype used when handing columns to UDFs.
 NUMPY_DTYPES = {
     SQLType.INTEGER: "int64",

@@ -1,7 +1,7 @@
 """``repro.workloads`` — demo data generators, the paper's UDF corpus, and the
 two buggy demo scenarios (§2.5)."""
 
-from .csvgen import CSVWorkload, generate_csv_directory, load_workload, reference_mean_deviation
+from .csvgen import CSVWorkload, generate_csv_directory
 from .scenarios import ScenarioA, ScenarioB, make_scenario_a, make_scenario_b
 from .udf_corpus import (
     EXTRA_UDFS_SQL,
@@ -38,11 +38,9 @@ __all__ = [
     "find_best_classifier_create_sql",
     "generate_csv_directory",
     "load_numbers_create_sql",
-    "load_workload",
     "make_scenario_a",
     "make_scenario_b",
     "mean_deviation_create_sql",
-    "reference_mean_deviation",
     "setup_classifier_database",
     "setup_mixed_catalog",
     "setup_numbers_database",

@@ -82,23 +82,3 @@ def generate_csv_directory(directory: str | Path, *, n_files: int = 5,
         workload.files.append(path)
         workload.values_per_file.append(values)
     return workload
-
-
-def load_workload(directory: str | Path) -> CSVWorkload:
-    """Re-read a previously generated CSV directory from disk."""
-    target = Path(directory)
-    workload = CSVWorkload(directory=target)
-    for path in sorted(target.glob("*.csv")):
-        values = [int(line) for line in path.read_text(encoding="utf-8").splitlines()
-                  if line.strip()]
-        workload.files.append(path)
-        workload.values_per_file.append(values)
-    return workload
-
-
-def reference_mean_deviation(values: list[int] | list[float]) -> float:
-    """Reference implementation the demo compares the UDF against (§2.5)."""
-    array = np.asarray(values, dtype=float)
-    if len(array) == 0:
-        return 0.0
-    return float(np.mean(np.abs(array - array.mean())))

@@ -87,10 +87,13 @@ class TestServerSideFailures:
 
 
 class TestLocalFailures:
-    def test_corrupted_input_blob_is_detected(self, plugin):
+    @pytest.mark.parametrize("damage", ["garbage", "truncated"])
+    def test_corrupted_input_blob_is_detected(self, plugin, damage):
         preparation = plugin.prepare_debug("mean_deviation")
-        preparation.input_path.write_bytes(b"definitely not a pickle")
-        with pytest.raises(Exception):
+        blob = preparation.input_path.read_bytes()
+        preparation.input_path.write_bytes(
+            b"definitely not a pickle" if damage == "garbage" else blob[:len(blob) // 2])
+        with pytest.raises(ExtractionError):
             read_input_blob(preparation.input_path)
         local = plugin.run_udf_locally(preparation=preparation)
         assert local.failed

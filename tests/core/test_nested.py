@@ -7,7 +7,6 @@ from repro.core.nested import (
     find_loopback_queries,
     find_nested_udf_names,
     normalize_query,
-    uses_loopback,
 )
 from repro.workloads.udf_corpus import FIND_BEST_CLASSIFIER_BODY, MEAN_DEVIATION_BUGGY_BODY
 
@@ -87,9 +86,3 @@ class TestAnalyseLoopbackQueries:
         known = ["train_rnforest", "mean_deviation"]
         assert find_nested_udf_names(FIND_BEST_CLASSIFIER_BODY, known) == ["train_rnforest"]
         assert find_nested_udf_names(MEAN_DEVIATION_BUGGY_BODY, known) == []
-
-
-class TestUsesLoopback:
-    def test_detection(self):
-        assert uses_loopback(FIND_BEST_CLASSIFIER_BODY)
-        assert not uses_loopback(MEAN_DEVIATION_BUGGY_BODY)

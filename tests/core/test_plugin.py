@@ -43,12 +43,14 @@ class TestMenuContribution:
         assert group.action_labels() == ["Settings", "Import UDFs", "Export UDFs"]
 
     def test_actions_are_invokable(self, plugin):
-        report = plugin.menu_action(plugin.ACTION_IMPORT).invoke(["mean_deviation"])
+        action = plugin.menu.menu(plugin.SUBMENU_LABEL).action(plugin.ACTION_IMPORT)
+        report = action.invoke(["mean_deviation"])
         assert report.imported_names == ["mean_deviation"]
-        assert plugin.menu_action(plugin.ACTION_IMPORT).invocations == 1
+        assert action.invocations == 1
 
     def test_settings_action_updates_and_persists(self, plugin):
-        plugin.menu_action(plugin.ACTION_SETTINGS).invoke(port=49999)
+        group = plugin.menu.menu(plugin.SUBMENU_LABEL)
+        group.action(plugin.ACTION_SETTINGS).invoke(port=49999)
         assert plugin.settings.port == 49999
         assert plugin.project.load_settings().port == 49999
 
@@ -168,10 +170,6 @@ class TestRunAndDebug:
             assert local.result["correct"] == server_row[2]
         finally:
             plugin.close()
-
-    def test_catalog_signature_lookup(self, plugin):
-        signature = plugin.catalog_signature("mean_deviation")
-        assert signature.parameter_names == ["column"]
 
     def test_context_manager_closes_connection(self, demo_server, tmp_path):
         settings = DevUDFSettings(debug_query="SELECT mean_deviation(i) FROM numbers")

@@ -107,7 +107,7 @@ class TestSourceAccess:
         project.ide_project.create_file("udfs/sample_udf.py", GENERATED_FILE)
         project.register_udf_file("sample_udf", "udfs/sample_udf.py")
         buffer = project.open_udf("sample_udf")
-        buffer.replace_text("float(sum(x))", "float(max(x))")
+        buffer.set_text(buffer.text.replace("float(sum(x))", "float(max(x))"))
         assert "float(max(x))" in project.udf_source("sample_udf")
 
 
@@ -118,7 +118,8 @@ class TestVCSIntegration:
         buffer.set_text(GENERATED_FILE + "# edited\n")
         commit = project.commit("edit the UDF")
         assert commit.message == "edit the UDF"
-        assert "# edited" in project.vcs.file_at(commit.commit_id, "udfs/sample_udf.py")
+        assert "# edited" in (project.root / "udfs/sample_udf.py").read_text()
+        assert project.vcs.status()["udfs/sample_udf.py"] == "clean"
 
     def test_history(self, project):
         project.ide_project.create_file("udfs/sample_udf.py", GENERATED_FILE)

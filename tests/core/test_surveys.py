@@ -5,7 +5,6 @@ from repro.core.surveys import (
     environment,
     format_table,
     ide_vs_text_editor_share,
-    ides_preferred_over_text_editors,
     pycharm_rank,
     table_rows,
     total_share,
@@ -45,7 +44,6 @@ class TestDerivedStatistics:
 
     def test_papers_claim_holds(self):
         """'IDEs are heavily preferred for development over simplistic text editors'."""
-        assert ides_preferred_over_text_editors()
         shares = ide_vs_text_editor_share()
         assert shares["IDE"] > 5 * shares["Text Editor"]
 

@@ -12,7 +12,6 @@ from repro.core.transform import (
     SIGNATURE_MARKER,
     UDFCodeTransformer,
     extract_function_body,
-    function_names_in_source,
     normalise_body,
     signature_from_json,
     signature_to_json,
@@ -182,10 +181,6 @@ class TestHelpers:
     def test_extract_function_body(self):
         source = "def f(a):\n    x = a + 1\n    return x\n\nprint(f(1))\n"
         assert extract_function_body(source, "f") == "x = a + 1\nreturn x\n"
-
-    def test_function_names_in_source(self):
-        source = "def a():\n    pass\n\ndef b():\n    pass\n"
-        assert function_names_in_source(source) == ["a", "b"]
 
     def test_runnable_generated_file_executes_the_udf(self, transformer, tmp_path):
         """Running the generated file really executes the UDF (Listing 2 semantics)."""

@@ -23,18 +23,6 @@ class TestCommits:
         assert [c.message for c in log] == ["initial import", "fix bug"]
         assert second.parent == first.commit_id
 
-    def test_file_at_commit(self, repo, tmp_path):
-        first = repo.commit("v1")
-        (tmp_path / "udfs" / "f.py").write_text("version 2\n")
-        repo.commit("v2")
-        assert repo.file_at(first.commit_id, "udfs/f.py") == "version 1\n"
-        assert repo.file_at(repo.head().commit_id, "udfs/f.py") == "version 2\n"
-
-    def test_file_at_unknown_path(self, repo):
-        commit = repo.commit("v1")
-        with pytest.raises(VCSError):
-            repo.file_at(commit.commit_id, "missing.py")
-
     def test_get_commit_by_prefix(self, repo):
         commit = repo.commit("v1")
         assert repo.get_commit(commit.commit_id[:8]).commit_id == commit.commit_id
@@ -88,14 +76,3 @@ class TestStatusAndDiff:
         diffs = repo.diff(first.commit_id, second.commit_id)
         assert [d.path for d in diffs] == ["udfs/g.py"]
         assert diffs[0].status == "added"
-
-
-class TestCheckout:
-    def test_checkout_restores_old_version(self, repo, tmp_path):
-        first = repo.commit("v1")
-        target = tmp_path / "udfs" / "f.py"
-        target.write_text("version 2\n")
-        repo.commit("v2")
-        restored = repo.checkout(first.commit_id)
-        assert restored == 1
-        assert target.read_text() == "version 1\n"

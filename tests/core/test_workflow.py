@@ -92,14 +92,6 @@ class TestComparison:
         assert comparison.devudf.estimated_developer_seconds < \
             comparison.traditional.estimated_developer_seconds
 
-    def test_comparison_rows_for_reporting(self, tmp_path):
-        comparison = run_quietly(
-            compare_workflows, make_scenario_a(tmp_path / "wf"),
-            project_root=tmp_path / "projects")
-        rows = comparison.as_rows()
-        assert [row["workflow"] for row in rows] == ["traditional", "devudf"]
-        assert all("estimated_developer_seconds" in row for row in rows)
-
 
 class TestCostModel:
     def test_estimate_components(self):

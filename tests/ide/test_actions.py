@@ -25,11 +25,10 @@ class TestMenuGroup:
     def test_add_and_find(self):
         group = MenuGroup("Tools")
         group.add_action(Action("a.one", "One"))
-        sub = group.submenu("Sub")
-        sub.add_action(Action("a.two", "Two"))
+        group.add_action(Action("a.two", "Two"))
         assert group.action("a.one").label == "One"
         assert group.action("a.two").label == "Two"
-        assert group.action_labels() == ["One"]
+        assert group.action_labels() == ["One", "Two"]
 
     def test_duplicate_action_id_rejected(self):
         group = MenuGroup("Tools")
@@ -41,16 +40,11 @@ class TestMenuGroup:
         with pytest.raises(ProjectError):
             MenuGroup("Empty").action("nope")
 
-    def test_submenu_is_stable(self):
-        group = MenuGroup("Tools")
-        assert group.submenu("A") is group.submenu("A")
-
     def test_tree_rendering(self):
         group = MenuGroup("Tools")
         group.add_action(Action("a", "Alpha"))
-        group.submenu("Nested").add_action(Action("b", "Beta"))
-        tree = group.tree()
-        assert "Tools" in tree and "Alpha" in tree and "Beta" in tree
+        group.add_action(Action("b", "Beta"))
+        assert group.tree() == "Tools\n  Alpha\n  Beta"
 
 
 class TestMainMenu:
@@ -64,11 +58,4 @@ class TestMainMenu:
         group = menu.menu("UDF Development")
         group.add_action(Action("devudf.settings", "Settings"))
         assert "UDF Development" in menu.labels()
-        assert menu.find_action("devudf.settings").label == "Settings"
-
-    def test_find_action_across_menus(self):
-        menu = MainMenu()
-        menu.menu("Tools").add_action(Action("t.x", "X"))
-        assert menu.find_action("t.x").action_id == "t.x"
-        with pytest.raises(ProjectError):
-            menu.find_action("missing")
+        assert menu.menu("UDF Development").action("devudf.settings").label == "Settings"

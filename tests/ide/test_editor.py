@@ -39,32 +39,6 @@ class TestEdits:
         assert buffer.dirty
         assert buffer.edit_count == 1
 
-    def test_replace_line(self, buffer):
-        buffer.replace_line(2, "    return x + 1")
-        assert buffer.line(2) == "    return x + 1"
-        assert buffer.text.endswith("\n")
-
-    def test_insert_line(self, buffer):
-        buffer.insert_line(2, "    x = abs(x)")
-        assert buffer.lines[1] == "    x = abs(x)"
-        assert len(buffer.lines) == 3
-
-    def test_replace_text_counts(self, buffer):
-        assert buffer.replace_text("x", "y") == 2
-        assert buffer.replace_text("not there", "z") == 0
-
-    def test_replace_text_limited_count(self, buffer):
-        assert buffer.replace_text("x", "y", count=1) == 1
-        assert "x" in buffer.text
-
-    def test_undo(self, buffer):
-        original = buffer.text
-        buffer.set_text("changed")
-        assert buffer.undo()
-        assert buffer.text == original
-        buffer._undo_stack.clear()
-        assert not buffer.undo()
-
 
 class TestPersistence:
     def test_save_clears_dirty(self, buffer):
@@ -72,16 +46,6 @@ class TestPersistence:
         saved_path = buffer.save()
         assert saved_path.read_text() == "new content\n"
         assert not buffer.dirty
-
-    def test_reload_discards_changes(self, buffer):
-        buffer.set_text("scratch")
-        buffer.reload()
-        assert buffer.text == "def f(x):\n    return x\n"
-
-    def test_reload_missing_file(self, tmp_path):
-        buffer = EditorBuffer(path=tmp_path / "gone.py", text="x")
-        with pytest.raises(ProjectError):
-            buffer.reload()
 
     def test_save_creates_parent_directories(self, tmp_path):
         buffer = EditorBuffer(path=tmp_path / "deep" / "dir" / "f.py", text="pass\n")

@@ -28,19 +28,6 @@ class TestFiles:
         with pytest.raises(ProjectError):
             project.open_file("missing.py")
 
-    def test_delete_file(self, project):
-        project.create_file("x.py", "")
-        project.delete_file("x.py")
-        assert not project.exists("x.py")
-        with pytest.raises(ProjectError):
-            project.delete_file("x.py")
-
-    def test_files_listing_sorted(self, project):
-        project.create_file("b.py", "")
-        project.create_file("a.py", "")
-        project.create_file("notes.txt", "")
-        assert project.relative_files() == ["a.py", "b.py"]
-
     def test_path_escape_rejected(self, project):
         with pytest.raises(ProjectError):
             project.path_of("../outside.py")
@@ -59,13 +46,14 @@ class TestBuffers:
         buffer.set_text("in buffer\n")
         assert project.read_text("f.py") == "in buffer\n"
 
-    def test_dirty_buffers_and_save_all(self, project):
+    def test_save_all_saves_dirty_buffers(self, project):
         project.create_file("a.py", "a")
         project.create_file("b.py", "b")
-        project.open_file("a.py").set_text("changed")
-        assert project.dirty_buffers() == ["a.py"]
+        buffer = project.open_file("a.py")
+        buffer.set_text("changed")
+        project.open_file("b.py")
         assert project.save_all() == 1
-        assert project.dirty_buffers() == []
+        assert not buffer.dirty
         assert project.path_of("a.py").read_text() == "changed"
 
     def test_project_name_defaults_to_directory(self, tmp_path):

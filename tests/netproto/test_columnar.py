@@ -169,19 +169,19 @@ class TestLazyDecode:
         decoded, _ = roundtrip(result)
         int_col = decoded.column("i")
         str_col = decoded.column("s")
-        assert not int_col.is_materialised
-        assert not str_col.is_materialised
+        assert int_col._values is None
+        assert str_col._values is None
         # shape queries stay lazy
         assert decoded.row_count == 500
         assert len(int_col) == 500
-        assert not int_col.is_materialised
+        assert int_col._values is None
         # numeric columns expose the received buffer zero-copy
         array = int_col.to_numpy()
         assert array.dtype == np.dtype("int64")
-        assert not int_col.is_materialised
+        assert int_col._values is None
         # touching values materialises plain Python objects
         assert str_col.values[3] == "v3"
-        assert str_col.is_materialised
+        assert str_col._values is not None
         assert int_col.values[:3] == [0, 1, 2]
 
     def test_single_chunk_numeric_is_buffer_view(self):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import DecryptionError
 from repro.netproto import encryption
-from repro.netproto.encryption import decrypt, derive_key, encrypt, is_encrypted
+from repro.netproto.encryption import decrypt, derive_key, encrypt
 
 
 class TestRoundTrip:
@@ -24,17 +24,6 @@ class TestRoundTrip:
         payload = b"same payload"
         assert encrypt(payload, "pw") != encrypt(payload, "pw")
 
-    def test_is_encrypted_detector(self):
-        assert is_encrypted(encrypt(b"data", "pw"))
-        assert not is_encrypted(b"plain bytes")
-
-    def test_is_encrypted_takes_any_bytes_like_input(self):
-        """A memoryview used to raise ``AttributeError``."""
-        blob = encrypt(b"data", "pw")
-        assert is_encrypted(memoryview(blob)) and is_encrypted(bytearray(blob))
-        assert not is_encrypted(memoryview(b"plain bytes"))
-        assert not is_encrypted(42)
-
     @pytest.mark.parametrize("payload", [42, None, "dUE2 text", memoryview(b"dUE2")])
     def test_what_is_not_a_blob_raises_only_decryption_error(self, payload):
         with pytest.raises(DecryptionError):
@@ -43,7 +32,7 @@ class TestRoundTrip:
 
 class TestFrozenLayout:
     """``dUE2 | salt | nonce | tag | ciphertext`` is a wire and blob format;
-    ``dUE1`` blobs (SHA-256 counter keystream) are still read."""
+    ``dUE1`` blobs (SHA-256 counter keystream) are refused."""
 
     PAYLOAD = bytes((i * 7 + 3) % 256 for i in range(77))
     SALT = bytes(range(16))
@@ -58,7 +47,7 @@ class TestFrozenLayout:
         "4f"
     )
     #: ``dUE1``: recorded from the byte-at-a-time implementation, which the
-    #: SHA-256 counter keystream that followed it reproduced
+    #: SHA-256 counter keystream that followed it reproduced; a refusal vector
     GOLDEN = (
         "64554531000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"
         "13908ceac67df731488675041ce578b0c3920ad02b697beaa702b07474db3f8152b552d8"
@@ -79,8 +68,9 @@ class TestFrozenLayout:
         assert blob[:4] == b"dUE2" and blob[4:20] == self.SALT and blob[20:36] == self.NONCE
         assert decrypt(blob, "monetdb") == self.PAYLOAD
 
-    def test_blob_of_the_old_implementation_still_decrypts(self):
-        assert decrypt(bytes.fromhex(self.GOLDEN), "monetdb") == self.PAYLOAD
+    def test_blob_of_the_old_implementation_is_refused(self):
+        with pytest.raises(DecryptionError):
+            decrypt(bytes.fromhex(self.GOLDEN), "monetdb")
 
     def test_one_salt_per_process_fresh_nonce_per_message(self):
         first, second = encrypt(b"same payload", "pw"), encrypt(b"same payload", "pw")
@@ -97,13 +87,9 @@ class TestFrozenLayout:
         assert decrypt(blob, "monetdb") == payload
         assert decrypt(kind(blob), "monetdb") == payload
 
-    @pytest.mark.parametrize("magic", [b"dUE2", b"dUE1"])
-    def test_flipped_byte_anywhere_rejected(self, magic):
-        if magic == b"dUE2":
-            blob = encrypt(b"the data" * 8, "monetdb")
-        else:
-            blob = bytes.fromhex(self.GOLDEN)
-        assert blob[:4] == magic and decrypt(blob, "monetdb")
+    def test_flipped_byte_anywhere_rejected(self):
+        blob = encrypt(b"the data" * 8, "monetdb")
+        assert decrypt(blob, "monetdb")
         # magic, salt, nonce, tag, body
         for position in (0, 3, 4, 20, 36, 68, len(blob) - 1):
             tampered = bytearray(blob)
@@ -111,18 +97,13 @@ class TestFrozenLayout:
             with pytest.raises(DecryptionError):
                 decrypt(bytes(tampered), "monetdb")
 
-    @pytest.mark.parametrize("magic", [b"dUE2", b"dUE1"])
-    def test_blob_relabelled_as_the_other_version_rejected(self, magic):
-        """The ``dUE2`` tag covers its magic, so neither relabelling passes
-        the integrity check (``'2' ^ 3 == '1'``: a two-bit change)."""
-        if magic == b"dUE2":
-            blob = encrypt(b"the data" * 8, "monetdb")
-        else:
-            blob = bytes.fromhex(self.GOLDEN)
-        relabelled = bytearray(blob)
+    def test_blob_relabelled_as_the_other_version_rejected(self):
+        """A ``dUE2`` blob relabelled ``dUE1`` (``'2' ^ 3 == '1'``: a two-bit
+        change) is refused."""
+        relabelled = bytearray(encrypt(b"the data" * 8, "monetdb"))
         relabelled[3] ^= 0x03
-        assert bytes(relabelled[:4]) in {b"dUE1", b"dUE2"} - {magic}
-        with pytest.raises(DecryptionError, match="integrity"):
+        assert bytes(relabelled[:4]) == b"dUE1"
+        with pytest.raises(DecryptionError):
             decrypt(bytes(relabelled), "monetdb")
 
     def test_magic_of_neither_version_rejected(self):
@@ -130,6 +111,21 @@ class TestFrozenLayout:
         blob[3:4] = b"3"
         with pytest.raises(DecryptionError):
             decrypt(bytes(blob), "pw")
+
+    @pytest.mark.parametrize("magic", [b"dUE0", b"dUE1", b"dUE3", b"DUE2", b"due2",
+                                       b"\x00\x00\x00\x00"])
+    def test_only_the_dUE2_magic_is_accepted(self, magic):
+        blob = encrypt(b"the data" * 8, "monetdb")
+        with pytest.raises(DecryptionError, match="not a devUDF encrypted blob"):
+            decrypt(magic + blob[4:], "monetdb")
+
+    @pytest.mark.parametrize("length", [0, 4, 20, 36, 67, 68])
+    def test_blob_cut_at_a_header_boundary_rejected(self, length):
+        """Cut in the magic, after it, after the salt, after the nonce, one
+        byte short of the tag, and with the ciphertext gone."""
+        blob = encrypt(b"the data" * 8, "monetdb")
+        with pytest.raises(DecryptionError):
+            decrypt(blob[:length], "monetdb")
 
     def test_derive_key_is_memoised_per_password_salt_and_iterations(self):
         assert derive_key("pw", b"salt", iterations=10) != derive_key("pw", b"salt")

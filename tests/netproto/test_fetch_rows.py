@@ -136,5 +136,5 @@ def test_fetchone_does_not_build_the_value_lists():
         lambda: Vector(np.array([4, 5, 6]), sql_type=SQLType.INTEGER))
     result = QueryResult([column])
     assert result.fetchone() == (4,)
-    assert not column.is_materialised
+    assert column._values is None
     assert result.fetchall() == [(4,), (5,), (6,)]

@@ -7,11 +7,7 @@ import pytest
 from repro.errors import AuthenticationError
 from repro.netproto.auth import client_digest
 from repro.netproto.client import Connection, ConnectionInfo, TransferOptions
-from repro.netproto.server import (
-    AsyncSocketServer,
-    DatabaseServer,
-    start_demo_server,
-)
+from repro.netproto.server import AsyncSocketServer, DatabaseServer
 from repro.sqldb.database import Database
 
 
@@ -128,15 +124,3 @@ class TestLoginDerivations:
         Connection.connect_tcp(
             ConnectionInfo(host=host, port=port, password="rotated")).close()
         assert derivations == [b"monetdb", b"rotated"]
-
-
-class TestStartDemoServer:
-    def test_start_and_query(self):
-        server, socket_server, (host, port) = start_demo_server()
-        try:
-            connection = Connection.connect_tcp(
-                ConnectionInfo(host=host, port=port, database=server.database.name))
-            assert connection.execute("SELECT 1 + 1").scalar() == 2
-            connection.close()
-        finally:
-            socket_server.stop()

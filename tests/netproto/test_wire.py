@@ -19,7 +19,6 @@ from repro.netproto.wire import (
     encode_message,
     encode_value,
     read_frame,
-    write_frame,
 )
 
 
@@ -81,8 +80,8 @@ class TestFraming:
 
     def test_stream_read_write(self):
         stream = io.BytesIO()
-        write_frame(stream, b"one")
-        write_frame(stream, b"two")
+        stream.write(encode_frame(b"one"))
+        stream.write(encode_frame(b"two"))
         stream.seek(0)
         assert read_frame(stream) == b"one"
         assert read_frame(stream) == b"two"

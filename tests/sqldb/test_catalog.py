@@ -55,13 +55,6 @@ class TestRegistration:
             catalog.drop("f")
         catalog.drop("f", if_exists=True)
 
-    def test_python_functions_filter(self, catalog):
-        catalog.register(scalar_signature("py_fn"))
-        sql_fn = make_signature("sql_fn", [("x", SQLType.INTEGER)],
-                                return_type=SQLType.INTEGER, language="SQL")
-        catalog.register(sql_fn)
-        assert [f.name for f in catalog.python_functions()] == ["py_fn"]
-
     def test_len(self, catalog):
         assert len(catalog) == 0
         catalog.register(scalar_signature())

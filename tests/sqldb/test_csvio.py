@@ -3,11 +3,7 @@
 import pytest
 
 from repro.errors import ExecutionError
-from repro.sqldb.csvio import (
-    load_csv_directory_into_table,
-    load_csv_into_table,
-    write_csv,
-)
+from repro.sqldb.csvio import load_csv_into_table
 from repro.sqldb.schema import ColumnDef, TableSchema
 from repro.sqldb.storage import Table
 from repro.sqldb.types import ColumnType, SQLType
@@ -68,37 +64,3 @@ class TestLoadCSV:
         path.write_text("1,2\n")
         with pytest.raises(ExecutionError):
             load_csv_into_table(int_table(), path)
-
-
-class TestLoadDirectory:
-    def test_loads_all_files_sorted(self, tmp_path):
-        for index in range(3):
-            (tmp_path / f"file_{index}.csv").write_text(f"{index}\n{index}\n")
-        table = int_table()
-        assert load_csv_directory_into_table(table, tmp_path) == 6
-        assert table.column("i").values == [0, 0, 1, 1, 2, 2]
-
-    def test_directory_must_exist(self, tmp_path):
-        with pytest.raises(ExecutionError):
-            load_csv_directory_into_table(int_table(), tmp_path / "missing")
-
-    def test_pattern_filter(self, tmp_path):
-        (tmp_path / "keep.csv").write_text("1\n")
-        (tmp_path / "skip.txt").write_text("2\n")
-        table = int_table()
-        assert load_csv_directory_into_table(table, tmp_path) == 1
-
-
-class TestWriteCSV:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "out.csv"
-        written = write_csv(path, ["i"], [(1,), (2,), (None,)])
-        assert written == 3
-        table = int_table()
-        load_csv_into_table(table, path)
-        assert table.column("i").values == [1, 2, None]
-
-    def test_header_written(self, tmp_path):
-        path = tmp_path / "h.csv"
-        write_csv(path, ["a", "b"], [(1, 2)], header=True)
-        assert path.read_text().splitlines()[0] == "a,b"

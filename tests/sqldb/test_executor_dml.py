@@ -171,5 +171,3 @@ class TestExecuteScriptAndParameters:
         db.execute("INSERT INTO t VALUES (1)")
         assert db.statements_executed == 2
         assert len(db.query_log) == 2
-        db.reset_counters()
-        assert db.statements_executed == 0

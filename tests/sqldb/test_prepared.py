@@ -162,7 +162,9 @@ class TestPreparedExecution:
         db.execute("PREPARE p1 AS SELECT 1")
         db.execute("PREPARE p2 AS SELECT 2")
         db.execute("DEALLOCATE ALL")
-        assert db.prepared_names() == []
+        for name in ("p1", "p2"):
+            with pytest.raises(ExecutionError):
+                db.execute(f"EXECUTE {name}")
 
     def test_reprepare_replaces(self, db):
         db.execute("PREPARE p AS SELECT 1")

@@ -21,8 +21,6 @@ class TestTableSchema:
         schema = make_schema()
         assert schema.column_index("I") == 0
         assert schema.column("S").name == "s"
-        assert schema.has_column("i")
-        assert not schema.has_column("missing")
 
     def test_duplicate_columns_rejected(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from repro.sqldb.types import (
     ColumnType,
     SQLType,
     coerce_value,
-    common_type,
     infer_sql_type,
     parse_type_name,
 )
@@ -101,22 +100,6 @@ class TestInferSQLType:
         assert infer_sql_type(1.5) is SQLType.DOUBLE
         assert infer_sql_type("x") is SQLType.STRING
         assert infer_sql_type(b"x") is SQLType.BLOB
-
-
-class TestCommonType:
-    def test_same_type(self):
-        assert common_type(SQLType.INTEGER, SQLType.INTEGER) is SQLType.INTEGER
-
-    def test_numeric_promotion(self):
-        assert common_type(SQLType.INTEGER, SQLType.DOUBLE) is SQLType.DOUBLE
-        assert common_type(SQLType.INTEGER, SQLType.BIGINT) is SQLType.BIGINT
-
-    def test_string_absorbs(self):
-        assert common_type(SQLType.STRING, SQLType.INTEGER) is SQLType.STRING
-
-    def test_incompatible_types(self):
-        with pytest.raises(TypeMismatchError):
-            common_type(SQLType.BLOB, SQLType.BOOLEAN)
 
 
 class TestColumnType:

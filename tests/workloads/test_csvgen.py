@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.workloads.csvgen import (
-    generate_csv_directory,
-    load_workload,
-    reference_mean_deviation,
-)
+from repro.workloads.csvgen import generate_csv_directory
 
 
 class TestGeneration:
@@ -38,12 +34,6 @@ class TestGeneration:
         with pytest.raises(ValueError):
             generate_csv_directory(tmp_path / "y", rows_per_file=0)
 
-    def test_load_workload_round_trip(self, tmp_path):
-        generated = generate_csv_directory(tmp_path / "csv", n_files=3, rows_per_file=7)
-        loaded = load_workload(tmp_path / "csv")
-        assert loaded.all_values == generated.all_values
-        assert len(loaded.files) == 3
-
 
 class TestReferenceStatistics:
     def test_mean_deviation_matches_numpy(self, tmp_path):
@@ -51,7 +41,6 @@ class TestReferenceStatistics:
         values = np.asarray(workload.all_values, dtype=float)
         expected = float(np.mean(np.abs(values - values.mean())))
         assert workload.mean_deviation() == pytest.approx(expected)
-        assert reference_mean_deviation(workload.all_values) == pytest.approx(expected)
 
     def test_rows_excluding_last_file(self, tmp_path):
         workload = generate_csv_directory(tmp_path / "csv", n_files=4, rows_per_file=10)
@@ -63,6 +52,3 @@ class TestReferenceStatistics:
                                           seed=3)
         assert workload.mean_deviation() != pytest.approx(
             workload.mean_deviation_excluding_last_file(), abs=1e-12)
-
-    def test_empty_reference(self):
-        assert reference_mean_deviation([]) == 0.0
