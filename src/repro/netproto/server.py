@@ -114,9 +114,10 @@ class ServerStats:
     ``AttributeError``.  Reads keep the historical attribute surface:
     ``stats.queries_executed`` returns the current counter value.
 
-    The per-statement query log is a *bounded* ring (``query_log_limit``
-    most recent statements); entries pushed out of a full ring are counted
-    in ``query_log_dropped`` rather than growing the list without limit.
+    The per-statement query log is a *bounded* ring (the
+    :attr:`QUERY_LOG_LIMIT` most recent statements); entries pushed out of a
+    full ring are counted in ``query_log_dropped`` rather than growing the
+    list without limit.
     """
 
     #: Every named counter; writes outside :meth:`inc` are rejected.
@@ -150,18 +151,17 @@ class ServerStats:
     )
     _COUNTER_SET = frozenset(COUNTER_NAMES)
 
-    #: Default capacity of the bounded query log.
+    #: Capacity of the bounded query log.
     QUERY_LOG_LIMIT = 1_000
 
-    def __init__(self, *, registry: MetricsRegistry | None = None,
-                 query_log_limit: int = QUERY_LOG_LIMIT) -> None:
-        self._registry = registry if registry is not None else MetricsRegistry()
+    def __init__(self) -> None:
+        self._registry = MetricsRegistry()
         self._counters = {name: self._registry.counter(name)
                           for name in self.COUNTER_NAMES}
         #: End-to-end request latency (execution + encode + handoff) seen by
         #: the server, complementing the engine-side ``db.query_us``.
         self._h_query = self._registry.histogram("query_us")
-        self.query_log: deque[str] = deque(maxlen=max(1, int(query_log_limit)))
+        self.query_log: deque[str] = deque(maxlen=self.QUERY_LOG_LIMIT)
         self._log_lock = threading.Lock()
 
     def __getattr__(self, name: str) -> int:
@@ -292,13 +292,15 @@ class AdmissionController:
 class DatabaseServer:
     """Protocol logic: turns request messages into response messages."""
 
+    #: Capacity of :attr:`slow_query_log`.
+    SLOW_QUERY_LOG_SIZE = 64
+
     def __init__(self, database: Database | None = None,
                  registry: UserRegistry | None = None, *,
                  default_user: str = "monetdb", default_password: str = "monetdb",
                  result_chunk_rows: int = DEFAULT_CHUNK_ROWS,
                  limits: ServerLimits | None = None,
-                 slow_query_ms: float | None = 500.0,
-                 slow_query_log_size: int = 64) -> None:
+                 slow_query_ms: float | None = 500.0) -> None:
         self.database = database or Database()
         self.registry = registry or UserRegistry()
         self.result_chunk_rows = max(1, int(result_chunk_rows))
@@ -314,7 +316,7 @@ class DatabaseServer:
         self.slow_query_ms = slow_query_ms
         #: Bounded ring of the most recent slow queries (oldest drop off).
         self.slow_query_log: "deque[dict[str, Any]]" = deque(
-            maxlen=max(1, int(slow_query_log_size)))
+            maxlen=self.SLOW_QUERY_LOG_SIZE)
         self.limits = limits or ServerLimits()
         self.admission = AdmissionController(self.limits)
         #: Chaos-test hook: called with a named fault point (``"query_start"``,
@@ -1412,10 +1414,6 @@ def main(argv: list[str] | None = None) -> int:
                         dest="verify_on_start",
                         help="scrub every image/WAL checksum before serving; "
                              "refuse to start on corruption (needs --db)")
-    parser.add_argument("--plan-cache", type=int, default=128,
-                        dest="plan_cache", metavar="ENTRIES",
-                        help="LRU capacity of the parsed-plan cache keyed by "
-                             "normalized SQL (0 disables; default: 128)")
     parser.add_argument("--result-cache-bytes", type=int, default=8 << 20,
                         dest="result_cache_bytes", metavar="BYTES",
                         help="byte budget for caching results of identical "
@@ -1432,7 +1430,6 @@ def main(argv: list[str] | None = None) -> int:
     single_malloc_arena()  # before any thread or column buffer exists
     try:
         database = Database(name=args.name, path=args.db,
-                            plan_cache=args.plan_cache,
                             result_cache_bytes=args.result_cache_bytes)
     except PersistenceError as exc:
         # a corrupt image fails the open itself; with --verify-on-start the

@@ -17,14 +17,13 @@ filesystem.
 
 from __future__ import annotations
 
-from .metrics import Counter, Histogram, MetricsRegistry, NULL_REGISTRY
+from .metrics import Counter, Histogram, MetricsRegistry
 from .trace import TraceSpan, new_trace_id
 
 __all__ = [
     "Counter",
     "Histogram",
     "MetricsRegistry",
-    "NULL_REGISTRY",
     "TraceSpan",
     "new_trace_id",
 ]

@@ -14,15 +14,14 @@ Design notes
   inside the winning bucket.  That bounds relative quantile error to about
   half a bucket while keeping ``observe`` O(log n_buckets) and allocation
   free.
-* **One lock per metric.**  Observations from the morsel pool, the server
-  worker pool and the selector loop race against snapshot readers; each
-  metric guards its own few fields with a private lock, so uncontended
-  updates stay cheap and a snapshot never blocks the whole registry.
-* **A registry can be disabled.**  ``MetricsRegistry(enabled=False)`` turns
-  every ``inc``/``set``/``observe`` into an early return — this is how the
-  ``obs_overhead`` benchmark measures the instrumented-vs-bare delta and how
-  ``Database(observability=False)`` opts out.  :data:`NULL_REGISTRY` is a
-  shared disabled registry for components constructed without one.
+* **One lock per metric.**  Observations from the server's statement pool
+  and its selector loop race against snapshot readers; each metric guards
+  its own few fields with a private lock, so uncontended updates stay cheap
+  and a snapshot never blocks the whole registry.
+* **Always on, and counted.**  What keeps the cost down is where updates
+  sit: a statement makes a fixed number of ``inc``/``observe`` calls plus
+  one per morsel and one per wire frame, never one per row or per batch
+  (``tests/obs/test_update_count.py``).
 """
 
 from __future__ import annotations
@@ -35,24 +34,20 @@ __all__ = [
     "Counter",
     "Histogram",
     "MetricsRegistry",
-    "NULL_REGISTRY",
 ]
 
 
 class Counter:
     """A monotonically increasing integer."""
 
-    __slots__ = ("name", "_lock", "_value", "_registry")
+    __slots__ = ("name", "_lock", "_value")
 
-    def __init__(self, name: str, registry: "MetricsRegistry") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self._registry = registry
         self._lock = threading.Lock()
         self._value = 0
 
     def inc(self, amount: int = 1) -> None:
-        if not self._registry.enabled:
-            return
         with self._lock:
             self._value += amount
 
@@ -88,15 +83,13 @@ class Histogram:
     """Log-bucketed latency histogram; observations are in **seconds**,
     exported quantiles in integer **microseconds**."""
 
-    __slots__ = ("name", "_lock", "_counts", "_count", "_sum_us", "_max_us",
-                 "_registry")
+    __slots__ = ("name", "_lock", "_counts", "_count", "_sum_us", "_max_us")
 
     #: Quantiles exported by :meth:`snapshot`, as (suffix, fraction).
     QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
 
-    def __init__(self, name: str, registry: "MetricsRegistry") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self._registry = registry
         self._lock = threading.Lock()
         self._counts = [0] * (_OVERFLOW + 1)
         self._count = 0
@@ -104,8 +97,6 @@ class Histogram:
         self._max_us = 0.0
 
     def observe(self, seconds: float) -> None:
-        if not self._registry.enabled:
-            return
         us = seconds * 1e6
         if us < 0.0:
             us = 0.0
@@ -177,10 +168,7 @@ class Histogram:
 class MetricsRegistry:
     """Named metrics with get-or-create semantics and a flat int snapshot."""
 
-    def __init__(self, *, enabled: bool = True) -> None:
-        #: Mutable switch read by every metric on the hot path.  Flipping it
-        #: enables/disables recording without rebuilding metric objects.
-        self.enabled = bool(enabled)
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: dict[str, Counter | Histogram] = {}
 
@@ -188,7 +176,7 @@ class MetricsRegistry:
         with self._lock:
             metric = self._metrics.get(name)
             if metric is None:
-                metric = cls(name, self)
+                metric = cls(name)
                 self._metrics[name] = metric
             elif not isinstance(metric, cls):
                 raise TypeError(
@@ -216,8 +204,3 @@ class MetricsRegistry:
     def reset(self) -> None:
         for metric in self.metrics():
             metric.reset()
-
-
-#: Shared always-disabled registry: a safe default for components
-#: (e.g. a standalone ``WriteAheadLog``) constructed without one.
-NULL_REGISTRY = MetricsRegistry(enabled=False)

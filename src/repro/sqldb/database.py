@@ -32,8 +32,10 @@ from .cache import (
 from .catalog import FunctionCatalog
 from .context import QueryContext
 from .executor import Executor
+from .lexer import LITERAL_OR_COMMENT
 from .parser import Parser, parse_statement
 from .plan import DEFAULT_MORSEL_ROWS
+from .render import render_literal
 from .result import QueryResult
 from .schema import FunctionSignature
 from .storage import Storage
@@ -50,6 +52,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Entries kept in :attr:`Database.query_log` (oldest dropped first).
 QUERY_LOG_LIMIT = 10_000
+#: Parsed SELECT statements kept in :attr:`Database.plan_cache`.
+PLAN_CACHE_ENTRIES = 128
 
 
 class Database:
@@ -78,25 +82,20 @@ class Database:
                  segment_rows: int | None = None,
                  wal_fsync_batch: int | None = None,
                  salvage: bool = False,
-                 plan_cache: int = 128,
-                 result_cache_bytes: int = 0,
-                 observability: bool = True) -> None:
+                 result_cache_bytes: int = 0) -> None:
         self.name = name
         self.storage = Storage()
         #: Engine-wide metrics (counters + latency histograms), default-on.
         #: Metric names carry their full dotted prefix (``db.query_us``,
         #: ``persist.wal_fsync_us``) so :meth:`stats_snapshot` merges the
-        #: registry snapshot directly.  ``observability=False`` turns every
-        #: observation into an early return (used by the ``obs_overhead``
-        #: benchmark to price the instrumentation itself).
-        self.metrics = MetricsRegistry(enabled=observability)
+        #: registry snapshot directly.
+        self.metrics = MetricsRegistry()
         self._h_query = self.metrics.histogram("db.query_us")
         self._h_parse = self.metrics.histogram("db.parse_us")
         self._h_execute = self.metrics.histogram("db.execute_us")
         #: LRU of parsed SELECT statements keyed by normalized SQL text —
-        #: hot statements skip lexing/parsing.  ``plan_cache=0`` disables.
-        self.plan_cache: PlanCache | None = \
-            PlanCache(plan_cache) if plan_cache > 0 else None
+        #: hot statements skip lexing/parsing.
+        self.plan_cache = PlanCache(PLAN_CACHE_ENTRIES)
         #: Byte-bounded LRU of materialised read-only SELECT results.
         #: Off by default: the embedded engine is frequently benchmarked by
         #: re-running identical SQL, and tests mutate storage directly
@@ -309,8 +308,7 @@ class Database:
         — those must go through PREPARE/EXECUTE.
         """
         key = normalize_sql(sql)
-        cache = self.plan_cache
-        entry = cache.get(key) if cache is not None else None
+        entry = self.plan_cache.get(key)
         if entry is None:
             statement = parse_statement(sql)
             if not isinstance(statement, ast.Select):
@@ -320,8 +318,7 @@ class Database:
                 raise ExecutionError(
                     "statement contains unbound '?' placeholders; use "
                     "PREPARE name AS ... and EXECUTE name (args)")
-            if cache is not None:
-                cache.put(key, entry)
+            self.plan_cache.put(key, entry)
         return entry.statement, (key, entry.profile)
 
     def note_mutation(self, statement: ast.Statement) -> None:
@@ -339,15 +336,13 @@ class Database:
 
     def invalidate_table(self, table: str) -> None:
         """Drop every cached plan/result that reads ``table``."""
-        if self.plan_cache is not None:
-            self.plan_cache.invalidate_table(table)
+        self.plan_cache.invalidate_table(table)
         if self.result_cache is not None:
             self.result_cache.invalidate_table(table)
 
     def invalidate_caches(self) -> None:
         """Drop every cached plan and result (UDF changes, recovery)."""
-        if self.plan_cache is not None:
-            self.plan_cache.clear()
+        self.plan_cache.clear()
         if self.result_cache is not None:
             self.result_cache.clear()
 
@@ -355,10 +350,10 @@ class Database:
         """Flat cache counters merged into the server's stats section."""
         plan, result = self.plan_cache, self.result_cache
         return {
-            "plan_cache_entries": len(plan) if plan else 0,
-            "plan_cache_hits": plan.hits if plan else 0,
-            "plan_cache_misses": plan.misses if plan else 0,
-            "plan_cache_evictions": plan.evictions if plan else 0,
+            "plan_cache_entries": len(plan),
+            "plan_cache_hits": plan.hits,
+            "plan_cache_misses": plan.misses,
+            "plan_cache_evictions": plan.evictions,
             "result_cache_entries": len(result) if result else 0,
             "result_cache_bytes": result.used_bytes if result else 0,
             "result_cache_hits": result.hits if result else 0,
@@ -586,28 +581,39 @@ class StreamedResult:
         return self._pieces
 
 
+#: A printf-style placeholder, positional (``%s`` / ``%d`` / ``%f`` / ``%i``)
+#: or named (``%(name)s``), or the ``%%`` escape.
+_PLACEHOLDER = re.compile(r"%%|%(?:\((\w+)\))?[sdfi]")
+
+
 def _apply_parameters(sql: str, parameters: tuple | dict) -> str:
     """Very small client-side parameter substitution (printf-style).
 
     The paper's Listing 3 uses ``%d`` substitution inside the UDF's loopback
     query; the client protocol uses the same convention, so it lives here.
+    Placeholders are bound only outside string literals and comments (``%``
+    alone is SQL's modulo), each value spelled by :func:`render_literal`;
+    ``%%`` means ``%`` everywhere, inside literals too (DB-API pyformat).
     """
-    def quote(value: Any) -> str:
-        if value is None:
-            return "NULL"
-        if isinstance(value, bool):
-            return "TRUE" if value else "FALSE"
-        if isinstance(value, (int, float)):
-            return str(value)
-        escaped = str(value).replace("'", "''")
-        return f"'{escaped}'"
+    positional = iter(() if isinstance(parameters, dict) else parameters)
 
-    # Normalise printf-style placeholders (%d / %f / %i) to %s so every bound
-    # value goes through SQL quoting, then substitute.
-    normalised = re.sub(r"%[dfi]", "%s", sql)
+    def bind(match: re.Match[str]) -> str:
+        name = match.group(1)
+        if match.group() == "%%":
+            return "%"
+        text = render_literal(
+            next(positional) if name is None else parameters[name])
+        return f"({text})" if text.startswith("-") else text  # not ``--``
+
+    # [outside, literal or comment, outside, ...]
+    pieces = LITERAL_OR_COMMENT.split(sql)
     try:
-        if isinstance(parameters, dict):
-            return normalised % {key: quote(value) for key, value in parameters.items()}
-        return normalised % tuple(quote(value) for value in parameters)
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ExecutionError(f"cannot bind parameters {parameters!r}: {exc}") from exc
+        pieces[::2] = [_PLACEHOLDER.sub(bind, piece) for piece in pieces[::2]]
+        pieces[1::2] = [piece.replace("%%", "%") for piece in pieces[1::2]]
+        complete = next(positional, pieces) is pieces
+    except (KeyError, TypeError, StopIteration):
+        complete = False
+    if not complete:
+        raise ExecutionError(f"cannot bind parameters {parameters!r}: "
+                             "placeholders and values do not match")
+    return "".join(pieces)

@@ -685,8 +685,7 @@ class Filter(PhysicalOperator):
         return kept
 
     def describe(self) -> str:
-        from .render import render_expression
-        text = f"Filter [{render_expression(self.predicate)}"
+        text = f"Filter [{_plan_text(self.predicate)}"
         return text + _counted("selection", self.selections,
                                ("all", "slice", "gather")) + "]"
 
@@ -968,7 +967,6 @@ class HashJoin(PhysicalOperator):
         return Batch(columns, row_count=count)
 
     def describe(self) -> str:
-        from .render import render_expression
         if self.join_type == "CROSS" or self.condition is None:
             return "HashJoin [CROSS]"
         # the probe is known once the build is (EXPLAIN ANALYZE only)
@@ -977,7 +975,7 @@ class HashJoin(PhysicalOperator):
                  if self._strategy == "vector"
                  else "hash" if self._strategy == "hash" else None)
         return (f"HashJoin [{self.join_type} "
-                f"ON {render_expression(self.condition)}"
+                f"ON {_plan_text(self.condition)}"
                 + (f" probe={probe}]" if probe else "]"))
 
 
@@ -1326,6 +1324,16 @@ class HashAggregate(PhysicalOperator):
         text = f"HashAggregate [keys={n_keys} aggregates={n_aggs} mode={self.mode}"
         return text + _counted("grouping", self.groupings,
                                ("radix", "sort", "hash")) + "]"
+
+
+def _plan_text(node: ast.Expression) -> str:
+    """``node`` as SQL for a plan line, or as its repr when EXECUTE bound a
+    value that has no SQL literal (NaN, bytes)."""
+    from .render import render_expression
+    try:
+        return render_expression(node)
+    except ExecutionError:
+        return repr(node)
 
 
 def _counted(label: str, seen: Sequence[str], kinds: Sequence[str]) -> str:

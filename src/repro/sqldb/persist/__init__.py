@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Any
 from dataclasses import dataclass
 
 from ...errors import CorruptionError, PersistenceError
-from ...obs import MetricsRegistry, NULL_REGISTRY
+from ...obs import MetricsRegistry
 from . import faults
 from .checkpoint import (
     BackupStats,
@@ -108,7 +108,7 @@ class PersistentStore:
                  fsync_batch: int = DEFAULT_FSYNC_BATCH,
                  salvage: bool = False,
                  fs: faults.FileSystem | None = None,
-                 metrics: MetricsRegistry | None = None) -> None:
+                 metrics: MetricsRegistry) -> None:
         self.path = Path(path)
         self.database = database
         self.segment_rows = max(1, int(segment_rows))
@@ -116,8 +116,7 @@ class PersistentStore:
         self.generation = 0
         self.salvage = bool(salvage)
         self._fs = fs
-        registry = metrics if metrics is not None else NULL_REGISTRY
-        self._h_checkpoint = registry.histogram("persist.checkpoint_us")
+        self._h_checkpoint = metrics.histogram("persist.checkpoint_us")
         self.wal = WriteAheadLog(wal_path_for(self.path),
                                  fsync_batch=fsync_batch, fs=fs,
                                  metrics=metrics)

@@ -59,7 +59,7 @@ from time import perf_counter
 
 from ...errors import PersistenceError
 from ...netproto.wire import decode_value, encode_value
-from ...obs import MetricsRegistry, NULL_REGISTRY
+from ...obs import MetricsRegistry
 from . import faults
 from .records import pack_mask, unpack_mask  # noqa: F401  (record-level API)
 
@@ -171,7 +171,7 @@ class WriteAheadLog:
     def __init__(self, path: str | os.PathLike[str], *,
                  fsync_batch: int = DEFAULT_FSYNC_BATCH,
                  fs: faults.FileSystem | None = None,
-                 metrics: MetricsRegistry | None = None) -> None:
+                 metrics: MetricsRegistry) -> None:
         self.path = Path(path)
         self.fsync_batch = max(1, int(fsync_batch))
         self._file: Any = None
@@ -179,10 +179,8 @@ class WriteAheadLog:
         self._lock = threading.Lock()
         self.records_appended = 0
         self._fs = fs
-        # latency histograms (no-ops on the default disabled registry)
-        registry = metrics if metrics is not None else NULL_REGISTRY
-        self._h_append = registry.histogram("persist.wal_append_us")
-        self._h_fsync = registry.histogram("persist.wal_fsync_us")
+        self._h_append = metrics.histogram("persist.wal_append_us")
+        self._h_fsync = metrics.histogram("persist.wal_fsync_us")
         #: Set to the failure reason after an fsync the disk rejected.  A
         #: failed fsync leaves the page cache in an unknown state — the
         #: kernel may already have dropped the dirty pages — so retrying it

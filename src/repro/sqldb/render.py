@@ -7,6 +7,7 @@ query to the server.  That requires turning (modified) ASTs back into SQL.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 from ..errors import ExecutionError
@@ -20,6 +21,11 @@ def render_literal(value: Any) -> str:
         return "TRUE"
     if value is False:
         return "FALSE"
+    if isinstance(value, float) and math.isinf(value):
+        return "1e999" if value > 0 else "-1e999"  # the lexer reads +-inf back
+    if isinstance(value, bytes) or isinstance(value, float) and math.isnan(value):
+        raise ExecutionError(f"{value!r} has no SQL literal; bind it with "
+                             "PREPARE name AS ... ? and EXECUTE name (value)")
     if isinstance(value, (int, float)):
         return str(value)
     escaped = str(value).replace("'", "''")

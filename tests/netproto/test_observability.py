@@ -82,12 +82,14 @@ class TestSlowQueryLog:
 
     def test_ring_is_bounded(self):
         db = _make_database()
-        server = DatabaseServer(db, slow_query_ms=0.0, slow_query_log_size=4)
+        server = DatabaseServer(db, slow_query_ms=0.0)
         connection = Connection.connect_in_process(server)
-        for i in range(10):
+        size = DatabaseServer.SLOW_QUERY_LOG_SIZE
+        for i in range(size + 1):
             connection.execute(f"SELECT {i}")
-        assert len(server.slow_query_log) == 4
-        assert server.stats.slow_queries == 10
+        assert len(server.slow_query_log) == size
+        assert server.stats.slow_queries == size + 1
+        assert server.slow_query_log[0]["sql"] == "SELECT 1"
         connection.close()
 
     def test_disabled_means_no_traces_no_entries(self):
@@ -114,10 +116,12 @@ class TestSlowQueryLog:
 
 class TestBoundedQueryLog:
     def test_query_log_keeps_last_n_and_counts_drops(self):
-        stats = ServerStats(query_log_limit=5)
-        for i in range(12):
+        stats = ServerStats()
+        limit = ServerStats.QUERY_LOG_LIMIT
+        for i in range(limit + 7):
             stats.log_query(f"SELECT {i}")
-        assert list(stats.query_log) == [f"SELECT {i}" for i in range(7, 12)]
+        assert list(stats.query_log) == [f"SELECT {i}"
+                                         for i in range(7, limit + 7)]
         assert stats.query_log_dropped == 7
         assert stats.counters()["query_log_dropped"] == 7
 

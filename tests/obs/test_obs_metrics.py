@@ -9,7 +9,6 @@ from repro.obs import (
     Counter,
     Histogram,
     MetricsRegistry,
-    NULL_REGISTRY,
     TraceSpan,
     new_trace_id,
 )
@@ -51,13 +50,6 @@ class TestCounter:
         for thread in threads:
             thread.join()
         assert counter.value == 80_000
-
-    def test_disabled_registry_is_a_noop(self):
-        registry = MetricsRegistry(enabled=False)
-        counter = registry.counter("hits")
-        counter.inc(100)
-        assert counter.value == 0
-        assert NULL_REGISTRY.counter("anything").value == 0
 
 
 # --------------------------------------------------------------------------- #

@@ -26,6 +26,7 @@ import pytest
 
 from repro.errors import CorruptionError, PersistenceError
 from repro.netproto.columnar import decode_chunk
+from repro.obs import MetricsRegistry
 from repro.sqldb.database import Database
 from repro.sqldb.persist import read_wal, wal_path_for
 from repro.sqldb.persist.faults import DiskFaultSpec, FaultyFS, injected
@@ -59,7 +60,8 @@ class TestWalFsyncgate:
         wal_file = tmp_path / "log.wal"
         # fsync #1 is the header; #2 is the first (batch-of-1) append
         fs = FaultyFS(DiskFaultSpec(match=".wal", fail_fsync_at_call=2))
-        wal = WriteAheadLog(wal_file, fsync_batch=1, fs=fs)
+        wal = WriteAheadLog(wal_file, fsync_batch=1, fs=fs,
+                            metrics=MetricsRegistry())
         wal.create(generation=1)
         with pytest.raises(PersistenceError, match="rolled back"):
             wal.append({"op": "truncate", "table": "t"})
@@ -78,7 +80,8 @@ class TestWalFsyncgate:
         failed fsync too — their pages may be gone, so the log must seal."""
         wal_file = tmp_path / "log.wal"
         fs = FaultyFS(DiskFaultSpec(match=".wal", fail_fsync_at_call=2))
-        wal = WriteAheadLog(wal_file, fsync_batch=2, fs=fs)
+        wal = WriteAheadLog(wal_file, fsync_batch=2, fs=fs,
+                            metrics=MetricsRegistry())
         wal.create(generation=1)
         wal.append({"op": "truncate", "table": "t"})  # pending, no fsync yet
         with pytest.raises(PersistenceError, match="sealed"):
@@ -100,7 +103,8 @@ class TestWalFsyncgate:
     def test_flush_fsync_failure_seals(self, tmp_path):
         wal_file = tmp_path / "log.wal"
         fs = FaultyFS(DiskFaultSpec(match=".wal", fail_fsync_at_call=2))
-        wal = WriteAheadLog(wal_file, fsync_batch=1000, fs=fs)
+        wal = WriteAheadLog(wal_file, fsync_batch=1000, fs=fs,
+                            metrics=MetricsRegistry())
         wal.create(generation=1)
         wal.append({"op": "truncate", "table": "t"})  # batched, no fsync yet
         with pytest.raises(PersistenceError, match="sealed"):
@@ -113,7 +117,8 @@ class TestWalFsyncgate:
         # write #1 creates the header, #2 is the append, #3 is the reset's
         # fresh header — fail that one
         fs = FaultyFS(DiskFaultSpec(match=".wal", fail_write_at_call=3))
-        wal = WriteAheadLog(wal_file, fsync_batch=1000, fs=fs)
+        wal = WriteAheadLog(wal_file, fsync_batch=1000, fs=fs,
+                            metrics=MetricsRegistry())
         wal.create(generation=1)
         wal.append({"op": "truncate", "table": "t"})
         with pytest.raises(PersistenceError, match="reset"):
@@ -126,7 +131,8 @@ class TestWalFsyncgate:
     def test_append_write_eio_rolls_back_and_stays_usable(self, tmp_path):
         wal_file = tmp_path / "log.wal"
         fs = FaultyFS(DiskFaultSpec(match=".wal", fail_write_at_call=2))
-        wal = WriteAheadLog(wal_file, fsync_batch=1000, fs=fs)
+        wal = WriteAheadLog(wal_file, fsync_batch=1000, fs=fs,
+                            metrics=MetricsRegistry())
         wal.create(generation=1)
         with pytest.raises(PersistenceError, match="rolled back"):
             wal.append({"op": "truncate", "table": "t"})

@@ -165,6 +165,33 @@ class TestExecuteScriptAndParameters:
         db.execute("CREATE TABLE t (i INTEGER, s STRING)")
         db.execute("INSERT INTO t VALUES (%d, %s)", (7, "it's"))
         assert db.execute("SELECT i, s FROM t").fetchall() == [(7, "it's")]
+        # ``%`` in SQL text, a string literal or a comment is not a
+        # placeholder; a non-finite double binds as a number
+        db.execute("CREATE TABLE u (id INTEGER, s STRING, f DOUBLE)")
+        db.execute("INSERT INTO u VALUES (12, 'ab', 1.5), (13, 'b', 2.5)")
+        assert db.execute("SELECT id % 10 FROM u WHERE id = %d",
+                          (12,)).fetchall() == [(2,)]
+        assert db.execute("SELECT id FROM u WHERE s LIKE 'a%' AND id = %d",
+                          (12,)).fetchall() == [(12,)]
+        assert db.execute("SELECT id FROM u WHERE id = %d -- 100% sure",
+                          (13,)).fetchall() == [(13,)]
+        # ``%%`` is still the escape for ``%``, inside a literal too
+        db.execute("INSERT INTO u VALUES (14, '50%', 0.5)")
+        assert db.execute("SELECT id FROM u WHERE s = '50%%' AND id = %d",
+                          (14,)).fetchall() == [(14,)]
+        assert db.execute("SELECT id FROM u WHERE s LIKE '5%%' AND id %% 2 "
+                          "= %d", (0,)).fetchall() == [(14,)]
+        db.execute("DELETE FROM u WHERE id = 14")
+        assert db.execute("SELECT id FROM u WHERE f < %s ORDER BY id",
+                          (float("inf"),)).fetchall() == [(12,), (13,)]
+        # a negative value after ``-`` does not start a comment
+        assert db.execute("SELECT 10 -%d", (-5,)).scalar() == 15
+        db.execute("INSERT INTO u VALUES (%d, %s, %s)", (-1, "n", -0.5))
+        assert db.execute("SELECT f FROM u WHERE id = -1").scalar() == -0.5
+        # NaN and bytes have no literal spelling: PREPARE / ``?`` binds them
+        for value in (float("nan"), b"\x00"):
+            with pytest.raises(ExecutionError, match="PREPARE"):
+                db.execute("SELECT f FROM u WHERE f < %s", (value,))
 
     def test_statement_counter_and_log(self, db):
         db.execute("CREATE TABLE t (i INTEGER)")

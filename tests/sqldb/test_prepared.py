@@ -128,6 +128,14 @@ class TestPreparedExecution:
         result = db.execute_prepared("above", [1])
         assert [row[0] for row in result.rows()] == [2, 3]
 
+    def test_prepared_explain_of_a_value_without_a_literal(self, db):
+        """NaN and bytes bind through EXECUTE; the plan line shows them."""
+        db.prepare("plan", "EXPLAIN SELECT a FROM t WHERE b < ?")
+        for value, shown in ((float("nan"), "nan"), (b"\x00", "b'\\x00'"),
+                             (2.0, "(b < 2.0)")):
+            plan = [row[0] for row in db.execute_prepared("plan", [value]).rows()]
+            assert any("Filter [" in line and shown in line for line in plan)
+
     def test_prepared_dml(self, db):
         db.execute("PREPARE add_row AS INSERT INTO t VALUES (?, ?, ?)")
         db.execute("EXECUTE add_row (9, 9.5, 'z')")
@@ -243,12 +251,6 @@ class TestPlanCache:
         db.execute("INSERT INTO t VALUES (42)")
         assert db.execute("SELECT COUNT(*) FROM t").scalar() == 1
         assert db.execute("SELECT a FROM t").scalar() == 42
-
-    def test_disabled_plan_cache(self):
-        database = Database(plan_cache=0)
-        database.execute("CREATE TABLE t (a INTEGER)")
-        assert database.plan_cache is None
-        assert database.execute("SELECT 1").scalar() == 1
 
 
 # --------------------------------------------------------------------------- #

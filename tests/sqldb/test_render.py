@@ -8,10 +8,11 @@ from repro.sqldb.render import render_expression, render_select
 
 
 def roundtrip(sql: str) -> str:
-    """Parse, render, and re-parse to make sure the rendering is valid SQL."""
+    """Parse, render, and re-parse: the rendering must read back as the
+    same statement, not merely as some valid SQL."""
     statement = parse_statement(sql)
     rendered = render_select(statement)
-    parse_statement(rendered)  # must not raise
+    assert parse_statement(rendered) == statement, rendered
     return rendered
 
 
@@ -36,6 +37,10 @@ class TestRenderSelect:
         "SELECT (SELECT MAX(i) FROM t) FROM u WHERE EXISTS (SELECT 1 FROM t)",
         "SELECT i FROM t WHERE i IN (SELECT i FROM u)",
         "SELECT mean_deviation(i) FROM numbers",
+        "SELECT 1e999",
+        "SELECT -1e999",
+        "SELECT -0.0",
+        "SELECT 123456789012345678901234567890",
     ])
     def test_roundtrips_through_parser(self, sql):
         roundtrip(sql)
