@@ -15,12 +15,15 @@ leading to faster transfer times".  The reproduction offers four codecs:
   handed in and rides in the section, so decoding needs no column context.
   What "compress" in the settings dialog means.
 * ``narrow``  — the result wire's default: a caller that names no codec gets
-  it, one that names ``none`` gets the raw bytes.  Three forms, each written
-  only when smaller than the ones before it:
+  it, one that names ``none`` gets the raw bytes.  Three forms, the smallest
+  written:
 
   - frame of reference: an integer buffer (``<i8`` values, ``<i4``
     dictionary codes, ``<u4`` offsets) ships as its minimum plus each value's
-    distance from it in 1, 2 or 4 bytes, whichever holds the span;
+    distance from it in as many bits as the span needs, eight values to every
+    ``bits`` bytes (bit packing, vectorised a slot of every group at a time
+    after Lemire & Boytsov), or in 1, 2 or 4 bytes where that is no larger
+    (a byte-aligned span, a few values);
   - stride: such a buffer that is an arithmetic sequence (consecutive ids,
     sorted codes, the offsets of equal-width strings) ships as its first
     value, step and count;
@@ -37,6 +40,7 @@ leading to faster transfer times".  The reproduction offers four codecs:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import struct
 import zlib
@@ -139,6 +143,10 @@ def shuffle_decompress(data: bytes) -> bytes:
 
 #: ``[item width u8][stored width u8][base i64 LE]`` in front of a narrowed buffer
 _NARROW_HEADER = struct.Struct("<BBq")
+#: ``[item width | _PACKED][bits u8][base i64 LE][count u32 LE]`` in front of
+#: ``count`` values packed ``bits`` to a value, a group of eight to ``bits`` bytes
+_PACKED_HEADER = struct.Struct("<BBqI")
+_PACKED = 0x80
 #: ``[item width u8][0][first i64 LE][step i64 LE][count u32 LE]``: a sequence
 _STRIDE_HEADER = struct.Struct("<BBqqI")
 #: ``[0][exponent u8]`` in front of the narrowed integers of a decimal buffer
@@ -152,41 +160,99 @@ _DECIMAL_SAMPLE = 8
 
 
 def _stride(data: np.ndarray) -> tuple[int, int] | None:
-    """``(first, step)`` when ``data`` (two or more integers, or doubles
-    holding integers below 2**53) is an arithmetic sequence whose step fits an
-    ``int64``; the endpoints are compared first."""
+    """``(first, step)`` when ``data`` (two or more integers) is an
+    arithmetic sequence whose step fits an ``int64``; the endpoints are
+    compared first."""
     first, last = int(data[0]), int(data[-1])
     step = int(data[1]) - first  # Python ints: no overflow
     if last - first != step * (len(data) - 1) or not -1 << 63 <= step < 1 << 63:
         return None
-    if data.dtype.kind == "f":  # below 2**53, a sequence's differences are exact
-        steps = np.diff(data) == step
-    else:  # with the endpoints exact, equal wrapped differences mean equal steps
-        unsigned = data.view(f"<u{data.itemsize}")
-        steps = np.diff(unsigned) == unsigned.dtype.type(step % (1 << 8 * data.itemsize))
+    # with the endpoints exact, equal wrapped differences mean equal steps
+    unsigned = data.view(f"<u{data.itemsize}")
+    steps = np.diff(unsigned) == unsigned.dtype.type(step % (1 << 8 * data.itemsize))
     return (first, step) if steps.all() else None
+
+
+@functools.lru_cache(maxsize=None)
+def _slots(bits: int) -> tuple[np.dtype, list[int], np.ndarray, list[tuple[int, int, int]]]:
+    """Slot ``j`` of a group of ``bits`` bytes: its little-endian word, as
+    wide as the group allows (1, 2, 4 or 8 bytes), at byte ``offsets[j]``, its
+    value at bit ``shifts[j]``; ``tops`` lists ``(j, byte, shift)`` where the
+    word cannot hold it all (more than 57 bits): that byte holds the top bits."""
+    width = min(8, 1 << bits.bit_length() - 1)
+    offsets = [min(slot * bits // 8, bits - width) for slot in range(8)]
+    shifts = [slot * bits - 8 * offset for slot, offset in enumerate(offsets)]
+    tops = [(slot, offsets[slot] + 8, 64 - shift)
+            for slot, shift in enumerate(shifts) if shift + bits > 64]
+    return np.dtype(f"<u{width}"), offsets, np.array(shifts, np.uint64)[:, None], tops
+
+
+def _words(body: Any, kind: Any, bits: int, groups: int) -> np.ndarray:
+    """Row ``r``: the ``kind`` word at byte ``r`` of every group of ``body``."""
+    kind = np.dtype(kind)
+    return np.ndarray((bits - kind.itemsize + 1, groups), kind, body, 0, (1, bits))
+
+
+def _pack_bits(data: np.ndarray, low: int, bits: int) -> np.ndarray:
+    """``data - low`` (each below ``2**bits``) in groups of ``bits`` bytes,
+    slot ``j`` of every group holding the ``j``-th eighth of the values: a
+    slot is shifted into place and OR-ed into its word of every group at once."""
+    groups = (len(data) + 7) // 8
+    columns = np.zeros((8, groups), np.uint64)
+    np.subtract(data, low, out=columns.reshape(-1)[:len(data)].view(np.int64),
+                dtype=np.int64)
+    body = np.zeros(groups * bits, np.uint8)
+    kind, offsets, shifts, tops = _slots(bits)
+    for slot, top, shift in tops:
+        top = _words(body, np.uint8, bits, groups)[top]
+        np.bitwise_or(top, columns[slot] >> np.uint64(shift), out=top)
+    columns <<= shifts
+    words = _words(body, kind, bits, groups)
+    for slot, offset in enumerate(offsets):
+        np.bitwise_or(words[offset], columns[slot], out=words[offset])
+    return body
+
+
+def _unpack_bits(body: Any, bits: int, count: int) -> np.ndarray:
+    """:func:`_pack_bits` undone: ``count`` offsets as ``uint64``, a slot's
+    words gathered from every group at once."""
+    kind, offsets, shifts, tops = _slots(bits)
+    groups = (count + 7) // 8
+    values = _words(body, kind, bits, groups)[offsets].astype(np.uint64, copy=False)
+    values >>= shifts
+    for slot, top, shift in tops:
+        values[slot] |= _words(body, np.uint8, bits, groups)[top] << np.uint64(shift)
+    values &= np.uint64((1 << bits) - 1)
+    return values.reshape(-1)[:count]
 
 
 def _narrow_integers(data: np.ndarray,
                      bounds: tuple[int, int] | None = None) -> bytes | None:
-    """The smaller of a stride and a frame of reference; None when neither
-    beats the raw buffer.  ``bounds``: the values' minimum and maximum, when
-    the caller has them (a decimal's digits, held as exact doubles)."""
+    """The smallest of a stride and a frame of reference in bytes or in bits;
+    None when none beats the raw buffer.  ``bounds``: the values' minimum and
+    maximum, when the caller has them (a decimal's digits)."""
     count, item = len(data), data.itemsize
+    groups = (count + 7) // 8
     stride = _stride(data) if count > 1 else None
-    if stride is not None and _STRIDE_HEADER.size < _NARROW_HEADER.size + count:
+    if stride is not None and _STRIDE_HEADER.size < _PACKED_HEADER.size + groups:
         return _STRIDE_HEADER.pack(item, 0, *stride, count)  # beats any width
     low, high = bounds or (int(data.min()), int(data.max()))
     span = high - low  # Python ints: no int64 overflow
     stored = next(width for width in (1, 2, 4, item) if span >> 8 * width == 0)
-    size = min(_NARROW_HEADER.size + stored * count, count * item)
+    bits = max(1, span.bit_length())
+    byte_size = _NARROW_HEADER.size + stored * count  # at full width, above raw
+    bit_size = _PACKED_HEADER.size + groups * bits
+    size = min(byte_size, bit_size, count * item)
     if stride is not None and _STRIDE_HEADER.size < size:
         return _STRIDE_HEADER.pack(item, 0, *stride, count)
     if size == count * item:
         return None
-    offsets = np.subtract(data, data.dtype.type(low), casting="unsafe",
-                          out=np.empty(count, f"<u{stored}"))
-    return _NARROW_HEADER.pack(item, stored, low) + offsets.data
+    if byte_size == size:  # a byte-aligned span, or too few values to pad
+        offsets = np.subtract(data, data.dtype.type(low), casting="unsafe",
+                              out=np.empty(count, f"<u{stored}"))
+        return _NARROW_HEADER.pack(item, stored, low) + offsets.data
+    return _PACKED_HEADER.pack(_PACKED | item, bits, low, count) + \
+        _pack_bits(data, low, bits).data
 
 
 def _decimal_exponent(values: np.ndarray) -> int | None:
@@ -220,13 +286,13 @@ def _narrow_decimal(data: np.ndarray) -> bytes | None:
         with np.errstate(over="ignore", invalid="ignore"):  # inf, signalling NaN
             digits = data * _POWERS[exponent]
         np.rint(digits, out=digits)
-        digits += 0.0  # -0.0 -> 0.0: the integer 0 decodes as 0.0
         low, high = digits.min(), digits.max()
         if not -2.0 ** 53 < low <= high < 2.0 ** 53:  # NaN compares False
             return None
-        inner = _narrow_integers(digits, (int(low), int(high)))
-        # what the decoder computes from the digits, so only exact buffers pass
-        np.divide(digits, _POWERS[exponent], out=digits)
+        integers = digits.astype("<i8")  # differences and offsets exact at any span
+        # what the decoder computes from them (0, never -0.0), so only exact
+        # buffers pass
+        np.divide(integers, _POWERS[exponent], out=digits)
         missed = digits.view("<i8") != data.view("<i8")
         if not missed.any():
             break
@@ -235,6 +301,8 @@ def _narrow_decimal(data: np.ndarray) -> bytes | None:
         # the sample missed longer decimals: choose again on the values it missed
         longer = _decimal_exponent(data[missed])
         exponent = None if longer is None else max(exponent, longer)
+    del digits, missed  # one buffer of the values' size at a time
+    inner = _narrow_integers(integers, (int(low), int(high)))
     if inner is None or _DECIMAL_HEADER.size + len(inner) >= data.nbytes:
         return None
     return _DECIMAL_HEADER.pack(0, exponent) + inner
@@ -280,6 +348,22 @@ def _expand_integers(data: Any, max_items: int | None,
         if doubles:
             return values.view("<i8").astype("<f8")
         return values if item == 8 else values.astype("<u4")
+    if len(data) and data[0] & _PACKED:
+        flagged, bits, base, count = _PACKED_HEADER.unpack_from(data) \
+            if len(data) >= _PACKED_HEADER.size else (_PACKED, 0, 0, 0)
+        item = flagged ^ _PACKED
+        if item not in (4, 8) or not 0 < bits < 8 * item or not count \
+                or len(data) != _PACKED_HEADER.size + (count + 7) // 8 * bits:
+            raise ProtocolError(f"corrupt narrow section: {len(data)} B, "
+                                f"{count} values of {bits} bits, width {item}")
+        _check_integers(item, base, base, count, max_items)  # before allocating
+        values = _unpack_bits(data[_PACKED_HEADER.size:], bits, count)
+        _check_integers(item, base, base + int(values.max()), count, max_items)
+        if doubles:  # in place: the int64 sums written as doubles
+            return np.add(values.view("<i8"), base, out=values.view("<f8"),
+                          dtype="<i8", casting="unsafe")
+        values += np.uint64(base % (1 << 64))
+        return values if item == 8 else values.astype("<u4")
     item, stored, base = _NARROW_HEADER.unpack_from(data) \
         if len(data) >= _NARROW_HEADER.size else (0, 0, 0)
     body = data[_NARROW_HEADER.size:]
@@ -305,7 +389,7 @@ def narrow_decompress(data: Any, max_items: int | None = None) -> np.ndarray:
             raise ProtocolError(f"corrupt narrow section: decimal exponent "
                                 f"{exponent} outside 0..{len(_POWERS) - 1}")
         digits = data[_DECIMAL_HEADER.size:]
-        if digits[:1] != b"\x08":
+        if not len(digits) or digits[0] & ~_PACKED != 8:
             raise ProtocolError("corrupt narrow section: decimal digits are "
                                 "not 8-byte integers")
         values = _expand_integers(digits, max_items, doubles=True)
@@ -324,9 +408,9 @@ class Codec:
     """A named compression codec.
 
     ``codec_id`` is the byte that prefixes every compressed section on the
-    wire, in image segments and in ``input.bin``.  It is part of those
-    formats: a new codec takes the next unused id, an id is never reassigned
-    (id 1, the retired run-length codec, stays unused).
+    wire, in WAL records and in image segments.  It is part of those formats:
+    a new codec takes the next unused id, an id is never reassigned (id 1, the
+    retired run-length codec, stays unused).
     """
 
     name: str

@@ -58,16 +58,22 @@ there are no rows to ship (see :func:`repro.netproto.messages.result_messages`):
                     each stored, run-length or DEFLATE-6 coded, as a probe of
                     their head chooses, shorter ones and width 1 are
                     ``zlib.compress`` level 6),
-                    4 ``narrow`` in one of three forms:
-                    ``item width u8`` + ``stored width u8`` + ``base i64 LE``
-                    + each value minus base in stored-width LE (frame of
-                    reference); ``item width u8`` + ``0`` + ``first i64 LE``
-                    + ``step i64 LE`` + ``count u32 LE`` (an arithmetic
-                    sequence); ``0`` + ``exponent u8`` (0..15) + an 8-byte
-                    integer section in either form before, whose values
-                    ``d`` decode as the doubles ``d / 10**exponent``
-                    (decimal).  A section it cannot shrink is written as
-                    id 0.  Id 1 (a retired run-length codec) is refused.
+                    4 ``narrow`` in one of four forms:
+                    ``item width | 0x80`` + ``bits u8`` (1 .. 8 x item width
+                    - 1) + ``base i64 LE`` + ``count u32 LE`` + the values
+                    minus base, ``bits`` each, LSB first, in
+                    ``ceil(count / 8)`` groups of ``bits`` bytes: slot ``j``
+                    of group ``g`` holds value ``j * groups + g`` (frame of
+                    reference in bits); ``item width u8`` + ``stored width
+                    u8`` (1, 2 or 4) + ``base i64 LE`` + each value minus
+                    base in stored-width LE (frame of reference in bytes);
+                    ``item width u8`` + ``0`` + ``first i64 LE`` + ``step
+                    i64 LE`` + ``count u32 LE`` (an arithmetic sequence);
+                    ``0`` + ``exponent u8`` (0..15) + an 8-byte integer
+                    section in one of the forms before, whose values ``d``
+                    decode as the doubles ``d / 10**exponent`` (decimal).
+                    A section it cannot shrink is written as id 0.  Id 1
+                    (a retired run-length codec) is refused.
                     The widths are those of the buffer encoded — 8, 4
                     (codes, offsets) or 1 (bool, blobs, OBJECT) — and ride in
                     the section so that a section decodes without its column.
@@ -100,9 +106,10 @@ any other version (or none) is answered with a structured ``protocol`` error
 naming the version the server speaks, and a client refuses a ``challenge``
 that names another version — a version change is a refusal, never a silent
 downgrade.  The version covers the message set, the result framing and this
-value codec together, and the encrypted payload.  It is 8: version 7 predates
-the ``dUE2`` cipher (:mod:`repro.netproto.encryption`), version 6 the
-``narrow`` stride and decimal forms.
+value codec together, and the encrypted payload.  It is 9: version 8 predates
+the ``narrow`` frame of reference in bits, version 7 the ``dUE2`` cipher
+(:mod:`repro.netproto.encryption`), version 6 the ``narrow`` stride and
+decimal forms.
 """
 
 from __future__ import annotations

@@ -59,10 +59,6 @@ class Counter:
     def snapshot(self) -> dict[str, int]:
         return {self.name: self.value}
 
-    def reset(self) -> None:
-        with self._lock:
-            self._value = 0
-
 
 def _geometric_bounds() -> tuple[float, ...]:
     """Bucket upper bounds in µs: 1 µs · sqrt(2)^i up to ~2^30 µs (~18 min)."""
@@ -108,16 +104,6 @@ class Histogram:
             if us > self._max_us:
                 self._max_us = us
 
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-    @property
-    def sum_us(self) -> float:
-        with self._lock:
-            return self._sum_us
-
     @staticmethod
     def _quantile_locked(q: float, counts: list[int], total: int,
                          max_us: float) -> float:
@@ -157,13 +143,6 @@ class Histogram:
                 self._quantile_locked(q, counts, total, max_us))
         return out
 
-    def reset(self) -> None:
-        with self._lock:
-            self._counts = [0] * (_OVERFLOW + 1)
-            self._count = 0
-            self._sum_us = 0.0
-            self._max_us = 0.0
-
 
 class MetricsRegistry:
     """Named metrics with get-or-create semantics and a flat int snapshot."""
@@ -200,7 +179,3 @@ class MetricsRegistry:
         for metric in self.metrics():
             out.update(metric.snapshot())
         return out
-
-    def reset(self) -> None:
-        for metric in self.metrics():
-            metric.reset()

@@ -23,11 +23,12 @@ client protocol uses, so the WAL introduces no parallel serialisation scheme.
 Rows travel as typed buffers: an ``insert`` record's ``chunk`` is one
 columnar chunk blob (an image segment's form, its dictionary compacted to
 those rows) and a ``delete`` record's ``keep_compressed`` a compressed
-keep-bitmap.  Version 3 writes only these, and its chunks may carry the
-``narrow`` codec's stride and decimal sections, so a version-2 binary refuses
-the log instead of reading those sections as a torn tail.  The reader also
-accepts version 2, and version 1 with its ``rows`` / raw ``keep`` records, so
-a pre-upgrade tail replays.
+keep-bitmap.  Version 4 writes only these, and its chunks may carry the
+``narrow`` codec's bit-packed sections, so a version-3 binary refuses the log
+instead of reading those sections as a torn tail.  The reader also accepts
+version 3 (stride and decimal sections, no bit-packed ones), version 2, and
+version 1 with its ``rows`` / raw ``keep`` records, so a pre-upgrade tail
+replays.
 The crc32 covers the payload only; a torn tail (crash mid-append) is detected
 on read as a short header, short payload, or checksum mismatch, and everything
 from the first bad record onward is discarded (those statements never
@@ -64,11 +65,12 @@ from . import faults
 from .records import pack_mask, unpack_mask  # noqa: F401  (record-level API)
 
 WAL_MAGIC = b"REPROWAL"
-WAL_VERSION = 3
+WAL_VERSION = 4
 #: Versions the reader replays: version 1 differs in its record shapes,
-#: version 2 only in the ``narrow`` forms its chunks can hold (no stride or
-#: decimal sections), so both decode as they always did.
-_READABLE_VERSIONS = (1, 2, WAL_VERSION)
+#: versions 2 and 3 only in the ``narrow`` forms their chunks can hold (no
+#: stride or decimal sections in 2, no bit-packed ones in either), so all
+#: decode as they always did.
+_READABLE_VERSIONS = (1, 2, 3, WAL_VERSION)
 
 _HEADER = struct.Struct("<8sHHQ")   # magic, version, reserved, generation
 _RECORD = struct.Struct("<II")      # payload length, payload crc32

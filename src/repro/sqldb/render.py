@@ -10,11 +10,15 @@ from __future__ import annotations
 import math
 from typing import Any
 
+import numpy as np
+
 from ..errors import ExecutionError
 from . import ast_nodes as ast
 
 
 def render_literal(value: Any) -> str:
+    if isinstance(value, np.generic):  # a NumPy scalar is spelled as its value
+        value = value.item()
     if value is None:
         return "NULL"
     if value is True:

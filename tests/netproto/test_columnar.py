@@ -293,17 +293,17 @@ class TestProtocolNegotiation:
 
     def test_a_version_5_hello_is_refused(self, server):
         """Version 6 added codec 4 (``narrow``, the default), which a version-5
-        client cannot read, version 7 its stride and decimal forms, and
-        version 8 the ``dUE2`` cipher: the hello is refused, never served a
-        downgrade."""
-        assert PROTOCOL_VERSION == 8
+        client cannot read, version 7 its stride and decimal forms, version 8
+        the ``dUE2`` cipher and version 9 its frame of reference in bits: the
+        hello is refused, never served a downgrade."""
+        assert PROTOCOL_VERSION == 9
         reply = InProcessTransport(server).exchange({
             "type": MSG_HELLO, "username": "monetdb",
             "database": server.database.name, "protocol_version": 5})
         assert (reply["type"], reply["code"]) == ("error", ERR_PROTOCOL)
         assert not reply["retryable"]
         assert "unsupported protocol version 5" in reply["message"]
-        assert "speaks version 8 only" in reply["message"]
+        assert "speaks version 9 only" in reply["message"]
 
     def test_client_refuses_a_challenge_naming_another_version(self, server):
         original = server._handle_hello

@@ -242,7 +242,9 @@ class TestShuffleLanes:
 #: The integer buffers the wire ships, with the limits of their type
 NARROW_KINDS = {"<i8": (-2**63, 2**63 - 1), "<i4": (-2**31, 2**31 - 1),
                 "<u4": (0, 2**32 - 1)}
-EDGE_SPANS = [2**8 - 1, 2**8, 2**16 - 1, 2**16, 2**32 - 1, 2**32]
+#: the spans at every bit width's edge, ``2**k - 1`` and ``2**k``; the
+#: byte-aligned ones (k = 8, 16, 32) were the edges of the byte-wide form
+EDGE_SPANS = [span for k in range(1, 64) for span in (2**k - 1, 2**k)]
 
 
 def _edge_cases():
@@ -265,10 +267,17 @@ PARENT_SECTIONS = {
     kind: b"\x04" + struct.pack("<BBq", np.dtype(kind).itemsize, stored, min(values))
     + np.array([value - min(values) for value in values], f"<u{stored}").tobytes()
     for (kind, values), stored in zip(PARENT_VALUES.items(), (2, 1, 2))}
-#: the sections the damage tests cut and flip: the parent's, a stride, and
-#: decimals whose integers take a frame of reference and a stride
+#: the sections the damage tests cut and flip: the parent's, a stride,
+#: bit-packed ones (9 bits, 63 bits: top bits past the word, a dictionary's
+#: 2-bit codes) and decimals whose integers are bit-packed and a stride
 NARROWED = {**PARENT_SECTIONS,
             "stride": compress(np.arange(40, dtype="<i8") * -3 + 1000, CODEC_NARROW),
+            "packed": compress(np.array([i * 37 % 500 - 7 for i in range(41)], "<i8"),
+                               CODEC_NARROW),
+            "packed_63": compress(np.array([(-1) ** i * (2**62 - i) for i in range(160)],
+                                           "<i8"), CODEC_NARROW),
+            "packed_codes": compress(np.array([i % 3 for i in range(30)], "<i4"),
+                                     CODEC_NARROW),
             "decimal": compress(np.array([(i * 37 % 41) * 0.25 - 3.5
                                           for i in range(30)]), CODEC_NARROW),
             "decimal_stride": compress(np.arange(30) * 0.5 - 3.0, CODEC_NARROW)}
@@ -337,20 +346,29 @@ def _parent_section_size(values: np.ndarray) -> int:
 
 
 class TestNarrow:
-    """Codec 4: ``[4][item width][stored width][base i64][values - base]``."""
+    """Codec 4: ``[4][item width | 0x80][bits][base i64][count u32]`` + the
+    values less base, ``bits`` each, eight to every ``bits`` bytes, or
+    ``[4][item width][stored width][base i64][values - base]`` where whole
+    bytes are no larger."""
 
     @pytest.mark.parametrize("kind,span,base", _edge_cases())
     def test_round_trip_at_the_width_edges(self, kind, span, base):
         values = np.array([base + span // 3, base, base + span] * 8, dtype=kind)
         section = compress(values, CODEC_NARROW)
         assert decompress(section) == values.tobytes()
+        count, item, bits = len(values), values.itemsize, span.bit_length() or 1
         stored = next(width for width in (1, 2, 4, 8) if span < 1 << 8 * width)
-        if stored < values.itemsize:
-            assert section[:11] == struct.pack("<BBBq", 4, values.itemsize,
-                                               stored, base)
-            assert len(section) == 11 + stored * len(values)
-        else:  # the span needs the full width
+        in_bytes = 10 + stored * count if stored < item else count * item
+        in_bits = 14 + count // 8 * bits if bits < 8 * item else count * item
+        if min(in_bytes, in_bits) >= count * item:  # a full width, a header
             assert section == compress(values, CODEC_NONE)
+        elif in_bytes <= in_bits:  # byte-aligned or nearly: no count
+            assert section[:11] == struct.pack("<BBBq", 4, item, stored, base)
+            assert len(section) == 1 + in_bytes
+        else:
+            assert section[:15] == struct.pack("<BBBqI", 4, 0x80 | item, bits,
+                                               base, count)
+            assert len(section) == 1 + in_bits
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(sorted(NARROW_KINDS)),
@@ -383,7 +401,7 @@ class TestNarrow:
         b"station_3," * 40,
         np.zeros(0, "<i8"),
         np.zeros(0, "<u4"),
-        np.array([0, 2**32] * 20, "<i8"),
+        np.array([-2**62, 2**62] * 20, "<i8"),
         np.array([-2**31, 2**31 - 1] * 20, "<i4"),
         np.array([0, 2**32 - 1] * 20, "<u4"),
         np.array([7], "<i8"),
@@ -398,20 +416,22 @@ class TestNarrow:
         assert compress(values, CODEC_NARROW) == compress(values, CODEC_NONE)
 
     @pytest.mark.parametrize("values,exponent,inner", [
-        (np.arange(50) * 0.5, 1, (0, 22)),
-        (np.arange(50_000) * 0.5, 1, (0, 22)),
-        (np.random.default_rng(4).permutation(50) * 0.5, 1, (1, 10 + 50)),
-        (np.array([1234.5, -0.125, 7.0, 0.001] * 10), 3, (4, 10 + 160)),
-        (np.array([0.1, 0.2, 0.3] * 10), 1, (1, 10 + 30)),
-        (np.array([(2**53 - 1 - i) / 10**15 for i in range(20)]), 15, (1, 10 + 20)),
+        (np.arange(50) * 0.5, 1, (8, 0, 22)),
+        (np.arange(50_000) * 0.5, 1, (8, 0, 22)),
+        (np.random.default_rng(4).permutation(50) * 0.5, 1, (8, 1, 10 + 50)),
+        (np.array([1234.5, -0.125, 7.0, 0.001] * 10), 3, (0x88, 21, 14 + 5 * 21)),
+        (np.array([0.1, 0.2, 0.3] * 10), 1, (0x88, 2, 14 + 4 * 2)),
+        (np.array([(2**53 - 1 - i) / 10**15 for i in range(20)]), 15,
+         (0x88, 5, 14 + 3 * 5)),
     ], ids=["halves", "halves_the_sample_misses", "permuted_halves",
             "thousandths", "tenths", "e_15"])
     def test_decimal_doubles_ship_as_narrowed_integers(self, values, exponent,
                                                        inner):
-        """``[4][0][e]`` + the integers ``d`` of ``d / 10**e``, narrowed."""
+        """``[4][0][e]`` + the integers ``d`` of ``d / 10**e``, narrowed: a
+        stride (width 0), whole bytes or bits (item width | 0x80)."""
         section = compress(values, CODEC_NARROW)
-        stored, size = inner
-        assert section[:5] == bytes([4, 0, exponent, 8, stored])
+        item, width, size = inner
+        assert section[:5] == bytes([4, 0, exponent, item, width])
         assert len(section) == 3 + size
         assert decompress(section) == values.tobytes()
 
@@ -434,12 +454,28 @@ class TestNarrow:
         b"\x04\x00\x01" + struct.pack("<BBqqI", 4, 0, 0, 1, 40),
         b"\x04\x00\x01\x00\x01" + struct.pack("<BBqqI", 8, 0, 0, 1, 40),
         b"\x04\x00",
+        b"\x04\x88\x09",
+        b"\x04" + struct.pack("<BBqI", 0x88, 9, 0, 41) + bytes(5 * 9),
+        b"\x04" + struct.pack("<BBqI", 0x88, 9, 0, 16) + bytes(17),
+        b"\x04" + struct.pack("<BBqI", 0x88, 9, 0, 0),
+        b"\x04" + struct.pack("<BBqI", 0x88, 0, 0, 8),
+        b"\x04" + struct.pack("<BBqI", 0x88, 64, 0, 8) + bytes(64),
+        b"\x04" + struct.pack("<BBqI", 0x84, 32, 0, 8) + bytes(32),
+        b"\x04" + struct.pack("<BBqI", 0x82, 9, 0, 8) + bytes(9),
+        b"\x04" + struct.pack("<BBqI", 0x80, 9, 0, 8) + bytes(9),
+        b"\x04" + struct.pack("<BBqI", 0x88, 9, 2**63 - 1, 8) + b"\x01" + bytes(8),
+        b"\x04" + struct.pack("<BBqI", 0x84, 9, 2**32 - 2, 8) + b"\x02" + bytes(8),
+        b"\x04\x00\x01" + struct.pack("<BBqI", 0x84, 9, 0, 8) + bytes(9),
     ], ids=["no_header", "short_header", "item_width_2", "stored_width_3",
             "stored_is_item", "stored_above_item", "ragged", "above_int64",
             "below_int32", "above_uint32", "stride_above_uint32",
             "stride_below_int64", "stride_header_too_long",
             "stride_beyond_a_frame", "exponent_16", "decimal_of_int32",
-            "decimal_of_decimal", "decimal_without_integers"])
+            "decimal_of_decimal", "decimal_without_integers",
+            "packed_short_header", "packed_count_inflated", "packed_body_cut",
+            "packed_no_values", "packed_0_bits", "packed_64_bits",
+            "packed_32_bits_of_4", "packed_item_width_2", "packed_item_width_0",
+            "packed_above_int64", "packed_above_uint32", "decimal_of_packed_int32"])
     def test_malformed_sections_are_protocol_errors(self, section):
         with pytest.raises(ProtocolError, match="narrow"):
             decompress(section)
@@ -447,34 +483,42 @@ class TestNarrow:
     def test_the_damaged_sections_are_narrowed(self):
         assert {kind: section[:3] for kind, section in NARROWED.items()} == {
             "<i8": b"\x04\x08\x02", "<i4": b"\x04\x04\x01", "<u4": b"\x04\x04\x02",
-            "stride": b"\x04\x08\x00", "decimal": b"\x04\x00\x02",
-            "decimal_stride": b"\x04\x00\x01"}
-        assert NARROWED["decimal"][3:5] == b"\x08\x02"      # frame of reference
+            "stride": b"\x04\x08\x00", "packed": b"\x04\x88\x09",
+            "packed_63": b"\x04\x88\x3f", "packed_codes": b"\x04\x84\x02",
+            "decimal": b"\x04\x00\x02", "decimal_stride": b"\x04\x00\x01"}
+        assert NARROWED["decimal"][3:5] == b"\x88\x0a"      # 10 bits a value
         assert NARROWED["decimal_stride"][3:5] == b"\x08\x00"  # stride
 
     @pytest.mark.parametrize("kind", sorted(PARENT_SECTIONS))
     def test_the_parents_sections_decode_byte_for_byte_as_before(self, kind):
         values = np.array(PARENT_VALUES[kind], kind)
         assert decompress(PARENT_SECTIONS[kind]) == values.tobytes()
-        # a sequence now ships smaller; anything else as the parent wrote it
+        # a sequence now ships as a stride, 3-bit values bit-packed
         section = compress(values, CODEC_NARROW)
         if kind == "<i4":
-            assert section == PARENT_SECTIONS[kind]
+            assert section[:15] == b"\x04" + struct.pack("<BBqI", 0x84, 3, -3, 30)
+            assert len(section) == 15 + 4 * 3
         else:
             assert section == b"\x04" + struct.pack(
                 "<BBqqI", values.itemsize, 0, values[0], values[1] - values[0], 30)
 
-    def test_a_stride_count_is_checked_before_anything_is_allocated(self):
-        section = NARROWED["stride"]
-        assert np.frombuffer(decompress_buffer(section, 40), "<i8").tolist() == \
-            list(range(1000, 1000 - 3 * 40, -3))
-        with pytest.raises(ProtocolError, match="at most 39"):
-            decompress_buffer(section, 39)
-        flipped = section[:-1] + b"\x7f"  # count 40 -> 2**30 + 40
+    @pytest.mark.parametrize("kind,values,count_byte", [
+        ("stride", list(range(1000, 1000 - 3 * 40, -3)), -1),
+        ("packed", [i * 37 % 500 - 7 for i in range(41)], 14),
+    ])
+    def test_a_count_is_checked_before_anything_is_allocated(self, kind, values,
+                                                             count_byte):
+        section = NARROWED[kind]
+        assert np.frombuffer(decompress_buffer(section, len(values)),
+                             "<i8").tolist() == values
+        with pytest.raises(ProtocolError, match=f"at most {len(values) - 1}"):
+            decompress_buffer(section, len(values) - 1)
+        inflated = bytearray(section)  # the count's top byte: count + 2**30 or more
+        inflated[count_byte] |= 0x40
         tracemalloc.start()
         try:
-            with pytest.raises(ProtocolError, match="at most"):
-                decompress_buffer(flipped)
+            with pytest.raises(ProtocolError, match="corrupt narrow section"):
+                decompress_buffer(bytes(inflated))
             assert tracemalloc.get_traced_memory()[1] < 1 << 20
         finally:
             tracemalloc.stop()

@@ -4,9 +4,10 @@
   the raw bytes, and both read the same rows and the same ``to_numpy_dict()``
   dtypes;
 * INTEGER values, dictionary codes and var-width / dictionary offsets ship at
-  the width their span needs, or as a stride when they are an arithmetic
-  sequence; DOUBLE values that are short decimals ship as those integers; and
-  every other section is codec ``none``'s, byte for byte;
+  the width their span needs — in bits, or in whole bytes where that is no
+  larger — or as a stride when they are an arithmetic sequence; DOUBLE values
+  that are short decimals ship as those integers; and every other section is
+  codec ``none``'s, byte for byte;
 * a stride's count is checked against the chunk's row count before anything
   is allocated.
 """
@@ -79,8 +80,9 @@ def test_an_integer_column_still_arrives_as_int64(connection):
 
 def _sections(blob: bytes) -> list[tuple[int, ...]]:
     """``(codec id,)`` — ``(4, item width, stored width)`` for ``narrow``,
-    stored width 0 for a stride and ``(4, 0, exponent)`` for a decimal — of
-    every section of a one-column, NULL-free chunk blob."""
+    stored width 0 for a stride, ``(4, 0x80 | item width, bits)`` bit-packed
+    and ``(4, 0, exponent)`` for a decimal — of every section of a one-column,
+    NULL-free chunk blob."""
     (name_len,) = struct.unpack_from("<H", blob, 9)
     offset, found = 9 + 2 + name_len + 3, []
     while offset < len(blob):
@@ -96,16 +98,16 @@ SHUFFLED = [i * 7 % 40 for i in range(40)]
 
 
 @pytest.mark.parametrize("sql_type,values,sections", [
-    (SQLType.INTEGER, [1_000 + i for i in SHUFFLED], [(4, 8, 1)]),
+    (SQLType.INTEGER, [1_000 + i for i in SHUFFLED], [(4, 0x88, 6)]),
     (SQLType.BIGINT, [-2**63 + i * 977 for i in SHUFFLED], [(4, 8, 2)]),
-    (SQLType.INTEGER, [i * 100_003 for i in SHUFFLED], [(4, 8, 4)]),
+    (SQLType.INTEGER, [i * 100_003 for i in SHUFFLED], [(4, 0x88, 22)]),
     (SQLType.BIGINT, [(-1) ** i * 2**62 for i in range(40)], [(0,)]),
     (SQLType.BIGINT, [-2**63 + i * 977 for i in range(40)], [(4, 8, 0)]),
     (SQLType.DOUBLE, [i / 3 for i in range(40)], [(0,)]),
     (SQLType.DOUBLE, [i * 0.5 for i in SHUFFLED], [(4, 0, 1)]),
     (SQLType.BOOLEAN, [i % 3 == 0 for i in range(40)], [(0,)]),
-    (SQLType.STRING, [f"unique-{i}" for i in range(40)], [(4, 4, 2), (0,)]),
-    (SQLType.STRING, [f"g{i % 3}" for i in range(40)], [(4, 4, 1), (4, 4, 1), (0,)]),
+    (SQLType.STRING, [f"unique-{i}" for i in range(40)], [(4, 0x84, 9), (0,)]),
+    (SQLType.STRING, [f"g{i % 3}" for i in range(40)], [(4, 0x84, 2), (4, 4, 1), (0,)]),
     (SQLType.BLOB, [bytes([i]) * (i % 3 + 1) for i in range(40)], [(4, 4, 1), (0,)]),
     (SQLType.BLOB, [bytes([i]) * 3 for i in range(40)], [(4, 4, 0), (0,)]),
     (SQLType.BIGINT, [2**65 + i for i in range(40)], [(0,)]),

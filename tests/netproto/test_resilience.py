@@ -589,14 +589,15 @@ class TestStalledReader:
         from repro.netproto.chaos import ChaosProxy, FaultSpec
         from repro.netproto.server import AsyncSocketServer
 
-        # ~4.8 MB on the wire: the default codec ships each 8,192-row chunk
-        # of ``i`` in 2 bytes a value, and the result must still overrun
-        # HIGH_WATER plus what the kernel's socket buffers absorb.  ``i`` is
-        # a fixed permutation of ``range(2_400_000)`` (each aligned block of
-        # 256 values reordered), as consecutive ids would ship as a stride
+        # ~9.6 MB on the wire: the result must overrun HIGH_WATER plus what
+        # the kernel's socket buffers absorb (a few MB on loopback).  ``i``
+        # is a multiplicative hash of the row number spanning all 32 bits, so
+        # the default codec ships each 8,192-row chunk in 4 bytes a value;
+        # values spanning fewer bits would be bit-packed into less, and
+        # consecutive ids would ship as a stride
         database = make_big_database(rows=0)
         database.storage.table("big").columns[0].extend(
-            [i ^ 0xA5 for i in range(2_400_000)])
+            [i * 2_654_435_761 % 2**32 for i in range(2_400_000)])
         limits = ServerLimits(max_concurrent_queries=1, max_queue_depth=0,
                               send_timeout=0.5)
         server = DatabaseServer(database, result_chunk_rows=8_192,
@@ -642,7 +643,7 @@ class TestStalledReader:
                 survivor = Connection.connect_tcp(
                     ConnectionInfo(host=host, port=port))
                 assert survivor.execute(
-                    "SELECT COUNT(*) FROM big WHERE i < 10").scalar() == 10
+                    "SELECT COUNT(*) FROM big WHERE i >= 0").scalar() == 2_400_000
                 survivor.close()
         finally:
             front.stop()

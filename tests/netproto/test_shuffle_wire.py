@@ -225,15 +225,15 @@ class TestDamagedChunks:
     def test_the_narrow_blob_holds_narrowed_sections(self):
         """``narrow`` reaches the damage tests above through
         ``available_codecs()``; they test its decoder only if its blob is not
-        all id-0 sections; it holds every form: a stride (``id``, ``raw``'s
-        offsets) and decimals whose integers are a stride (``d``) and a frame
-        of reference (``q``)."""
+        all id-0 sections; it holds a stride (``id``, ``raw``'s offsets) and
+        decimals whose integers are a stride (``d``) and bit-packed (``q``,
+        10 bits a value)."""
         blob = DAMAGE_BLOBS["narrow"]
         assert len(blob) < len(DAMAGE_BLOBS["none"])
         assert struct.pack("<BBBqqI", 4, 8, 0, 0, 1, 48) in blob
         assert struct.pack("<BBBqqI", 4, 4, 0, 0, 2, 49) in blob
         assert struct.pack("<BBBBBqqI", 4, 0, 2, 8, 0, 0, 25, 48) in blob
-        assert struct.pack("<BBBBBq", 4, 0, 2, 8, 2, -350) in blob
+        assert struct.pack("<BBBBBqI", 4, 0, 2, 0x88, 10, -350, 48) in blob
 
     def test_section_not_a_multiple_of_its_dtype(self):
         """Reproduced at the parent: NumPy's ``ValueError`` leaked."""

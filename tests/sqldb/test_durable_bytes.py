@@ -10,10 +10,11 @@ digests below were recorded by running this file's ``_digests`` on the commit
 change, the bytes of the image and of the WAL for the same logical history
 may not — this is what holds ``io_bytes_per_op`` still.
 
-The WAL bytes changed twice, on purpose: when the log moved to version 2
-(INSERT records carry their rows as one columnar chunk and DELETE records a
-compressed keep-bitmap), and when it moved to version 3 (those chunks' id and
-DOUBLE sections may take the ``narrow`` codec's stride and decimal forms).
+The WAL bytes changed three times, on purpose: when the log moved to version
+2 (INSERT records carry their rows as one columnar chunk and DELETE records a
+compressed keep-bitmap), when it moved to version 3 (those chunks' id and
+DOUBLE sections may take the ``narrow`` codec's stride and decimal forms), and
+when it moved to version 4 (their integer sections may be bit-packed).
 ``WAL_SHA256`` was re-recorded at each change; ``IMAGE_SHA256`` is still the
 digest from e2d6694.
 """
@@ -29,7 +30,7 @@ from repro.sqldb.persist import format as persist_format
 from repro.sqldb.persist import wal_path_for
 
 IMAGE_SHA256 = "d5634fe87e2670fc5dd64550103011905eaceb283275332745ac08926cb7395d"
-WAL_SHA256 = "1e5588eb39ec97789ae890db7384492b575bd45e4c86d15893fb1c9ca4bda890"
+WAL_SHA256 = "4073f509df8569a4a0f5f90c41a55441f143e8bc06a4ee24065adf9090a9802d"
 
 ROWS = 10_000
 SEGMENT_ROWS = 4_096  # ev spans three segments

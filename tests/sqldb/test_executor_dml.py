@@ -1,5 +1,6 @@
 """Tests for DDL/DML execution: CREATE/DROP/INSERT/UPDATE/DELETE/COPY."""
 
+import numpy as np
 import pytest
 
 from repro.errors import CatalogError, ExecutionError
@@ -188,6 +189,13 @@ class TestExecuteScriptAndParameters:
         assert db.execute("SELECT 10 -%d", (-5,)).scalar() == 15
         db.execute("INSERT INTO u VALUES (%d, %s, %s)", (-1, "n", -0.5))
         assert db.execute("SELECT f FROM u WHERE id = -1").scalar() == -0.5
+        # a NumPy scalar binds as its value, not as the text of it
+        assert db.execute("SELECT id FROM u WHERE id = %d",
+                          (np.int64(12),)).fetchall() == [(12,)]
+        assert db.execute("SELECT id FROM u WHERE f = %s",
+                          (np.float32(1.5),)).fetchall() == [(12,)]
+        assert db.execute("SELECT id FROM u WHERE (f > 2) = %s",
+                          (np.bool_(True),)).fetchall() == [(13,)]
         # NaN and bytes have no literal spelling: PREPARE / ``?`` binds them
         for value in (float("nan"), b"\x00"):
             with pytest.raises(ExecutionError, match="PREPARE"):

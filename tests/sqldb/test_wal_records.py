@@ -280,7 +280,7 @@ V2_STATEMENTS = [
 
 def test_version_2_log_replays_and_is_restamped_before_an_append(tmp_path):
     """The version-2 sections decode as they always did; what is appended
-    behind them may not, so the header says version 3 before it is."""
+    behind them may not, so the header says version 4 before it is."""
     reference = Database()
     for statement in V2_STATEMENTS:
         reference.execute(statement)
@@ -291,7 +291,7 @@ def test_version_2_log_replays_and_is_restamped_before_an_append(tmp_path):
     rows = database.execute("SELECT * FROM w").fetchall()
     assert rows == reference.execute("SELECT * FROM w").fetchall()
     assert stored_buffers(database) == stored_buffers(reference)
-    assert wal_path_for(path).read_bytes()[8:10] == struct.pack("<H", 3)
+    assert wal_path_for(path).read_bytes()[8:10] == struct.pack("<H", 4)
     database.execute("INSERT INTO w VALUES (101, 0.75, 'n1')")
     reference.execute("INSERT INTO w VALUES (101, 0.75, 'n1')")
     database.persistence.close(checkpoint=False)
@@ -303,12 +303,72 @@ def test_version_2_log_replays_and_is_restamped_before_an_append(tmp_path):
         reopened.persistence.close(checkpoint=False)
 
 
+#: A log as the version-3 writer laid it out, byte for byte: CREATE TABLE w,
+#: 40 rows, DELETE of five, one more row.  Its chunks hold ``narrow``
+#: sections in the byte-wide frame of reference (``i``), stride (``v``'s
+#: digits, the offsets) and decimal forms, none bit-packed.
+V3_WAL = bytes.fromhex(
+    "524550524f57414c03000000000000000000000093000000f5861acf4d0000000253"
+    "000000026f70530000000c6372656174655f7461626c655300000006736368656d61"
+    "4d0000000253000000046e616d655300000001775300000007636f6c756d6e734c00"
+    "0000034c000000035300000001695300000007494e5445474552544c000000035300"
+    "000001765300000006444f55424c45544c0000000353000000017353000000065354"
+    "52494e4754fa000000bdac3b1c4d0000000353000000026f705300000006696e7365"
+    "727453000000057461626c6553000000017753000000056368756e6b42000000c443"
+    "420128000000030001006900010033000000040801e80300000000000000070e151c"
+    "23020910171e25040b12192027060d141b2201080f161d24030a11181f26050c131a"
+    "21010076020200190000000400020800000000000000000019000000000000002800"
+    "00000100730412023300000004040100000000000000000001020001020001020001"
+    "02000102000102000102000102000102000102000102000102000102000f00000004"
+    "040100000000000000000002040607000000006e306e316e32620000000e8c464e4d"
+    "0000000453000000026f70530000000664656c65746553000000057461626c655300"
+    "00000177530000000f6b6565705f636f6d70726573736564420000000f0301789cab"
+    "fdfeeff77f000c41046d5300000005636f756e7449000000000000002882000000fa"
+    "aacabd4d0000000353000000026f705300000006696e736572745300000005746162"
+    "6c6553000000017753000000056368756e6b420000004c4342010100000003000100"
+    "69000100090000000064000000000000000100760202000900000000000000000000"
+    "f8bf0100730410010100000080090000000000000000000000000100000000")
+V3_STATEMENTS = [
+    "CREATE TABLE w (i INTEGER, v DOUBLE, s STRING)",
+    "INSERT INTO w VALUES " + ", ".join(f"({i * 7 % 40 + 1000}, {i * 0.25}, 'n{i % 3}')"
+                                        for i in range(40)),
+    "DELETE FROM w WHERE i < 1005",
+    "INSERT INTO w VALUES (100, -1.5, NULL)",
+]
+
+
+def test_version_3_log_replays_and_is_restamped_before_an_append(tmp_path):
+    """A version-3 log's stride, decimal and byte-wide sections decode as
+    they always did; the header says version 4 before bit-packed chunks are
+    appended behind them, and the whole log replays after a reopen."""
+    append = "INSERT INTO w VALUES " + ", ".join(
+        f"({2000 + i * 37 % 300}, {i * 0.5}, 'n1')" for i in range(30))
+    reference = Database()
+    for statement in V3_STATEMENTS + [append]:
+        reference.execute(statement)
+    path = tmp_path / "v3.db"
+    wal_path_for(path).write_bytes(V3_WAL)
+    database = Database(path=path)
+    assert database.persistence.last_recovery.wal_records_replayed == 4
+    assert wal_path_for(path).read_bytes()[8:10] == struct.pack("<H", 4)
+    database.execute(append)
+    database.persistence.close(checkpoint=False)
+    assert b"\x04\x88\x09" in read_wal(wal_path_for(path)).records[-1]["chunk"]
+    reopened = Database(path=path)
+    try:
+        assert reopened.execute("SELECT * FROM w").fetchall() == \
+            reference.execute("SELECT * FROM w").fetchall()
+        assert stored_buffers(reopened) == stored_buffers(reference)
+    finally:
+        reopened.persistence.close(checkpoint=False)
+
+
 def test_unknown_wal_version_is_refused_at_the_header(tmp_path):
     path = tmp_path / "future.db"
     data = bytearray(_v1_wal(V1_RECORDS))
-    data[8:10] = struct.pack("<H", 4)
+    data[8:10] = struct.pack("<H", 5)
     wal_path_for(path).write_bytes(bytes(data))
-    with pytest.raises(PersistenceError, match="unsupported version 4"):
+    with pytest.raises(PersistenceError, match="unsupported version 5"):
         Database(path=path)
 
 
