@@ -241,6 +241,7 @@ class DevUDFWorkflow:
         settings.debug_query = scenario.debug_query
         project = DevUDFProject(self.project_root / scenario.name)
         plugin = DevUDFPlugin(project, settings, server=server)
+        statements_before = server.database.statements_executed
         try:
             connection = plugin.connect()
 
@@ -287,8 +288,11 @@ class DevUDFWorkflow:
                 scenario.extract_result_value(result))
             from .extract import EXTRACT_FUNCTION_PREFIX
 
+            # this run's statements: the newest entries of the engine's log
+            issued = server.database.statements_executed - statements_before
+            log = list(server.database.query_log)
             metrics.udf_recreations = sum(
-                1 for sql in server.stats.query_log
+                1 for sql in log[max(0, len(log) - issued):]
                 if sql.lstrip().upper().startswith("CREATE")
                 and scenario.udf_name in sql
                 and EXTRACT_FUNCTION_PREFIX not in sql

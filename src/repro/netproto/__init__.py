@@ -43,7 +43,6 @@ from .server import (
     DatabaseServer,
     InProcessTransport,
     ServerLimits,
-    ServerStats,
     Session,
     SocketTransport,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "RetryPolicy",
     "SampleSpec",
     "ServerLimits",
-    "ServerStats",
     "Session",
     "SocketTransport",
     "TransferOptions",

@@ -30,6 +30,7 @@ import traceback
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator
 
 from ..errors import (
@@ -43,7 +44,7 @@ from ..errors import (
     ServerBusyError,
     WireFormatError,
 )
-from ..obs import MetricsRegistry, TraceSpan, new_trace_id
+from ..obs import Counter, Histogram, TraceSpan, new_trace_id
 from ..sqldb.context import QueryContext
 from ..sqldb.database import Database, StreamedResult
 from ..sqldb.result import QueryResult
@@ -98,106 +99,7 @@ class Session:
     #: Capability token for out-of-band cancellation (shared with the client
     #: in ``login_ok``; a ``cancel`` message must present it).
     cancel_key: str = ""
-    queries_executed: int = 0
-    bytes_sent: int = 0
-    bytes_received: int = 0
     closed: bool = False
-
-
-class ServerStats:
-    """Aggregate server statistics (used by the workflow benchmarks).
-
-    Counters are incremented concurrently from in-process callers, the query
-    worker pool and the front end's event loop, so every write goes
-    through the thread-safe :class:`~repro.obs.MetricsRegistry` backing via
-    :meth:`inc` — plain ``stats.x += 1`` (a lost-update race) raises
-    ``AttributeError``.  Reads keep the historical attribute surface:
-    ``stats.queries_executed`` returns the current counter value.
-
-    The per-statement query log is a *bounded* ring (the
-    :attr:`QUERY_LOG_LIMIT` most recent statements); entries pushed out of a
-    full ring are counted in ``query_log_dropped`` rather than growing the
-    list without limit.
-    """
-
-    #: Every named counter; writes outside :meth:`inc` are rejected.
-    COUNTER_NAMES = (
-        "sessions_opened",
-        "sessions_closed",
-        "queries_executed",
-        "bytes_sent",
-        "bytes_received",
-        "errors",
-        # the ``errors`` that were not a :class:`ReproError` (a bug, answered)
-        "internal_errors",
-        # resilience counters: admission rejections, cooperative aborts, and
-        # the connection failure modes the chaos suite exercises
-        "queries_rejected",
-        "queries_cancelled",
-        "queries_timed_out",
-        "client_disconnects",
-        "idle_disconnects",
-        # clients dropped for not reading a streamed result for longer than
-        # ``ServerLimits.send_timeout`` (front end backpressure guard)
-        "stalled_disconnects",
-        "wire_errors",
-        # queries that failed with a :class:`repro.errors.CorruptionError`
-        # (quarantined rows touched, checksum mismatch mid-statement)
-        "corruption_errors",
-        # queries slower than the server's ``slow_query_ms`` threshold
-        "slow_queries",
-        # statements evicted from the bounded query log
-        "query_log_dropped",
-    )
-    _COUNTER_SET = frozenset(COUNTER_NAMES)
-
-    #: Capacity of the bounded query log.
-    QUERY_LOG_LIMIT = 1_000
-
-    def __init__(self) -> None:
-        self._registry = MetricsRegistry()
-        self._counters = {name: self._registry.counter(name)
-                          for name in self.COUNTER_NAMES}
-        #: End-to-end request latency (execution + encode + handoff) seen by
-        #: the server, complementing the engine-side ``db.query_us``.
-        self._h_query = self._registry.histogram("query_us")
-        self.query_log: deque[str] = deque(maxlen=self.QUERY_LOG_LIMIT)
-        self._log_lock = threading.Lock()
-
-    def __getattr__(self, name: str) -> int:
-        # only reached when normal attribute lookup fails: counters are not
-        # instance attributes precisely so reads land here
-        counters = self.__dict__.get("_counters")
-        if counters is not None and name in counters:
-            return counters[name].value
-        raise AttributeError(name)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        if name in self._COUNTER_SET:
-            raise AttributeError(
-                f"ServerStats.{name} is a concurrent counter; use "
-                f"stats.inc({name!r}) instead of assignment")
-        super().__setattr__(name, value)
-
-    def inc(self, name: str, amount: int = 1) -> None:
-        """Atomically add ``amount`` to the named counter."""
-        self._counters[name].inc(amount)
-
-    def observe_query(self, seconds: float) -> None:
-        """Record one request's end-to-end latency."""
-        self._h_query.observe(seconds)
-
-    def log_query(self, sql: str) -> None:
-        """Append to the bounded query log, counting evicted entries."""
-        with self._log_lock:
-            log = self.query_log
-            if len(log) == log.maxlen:
-                self._counters["query_log_dropped"].inc()
-            log.append(sql)
-
-    def counters(self) -> dict[str, int]:
-        """Counters plus latency quantiles as a flat dict (``stats`` message)."""
-        return self._registry.snapshot()
 
 
 @dataclass
@@ -295,6 +197,19 @@ class DatabaseServer:
     #: Capacity of :attr:`slow_query_log`.
     SLOW_QUERY_LOG_SIZE = 64
 
+    #: The server's counters, ``server.<name>`` in the database registry.
+    #: ``internal_errors`` are the ``errors`` that were not a ReproError (a
+    #: bug, answered); ``stalled_disconnects`` clients that did not read a
+    #: streamed result for ``ServerLimits.send_timeout``;
+    #: ``corruption_errors`` queries that hit a CorruptionError;
+    #: ``slow_queries`` those over ``slow_query_ms``.
+    COUNTER_NAMES = (
+        "sessions_opened", "sessions_closed", "queries_executed",
+        "bytes_sent", "bytes_received", "errors", "internal_errors",
+        "queries_rejected", "queries_cancelled", "queries_timed_out",
+        "client_disconnects", "idle_disconnects", "stalled_disconnects",
+        "wire_errors", "corruption_errors", "slow_queries")
+
     def __init__(self, database: Database | None = None,
                  registry: UserRegistry | None = None, *,
                  default_user: str = "monetdb", default_password: str = "monetdb",
@@ -307,7 +222,16 @@ class DatabaseServer:
         if default_user and not self.registry.has_user(default_user):
             self.registry.add_user(default_user, default_password,
                                    database=self.database.name)
-        self.stats = ServerStats()
+        metrics = self.database.metrics
+        #: Registered afresh in the database's registry (a server counts
+        #: from its own start), so SHOW STATS and the ``stats`` message read
+        #: them next to the engine's and the store's metrics.
+        self.counters = {name: metrics.register(Counter(f"server.{name}"))
+                         for name in self.COUNTER_NAMES}
+        #: End-to-end request latency (execution + encode + handoff) seen by
+        #: the server, complementing the engine-side ``db.query_us``.
+        self._h_query = metrics.register(Histogram("server.query_us"))
+        self._register_gauges()
         #: Queries slower than this (milliseconds, wall clock from request
         #: to last response frame) land in :attr:`slow_query_log` with their
         #: trace id and span breakdown.  ``None`` disables slow-query
@@ -323,10 +247,6 @@ class DatabaseServer:
         #: ``"chunk"``) before the corresponding step; a hook that raises
         #: injects that failure into the normal error path.
         self.fault_hook: Callable[[str], None] | None = None
-        # surface the wire-layer fault counters through SHOW STATS / the
-        # stats message next to the engine's and the store's, merged with
-        # the plan/result cache counters and the live connection gauge
-        self.database.register_stats_source("server", self._server_counters)
         self._next_session = 1
         self._lock = threading.Lock()
         self._sessions: dict[int, Session] = {}
@@ -346,7 +266,7 @@ class DatabaseServer:
                               cancel_key=secrets.token_hex(8))
             self._next_session += 1
             self._sessions[session.session_id] = session
-            self.stats.inc("sessions_opened")
+            self.counters["sessions_opened"].inc()
             return session
 
     def close_session(self, session: Session) -> None:
@@ -362,7 +282,7 @@ class DatabaseServer:
             session.closed = True
             self._sessions.pop(session.session_id, None)
             context = self._active_queries.get(session.session_id)
-            self.stats.inc("sessions_closed")
+            self.counters["sessions_closed"].inc()
         if context is not None:
             context.cancel("client disconnected")
         self._finish_query(session)
@@ -372,12 +292,30 @@ class DatabaseServer:
         with self._lock:
             return len(self._sessions)
 
-    def _server_counters(self) -> dict[str, int]:
-        """The ``server.*`` section of SHOW STATS / the ``stats`` message."""
-        counters = self.stats.counters()
-        counters["open_connections"] = self.active_sessions
-        counters.update(self.database.cache_counters())
-        return counters
+    def _register_gauges(self) -> None:
+        """The live connection count and the plan / result cache counters,
+        read at snapshot time as ``server.*`` gauges."""
+        database = self.database
+
+        def plan(read: Callable[[Any], int]) -> Callable[[], int]:
+            return lambda: read(database.plan_cache)
+
+        def result(read: Callable[[Any], int]) -> Callable[[], int]:
+            return lambda: (0 if database.result_cache is None
+                            else read(database.result_cache))
+
+        gauges = {
+            "open_connections": lambda: self.active_sessions,
+            "plan_cache_entries": plan(len),
+            "result_cache_entries": result(len),
+            "result_cache_bytes": result(attrgetter("used_bytes")),
+        }
+        for field in ("hits", "misses", "evictions"):
+            gauges[f"plan_cache_{field}"] = plan(attrgetter(field))
+        for field in ("hits", "misses", "invalidations", "evictions"):
+            gauges[f"result_cache_{field}"] = result(attrgetter(field))
+        for name, read in gauges.items():
+            database.metrics.gauge(f"server.{name}", read)
 
     # ------------------------------------------------------------------ #
     # shutdown
@@ -460,15 +398,15 @@ class DatabaseServer:
         """Build the structured error frame for ``exc``, updating stats (a
         non-``ReproError`` too: unanswered, the client waits out its timeouts;
         its text and traceback stay on the server's stderr)."""
-        self.stats.inc("errors")
+        self.counters["errors"].inc()
         if not isinstance(exc, ReproError):
-            self.stats.inc("internal_errors")
+            self.counters["internal_errors"].inc()
             traceback.print_exception(exc)  # to stderr
             exc = ExecutionError(f"internal error: {type(exc).__name__}")
         if isinstance(exc, QueryTimeoutError):
-            self.stats.inc("queries_timed_out")
+            self.counters["queries_timed_out"].inc()
         if isinstance(exc, CorruptionError):
-            self.stats.inc("corruption_errors")
+            self.counters["corruption_errors"].inc()
         return error_message_for(exc)
 
     def _handle_stats(self, session: Session) -> dict[str, Any]:
@@ -545,7 +483,7 @@ class DatabaseServer:
         found = context is not None
         if found:
             context.cancel("cancelled by client request")
-            self.stats.inc("queries_cancelled")
+            self.counters["queries_cancelled"].inc()
         return {"type": MSG_CANCELLED, "found": found}
 
     def _handle_prepare(self, session: Session,
@@ -625,7 +563,7 @@ class DatabaseServer:
         context.trace = trace
         rejection = self.admission.try_acquire()
         if rejection is not None:
-            self.stats.inc("queries_rejected")
+            self.counters["queries_rejected"].inc()
             reason = ("server is shutting down"
                       if rejection == ERR_SHUTTING_DOWN
                       else "server is saturated; retry with backoff")
@@ -642,9 +580,7 @@ class DatabaseServer:
             else:
                 outcome = self.database.execute_stream(
                     sql, max_rows=chunk_rows, context=context)
-            session.queries_executed += 1
-            self.stats.inc("queries_executed")
-            self.stats.log_query(sql)
+            self.counters["queries_executed"].inc()
             if isinstance(outcome, QueryResult):
                 # execution is done: free the slot before the (possibly
                 # slow) encode-and-send phase.  A streamed plan keeps it
@@ -721,10 +657,10 @@ class DatabaseServer:
                 trace.add("respond", respond_started, ended)
                 trace.finish()
             elapsed = ended - started
-            self.stats.observe_query(elapsed)
+            self._h_query.observe(elapsed)
             threshold = self.slow_query_ms
             if threshold is not None and elapsed * 1000.0 >= threshold:
-                self.stats.inc("slow_queries")
+                self.counters["slow_queries"].inc()
                 self.slow_query_log.append({
                     "trace_id": trace_id or "",
                     "sql": sql,
@@ -772,8 +708,7 @@ class DatabaseServer:
         (the async front end peeks at the type to route frames, so it avoids
         decoding twice).
         """
-        session.bytes_received += len(frame_payload)
-        self.stats.inc("bytes_received", len(frame_payload))
+        self.counters["bytes_received"].inc(len(frame_payload))
         try:
             request = message if message is not None \
                 else decode_message(frame_payload)
@@ -781,16 +716,14 @@ class DatabaseServer:
             # a well-framed but undecodable payload: framing is still in
             # sync, so answer with a structured error and keep the
             # connection usable
-            self.stats.inc("wire_errors")
+            self.counters["wire_errors"].inc()
             encoded = encode_message(self._error_response(exc))
-            session.bytes_sent += len(encoded)
-            self.stats.inc("bytes_sent", len(encoded))
+            self.counters["bytes_sent"].inc(len(encoded))
             yield encoded
             return
         for response in self.handle_message_stream(session, request):
             encoded = encode_message(response)
-            session.bytes_sent += len(encoded)
-            self.stats.inc("bytes_sent", len(encoded))
+            self.counters["bytes_sent"].inc(len(encoded))
             yield encoded
 
 
@@ -805,8 +738,6 @@ class InProcessTransport:
         self.server = server
         self.session = server.open_session()
         self.closed = False
-        self.bytes_sent = 0
-        self.bytes_received = 0
         self._pending: Iterator[bytes] = iter(())
 
     def send(self, message: dict[str, Any]) -> None:
@@ -814,7 +745,6 @@ class InProcessTransport:
         if self.closed:
             raise ProtocolError("transport is closed")
         request = encode_message(message)
-        self.bytes_sent += len(request)
         # strip the frame header the same way the socket path would
         payload, _ = decode_frame(request)
         # the stream is kept lazy: each receive() encodes one more frame,
@@ -829,7 +759,6 @@ class InProcessTransport:
             frame = next(self._pending)
         except StopIteration:
             raise ProtocolError("no pending response message") from None
-        self.bytes_received += len(frame)
         response_payload, _ = decode_frame(frame)
         return decode_message(response_payload)
 
@@ -1023,14 +952,14 @@ class AsyncSocketServer:
         timeout = self.database_server.limits.idle_timeout
         if timeout is None:
             return
-        stats = self.database_server.stats
+        counters = self.database_server.counters
         for conn in list(self._connections):
             if conn.busy:
                 continue
             # unflushed output does not keep a connection alive: a client
             # that neither reads nor writes for idle_timeout is gone
             if now - conn.last_activity > timeout:
-                stats.inc("idle_disconnects")
+                counters["idle_disconnects"].inc()
                 self._drop(conn, None)
 
     # ------------------------------------------------------------------ #
@@ -1066,18 +995,18 @@ class AsyncSocketServer:
                                     ("conn", conn))
 
     def _on_readable(self, conn: _AsyncConnection) -> None:
-        stats = self.database_server.stats
+        counters = self.database_server.counters
         try:
             data = conn.sock.recv(1 << 16)
         except (BlockingIOError, InterruptedError):
             return
         except OSError:
-            stats.inc("client_disconnects")
+            counters["client_disconnects"].inc()
             self._drop(conn, None)
             return
         if not data:
             if not conn.closing:
-                stats.inc("client_disconnects")
+                counters["client_disconnects"].inc()
             self._drop(conn, None)
             return
         conn.last_activity = time.monotonic()
@@ -1093,7 +1022,7 @@ class AsyncSocketServer:
             except WireFormatError as exc:
                 # frame-level garbage: the stream is desynchronised — tell
                 # the client why (best effort) and hang up
-                server.stats.inc("wire_errors")
+                server.counters["wire_errors"].inc()
                 conn.recv_buffer.clear()
                 conn.closing = True  # hang up once the error frame flushes
                 self._enqueue_frames(
@@ -1107,7 +1036,7 @@ class AsyncSocketServer:
                 message = None  # handle_frame_stream answers it structurally
             if conn.busy:
                 if len(conn.pending) >= self.MAX_PIPELINED_FRAMES:
-                    server.stats.inc("wire_errors")
+                    server.counters["wire_errors"].inc()
                     self._drop(conn, None)
                     return
                 conn.pending.append((payload, message))
@@ -1129,7 +1058,7 @@ class AsyncSocketServer:
             if saturated:
                 # the worker pool (slots + queue) is full: reject here so
                 # a flood of queries cannot queue unboundedly behind it
-                server.stats.inc("queries_rejected")
+                server.counters["queries_rejected"].inc()
                 error = ServerBusyError(
                     "server is saturated; retry with backoff",
                     code=ERR_SATURATED)
@@ -1146,7 +1075,7 @@ class AsyncSocketServer:
         self._enqueue_frames(conn, frames)
 
     def _on_writable(self, conn: _AsyncConnection) -> None:
-        stats = self.database_server.stats
+        counters = self.database_server.counters
         with conn.send_lock:
             while conn.send_chunks:
                 chunk = conn.send_chunks[0]
@@ -1155,7 +1084,7 @@ class AsyncSocketServer:
                 except (BlockingIOError, InterruptedError):
                     break
                 except OSError:
-                    stats.inc("client_disconnects")
+                    counters["client_disconnects"].inc()
                     self._drop(conn, None)
                     return
                 conn.send_bytes -= sent
@@ -1286,7 +1215,7 @@ class AsyncSocketServer:
     def _stall_disconnect(self, conn: _AsyncConnection) -> None:
         """A client stopped reading mid-stream past ``send_timeout``: cancel
         its query and drop the connection so the slot frees immediately."""
-        self.database_server.stats.inc("stalled_disconnects")
+        self.database_server.counters["stalled_disconnects"].inc()
         self._call_soon(lambda: self._drop(conn, "stalled"))
 
     # ------------------------------------------------------------------ #
@@ -1323,8 +1252,6 @@ class SocketTransport:
         self._socket = socket.create_connection((host, port), timeout=timeout)
         self._stream = self._socket.makefile("rwb")
         self.closed = False
-        self.bytes_sent = 0
-        self.bytes_received = 0
 
     def send(self, message: dict[str, Any]) -> None:
         if self.closed:
@@ -1333,13 +1260,11 @@ class SocketTransport:
         # encode_message returns a full frame already
         self._stream.write(payload)
         self._stream.flush()
-        self.bytes_sent += len(payload)
 
     def receive(self) -> dict[str, Any]:
         if self.closed:
             raise ProtocolError("transport is closed")
         response_payload = read_frame(self._stream)
-        self.bytes_received += len(response_payload) + 6
         return decode_message(response_payload)
 
     def exchange(self, message: dict[str, Any]) -> dict[str, Any]:

@@ -1,4 +1,4 @@
-"""Thread-safe metrics: counters and log-bucketed latency histograms.
+"""Thread-safe metrics: counters, gauges and log-bucketed latency histograms.
 
 Design notes
 ------------
@@ -8,6 +8,10 @@ Design notes
   registry snapshot is a flat ``{name: int}`` dict that merges directly into
   ``Database.stats_snapshot()`` (and from there into ``SHOW STATS`` and the
   wire ``stats`` message) without any renaming layer.
+* **Gauges read what their owner keeps.**  A gauge is a zero-argument
+  reader called at snapshot time (a cache's hit count, the open
+  connections), so an owner that already keeps a plain attribute reports it
+  without a second counter on its hot path.
 * **Histograms are log-bucketed.**  Observations are recorded in
   microseconds into geometric buckets (factor ``sqrt(2)``, ~41 % worst-case
   bucket width) covering 1 µs .. ~18 minutes; quantiles interpolate linearly
@@ -28,10 +32,11 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Iterable
+from typing import Callable, TypeVar
 
 __all__ = [
     "Counter",
+    "Gauge",
     "Histogram",
     "MetricsRegistry",
 ]
@@ -58,6 +63,19 @@ class Counter:
 
     def snapshot(self) -> dict[str, int]:
         return {self.name: self.value}
+
+
+class Gauge:
+    """A value read from its owner when a snapshot is taken."""
+
+    __slots__ = ("name", "read")
+
+    def __init__(self, name: str, read: Callable[[], int]) -> None:
+        self.name = name
+        self.read = read
+
+    def snapshot(self) -> dict[str, int]:
+        return {self.name: int(self.read())}
 
 
 def _geometric_bounds() -> tuple[float, ...]:
@@ -144,12 +162,15 @@ class Histogram:
         return out
 
 
+_Metric = TypeVar("_Metric", Counter, Gauge, Histogram)
+
+
 class MetricsRegistry:
     """Named metrics with get-or-create semantics and a flat int snapshot."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._metrics: dict[str, Counter | Histogram] = {}
+        self._metrics: dict[str, Counter | Gauge | Histogram] = {}
 
     def _get_or_create(self, name: str, cls):  # type: ignore[no-untyped-def]
         with self._lock:
@@ -169,13 +190,22 @@ class MetricsRegistry:
     def histogram(self, name: str) -> Histogram:
         return self._get_or_create(name, Histogram)
 
-    def metrics(self) -> Iterable[Counter | Histogram]:
+    def register(self, metric: _Metric) -> _Metric:
+        """Add ``metric`` under its name, replacing what was there: a new
+        owner of a name (a server built over a database another server
+        served) reports from its own start."""
         with self._lock:
-            return list(self._metrics.values())
+            self._metrics[metric.name] = metric
+        return metric
+
+    def gauge(self, name: str, read: Callable[[], int]) -> Gauge:
+        return self.register(Gauge(name, read))
 
     def snapshot(self) -> dict[str, int]:
         """Flat ``{name: int}`` over every registered metric (stable names)."""
+        with self._lock:
+            metrics = list(self._metrics.values())
         out: dict[str, int] = {}
-        for metric in self.metrics():
+        for metric in metrics:
             out.update(metric.snapshot())
         return out

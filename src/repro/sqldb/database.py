@@ -85,10 +85,11 @@ class Database:
                  result_cache_bytes: int = 0) -> None:
         self.name = name
         self.storage = Storage()
-        #: Engine-wide metrics (counters + latency histograms), default-on.
-        #: Metric names carry their full dotted prefix (``db.query_us``,
-        #: ``persist.wal_fsync_us``) so :meth:`stats_snapshot` merges the
-        #: registry snapshot directly.
+        #: Engine-wide metrics (counters, gauges, latency histograms),
+        #: default-on, and the one source of :meth:`stats_snapshot`: the
+        #: store and the wire server register theirs here too.  Metric names
+        #: carry their full dotted prefix (``db.query_us``,
+        #: ``persist.wal_fsync_us``, ``server.errors``).
         self.metrics = MetricsRegistry()
         self._h_query = self.metrics.histogram("db.query_us")
         self._h_parse = self.metrics.histogram("db.parse_us")
@@ -120,14 +121,13 @@ class Database:
         #: Count of executed statements, used by the workflow simulators to
         #: report "server round trips".
         self.statements_executed = 0
+        self.metrics.gauge("db.statements_executed",
+                           lambda: self.statements_executed)
+        self.metrics.gauge("db.tables",
+                           lambda: len(self.storage.table_names()))
         #: Recent SQL texts (bounded: a long-lived server must not leak one
         #: string per query executed over its lifetime).
         self.query_log: deque[str] = deque(maxlen=QUERY_LOG_LIMIT)
-        #: Extra ``SHOW STATS`` sections: name -> zero-arg callable returning
-        #: a flat ``{counter: int}`` dict.  The wire server registers its
-        #: :class:`~repro.netproto.server.ServerStats` here so operators see
-        #: network-side fault counters next to the storage-side ones.
-        self.stats_sources: dict[str, Any] = {}
         #: Durable-store handle; ``None`` for the in-memory default.  Import
         #: lazily: the persist package pulls in the wire codecs, whose
         #: package imports this module (cycle at module-import time only).
@@ -346,23 +346,6 @@ class Database:
         if self.result_cache is not None:
             self.result_cache.clear()
 
-    def cache_counters(self) -> dict[str, int]:
-        """Flat cache counters merged into the server's stats section."""
-        plan, result = self.plan_cache, self.result_cache
-        return {
-            "plan_cache_entries": len(plan),
-            "plan_cache_hits": plan.hits,
-            "plan_cache_misses": plan.misses,
-            "plan_cache_evictions": plan.evictions,
-            "result_cache_entries": len(result) if result else 0,
-            "result_cache_bytes": result.used_bytes if result else 0,
-            "result_cache_hits": result.hits if result else 0,
-            "result_cache_misses": result.misses if result else 0,
-            "result_cache_invalidations":
-                result.invalidations if result else 0,
-            "result_cache_evictions": result.evictions if result else 0,
-        }
-
     # -- PREPARE / EXECUTE / DEALLOCATE -------------------------------- #
     def register_prepared(self, statement: ast.Prepare) -> PreparedStatement:
         """Register (or replace) a named statement template."""
@@ -448,33 +431,9 @@ class Database:
                     "(open it with Database(path=...))")
             return self.persistence.backup(target)
 
-    def register_stats_source(self, name: str, source: Any) -> None:
-        """Attach a named counters callable surfaced by ``SHOW STATS``."""
-        self.stats_sources[name] = source
-
     def stats_snapshot(self) -> dict[str, int]:
         """Flat ``{qualified_counter: value}`` map for SHOW STATS / wire."""
-        snapshot: dict[str, int] = {
-            "db.statements_executed": self.statements_executed,
-            "db.tables": len(self.storage.table_names()),
-        }
-        if self.persistence is not None:
-            for key, value in self.persistence.stats_snapshot().items():
-                snapshot[f"persist.{key}"] = value
-        # registry metric names already carry their dotted prefix
-        # (db.query_us_p50, persist.wal_fsync_us_p99, ...)
-        for key, value in self.metrics.snapshot().items():
-            snapshot[key] = int(value)
-        for name, source in self.stats_sources.items():
-            try:
-                counters = source()
-            except Exception:  # a broken source must not break SHOW STATS
-                continue
-            for key, value in counters.items():
-                if isinstance(value, (int, float)) \
-                        and not isinstance(value, bool):
-                    snapshot[f"{name}.{key}"] = int(value)
-        return snapshot
+        return self.metrics.snapshot()
 
     def close(self) -> None:
         """Checkpoint and seal a persistent database.

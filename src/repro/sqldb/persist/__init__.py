@@ -130,6 +130,16 @@ class PersistentStore:
         self.backups_taken = 0
         self._closed = False
         self._lock_file: Any = None
+        for name, read in (
+                ("generation", lambda: self.generation),
+                ("wal_records", lambda: self.wal.records_appended),
+                ("wal_sealed", lambda: self.wal.failed is not None),
+                ("verify_runs", lambda: self.verify_runs),
+                ("corruption_detected", lambda: self.corruption_detected),
+                ("backups_taken", lambda: self.backups_taken),
+                ("quarantined_tables",
+                 lambda: len(self.quarantined_tables()))):
+            metrics.gauge(f"persist.{name}", read)
 
     @property
     def fs(self) -> faults.FileSystem:
@@ -330,18 +340,6 @@ class PersistentStore:
         self.backups_taken += 1
         self.last_backup = stats
         return stats
-
-    def stats_snapshot(self) -> dict[str, int]:
-        """Durability counters for ``SHOW STATS`` / the ``stats`` message."""
-        return {
-            "generation": self.generation,
-            "wal_records": self.wal.records_appended,
-            "wal_sealed": int(self.wal.failed is not None),
-            "verify_runs": self.verify_runs,
-            "corruption_detected": self.corruption_detected,
-            "backups_taken": self.backups_taken,
-            "quarantined_tables": len(self.quarantined_tables()),
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"PersistentStore({str(self.path)!r}, "

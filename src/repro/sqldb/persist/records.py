@@ -86,11 +86,7 @@ def pack_mask(mask: Sequence[bool]) -> bytes:
                                 compression.CODEC_SHUFFLE)
 
 
-def unpack_mask(data: bytes, count: int, *, compressed: bool = True
-                ) -> np.ndarray:
-    """Inverse of :func:`pack_mask` (``count`` restores the exact length);
-    ``compressed=False`` reads the raw bitmap a version-1 log holds."""
-    if compressed:
-        data = compression.decompress(data)
-    bitmap = np.frombuffer(data, dtype=np.uint8)
+def unpack_mask(data: bytes, count: int) -> np.ndarray:
+    """Inverse of :func:`pack_mask` (``count`` restores the exact length)."""
+    bitmap = np.frombuffer(compression.decompress(data), dtype=np.uint8)
     return np.unpackbits(bitmap, count=count).astype(bool)

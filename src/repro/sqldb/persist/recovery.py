@@ -14,7 +14,8 @@ pure replay of logical records over the last checkpoint image):
    discarded; the log is truncated back to the last intact record so new
    appends never follow garbage.  A WAL of an older generation is a crash
    between checkpoint-replace and log-reset: the image already contains
-   everything the log describes, so the log is reset, not replayed.
+   everything the log describes, so the log is reset, not replayed.  An
+   older version's log is refused if it holds records and reset if not.
 4. Appending resumes on the recovered log.
 
 Replay applies records through the entry points the executor and the image
@@ -36,7 +37,8 @@ import numpy as np
 from ...errors import PersistenceError
 from . import faults
 from . import format as format_mod
-from .wal import HEADER_SIZE, WalContents, WriteAheadLog, read_wal, unpack_mask
+from .wal import HEADER_SIZE, WAL_VERSION, WalContents, WriteAheadLog
+from .wal import read_wal, unpack_mask
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..database import Database
@@ -108,14 +110,16 @@ def recover(path: str | os.PathLike[str], database: "Database",
             wal.create(report.generation)
             return report
         contents = read_wal(wal.path, fs=fs)
-        if contents.generation == report.generation:
+        if contents.generation == report.generation \
+                and contents.version == WAL_VERSION:
             good_end = _replay(database, contents, report, salvage=salvage)
-            wal.open_at(good_end, contents.version)
+            wal.open_at(good_end)
         else:
-            # stale log from before the last completed checkpoint (the crash
-            # hit between file replace and log reset): its effects are
-            # already inside the image
-            report.wal_was_stale = True
+            # a stale log from before the last completed checkpoint (the
+            # crash hit between file replace and log reset), whose effects
+            # are already inside the image, or a header-only older log (a
+            # clean close): nothing to replay
+            report.wal_was_stale = contents.generation != report.generation
             wal.create(report.generation)
     else:
         wal.create(report.generation)
@@ -191,8 +195,6 @@ def apply_record(database: "Database", record: dict[str, Any]) -> None:
 
     Mutations go through the storage layer's public entry points, so value
     coercion behaves exactly as it did when the original statement ran.
-    Version-1 records (``rows`` value lists, a raw ``keep`` bitmap) still
-    replay, so a tail written before the upgrade recovers.
     """
     op = record.get("op")
     storage = database.storage
@@ -203,15 +205,11 @@ def apply_record(database: "Database", record: dict[str, Any]) -> None:
                 if_not_exists=True)
         elif op == "drop_table":
             storage.drop_table(str(record["name"]), if_exists=True)
-        elif op == "insert" and "rows" in record:
-            storage.table(str(record["table"])).insert_rows(record["rows"])
         elif op == "insert":
             format_mod._load_segment(storage.table(str(record["table"])),
                                      record["chunk"], "WAL record")
         elif op == "delete":
-            raw = "keep" in record
-            keep = unpack_mask(record["keep" if raw else "keep_compressed"],
-                               int(record["count"]), compressed=not raw)
+            keep = unpack_mask(record["keep_compressed"], int(record["count"]))
             storage.table(str(record["table"])).delete_rows(keep)
         elif op == "truncate":
             storage.table(str(record["table"])).truncate()

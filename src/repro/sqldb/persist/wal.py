@@ -23,12 +23,14 @@ client protocol uses, so the WAL introduces no parallel serialisation scheme.
 Rows travel as typed buffers: an ``insert`` record's ``chunk`` is one
 columnar chunk blob (an image segment's form, its dictionary compacted to
 those rows) and a ``delete`` record's ``keep_compressed`` a compressed
-keep-bitmap.  Version 4 writes only these, and its chunks may carry the
-``narrow`` codec's bit-packed sections, so a version-3 binary refuses the log
-instead of reading those sections as a torn tail.  The reader also accepts
-version 3 (stride and decimal sections, no bit-packed ones), version 2, and
-version 1 with its ``rows`` / raw ``keep`` records, so a pre-upgrade tail
-replays.
+keep-bitmap.
+
+One version is read: the one written, 4.  A log of an older version that
+holds records is refused with an error naming its version (its records may
+be shapes or sections this build does not decode; open it with the build
+that wrote it and CHECKPOINT).  A header-only older log, which is what a
+clean close leaves, has nothing to replay: recovery re-creates it at the
+image's generation, as it does a stale log.
 The crc32 covers the payload only; a torn tail (crash mid-append) is detected
 on read as a short header, short payload, or checksum mismatch, and everything
 from the first bad record onward is discarded (those statements never
@@ -66,11 +68,6 @@ from .records import pack_mask, unpack_mask  # noqa: F401  (record-level API)
 
 WAL_MAGIC = b"REPROWAL"
 WAL_VERSION = 4
-#: Versions the reader replays: version 1 differs in its record shapes,
-#: versions 2 and 3 only in the ``narrow`` forms their chunks can hold (no
-#: stride or decimal sections in 2, no bit-packed ones in either), so all
-#: decode as they always did.
-_READABLE_VERSIONS = (1, 2, 3, WAL_VERSION)
 
 _HEADER = struct.Struct("<8sHHQ")   # magic, version, reserved, generation
 _RECORD = struct.Struct("<II")      # payload length, payload crc32
@@ -113,7 +110,8 @@ def read_wal(path: str | os.PathLike[str], *,
 
     Raises :class:`PersistenceError` only when the *header* is unreadable —
     that is not a torn append but a file that was never a WAL (or lost its
-    first sectors, in which case no record boundary is trustworthy).
+    first sectors, in which case no record boundary is trustworthy) — or
+    names a newer version, or an older one with anything past its header.
     """
     try:
         data = (fs or faults.current_fs()).read_bytes(path)
@@ -124,8 +122,11 @@ def read_wal(path: str | os.PathLike[str], *,
     magic, version, _reserved, generation = _HEADER.unpack_from(data, 0)
     if magic != WAL_MAGIC:
         raise PersistenceError(f"WAL {path}: bad magic {magic!r}")
-    if version not in _READABLE_VERSIONS:
-        raise PersistenceError(f"WAL {path}: unsupported version {version}")
+    if version > WAL_VERSION or (version < WAL_VERSION
+                                 and len(data) > _HEADER.size):
+        raise PersistenceError(
+            f"WAL {path}: unsupported version {version} (this build "
+            f"replays version {WAL_VERSION} only)")
     contents = WalContents(generation=generation, version=version,
                            good_end=_HEADER.size)
     offset = _HEADER.size
@@ -215,24 +216,14 @@ class WriteAheadLog:
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    def open_at(self, good_end: int, version: int = WAL_VERSION) -> None:
+    def open_at(self, good_end: int) -> None:
         """Open for appending at ``good_end``, truncating anything beyond it
-        (the discarded torn tail must not precede future intact records).
-
-        A log of an older ``version`` is re-stamped with this one first:
-        what is appended behind its records may hold sections an older build
-        cannot decode, so such a build must refuse the log at its header.
-        """
+        (the discarded torn tail must not precede future intact records)."""
         with self._lock:
             if self._file is not None:
                 raise PersistenceError(f"WAL {self.path} is already open")
             self._file = self.fs.open(self.path, "r+b")
             self._file.truncate(good_end)
-            if version != WAL_VERSION:
-                self._file.seek(len(WAL_MAGIC))
-                self._file.write(struct.pack("<H", WAL_VERSION))
-                self._file.flush()
-                self._sync()
             self._file.seek(good_end)
 
     def create(self, generation: int) -> None:

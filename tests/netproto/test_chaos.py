@@ -153,7 +153,7 @@ class TestHostileBytes:
         with pytest.raises((ProtocolError, OSError)):
             read_frame(stream)
         raw.close()
-        assert wait_until(lambda: server.stats.wire_errors >= 1)
+        assert wait_until(lambda: server.counters["wire_errors"].value >= 1)
         assert wait_until(lambda: server.active_sessions == 0)
 
     def test_hostile_length_prefix_rejected_not_allocated(self, chaos_server):
@@ -200,7 +200,7 @@ class TestClientDisconnects:
         # vanish without a close message, mid-stream
         abrupt_close(connection._transport._socket)
         assert wait_until(lambda: server.active_sessions == 0, timeout=10.0)
-        assert wait_until(lambda: server.stats.client_disconnects >= 1,
+        assert wait_until(lambda: server.counters["client_disconnects"].value >= 1,
                           timeout=10.0)
         assert server.admission.active == 0
         # no thread is wedged: the next client gets real answers
@@ -212,10 +212,10 @@ class TestClientDisconnects:
         server, host, port = chaos_server
         connection = tcp_connection(host, port)
         assert connection.execute("SELECT 1").scalar() == 1
-        errors_before = server.stats.errors
+        errors_before = server.counters["errors"].value
         abrupt_close(connection._transport._socket)
         assert wait_until(lambda: server.active_sessions == 0)
-        assert server.stats.errors == errors_before  # silent, not an error
+        assert server.counters["errors"].value == errors_before  # silent, not an error
 
     def test_idle_connection_reaped(self):
         database = Database()
@@ -227,7 +227,7 @@ class TestClientDisconnects:
         try:
             connection = tcp_connection(host, port)
             assert connection.execute("SELECT 1").scalar() == 1
-            assert wait_until(lambda: server.stats.idle_disconnects >= 1,
+            assert wait_until(lambda: server.counters["idle_disconnects"].value >= 1,
                               timeout=5.0)
             assert wait_until(lambda: server.active_sessions == 0)
         finally:

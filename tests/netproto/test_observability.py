@@ -1,16 +1,12 @@
-"""End-to-end observability over the wire: SHOW STATS histograms, the
-bounded query log, the slow-query ring, and trace ids in result headers."""
+"""End-to-end observability over the wire: SHOW STATS histograms and key
+sets, the slow-query ring, and trace ids in result headers."""
 
-import threading
+import time
 
 import pytest
 
 from repro.netproto.client import Connection, ConnectionInfo
-from repro.netproto.server import (
-    AsyncSocketServer,
-    DatabaseServer,
-    ServerStats,
-)
+from repro.netproto.server import AsyncSocketServer, DatabaseServer
 from repro.sqldb import Database
 
 
@@ -46,8 +42,7 @@ class TestShowStatsRoundTrip:
         for key in ("db.query_us_p50", "db.query_us_p95", "db.query_us_p99",
                     "db.query_us_count", "db.parse_us_count",
                     "server.query_us_p95", "server.query_us_count",
-                    "server.queries_executed", "server.query_log_dropped",
-                    "server.slow_queries"):
+                    "server.queries_executed", "server.slow_queries"):
             assert key in rows, f"missing {key}"
         assert rows["db.query_us_count"] >= 1
         assert rows["server.query_us_count"] >= 1
@@ -88,7 +83,7 @@ class TestSlowQueryLog:
         for i in range(size + 1):
             connection.execute(f"SELECT {i}")
         assert len(server.slow_query_log) == size
-        assert server.stats.slow_queries == size + 1
+        assert server.counters["slow_queries"].value == size + 1
         assert server.slow_query_log[0]["sql"] == "SELECT 1"
         connection.close()
 
@@ -100,7 +95,7 @@ class TestSlowQueryLog:
         stream.result()
         assert stream.trace_id is None
         assert not connection.server_slow_queries()
-        assert server.stats.slow_queries == 0
+        assert server.counters["slow_queries"].value == 0
         connection.close()
 
     def test_fast_queries_not_logged_with_high_threshold(self):
@@ -114,44 +109,98 @@ class TestSlowQueryLog:
         connection.close()
 
 
-class TestBoundedQueryLog:
-    def test_query_log_keeps_last_n_and_counts_drops(self):
-        stats = ServerStats()
-        limit = ServerStats.QUERY_LOG_LIMIT
-        for i in range(limit + 7):
-            stats.log_query(f"SELECT {i}")
-        assert list(stats.query_log) == [f"SELECT {i}"
-                                         for i in range(7, limit + 7)]
-        assert stats.query_log_dropped == 7
-        assert stats.counters()["query_log_dropped"] == 7
+#: ``SHOW STATS`` after :data:`KEY_SCENARIO`, one set per setup: every
+#: histogram exports these suffixes, and counters and gauges exist from the
+#: moment their owner does, so no key comes and goes with traffic.
+HISTOGRAM_SUFFIXES = ("count", "sum_us", "p50", "p95", "p99")
 
-    def test_direct_counter_assignment_rejected(self):
-        stats = ServerStats()
-        with pytest.raises(AttributeError):
-            stats.queries_executed += 1
-        with pytest.raises(AttributeError):
-            stats.errors = 5
 
-    def test_inc_is_thread_safe(self):
-        stats = ServerStats()
+def _histogram_keys(*names):
+    return {f"{name}_{suffix}" for name in names
+            for suffix in HISTOGRAM_SUFFIXES}
 
-        def worker():
-            for _ in range(10_000):
-                stats.inc("wire_errors")
 
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert stats.wire_errors == 80_000
+MEMORY_KEYS = {"db.statements_executed", "db.tables", "db.morsels_executed",
+               *_histogram_keys("db.query_us", "db.parse_us", "db.execute_us")}
+PATH_KEYS = MEMORY_KEYS | {
+    "persist.generation", "persist.wal_records", "persist.wal_sealed",
+    "persist.verify_runs", "persist.corruption_detected",
+    "persist.backups_taken", "persist.quarantined_tables",
+    *_histogram_keys("persist.checkpoint_us", "persist.wal_append_us",
+                     "persist.wal_fsync_us")}
+SERVED_KEYS = MEMORY_KEYS | _histogram_keys("server.query_us") | {
+    f"server.{name}" for name in (
+        "sessions_opened", "sessions_closed", "queries_executed",
+        "bytes_sent", "bytes_received", "errors", "internal_errors",
+        "queries_rejected", "queries_cancelled", "queries_timed_out",
+        "client_disconnects", "idle_disconnects", "stalled_disconnects",
+        "wire_errors", "corruption_errors", "slow_queries",
+        "open_connections",
+        "plan_cache_entries", "plan_cache_hits", "plan_cache_misses",
+        "plan_cache_evictions",
+        "result_cache_entries", "result_cache_bytes", "result_cache_hits",
+        "result_cache_misses", "result_cache_invalidations",
+        "result_cache_evictions")}
+KEY_SCENARIO = [
+    "CREATE TABLE k (i INTEGER, v DOUBLE)",
+    "INSERT INTO k VALUES (1, 0.5), (2, 1.0)",
+    "SELECT i, v FROM k WHERE i > 1",
+    "SELECT COUNT(*) FROM k",
+]
 
-    def test_counters_exposes_all_names(self):
-        stats = ServerStats()
-        counters = stats.counters()
-        for name in ServerStats.COUNTER_NAMES:
-            assert name in counters
 
+def _show_stats_keys(execute):
+    for statement in KEY_SCENARIO:
+        execute(statement)
+    return set(dict(execute("SHOW STATS").rows()))
+
+
+class TestStatsKeySets:
+    def test_embedded_in_memory(self):
+        assert _show_stats_keys(Database().execute) == MEMORY_KEYS
+
+    def test_embedded_with_path(self, tmp_path):
+        db = Database(path=tmp_path / "keys.db")
+        try:
+            assert _show_stats_keys(db.execute) == PATH_KEYS
+        finally:
+            db.close()
+
+    def test_served_over_tcp(self):
+        db = Database()
+        socket_server = AsyncSocketServer(DatabaseServer(db), port=0)
+        host, port = socket_server.start_background()
+        connection = Connection.connect_tcp(
+            ConnectionInfo(host=host, port=port, database=db.name))
+        try:
+            assert _show_stats_keys(connection.execute) == SERVED_KEYS
+            assert set(connection.server_stats()) == SERVED_KEYS
+        finally:
+            connection.close()
+            socket_server.stop()
+
+    def test_a_new_server_counts_from_its_own_start(self):
+        db = Database()
+        Connection.connect_in_process(DatabaseServer(db)).execute("SELECT 1")
+        second = DatabaseServer(db)
+        assert db.stats_snapshot()["server.queries_executed"] == 0
+        Connection.connect_in_process(second).execute("SELECT 1")
+        stats = db.stats_snapshot()
+        assert stats["server.queries_executed"] == 1
+        assert stats["server.sessions_opened"] == 1
+        assert stats["server.open_connections"] == 1
+
+    def test_open_connections_follows_a_close(self, tcp_connection):
+        connection, server = tcp_connection
+        host, port = connection.info.host, connection.info.port
+        second = Connection.connect_tcp(
+            ConnectionInfo(host=host, port=port, database=server.database.name))
+        assert connection.server_stats()["server.open_connections"] == 2
+        second.close()
+        deadline = time.monotonic() + 5.0
+        while connection.server_stats()["server.open_connections"] != 1:
+            assert time.monotonic() < deadline, "close never reached the gauge"
+            time.sleep(0.01)
 
 
 # --------------------------------------------------------------------------- #

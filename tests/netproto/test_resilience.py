@@ -127,7 +127,7 @@ class TestTimeouts:
         connection = Connection.connect_in_process(server)
         with pytest.raises(QueryTimeoutError):
             connection.execute("SELECT SUM(i * i) FROM big", timeout=0.0)
-        assert server.stats.queries_timed_out == 1
+        assert server.counters["queries_timed_out"].value == 1
         # the error frame is terminal: the connection survives
         assert connection.execute("SELECT 1").scalar() == 1
         connection.close()
@@ -169,7 +169,7 @@ class TestCancellation:
         with pytest.raises(QueryCancelledError):
             while stream.fetchone() is not None:
                 pass
-        assert server.stats.queries_cancelled == 1
+        assert server.counters["queries_cancelled"].value == 1
         # the terminal error frame leaves the connection usable
         assert connection.execute("SELECT COUNT(*) FROM big").scalar() \
             == BIG_ROWS
@@ -256,7 +256,7 @@ class TestAdmissionControl:
                 connection.execute("SELECT 1")
             assert excinfo.value.retryable
             assert excinfo.value.code == ERR_SATURATED
-            assert server.stats.queries_rejected == 1
+            assert server.counters["queries_rejected"].value == 1
         finally:
             server.admission.release()
         assert connection.execute("SELECT 1").scalar() == 1
@@ -274,7 +274,7 @@ class TestAdmissionControl:
             assert connection.execute("SELECT 1").scalar() == 1
         finally:
             release_timer.cancel()
-        assert server.stats.queries_rejected == 0
+        assert server.counters["queries_rejected"].value == 0
         connection.close()
 
     def test_queue_wait_expiry_rejects(self, big_database):
@@ -536,7 +536,7 @@ class TestMalformedFrames:
         reply = decode_message(payload)
         assert reply["type"] == "error"
         assert reply["code"] == "wire_format"
-        assert server.stats.wire_errors == 1
+        assert server.counters["wire_errors"].value == 1
         # the session is still usable for a well-formed request afterwards
         transport.send({"type": "hello", "username": "monetdb",
                         "protocol_version": PROTOCOL_VERSION})
@@ -566,7 +566,7 @@ class TestSessionLifecycle:
         transport.close()
         transport.close()
         assert server.active_sessions == 0
-        assert server.stats.sessions_closed == 1
+        assert server.counters["sessions_closed"].value == 1
 
     def test_closing_session_cancels_its_query(self, big_database):
         server = DatabaseServer(big_database)
@@ -630,10 +630,10 @@ class TestStalledReader:
 
                 deadline = time.monotonic() + 15
                 while time.monotonic() < deadline:
-                    if server.stats.stalled_disconnects >= 1:
+                    if server.counters["stalled_disconnects"].value >= 1:
                         break
                     time.sleep(0.05)
-                assert server.stats.stalled_disconnects >= 1
+                assert server.counters["stalled_disconnects"].value >= 1
                 # the slot must be free well before any admission timeout:
                 # a direct (well-behaved) client runs immediately
                 deadline = time.monotonic() + 5
@@ -693,7 +693,7 @@ class TestInternalErrors:
     def test_value_error_in_expression_is_an_error_frame(self, served):
         server, connection = served
         self._fails_promptly(connection, "SELECT -s FROM t", "invalid operands")
-        assert server.stats.internal_errors == 0  # an ExecutionError by now
+        assert server.counters["internal_errors"].value == 0  # an ExecutionError by now
         self._still_serving(server, connection)
 
     @pytest.mark.parametrize("sql, message", [
@@ -705,8 +705,8 @@ class TestInternalErrors:
     def test_a_typo_is_a_parse_error_frame(self, served, sql, message, capsys):
         server, connection = served
         self._fails_promptly(connection, sql, message)
-        assert server.stats.internal_errors == 0
-        assert server.stats.errors == 1
+        assert server.counters["internal_errors"].value == 0
+        assert server.counters["errors"].value == 1
         assert "Traceback" not in capsys.readouterr().err
         self._still_serving(server, connection)
 
@@ -726,8 +726,8 @@ class TestInternalErrors:
         server.fault_hook = None
         logged = capsys.readouterr().err
         assert "Traceback" in logged and "RuntimeError: boom" in logged
-        assert server.stats.internal_errors == 1
-        assert server.stats.errors == 1
+        assert server.counters["internal_errors"].value == 1
+        assert server.counters["errors"].value == 1
         self._still_serving(server, connection)
         stats = dict(connection.execute("SHOW STATS").fetchall())
         assert stats["server.internal_errors"] == 1

@@ -58,8 +58,8 @@ class TestLogin:
     def test_session_stats_tracked(self, populated_server):
         connection = Connection.connect_in_process(populated_server)
         connection.execute("SELECT 1")
-        assert populated_server.stats.sessions_opened == 1
-        assert populated_server.stats.queries_executed == 1
+        assert populated_server.counters["sessions_opened"].value == 1
+        assert populated_server.counters["queries_executed"].value == 1
         connection.close()
 
 

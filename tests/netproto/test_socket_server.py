@@ -38,7 +38,7 @@ class TestSocketTransport:
             connection = Connection.connect_tcp(ConnectionInfo(host=host, port=port))
             assert connection.execute("SELECT COUNT(*) FROM t").scalar() == 3
             connection.close()
-        assert server.stats.sessions_opened == 3
+        assert server.counters["sessions_opened"].value == 3
 
     def test_concurrent_connections(self, tcp_server):
         _, host, port = tcp_server

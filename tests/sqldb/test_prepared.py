@@ -368,9 +368,18 @@ class TestResultCache:
         assert reopened.execute("SELECT SUM(a) FROM t").scalar() == 3
         reopened.close()
 
-    def test_cache_counters_shape(self, db):
-        counters = db.cache_counters()
-        for key in ("plan_cache_hits", "plan_cache_misses",
-                    "plan_cache_evictions", "result_cache_hits",
-                    "result_cache_misses", "result_cache_invalidations"):
-            assert key in counters
+    def test_served_stats_read_the_cache_counters(self, db):
+        from repro.netproto.server import DatabaseServer
+
+        DatabaseServer(db)
+        db.execute("SELECT a FROM t")
+        db.execute("SELECT a FROM t")
+        stats = db.stats_snapshot()
+        plan, result = db.plan_cache, db.result_cache
+        assert stats["server.plan_cache_hits"] == plan.hits > 0
+        assert stats["server.plan_cache_misses"] == plan.misses
+        assert stats["server.plan_cache_evictions"] == plan.evictions
+        assert stats["server.result_cache_hits"] == result.hits > 0
+        assert stats["server.result_cache_misses"] == result.misses
+        assert stats["server.result_cache_invalidations"] == \
+            result.invalidations

@@ -7,8 +7,8 @@ keep-bitmap.  What must not change with the form:
 * every reachable storage state answers alike and stores the same buffers —
   in memory, after WAL-only recovery, after CHECKPOINT + reopen and after
   BACKUP TO + restore — for a script covering every record the writer emits;
-* a log written before the upgrade (version-1 header, ``rows`` / raw
-  ``keep`` records) still recovers to the same table;
+* a log of an older version is refused if it holds records (version 1's
+  ``rows`` / raw ``keep`` shapes included) and re-created if it holds none;
 * a record's size follows its own rows, never the table's.
 """
 
@@ -163,7 +163,7 @@ def test_in_memory_reference_holds_the_edge_values(in_memory):
 
 
 # --------------------------------------------------------------------------- #
-# upgrade: a version-1 log still replays
+# versions: only a version-4 log replays
 # --------------------------------------------------------------------------- #
 def _v1_wal(records: list[dict]) -> bytes:
     """A log as the version-1 writer laid it out, byte for byte."""
@@ -174,13 +174,8 @@ def _v1_wal(records: list[dict]) -> bytes:
     return data
 
 
-V1_STATEMENTS = [
-    "CREATE TABLE u (i INTEGER, s STRING, b BOOLEAN)",
-    "INSERT INTO u VALUES (1, 'a', TRUE), (2, NULL, NULL), (3, '', FALSE), "
-    "(4, 'b', TRUE)",
-    "DELETE FROM u WHERE i = 2",
-    "INSERT INTO u VALUES (5, 'new', NULL)",
-]
+#: CREATE TABLE, INSERT, DELETE and INSERT as the version-1 writer logged
+#: them: ``rows`` value lists and a raw ``keep`` bitmap.
 V1_RECORDS = [
     {"op": "create_table",
      "schema": {"name": "u", "columns": [["i", "INTEGER", True],
@@ -194,173 +189,76 @@ V1_RECORDS = [
 ]
 
 
-def answers_of(database: Database) -> list[tuple]:
-    return database.execute("SELECT * FROM u").fetchall()
+def _stamped(data: bytes, version: int) -> bytes:
+    return data[:8] + struct.pack("<H", version) + data[10:]
 
 
-def test_version_1_log_recovers_to_the_same_table(tmp_path):
-    reference = Database()
-    for statement in V1_STATEMENTS:
-        reference.execute(statement)
-    path = tmp_path / "old.db"
-    wal_path_for(path).write_bytes(_v1_wal(V1_RECORDS))
+def _log_with_records(tmp_path) -> bytes:
+    """A log holding CREATE TABLE, INSERT and DELETE records of the shapes
+    versions 2 and 3 wrote too (a columnar chunk, a compressed bitmap)."""
+    path = tmp_path / "writer.db"
     database = Database(path=path)
-    assert database.persistence.last_recovery.wal_records_replayed == 4
-    assert answers_of(database) == answers_of(reference)
-    assert stored_buffers(database) == stored_buffers(reference)
-    # new-shape records append behind the old ones and replay with them
-    database.execute("INSERT INTO u VALUES (6, 'after', TRUE)")
-    database.execute("DELETE FROM u WHERE i = 1")
-    reference.execute("INSERT INTO u VALUES (6, 'after', TRUE)")
-    reference.execute("DELETE FROM u WHERE i = 1")
+    database.execute("CREATE TABLE w (i INTEGER, v DOUBLE, s STRING)")
+    database.execute("INSERT INTO w VALUES " + ", ".join(
+        f"({i}, {i * 0.25}, 'n{i % 3}')" for i in range(40)))
+    database.execute("DELETE FROM w WHERE i < 5")
     database.persistence.close(checkpoint=False)
-    reopened = Database(path=path)
-    try:
-        assert answers_of(reopened) == answers_of(reference)
-        assert stored_buffers(reopened) == stored_buffers(reference)
-    finally:
-        reopened.persistence.close(checkpoint=False)
+    return wal_path_for(path).read_bytes()
 
 
-def test_torn_version_1_tail_drops_only_its_last_record(tmp_path):
-    reference = Database()
-    for statement in V1_STATEMENTS[:-1]:
-        reference.execute(statement)
-    path = tmp_path / "torn.db"
-    wal_path_for(path).write_bytes(_v1_wal(V1_RECORDS)[:-3])
+def _assert_refused(path, data: bytes, version: int) -> None:
+    """The open fails naming ``version`` and leaves the log as it was, for
+    the build that wrote it to replay and checkpoint."""
+    wal_path_for(path).write_bytes(data)
+    with pytest.raises(PersistenceError,
+                       match=f"unsupported version {version} "):
+        Database(path=path)
+    assert wal_path_for(path).read_bytes() == data
+
+
+def test_version_1_log_with_records_is_refused(tmp_path):
+    _assert_refused(tmp_path / "v1.db", _v1_wal(V1_RECORDS), 1)
+
+
+def test_torn_version_1_log_is_refused(tmp_path):
+    _assert_refused(tmp_path / "torn.db", _v1_wal(V1_RECORDS)[:-3], 1)
+
+
+def test_version_2_log_with_records_is_refused(tmp_path):
+    _assert_refused(tmp_path / "v2.db",
+                    _stamped(_log_with_records(tmp_path), 2), 2)
+
+
+def test_version_3_log_with_records_is_refused(tmp_path):
+    _assert_refused(tmp_path / "v3.db",
+                    _stamped(_log_with_records(tmp_path), 3), 3)
+
+
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_header_only_older_log_is_recreated_at_the_image_generation(
+        tmp_path, version):
+    """A clean close leaves the image and a header-only log: nothing to
+    replay, so the log is re-created, and appends behind it replay."""
+    path = tmp_path / "clean.db"
     database = Database(path=path)
-    try:
-        assert database.persistence.last_recovery.wal_torn_tail
-        assert answers_of(database) == answers_of(reference)
-    finally:
-        database.persistence.close(checkpoint=False)
-
-
-#: A log as the version-2 writer laid it out, byte for byte: CREATE TABLE w
-#: (i INTEGER, v DOUBLE, s STRING), 40 rows, DELETE of five, one more row.
-#: Its chunks hold ``narrow`` sections in the frame-of-reference form only.
-V2_WAL = bytes.fromhex(
-    "524550524f57414c02000000000000000000000093000000f5861acf4d0000000253"
-    "000000026f70530000000c6372656174655f7461626c655300000006736368656d61"
-    "4d0000000253000000046e616d655300000001775300000007636f6c756d6e734c00"
-    "0000034c000000035300000001695300000007494e5445474552544c000000035300"
-    "000001765300000006444f55424c45544c0000000353000000017353000000065354"
-    "52494e475422020000072b6e7a4d0000000353000000026f705300000006696e7365"
-    "727453000000057461626c6553000000017753000000056368756e6b42000001ec43"
-    "42012800000003000100690001003300000004080100000000000000000001020304"
-    "05060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f20212223242526"
-    "2701007602020041010000000000000000000000000000000000d03f000000000000"
-    "e03f000000000000e83f000000000000f03f000000000000f43f000000000000f83f"
-    "000000000000fc3f0000000000000040000000000000024000000000000004400000"
-    "00000000064000000000000008400000000000000a400000000000000c4000000000"
-    "00000e40000000000000104000000000000011400000000000001240000000000000"
-    "13400000000000001440000000000000154000000000000016400000000000001740"
-    "000000000000184000000000000019400000000000001a400000000000001b400000"
-    "000000001c400000000000001d400000000000001e400000000000001f4000000000"
-    "00002040000000000080204000000000000021400000000000802140000000000000"
-    "22400000000000802240000000000000234000000000008023400100730412023300"
-    "00000404010000000000000000000102000102000102000102000102000102000102"
-    "000102000102000102000102000102000102000f0000000404010000000000000000"
-    "0002040607000000006e306e316e32600000009cbf042f4d0000000453000000026f"
-    "70530000000664656c65746553000000057461626c65530000000177530000000f6b"
-    "6565705f636f6d70726573736564420000000d0301789c63ff0f04000a1e04045300"
-    "000005636f756e7449000000000000002882000000faaacabd4d0000000353000000"
-    "026f705300000006696e7365727453000000057461626c6553000000017753000000"
-    "056368756e6b420000004c4342010100000003000100690001000900000000640000"
-    "00000000000100760202000900000000000000000000f8bf01007304100101000000"
-    "80090000000000000000000000000100000000")
-V2_STATEMENTS = [
-    "CREATE TABLE w (i INTEGER, v DOUBLE, s STRING)",
-    "INSERT INTO w VALUES " + ", ".join(f"({i}, {i * 0.25}, 'n{i % 3}')"
-                                        for i in range(40)),
-    "DELETE FROM w WHERE i < 5",
-    "INSERT INTO w VALUES (100, -1.5, NULL)",
-]
-
-
-def test_version_2_log_replays_and_is_restamped_before_an_append(tmp_path):
-    """The version-2 sections decode as they always did; what is appended
-    behind them may not, so the header says version 4 before it is."""
-    reference = Database()
-    for statement in V2_STATEMENTS:
-        reference.execute(statement)
-    path = tmp_path / "v2.db"
-    wal_path_for(path).write_bytes(V2_WAL)
-    database = Database(path=path)
-    assert database.persistence.last_recovery.wal_records_replayed == 4
-    rows = database.execute("SELECT * FROM w").fetchall()
-    assert rows == reference.execute("SELECT * FROM w").fetchall()
-    assert stored_buffers(database) == stored_buffers(reference)
-    assert wal_path_for(path).read_bytes()[8:10] == struct.pack("<H", 4)
-    database.execute("INSERT INTO w VALUES (101, 0.75, 'n1')")
-    reference.execute("INSERT INTO w VALUES (101, 0.75, 'n1')")
-    database.persistence.close(checkpoint=False)
+    database.execute("CREATE TABLE u (i INTEGER)")
+    database.execute("INSERT INTO u VALUES (1), (2)")
+    database.close()
+    wal = wal_path_for(path)
+    generation = read_wal(wal).generation
+    wal.write_bytes(_stamped(wal.read_bytes(), version))
     reopened = Database(path=path)
+    contents = read_wal(wal)
+    assert (contents.version, contents.generation, contents.records) == \
+        (4, generation, [])
+    assert not reopened.persistence.last_recovery.wal_was_stale
+    reopened.execute("INSERT INTO u VALUES (3)")
+    reopened.persistence.close(checkpoint=False)
+    again = Database(path=path)
     try:
-        assert reopened.execute("SELECT * FROM w").fetchall() == \
-            reference.execute("SELECT * FROM w").fetchall()
+        assert again.execute("SELECT i FROM u").fetchall() == [(1,), (2,), (3,)]
     finally:
-        reopened.persistence.close(checkpoint=False)
-
-
-#: A log as the version-3 writer laid it out, byte for byte: CREATE TABLE w,
-#: 40 rows, DELETE of five, one more row.  Its chunks hold ``narrow``
-#: sections in the byte-wide frame of reference (``i``), stride (``v``'s
-#: digits, the offsets) and decimal forms, none bit-packed.
-V3_WAL = bytes.fromhex(
-    "524550524f57414c03000000000000000000000093000000f5861acf4d0000000253"
-    "000000026f70530000000c6372656174655f7461626c655300000006736368656d61"
-    "4d0000000253000000046e616d655300000001775300000007636f6c756d6e734c00"
-    "0000034c000000035300000001695300000007494e5445474552544c000000035300"
-    "000001765300000006444f55424c45544c0000000353000000017353000000065354"
-    "52494e4754fa000000bdac3b1c4d0000000353000000026f705300000006696e7365"
-    "727453000000057461626c6553000000017753000000056368756e6b42000000c443"
-    "420128000000030001006900010033000000040801e80300000000000000070e151c"
-    "23020910171e25040b12192027060d141b2201080f161d24030a11181f26050c131a"
-    "21010076020200190000000400020800000000000000000019000000000000002800"
-    "00000100730412023300000004040100000000000000000001020001020001020001"
-    "02000102000102000102000102000102000102000102000102000102000f00000004"
-    "040100000000000000000002040607000000006e306e316e32620000000e8c464e4d"
-    "0000000453000000026f70530000000664656c65746553000000057461626c655300"
-    "00000177530000000f6b6565705f636f6d70726573736564420000000f0301789cab"
-    "fdfeeff77f000c41046d5300000005636f756e7449000000000000002882000000fa"
-    "aacabd4d0000000353000000026f705300000006696e736572745300000005746162"
-    "6c6553000000017753000000056368756e6b420000004c4342010100000003000100"
-    "69000100090000000064000000000000000100760202000900000000000000000000"
-    "f8bf0100730410010100000080090000000000000000000000000100000000")
-V3_STATEMENTS = [
-    "CREATE TABLE w (i INTEGER, v DOUBLE, s STRING)",
-    "INSERT INTO w VALUES " + ", ".join(f"({i * 7 % 40 + 1000}, {i * 0.25}, 'n{i % 3}')"
-                                        for i in range(40)),
-    "DELETE FROM w WHERE i < 1005",
-    "INSERT INTO w VALUES (100, -1.5, NULL)",
-]
-
-
-def test_version_3_log_replays_and_is_restamped_before_an_append(tmp_path):
-    """A version-3 log's stride, decimal and byte-wide sections decode as
-    they always did; the header says version 4 before bit-packed chunks are
-    appended behind them, and the whole log replays after a reopen."""
-    append = "INSERT INTO w VALUES " + ", ".join(
-        f"({2000 + i * 37 % 300}, {i * 0.5}, 'n1')" for i in range(30))
-    reference = Database()
-    for statement in V3_STATEMENTS + [append]:
-        reference.execute(statement)
-    path = tmp_path / "v3.db"
-    wal_path_for(path).write_bytes(V3_WAL)
-    database = Database(path=path)
-    assert database.persistence.last_recovery.wal_records_replayed == 4
-    assert wal_path_for(path).read_bytes()[8:10] == struct.pack("<H", 4)
-    database.execute(append)
-    database.persistence.close(checkpoint=False)
-    assert b"\x04\x88\x09" in read_wal(wal_path_for(path)).records[-1]["chunk"]
-    reopened = Database(path=path)
-    try:
-        assert reopened.execute("SELECT * FROM w").fetchall() == \
-            reference.execute("SELECT * FROM w").fetchall()
-        assert stored_buffers(reopened) == stored_buffers(reference)
-    finally:
-        reopened.persistence.close(checkpoint=False)
+        again.persistence.close(checkpoint=False)
 
 
 def test_unknown_wal_version_is_refused_at_the_header(tmp_path):
@@ -414,5 +312,3 @@ def test_unpack_mask_returns_the_bool_array():
     unpacked = unpack_mask(pack_mask(mask), len(mask))
     assert isinstance(unpacked, np.ndarray) and unpacked.dtype == bool
     assert np.array_equal(unpacked, mask)
-    raw = np.packbits(mask).tobytes()
-    assert np.array_equal(unpack_mask(raw, len(mask), compressed=False), mask)
