@@ -21,6 +21,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from ..sqldb.lexer import LITERAL_OR_COMMENT
+
 #: Matches ``_conn.execute(`` followed by a Python string literal (single,
 #: double, or triple quoted).  The optional ``% ...`` formatting suffix of
 #: Listing 3 is not part of the literal and is therefore ignored here.
@@ -37,6 +39,15 @@ _FROM_FUNCTION_PATTERN = re.compile(r"\bfrom\s+([a-z_][a-z0-9_]*)\s*\(", re.IGNO
 
 #: Matches a scalar function call anywhere in the query text.
 _CALL_PATTERN = re.compile(r"\b([a-z_][a-z0-9_]*)\s*\(", re.IGNORECASE)
+
+
+def _code(query: str) -> str:
+    """``query`` with its string literals and comments blanked out, position
+    for position: what is left is the SQL its calls and parentheses are in."""
+    # [outside, literal or comment, outside, ...]
+    pieces = LITERAL_OR_COMMENT.split(query)
+    pieces[1::2] = [" " * len(piece) for piece in pieces[1::2]]
+    return "".join(pieces)
 
 
 def normalize_query(query: str) -> str:
@@ -72,7 +83,7 @@ def find_loopback_queries(body: str) -> list[str]:
 def find_called_functions(query: str) -> list[str]:
     """Names that appear as function calls in a query (lowercased, in order)."""
     names: list[str] = []
-    for match in _CALL_PATTERN.finditer(query):
+    for match in _CALL_PATTERN.finditer(_code(query)):
         name = match.group(1).lower()
         if name not in names:
             names.append(name)
@@ -88,13 +99,14 @@ def extract_subquery_arguments(query: str) -> list[str]:
     inputs.
     """
     subqueries: list[str] = []
-    for match in _FROM_FUNCTION_PATTERN.finditer(query):
-        open_position = query.index("(", match.end() - 1)
-        argument_text = _balanced_argument_text(query, open_position)
-        if argument_text is None:
+    code = _code(query)
+    for match in _FROM_FUNCTION_PATTERN.finditer(code):
+        start = match.end()
+        stop = _closing_parenthesis(code, start - 1)
+        if stop is None:
             continue
-        for part in _split_top_level(argument_text):
-            stripped = part.strip()
+        for first, last in _top_level_parts(code, start, stop):
+            stripped = query[first:last].strip()
             if stripped.startswith("(") and stripped.endswith(")"):
                 stripped = stripped[1:-1].strip()
             if stripped.lower().startswith("select"):
@@ -102,35 +114,35 @@ def extract_subquery_arguments(query: str) -> list[str]:
     return subqueries
 
 
-def _balanced_argument_text(query: str, open_position: int) -> str | None:
+def _closing_parenthesis(code: str, open_position: int) -> int | None:
     depth = 0
-    for index in range(open_position, len(query)):
-        char = query[index]
+    for index in range(open_position, len(code)):
+        char = code[index]
         if char == "(":
             depth += 1
         elif char == ")":
             depth -= 1
             if depth == 0:
-                return query[open_position + 1:index]
+                return index
     return None
 
 
-def _split_top_level(argument_text: str) -> list[str]:
-    parts: list[str] = []
+def _top_level_parts(code: str, start: int, stop: int) -> list[tuple[int, int]]:
+    """``(first, last)`` of each comma-separated part of ``code[start:stop]``
+    that is not inside parentheses."""
+    parts: list[tuple[int, int]] = []
     depth = 0
-    current: list[str] = []
-    for char in argument_text:
+    for index in range(start, stop):
+        char = code[index]
         if char == "(":
             depth += 1
         elif char == ")":
             depth -= 1
-        if char == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(char)
-    if current:
-        parts.append("".join(current))
+        elif char == "," and depth == 0:
+            parts.append((start, index))
+            start = index + 1
+    if start < stop:
+        parts.append((start, stop))
     return parts
 
 
@@ -149,6 +161,7 @@ def analyse_loopback_queries(body: str, known_udfs: Iterable[str]) -> list[Loopb
             LoopbackQuery(
                 text=raw,
                 normalized=normalize_query(raw),
+                # on the raw text: %-formatting fills a quoted '%s' too
                 has_placeholders="%d" in raw or "%s" in raw or "%f" in raw,
                 nested_udfs=nested,
                 subqueries=extract_subquery_arguments(raw),

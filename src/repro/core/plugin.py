@@ -15,7 +15,6 @@ plugin does (paper §2):
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -29,6 +28,7 @@ from .debugger import Breakpoint, Controller, DebugOutcome, DebugSession
 from .exporter import ExportReport, UDFExporter
 from .extract import ExtractedInputs, ExtractionPlan, ExtractQueryRewriter, InputExtractor
 from .importer import ImportReport, UDFImporter
+from .nested import find_called_functions
 from .project import DevUDFProject
 from .runner import LocalUDFRunner, RunResult
 from .settings import DevUDFSettings
@@ -169,8 +169,7 @@ class DevUDFPlugin:
             raise SettingsError("no debug query configured in the settings")
         importer = UDFImporter(self.connect(), self.project)
         signatures = importer.fetch_signatures()
-        called = re.findall(r"\b([a-z_][a-z0-9_]*)\s*\(", query.lower())
-        for name in called:
+        for name in find_called_functions(query):
             if name in signatures:
                 return signatures[name].name
         raise ExtractionError(

@@ -58,13 +58,6 @@ def ide_vs_text_editor_share() -> dict[str, float]:
     }
 
 
-def environment(name: str) -> DevelopmentEnvironment:
-    for env in TABLE_1:
-        if env.name.lower() == name.lower():
-            return env
-    raise KeyError(name)
-
-
 def pycharm_rank() -> int:
     """PyCharm's rank by market share in the table (1 = most popular)."""
     ordered = sorted(TABLE_1, key=lambda env: env.market_share, reverse=True)

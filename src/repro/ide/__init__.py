@@ -1,14 +1,13 @@
 """``repro.ide`` — a scriptable stand-in for the PyCharm / IntelliJ platform.
 
 Only the surfaces the devUDF plugin touches are modelled: the project (files +
-editor buffers), the main-menu action registry the plugin contributes its
-"UDF Development" submenu to (Figure 1), and run/debug configurations.
+editor buffers) and the main-menu action registry the plugin contributes its
+"UDF Development" submenu to (Figure 1).
 """
 
 from .actions import Action, ActionCallback, MainMenu, MenuGroup
 from .editor import EditorBuffer
 from .project_model import IDEProject
-from .run_config import RunConfiguration, RunManager, RunOutcome
 
 __all__ = [
     "Action",
@@ -17,7 +16,4 @@ __all__ = [
     "IDEProject",
     "MainMenu",
     "MenuGroup",
-    "RunConfiguration",
-    "RunManager",
-    "RunOutcome",
 ]

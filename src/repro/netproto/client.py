@@ -147,6 +147,10 @@ class ClientStats:
 class Connection:
     """A client connection to a (possibly remote) database server."""
 
+    #: The cancellation credentials of ``login_ok``, set by :meth:`login`.
+    session_id: int
+    cancel_key: str
+
     def __init__(self, transport: InProcessTransport | SocketTransport,
                  info: ConnectionInfo, *,
                  retry_policy: RetryPolicy | None = None) -> None:
@@ -164,10 +168,6 @@ class Connection:
         #: set by the ``connect_*`` constructors.
         self._transport_factory: Callable[
             [], InProcessTransport | SocketTransport] | None = None
-        #: Cancellation credentials from ``login_ok`` (None against a
-        #: pre-resilience server).
-        self.session_id: int | None = None
-        self.cancel_key: str | None = None
         self._active_stream: "ResultStream | None" = None
         #: ``catalog_version`` of the last result header: the server bumps it
         #: on every effective CREATE / DROP FUNCTION (``None`` until a reply
@@ -252,11 +252,12 @@ class Connection:
             raise AuthenticationError(login_reply.get("message", "login failed"))
         if login_reply.get("type") != MSG_LOGIN_OK:
             raise ProtocolError(f"unexpected login reply {login_reply.get('type')!r}")
-        # cancellation credentials (absent on pre-resilience servers)
-        raw_session = login_reply.get("session_id")
-        self.session_id = int(raw_session) if raw_session is not None else None
-        raw_key = login_reply.get("cancel_key")
-        self.cancel_key = str(raw_key) if raw_key is not None else None
+        try:  # the cancellation credentials every login_ok carries
+            self.session_id = int(login_reply["session_id"])
+            self.cancel_key = str(login_reply["cancel_key"])
+        except (KeyError, TypeError, ValueError):
+            raise ProtocolError("login reply carries no cancellation "
+                                "credentials") from None
         self._authenticated = True
         # The transfer key both sides derive from the user's password (paper:
         # "using the password of the database user as a key").
@@ -432,13 +433,7 @@ class Connection:
         verify runs, corruption detections, backups) and the wire layer
         (``server.*``).  Requires an authenticated session.
         """
-        reply = self._exchange({"type": MSG_STATS})
-        if reply.get("type") == MSG_ERROR:
-            raise exception_for_error(reply)
-        if reply.get("type") != MSG_STATS_RESULT:
-            raise ProtocolError(
-                f"unexpected stats reply {reply.get('type')!r}")
-        stats = reply.get("stats")
+        stats = self._stats_reply().get("stats")
         if not isinstance(stats, dict):
             raise ProtocolError("stats reply carries no stats mapping")
         return {str(name): int(value) for name, value in stats.items()}
@@ -451,14 +446,17 @@ class Connection:
         statement ran.  Empty when no statement has exceeded the server's
         ``slow_query_ms`` threshold (or tracking is disabled).
         """
+        entries = self._stats_reply().get("slow_queries")
+        return list(entries) if isinstance(entries, list) else []
+
+    def _stats_reply(self) -> dict[str, Any]:
         reply = self._exchange({"type": MSG_STATS})
         if reply.get("type") == MSG_ERROR:
             raise exception_for_error(reply)
         if reply.get("type") != MSG_STATS_RESULT:
             raise ProtocolError(
                 f"unexpected stats reply {reply.get('type')!r}")
-        entries = reply.get("slow_queries")
-        return list(entries) if isinstance(entries, list) else []
+        return reply
 
     def cursor(self) -> "Cursor":
         return Cursor(self)
@@ -519,9 +517,6 @@ class Connection:
         cancelled; the cancelled query itself fails with
         :class:`~repro.errors.QueryCancelledError` on this connection.
         """
-        if self.session_id is None or self.cancel_key is None:
-            raise ProtocolError(
-                "server did not issue cancellation credentials")
         if self._transport_factory is None:
             raise ProtocolError("this connection cannot open a cancel channel")
         transport = self._transport_factory()

@@ -48,7 +48,7 @@ from ..sqldb.result import QueryResult, ResultColumn
 from ..sqldb.types import SQLType
 from ..sqldb.vector import Vector, concat_values
 from . import compression as compression_mod
-from .wire import decode_value, encode_value
+from .wire import Reader, decode_value, encode_value, utf8
 
 #: Chunk blob magic + format version.
 CHUNK_MAGIC = b"CB"
@@ -312,8 +312,9 @@ class DecodedColumn:
                                      self.mask, self.sql_type)
         if self.objects is not None:
             values = decode_value(self.objects)
-            if not isinstance(values, list):
-                raise WireFormatError("object column payload is not a list")
+            if not isinstance(values, list) or len(values) != self.row_count:
+                raise WireFormatError(
+                    f"object column payload is not a list of {self.row_count}")
             return values
         assert self.offsets is not None and self.blob is not None
         starts = self.offsets[:-1]
@@ -335,32 +336,10 @@ class DecodedColumn:
         return values
 
 
-def _utf8(data: Any) -> str:
-    try:
-        return str(data, "utf-8")
-    except UnicodeDecodeError as exc:
-        raise WireFormatError(f"text in columnar chunk is not UTF-8: {exc}") from None
-
-
-class _BlobReader:
-    """Reads a chunk blob as views of it: a section is not copied out."""
-
-    __slots__ = ("data", "offset")
-
-    def __init__(self, data: bytes) -> None:
-        self.data = memoryview(data)
-        self.offset = 0
-
-    def read(self, count: int) -> memoryview:
-        if self.offset + count > len(self.data):
-            raise WireFormatError("truncated columnar chunk")
-        piece = self.data[self.offset:self.offset + count]
-        self.offset += count
-        return piece
-
-    def unpack(self, fmt: str) -> tuple:
-        size = struct.calcsize(fmt)
-        return struct.unpack(fmt, self.read(size))
+_CHUNK_HEADER = struct.Struct("<BIH")    # version, row count, column count
+_COLUMN_HEADER = struct.Struct("<BBB")   # sql type code, dtype tag, flags
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
 
 
 def decode_chunk(blob: bytes, *,
@@ -374,24 +353,23 @@ def decode_chunk(blob: bytes, *,
     Callers decoding a multi-chunk stream must pass the same dict for every
     chunk (the assembler does); a standalone chunk is self-contained.
     """
-    reader = _BlobReader(blob)
+    reader = Reader(blob)
     if reader.read(2) != CHUNK_MAGIC:
         raise WireFormatError("bad columnar chunk magic")
-    version, row_count, column_count = reader.unpack("<BIH")
+    version, row_count, column_count = reader.unpack(_CHUNK_HEADER)
     if version != CHUNK_VERSION:
         raise WireFormatError(f"unsupported columnar chunk version {version}")
     columns: list[DecodedColumn] = []
     for column_index in range(column_count):
-        (name_len,) = reader.unpack("<H")
-        name = _utf8(reader.read(name_len))
-        type_code, tag, flags = reader.unpack("<BBB")
+        name = reader.text(reader.unpack(_U16)[0])
+        type_code, tag, flags = reader.unpack(_COLUMN_HEADER)
         try:
             sql_type = _SQL_TYPE_BY_CODE[type_code]
         except KeyError:
             raise WireFormatError(f"unknown SQL type code {type_code}") from None
         mask = None
         if flags & _FLAG_NULLS:
-            (bitmap_len,) = reader.unpack("<I")
+            (bitmap_len,) = reader.unpack(_U32)
             if bitmap_len != (row_count + 7) // 8:
                 raise WireFormatError("null bitmap length mismatch")
             bitmap = np.frombuffer(reader.read(bitmap_len), dtype=np.uint8)
@@ -401,7 +379,7 @@ def decode_chunk(blob: bytes, *,
                          max_items: int = len(blob)) -> Any:
             """A section's values over the decoded buffer itself, or its bytes;
             a section of unknown length is bounded by the blob's."""
-            (section_len,) = reader.unpack("<I")
+            (section_len,) = reader.unpack(_U32)
             buffer = compression_mod.decompress_buffer(reader.read(section_len),
                                                        max_items)
             try:
@@ -426,7 +404,7 @@ def decode_chunk(blob: bytes, *,
                 entries = np.empty(max(len(offsets) - 1, 0), dtype=object)
                 for entry_index, (start, stop) in enumerate(
                         zip(offsets[:-1].tolist(), offsets[1:].tolist())):
-                    entries[entry_index] = _utf8(dict_blob[start:stop])
+                    entries[entry_index] = utf8(dict_blob[start:stop])
                 if dictionaries is not None:
                     dictionaries[column_index] = entries
             else:
@@ -450,8 +428,7 @@ def decode_chunk(blob: bytes, *,
                                          objects=read_section()))
         else:
             raise WireFormatError(f"unknown dtype tag {tag:#x}")
-    if reader.offset != len(blob):
-        raise WireFormatError("trailing garbage after columnar chunk")
+    reader.finish("columnar chunk")
     return row_count, columns
 
 

@@ -62,10 +62,17 @@ CODEC_NARROW = "narrow"
 # DEFLATE, plain and over byte lanes
 # --------------------------------------------------------------------------- #
 def _inflate(data: bytes) -> bytes:
+    """One whole zlib stream: a stream cut short or with bytes after it is
+    as corrupt as a bad one."""
+    inflater = zlib.decompressobj()
     try:
-        return zlib.decompress(data)
+        inflated = inflater.decompress(data)
     except zlib.error as exc:
         raise ProtocolError(f"corrupt DEFLATE stream: {exc}") from None
+    if not inflater.eof or inflater.unused_data:
+        raise ProtocolError("corrupt DEFLATE stream: "
+                            + ("bytes after its end" if inflater.eof else "cut short"))
+    return inflated
 
 
 #: lanes shorter than this stay one DEFLATE-6 pass over all lanes.  Measured

@@ -85,10 +85,9 @@ MSG_DEALLOCATED = "deallocated"
 # --------------------------------------------------------------------------- #
 # structured error frames
 # --------------------------------------------------------------------------- #
-#: Stable machine-readable error codes carried in ``error`` messages.  The
-#: ``retryable`` flag travels alongside so old clients need no code table;
-#: new clients map codes back to the exception taxonomy in
-#: :mod:`repro.errors` via :func:`exception_for_error`.
+#: Stable machine-readable error codes carried in every ``error`` message,
+#: beside its ``retryable`` flag; a client maps them back to the exception
+#: taxonomy in :mod:`repro.errors` via :func:`exception_for_error`.
 ERR_PROTOCOL = "protocol"
 ERR_AUTH = "auth"
 ERR_WIRE_FORMAT = "wire_format"
@@ -135,11 +134,8 @@ def error_message_for(exc: BaseException) -> dict[str, Any]:
 
 
 def exception_for_error(message: dict[str, Any]) -> ReproError:
-    """Map a structured ``error`` frame back to the exception taxonomy.
-
-    Unknown or missing codes (a pre-resilience server) fall back to
-    :class:`ExecutionError`, the exception the client always raised.
-    """
+    """Map a structured ``error`` frame back to the exception taxonomy; a
+    code this client does not know is an :class:`ExecutionError`."""
     from ..errors import ExecutionError
 
     code = message.get("code")

@@ -30,6 +30,11 @@ Tag-prefixed, recursive, self-describing.  Tags:
     ``L``         list: u32 count + encoded items
     ``M``         dict: u32 count + alternating encoded string keys / values
 
+Lists and dicts nest at most :data:`MAX_DEPTH` deep, on both sides.  Decoding
+is strict: text that is not UTF-8, a key that is not a string, unread bytes
+after the value and a truncated one are each a
+:class:`~repro.errors.WireFormatError` and never another exception.
+
 Columnar chunk format
 =====================
 Query results are shipped as whole typed column buffers instead of one tagged
@@ -122,17 +127,18 @@ from ..errors import ConnectionLostError, WireFormatError
 #: Frame magic marker (helps catch stream desynchronisation early).
 MAGIC = b"dU"
 
-#: Type tags used by the value codec.
-_TAG_NONE = b"N"
-_TAG_TRUE = b"T"
-_TAG_FALSE = b"F"
-_TAG_INT = b"I"
-_TAG_BIGINT = b"J"
-_TAG_FLOAT = b"D"
-_TAG_STR = b"S"
-_TAG_BYTES = b"B"
-_TAG_LIST = b"L"
-_TAG_DICT = b"M"
+#: Type tags used by the value codec: the bytes the encoder writes, and the
+#: same tag as the int the decoder reads.
+_TAG_NONE, _N = b"N", ord("N")
+_TAG_TRUE, _T = b"T", ord("T")
+_TAG_FALSE, _F = b"F", ord("F")
+_TAG_INT, _I = b"I", ord("I")
+_TAG_BIGINT, _J = b"J", ord("J")
+_TAG_FLOAT, _D = b"D", ord("D")
+_TAG_STR, _S = b"S", ord("S")
+_TAG_BYTES, _B = b"B", ord("B")
+_TAG_LIST, _L = b"L", ord("L")
+_TAG_DICT, _M = b"M", ord("M")
 
 #: Hard cap on a single frame's payload.  A hostile (or corrupted) length
 #: prefix would otherwise make the reader allocate up to 2 GiB before a
@@ -142,12 +148,26 @@ _TAG_DICT = b"M"
 #: the other refuses.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
+#: How deep lists and dicts may nest in one value.  The deepest structure
+#: this code writes is an image footer's column list, six levels down; the
+#: bound keeps a hostile payload from exhausting the decoder's stack, and the
+#: encoder refuses the same depth, so what one side writes the other reads.
+MAX_DEPTH = 32
+
+_U32 = struct.Struct(">I")
+_I64 = struct.Struct(">q")
+_F64 = struct.Struct(">d")
+
 
 # --------------------------------------------------------------------------- #
 # value codec
 # --------------------------------------------------------------------------- #
 def encode_value(value: Any) -> bytes:
     """Encode a single value (recursively) to bytes."""
+    return _encode(value, 0)
+
+
+def _encode(value: Any, depth: int) -> bytes:
     if value is None:
         return _TAG_NONE
     if value is True:
@@ -156,99 +176,133 @@ def encode_value(value: Any) -> bytes:
         return _TAG_FALSE
     if isinstance(value, int):
         if -(1 << 63) <= value < (1 << 63):
-            return _TAG_INT + struct.pack(">q", value)
+            return _TAG_INT + _I64.pack(value)
         data = value.to_bytes((value.bit_length() + 8) // 8, "big", signed=True)
-        return _TAG_BIGINT + struct.pack(">I", len(data)) + data
+        return _TAG_BIGINT + _U32.pack(len(data)) + data
     if isinstance(value, float):
-        return _TAG_FLOAT + struct.pack(">d", value)
+        return _TAG_FLOAT + _F64.pack(value)
     if isinstance(value, str):
         data = value.encode("utf-8")
-        return _TAG_STR + struct.pack(">I", len(data)) + data
+        return _TAG_STR + _U32.pack(len(data)) + data
     if isinstance(value, (bytes, bytearray, memoryview)):
         data = bytes(value)
-        return _TAG_BYTES + struct.pack(">I", len(data)) + data
+        return _TAG_BYTES + _U32.pack(len(data)) + data
+    if isinstance(value, (list, tuple, dict)):
+        if depth == MAX_DEPTH:
+            raise WireFormatError(f"value nests deeper than {MAX_DEPTH} levels")
+        depth += 1
     if isinstance(value, (list, tuple)):
-        parts = [_TAG_LIST, struct.pack(">I", len(value))]
+        parts = [_TAG_LIST, _U32.pack(len(value))]
         for item in value:
-            parts.append(encode_value(item))
+            parts.append(_encode(item, depth))
         return b"".join(parts)
     if isinstance(value, dict):
-        parts = [_TAG_DICT, struct.pack(">I", len(value))]
+        parts = [_TAG_DICT, _U32.pack(len(value))]
         for key, item in value.items():
             if not isinstance(key, str):
                 raise WireFormatError(f"dictionary keys must be strings, got {key!r}")
-            parts.append(encode_value(key))
-            parts.append(encode_value(item))
+            parts.append(_encode(key, depth))
+            parts.append(_encode(item, depth))
         return b"".join(parts)
     # numpy scalars and arrays reach the protocol from UDF results; normalise
     # them rather than rejecting.
     item_method = getattr(value, "item", None)
     if callable(item_method) and getattr(value, "shape", None) == ():
-        return encode_value(value.item())
+        return _encode(value.item(), depth)
     tolist = getattr(value, "tolist", None)
     if callable(tolist):
-        return encode_value(tolist())
+        return _encode(tolist(), depth)
     raise WireFormatError(f"cannot encode value of type {type(value).__name__}")
 
 
-class _Reader:
-    """Sequential reader over a bytes buffer."""
+def utf8(data: Any) -> str:
+    """The bytes-like ``data`` as text; anything but UTF-8 is a format error."""
+    try:
+        return str(data, "utf-8")
+    except UnicodeDecodeError as exc:
+        raise WireFormatError(f"text is not UTF-8: {exc}") from None
 
-    def __init__(self, data: bytes) -> None:
-        self.data = data
+
+class Reader:
+    """Sequential reader over a bytes-like buffer, for every format here.
+
+    A read is a view of the buffer (a columnar chunk's sections are not
+    copied out); running past the end is a :class:`WireFormatError`.
+    """
+
+    __slots__ = ("data", "offset")
+
+    def __init__(self, data: Any) -> None:
+        self.data = memoryview(data)
         self.offset = 0
 
-    def read(self, count: int) -> bytes:
-        if self.offset + count > len(self.data):
+    def read(self, count: int) -> memoryview:
+        end = self.offset + count
+        if end > len(self.data):
             raise WireFormatError("truncated payload")
-        chunk = self.data[self.offset:self.offset + count]
-        self.offset += count
-        return chunk
+        piece = self.data[self.offset:end]
+        self.offset = end
+        return piece
 
-    def read_length(self) -> int:
-        return struct.unpack(">I", self.read(4))[0]
+    def unpack(self, layout: struct.Struct) -> tuple:
+        end = self.offset + layout.size
+        if end > len(self.data):
+            raise WireFormatError("truncated payload")
+        values = layout.unpack_from(self.data, self.offset)
+        self.offset = end
+        return values
+
+    def text(self, count: int) -> str:
+        return utf8(self.read(count))
+
+    def finish(self, what: str) -> None:
+        """Refuse bytes left unread behind ``what``."""
+        if self.offset != len(self.data):
+            raise WireFormatError(f"trailing garbage after {what} "
+                                  f"({len(self.data) - self.offset} bytes)")
 
 
-def decode_value(data: bytes) -> Any:
+def decode_value(data: Any) -> Any:
     """Decode a single value; the payload must be fully consumed."""
-    reader = _Reader(data)
-    value = _decode(reader)
-    if reader.offset != len(data):
-        raise WireFormatError(
-            f"trailing garbage after value ({len(data) - reader.offset} bytes)"
-        )
+    reader = Reader(data)
+    value = _decode(reader, 0)
+    reader.finish("value")
     return value
 
 
-def _decode(reader: _Reader) -> Any:
-    tag = reader.read(1)
-    if tag == _TAG_NONE:
+def _decode(reader: Reader, depth: int) -> Any:
+    tag = reader.read(1)[0]
+    if tag == _N:
         return None
-    if tag == _TAG_TRUE:
+    if tag == _T:
         return True
-    if tag == _TAG_FALSE:
+    if tag == _F:
         return False
-    if tag == _TAG_INT:
-        return struct.unpack(">q", reader.read(8))[0]
-    if tag == _TAG_BIGINT:
-        return int.from_bytes(reader.read(reader.read_length()), "big", signed=True)
-    if tag == _TAG_FLOAT:
-        return struct.unpack(">d", reader.read(8))[0]
-    if tag == _TAG_STR:
-        return reader.read(reader.read_length()).decode("utf-8")
-    if tag == _TAG_BYTES:
-        return reader.read(reader.read_length())
-    if tag == _TAG_LIST:
-        count = reader.read_length()
-        return [_decode(reader) for _ in range(count)]
-    if tag == _TAG_DICT:
-        count = reader.read_length()
-        result = {}
-        for _ in range(count):
-            key = _decode(reader)
-            result[key] = _decode(reader)
-        return result
-    raise WireFormatError(f"unknown type tag {tag!r}")
+    if tag == _I:
+        return reader.unpack(_I64)[0]
+    if tag == _J:
+        return int.from_bytes(reader.read(reader.unpack(_U32)[0]), "big",
+                              signed=True)
+    if tag == _D:
+        return reader.unpack(_F64)[0]
+    if tag == _S:
+        return reader.text(reader.unpack(_U32)[0])
+    if tag == _B:
+        return reader.read(reader.unpack(_U32)[0]).tobytes()
+    if tag != _L and tag != _M:
+        raise WireFormatError(f"unknown type tag {bytes([tag])!r}")
+    if depth == MAX_DEPTH:
+        raise WireFormatError(f"value nests deeper than {MAX_DEPTH} levels")
+    (count,) = reader.unpack(_U32)
+    if tag == _L:
+        return [_decode(reader, depth + 1) for _ in range(count)]
+    result = {}
+    for _ in range(count):
+        if reader.read(1)[0] != _S:
+            raise WireFormatError("dictionary key is not a string")
+        key = reader.text(reader.unpack(_U32)[0])
+        result[key] = _decode(reader, depth + 1)
+    return result
 
 
 # --------------------------------------------------------------------------- #

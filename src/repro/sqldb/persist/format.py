@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, BinaryIO
 
-from ...errors import CorruptionError, PersistenceError
+from ...errors import CorruptionError, PersistenceError, WireFormatError
 from ...netproto import compression as compression_mod
 from ...netproto.columnar import ChunkEncoder, decode_chunk
 from ...netproto.wire import decode_value, encode_value
@@ -233,7 +233,11 @@ def read_footer(data: bytes, path: str | os.PathLike[str]) -> dict[str, Any]:
     footer_bytes = data[footer_offset:footer_end]
     if zlib.crc32(footer_bytes) != footer_crc:
         raise PersistenceError(f"database file {path}: footer checksum mismatch")
-    footer = decode_value(footer_bytes)
+    try:
+        footer = decode_value(footer_bytes)
+    except WireFormatError as exc:
+        raise PersistenceError(
+            f"database file {path}: footer does not decode: {exc}") from None
     if not isinstance(footer, dict):
         raise PersistenceError(f"database file {path}: footer is not a catalog")
     return footer

@@ -147,35 +147,36 @@ def _replay(database: "Database", contents: WalContents,
     apply — they discard the quarantine along with the data, so records
     after them replay normally.
     """
-    pending: list[dict[str, Any]] = []
-    pending_start = contents.good_end
+    pending: list[tuple[dict[str, Any], int]] = []  # (record, its offset)
     replayed = 0
     skipped = 0
 
-    def _apply(record: dict[str, Any]) -> None:
+    def _apply(record: dict[str, Any], offset: int) -> None:
         nonlocal replayed, skipped
         if salvage and _targets_quarantined(database, record):
             skipped += 1
             return
-        apply_record(database, record)
+        try:
+            apply_record(database, record)
+        except PersistenceError as exc:
+            raise PersistenceError(f"{exc} (the record at byte {offset} of "
+                                   f"the log)") from exc
         replayed += 1
 
     for record, offset in zip(contents.records, contents.record_offsets):
         if record.get("more"):
-            if not pending:
-                pending_start = offset
-            pending.append(record)
+            pending.append((record, offset))
             continue
         for part in pending:
-            _apply(part)
+            _apply(*part)
         pending.clear()
-        _apply(record)
+        _apply(record, offset)
     report.wal_records_replayed = replayed
     report.wal_records_skipped = skipped
     report.wal_torn_tail = contents.torn or bool(pending)
     if pending:
         # the group's final record never made it to disk: discard the prefix
-        return pending_start
+        return pending[0][1]
     return contents.good_end
 
 
@@ -227,6 +228,9 @@ def apply_record(database: "Database", record: dict[str, Any]) -> None:
             raise PersistenceError(f"unknown WAL record op {op!r}")
     except PersistenceError:
         raise
+    except KeyError as exc:
+        raise PersistenceError(f"WAL replay failed on {op!r} record: it has "
+                               f"no {exc.args[0]!r} field") from exc
     except Exception as exc:
         raise PersistenceError(
             f"WAL replay failed on {op!r} record: {exc}") from exc

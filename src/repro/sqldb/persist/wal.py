@@ -60,7 +60,7 @@ from typing import Any
 
 from time import perf_counter
 
-from ...errors import PersistenceError
+from ...errors import PersistenceError, WireFormatError
 from ...netproto.wire import decode_value, encode_value
 from ...obs import MetricsRegistry
 from . import faults
@@ -146,9 +146,8 @@ def read_wal(path: str | os.PathLike[str], *,
             break
         try:
             record = decode_value(payload)
-        except Exception:
-            contents.torn = True
-            break
+        except WireFormatError:
+            record = None
         if not isinstance(record, dict):
             contents.torn = True
             break

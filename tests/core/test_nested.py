@@ -63,6 +63,13 @@ class TestSubqueryArguments:
     def test_no_table_function(self):
         assert extract_subquery_arguments("SELECT a FROM t") == []
 
+    def test_parentheses_and_commas_in_literals_and_comments(self):
+        query = ("SELECT * FROM f((SELECT a FROM t WHERE s = ')(,'), "
+                 "(SELECT b /* ) */ FROM u -- ,)\n), 3) "
+                 "WHERE x = 'FROM g((SELECT 1))'")
+        assert extract_subquery_arguments(query) == [
+            "SELECT a FROM t WHERE s = ')(,'", "SELECT b /* ) */ FROM u -- ,)"]
+
 
 class TestAnalyseLoopbackQueries:
     def test_classifies_nested_and_plain(self):
@@ -76,6 +83,19 @@ class TestAnalyseLoopbackQueries:
         assert nested.nested_udfs == ["train_rnforest"]
         assert nested.has_placeholders  # the %d estimator placeholder
         assert nested.subqueries == ["SELECT f0, f1, label FROM trainingset"]
+
+    def test_a_call_in_a_literal_or_comment_is_plain_data(self):
+        body = ("res = _conn.execute(\"SELECT label /* helper(2) */ FROM t WHERE "
+                "note = 'see helper(1)' -- helper(3)\")")
+        query, = analyse_loopback_queries(body, ["helper"])
+        assert not query.calls_nested_udf and not query.has_placeholders
+        assert find_nested_udf_names(body, ["helper"]) == []
+
+    def test_a_placeholder_in_quotes_is_still_a_placeholder(self):
+        # %-formatting fills it in at run time, quotes or not
+        body = "res = _conn.execute(\"SELECT v FROM t WHERE s = '%s'\" % name)"
+        query, = analyse_loopback_queries(body, [])
+        assert query.has_placeholders
 
     def test_unknown_functions_not_flagged(self):
         body = "res = _conn.execute('SELECT unknown_fn(i) FROM t')"

@@ -91,6 +91,18 @@ class TestDebugTargetDiscovery:
         with pytest.raises(ExtractionError):
             plugin.find_debug_target("SELECT i FROM numbers")
 
+    @pytest.mark.parametrize("query", [
+        "SELECT i FROM numbers WHERE 'add_one(i)' <> ''",
+        "SELECT i /* add_one(i) */ FROM numbers -- add_one(i)",
+    ], ids=["literal", "comments"])
+    def test_a_call_in_a_literal_or_comment_is_no_target(self, plugin, query):
+        with pytest.raises(ExtractionError):
+            plugin.find_debug_target(query)
+
+    def test_the_call_outside_a_literal_is_the_target(self, plugin):
+        assert plugin.find_debug_target(
+            "SELECT 'mean_deviation(i)', add_one(i) FROM numbers") == "add_one"
+
     def test_missing_query_rejected(self, plugin):
         plugin.settings.debug_query = ""
         with pytest.raises(SettingsError):

@@ -2,7 +2,6 @@
 
 from repro.core.surveys import (
     TABLE_1,
-    environment,
     format_table,
     ide_vs_text_editor_share,
     pycharm_rank,
@@ -26,9 +25,6 @@ class TestTableContents:
     def test_rows_sorted_by_share_as_printed(self):
         shares = [share for _, share, _ in table_rows()]
         assert shares == sorted(shares, reverse=True)
-
-    def test_environment_lookup(self):
-        assert environment("pycharm").kind == "IDE"
 
 
 class TestDerivedStatistics:

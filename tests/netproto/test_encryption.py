@@ -87,38 +87,6 @@ class TestFrozenLayout:
         assert decrypt(blob, "monetdb") == payload
         assert decrypt(kind(blob), "monetdb") == payload
 
-    def test_flipped_byte_anywhere_rejected(self):
-        blob = encrypt(b"the data" * 8, "monetdb")
-        assert decrypt(blob, "monetdb")
-        # magic, salt, nonce, tag, body
-        for position in (0, 3, 4, 20, 36, 68, len(blob) - 1):
-            tampered = bytearray(blob)
-            tampered[position] ^= 0x01
-            with pytest.raises(DecryptionError):
-                decrypt(bytes(tampered), "monetdb")
-
-    def test_blob_relabelled_as_the_other_version_rejected(self):
-        """A ``dUE2`` blob relabelled ``dUE1`` (``'2' ^ 3 == '1'``: a two-bit
-        change) is refused."""
-        relabelled = bytearray(encrypt(b"the data" * 8, "monetdb"))
-        relabelled[3] ^= 0x03
-        assert bytes(relabelled[:4]) == b"dUE1"
-        with pytest.raises(DecryptionError):
-            decrypt(bytes(relabelled), "monetdb")
-
-    def test_magic_of_neither_version_rejected(self):
-        blob = bytearray(encrypt(b"the data", "pw"))
-        blob[3:4] = b"3"
-        with pytest.raises(DecryptionError):
-            decrypt(bytes(blob), "pw")
-
-    @pytest.mark.parametrize("magic", [b"dUE0", b"dUE1", b"dUE3", b"DUE2", b"due2",
-                                       b"\x00\x00\x00\x00"])
-    def test_only_the_dUE2_magic_is_accepted(self, magic):
-        blob = encrypt(b"the data" * 8, "monetdb")
-        with pytest.raises(DecryptionError, match="not a devUDF encrypted blob"):
-            decrypt(magic + blob[4:], "monetdb")
-
     @pytest.mark.parametrize("length", [0, 4, 20, 36, 67, 68])
     def test_blob_cut_at_a_header_boundary_rejected(self, length):
         """Cut in the magic, after it, after the salt, after the nonce, one
@@ -139,20 +107,6 @@ class TestKeying:
         blob = encrypt(b"the data", "correct horse")
         with pytest.raises(DecryptionError):
             decrypt(blob, "battery staple")
-
-    def test_tampered_ciphertext_rejected(self):
-        blob = bytearray(encrypt(b"the data", "pw"))
-        blob[-1] ^= 0xFF
-        with pytest.raises(DecryptionError):
-            decrypt(bytes(blob), "pw")
-
-    def test_truncated_blob_rejected(self):
-        with pytest.raises(DecryptionError):
-            decrypt(b"dUE1short", "pw")
-
-    def test_not_a_blob_rejected(self):
-        with pytest.raises(DecryptionError):
-            decrypt(b"completely unrelated bytes", "pw")
 
     def test_derive_key_depends_on_salt_and_password(self):
         assert derive_key("pw", b"salt1") != derive_key("pw", b"salt2")

@@ -1,6 +1,7 @@
 """Tests for the resilience layer: timeouts, cancellation, admission
 control, client retry/backoff, and the structured error taxonomy."""
 
+import socket
 import threading
 import time
 
@@ -34,11 +35,12 @@ from repro.netproto.messages import (
 )
 from repro.netproto.server import (
     AdmissionController,
+    AsyncSocketServer,
     DatabaseServer,
     InProcessTransport,
     ServerLimits,
 )
-from repro.netproto.wire import decode_frame, decode_message
+from repro.netproto.wire import decode_message, encode_frame, encode_message, read_frame
 from repro.sqldb.context import QueryContext
 from repro.sqldb.database import Database
 
@@ -201,7 +203,6 @@ class TestCancellation:
     def test_cancel_from_another_thread_over_tcp(self):
         database = make_big_database()
         server = DatabaseServer(database)
-        from repro.netproto.server import AsyncSocketServer
 
         # Hold chunk production open after the first chunk until the cancel
         # has landed; otherwise the server can push the whole result into
@@ -494,15 +495,19 @@ class TestErrorTaxonomy:
             assert type(revived) is type(exc)
             assert revived.retryable is retryable
 
-    def test_unknown_code_falls_back_to_execution_error(self):
-        revived = exception_for_error({"type": "error", "message": "boom",
-                                       "code": "from_the_future"})
-        assert type(revived) is ExecutionError
+    @pytest.mark.parametrize("code", [{"code": "from_the_future"}, {}],
+                             ids=["unknown", "missing"])
+    def test_unknown_code_falls_back_to_execution_error(self, code):
+        revived = exception_for_error({"type": "error", "message": "boom", **code})
+        assert type(revived) is ExecutionError and not revived.retryable
 
-    def test_pre_resilience_frame_without_code(self):
-        revived = exception_for_error({"type": "error", "message": "boom"})
-        assert type(revived) is ExecutionError
-        assert not revived.retryable
+    @pytest.mark.parametrize("field", ["session_id", "cancel_key"])
+    def test_a_login_reply_without_cancel_credentials_is_refused(self, field):
+        transport = InProcessTransport(DatabaseServer())
+        receive = transport.receive
+        transport.receive = lambda: {k: v for k, v in receive().items() if k != field}
+        with pytest.raises(ProtocolError, match="cancellation credentials"):
+            Connection(transport, ConnectionInfo()).login()
 
     def test_timeout_code_on_the_wire(self, big_database):
         server = DatabaseServer(big_database)
@@ -526,33 +531,36 @@ class TestErrorTaxonomy:
 # malformed input handling
 # --------------------------------------------------------------------------- #
 class TestMalformedFrames:
-    def test_garbage_payload_gets_structured_error(self, big_database):
+    @pytest.mark.parametrize("payload", [
+        b"\xde\xad\xbe\xef",                                # no value at all
+        b"L\0\0\0\0",                                      # not a dict
+        b"M\0\0\0\x01S\0\0\0\x04typeS\0\0\0\x02\xff\xfe",  # text not UTF-8
+        b"M\0\0\0\x01L\0\0\0\0N",                          # a list as a key
+        b"L\0\0\0\x01" * 5_000 + b"N",                     # 5,000 nested lists
+    ], ids=["garbage", "list", "not_utf8", "list_key", "deep"])
+    def test_an_undecodable_first_frame_is_answered_and_serving_goes_on(
+            self, big_database, payload):
         server = DatabaseServer(big_database)
-        transport = InProcessTransport(server)
-        frames = list(server.handle_frame_stream(
-            transport.session, b"\xde\xad\xbe\xef"))
-        assert len(frames) == 1
-        payload, _ = decode_frame(frames[0])
-        reply = decode_message(payload)
-        assert reply["type"] == "error"
-        assert reply["code"] == "wire_format"
-        assert server.counters["wire_errors"].value == 1
-        # the session is still usable for a well-formed request afterwards
-        transport.send({"type": "hello", "username": "monetdb",
-                        "protocol_version": PROTOCOL_VERSION})
-        assert transport.receive()["type"] == "challenge"
-        transport.close()
-
-    def test_non_dict_payload_gets_structured_error(self, big_database):
-        from repro.netproto.wire import encode_value
-
-        server = DatabaseServer(big_database)
-        transport = InProcessTransport(server)
-        frames = list(server.handle_frame_stream(
-            transport.session, encode_value([1, 2, 3])))
-        payload, _ = decode_frame(frames[0])
-        assert decode_message(payload)["code"] == "wire_format"
-        transport.close()
+        front = AsyncSocketServer(server, host="127.0.0.1", port=0)
+        host, port = front.start_background()
+        try:
+            with socket.create_connection((host, port), timeout=5.0) as sock:
+                stream = sock.makefile("rwb")
+                stream.write(encode_frame(payload))
+                stream.flush()
+                assert decode_message(read_frame(stream))["code"] == "wire_format"
+                stream.write(encode_message({"type": "hello", "username": "monetdb",
+                                             "protocol_version": PROTOCOL_VERSION}))
+                stream.flush()
+                assert decode_message(read_frame(stream))["type"] == "challenge"
+            assert front._thread.is_alive()
+            assert server.counters["wire_errors"].value == 1
+            connection = Connection.connect_tcp(
+                ConnectionInfo(host=host, port=port), timeout=5.0)
+            assert connection.execute("SELECT 1").scalar() == 1
+            connection.close()
+        finally:
+            front.stop()
 
 
 # --------------------------------------------------------------------------- #
@@ -587,7 +595,6 @@ class TestStalledReader:
         ``send_timeout`` and its execution slot freed — backpressure pauses
         the query, but never past the admission controller's patience."""
         from repro.netproto.chaos import ChaosProxy, FaultSpec
-        from repro.netproto.server import AsyncSocketServer
 
         # ~9.6 MB on the wire: the result must overrun HIGH_WATER plus what
         # the kernel's socket buffers absorb (a few MB on loopback).  ``i``
@@ -659,8 +666,6 @@ class TestInternalErrors:
 
     @pytest.fixture()
     def served(self):
-        from repro.netproto.server import AsyncSocketServer
-
         database = Database()
         database.execute("CREATE TABLE t (a INTEGER, s STRING)")
         database.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, NULL)")

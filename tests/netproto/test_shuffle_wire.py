@@ -1,13 +1,10 @@
-"""The ``shuffle`` codec (id 3) on the paths that use it, and what a damaged
-compressed chunk may do.
+"""The ``shuffle`` codec (id 3) on the paths that use it (what a damaged
+chunk may do: ``tests/test_byte_formats.py``).
 
 * every column kind round-trips through ``encode_result_chunk`` ↔
   ``decode_chunk`` and through a TCP connection with ``encrypt`` on;
 * a typed column reaches the codec *with its width* (the lane-width byte of
   each section is the buffer's ``itemsize``, not 1);
-* a flipped byte or a truncation anywhere in a compressed chunk blob — any
-  codec — ends in a decode or in a ``ProtocolError``, never in ``zlib.error``,
-  NumPy's ``ValueError`` or ``UnicodeDecodeError``;
 * the durable image may be written with the codec (an image segment *is* a
   wire chunk) although it is not the image's default.
 """
@@ -22,7 +19,7 @@ from repro.core.settings import DataTransferSettings
 from repro.errors import ProtocolError
 from repro.netproto.client import Connection, ConnectionInfo, TransferOptions
 from repro.netproto.columnar import decode_chunk, encode_result_chunk
-from repro.netproto.compression import CODEC_SHUFFLE, available_codecs
+from repro.netproto.compression import CODEC_SHUFFLE
 from repro.netproto.server import (
     AsyncSocketServer,
     DatabaseServer,
@@ -169,72 +166,7 @@ class TestTcpRoundTrip:
         assert lanes < tcp_connection.stats.last_transfer.wire_bytes
 
 
-# --------------------------------------------------------------------------- #
-# damaged chunks
-# --------------------------------------------------------------------------- #
-DAMAGE_RESULT = QueryResult([
-    ResultColumn("i", SQLType.INTEGER, [None if i % 9 == 0 else i for i in range(48)]),
-    ResultColumn("d", SQLType.DOUBLE, [i * 0.25 for i in range(48)]),
-    ResultColumn("b", SQLType.BOOLEAN, [i % 2 == 0 for i in range(48)]),
-    ResultColumn("s", SQLType.STRING, [f"naïve-{i}" for i in range(48)]),
-    ResultColumn("g", SQLType.STRING, [f"g{i % 3}" for i in range(48)]),
-    ResultColumn("raw", SQLType.BLOB, [bytes([i]) * 2 for i in range(48)]),
-    ResultColumn("huge", SQLType.BIGINT, [2**66 + i for i in range(48)]),
-    ResultColumn("id", SQLType.BIGINT, list(range(48))),
-    ResultColumn("q", SQLType.DOUBLE, [(i * 37 % 41) * 0.25 - 3.5 for i in range(48)]),
-])
-DAMAGE_BLOBS = {codec: encode_result_chunk(DAMAGE_RESULT, codec=codec,
-                                           allow_dict=True)[0]
-                for codec in available_codecs()}
-
-
 class TestDamagedChunks:
-    def _decode_or_protocol_error(self, blob: bytes) -> None:
-        try:
-            _decoded_rows(blob)
-        except ProtocolError:
-            pass
-
-    @settings(max_examples=600, deadline=None)
-    @given(st.sampled_from(sorted(DAMAGE_BLOBS)), st.data())
-    def test_byte_flip(self, codec, data):
-        blob = bytearray(DAMAGE_BLOBS[codec])
-        position = data.draw(st.integers(0, len(blob) - 1))
-        blob[position] ^= data.draw(st.integers(1, 255))
-        self._decode_or_protocol_error(bytes(blob))
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from(sorted(DAMAGE_BLOBS)), st.data())
-    def test_truncation(self, codec, data):
-        blob = DAMAGE_BLOBS[codec]
-        cut = data.draw(st.integers(0, len(blob) - 1))
-        with pytest.raises(ProtocolError):
-            _decoded_rows(blob[:cut])
-
-    @pytest.mark.parametrize("codec", sorted(DAMAGE_BLOBS))
-    def test_every_position_once(self, codec):
-        """Exhaustive over positions (one fixed mask), so a position the
-        property test did not draw cannot hide another exception type."""
-        blob = DAMAGE_BLOBS[codec]
-        assert _decoded_rows(blob) == [c.values for c in DAMAGE_RESULT.columns]
-        for position in range(len(blob)):
-            damaged = bytearray(blob)
-            damaged[position] ^= 0x5A
-            self._decode_or_protocol_error(bytes(damaged))
-
-    def test_the_narrow_blob_holds_narrowed_sections(self):
-        """``narrow`` reaches the damage tests above through
-        ``available_codecs()``; they test its decoder only if its blob is not
-        all id-0 sections; it holds a stride (``id``, ``raw``'s offsets) and
-        decimals whose integers are a stride (``d``) and bit-packed (``q``,
-        10 bits a value)."""
-        blob = DAMAGE_BLOBS["narrow"]
-        assert len(blob) < len(DAMAGE_BLOBS["none"])
-        assert struct.pack("<BBBqqI", 4, 8, 0, 0, 1, 48) in blob
-        assert struct.pack("<BBBqqI", 4, 4, 0, 0, 2, 49) in blob
-        assert struct.pack("<BBBBBqqI", 4, 0, 2, 8, 0, 0, 25, 48) in blob
-        assert struct.pack("<BBBBBqI", 4, 0, 2, 0x88, 10, -350, 48) in blob
-
     def test_section_not_a_multiple_of_its_dtype(self):
         """Reproduced at the parent: NumPy's ``ValueError`` leaked."""
         result = QueryResult([ResultColumn("i", SQLType.INTEGER, [1, 2, 3])])

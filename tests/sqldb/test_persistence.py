@@ -429,26 +429,6 @@ class TestWalDetails:
         with pytest.raises(PersistenceError, match="unknown WAL record"):
             apply_record(database, {"op": "explode"})
 
-    def test_corrupt_segment_detected(self, tmp_path):
-        path = tmp_path / "corrupt.db"
-        database = Database(path=path)
-        database.execute("CREATE TABLE t (i INTEGER)")
-        database.execute("INSERT INTO t VALUES (1), (2), (3)")
-        database.close()
-        data = bytearray(path.read_bytes())
-        footer = persist_format.read_footer(bytes(data), path)
-        segment = footer["tables"][0]["segments"][0]
-        data[segment["offset"] + 10] ^= 0xFF  # flip a byte inside the blob
-        path.write_bytes(bytes(data))
-        with pytest.raises(PersistenceError, match="checksum"):
-            Database(path=path)
-
-    def test_wal_bad_magic_raises(self, tmp_path):
-        path = tmp_path / "bad.db"
-        wal_path_for(path).write_bytes(b"NOTAWAL!" + b"\x00" * 16)
-        with pytest.raises(PersistenceError, match="bad magic"):
-            Database(path=path)
-
     def test_torn_wal_header_recovers(self, tmp_path):
         """Crash between a WAL reset's truncate and header write: the short
         file must not brick the database — the image is still authoritative."""

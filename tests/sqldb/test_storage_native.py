@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.errors import PersistenceError, TypeMismatchError
 from repro.sqldb.database import Database
 from repro.sqldb.executor import Executor
-from repro.sqldb.persist import wal_path_for
+from repro.sqldb.persist import read_wal, wal_path_for
 from repro.sqldb.schema import ColumnDef
 from repro.sqldb.storage import Column
 from repro.sqldb.types import ColumnType, SQLType
@@ -293,5 +293,8 @@ class TestIntegerOutOfRange:
         # ``rows`` record, a shape version 4 does not replay
         database.wal_log({"op": "insert", "table": "t", "rows": [[self.HUGE]]})
         database.persistence.close(checkpoint=False)
-        with pytest.raises(PersistenceError, match="'insert' record"):
+        offset = read_wal(wal_path_for(path)).record_offsets[-1]
+        with pytest.raises(PersistenceError, match=(
+                f"'insert' record: it has no 'chunk' field "
+                rf"\(the record at byte {offset} of the log\)")):
             Database(path=path)

@@ -261,15 +261,6 @@ def test_header_only_older_log_is_recreated_at_the_image_generation(
         again.persistence.close(checkpoint=False)
 
 
-def test_unknown_wal_version_is_refused_at_the_header(tmp_path):
-    path = tmp_path / "future.db"
-    data = bytearray(_v1_wal(V1_RECORDS))
-    data[8:10] = struct.pack("<H", 5)
-    wal_path_for(path).write_bytes(bytes(data))
-    with pytest.raises(PersistenceError, match="unsupported version 5"):
-        Database(path=path)
-
-
 # --------------------------------------------------------------------------- #
 # sizes: a record follows its own rows
 # --------------------------------------------------------------------------- #
