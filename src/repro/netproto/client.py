@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from ..errors import (
@@ -141,7 +141,6 @@ class ClientStats:
     retries: int = 0
     reconnects: int = 0
     last_transfer: TransferStats | None = None
-    history: list[TransferStats] = field(default_factory=list)
 
 
 class Connection:
@@ -293,21 +292,34 @@ class Connection:
         with exponential backoff per :attr:`retry_policy`, but only for
         idempotent read-only statements (see :func:`is_idempotent_statement`).
         """
+        if parameters:
+            from ..sqldb.database import _apply_parameters
+
+            sql = _apply_parameters(sql, parameters)
+        request = self._request(MSG_QUERY, query=True, options=options,
+                                timeout=timeout, sql=sql)
+        return self._submit_query(request, sql)
+
+    def _request(self, kind: str, *, query: bool = False,
+                 options: TransferOptions | None = None,
+                 timeout: float | None = None,
+                 **fields: Any) -> dict[str, Any]:
+        """A ``kind`` request carrying ``fields``, once the connection is
+        open and logged in and the in-flight chunk stream is drained; a
+        ``query``-shaped one also carries the transfer options and the
+        server-side deadline."""
         if self._closed:
             raise ConnectionClosedError("connection is closed")
         if not self._authenticated:
             raise AuthenticationError("connection is not authenticated")
         self._drain_active_stream()
-        if parameters:
-            from ..sqldb.database import _apply_parameters
-
-            sql = _apply_parameters(sql, parameters)
-        options = options or self.default_options
-        request_options = options.as_dict()
-        if timeout is not None:
-            request_options["timeout"] = float(timeout)
-        request = {"type": MSG_QUERY, "sql": sql, "options": request_options}
-        return self._submit_query(request, sql)
+        request = {"type": kind, **fields}
+        if query:
+            request_options = (options or self.default_options).as_dict()
+            if timeout is not None:
+                request_options["timeout"] = float(timeout)
+            request["options"] = request_options
+        return request
 
     def _submit_query(self, request: dict[str, Any],
                       sql: str) -> "ResultStream":
@@ -339,13 +351,7 @@ class Connection:
         registry; every :meth:`PreparedHandle.execute` call afterwards skips
         the parser entirely and binds the supplied arguments.
         """
-        if self._closed:
-            raise ConnectionClosedError("connection is closed")
-        if not self._authenticated:
-            raise AuthenticationError("connection is not authenticated")
-        self._drain_active_stream()
-        reply = self._exchange({"type": MSG_PREPARE, "name": name,
-                                "sql": sql})
+        reply = self._exchange(self._request(MSG_PREPARE, name=name, sql=sql))
         if reply.get("type") == MSG_ERROR:
             raise exception_for_error(reply)
         if reply.get("type") != MSG_PREPARED:
@@ -364,26 +370,15 @@ class Connection:
         statement prepared by another connection pass nothing and the call is
         treated as non-idempotent.
         """
-        if self._closed:
-            raise ConnectionClosedError("connection is closed")
-        if not self._authenticated:
-            raise AuthenticationError("connection is not authenticated")
-        self._drain_active_stream()
-        options = options or self.default_options
-        request_options = options.as_dict()
-        if timeout is not None:
-            request_options["timeout"] = float(timeout)
-        request = {"type": MSG_EXECUTE_PREPARED, "name": name,
-                   "args": list(args), "options": request_options}
+        request = self._request(MSG_EXECUTE_PREPARED, query=True,
+                                options=options, timeout=timeout,
+                                name=name, args=list(args))
         retry_sql = sql if sql is not None else f"EXECUTE {name}"
         return self._submit_query(request, retry_sql).result()
 
     def deallocate(self, name: str) -> bool:
         """Drop a prepared statement; returns whether the name existed."""
-        if self._closed:
-            raise ConnectionClosedError("connection is closed")
-        self._drain_active_stream()
-        reply = self._exchange({"type": MSG_DEALLOCATE, "name": name})
+        reply = self._exchange(self._request(MSG_DEALLOCATE, name=name))
         if reply.get("type") == MSG_ERROR:
             raise exception_for_error(reply)
         if reply.get("type") != MSG_DEALLOCATED:
@@ -415,7 +410,6 @@ class Connection:
         self.stats.wire_bytes_received += transfer.wire_bytes
         self.stats.raw_bytes_received += transfer.raw_bytes
         self.stats.last_transfer = transfer
-        self.stats.history.append(transfer)
 
     def execute_script(self, sql: str) -> list[QueryResult]:
         """Execute a semicolon-separated script, one round trip per statement.

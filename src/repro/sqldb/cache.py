@@ -6,24 +6,22 @@ The server-side fast path for hot statements has two tiers, both owned by
 * a :class:`PlanCache` — an LRU of *parsed statements* keyed by normalized
   SQL text, so a repeated statement skips lexing and parsing.  Entries hold
   the immutable AST, not a prepared physical plan: planning re-binds table
-  sources on every execution, so a cached entry can never read a dropped or
-  altered table even if invalidation were to miss it.
+  sources on every execution, so a cached entry never goes stale.
 * a :class:`ResultCache` — a byte-bounded LRU of materialised
   :class:`~repro.sqldb.result.QueryResult` objects for identical read-only
-  SELECTs, invalidated whenever DML/DDL touches any table the SELECT read.
+  SELECTs, valid while the database's ``data_version`` stands still: the
+  first ``get`` or ``put`` that finds it moved drops every entry.
 
-Both caches are plain data structures; the invalidation triggers live in the
-executor (post-mutation) and the database facade (UDF registration,
-recovery).  This module also provides the AST utilities PREPARE/EXECUTE
-needs: profiling a statement (tables read, functions called, parameter
-count) and binding ``?`` placeholders to literal values.
+This module also provides the AST utilities PREPARE/EXECUTE needs: profiling
+a statement (functions called, parameter count) and binding ``?``
+placeholders to literal values.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections import OrderedDict
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from ..errors import ExecutionError
 from . import ast_nodes as ast
@@ -77,9 +75,8 @@ def iter_nodes(root: Any) -> Iterator[Any]:
 
 @dataclasses.dataclass(frozen=True)
 class StatementProfile:
-    """What a statement touches — computed once per parse, reused per run."""
+    """What a statement calls — computed once per parse, reused per run."""
 
-    tables: frozenset[str]
     functions: frozenset[str]
     parameter_count: int
     has_table_function: bool
@@ -95,27 +92,19 @@ class StatementProfile:
 
 
 def profile_statement(statement: ast.Statement) -> StatementProfile:
-    tables: set[str] = set()
     functions: set[str] = set()
     parameters = 0
     has_table_function = False
     for node in iter_nodes(statement):
-        if isinstance(node, ast.NamedTable):
-            tables.add(node.name.lower())
-        elif isinstance(node, (ast.InsertValues, ast.InsertSelect,
-                               ast.Delete, ast.Update, ast.CopyInto)):
-            tables.add(node.table.lower())
-        elif isinstance(node, (ast.CreateTable, ast.DropTable)):
-            tables.add(node.name.lower())
-        elif isinstance(node, ast.FunctionCall):
+        if isinstance(node, ast.FunctionCall):
             functions.add(node.name.lower())
         elif isinstance(node, ast.TableFunctionCall):
             functions.add(node.name.lower())
             has_table_function = True
         elif isinstance(node, ast.Parameter):
             parameters = max(parameters, node.index + 1)
-    return StatementProfile(frozenset(tables), frozenset(functions),
-                            parameters, has_table_function)
+    return StatementProfile(frozenset(functions), parameters,
+                            has_table_function)
 
 
 def parameter_bearing_ids(root: Any) -> frozenset[int]:
@@ -284,27 +273,10 @@ class PlanCache:
             self._entries.popitem(last=False)
             self.evictions += 1
 
-    def invalidate_table(self, table: str) -> int:
-        """Drop every entry that reads ``table``; returns the count dropped."""
-        lowered = table.lower()
-        stale = [key for key, entry in self._entries.items()
-                 if lowered in entry.profile.tables]
-        for key in stale:
-            del self._entries[key]
-        self.evictions += len(stale)
-        return len(stale)
-
-    def clear(self) -> int:
-        count = len(self._entries)
-        self._entries.clear()
-        self.evictions += count
-        return count
-
 
 @dataclasses.dataclass
 class CachedResult:
     result: QueryResult
-    tables: frozenset[str]
     nbytes: int
 
 
@@ -330,23 +302,50 @@ class ResultCache:
     ``max_bytes // 8`` bytes (oldest out first, the newest always kept), and
     a ``get`` that hits promotes its entry to *protected* — so results nobody
     asks for twice cannot crowd out the ones that are.
+
+    ``data_version`` reads the database's data version.  The entries are
+    valid at the version they were computed at: the first ``get`` or ``put``
+    that finds a newer one drops them all, so nothing has to be told what a
+    mutation made stale.
     """
 
-    def __init__(self, max_bytes: int) -> None:
+    def __init__(self, max_bytes: int,
+                 data_version: Callable[[], int] = lambda: 0) -> None:
         self.max_bytes = max_bytes
+        self._data_version = data_version
         self._probation: "OrderedDict[str, CachedResult]" = OrderedDict()
         self._protected: "OrderedDict[str, CachedResult]" = OrderedDict()
         self.probation_bytes = 0
         self.used_bytes = 0
         self.hits = 0
         self.misses = 0
-        self.invalidations = 0
+        self._dropped = 0
         self.evictions = 0
+        #: The data version every held entry was computed at.
+        self.version = 0
 
     def __len__(self) -> int:
         return len(self._probation) + len(self._protected)
 
+    @property
+    def invalidations(self) -> int:
+        """Entries a version change made stale: dropped, or held until the
+        next ``get`` or ``put`` drops them."""
+        stale = self._data_version() != self.version
+        return self._dropped + (len(self) if stale else 0)
+
+    def _refresh(self) -> None:
+        """Drop every entry if the data version moved since they were put."""
+        version = self._data_version()
+        if version != self.version:
+            self._dropped += len(self)
+            self._probation.clear()
+            self._protected.clear()
+            self.probation_bytes = self.used_bytes = 0
+            self.version = version
+
     def get(self, key: str) -> QueryResult | None:
+        self._refresh()
         entry = self._pop(key)
         if entry is None:
             self.misses += 1
@@ -356,13 +355,13 @@ class ResultCache:
         self.hits += 1
         return entry.result
 
-    def put(self, key: str, result: QueryResult,
-            tables: frozenset[str]) -> None:
+    def put(self, key: str, result: QueryResult) -> None:
+        self._refresh()
         nbytes = estimate_result_bytes(result)
         if nbytes > max(self.max_bytes // 4, 1):
             return  # one oversized result must not wipe the whole cache
         self._pop(key)
-        self._probation[key] = CachedResult(result, tables, nbytes)
+        self._probation[key] = CachedResult(result, nbytes)
         self.probation_bytes += nbytes
         self.used_bytes += nbytes
         while len(self._probation) > 1 \
@@ -383,20 +382,3 @@ class ResultCache:
         if entry is not None:
             self.used_bytes -= entry.nbytes
         return entry
-
-    def invalidate_table(self, table: str) -> int:
-        lowered = table.lower()
-        stale = [key for segment in (self._probation, self._protected)
-                 for key, entry in segment.items() if lowered in entry.tables]
-        for key in stale:
-            self._pop(key)
-        self.invalidations += len(stale)
-        return len(stale)
-
-    def clear(self) -> int:
-        count = len(self)
-        self._probation.clear()
-        self._protected.clear()
-        self.probation_bytes = self.used_bytes = 0
-        self.invalidations += count
-        return count

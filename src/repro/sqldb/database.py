@@ -97,12 +97,14 @@ class Database:
         #: LRU of parsed SELECT statements keyed by normalized SQL text —
         #: hot statements skip lexing/parsing.
         self.plan_cache = PlanCache(PLAN_CACHE_ENTRIES)
-        #: Byte-bounded LRU of materialised read-only SELECT results.
-        #: Off by default: the embedded engine is frequently benchmarked by
-        #: re-running identical SQL, and tests mutate storage directly
-        #: (bypassing invalidation).  The wire server turns it on.
-        self.result_cache: ResultCache | None = \
-            ResultCache(result_cache_bytes) if result_cache_bytes > 0 else None
+        #: Byte-bounded LRU of materialised read-only SELECT results, valid
+        #: while :attr:`data_version` stands still.  Off by default: the
+        #: embedded engine is frequently benchmarked by re-running identical
+        #: SQL, and tests mutate storage directly (leaving the version
+        #: alone).  The wire server turns it on.
+        self.result_cache: ResultCache | None = ResultCache(
+            result_cache_bytes, lambda: self.data_version) \
+            if result_cache_bytes > 0 else None
         #: PREPARE name AS ... templates, shared by every connection.
         self._prepared: dict[str, PreparedStatement] = {}
         self.catalog = FunctionCatalog()
@@ -118,6 +120,11 @@ class Database:
         #: ships it in each result header, so a client may keep what it read
         #: from ``sys.functions`` / ``sys.args`` until the number moves.
         self.catalog_version = 0
+        #: Bumped after every statement that changes a table (DML, CREATE /
+        #: DROP TABLE, COPY INTO) and with :attr:`catalog_version`, since
+        #: ``sys.functions`` and ``sys.args`` are tables too: a result
+        #: computed at one version holds until the number moves.
+        self.data_version = 0
         #: Count of executed statements, used by the workflow simulators to
         #: report "server round trips".
         self.statements_executed = 0
@@ -149,9 +156,6 @@ class Database:
                 fsync_batch=wal_fsync_batch or DEFAULT_FSYNC_BATCH,
                 salvage=salvage, metrics=self.metrics)
             self.persistence.open()
-            # recovery/salvage may have replayed mutations; start cold so a
-            # cached plan or result can never outlive what was recovered
-            self.invalidate_caches()
 
     @property
     def path(self) -> str | None:
@@ -264,7 +268,7 @@ class Database:
                         or not cacheable[1].deterministic():
                     cache = None  # neither read nor fed by this statement
                 else:
-                    key, profile = cacheable
+                    key = cacheable[0]
                     result = cache.get(key)
                 if result is None and isinstance(statement, ast.Select):
                     plan = self._executor.plan_select(statement,
@@ -278,7 +282,7 @@ class Database:
                     else:
                         result = plan.execute()
                         if cache is not None:
-                            cache.put(key, result, profile.tables)
+                            cache.put(key, result)
                 elif result is None:
                     result = self._executor.execute(statement,
                                                     context=context)
@@ -303,7 +307,7 @@ class Database:
         """Parse one statement through the plan cache.
 
         Returns the statement plus, when it is a SELECT, its result-cache
-        key and touch profile; other statement types are never cached.
+        key and profile; other statement types are never cached.
         Raises when the statement still contains unbound ``?`` placeholders
         — those must go through PREPARE/EXECUTE.
         """
@@ -320,31 +324,6 @@ class Database:
                     "PREPARE name AS ... and EXECUTE name (args)")
             self.plan_cache.put(key, entry)
         return entry.statement, (key, entry.profile)
-
-    def note_mutation(self, statement: ast.Statement) -> None:
-        """Invalidate cache entries made stale by an executed statement.
-
-        Called by the executor after every successful mutating statement;
-        UDF (re)definition clears both caches entirely on its own (see
-        :meth:`create_function` / :meth:`drop_function`).
-        """
-        if isinstance(statement, (ast.InsertValues, ast.InsertSelect,
-                                  ast.Delete, ast.Update, ast.CopyInto)):
-            self.invalidate_table(statement.table)
-        elif isinstance(statement, (ast.CreateTable, ast.DropTable)):
-            self.invalidate_table(statement.name)
-
-    def invalidate_table(self, table: str) -> None:
-        """Drop every cached plan/result that reads ``table``."""
-        self.plan_cache.invalidate_table(table)
-        if self.result_cache is not None:
-            self.result_cache.invalidate_table(table)
-
-    def invalidate_caches(self) -> None:
-        """Drop every cached plan and result (UDF changes, recovery)."""
-        self.plan_cache.clear()
-        if self.result_cache is not None:
-            self.result_cache.clear()
 
     # -- PREPARE / EXECUTE / DEALLOCATE -------------------------------- #
     def register_prepared(self, statement: ast.Prepare) -> PreparedStatement:
@@ -463,7 +442,7 @@ class Database:
             self.wal_log({"op": "create_function",
                           "signature": signature_to_record(signature)})
         self.catalog.register(signature, replace=replace)
-        self._function_changed(signature.name)
+        self._function_changed()
 
     def drop_function(self, name: str, *, if_exists: bool = False) -> None:
         """Remove a UDF; a missing one raises unless ``if_exists``."""
@@ -472,13 +451,11 @@ class Database:
         elif if_exists:
             return
         self.catalog.drop(name)
-        self._function_changed(name)
+        self._function_changed()
 
-    def _function_changed(self, name: str) -> None:
+    def _function_changed(self) -> None:
         self.catalog_version += 1
-        self.udf_runtime.invalidate(name)
-        # a (re)defined or dropped UDF changes what any query calling it returns
-        self.invalidate_caches()
+        self.data_version += 1
 
     def wal_log(self, record: dict[str, Any]) -> None:
         """Append one logical mutation record to the WAL (no-op in memory)."""

@@ -37,6 +37,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .database import Database
 
 
+#: The statements that change what a table (``sys.tables`` included) holds.
+_TABLE_CHANGING = (ast.InsertValues, ast.InsertSelect, ast.Delete, ast.Update,
+                   ast.CopyInto, ast.CreateTable, ast.DropTable)
+
+
 class Executor:
     """Executes parsed statements against a :class:`Database`."""
 
@@ -67,11 +72,12 @@ class Executor:
             # DML/DDL run whole-statement: one checkpoint up front so an
             # already-cancelled or expired statement never starts mutating
             context.check()
-        result = self._dispatch(statement, context=context)
-        # a successful mutation makes cached plans/results for the touched
-        # tables stale; reads are a cheap no-op here
-        self.database.note_mutation(statement)
-        return result
+        try:
+            return self._dispatch(statement, context=context)
+        finally:
+            if isinstance(statement, _TABLE_CHANGING):
+                # even a failed one may have changed something on its way
+                self.database.data_version += 1
 
     def _dispatch(self, statement: ast.Statement, *,
                   context: "QueryContext | None" = None) -> QueryResult:

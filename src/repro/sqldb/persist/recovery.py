@@ -98,8 +98,6 @@ def recover(path: str | os.PathLike[str], database: "Database",
         report.image_tables = image.tables
         report.image_rows = image.rows
         report.quarantined_segments = len(image.quarantined)
-        for name in database.catalog.names():
-            database.udf_runtime.invalidate(name)
 
     if wal.path.exists():
         if wal.path.stat().st_size < HEADER_SIZE:
@@ -219,11 +217,8 @@ def apply_record(database: "Database", record: dict[str, Any]) -> None:
         elif op == "create_function":
             signature = format_mod.signature_from_record(record["signature"])
             database.catalog.register(signature, replace=True)
-            database.udf_runtime.invalidate(signature.name)
         elif op == "drop_function":
-            name = str(record["name"])
-            database.catalog.drop(name, if_exists=True)
-            database.udf_runtime.invalidate(name)
+            database.catalog.drop(str(record["name"]), if_exists=True)
         else:
             raise PersistenceError(f"unknown WAL record op {op!r}")
     except PersistenceError:

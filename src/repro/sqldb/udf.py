@@ -10,6 +10,7 @@ to every UDF (paper §2.3).
 
 from __future__ import annotations
 
+import copy
 import textwrap
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
@@ -220,7 +221,10 @@ class UDFRuntime:
 
     def __init__(self, database: "Database") -> None:
         self._database = database
-        self._compiled: dict[str, tuple[str, Callable[..., Any]]] = {}
+        #: name -> (a copy of the signature compiled, its callable); an
+        #: entry serves only while the catalog's signature still equals it.
+        self._compiled: dict[
+            str, tuple[FunctionSignature, Callable[..., Any]]] = {}
         #: number of times each UDF was invoked (one invocation per operator
         #: call — the quantity the tuple-at-a-time comparison in §2.4 varies).
         self.invocation_counts: dict[str, int] = {}
@@ -231,14 +235,11 @@ class UDFRuntime:
     def _get_callable(self, signature: FunctionSignature) -> Callable[..., Any]:
         key = signature.name.lower()
         cached = self._compiled.get(key)
-        if cached is not None and cached[0] == signature.body:
+        if cached is not None and cached[0] == signature:
             return cached[1]
         function = compile_udf(signature)
-        self._compiled[key] = (signature.body, function)
+        self._compiled[key] = (copy.deepcopy(signature), function)
         return function
-
-    def invalidate(self, name: str) -> None:
-        self._compiled.pop(name.lower(), None)
 
     def invoke(self, signature: FunctionSignature, args: Sequence[Any]) -> Any:
         """Call the UDF once with the given (column/scalar) arguments."""

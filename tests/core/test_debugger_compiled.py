@@ -408,12 +408,13 @@ class TestCostFollowsBreakpoints:
         def sentinel(frame, event, arg):
             return None
 
+        outer = sys.gettrace()
         sys.settrace(sentinel)
         try:
             outcome = debug_file(script, breakpoints=[line],
                                  controller=ScriptedController([QUIT]))
             restored = sys.gettrace()
         finally:
-            sys.settrace(None)
+            sys.settrace(outer)
         assert outcome.quit_requested and len(outcome.stops) == 1
         assert restored is sentinel

@@ -177,7 +177,6 @@ class TestTransferOptions:
         client.execute("SELECT * FROM t")
         assert client.stats.queries == 2
         assert client.stats.rows_received == 4
-        assert len(client.stats.history) == 2
 
 
 class TestCursor:

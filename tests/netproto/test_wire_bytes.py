@@ -291,12 +291,13 @@ def measure(chunk_rows: int, codec: str, encrypt: bool) -> dict:
     measured = {}
     for case, run in CASES.items():
         del seen[:]
-        before = len(connection.stats.history)
+        before = connection.stats.queries
         if callable(run):
             run(connection, options)
         else:
             connection.execute(run, options=options)
-        (transfer,) = connection.stats.history[before:]
+        assert connection.stats.queries == before + 1
+        transfer = connection.stats.last_transfer
         payloads = [bytes(message["payload"]) for message in seen]
         assert transfer.wire_bytes == sum(map(len, payloads))
         assert transfer.chunks == len(payloads)

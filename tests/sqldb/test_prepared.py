@@ -1,9 +1,9 @@
 """PREPARE / EXECUTE / DEALLOCATE, the plan cache, and the result cache.
 
-The cache-correctness guard lives here: every mutation class (DML, DDL,
-full-table DELETE, UDF redefinition, post-recovery open) must invalidate
-whatever it makes stale, and a cached plan must never read a dropped or
-re-created table's old data.
+The cache-correctness guard lives here: after every mutation class (DML,
+DDL — ``sys.tables`` included — full-table DELETE, UDF redefinition,
+post-recovery open) a cached answer equals a fresh one, and a cached plan
+must never read a dropped or re-created table's old data.
 """
 
 import pytest
@@ -291,6 +291,37 @@ class TestResultCache:
                    "LANGUAGE PYTHON { return x + 100 }")
         assert db.execute("SELECT SUM(boost(a)) FROM t").scalar() == 306
 
+    @pytest.mark.parametrize("over_wire", [False, True])
+    def test_count_over_sys_tables_follows_create_and_drop(self, db,
+                                                           over_wire):
+        # sys.tables is a table too: CREATE / DROP TABLE change its COUNT
+        if over_wire:
+            from repro.netproto.client import Connection
+            from repro.netproto.server import DatabaseServer
+
+            connection = Connection.connect_in_process(DatabaseServer(db))
+            count = lambda: connection.execute(  # noqa: E731
+                "SELECT COUNT(*) FROM sys.tables").fetchall()[0][0]
+        else:
+            count = lambda: db.execute(  # noqa: E731
+                "SELECT COUNT(*) FROM sys.tables").scalar()
+        assert count() == 1
+        db.execute("CREATE TABLE b (a INTEGER)")
+        assert count() == 2
+        db.execute("CREATE TABLE c (a INTEGER)")
+        db.execute("DROP TABLE t")
+        assert count() == 2
+        db.execute("DROP TABLE b")
+        assert count() == 1
+
+    def test_swapped_parameters_with_the_same_body_recompile(self, db):
+        db.execute("CREATE FUNCTION f(a INTEGER, b INTEGER) RETURNS INTEGER "
+                   "LANGUAGE PYTHON { return a - b }")
+        assert db.execute("SELECT f(10, 3)").scalar() == 7
+        db.execute("CREATE OR REPLACE FUNCTION f(b INTEGER, a INTEGER) "
+                   "RETURNS INTEGER LANGUAGE PYTHON { return a - b }")
+        assert db.execute("SELECT f(10, 3)").scalar() == -7
+
     def test_udf_results_not_cached_across_create_function_api(self, db):
         # the direct (non-SQL) registration path must also invalidate
         from repro.sqldb.schema import (
@@ -346,10 +377,10 @@ class TestResultCache:
 
         small = result(2)
         assert estimate_result_bytes(small) > 0
-        cache.put("k1", small, frozenset({"t"}))
+        cache.put("k1", small)
         assert cache.get("k1") is not None
         # an entry above a quarter of the budget is refused outright
-        cache.put("huge", result(1000), frozenset({"t"}))
+        cache.put("huge", result(1000))
         assert cache.get("huge") is None
 
     def test_recovery_reopen_clears_caches(self, tmp_path):

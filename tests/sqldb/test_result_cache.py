@@ -39,10 +39,10 @@ def _check(cache):
 
 def test_a_flood_of_one_offs_leaves_a_promoted_entry_cached():
     cache = ResultCache(BUDGET)
-    cache.put("hot", _result(10), frozenset({"t"}))
+    cache.put("hot", _result(10))
     assert cache.get("hot") is not None  # promoted
     for serial in range(2_000):
-        cache.put(f"once{serial}", _result(serial % 300), frozenset({"t"}))
+        cache.put(f"once{serial}", _result(serial % 300))
         _check(cache)
     assert cache.get("hot") is not None
     assert cache.probation_bytes <= BUDGET // 8
@@ -53,35 +53,38 @@ def test_the_newest_entry_stays_even_above_the_probation_share():
     cache = ResultCache(BUDGET)
     big = _result(500)
     assert BUDGET // 8 < estimate_result_bytes(big) <= BUDGET // 4
-    cache.put("small", _result(1), frozenset({"t"}))
-    cache.put("big", big, frozenset({"t"}))
+    cache.put("small", _result(1))
+    cache.put("big", big)
     assert list(cache._probation) == ["big"]
     assert cache.get("big") is big
     _check(cache)
 
 
-def test_invalidate_and_clear_empty_both_segments():
-    cache = ResultCache(BUDGET)
-    for key, table in (("p1", "t"), ("p2", "u"), ("q1", "t"), ("q2", "u")):
-        cache.put(key, _result(3), frozenset({table}))
+def test_a_newer_version_empties_both_segments():
+    version = [0]
+    cache = ResultCache(BUDGET, lambda: version[0])
+    for key in ("p1", "p2", "q1", "q2"):
+        cache.put(key, _result(3))
     cache.get("q1")
     cache.get("q2")
     assert set(cache._protected) == {"q1", "q2"}
-    assert cache.invalidate_table("T") == 2
-    assert set(cache._probation) == {"p2"} and set(cache._protected) == {"q2"}
-    _check(cache)
-    assert cache.clear() == 2
+    version[0] += 1
+    assert cache.invalidations == 4  # stale from the bump on
+    assert cache.get("p1") is None
     assert len(cache) == 0 and cache.used_bytes == cache.probation_bytes == 0
     assert cache.invalidations == 4
+    _check(cache)
+    cache.put("p1", _result(3))
+    version[0] += 1
+    cache.put("p2", _result(3))  # a put drops the stale entries as well
+    assert list(cache._probation) == ["p2"] and cache.invalidations == 5
     _check(cache)
 
 
 OPERATIONS = st.lists(st.one_of(
-    st.tuples(st.just("put"), st.integers(0, 30), st.integers(0, 1_000),
-              st.sampled_from(["t", "u"])),
+    st.tuples(st.just("put"), st.integers(0, 30), st.integers(0, 1_000)),
     st.tuples(st.just("get"), st.integers(0, 30)),
-    st.tuples(st.just("invalidate"), st.sampled_from(["t", "u"])),
-    st.tuples(st.just("clear")),
+    st.tuples(st.just("bump")),
 ), max_size=120)
 
 
@@ -89,22 +92,23 @@ OPERATIONS = st.lists(st.one_of(
 @given(operations=OPERATIONS, budget=st.sampled_from([1, 4_096, BUDGET]))
 def test_the_byte_counts_match_both_segments_after_every_operation(
         operations, budget):
-    cache = ResultCache(budget)
+    version = [0]
+    cache = ResultCache(budget, lambda: version[0])
     stored = {}
     for operation in operations:
         kind = operation[0]
         if kind == "put":
-            _, key, rows, table = operation
-            cache.put(f"k{key}", _result(rows), frozenset({table}))
+            _, key, rows = operation
+            cache.put(f"k{key}", _result(rows))
             stored[f"k{key}"] = rows
         elif kind == "get":
             found = cache.get(f"k{operation[1]}")
-            # a hit answers with what was put under that key
-            assert found is None or found.row_count == stored[f"k{operation[1]}"]
-        elif kind == "invalidate":
-            cache.invalidate_table(operation[1])
+            # a hit answers with what was put under that key since the bump
+            assert found is None \
+                or found.row_count == stored.get(f"k{operation[1]}")
         else:
-            cache.clear()
+            version[0] += 1
+            stored = {}
         _check(cache)
 
 
