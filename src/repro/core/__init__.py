@@ -61,7 +61,7 @@ from .transform import (
     normalise_body,
     strip_catalog_braces,
 )
-from .vcs import Commit, FileDiff, MiniVCS
+from .vcs import Commit, MiniVCS
 from .workflow import (
     DebuggingScenario,
     DeveloperCostModel,
@@ -92,7 +92,6 @@ __all__ = [
     "ExtractedInputs",
     "ExtractionPlan",
     "ExtractQueryRewriter",
-    "FileDiff",
     "ImportReport",
     "ImportedUDF",
     "InputBlobStats",

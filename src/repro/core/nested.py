@@ -37,6 +37,9 @@ _LOOPBACK_PATTERN = re.compile(
 #: Matches a table-function call in a FROM clause: ``FROM <name> (``.
 _FROM_FUNCTION_PATTERN = re.compile(r"\bfrom\s+([a-z_][a-z0-9_]*)\s*\(", re.IGNORECASE)
 
+#: A run of blanks outside a literal: one space in a normalised query.
+_BLANKS = re.compile(r"\s+")
+
 #: Matches a scalar function call anywhere in the query text.
 _CALL_PATTERN = re.compile(r"\b([a-z_][a-z0-9_]*)\s*\(", re.IGNORECASE)
 
@@ -51,13 +54,18 @@ def _code(query: str) -> str:
 
 
 def normalize_query(query: str) -> str:
-    """Whitespace-collapsed, lowercased, semicolon-stripped query text.
+    """Query text with blanks collapsed and case folded outside its string
+    literals and comments, and the trailing ``;`` dropped: ``WHERE s = 'A'``
+    and ``WHERE s = 'a'`` are two queries.
 
     This is the key under which extracted loopback results are stored and
     later replayed by the local ``_conn`` stand-in, so both sides must use the
     same normalisation.
     """
-    return " ".join(str(query).split()).strip("; ").lower()
+    # [outside, literal or comment, outside, ...]
+    pieces = LITERAL_OR_COMMENT.split(str(query))
+    pieces[::2] = [_BLANKS.sub(" ", piece).lower() for piece in pieces[::2]]
+    return "".join(pieces).strip("; ")
 
 
 @dataclass

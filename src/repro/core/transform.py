@@ -116,37 +116,67 @@ class _DevUDFLocalConnection:
 
     Loopback queries whose results were extracted from the server are replayed
     from the transferred data; loopback queries that call a nested UDF are
-    executed locally against the nested function defined in this file.
+    executed locally against the nested function defined in this file.  The
+    text of a string literal (or a comment) is taken as written: it is never
+    case-folded, split at a comma or searched for a parenthesis.
     """
+
+    #: a string literal or a comment, found the way the server's tokenizer
+    #: finds them
+    _LITERAL_OR_COMMENT = (r"""( ' [^']*+ (?: '' [^']*+ )*+ ' """
+                           r"""| " [^"]*+ (?: "" [^"]*+ )*+ " """
+                           r"""| --[^\\n]*\\n? | /\\*.*?\\*/ )""")
 
     def __init__(self, loopback_data, local_functions):
         self._loopback_data = dict(loopback_data or {})
         self._local_functions = dict(local_functions or {})
         self.queries = []
 
-    @staticmethod
-    def _normalize(query):
-        return " ".join(str(query).split()).strip("; ").lower()
+    @classmethod
+    def _pieces(cls, query):
+        """[outside, literal or comment, outside, ...]"""
+        import re
+        return re.split(cls._LITERAL_OR_COMMENT, str(query),
+                        flags=re.VERBOSE | re.DOTALL)
+
+    @classmethod
+    def _normalize(cls, query):
+        """The extracted data's key: blanks collapsed and case folded outside
+        literals and comments, the trailing ``;`` dropped."""
+        import re
+        pieces = cls._pieces(query)
+        pieces[::2] = [re.sub(r"\\s+", " ", piece).lower() for piece in pieces[::2]]
+        return "".join(pieces).strip("; ")
+
+    @classmethod
+    def _code(cls, query):
+        """``query`` with its literals and comments blanked, position for
+        position: what is left is the SQL its calls and commas are in."""
+        pieces = cls._pieces(query)
+        pieces[1::2] = [" " * len(piece) for piece in pieces[1::2]]
+        return "".join(pieces)
 
     def execute(self, query):
         import re
+        query = str(query)
         normalized = self._normalize(query)
         self.queries.append(normalized)
+        code = self._code(query)
         for name, function in self._local_functions.items():
-            match = re.search(r"from\\s+" + re.escape(name.lower()) + r"\\s*\\(", normalized)
+            match = re.search(r"from\\s+" + re.escape(name) + r"\\s*\\(", code,
+                              re.IGNORECASE)
             if match:
-                return self._call_local(name, function, normalized, match.end() - 1)
+                return self._call_local(name, function, query, code, match.end() - 1)
         if normalized in self._loopback_data:
             return self._loopback_data[normalized]
         raise KeyError(
             "devUDF: no extracted data available for loopback query: %r" % normalized
         )
 
-    def _call_local(self, name, function, query, open_position):
-        argument_text = self._argument_text(query, open_position)
+    def _call_local(self, name, function, query, code, open_position):
         arguments = []
-        for part in self._split_arguments(argument_text):
-            part = part.strip()
+        for start, stop in self._argument_spans(code, open_position):
+            part = query[start:stop].strip()
             if not part:
                 continue
             if part.startswith("(") and part.endswith(")"):
@@ -174,40 +204,29 @@ class _DevUDFLocalConnection:
         return {name: result}
 
     @staticmethod
-    def _argument_text(query, open_position):
-        depth = 0
-        for index in range(open_position, len(query)):
-            char = query[index]
+    def _argument_spans(code, open_position):
+        """(start, stop) of each top-level argument of the call whose ``(``
+        is at ``open_position``."""
+        spans, depth, start = [], 0, open_position + 1
+        for index in range(open_position, len(code)):
+            char = code[index]
             if char == "(":
                 depth += 1
             elif char == ")":
                 depth -= 1
                 if depth == 0:
-                    return query[open_position + 1:index]
+                    spans.append((start, index))
+                    return spans
+            elif char == "," and depth == 1:
+                spans.append((start, index))
+                start = index + 1
         raise ValueError("devUDF: unbalanced parentheses in loopback query")
-
-    @staticmethod
-    def _split_arguments(argument_text):
-        parts, depth, current = [], 0, []
-        for char in argument_text:
-            if char == "(":
-                depth += 1
-            elif char == ")":
-                depth -= 1
-            if char == "," and depth == 0:
-                parts.append("".join(current))
-                current = []
-            else:
-                current.append(char)
-        if current:
-            parts.append("".join(current))
-        return parts
 
     @staticmethod
     def _parse_scalar(text):
         text = text.strip()
-        if text.startswith("'") and text.endswith("'"):
-            return text[1:-1]
+        if len(text) >= 2 and text[0] == text[-1] == "'":
+            return text[1:-1].replace("''", "'")
         try:
             return int(text)
         except ValueError:

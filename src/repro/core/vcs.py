@@ -7,20 +7,18 @@ development is challenging and the development history is not stored."
 
 Once devUDF has imported the UDFs as files in the IDE project, any VCS can
 track them.  The reproduction ships a small content-addressed store (commits
-of file snapshots, diffs, history) so the workflow benchmarks and
-examples can demonstrate the point without requiring a git binary.
+of file snapshots and their history, which ``devudf history`` lists) so the
+workflow benchmarks and examples can demonstrate the point without
+requiring a git binary.
 """
 
 from __future__ import annotations
 
-import difflib
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-
-from ..errors import VCSError
 
 
 @dataclass(frozen=True)
@@ -35,15 +33,6 @@ class Commit:
 
     def short_id(self) -> str:
         return self.commit_id[:10]
-
-
-@dataclass
-class FileDiff:
-    """Unified diff of one file between two commits."""
-
-    path: str
-    status: str  # "added" | "removed" | "modified"
-    diff: str = ""
 
 
 class MiniVCS:
@@ -76,12 +65,6 @@ class MiniVCS:
         if not blob_path.exists():
             blob_path.write_bytes(content)
         return digest
-
-    def _read_blob(self, digest: str) -> bytes:
-        blob_path = self._blobs_dir / digest
-        if not blob_path.exists():
-            raise VCSError(f"missing blob {digest}")
-        return blob_path.read_bytes()
 
     def _load_commits(self) -> list[Commit]:
         raw = json.loads(self._commits_file.read_text(encoding="utf-8"))
@@ -123,62 +106,3 @@ class MiniVCS:
     def log(self) -> list[Commit]:
         """All commits, oldest first."""
         return self._load_commits()
-
-    def head(self) -> Commit | None:
-        commits = self._load_commits()
-        return commits[-1] if commits else None
-
-    def get_commit(self, commit_id: str) -> Commit:
-        for commit in self._load_commits():
-            if commit.commit_id.startswith(commit_id):
-                return commit
-        raise VCSError(f"unknown commit {commit_id!r}")
-
-    def status(self) -> dict[str, str]:
-        """Working-tree status relative to HEAD: path -> added/modified/clean."""
-        head = self.head()
-        tracked = {str(p.relative_to(self.root)): p for p in self._tracked_files()}
-        result: dict[str, str] = {}
-        head_files = head.files if head else {}
-        for relative, path in tracked.items():
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            if relative not in head_files:
-                result[relative] = "added"
-            elif head_files[relative] != digest:
-                result[relative] = "modified"
-            else:
-                result[relative] = "clean"
-        for relative in head_files:
-            if relative not in tracked:
-                result[relative] = "removed"
-        return result
-
-    def diff(self, old_commit_id: str, new_commit_id: str | None = None) -> list[FileDiff]:
-        """Diffs between two commits (or a commit and the working tree)."""
-        old = self.get_commit(old_commit_id)
-        if new_commit_id is not None:
-            new_files = self.get_commit(new_commit_id).files
-            read_new = lambda rel: self._read_blob(new_files[rel]).decode("utf-8")  # noqa: E731
-        else:
-            tracked = {str(p.relative_to(self.root)): p for p in self._tracked_files()}
-            new_files = {rel: "" for rel in tracked}
-            read_new = lambda rel: tracked[rel].read_text(encoding="utf-8")  # noqa: E731
-
-        diffs: list[FileDiff] = []
-        for relative in sorted(set(old.files) | set(new_files)):
-            in_old = relative in old.files
-            in_new = relative in new_files
-            if in_old and not in_new:
-                diffs.append(FileDiff(relative, "removed"))
-                continue
-            old_text = self._read_blob(old.files[relative]).decode("utf-8") if in_old else ""
-            new_text = read_new(relative)
-            if in_old and old_text == new_text:
-                continue
-            diff_text = "".join(difflib.unified_diff(
-                old_text.splitlines(keepends=True),
-                new_text.splitlines(keepends=True),
-                fromfile=f"a/{relative}", tofile=f"b/{relative}",
-            ))
-            diffs.append(FileDiff(relative, "modified" if in_old else "added", diff_text))
-        return diffs

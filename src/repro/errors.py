@@ -169,9 +169,5 @@ class DebugSessionError(DevUDFError):
     """The local debug session could not be started or driven."""
 
 
-class VCSError(DevUDFError):
-    """A version-control operation failed."""
-
-
 class ProjectError(DevUDFError):
     """An IDE project operation failed."""

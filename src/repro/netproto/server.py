@@ -537,10 +537,6 @@ class DatabaseServer:
         compression = options.get("compression") or compression_mod.CODEC_NARROW
         compression_mod.get_codec(compression)  # validate before executing
         encrypt = bool(options.get("encrypt", False))
-        try:
-            chunk_rows = int(options.get("chunk_rows") or self.result_chunk_rows)
-        except (TypeError, ValueError):
-            raise ProtocolError("chunk_rows must be an integer") from None
 
         encryption_key = None
         if encrypt:
@@ -549,8 +545,8 @@ class DatabaseServer:
             encryption_key = session.transfer_key.hex()
 
         # observability: while slow-query tracking is enabled every query
-        # carries a trace id and a span tree (the engine fills in its
-        # parse/plan/execute spans); the spans are only *surfaced* for
+        # carries a trace id and a span (the engine adds its parse, plan
+        # and prepare / execute phases); the spans are only *surfaced* for
         # queries that turn out slow — that is the sampling policy
         started = time.perf_counter()
         trace: TraceSpan | None = None
@@ -579,7 +575,7 @@ class DatabaseServer:
                         prepared_name, prepared_args, context=context)
             else:
                 outcome = self.database.execute_stream(
-                    sql, max_rows=chunk_rows, context=context)
+                    sql, max_rows=self.result_chunk_rows, context=context)
             self.counters["queries_executed"].inc()
             if isinstance(outcome, QueryResult):
                 # execution is done: free the slot before the (possibly
@@ -588,7 +584,7 @@ class DatabaseServer:
                 # underneath the stream.
                 self._finish_query(session)
             stream = result_messages(
-                outcome, chunk_rows=chunk_rows, compression=compression,
+                outcome, chunk_rows=self.result_chunk_rows, compression=compression,
                 encryption_key=encryption_key, trace_id=trace_id,
                 catalog_version=context.catalog_version)
             # pull the header eagerly: the first morsel and its buffer

@@ -7,9 +7,9 @@ engine (sqldb, persist, netproto):
   gauges and log-bucketed latency :class:`Histogram`\\ s.  Snapshots are flat
   ``{name: int}`` dicts, so they merge directly into ``SHOW STATS`` and the
   wire ``stats`` message.
-* :mod:`~repro.obs.trace` — a per-query :class:`TraceSpan` tree with
-  monotonic (``perf_counter``) timings and 16-hex-char trace ids, used for
-  the parse/plan/execute/encode breakdown behind the slow-query log.
+* :mod:`~repro.obs.trace` — a per-query :class:`TraceSpan` with its
+  phases' monotonic (``perf_counter``) timings and 16-hex-char trace ids,
+  the parse/plan/execute/respond breakdown behind the slow-query log.
 
 The package has **no third-party dependencies** and never touches the
 filesystem.

@@ -1,13 +1,12 @@
-"""Per-query trace spans: a tree of named monotonic time intervals.
+"""Per-query trace spans: a query's monotonic time interval and its phases.
 
-A query gets one root :class:`TraceSpan` (created by whichever front end
+A query gets one root :class:`TraceSpan` (created by the front end that
 accepted it) plus a 16-hex-char trace id that travels with the
 ``QueryContext`` through the engine and back to the client in the result
-header.  Layers attach children for their phase — ``parse``, ``plan``,
-``execute``, ``encode`` — either with the context-manager protocol or, on
-hot paths that already hold two ``perf_counter`` readings, with
-:meth:`TraceSpan.add`, which records a finished child without extra clock
-calls.
+header.  Layers record their phase — ``parse``, ``plan``, ``prepare`` or
+``execute``, ``respond`` — with :meth:`TraceSpan.add`, from the two
+``perf_counter`` readings they already hold, so a phase costs no extra
+clock call.
 
 Spans are built by **one thread at a time** (the thread driving the query);
 per-morsel timings are aggregated by the plan instrumentation in
@@ -22,7 +21,7 @@ from __future__ import annotations
 
 import time
 import uuid
-from typing import Any, Iterator
+from typing import Any
 
 __all__ = ["TraceSpan", "new_trace_id"]
 
@@ -33,72 +32,32 @@ def new_trace_id() -> str:
 
 
 class TraceSpan:
-    """One named interval on the monotonic clock, with child spans."""
+    """A query's interval on the monotonic clock, with the phases recorded
+    under it (one level deep: the slow-query log's breakdown)."""
 
-    __slots__ = ("name", "start", "end", "children", "attrs")
+    __slots__ = ("name", "start", "end", "children")
 
-    def __init__(self, name: str, *, start: float | None = None,
-                 attrs: dict[str, Any] | None = None) -> None:
+    def __init__(self, name: str, *, start: float | None = None) -> None:
         self.name = name
         self.start = time.perf_counter() if start is None else start
         self.end: float | None = None
-        self.children: list[TraceSpan] = []
-        self.attrs: dict[str, Any] | None = attrs
+        #: ``(name, start, end)`` of each phase, in the order recorded
+        self.children: list[tuple[str, float, float]] = []
 
-    # ------------------------------------------------------------------ #
-    # recording
-    # ------------------------------------------------------------------ #
-    def child(self, name: str) -> "TraceSpan":
-        """Start a child span now and return it (caller must finish it)."""
-        span = TraceSpan(name)
-        self.children.append(span)
-        return span
-
-    def add(self, name: str, start: float, end: float) -> "TraceSpan":
-        """Attach an already-measured child (both ends are
+    def add(self, name: str, start: float, end: float) -> None:
+        """Record an already-measured phase (both ends are
         ``perf_counter`` readings the caller took anyway)."""
-        span = TraceSpan(name, start=start)
-        span.end = end
-        self.children.append(span)
-        return span
+        self.children.append((name, start, end))
 
-    def finish(self) -> "TraceSpan":
+    def finish(self) -> None:
         if self.end is None:
             self.end = time.perf_counter()
-        return self
-
-    def __enter__(self) -> "TraceSpan":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.finish()
-
-    # ------------------------------------------------------------------ #
-    # reading
-    # ------------------------------------------------------------------ #
-    @property
-    def duration_us(self) -> int:
-        """Elapsed µs; an unfinished span reads as elapsed-so-far."""
-        end = time.perf_counter() if self.end is None else self.end
-        return max(0, int((end - self.start) * 1e6))
-
-    def walk(self, depth: int = 0) -> Iterator[tuple[int, "TraceSpan"]]:
-        yield depth, self
-        for child in self.children:
-            yield from child.walk(depth + 1)
 
     def breakdown(self) -> list[dict[str, Any]]:
-        """Flattened span list for logs / the slow-query ring buffer."""
-        return [{"span": span.name, "depth": depth, "us": span.duration_us}
-                for depth, span in self.walk()]
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"span": self.name, "us": self.duration_us}
-        if self.attrs:
-            out["attrs"] = dict(self.attrs)
-        if self.children:
-            out["children"] = [child.to_dict() for child in self.children]
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TraceSpan({self.name!r}, us={self.duration_us})"
+        """The span at depth 0, then its phases at depth 1, in µs; an
+        unfinished span reads as elapsed-so-far."""
+        end = time.perf_counter() if self.end is None else self.end
+        spans = [(0, self.name, self.start, end)]
+        spans += [(1, *child) for child in self.children]
+        return [{"span": name, "depth": depth, "us": max(0, int((stop - begin) * 1e6))}
+                for depth, name, begin, stop in spans]

@@ -513,9 +513,6 @@ class StreamedResult:
     def __iter__(self) -> Any:
         return self._pieces
 
-    def pieces(self) -> Any:
-        return self._pieces
-
 
 #: A printf-style placeholder, positional (``%s`` / ``%d`` / ``%f`` / ``%i``)
 #: or named (``%(name)s``), or the ``%%`` escape.

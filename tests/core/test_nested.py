@@ -8,6 +8,7 @@ from repro.core.nested import (
     find_nested_udf_names,
     normalize_query,
 )
+from repro.core.transform import _LOCAL_CONNECTION_TEMPLATE
 from repro.workloads.udf_corpus import FIND_BEST_CLASSIFIER_BODY, MEAN_DEVIATION_BUGGY_BODY
 
 
@@ -18,6 +19,22 @@ class TestNormalizeQuery:
     def test_idempotent(self):
         once = normalize_query("SELECT data FROM  testingset")
         assert normalize_query(once) == once
+
+    def test_literals_and_comments_are_kept_as_written(self):
+        assert normalize_query("SELECT  N FROM T WHERE s = 'A  B;' ; ") == \
+            "select n from t where s = 'A  B;'"
+        assert normalize_query("SELECT n FROM t WHERE s = 'A'") != \
+            normalize_query("SELECT n FROM t WHERE s = 'a'")
+        assert normalize_query("SELECT 1 /* Keep  Me */") == "select 1 /* Keep  Me */"
+
+    def test_the_generated_file_computes_the_same_key(self):
+        namespace = {}
+        exec(_LOCAL_CONNECTION_TEMPLATE, namespace)
+        local = namespace["_DevUDFLocalConnection"]
+        for query in ["  SELECT  a,\n b FROM   T ; ", "SELECT * FROM F('Up,(x', 2)",
+                      "SELECT 'it''s', \"Col\"  -- Note\n FROM t;",
+                      "SELECT 'unterminated''", "SELECT 1 /* A\n  B */ ;"]:
+            assert local._normalize(query) == normalize_query(query), query
 
 
 class TestFindLoopbackQueries:

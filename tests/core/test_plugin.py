@@ -183,6 +183,38 @@ class TestRunAndDebug:
         finally:
             plugin.close()
 
+    def test_a_nested_call_takes_its_literals_as_written(self, tmp_path):
+        database = Database()
+        database.execute("CREATE TABLE labels (s STRING, n INTEGER)")
+        database.execute("INSERT INTO labels VALUES ('A', 1), ('a', 2)")
+        database.execute(
+            "CREATE FUNCTION tag(s STRING, n INTEGER) RETURNS TABLE(tag STRING) "
+            "LANGUAGE PYTHON {\n"
+            "    first = lambda v: numpy.asarray(v).ravel()[0]\n"
+            "    return {'tag': [str(first(s)) + '|' + str(int(first(n)))]}\n};")
+        database.execute(
+            "CREATE FUNCTION tagged(k INTEGER) "
+            "RETURNS TABLE(tag STRING, upper INTEGER, lower INTEGER) "
+            "LANGUAGE PYTHON {\n"
+            "    tags = _conn.execute(\"SELECT * FROM tag('Up,(x', 2)\")\n"
+            "    upper = _conn.execute(\"SELECT n FROM labels WHERE s = 'A'\")\n"
+            "    lower = _conn.execute(\"SELECT n FROM labels WHERE s = 'a'\")\n"
+            "    return {'tag': [str(tags['tag'][0])], 'upper': [int(upper['n'][0])],\n"
+            "            'lower': [int(lower['n'][0])]}\n};")
+        server = DatabaseServer(database)
+        settings = DevUDFSettings(debug_query="SELECT * FROM tagged(1)")
+        plugin = DevUDFPlugin(DevUDFProject(tmp_path / "literals"), settings,
+                              server=server)
+        try:
+            server_row = plugin.execute_sql(settings.debug_query).fetchone()
+            assert server_row == ("Up,(x|2", 1, 2)
+            local = plugin.run_udf_locally(preparation=plugin.prepare_debug())
+            assert local.completed, local.exception_type
+            assert (local.result["tag"][0], local.result["upper"][0],
+                    local.result["lower"][0]) == server_row
+        finally:
+            plugin.close()
+
     def test_context_manager_closes_connection(self, demo_server, tmp_path):
         settings = DevUDFSettings(debug_query="SELECT mean_deviation(i) FROM numbers")
         with DevUDFPlugin(DevUDFProject(tmp_path / "ctx"), settings,

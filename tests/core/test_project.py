@@ -1,5 +1,7 @@
 """Tests for the devUDF project (settings persistence, UDF registry, VCS)."""
 
+import hashlib
+
 import pytest
 
 from repro.core.project import UDF_DIR, DevUDFProject
@@ -119,7 +121,8 @@ class TestVCSIntegration:
         commit = project.commit("edit the UDF")
         assert commit.message == "edit the UDF"
         assert "# edited" in (project.root / "udfs/sample_udf.py").read_text()
-        assert project.vcs.status()["udfs/sample_udf.py"] == "clean"
+        edited = (project.root / "udfs/sample_udf.py").read_bytes()
+        assert commit.files["udfs/sample_udf.py"] == hashlib.sha256(edited).hexdigest()
 
     def test_history(self, project):
         project.ide_project.create_file("udfs/sample_udf.py", GENERATED_FILE)

@@ -212,16 +212,14 @@ class TestProtocolNegotiation:
         assert transfer.compressed_bytes < transfer.raw_bytes
         connection.close()
 
-    def test_chunk_rows_option_forces_multiple_chunks(self, server):
+    def test_a_stream_is_cut_at_the_server_chunk_size(self, server):
         for i in range(4, 104):
             server.database.execute(f"INSERT INTO t VALUES ({i}, 's{i}')")
-        connection = Connection.connect_in_process(server)
-        options = TransferOptions()
-        message_options = options.as_dict()
-        message_options["chunk_rows"] = 16
+        sixteen = DatabaseServer(server.database, result_chunk_rows=16)
+        connection = Connection.connect_in_process(sixteen)
         reply = connection._transport.exchange({
             "type": MSG_QUERY, "sql": "SELECT * FROM t ORDER BY i",
-            "options": message_options,
+            "options": TransferOptions().as_dict(),
         })
         assert reply["row_count"] == 103 and not reply["last"]
         assembler = ColumnarResultAssembler(reply)
@@ -339,16 +337,6 @@ class TestProtocolNegotiation:
             connection.execute("SELECT * FROM t ORDER BY i")
         transport.receive = original_receive
         assert connection.execute("SELECT COUNT(*) FROM t").scalar() == 103
-        connection.close()
-
-    def test_malformed_chunk_rows_is_clean_error(self, server):
-        connection = Connection.connect_in_process(server)
-        reply = connection._transport.exchange({
-            "type": MSG_QUERY, "sql": "SELECT * FROM t",
-            "options": {"chunk_rows": "sixteen"},
-        })
-        assert reply["type"] == "error"
-        assert "chunk_rows" in reply["message"]
         connection.close()
 
 

@@ -6,8 +6,9 @@ nothing but the time.
 the key's position among the sorted distinct keys — the position
 ``np.searchsorted`` finds — so both probes hand the unchanged gather the same
 positions.  The property below pins that equality on the probe's whole
-output; the work-counting guards record what ``np.searchsorted`` and the
-join's gather were handed, never how long they took.
+output; the work-counting guards record what ``np.searchsorted``, the pair
+expansion's ``np.repeat`` and the join's gather were handed, never how long
+they took.
 """
 
 import sys
@@ -222,15 +223,43 @@ def gathered(monkeypatch):
     return counts
 
 
+@pytest.fixture()
+def pair_expansions(monkeypatch):
+    """Lengths of the arrays a build's ``probe`` hands ``np.repeat``: its
+    pair expansion, which a unique build skips."""
+    calls = []
+    repeat = np.repeat
+
+    def counting(values, *args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "probe":
+            calls.append(len(values))
+        return repeat(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "repeat", counting)
+    return calls
+
+
 @pytest.mark.parametrize("morsel_rows", [7, 65_536])
 def test_the_serving_join_never_searches_and_gathers_six_columns(
-        probe_searches, gathered, morsel_rows):
+        probe_searches, gathered, pair_expansions, morsel_rows):
     db, expected = _serving_database(morsel_rows, list(range(DIM_ROWS)))
     rows = db.execute(JOIN_SQL).fetchall()
     assert {label: (count, total) for label, count, total in rows} == expected
     assert probe_searches == []
+    # dim's keys are unique: each found row's one match is taken directly
+    assert pair_expansions == []
     # facts' id, k, v beside dim's k, w, label — not all eight columns
     assert gathered and set(gathered) == {6}
+    db.close()
+
+
+def test_a_repeated_build_key_expands_pairs(pair_expansions):
+    db, _ = _serving_database(65_536, list(range(DIM_ROWS)))
+    db.execute("INSERT INTO dim VALUES (3, 1.0, 'd9')")
+    count, = db.execute("SELECT COUNT(*) FROM facts f JOIN dim d "
+                        "ON f.k = d.k").fetchone()
+    assert count > FACT_ROWS
+    assert pair_expansions
     db.close()
 
 
