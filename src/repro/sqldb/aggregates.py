@@ -2,29 +2,30 @@
 
 Two execution tiers live here: the original per-value Python implementations
 (exact SQL NULL semantics, used for object columns and exotic aggregates) and
-numpy kernels used when the input is a
-:class:`repro.sqldb.vector.Vector` — whole-column reductions for implicit
-aggregation and ``reduceat``-based grouped reductions for single-pass hash
-aggregation.  NULL-bearing vectors stay on the numpy tier: SUM/AVG zero-fill
-masked positions and divide by per-group valid counts, MIN/MAX fill with the
-dtype's identity element, COUNT reduces the validity mask itself, and groups
-with no valid value yield ``None`` — the same results the per-value
-implementations produce, computed per byte instead of per Python object.
-Dictionary-encoded string vectors run MIN/MAX on the codes (the dictionary
-is sorted, so code order is string order).
+one numpy kernel used when the input is a
+:class:`repro.sqldb.vector.Vector` — a ``reduceat``-based grouped reduction
+(a whole column is one group) answering a vector.  NULL-bearing vectors stay
+on the numpy tier: SUM/AVG zero-fill masked positions and divide by
+per-group valid counts, MIN/MAX fill with the dtype's identity element,
+COUNT reduces the validity mask itself, and groups with no valid value come
+out NULL — the same results the per-value implementations produce, computed
+per byte instead of per Python object.  Dictionary-encoded string vectors
+run MIN/MAX on the codes (the dictionary is sorted, so code order is string
+order).  Per-morsel partials merge by scattering arrays
+(:func:`merge_partial_aggregates`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from ..errors import ExecutionError
 from . import ast_nodes as ast
 from .types import python_value
-from .vector import Vector
+from .vector import Vector, int_magnitude, typed_vector
 
 AggregateFunction = Callable[[Sequence[Any]], Any]
 
@@ -117,9 +118,12 @@ def aggregate_is_star(node: ast.FunctionCall) -> bool:
     return len(node.args) == 1 and isinstance(node.args[0], ast.Star)
 
 
-#: Aggregates with a numpy whole-column / grouped kernel.  MEDIAN and the
-#: variance family stay on the Python tier: their SQL definitions (sample
-#: variance, integer-preserving odd-count median) differ from numpy defaults.
+#: Aggregates with a numpy kernel, whose state decomposes into per-morsel
+#: partials that merge exactly: SUM/COUNT add, MIN/MAX combine, AVG carries
+#: (sum, count) pairs.  MEDIAN and the variance family stay on the Python
+#: tier (their SQL definitions — sample variance, integer-preserving
+#: odd-count median — differ from numpy defaults); they, GROUP_CONCAT and
+#: DISTINCT aggregates need the whole group in one place and stay sequential.
 VECTOR_AGGREGATES = frozenset({"SUM", "AVG", "MIN", "MAX", "COUNT"})
 
 
@@ -129,48 +133,8 @@ def _int_sum_may_overflow(upper: str, values: np.ndarray) -> bool:
     Conservative magnitude-times-count bound in exact Python arithmetic; when
     it trips, the caller uses the Python tier, whose ints are unbounded.
     """
-    if upper != "SUM" or values.dtype.kind not in "iu" or values.size == 0:
-        return False
-    largest = max(abs(int(np.max(values))), abs(int(np.min(values))))
-    return largest * int(values.size) >= 2 ** 63
-
-
-def _whole_column_vector(upper: str, values: np.ndarray) -> Any:
-    if upper == "COUNT":
-        return int(values.size)
-    if values.dtype == np.bool_ and upper in ("SUM", "AVG"):
-        values = values.astype(np.int64)
-    if upper == "SUM":
-        return np.sum(values).item()
-    if upper == "AVG":
-        return float(np.mean(values))
-    if upper == "MIN":
-        return np.min(values).item()
-    return np.max(values).item()
-
-
-#: Sentinel: a vector kernel declined and the Python tier must run instead.
-_FALLBACK = object()
-
-
-def _whole_column_masked(upper: str, vector: Vector) -> Any:
-    """Whole-column reduction over a vector (mask-aware); may decline."""
-    size = len(vector)
-    null_count = vector.null_count()
-    if upper == "COUNT":
-        return size - null_count
-    if null_count == size:
-        return None
-    if vector.dictionary is not None:
-        if upper not in ("MIN", "MAX"):
-            return _FALLBACK  # SUM/AVG over strings: Python-tier errors apply
-        codes = vector.data if vector.mask is None else vector.data[~vector.mask]
-        code = int(np.min(codes) if upper == "MIN" else np.max(codes))
-        return vector.dictionary[code]
-    data = vector.data if vector.mask is None else vector.data[~vector.mask]
-    if _int_sum_may_overflow(upper, data):
-        return _FALLBACK
-    return _whole_column_vector(upper, data)
+    return upper == "SUM" and values.dtype.kind in "iu" \
+        and int_magnitude(values) * values.size >= 2 ** 63
 
 
 def call_aggregate(name: str, values: Sequence[Any], *, is_star: bool = False,
@@ -178,17 +142,19 @@ def call_aggregate(name: str, values: Sequence[Any], *, is_star: bool = False,
     """Evaluate an aggregate over the per-row values of its argument.
 
     ``values`` may be a :class:`Vector`, a list or a BLOB object array;
-    vectors are reduced with numpy (masks excluded per SQL NULL semantics),
-    everything else by the per-value implementations.
+    vectors are reduced by the grouped kernel over one group (masks excluded
+    per SQL NULL semantics), everything else by the per-value
+    implementations.
     """
     upper = name.upper()
     if upper not in AGGREGATE_FUNCTIONS:
         raise ExecutionError(f"unknown aggregate {name!r}")
     if isinstance(values, Vector):
         if not distinct and len(values) > 0 and upper in VECTOR_AGGREGATES:
-            result = _whole_column_masked(upper, values)
-            if result is not _FALLBACK:
-                return python_value(result)
+            result = _grouped_vector(upper, values,
+                                     GroupLayout.one_group(len(values)))
+            if result is not None:
+                return result[0]
         values = values.to_list()
     if distinct:
         seen: list[Any] = []
@@ -213,21 +179,32 @@ class GroupLayout:
     ``ufunc.reduceat`` can reduce every group in one pass; ``out_perm`` maps
     cluster position to output group id (None means they already coincide).
     A key sort passes its geometry alone (no reduction reads ``gids``; they
-    are derived on demand), ``operators.row_codes`` the ``gids`` alone.
+    are derived on demand), ``operators.row_codes`` the ``gids`` alone;
+    :meth:`one_group`'s ``order`` is the identity slice.
     """
 
     def __init__(self, gids: np.ndarray | None, n_groups: int, *,
-                 order: np.ndarray | None = None,
+                 order: np.ndarray | slice | None = None,
                  starts: np.ndarray | None = None,
-                 out_perm: np.ndarray | None = None) -> None:
+                 out_perm: np.ndarray | None = None,
+                 size: int | None = None) -> None:
         self._gids = None if gids is None else np.asarray(gids, dtype=np.int64)
         self.n_groups = n_groups
-        self.size = int((order if gids is None else self._gids).size)
+        self.size = size if size is not None else \
+            int((order if gids is None else self._gids).size)
         self._order = order
         self._starts = starts
         self.out_perm = out_perm
         self._cluster_counts: np.ndarray | None = None
         self._group_rows: list[np.ndarray] | None = None
+
+    @classmethod
+    def one_group(cls, size: int) -> "GroupLayout":
+        """Every row in one group (an aggregate without GROUP BY, even over
+        no row): the rows are already contiguous, so no group id, order or
+        search is built."""
+        return cls(None, 1, order=slice(None), starts=np.zeros(1, np.intp),
+                   out_perm=np.zeros(1, np.intp), size=size)
 
     @property
     def gids(self) -> np.ndarray:
@@ -237,7 +214,7 @@ class GroupLayout:
         return self._gids
 
     @property
-    def order(self) -> np.ndarray:
+    def order(self) -> np.ndarray | slice:
         if self._order is None:
             from .operators import stable_order  # operators imports this module
             self._order = stable_order(self.gids)
@@ -273,8 +250,8 @@ class GroupLayout:
     def group_rows(self) -> list[np.ndarray]:
         """Per-group row indices, in output group order."""
         if self._group_rows is None:
-            clusters = np.split(self.order, self.starts[1:]) \
-                if self.n_groups else []
+            clusters = np.split(np.arange(self.size)[self.order],
+                                self.starts[1:]) if self.n_groups else []
             if self.out_perm is None:
                 self._group_rows = clusters
             else:
@@ -285,118 +262,69 @@ class GroupLayout:
         return self._group_rows
 
 
-def _grouped_vector(upper: str, values: np.ndarray, layout: GroupLayout) -> list[Any]:
-    if upper == "COUNT":
-        return layout.counts.tolist()
-    sorted_values = values[layout.order]
-    if sorted_values.dtype == np.bool_ and upper in ("SUM", "AVG"):
-        sorted_values = sorted_values.astype(np.int64)
-    if upper == "SUM":
-        per_cluster = np.add.reduceat(sorted_values, layout.starts)
-    elif upper == "AVG":
-        sums = np.add.reduceat(sorted_values.astype(np.float64), layout.starts)
-        per_cluster = sums / layout.cluster_counts
-    elif upper == "MIN":
-        per_cluster = np.minimum.reduceat(sorted_values, layout.starts)
-    else:
-        per_cluster = np.maximum.reduceat(sorted_values, layout.starts)
-    return layout.to_group_order(per_cluster).tolist()
-
-
 #: Identity fill per reduction: masked positions must not affect the result.
-_REDUCE_FILL = {
-    "MIN": {"f": np.inf, "i": np.iinfo(np.int64).max, "u": np.iinfo(np.int64).max},
-    "MAX": {"f": -np.inf, "i": np.iinfo(np.int64).min, "u": np.iinfo(np.int64).min},
-}
+_I64 = np.iinfo(np.int64)
+_REDUCE_FILL = {"MIN": {"f": np.inf, "i": _I64.max, "u": _I64.max, "b": True},
+                "MAX": {"f": -np.inf, "i": _I64.min, "u": _I64.min, "b": False}}
 
 
-def _grouped_vector_masked(upper: str, vector: Vector,
-                           layout: GroupLayout) -> list[Any] | None:
-    """Grouped masked reduction over a vector; ``None`` = use the Python tier.
+def _grouped_vector(upper: str, vector: Vector,
+                    layout: GroupLayout) -> Vector | None:
+    """Grouped reduction over a vector; ``None`` = use the Python tier.
 
-    One ``reduceat`` pass per aggregate: the validity mask is reduced to
+    One ``reduceat`` pass per aggregate: a validity mask is reduced to
     per-group valid counts, masked positions are filled with the reduction's
-    identity element, and groups with no valid value come out as ``None``.
+    identity element, and groups with no valid value come out NULL.
+    Dictionary vectors run MIN / MAX on their codes.
     """
-    if vector.mask is None and vector.dictionary is None:
-        if _int_sum_may_overflow(upper, vector.data):
-            return None
-        return _grouped_vector(upper, vector.data, layout)
-    order = layout.order
-    starts = layout.starts
-    valid = vector.valid()
-    valid_counts = layout.to_group_order(
-        np.add.reduceat(valid[order].astype(np.int64), starts))
+    valid = None if vector.mask is None else ~vector.mask
+    counts = layout.counts if valid is None else layout.to_group_order(
+        np.add.reduceat(valid[layout.order].astype(np.int64), layout.starts))
     if upper == "COUNT":
-        return valid_counts.tolist()
-    if vector.dictionary is not None:
-        if upper not in ("MIN", "MAX"):
-            return None  # SUM/AVG over strings: Python-tier errors apply
-        fill = (np.iinfo(np.int64).max if upper == "MIN"
-                else np.iinfo(np.int64).min)
-        filled = np.where(valid, vector.data, fill)[order]
-        reducer = np.minimum if upper == "MIN" else np.maximum
-        per_group = layout.to_group_order(reducer.reduceat(filled, starts))
-        return [None if count == 0 else vector.dictionary[code]
-                for code, count in zip(per_group.tolist(), valid_counts.tolist())]
+        return typed_vector(counts)
+    if vector.dictionary is not None and upper not in ("MIN", "MAX"):
+        return None  # SUM/AVG over strings: Python-tier errors apply
     data = vector.data
-    was_bool = data.dtype == np.bool_
-    if was_bool:
-        data = data.astype(np.int64)
-    if upper == "SUM" and data.dtype.kind in "iu" \
-            and _int_sum_may_overflow(upper, data[valid]):
-        return None
-    if upper == "SUM":
+    if upper in ("SUM", "AVG"):
+        if data.dtype == np.bool_:
+            data = data.astype(np.int64)
+        if upper == "SUM" and _int_sum_may_overflow(
+                upper, data if valid is None else data[valid]):
+            return None
+        if valid is not None:
+            data = np.where(valid, data, 0)
+        if upper == "AVG":
+            data = data.astype(np.float64)
         sums = layout.to_group_order(
-            np.add.reduceat(np.where(valid, data, 0)[order], starts))
-        return [None if count == 0 else value
-                for value, count in zip(sums.tolist(), valid_counts.tolist())]
-    if upper == "AVG":
-        sums = layout.to_group_order(np.add.reduceat(
-            np.where(valid, data, 0).astype(np.float64)[order], starts))
-        averages = sums / np.maximum(valid_counts, 1)
-        return [None if count == 0 else value
-                for value, count in zip(averages.tolist(), valid_counts.tolist())]
-    # MIN / MAX
-    fill = _REDUCE_FILL[upper].get(data.dtype.kind)
-    if fill is None:
-        return None
-    filled = np.where(valid, data, fill)[order]
+            np.add.reduceat(data[layout.order], layout.starts))
+        return typed_vector(
+            sums if upper == "SUM" else sums / np.maximum(counts, 1),
+            counts == 0)
+    if valid is not None:
+        fill = _REDUCE_FILL[upper].get(data.dtype.kind)
+        if fill is None:
+            return None
+        data = np.where(valid, data, fill)
     reducer = np.minimum if upper == "MIN" else np.maximum
-    per_group = layout.to_group_order(reducer.reduceat(filled, starts))
-    return [None if count == 0 else (bool(value) if was_bool else value)
-            for value, count in zip(per_group.tolist(), valid_counts.tolist())]
+    extremes = layout.to_group_order(
+        reducer.reduceat(data[layout.order], layout.starts))
+    return typed_vector(extremes, counts == 0, vector.dictionary)
 
 
 # --------------------------------------------------------------------------- #
 # partial aggregation (per-morsel hash aggregation)
 # --------------------------------------------------------------------------- #
-#: Aggregates whose state decomposes into per-morsel partials that merge
-#: exactly: SUM/COUNT add, MIN/MAX combine, AVG carries (sum, count) pairs.
-#: Everything else (MEDIAN, the variance family, GROUP_CONCAT, DISTINCT
-#: aggregates) needs the whole group in one place and stays sequential.
-PARTIAL_AGGREGATES = frozenset({"SUM", "AVG", "MIN", "MAX", "COUNT"})
 
 
-class PartialAggregate:
-    """One aggregate's per-local-group state for a single morsel.
+class PartialAggregate(NamedTuple):
+    """One aggregate's state for a single morsel, aligned to the morsel's
+    *local* group ids: ``column`` is the per-group COUNT, SUM, MIN or MAX as
+    :func:`grouped_aggregate` answers it (a vector, or a list from the
+    per-value tier; for AVG its SUM), ``counts`` AVG's per-group valid
+    counts.  A NULL entry means "no valid value in this group"."""
 
-    ``sums``/``counts``/``extremes`` are aligned to the morsel's *local*
-    group ids; the merge step routes them to global groups through the
-    morsel's local-to-global mapping.  ``None`` entries mean "no valid value
-    in this group" (the SQL all-NULL result), so merging stays NULL-correct
-    without consulting validity masks again.
-    """
-
-    __slots__ = ("name", "sums", "counts", "extremes")
-
-    def __init__(self, name: str, *, sums: list[Any] | None = None,
-                 counts: list[int] | None = None,
-                 extremes: list[Any] | None = None) -> None:
-        self.name = name
-        self.sums = sums
-        self.counts = counts
-        self.extremes = extremes
+    column: Any
+    counts: Any = None
 
 
 def partial_aggregate(name: str, values: Sequence[Any], layout: GroupLayout,
@@ -408,95 +336,125 @@ def partial_aggregate(name: str, values: Sequence[Any], layout: GroupLayout,
     unbounded Python integers, string MIN/MAX on dictionary codes).
     """
     upper = name.upper()
-    if upper not in PARTIAL_AGGREGATES:
+    if upper not in VECTOR_AGGREGATES:
         raise ExecutionError(f"aggregate {name!r} has no partial kernel")
-    if upper == "COUNT":
-        if is_star:
-            return PartialAggregate(upper, counts=layout.counts.tolist())
-        return PartialAggregate(
-            upper, counts=grouped_aggregate("COUNT", values, layout))
-    if upper == "SUM":
-        return PartialAggregate(
-            upper, sums=grouped_aggregate("SUM", values, layout))
     if upper == "AVG":
-        return PartialAggregate(
-            upper,
-            sums=grouped_aggregate("SUM", values, layout),
-            counts=grouped_aggregate("COUNT", values, layout))
+        return PartialAggregate(grouped_aggregate("SUM", values, layout),
+                                grouped_aggregate("COUNT", values, layout))
     return PartialAggregate(
-        upper, extremes=grouped_aggregate(upper, values, layout))
+        grouped_aggregate(upper, values, layout, is_star=is_star))
+
+
+def _merge_counts(columns: Sequence[tuple[Any, np.ndarray]],
+                  n_groups: int) -> np.ndarray:
+    totals = np.zeros(n_groups, dtype=np.int64)
+    for counts, groups in columns:
+        totals[groups] += np.asarray(
+            counts.data if isinstance(counts, Vector) else counts, np.int64)
+    return totals
+
+
+def _partial_arrays(column: Any) -> tuple[np.ndarray, np.ndarray | None]:
+    """A partial column as (values, where one is present — None: everywhere):
+    a vector's typed array (strings decoded), else the values as objects."""
+    if isinstance(column, Vector):
+        return column.decoded(), None if column.mask is None else ~column.mask
+    values = np.empty(len(column), dtype=object)
+    values[:] = column
+    return values, np.array([value is not None for value in column], np.bool_)
+
+
+def _merge_values(upper: str, columns: Sequence[tuple[Any, np.ndarray]],
+                  n_groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scatter SUM / MIN / MAX partials into global groups in morsel order:
+    (merged values, which groups have one).
+
+    A group's first present partial is taken as it is and each later one is
+    added to it or compared with it: float sums fold in morsel order, and a
+    tie keeps the earlier value, as Python's ``min`` / ``max`` do.  A NaN replaces any value, as one reduction over
+    all the rows propagates it.  Typed partials of one dtype stay typed
+    (integer sums while the sum of the partials' magnitudes fits int64);
+    the rest merge as Python objects."""
+    parts = [_partial_arrays(column) for column, _ in columns]
+    kinds = {values.dtype.kind for values, _ in parts}
+    if len(kinds) != 1 or (upper == "SUM" and kinds <= {"i", "u"} and sum(
+            int_magnitude(values) for values, _ in parts) >= 2 ** 63):
+        parts = [(values.astype(object), present) for values, present in parts]
+    out = np.empty(n_groups, dtype=parts[0][0].dtype if parts else object)
+    seen = np.zeros(n_groups, dtype=np.bool_)
+    for (values, present), (_, groups) in zip(parts, columns):
+        if present is not None:
+            values, groups = values[present], groups[present]
+        first = ~seen[groups]
+        out[groups[first]] = values[first]
+        seen[groups] = True
+        if first.all():
+            continue
+        targets, incoming = groups[~first], values[~first]
+        current = out[targets]
+        if upper == "SUM":
+            out[targets] = current + incoming
+            continue
+        better = np.asarray(incoming < current if upper == "MIN"
+                            else incoming > current, dtype=np.bool_)
+        if incoming.dtype.kind == "f":
+            better |= np.isnan(incoming)
+        out[targets] = np.where(better, incoming, current)
+    if out.dtype != object:
+        out[~seen] = 0
+    return out, seen
 
 
 def merge_partial_aggregates(
         name: str,
-        partials: Sequence[tuple[PartialAggregate, Sequence[int]]],
-        n_groups: int) -> list[Any]:
+        partials: Sequence[tuple[PartialAggregate, np.ndarray]],
+        n_groups: int) -> Vector | list[Any]:
     """Merge per-morsel partial states into one value per global group.
 
-    ``partials`` pairs each morsel's state with its local-to-global group id
-    mapping.  Groups no morsel contributed a valid value to come out as
-    ``None`` (``0`` for COUNT) — the same results one whole-batch reduction
-    produces.
+    ``partials`` pairs each morsel's state with the global group id of each
+    of its local groups (distinct within a morsel, so one scatter per morsel
+    touches each group once).  Groups no morsel contributed a valid value to
+    come out NULL (``0`` for COUNT) — the results one whole-batch reduction
+    produces; a typed merge answers a vector, an object merge a list.
     """
     upper = name.upper()
+    columns = [(state.column, groups) for state, groups in partials]
     if upper == "COUNT":
-        totals = [0] * n_groups
-        for state, local_to_global in partials:
-            for local, gid in enumerate(local_to_global):
-                totals[gid] += state.counts[local]
-        return totals
-    if upper == "SUM":
-        sums: list[Any] = [None] * n_groups
-        for state, local_to_global in partials:
-            for local, gid in enumerate(local_to_global):
-                value = state.sums[local]
-                if value is None:
-                    continue
-                sums[gid] = value if sums[gid] is None else sums[gid] + value
-        return sums
-    if upper == "AVG":
-        sums = [None] * n_groups
-        counts = [0] * n_groups
-        for state, local_to_global in partials:
-            for local, gid in enumerate(local_to_global):
-                value = state.sums[local]
-                if value is not None:
-                    sums[gid] = value if sums[gid] is None else sums[gid] + value
-                counts[gid] += state.counts[local]
-        return [None if counts[g] == 0 else sums[g] / counts[g]
-                for g in range(n_groups)]
-    if upper in ("MIN", "MAX"):
-        pick = min if upper == "MIN" else max
-        extremes: list[Any] = [None] * n_groups
-        for state, local_to_global in partials:
-            for local, gid in enumerate(local_to_global):
-                value = state.extremes[local]
-                if value is None:
-                    continue
-                current = extremes[gid]
-                extremes[gid] = value if current is None else pick(current, value)
-        return extremes
-    raise ExecutionError(f"aggregate {name!r} has no partial kernel")
+        return typed_vector(_merge_counts(columns, n_groups))
+    sums, seen = _merge_values("SUM" if upper == "AVG" else upper, columns,
+                               n_groups)
+    if upper != "AVG":
+        return sums.tolist() if sums.dtype == object \
+            else typed_vector(sums, ~seen)
+    counts = _merge_counts([(state.counts, groups)
+                            for state, groups in partials], n_groups)
+    if sums.dtype.kind == "f" or (
+            sums.dtype.kind in "iu" and int_magnitude(sums) < 2 ** 53):
+        # an int64 below 2^53 converts exactly: one rounding, as int / int
+        return typed_vector(sums / np.maximum(counts, 1), counts == 0)
+    return [None if count == 0 else total / count
+            for total, count in zip(sums.tolist(), counts.tolist())]
 
 
 def grouped_aggregate(name: str, values: Sequence[Any], layout: GroupLayout, *,
-                      is_star: bool = False, distinct: bool = False) -> list[Any]:
+                      is_star: bool = False, distinct: bool = False
+                      ) -> Vector | list[Any]:
     """Per-group aggregate results, in group order (one entry per group).
 
     ``values`` is the row-aligned argument column.  Vectors with a
     vectorisable aggregate are reduced in one ``reduceat`` pass
-    (mask-aware for NULL-bearing vectors); all other cases delegate to
-    :func:`call_aggregate` per group, which keeps the results bit-identical
-    to the per-group execution path.
+    (mask-aware for NULL-bearing vectors) into a vector; all other cases
+    delegate to :func:`call_aggregate` per group, which keeps the results
+    bit-identical to the per-group execution path, and answer a list.
     """
     upper = name.upper()
     if upper not in AGGREGATE_FUNCTIONS:
         raise ExecutionError(f"unknown aggregate {name!r}")
     if upper == "COUNT" and is_star and not distinct:
-        return layout.counts.tolist()
+        return typed_vector(layout.counts)
     if (not distinct and layout.size > 0 and upper in VECTOR_AGGREGATES
             and isinstance(values, Vector)):
-        result = _grouped_vector_masked(upper, values, layout)
+        result = _grouped_vector(upper, values, layout)
         if result is not None:
             return result
     value_list = values.to_list() if isinstance(values, Vector) \

@@ -333,8 +333,8 @@ class Executor:
     def _execute_insert_select(self, statement: ast.InsertSelect) -> QueryResult:
         table = self.storage.table(statement.table)
         result = self.execute_select(statement.query)
-        inserted = self._insert_aligned_rows(
-            table, statement.columns, (list(row) for row in result.rows()))
+        inserted = self._insert_aligned_rows(table, statement.columns,
+                                             result.rows())
         return QueryResult.empty(affected_rows=inserted, statement_type="INSERT")
 
     @staticmethod

@@ -37,6 +37,7 @@ from .vector import (
     Vector,
     as_value_list,
     combine_masks,
+    int_magnitude,
     remap_to_shared_dictionary,
     slice_column_values,
 )
@@ -65,6 +66,17 @@ def take_values(values: Any, indices: Any) -> Any:
     if isinstance(values, np.ndarray):
         return values[np.asarray(indices, dtype=np.intp)]
     return [values[index] for index in indices]
+
+
+def true_rows(values: Any) -> Sequence[bool]:
+    """Which of a predicate's values are TRUE (or 1): a numpy bool array for
+    a vector, else a list; NULL and a string are not true."""
+    if isinstance(values, Vector) and values.dictionary is None:
+        data = values.data if values.data.dtype == np.bool_ else values.data == 1
+        if values.mask is not None:
+            data = data & ~values.mask  # NULL is not true
+        return data
+    return [value is True or value == 1 for value in as_value_list(values)]
 
 
 #: Row-range slice of column data (the one slicing rule, shared with the
@@ -229,11 +241,7 @@ def _like_to_regex(pattern: str) -> re.Pattern[str]:
 def _int_magnitude(operand: Any) -> int | None:
     """Largest absolute value of an integer operand; None if not integral."""
     if isinstance(operand, np.ndarray):
-        if operand.dtype.kind not in "iu":
-            return None
-        if operand.size == 0:
-            return 0
-        return max(abs(int(np.max(operand))), abs(int(np.min(operand))))
+        return int_magnitude(operand) if operand.dtype.kind in "iu" else None
     if isinstance(operand, int):
         return abs(operand)
     return None
@@ -320,14 +328,8 @@ class ExpressionEvaluator:
         Vector predicates yield a numpy bool array, list-backed ones a
         Python list; both with SQL's NULL-is-not-true semantics applied.
         """
-        result = self.evaluate(expression)
-        values = result.broadcast(self.batch.row_count)
-        if isinstance(values, Vector) and values.dictionary is None:
-            data = values.data if values.data.dtype == np.bool_ else values.data == 1
-            if values.mask is not None:
-                data = data & ~values.mask  # NULL is not true
-            return data
-        return [value is True or value == 1 for value in as_value_list(values)]
+        return true_rows(
+            self.evaluate(expression).broadcast(self.batch.row_count))
 
     def _element_length(self, results: Sequence[EvalResult]) -> int:
         """Output length for the per-row tier: the longest operand, at
@@ -702,9 +704,11 @@ class ExpressionEvaluator:
         operand = self.evaluate(node.operand)
         if isinstance(operand.values, Vector):
             # the validity mask *is* the IS [NOT] NULL answer
-            return self._masked_result(
-                operand.values.valid() == node.negated, None,
-                SQLType.BOOLEAN, operand.constant)
+            mask = operand.values.mask
+            nulls = np.zeros(len(operand.values), np.bool_) if mask is None \
+                else mask
+            return self._masked_result(nulls != node.negated, None,
+                                       SQLType.BOOLEAN, operand.constant)
         return self._per_row(
             [operand], lambda v: (v is None) != node.negated, SQLType.BOOLEAN)
 

@@ -39,7 +39,7 @@ import numpy as np
 from ..errors import ExecutionError
 from . import ast_nodes as ast
 from .aggregates import (
-    PARTIAL_AGGREGATES,
+    VECTOR_AGGREGATES,
     GroupLayout,
     PartialAggregate,
     aggregate_is_star,
@@ -59,11 +59,13 @@ from .expressions import (
     iter_function_calls,
     slice_values,
     take_values,
+    true_rows,
 )
 from .functions import is_builtin_scalar
 from .result import QueryResult, ResultColumn
 from .types import SQLType, infer_sql_type, python_value
-from .vector import NULL_CODE, Vector, as_value_list, concat_values
+from .vector import (NULL_CODE, Vector, as_value_list, concat_values,
+                     int_magnitude, typed_vector)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .database import Database
@@ -395,8 +397,8 @@ def group_layout(group_by: Sequence[ast.Expression], batch: Batch,
     if not group_by:
         # implicit aggregation: one group spanning the whole batch (even
         # when it is empty, so aggregates still produce a row)
-        gids = np.zeros(row_count, dtype=np.int64)
-        return GroupLayout(gids, 1), ([0] if row_count else []), [], None
+        return GroupLayout.one_group(row_count), ([0] if row_count else []), \
+            [], None
 
     key_columns = [
         evaluator.evaluate(expr).broadcast(row_count)
@@ -465,7 +467,7 @@ class GroupedExpressionEvaluator(ExpressionEvaluator):
     """
 
     def __init__(self, database: "Database", rep_batch: Batch,
-                 aggregate_columns: dict[int, list[Any]]) -> None:
+                 aggregate_columns: dict[int, Any]) -> None:
         super().__init__(database, rep_batch, allow_aggregates=True)
         self._aggregate_columns = aggregate_columns
 
@@ -476,14 +478,28 @@ class GroupedExpressionEvaluator(ExpressionEvaluator):
         return super()._eval_FunctionCall(node)
 
 
-def group_column(result: EvalResult, n_groups: int) -> list[Any]:
-    """Align an evaluation over the representative batch to one value per group."""
-    if len(result.values) == n_groups:
-        return as_value_list(result.values)
+def group_column(result: EvalResult, n_groups: int) -> Any:
+    """Align an evaluation over the representative batch to one value per
+    group (a vector stays one)."""
     if len(result.values) == 0:
         # non-aggregate expression over the empty implicit group
         return [None] * n_groups
-    return as_value_list(result.broadcast(n_groups))
+    return result.broadcast(n_groups)
+
+
+def grouped_result_column(name: str, values: Any) -> ResultColumn:
+    """One grouped output column.  A vector of numbers or booleans with a
+    value stays one, typed as a value list is (by its first non-NULL value);
+    strings and all-NULL columns become lists, whose wire form (and the
+    dictionary it ships) is built from the values as before."""
+    if isinstance(values, Vector) and values.dictionary is None \
+            and values.null_count() < len(values):
+        first = 0 if values.mask is None else int(np.argmin(values.mask))
+        sql_type = infer_sql_type(values[first])
+        return ResultColumn(name, sql_type, typed_vector(
+            values.data, values.mask, sql_type=sql_type))
+    values = as_value_list(values)
+    return ResultColumn(name, infer_column_type(values), values)
 
 
 def aggregate_argument(node: ast.FunctionCall, evaluator: ExpressionEvaluator,
@@ -996,8 +1012,7 @@ def _all_null_like(values: Any, count: int) -> Any:
 
 def _exceeds_float_exact(data: np.ndarray) -> bool:
     """Whether integer key values exceed float64's exact range (2^53)."""
-    return bool(data.dtype.kind in "iu" and data.size
-                and max(abs(int(data.max())), abs(int(data.min()))) > 2 ** 53)
+    return data.dtype.kind in "iu" and int_magnitude(data) > 2 ** 53
 
 
 class Project(PhysicalOperator):
@@ -1167,7 +1182,7 @@ class HashAggregate(PhysicalOperator):
 
     def _partial_capable(self) -> bool:
         for node in self.aggregate_nodes:
-            if node.distinct or node.name.upper() not in PARTIAL_AGGREGATES:
+            if node.distinct or node.name.upper() not in VECTOR_AGGREGATES:
                 return False
             if not node.args and not aggregate_is_star(node):
                 return False
@@ -1201,16 +1216,16 @@ class HashAggregate(PhysicalOperator):
             keys = [concat_values([state.keys[i] for state in states])
                     for i in range(len(self.select.group_by))]
             layout, rep_indices, _ = layout_from_keys(keys, bounds[-1])
-            gids = layout.gids.tolist()
-            maps = [gids[start:stop] for start, stop in zip(bounds, bounds[1:])]
+            maps = [layout.gids[start:stop]
+                    for start, stop in zip(bounds, bounds[1:])]
             n_groups = layout.n_groups
         else:
             # the implicit group has a representative row only in morsels
             # with at least one row; pick the first (sequential chose row 0)
-            maps, n_groups = [[0]] * len(states), 1
+            maps, n_groups = [np.zeros(1, dtype=np.intp)] * len(states), 1
             rep_indices = [0] if bounds[-1] else []
 
-        aggregate_columns: dict[int, list[Any]] = {}
+        aggregate_columns: dict[int, Any] = {}
         for node in self.aggregate_nodes:
             if id(node) in aggregate_columns:
                 continue
@@ -1230,7 +1245,7 @@ class HashAggregate(PhysicalOperator):
             return self._execute_per_group(batch)
         evaluator = ExpressionEvaluator(self.database, batch)
         layout, rep_indices, _ = self._group_layout(batch, evaluator)
-        aggregate_columns: dict[int, list[Any]] = {}
+        aggregate_columns: dict[int, Any] = {}
         for node in self.aggregate_nodes:
             if id(node) not in aggregate_columns:
                 values = aggregate_argument(node, evaluator, batch)
@@ -1241,7 +1256,7 @@ class HashAggregate(PhysicalOperator):
         return self._grouped_tail(rep_batch, aggregate_columns, layout.n_groups)
 
     def _grouped_tail(self, rep_batch: Batch,
-                      aggregate_columns: dict[int, list[Any]],
+                      aggregate_columns: dict[int, Any],
                       n_groups: int) -> QueryResult:
         """Evaluate select items over the representative rows (shared by the
         sequential and partial-merge paths)."""
@@ -1251,20 +1266,18 @@ class HashAggregate(PhysicalOperator):
         grouped_evaluator = GroupedExpressionEvaluator(
             self.database, rep_batch, aggregate_columns)
 
-        keep: list[int] | None = None
+        keep: np.ndarray | None = None
         if self.select.having is not None:
-            having = group_column(
-                grouped_evaluator.evaluate(self.select.having), n_groups)
-            keep = [g for g in range(n_groups)
-                    if having[g] is True or having[g] == 1]
+            keep = np.flatnonzero(true_rows(group_column(
+                grouped_evaluator.evaluate(self.select.having), n_groups)))
 
         columns: list[ResultColumn] = []
         for name, expression in self._outputs():
             values = group_column(grouped_evaluator.evaluate(expression),
                                   n_groups)
             if keep is not None:
-                values = [values[g] for g in keep]
-            columns.append(ResultColumn(name, infer_column_type(values), values))
+                values = take_values(values, keep)
+            columns.append(grouped_result_column(name, values))
         return QueryResult(columns)
 
     def _outputs(self) -> list[tuple[str, ast.Expression]]:

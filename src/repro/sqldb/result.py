@@ -214,8 +214,8 @@ class QueryResult:
         return self.column(name).values
 
     def rows(self) -> Iterator[tuple[Any, ...]]:
-        for index in range(self.row_count):
-            yield tuple(column.values[index] for column in self.columns)
+        """The rows, transposed once from the columns' value lists."""
+        return zip(*(column.values for column in self.columns))
 
     def fetchall(self) -> list[tuple[Any, ...]]:
         return list(self.rows())

@@ -53,6 +53,34 @@ NULL_FILL = {
 }
 
 
+def int_magnitude(values: np.ndarray) -> int:
+    """The largest absolute value in an integer array as a Python int (0 when
+    empty): what the int64-overflow and float-exactness guards compare."""
+    return max(abs(int(values.max())), abs(int(values.min()))) \
+        if values.size else 0
+
+
+#: The SQL type an unlabelled kernel output takes, per dtype kind.
+_KIND_TYPES = {"b": SQLType.BOOLEAN, "i": SQLType.BIGINT, "u": SQLType.BIGINT,
+               "f": SQLType.DOUBLE}
+
+
+def typed_vector(data: np.ndarray, mask: np.ndarray | None = None,
+                 dictionary: np.ndarray | None = None,
+                 sql_type: SQLType | None = None) -> "Vector":
+    """A kernel's output array (or dictionary codes) as a vector whose masked
+    rows hold the placeholder a value list's NULL is exported with — zero,
+    ``NULL_CODE`` under a dictionary — so its buffers are the bytes the
+    list's would be.  Unlabelled, it takes the SQL type of its dtype."""
+    if mask is not None and mask.any():  # (a mask of no NULL is dropped)
+        fill = NULL_CODE if dictionary is not None else 0
+        data = np.where(mask, np.array(fill, dtype=data.dtype), data)
+    if sql_type is None:
+        sql_type = SQLType.STRING if dictionary is not None \
+            else _KIND_TYPES[data.dtype.kind]
+    return Vector(data, mask, dictionary, sql_type)
+
+
 def combine_masks(*masks: np.ndarray | None) -> np.ndarray | None:
     """Union several validity masks (None means "no NULLs")."""
     present = [mask for mask in masks if mask is not None]
@@ -146,12 +174,6 @@ class Vector:
 
     def null_count(self) -> int:
         return int(np.count_nonzero(self.mask)) if self.mask is not None else 0
-
-    def valid(self) -> np.ndarray:
-        """Validity as a boolean array (True = value present)."""
-        if self.mask is None:
-            return np.ones(len(self.data), dtype=bool)
-        return ~self.mask
 
     # ------------------------------------------------------------------ #
     # element access (Python-tier fallbacks index vectors directly)

@@ -12,6 +12,13 @@ benchmark run, and sees it on any host instead:
   at 20,000 and at 200,000 rows — a column kept as a list with a cache
   rebuilt on the first read would add an O(rows) allocation (one
   ``np.array(list)`` call, so it is the ``tracemalloc`` peak that sees it);
+* a GROUP BY over typed columns split into four morsels makes no Python
+  call per group or per cell — the partial merge scatters arrays and the
+  rows are one transpose — so 500 and 5,000 groups cost the same calls, and
+  ``python_value`` is never called;
+* an aggregate without GROUP BY builds no row-sized array to find its one
+  group (the ``tracemalloc`` peak of ``COUNT(*)`` / ``MAX(k)`` over 200,000
+  rows stays under one byte a row);
 * every socket the TCP front end accepts has Nagle's algorithm off, so a
   reply's header and first chunk never wait for a delayed ACK.
 
@@ -19,6 +26,7 @@ Calls are counted as the reachability census counts them: ``call`` events
 under ``sys.setprofile`` whose code lives in the ``repro`` package.
 """
 
+import collections
 import gc
 import socket
 import sys
@@ -39,14 +47,14 @@ CREATE = "CREATE TABLE ev (id INTEGER, k INTEGER, v DOUBLE, name STRING)"
 Q = "SELECT k, COUNT(*), SUM(v), MAX(name) FROM ev GROUP BY k"
 
 
-def calls_into_src(function) -> int:
-    """Python-level calls into ``repro`` made while ``function()`` runs."""
-    calls = 0
+def calls_by_function(function) -> collections.Counter:
+    """Python-level calls into ``repro`` made while ``function()`` runs, by
+    the called function's name."""
+    calls: collections.Counter = collections.Counter()
 
     def profiler(frame, event, arg):
-        nonlocal calls
         if event == "call" and frame.f_code.co_filename.startswith(PACKAGE):
-            calls += 1
+            calls[frame.f_code.co_name] += 1
 
     was_enabled = gc.isenabled()
     gc.disable()  # a collection would run finalisers' calls at random
@@ -58,6 +66,11 @@ def calls_into_src(function) -> int:
         if was_enabled:
             gc.enable()
     return calls
+
+
+def calls_into_src(function) -> int:
+    """Python-level calls into ``repro`` made while ``function()`` runs."""
+    return sum(calls_by_function(function).values())
 
 
 def peak_bytes(function) -> int:
@@ -176,6 +189,63 @@ def test_a_first_read_allocates_what_a_warm_one_does(first_reads, first, warm):
     extra_small = small[first] - small[warm]
     extra_large = large[first] - large[warm]
     assert abs(extra_large - extra_small) <= PEAK_SLACK, (small, large)
+
+
+# --------------------------------------------------------------------------- #
+# grouped results stay arrays from the morsel merge to the client's rows
+# --------------------------------------------------------------------------- #
+GROUP_MORSEL_ROWS = 8_192
+GROUPED = ("SELECT k, COUNT(*), SUM(v), AVG(v), MIN(v), MAX(k) FROM g "
+           "GROUP BY k")
+
+
+def _grouped_database(groups: int) -> Database:
+    """Four morsels of ``g``, every morsel holding every one of ``groups``."""
+    database = Database(morsel_rows=GROUP_MORSEL_ROWS)
+    database.execute("CREATE TABLE g (k INTEGER, v DOUBLE)")
+    rows = np.arange(4 * GROUP_MORSEL_ROWS)
+    table = database.storage.table("g")
+    table.column("k").extend((rows * 7_919 % groups).tolist())
+    table.column("v").extend((rows * 0.25).tolist())
+    return database
+
+
+def test_a_typed_partial_merge_makes_no_call_per_group():
+    calls = {}
+    for groups in (500, 5_000):
+        database = _grouped_database(groups)
+        plan = database.execute(f"EXPLAIN ANALYZE {GROUPED}").fetchall()
+        assert any("HashAggregate" in line and "batches=4" in line
+                   for (line,) in plan)  # the premise: a four-morsel merge
+        assert len(database.execute(GROUPED).fetchall()) == groups
+        calls[groups] = calls_by_function(
+            lambda: database.execute(GROUPED).fetchall())
+        database.close()
+    # a per-group merge loop or a per-cell value conversion would add calls
+    # in proportion to the groups
+    assert calls[500] == calls[5_000], calls[5_000] - calls[500]
+    assert calls[5_000]["python_value"] == 0
+
+
+AGGREGATE_ROWS = 200_000
+
+
+@pytest.mark.parametrize("sql", ["SELECT COUNT(*) FROM ev",
+                                 "SELECT MAX(k) FROM ev"])
+def test_an_aggregate_without_group_by_builds_no_row_sized_array(sql):
+    database = Database(morsel_rows=MORSEL_ROWS)
+    database.execute(CREATE)
+    table = database.storage.table("ev")
+    table.column("id").extend(range(AGGREGATE_ROWS))
+    table.column("k").extend(
+        np.random.default_rng(3).integers(0, 20, AGGREGATE_ROWS).tolist())
+    table.column("v").extend([0.5] * AGGREGATE_ROWS)
+    table.column("name").extend(["e"] * AGGREGATE_ROWS)
+    database.execute(sql)  # parse and plan once
+    # one group id, sort order or search result per row is 8 bytes a row
+    assert peak_bytes(lambda: database.execute(sql).fetchall()) \
+        < AGGREGATE_ROWS
+    database.close()
 
 
 # --------------------------------------------------------------------------- #

@@ -9,7 +9,9 @@ the same generated tables, its answer written out exactly: column names and
 types, then the rows in the order the engine returned them, each value tagged
 with its Python type and a float spelled as ``float.hex``, so ``1``,
 ``1.0`` and ``True`` differ and a sum folded in another order does not match.
-``test_grouping_golden.py`` replays the file against the current engine.
+``test_grouping_golden.py`` replays the file against the current engine and
+checks with :func:`invariance_report` that the recorded answers agree across
+morsel sizes wherever the order values are combined in cannot matter.
 
 The statements cover what grouping and joins can get wrong without changing
 a row count: the factoriser each key takes (a small-range integer, a wide
@@ -309,6 +311,64 @@ def statements() -> list[str]:
     multi = [" ".join(template.format(w=where).split())
              for template, wheres in _MULTI for where in wheres]
     return out + _FILTERED + multi
+
+
+#: aggregates whose answer cannot depend on the order values are combined
+#: in (SUM only where its column is an integer one)
+_ORDER_FREE = {"COUNT", "MIN", "MAX"}
+
+
+def _order_free_columns(sql: str, columns: list) -> list[int]:
+    """Positions of the result columns every morsel size must answer alike:
+    items holding no aggregate (group keys, joined values), COUNT, MIN, MAX
+    and an integer SUM.  Float SUM / AVG and arithmetic over aggregates may
+    fold in another order and are left out."""
+    from repro.sqldb import ast_nodes as ast
+    from repro.sqldb.expressions import expression_contains_aggregate
+    from repro.sqldb.parser import parse_statement
+
+    positions = []
+    for position, (item, (_, sql_type)) in enumerate(
+            zip(parse_statement(sql).items, columns)):
+        expression = item.expression
+        if not expression_contains_aggregate(expression):
+            positions.append(position)
+        elif isinstance(expression, ast.FunctionCall):
+            name = expression.name.upper()
+            if name in _ORDER_FREE or (
+                    name == "SUM" and sql_type in ("INTEGER", "BIGINT")):
+                positions.append(position)
+    return positions
+
+
+def _sql_value(value: str) -> str:
+    """A recorded value as SQL compares it: ``-0.0`` is ``0.0`` (which sign
+    a MIN / MAX over both shows is a tie-break, and morsels break it)."""
+    return "f0x0.0p+0" if value == "f-0x0.0p+0" else value
+
+
+def invariance_report(entries: list[dict] | None = None) -> list[str]:
+    """The statements whose order-free columns (see
+    :func:`_order_free_columns`) differ between ``MORSEL_ROWS`` sizes in
+    ``entries`` (by default the recorded file), values compared as SQL
+    compares them and rows as sorted multisets: what a morsel size changes
+    that it must not."""
+    if entries is None:
+        entries = [json.loads(line) for line in
+                   GOLDEN.read_text(encoding="utf-8").splitlines()]
+    answers: dict[str, list[dict]] = {}
+    for entry in entries:
+        answers.setdefault(entry["sql"], []).append(entry["expect"])
+    report = []
+    for sql, expects in answers.items():
+        positions = _order_free_columns(sql, expects[0]["columns"])
+        seen = {(json.dumps([expect["columns"][at] for at in positions]),
+                 json.dumps(sorted([_sql_value(row[at]) for at in positions]
+                                   for row in expect["rows"])))
+                for expect in expects}
+        if len(seen) > 1:
+            report.append(sql)
+    return report
 
 
 def database(morsel_rows: int):

@@ -418,10 +418,15 @@ def test_aggregate_kernels_equal_the_per_row_tier(shape, name):
         vector = Vector.from_values(values, sql_type)
         assert call_aggregate(name, vector) == call_aggregate(name, values), \
             (column, shape)
-        # grouped: rows dealt round-robin into three groups
+        # grouped: rows dealt round-robin into three groups; the typed tier
+        # answers with a Vector (no row, no reduction: the per-value tier)
         layout = GroupLayout(np.arange(len(values)) % 3, 3)
-        assert grouped_aggregate(name, vector, layout) \
-            == grouped_aggregate(name, list(values), layout), (column, shape)
+        answer = grouped_aggregate(name, vector, layout)
+        expected = grouped_aggregate(name, list(values), layout)
+        assert isinstance(answer, Vector) == bool(values), (column, shape)
+        assert as_value_list(answer) == expected, (column, shape)
+        assert [type(value) for value in as_value_list(answer)] \
+            == [type(value) for value in expected], (column, shape)
 
 
 # --------------------------------------------------------------------------- #

@@ -8,6 +8,7 @@ combined in which order.  Results are therefore compared
 with ``==``, floats included: no tolerance.
 """
 
+import math
 import re
 
 import numpy as np
@@ -172,10 +173,12 @@ GROUPING_ROWS = 3_000
 
 
 def _grouping_rows():
-    """``(i, w16, w17, neg, small, s)``: ``w16`` spans exactly 65,536 values,
-    ``w17`` 65,537, ``neg`` is negative, ``small`` a nullable 41-value key,
-    ``s`` a dictionary with NULLs.  Rows ``i % 7 in (0, 1)`` carry each
-    key's two ends, so every morsel spans the whole range."""
+    """``(i, w16, w17, neg, small, s, n)``: ``w16`` spans exactly 65,536
+    values, ``w17`` 65,537, ``neg`` is negative, ``small`` a nullable
+    41-value key, ``s`` a dictionary with NULLs, ``n`` a DOUBLE holding NaN
+    (every 97th row), ``-0.0`` beside ``0.0`` and NULL wherever ``small``
+    is.  Rows ``i % 7 in (0, 1)`` carry each key's two ends, so every
+    morsel spans the whole range."""
     rng = np.random.default_rng(25)
     rows = []
     for i in range(GROUPING_ROWS):
@@ -185,7 +188,10 @@ def _grouping_rows():
         neg = (-70_000, -69_000)[end] if end < 2 else int(rng.integers(-70_000, -69_000))
         small = None if i % 10 == 3 else i % 41
         s = None if i % 9 == 4 else f"s{i % 23}"
-        rows.append((i, w16, w17, neg, small, s))
+        n = (None if small is None else math.nan if i % 97 == 50
+             else -0.0 if i % 5 == 0 else 0.0 if i % 5 == 1
+             else (i % 17) * 0.5)
+        rows.append((i, w16, w17, neg, small, s, n))
     return rows
 
 
@@ -206,7 +212,7 @@ def grouping_reference():
 def _grouping_database(morsel_rows):
     db = Database(morsel_rows=morsel_rows)
     db.execute("CREATE TABLE g (i INTEGER, w16 INTEGER, w17 INTEGER, "
-               "neg INTEGER, small INTEGER, s STRING)")
+               "neg INTEGER, small INTEGER, s STRING, n DOUBLE)")
     db.storage.table("g").insert_rows(_grouping_rows())
     return db
 
@@ -217,6 +223,40 @@ def test_grouping_answer_is_identical_across_morsel_rows(
     db = _grouping_database(morsel_rows)
     for sql, expected in zip(GROUPING_STATEMENTS, grouping_reference):
         assert db.execute(sql).fetchall() == expected, sql
+    db.close()
+
+
+#: MIN / MAX over a DOUBLE with NaN rows: a group holding a NaN answers NaN
+#: (one reduction over its rows propagates it) at every morsel size
+NAN_STATEMENT = "SELECT small, COUNT(n), MIN(n), MAX(n) FROM g GROUP BY small"
+
+
+def _nan_as_text(rows):
+    """``==`` cannot see two NaNs as equal; compare them as text."""
+    return [tuple("NaN" if isinstance(value, float) and math.isnan(value)
+                  else value for value in row) for row in rows]
+
+
+@pytest.mark.parametrize("morsel_rows", [7, 1_024, 65_536])
+def test_nan_min_max_is_identical_across_morsel_rows(morsel_rows):
+    groups, late_nan = {}, set()
+    for row in _grouping_rows():
+        groups.setdefault(row[4], []).append(row[6])
+        if row[0] >= 1_024 and row[6] is not None and math.isnan(row[6]):
+            late_nan.add(row[4])
+    expected = []
+    for key, values in groups.items():
+        present = [value for value in values if value is not None]
+        nan = any(math.isnan(value) for value in present)
+        expected.append((key, len(present),
+                         math.nan if nan else min(present, default=None),
+                         math.nan if nan else max(present, default=None)))
+    # the premise: groups (all of which begin in the first 1,024 rows) meet
+    # a NaN in a later morsel, and the NULL key's group holds no value
+    assert late_nan and groups[None] == [None] * len(groups[None])
+    db = _grouping_database(morsel_rows)
+    assert _nan_as_text(db.execute(NAN_STATEMENT).fetchall()) \
+        == _nan_as_text(expected)
     db.close()
 
 
