@@ -10,10 +10,10 @@ answers with.  It knows nothing about sockets; two transports drive it:
   through the full encode/decode path so byte counts are real (tests and the
   embedded devUDF plugin).
 * :class:`AsyncSocketServer` — the TCP front end: one selector event loop
-  multiplexes every connection over a bounded worker pool (the paper's
-  "remote database server" topology; what ``python -m repro.netproto.server``
-  and ``devudf demo-server`` run).  :class:`SocketTransport` is its client
-  side.
+  multiplexes every connection, and one executor thread runs their
+  statements in turn (the paper's "remote database server" topology; what
+  ``python -m repro.netproto.server`` and ``devudf demo-server`` run).
+  :class:`SocketTransport` is its client side.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import threading
 import time
 import traceback
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator
@@ -107,14 +106,17 @@ class ServerLimits:
     """Admission-control and connection-survival knobs.
 
     The defaults keep a small server responsive under misbehaving clients:
-    at most ``max_concurrent_queries`` statements execute at once, up to
-    ``max_queue_depth`` more wait ``max_queue_wait`` seconds for a slot, and
+    at most ``max_concurrent_queries`` statements hold a slot at once (over
+    TCP one executes at a time; the others are parked behind a slow reader
+    or wait for their next turn), up to ``max_queue_depth`` more wait
+    ``max_queue_wait`` seconds for a slot, and
     anything beyond that is *rejected immediately* with a structured
     retryable error instead of queueing unboundedly.  ``statement_timeout``
     caps every statement's runtime server-side (a client-requested timeout
     can only tighten it).  ``idle_timeout`` reaps connections that go quiet
-    between requests; ``send_timeout`` bounds how long a slow reader can
-    block a query worker mid-result.  ``None`` disables a knob.
+    between requests; ``send_timeout`` bounds how long a statement stays
+    parked behind a reader that stopped reading mid-result.  ``None``
+    disables a knob.
     """
 
     max_concurrent_queries: int = 8
@@ -166,6 +168,13 @@ class AdmissionController:
                 return None
             finally:
                 self.waiting -= 1
+
+    def would_queue(self) -> bool:
+        """Whether :meth:`try_acquire` would wait for a slot now (it never
+        waits once the server drains)."""
+        with self._condition:
+            return (not self._draining and
+                    self.active >= self.limits.max_concurrent_queries)
 
     def release(self) -> None:
         with self._condition:
@@ -768,59 +777,80 @@ class InProcessTransport:
             self.server.close_session(self.session)
 
 
-class _AsyncConnection:
-    """Per-connection state tracked by :class:`AsyncSocketServer`'s loop."""
+#: What :meth:`AsyncSocketServer._write` did with a frame.
+_SENT, _PARKED, _GONE = "sent", "parked", "gone"
 
-    __slots__ = ("sock", "session", "recv_buffer", "send_lock", "send_chunks",
-                 "send_bytes", "drained", "want_write", "busy", "closing",
-                 "dead", "pending", "last_activity")
+
+class _AsyncConnection:
+    """Per-connection state shared by :class:`AsyncSocketServer`'s loop and
+    executor threads."""
+
+    __slots__ = ("sock", "session", "recv_buffer", "lock", "send_chunks",
+                 "send_bytes", "flush_requested", "want_write", "busy",
+                 "closing", "dead", "pending", "last_activity", "request",
+                 "stream", "parked_at")
 
     def __init__(self, sock: socket.socket, session: Session) -> None:
         self.sock = sock
         self.session = session
         self.recv_buffer = bytearray()
-        #: Outgoing frames; appended by worker threads (under ``send_lock``),
-        #: drained by the event loop when the socket is writable.
-        self.send_lock = threading.Lock()
+        #: Guards the send buffer, ``busy`` against ``pending``, ``parked_at``
+        #: and the socket's closing: the executor writes frames, the loop
+        #: flushes what the kernel did not take and tears the socket down.
+        self.lock = threading.Lock()
+        #: Bytes the kernel has not taken yet, oldest first.
         self.send_chunks: "deque[memoryview]" = deque()
         self.send_bytes = 0
-        #: Set while the buffer is below the low-water mark; a worker
-        #: streaming chunks waits on this when the reader falls behind.
-        self.drained = threading.Event()
-        self.drained.set()
+        #: The loop flushes ``send_chunks`` (it was told, or is watching for
+        #: writability), so the executor need not wake it for more.
+        self.flush_requested = False
         self.want_write = False
-        #: A query worker is processing a frame for this connection (frames
-        #: are handled strictly in order; more queue in ``pending``).
+        #: A statement of this connection is queued, running or parked
+        #: (frames are handled strictly in order; more wait in ``pending``).
         self.busy = False
         self.closing = False     # flush remaining output, then close
         self.dead = False        # torn down; reject all further work
         self.pending: "deque[tuple[bytes, dict[str, Any] | None]]" = deque()
         self.last_activity = time.monotonic()
+        #: A query frame waiting for its first turn: (payload, message,
+        #: arrival time).
+        self.request: "tuple[bytes, dict[str, Any] | None, float] | None" = None
+        #: A started statement's frames between two turns.
+        self.stream: Iterator[bytes] | None = None
+        #: When the statement parked behind a reader past ``HIGH_WATER``.
+        self.parked_at: float | None = None
 
 
 class AsyncSocketServer:
-    """The TCP front end: a single-threaded selector event loop multiplexing
-    many connections.
+    """The TCP front end: a selector event loop multiplexing many
+    connections, and one executor thread running their statements in turn.
 
-    One event loop thread holds thousands of mostly-idle connections without
-    a thread (and its stack) per client.  The loop only ever does
-    non-blocking work: reading bytes into per-connection buffers, splitting
-    frames (:func:`repro.netproto.wire.extract_frame`), answering cheap
-    control messages inline, and handing query frames to a bounded worker
-    pool.  Workers stream response frames back through
-    per-connection send buffers; the loop flushes them as sockets become
-    writable.
+    The loop thread holds thousands of mostly-idle connections without a
+    thread (and its stack) per client.  It only ever does non-blocking work:
+    every socket read, splitting frames
+    (:func:`repro.netproto.wire.extract_frame`), answering the cheap control
+    messages (hello / login / cancel / stats / close) inline, and appending
+    each query frame to a FIFO run queue.
 
-    Backpressure: when a connection's send buffer passes the high-water mark
-    its worker blocks on the buffer draining — pausing only that query's
-    morsel flow, never the loop.  A reader stalled longer than
+    The executor thread runs one statement at a time — statements are
+    GIL-bound, so two threads running them side by side only contend — and
+    writes each response frame straight to the socket while the kernel takes
+    it.  The loop is woken only for bytes the kernel left over, for a
+    connection with frames queued behind the statement, or for a hang-up.
+
+    Backpressure: a statement whose unsent bytes pass ``HIGH_WATER`` parks —
+    its frame generator stays on the connection, its query slot stays held,
+    and the executor moves on — until the loop has flushed the buffer below
+    ``LOW_WATER`` and requeues it.  A statement parked longer than
     ``limits.send_timeout`` is disconnected and its query cancelled, so a
-    client that stops reading mid-stream cannot pin an execution slot (the
-    eager-release/backpressure fix).
+    client that stops reading mid-stream cannot pin an execution slot.  A
+    statement that has held the executor for more than ``poll_interval``
+    yields at its next frame while another statement waits for a turn, so a
+    long scan cannot starve a point query.
     """
 
-    #: Send-buffer watermarks: a worker pauses above ``HIGH_WATER`` bytes
-    #: and resumes once the loop drains the buffer below ``LOW_WATER``.
+    #: Unsent-bytes watermarks: a statement parks above ``HIGH_WATER`` bytes
+    #: and is requeued once the loop drains the buffer below ``LOW_WATER``.
     HIGH_WATER = 1 << 20
     LOW_WATER = 1 << 18
     #: Per-connection cap on frames queued behind an executing query; a
@@ -839,22 +869,30 @@ class AsyncSocketServer:
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._listener, selectors.EVENT_READ,
                                 ("accept", None))
-        # wake pipe: workers nudge the loop to apply queued callbacks
+        # wake pipe: the executor nudges the loop to apply queued callbacks
         self._wake_recv, self._wake_send = socket.socketpair()
         self._wake_recv.setblocking(False)
         self._wake_send.setblocking(False)
         self._selector.register(self._wake_recv, selectors.EVENT_READ,
                                 ("wake", None))
         self._calls: "deque[Callable[[], None]]" = deque()
-        slots = limits.max_concurrent_queries + limits.max_queue_depth
-        self._max_inflight = slots
+        #: Statements queued, running or parked; beyond the admission slots
+        #: plus their queue a query is refused at the loop.
+        self._max_inflight = (limits.max_concurrent_queries
+                              + limits.max_queue_depth)
         self._inflight = 0
-        self._inflight_lock = threading.Lock()
-        self._pool = ThreadPoolExecutor(max_workers=slots + 4,
-                                        thread_name_prefix="query-worker")
+        #: The run queue (connections whose statement waits for a turn) and
+        #: ``_inflight``, under the condition the executor sleeps on.
+        self._ready = threading.Condition(threading.Lock())
+        self._run_queue: "deque[_AsyncConnection]" = deque()
+        self._stopping = False
+        #: Time from a query frame's arrival to its first executor turn.
+        self._h_queue_wait = database_server.database.metrics.register(
+            Histogram("server.queue_wait_us"))
         self._connections: set[_AsyncConnection] = set()
         self._running = False
         self._thread: threading.Thread | None = None
+        self._executor: threading.Thread | None = None
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -865,8 +903,12 @@ class AsyncSocketServer:
         return name[0], name[1]
 
     def start_background(self) -> tuple[str, int]:
-        """Start the event loop in a daemon thread; returns (host, port)."""
+        """Start the event loop and the executor in daemon threads; returns
+        (host, port)."""
         self._running = True
+        self._executor = threading.Thread(target=self._execute, daemon=True,
+                                          name="statement-executor")
+        self._executor.start()
         self._thread = threading.Thread(target=self._serve, daemon=True,
                                         name="async-server-loop")
         self._thread.start()
@@ -880,7 +922,12 @@ class AsyncSocketServer:
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
-        self._pool.shutdown(wait=True)
+        with self._ready:
+            self._stopping = True
+            self._ready.notify()
+        if self._executor is not None:
+            self._executor.join(timeout=5)
+            self._executor = None
         try:
             self._listener.close()
         except OSError:
@@ -945,16 +992,22 @@ class AsyncSocketServer:
             callback()
 
     def _reap_idle(self, now: float) -> None:
-        timeout = self.database_server.limits.idle_timeout
-        if timeout is None:
-            return
+        limits = self.database_server.limits
         counters = self.database_server.counters
         for conn in list(self._connections):
-            if conn.busy:
+            parked_at = conn.parked_at
+            if parked_at is not None:
+                if (limits.send_timeout is not None
+                        and now - parked_at > limits.send_timeout):
+                    # the reader stopped mid-stream: cancel its query and
+                    # drop it so the slot frees immediately
+                    counters["stalled_disconnects"].inc()
+                    self._drop(conn, "stalled")
                 continue
             # unflushed output does not keep a connection alive: a client
             # that neither reads nor writes for idle_timeout is gone
-            if now - conn.last_activity > timeout:
+            if (not conn.busy and limits.idle_timeout is not None
+                    and now - conn.last_activity > limits.idle_timeout):
                 counters["idle_disconnects"].inc()
                 self._drop(conn, None)
 
@@ -1030,39 +1083,40 @@ class AsyncSocketServer:
                 message: dict[str, Any] | None = decode_message(payload)
             except WireFormatError:
                 message = None  # handle_frame_stream answers it structurally
-            if conn.busy:
-                if len(conn.pending) >= self.MAX_PIPELINED_FRAMES:
-                    server.counters["wire_errors"].inc()
-                    self._drop(conn, None)
-                    return
-                conn.pending.append((payload, message))
-                continue
-            self._dispatch_frame(conn, payload, message)
+            with conn.lock:
+                # the executor clears ``busy`` under this lock only when
+                # ``pending`` is empty, so a frame queued here is never lost
+                queued = conn.busy
+                if queued:
+                    conn.pending.append((payload, message))
+                    overflow = len(conn.pending) > self.MAX_PIPELINED_FRAMES
+            if not queued:
+                self._dispatch_frame(conn, payload, message)
+            elif overflow:
+                server.counters["wire_errors"].inc()
+                self._drop(conn, None)
+                return
 
     def _dispatch_frame(self, conn: _AsyncConnection, payload: bytes,
                         message: dict[str, Any] | None) -> None:
-        """Route one frame: queries go to the worker pool, everything else
+        """Route one frame: a query joins the run queue, everything else
         (hello/login/cancel/stats/close/garbage) is answered inline —
         cheap, non-blocking work."""
         server = self.database_server
         message_type = message.get("type") if message is not None else None
         if message_type in (MSG_QUERY, MSG_EXECUTE_PREPARED):
-            with self._inflight_lock:
-                saturated = self._inflight >= self._max_inflight
-                if not saturated:
+            with self._ready:
+                admitted = self._inflight < self._max_inflight
+                if admitted:
                     self._inflight += 1
-            if saturated:
-                # the worker pool (slots + queue) is full: reject here so
-                # a flood of queries cannot queue unboundedly behind it
-                server.counters["queries_rejected"].inc()
-                error = ServerBusyError(
-                    "server is saturated; retry with backoff",
-                    code=ERR_SATURATED)
-                self._enqueue_frames(
-                    conn, (encode_message(server._error_response(error)),))
-                return
-            conn.busy = True
-            self._pool.submit(self._run_query, conn, payload, message)
+                    conn.busy = True
+                    conn.request = (payload, message, time.monotonic())
+                    self._run_queue.append(conn)
+                    self._ready.notify()
+            if not admitted:
+                # slots and queue are full: reject here so a flood of
+                # queries cannot queue unboundedly behind them
+                self._enqueue_frames(conn, (self._saturated_frame(),))
             return
         frames = list(server.handle_frame_stream(conn.session, payload,
                                                  message=message))
@@ -1070,9 +1124,21 @@ class AsyncSocketServer:
             conn.closing = True  # hang up once the closed frame flushes
         self._enqueue_frames(conn, frames)
 
+    def _saturated_frame(self) -> bytes:
+        server = self.database_server
+        server.counters["queries_rejected"].inc()
+        error = ServerBusyError("server is saturated; retry with backoff",
+                                code=ERR_SATURATED)
+        return encode_message(server._error_response(error))
+
     def _on_writable(self, conn: _AsyncConnection) -> None:
-        counters = self.database_server.counters
-        with conn.send_lock:
+        """Loop: send what the kernel takes of the unsent bytes, watch for
+        writability while some are left, and requeue a parked statement
+        once its reader has drained them below ``LOW_WATER``."""
+        with conn.lock:
+            if conn.dead:
+                return
+            lost = False
             while conn.send_chunks:
                 chunk = conn.send_chunks[0]
                 try:
@@ -1080,21 +1146,26 @@ class AsyncSocketServer:
                 except (BlockingIOError, InterruptedError):
                     break
                 except OSError:
-                    counters["client_disconnects"].inc()
-                    self._drop(conn, None)
-                    return
+                    lost = True
+                    break
                 conn.send_bytes -= sent
                 if sent < len(chunk):
                     conn.send_chunks[0] = chunk[sent:]
                     break
                 conn.send_chunks.popleft()
-            if conn.send_bytes <= self.LOW_WATER:
-                conn.drained.set()
-            pending = bool(conn.send_chunks)
-        if not pending:
-            self._set_write_interest(conn, False)
-            if conn.closing and not conn.busy:
-                self._drop(conn, None)
+            resume = (not lost and conn.parked_at is not None
+                      and conn.send_bytes <= self.LOW_WATER)
+            if resume:
+                conn.parked_at = None
+            conn.flush_requested = pending = bool(conn.send_chunks)
+        if lost:
+            self._lost(conn)
+            return
+        self._set_write_interest(conn, pending)
+        if resume:
+            self._schedule(conn)
+        if not pending and conn.closing and not conn.busy:
+            self._drop(conn, None)
 
     def _set_write_interest(self, conn: _AsyncConnection,
                             want: bool) -> None:
@@ -1109,110 +1180,174 @@ class AsyncSocketServer:
         except (KeyError, ValueError, OSError):
             pass
 
-    # ------------------------------------------------------------------ #
-    # worker side
-    # ------------------------------------------------------------------ #
-    def _run_query(self, conn: _AsyncConnection, payload: bytes,
-                   message: dict[str, Any] | None) -> None:
-        """Worker-thread body: execute one query frame, streaming response
-        frames into the connection's send buffer with backpressure."""
-        server = self.database_server
-        stream = server.handle_frame_stream(conn.session, payload,
-                                            message=message)
-        try:
-            for frame in stream:
-                if not self._enqueue_with_backpressure(conn, frame):
-                    break
-        finally:
-            # closing the generator runs the server's _relay_result
-            # finally-block, freeing the admission slot even when the
-            # stream was abandoned mid-flight
-            stream.close()
-            with self._inflight_lock:
-                self._inflight -= 1
-            self._call_soon(lambda: self._query_finished(conn))
-
-    def _query_finished(self, conn: _AsyncConnection) -> None:
-        """Loop-thread callback: the connection may take its next frame."""
-        conn.busy = False
-        conn.last_activity = time.monotonic()
-        if conn.dead:
-            return
-        if conn.pending:
-            payload, message = conn.pending.popleft()
-            self._dispatch_frame(conn, payload, message)
-            if not conn.busy:
-                # the frame was handled inline; keep draining the backlog
-                while conn.pending and not conn.busy and not conn.dead:
-                    payload, message = conn.pending.popleft()
-                    self._dispatch_frame(conn, payload, message)
-        elif conn.closing:
-            with conn.send_lock:
-                pending = bool(conn.send_chunks)
-            if not pending:
-                self._drop(conn, None)
-
     def _enqueue_frames(self, conn: _AsyncConnection,
                         frames: Iterable[bytes]) -> None:
-        """Loop-thread enqueue (no backpressure wait — control messages are
-        small); schedules a flush."""
+        """Loop-thread send of frames answered inline (small: no
+        backpressure)."""
         if conn.dead:
             return
-        with conn.send_lock:
+        with conn.lock:
             for frame in frames:
                 conn.send_chunks.append(memoryview(frame))
                 conn.send_bytes += len(frame)
         self._on_writable(conn)
-        with conn.send_lock:
-            pending = bool(conn.send_chunks)
-        if pending:
-            self._set_write_interest(conn, True)
 
-    def _enqueue_with_backpressure(self, conn: _AsyncConnection,
-                                   frame: bytes) -> bool:
-        """Worker-thread enqueue.  Returns ``False`` when the connection is
-        gone or the client stalled past ``send_timeout`` (the caller must
-        abandon the stream; the stalled connection is dropped and its query
-        cancelled)."""
-        if conn.dead:
-            return False
-        with conn.send_lock:
-            conn.send_chunks.append(memoryview(frame))
-            conn.send_bytes += len(frame)
-            above_high_water = conn.send_bytes > self.HIGH_WATER
-        self._call_soon(lambda: self._flush_from_loop(conn))
-        if not above_high_water:
-            return not conn.dead
-        timeout = self.database_server.limits.send_timeout
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while not conn.dead:
-            conn.drained.clear()
-            with conn.send_lock:
-                if conn.send_bytes <= self.HIGH_WATER:
-                    conn.drained.set()
-                    return True
-            remaining = (None if deadline is None
-                         else deadline - time.monotonic())
-            if remaining is not None and remaining <= 0:
-                self._stall_disconnect(conn)
-                return False
-            conn.drained.wait(remaining)
-        return False
+    def _lost(self, conn: _AsyncConnection) -> None:
+        """Loop: a send failed — the peer is gone."""
+        if not conn.dead:
+            self.database_server.counters["client_disconnects"].inc()
+            self._drop(conn, None)
 
-    def _flush_from_loop(self, conn: _AsyncConnection) -> None:
+    def _query_finished(self, conn: _AsyncConnection) -> None:
+        """Loop-thread callback: the connection may take its next frame."""
+        conn.busy = False
         if conn.dead:
             return
-        self._on_writable(conn)
-        with conn.send_lock:
-            pending = bool(conn.send_chunks)
-        if pending:
-            self._set_write_interest(conn, True)
+        while conn.pending and not conn.busy and not conn.dead:
+            payload, message = conn.pending.popleft()
+            self._dispatch_frame(conn, payload, message)
+        if conn.closing and not conn.busy:
+            with conn.lock:
+                pending = bool(conn.send_chunks)
+            if not pending:
+                self._drop(conn, None)
 
-    def _stall_disconnect(self, conn: _AsyncConnection) -> None:
-        """A client stopped reading mid-stream past ``send_timeout``: cancel
-        its query and drop the connection so the slot frees immediately."""
-        self.database_server.counters["stalled_disconnects"].inc()
-        self._call_soon(lambda: self._drop(conn, "stalled"))
+    # ------------------------------------------------------------------ #
+    # executor
+    # ------------------------------------------------------------------ #
+    def _schedule(self, conn: _AsyncConnection) -> None:
+        """Append a connection whose statement waits for a turn."""
+        with self._ready:
+            self._run_queue.append(conn)
+            self._ready.notify()
+
+    def _runnable(self) -> int:
+        """Run-queue position of the first statement that can take a turn
+        (-1: none; call under ``_ready``): one to close, one already
+        started, or a query with a free slot or past ``max_queue_wait`` (it
+        is refused).  A query waiting for a slot keeps its place."""
+        server = self.database_server
+        full = server.admission.would_queue()
+        patience = server.limits.max_queue_wait
+        now = time.monotonic()
+        for index, conn in enumerate(self._run_queue):
+            if (not full or conn.dead or conn.stream is not None
+                    or now - conn.request[2] >= patience):
+                return index
+        return -1
+
+    def _execute(self) -> None:
+        """Executor-thread body: give queued statements their turns."""
+        while True:
+            with self._ready:
+                while True:
+                    index = self._runnable()
+                    if index >= 0:
+                        conn = self._run_queue[index]
+                        del self._run_queue[index]
+                        break
+                    if self._stopping and not self._run_queue:
+                        return
+                    self._ready.wait(
+                        self.poll_interval if self._run_queue else None)
+            self._take_turn(conn)
+
+    def _take_turn(self, conn: _AsyncConnection) -> None:
+        """Run one statement until it ends, parks or yields its turn."""
+        stream, conn.stream = conn.stream, None
+        kept = False
+        try:
+            if stream is None and not conn.dead:
+                stream = self._start(conn)
+            kept = not conn.dead and self._run(conn, stream)
+        except Exception as exc:  # noqa: BLE001 - the executor survives
+            # a bug past every error frame: the client's answer is cut
+            traceback.print_exception(exc)  # to stderr
+            self._call_soon(lambda: self._drop(conn, None))
+        if not kept:
+            self._statement_done(conn, stream)
+
+    def _run(self, conn: _AsyncConnection, stream: Iterator[bytes]) -> bool:
+        """Write ``stream``'s frames; ``True`` when the statement keeps its
+        generator for a later turn (parked, or yielded to a waiter)."""
+        turn_started = time.monotonic()
+        for frame in stream:
+            outcome = self._write(conn, frame)
+            if outcome is _GONE:
+                return False
+            if outcome is _PARKED:
+                conn.stream = stream  # the loop requeues it
+                return True
+            if time.monotonic() - turn_started > self.poll_interval:
+                with self._ready:
+                    if self._runnable() >= 0:  # yield to a waiting statement
+                        conn.stream = stream
+                        self._run_queue.append(conn)
+                        return True
+        return False
+
+    def _start(self, conn: _AsyncConnection) -> Iterator[bytes]:
+        """A queued query's first turn: its frame generator (nothing runs
+        until the first frame is pulled)."""
+        payload, message, arrived = conn.request
+        conn.request = None
+        self._h_queue_wait.observe(time.monotonic() - arrived)
+        if self.database_server.admission.would_queue():
+            return self._refused()  # waited past max_queue_wait
+        return self.database_server.handle_frame_stream(
+            conn.session, payload, message=message)
+
+    def _refused(self) -> Iterator[bytes]:
+        yield self._saturated_frame()
+
+    def _write(self, conn: _AsyncConnection, frame: bytes) -> str:
+        """Executor: send ``frame`` while the kernel takes it and buffer the
+        rest for the loop (waking it only if it is not flushing already).
+        ``_PARKED`` once the unsent bytes pass ``HIGH_WATER``."""
+        view = memoryview(frame)
+        with conn.lock:
+            if conn.dead:
+                return _GONE
+            if not conn.send_chunks:
+                try:
+                    while view:
+                        view = view[conn.sock.send(view):]
+                except (BlockingIOError, InterruptedError):
+                    pass
+                except OSError:
+                    self._call_soon(lambda: self._lost(conn))
+                    return _GONE
+                if not view:
+                    return _SENT
+            conn.send_chunks.append(view)
+            conn.send_bytes += len(view)
+            wake = not conn.flush_requested
+            conn.flush_requested = True
+            outcome = _SENT
+            if conn.send_bytes > self.HIGH_WATER:
+                conn.parked_at = time.monotonic()
+                outcome = _PARKED
+        if wake:
+            self._call_soon(lambda: self._on_writable(conn))
+        return outcome
+
+    def _statement_done(self, conn: _AsyncConnection,
+                        stream: Iterator[bytes] | None) -> None:
+        """Executor: the statement ended or its connection is gone."""
+        if stream is not None:
+            # closing the generator runs the server's _relay_result
+            # finally-block, freeing the admission slot even when the
+            # stream was abandoned mid-flight
+            stream.close()
+        with self._ready:
+            self._inflight -= 1
+        with conn.lock:
+            conn.last_activity = time.monotonic()
+            wake = not conn.dead and (bool(conn.pending) or conn.closing)
+            if not wake:
+                conn.busy = False
+        if wake:
+            self._call_soon(lambda: self._query_finished(conn))
 
     # ------------------------------------------------------------------ #
     # teardown
@@ -1222,23 +1357,27 @@ class AsyncSocketServer:
         """Loop-thread teardown of one connection (idempotent).
 
         Releases everything the connection holds: the selector slot, the
-        socket, the session (which cancels its active query), and any worker
-        blocked on backpressure."""
+        socket, the session (which cancels its active query), and a parked
+        statement, which the executor closes."""
         if conn.dead:
             return
-        conn.dead = True
-        conn.drained.set()  # release a worker blocked on backpressure
         self._connections.discard(conn)
         try:
             self._selector.unregister(conn.sock)
         except (KeyError, ValueError, OSError):
             pass
-        try:
-            conn.sock.close()
-        except OSError:
-            pass
+        with conn.lock:
+            conn.dead = True
+            parked = conn.parked_at is not None
+            conn.parked_at = None
+            try:
+                conn.sock.close()
+            except OSError:
+                pass
         # cancels the active query (if any) and frees the session slot
         self.database_server.close_session(conn.session)
+        if parked:
+            self._schedule(conn)
 
 
 class SocketTransport:
@@ -1278,9 +1417,10 @@ class SocketTransport:
 
 def single_malloc_arena() -> bool:
     """Serve every thread's ``malloc`` from one glibc arena; False where
-    there is no ``mallopt``.  Statements take turns on ``Database._lock``,
-    so per-thread arenas buy no concurrency, while each keeps its own freed
-    column buffers resident."""
+    there is no ``mallopt``.  The server runs two threads, the event loop
+    and the one executor its statements take turns on, so a second arena
+    buys no concurrency, while it would keep its own freed column buffers
+    resident."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):
@@ -1316,7 +1456,9 @@ def main(argv: list[str] | None = None) -> int:
                         dest="chunk_rows", help="result rows per chunk frame")
     parser.add_argument("--max-concurrent", type=int,
                         default=ServerLimits.max_concurrent_queries,
-                        help="query slots executing at once")
+                        help="statements admitted at once: one executes, "
+                             "the rest are parked behind a slow reader or "
+                             "wait for their next turn")
     parser.add_argument("--max-queue", type=int,
                         default=ServerLimits.max_queue_depth,
                         help="queries allowed to wait for a slot")

@@ -127,14 +127,26 @@ def aggregate_is_star(node: ast.FunctionCall) -> bool:
 VECTOR_AGGREGATES = frozenset({"SUM", "AVG", "MIN", "MAX", "COUNT"})
 
 
-def _int_sum_may_overflow(upper: str, values: np.ndarray) -> bool:
-    """Whether an integer SUM could exceed int64 (numpy would silently wrap).
+def _int_sum_may_overflow(values: np.ndarray) -> bool:
+    """Whether an integer sum could exceed int64 (numpy would silently wrap).
 
     Conservative magnitude-times-count bound in exact Python arithmetic; when
-    it trips, the caller uses the Python tier, whose ints are unbounded.
+    it trips, the caller sums Python ints, which are unbounded.
     """
-    return upper == "SUM" and values.dtype.kind in "iu" \
+    return values.dtype.kind in "iu" \
         and int_magnitude(values) * values.size >= 2 ** 63
+
+
+def _means(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """AVG from exact per-group sums, rounded once as Python's ``int / int``
+    rounds: float sums and integer sums below 2^53 (exact as doubles) divide
+    as arrays, larger integer sums one by one."""
+    if sums.dtype.kind == "f" or (
+            sums.dtype.kind in "iu" and int_magnitude(sums) < 2 ** 53):
+        return sums / np.maximum(counts, 1)
+    return np.array([total / count if count else 0.0
+                     for total, count in zip(sums.tolist(), counts.tolist())],
+                    dtype=np.float64)
 
 
 def call_aggregate(name: str, values: Sequence[Any], *, is_star: bool = False,
@@ -288,18 +300,16 @@ def _grouped_vector(upper: str, vector: Vector,
     if upper in ("SUM", "AVG"):
         if data.dtype == np.bool_:
             data = data.astype(np.int64)
-        if upper == "SUM" and _int_sum_may_overflow(
-                upper, data if valid is None else data[valid]):
-            return None
+        if _int_sum_may_overflow(data if valid is None else data[valid]):
+            if upper == "SUM":
+                return None  # the Python tier answers Python ints
+            data = data.astype(object)  # AVG: exact Python-int sums
         if valid is not None:
             data = np.where(valid, data, 0)
-        if upper == "AVG":
-            data = data.astype(np.float64)
         sums = layout.to_group_order(
             np.add.reduceat(data[layout.order], layout.starts))
         return typed_vector(
-            sums if upper == "SUM" else sums / np.maximum(counts, 1),
-            counts == 0)
+            sums if upper == "SUM" else _means(sums, counts), counts == 0)
     if valid is not None:
         fill = _REDUCE_FILL[upper].get(data.dtype.kind)
         if fill is None:
@@ -428,12 +438,7 @@ def merge_partial_aggregates(
             else typed_vector(sums, ~seen)
     counts = _merge_counts([(state.counts, groups)
                             for state, groups in partials], n_groups)
-    if sums.dtype.kind == "f" or (
-            sums.dtype.kind in "iu" and int_magnitude(sums) < 2 ** 53):
-        # an int64 below 2^53 converts exactly: one rounding, as int / int
-        return typed_vector(sums / np.maximum(counts, 1), counts == 0)
-    return [None if count == 0 else total / count
-            for total, count in zip(sums.tolist(), counts.tolist())]
+    return typed_vector(_means(sums, counts), counts == 0)
 
 
 def grouped_aggregate(name: str, values: Sequence[Any], layout: GroupLayout, *,

@@ -311,12 +311,16 @@ class TestCrashDuringStream:
         proc, host, port = self.start_server(durable_path)
         try:
             connection = tcp_connection(host, port)
-            # 24 DOUBLE columns: 9.6 MB of chunks whatever the wire codec
-            # (no integer section to narrow), more than the socket buffers
-            # hold, so the server cannot have sent everything before it is
-            # killed
+            # 24 DOUBLE columns of sevenths: ≈ 8.9 MB of chunks whatever
+            # the wire codec (no decimal or integer section to narrow), more
+            # than the socket buffers hold, so the server cannot have sent
+            # everything before it is killed.  A fixed 64 KiB receive buffer
+            # keeps that true where receive autotuning may grow to tens of
+            # MB (a 0.3 s pause before the kill let it absorb all 8.9 MB)
+            connection._transport._socket.setsockopt(
+                socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 16)
             stream = connection.execute_stream(
-                f"SELECT {', '.join(['i * 0.5'] * 24)} FROM big WHERE i >= 0")
+                f"SELECT {', '.join(['i / 7.0'] * 24)} FROM big WHERE i >= 0")
             assert stream.fetchone() is not None  # streaming has begun
             proc.send_signal(signal.SIGKILL)
             proc.wait(timeout=10)

@@ -128,7 +128,8 @@ PATH_KEYS = MEMORY_KEYS | {
     "persist.backups_taken", "persist.quarantined_tables",
     *_histogram_keys("persist.checkpoint_us", "persist.wal_append_us",
                      "persist.wal_fsync_us")}
-SERVED_KEYS = MEMORY_KEYS | _histogram_keys("server.query_us") | {
+SERVED_KEYS = MEMORY_KEYS | _histogram_keys("server.query_us",
+                                            "server.queue_wait_us") | {
     f"server.{name}" for name in (
         "sessions_opened", "sessions_closed", "queries_executed",
         "bytes_sent", "bytes_received", "errors", "internal_errors",

@@ -13,6 +13,12 @@ morsel size.  Two entries were re-recorded on purpose, both at 1,024 rows:
 ``SELECT c, MIN(n), MAX(n), SUM(n), AVG(n) FROM g [WHERE id >= 1000] GROUP
 BY c``, whose MIN / MAX of a group holding a NaN depended on whether the NaN
 came in the group's first morsel; they now answer NaN, as one morsel does.
+Two more were re-recorded on purpose at 65,536 rows: ``SELECT c, COUNT(*),
+SUM(big), AVG(big), MIN(big), MAX(big) FROM g [WHERE id >= 2500] GROUP BY
+c``, whose one-morsel AVG summed ``big`` (values near 2^52) as doubles and
+rounded in the last place; it now sums integers exactly and divides once,
+as the partial merge at 1,024 and 4,096 rows does, and all three sizes
+agree.
 """
 
 import json

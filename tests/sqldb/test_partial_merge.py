@@ -2,8 +2,8 @@
 
 A GROUP BY over more than ``morsel_rows`` rows aggregates each morsel into
 typed partials and scatters them into the global groups in morsel order.
-For COUNT, MIN, MAX and integer SUM nothing about that may show: the answer
-equals the single-morsel one exactly — NaN included (a group holding a NaN
+For COUNT, MIN, MAX, integer SUM and integer AVG nothing about that may
+show: the answer equals the single-morsel one exactly — NaN included (a group holding a NaN
 answers NaN for MIN and MAX wherever the NaN falls), ``-0.0`` beside
 ``0.0``, groups whose every value is NULL, and integer totals beyond int64.
 Float SUM and AVG may fold in another order and are compared with
@@ -11,7 +11,9 @@ Float SUM and AVG may fold in another order and are compared with
 """
 
 import math
+import sqlite3
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +22,7 @@ from repro.sqldb import Database
 MORSEL_ROWS = (1, 3, 1_024)
 SINGLE = 65_536
 SQL = ("SELECT k, COUNT(*), COUNT(f), SUM(i), MIN(i), MAX(i), MIN(f), "
-       "MAX(f), MIN(s), MAX(s), SUM(f), AVG(f) FROM t GROUP BY k")
+       "MAX(f), MIN(s), MAX(s), SUM(f), AVG(f), AVG(i) FROM t GROUP BY k")
 #: the float SUM and AVG positions
 FOLDED = (10, 11)
 
@@ -78,3 +80,24 @@ def test_a_nan_in_a_later_morsel_still_wins():
         (row,) = _answer(morsel_rows, table)
         assert all(math.isnan(value) for value in row[6:8]), morsel_rows
         assert row[3:6] == (6, 1, 3) and row[8:10] == ("a", "c")
+
+
+@pytest.mark.parametrize("morsel_rows", (1, 7, SINGLE))
+def test_integer_avg_is_exact_at_every_morsel_size(morsel_rows):
+    # the sum 2^62 - 2^62 - 3 is exact in int64; converted to doubles
+    # first, 2^62 - 3 rounds to 2^62 and the mean reads 0.0
+    table = [(1, 2 ** 62, 0.0, "a"), (1, -2 ** 62, 0.0, "b"),
+             (1, -3, 0.0, "c")]
+    reference = sqlite3.connect(":memory:")
+    reference.execute("CREATE TABLE t (k INTEGER, i INTEGER)")
+    reference.executemany("INSERT INTO t VALUES (?, ?)",
+                          [(k, i) for k, i, _, _ in table])
+    want = reference.execute("SELECT AVG(i) FROM t").fetchone()[0]
+    assert want == -1.0
+    (row,) = _answer(morsel_rows, table)
+    assert row[-1] == want
+    db = Database(morsel_rows=morsel_rows)
+    db.execute("CREATE TABLE t (i BIGINT)")
+    db.storage.table("t").insert_rows([(i,) for _, i, _, _ in table])
+    assert db.execute("SELECT AVG(i) FROM t").fetchall() == [(want,)]
+    db.close()
